@@ -10,7 +10,7 @@ Subcommands:
 Every run emits CSV rows plus a JSON summary echoing the full config and
 seed, so any plot-reproducing run is a single command. A flat INI config
 file (one section per subcommand) can predefine values; explicit CLI flags
-override it. Exit codes: 0 success, 1 usage error, 2 internal assertion.
+override it. Exit codes: 0 success, 1 usage error, 2 internal fault.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import dataclasses
 import json
 import os
 import sys
+import traceback
 
 from .analysis import (
     TwoHopGeometry,
@@ -379,9 +380,13 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, ValueError, OSError, KeyError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -18,8 +18,10 @@ the relay's actual transmission against that inference:
 4. p* <= t for a calibrated threshold t flags the relay as malicious.
 
 Layer weights are exposed sparsely (state -> weight for reachable states
-only); the forward pass itself runs on dense vectors because the update is
-a handful of vectorized XOR-gather-accumulate passes.
+only); the forward pass keeps dense vectors but scatters each layer update
+from the previous layer's positive-weight support alone, summing the
+contributions with ``np.bincount`` in the same order a per-candidate dense
+pass would, so every layer is bit-for-bit what that pass gives.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ from .channel import Bsc, ball_radius, hamming_vec, log_likelihood, log_likeliho
 from .gfield import GF2n
 from .hashing import HashSpec, collision_class, hash_eval, hash_eval_vec
 from .packet import Codebook
+
+
+# Contributions summed per np.bincount call in the forward pass; bounds each
+# temporary at about 64 KiB without changing any result.
+_SCATTER_CHUNK = 1 << 13
 
 
 class InferenceError(RuntimeError):
@@ -173,22 +180,42 @@ def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
     peer's transition row; for fixed x this is an XOR shift of the whole
     layer (a bijection on states), so total mass 1 is conserved at every
     layer.
+
+    The update scatters from the support u of layer i-1 only: candidate x
+    sends t_x * w(u) to state shift_x ^ u. The contributions are laid out
+    candidate-major and summed by ``np.bincount``, which adds in input
+    order, so each state's sum is taken in candidate order, exactly as
+    ``acc += t_x * w(. ^ shift_x)`` over the candidates would take it. The
+    only terms skipped are t_x * 0.0, and adding +0.0 leaves a sum
+    unchanged. Candidates go in chunks of about ``_SCATTER_CHUNK``
+    contributions; each chunk after the first starts its input with the
+    running sums, and 0 + acc is exact, so chunking changes no addition.
+    The layers are therefore bit-identical to that dense pass, exact
+    zeros included.
     """
     f = obs.field
     size = f.order
     vec = np.zeros(size)
     vec[f.mul(obs.coeffs[0], obs.own_symbol)] = 1.0
     arrays = [vec]
-    idx = np.arange(size)
+    states = np.arange(size)
     for coeff, peer in zip(obs.coeffs[1:], obs.overheard):
         row = transition_row(
             peer.symbol, peer.hash_value, peer.channel,
             obs.hash_spec, obs.codebook, obs.prune_eps,
         )
         shifts = f.mul_vec(coeff, row.candidates)
-        acc = np.zeros(size)
-        for c, t in zip(shifts.tolist(), row.probs.tolist()):
-            acc += t * vec[idx ^ c]
+        support = np.flatnonzero(vec > 0.0)
+        mass = vec[support]
+        step = max(1, _SCATTER_CHUNK // len(support))
+        acc = None
+        for lo in range(0, len(shifts), step):
+            targets = (shifts[lo:lo + step, None] ^ support).ravel()
+            weights = (row.probs[lo:lo + step, None] * mass).ravel()
+            if acc is not None:
+                targets = np.concatenate((states, targets))
+                weights = np.concatenate((acc, weights))
+            acc = np.bincount(targets, weights, minlength=size)
         vec = acc
         arrays.append(vec)
     return Trellis(arrays, obs.coeffs, f)

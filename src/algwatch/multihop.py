@@ -546,11 +546,28 @@ def _injector_outcome(transcript, injector, spec, field):
     return tx.packet.payload != true, destination_check(tx.packet, spec)
 
 
+def _check_declared(field: str, names, nodes: frozenset[str]) -> None:
+    undeclared = sorted(set(names) - nodes)
+    if undeclared:
+        raise ValueError(f"topology field {field!r} names undeclared node(s) {undeclared}")
+
+
 def load_topology(doc) -> tuple[Hypergraph, dict[str, NodeBehavior], list[list[str]], dict]:
-    """Parse a declarative topology document (dict or JSON file path)."""
+    """Parse a declarative topology document (dict or JSON file path).
+
+    Raises ValueError naming the field when ``nodes``, ``links`` or
+    ``schedule`` is missing, when a schedule entry, behavior or
+    ``source_symbols`` key names an undeclared node, or when an honest
+    node is given a positive ``p_adv``.
+    """
     if isinstance(doc, (str, bytes)):
         with open(doc) as fh:
             doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("topology document must be a JSON object")
+    for field in ("nodes", "links", "schedule"):
+        if field not in doc:
+            raise ValueError(f"topology field {field!r} is missing")
     g = Hypergraph(
         nodes=frozenset(doc["nodes"]),
         links=frozenset(tuple(e) for e in doc["links"]),
@@ -564,8 +581,19 @@ def load_topology(doc) -> tuple[Hypergraph, dict[str, NodeBehavior], list[list[s
         )
         for name, spec in doc.get("behaviors", {}).items()
     }
+    _check_declared("behaviors", behaviors, g.nodes)
+    for name, behavior in sorted(behaviors.items()):
+        if behavior.role == HONEST and behavior.p_adv > 0.0:
+            raise ValueError(
+                f"topology field 'behaviors.{name}.p_adv': an honest node injects "
+                f"nothing, got {behavior.p_adv}"
+            )
     schedule = [list(r) for r in doc["schedule"]]
-    return g, behaviors, schedule, dict(doc.get("source_symbols", {}))
+    for i, transmitters in enumerate(schedule):
+        _check_declared(f"schedule[{i}]", transmitters, g.nodes)
+    source_symbols = dict(doc.get("source_symbols", {}))
+    _check_declared("source_symbols", source_symbols, g.nodes)
+    return g, behaviors, schedule, source_symbols
 
 
 def write_trace(transcript: list[Transmission], path) -> None:

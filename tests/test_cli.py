@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from algwatch import cli
 from algwatch.cli import main
 
 
@@ -124,3 +125,34 @@ def test_usage_errors_exit_one(tmp_path):
     assert main(["unknown-command"]) == 1
     assert main(["two-hop", "--config", str(tmp_path / "missing.ini"),
                  "--out", str(tmp_path / "o.csv")]) == 1
+
+
+_GHOST_BASE = {"nodes": ["a", "b"], "links": [["a", "b"]], "schedule": [["a"], ["b"]]}
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"schedule": [["a"], ["zzz"]]}, "schedule[1]"),
+    ({"behaviors": {"ghost": {"role": "adversarial", "p_adv": 0.9}}}, "behaviors"),
+    ({"behaviors": {"a": {"role": "honest", "p_adv": 0.9}}}, "behaviors.a.p_adv"),
+    ({"source_symbols": {"ghost": 3}}, "source_symbols"),
+    ({"nodes": None}, "nodes"),
+    ({"links": None}, "links"),
+    ({"schedule": None}, "schedule"),
+])
+def test_multihop_topology_rejects_bad_document(tmp_path, capsys, change, field):
+    doc = {k: v for k, v in {**_GHOST_BASE, **change}.items() if v is not None}
+    tpath = tmp_path / "topo.json"
+    tpath.write_text(json.dumps(doc))
+    assert main(["multihop", "--topology", str(tpath),
+                 "--out", str(tmp_path / "run.json")]) == 1
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
+def test_internal_fault_exits_two(tmp_path, monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("lookup bug")
+
+    monkeypatch.setitem(cli._COMMANDS, "analysis", broken)
+    assert main(["analysis", "--out", str(tmp_path / "a.csv")]) == 2
+    assert "lookup bug" in capsys.readouterr().err

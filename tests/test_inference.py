@@ -3,7 +3,7 @@ import pytest
 
 from algwatch.channel import Bsc
 from algwatch.gfield import default_field
-from algwatch.hashing import HashSpec, hash_eval, sample_hash
+from algwatch.hashing import HashSpec, hash_eval, hash_eval_vec, sample_hash
 from algwatch.inference import (
     InferenceError,
     Overheard,
@@ -131,6 +131,98 @@ def test_trellis_shift_is_permutation():
         for x in range(16):
             shift = f.mul(a, x)
             assert len({s ^ shift for s in range(16)}) == 16
+
+
+def _gather_loop_layers(obs):
+    """Reference forward pass: one dense XOR-gather-accumulate per candidate."""
+    f = obs.field
+    vec = np.zeros(f.order)
+    vec[f.mul(obs.coeffs[0], obs.own_symbol)] = 1.0
+    arrays = [vec]
+    idx = np.arange(f.order)
+    for coeff, peer in zip(obs.coeffs[1:], obs.overheard):
+        row = transition_row(
+            peer.symbol, peer.hash_value, peer.channel,
+            obs.hash_spec, obs.codebook, obs.prune_eps,
+        )
+        shifts = f.mul_vec(coeff, row.candidates)
+        acc = np.zeros(f.order)
+        for c, t in zip(shifts.tolist(), row.probs.tolist()):
+            acc += t * vec[idx ^ c]
+        vec = acc
+        arrays.append(vec)
+    return arrays
+
+
+def _random_observation(rng, n, m, delta, family, codebook, prune, p):
+    f = default_field(n)
+    spec = sample_hash(rng, family, n, delta)
+    pool = np.array(sorted(codebook.members)) if codebook else np.arange(f.order)
+    symbols = [int(x) for x in rng.choice(pool, size=m)]
+    coeffs = tuple(1 + int(c) for c in rng.integers(0, f.order - 1, size=m))
+    ch = Bsc(p)
+
+    def overhear(x):  # any symbol is possible on a noisy channel, only x on a clean one
+        heard = x ^ int(rng.integers(0, f.order)) if p > 0 else x
+        return Overheard(heard, hash_eval(spec, x), ch)
+
+    peers = tuple(overhear(x) for x in symbols[1:])
+    relay = overhear(f.lincomb(coeffs, symbols))
+    return WatchdogObservation(
+        own_symbol=symbols[0], coeffs=coeffs, overheard=peers, relay_overheard=relay,
+        hash_spec=spec, field=f, codebook=codebook, prune_eps=prune,
+    )
+
+
+def _assert_matches_gather_loop(obs):
+    try:
+        ref = _gather_loop_layers(obs)
+    except InferenceError:
+        with pytest.raises(InferenceError):
+            build_and_run_trellis(obs)
+        return
+    trellis = build_and_run_trellis(obs)
+    assert trellis.depth == len(ref)
+    for vec, layer in zip(ref, trellis.layers):
+        support = np.flatnonzero(vec > 0.0)
+        assert list(layer) == support.tolist()
+        assert np.array_equal(list(layer.values()), vec[support])
+    assert np.array_equal(trellis.final_weights, ref[-1])
+    spec, relay_hash = obs.hash_spec, obs.relay_overheard.hash_value
+    support = np.flatnonzero(ref[-1] > 0.0)
+    expect = support[hash_eval_vec(spec, support) == relay_hash].tolist()
+    assert matched_codewords(trellis, relay_hash, spec) == expect
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_trellis_bit_identical_to_gather_loop(n):
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(6):
+        m = int(rng.integers(2, 6))
+        delta = int(rng.choice([0, 2, n]))
+        if n >= 11 and delta == 0:
+            m = 2  # keep the dense reference loop quick at 2^n candidates
+        family = str(rng.choice(["affine", "poly"]))
+        codebook = None
+        if rng.random() < 0.3:
+            members = rng.choice(1 << n, size=max(2, (1 << n) // 4), replace=False)
+            codebook = Codebook(n, frozenset(int(x) for x in members))
+        prune = 0.5 if rng.random() < 0.3 else None
+        p = float(rng.choice([0.0, 0.05, 0.2]))
+        obs = _random_observation(rng, n, m, delta, family, codebook, prune, p)
+        _assert_matches_gather_loop(obs)
+
+
+def test_trellis_bit_identical_across_many_chunks():
+    # 1024 candidates per row at n=12, delta=2: the last layer scatters
+    # about 10^6 contributions, summed over many bincount chunks
+    rng = np.random.default_rng(12)
+    for _ in range(2):
+        obs = _random_observation(rng, 12, 3, 2, "affine", None, None, 0.1)
+        peer = obs.overheard[0]
+        row = transition_row(peer.symbol, peer.hash_value, peer.channel, obs.hash_spec)
+        assert len(row.candidates) == 1024
+        _assert_matches_gather_loop(obs)
 
 
 def test_inverse_transition_hash_mismatch_is_zero():
