@@ -16,22 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_POP16 = None
-
-
-def _popcount_table() -> np.ndarray:
-    global _POP16
-    if _POP16 is None:
-        _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-    return _POP16
-
-
 def hamming(a: int, b: int) -> int:
     return (a ^ b).bit_count()
 
 
 def hamming_vec(x: int, ys: np.ndarray) -> np.ndarray:
-    return _popcount_table()[np.bitwise_xor(ys, x)].astype(np.int64)
+    return np.bitwise_count(np.bitwise_xor(ys, x)).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ import os
 import sys
 import traceback
 
+import numpy as np
+
 from .analysis import (
     TwoHopGeometry,
     matched_count_expected,
@@ -102,37 +104,35 @@ def _parse_values(text: str, cast):
         raise CliError(f"bad sweep values {text!r}: {exc}") from None
 
 
-def _load_config_section(path: str | None, section: str) -> dict:
-    if path is None:
-        return {}
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise CliError(f"config file not found: {path}")
-    if not parser.has_section(section):
-        return {}
-    return dict(parser.items(section))
+def _options(args):
+    """Option lookup for ``args.command``: CLI flag beats config file beats default.
 
+    The config file's section is the one named after the command.
+    """
+    section = {}
+    if args.config is not None:
+        parser = configparser.ConfigParser()
+        if not parser.read(args.config):
+            raise CliError(f"config file not found: {args.config}")
+        if parser.has_section(args.command):
+            section = dict(parser.items(args.command))
 
-def _merged(args, config: dict, key: str, default, cast):
-    """Effective option value: CLI flag beats config file beats default."""
-    cli_value = getattr(args, key.replace("-", "_"), None)
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError as exc:
-            raise CliError(f"config field {key!r}: {exc}") from None
-    return default
+    def opt(key, default, cast):
+        cli_value = getattr(args, key, None)
+        if cli_value is not None:
+            return cli_value
+        if key in section:
+            try:
+                return cast(section[key])
+            except ValueError as exc:
+                raise CliError(f"config field {key!r}: {exc}") from None
+        return default
+
+    return opt
 
 
 def _cmd_two_hop(args) -> int:
-    section = _load_config_section(args.config, "two-hop")
-
-    def opt(key, default, cast):
-        return _merged(args, section, key, default, cast)
-
+    opt = _options(args)
     axis = opt("sweep", "p_adv", str)
     if axis not in SWEEP_AXES:
         raise CliError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -177,11 +177,7 @@ def _cmd_two_hop(args) -> int:
 
 
 def _cmd_analysis(args) -> int:
-    section = _load_config_section(args.config, "analysis")
-
-    def opt(key, default, cast):
-        return _merged(args, section, key, default, cast)
-
+    opt = _options(args)
     table = opt("table", "misdetection", str)
     n = opt("n", 10, int)
     out = args.out
@@ -220,11 +216,7 @@ def _cmd_analysis(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    section = _load_config_section(args.config, "oracle")
-
-    def opt(key, default, cast):
-        return _merged(args, section, key, default, cast)
-
+    opt = _options(args)
     cfg = TwoHopConfig(
         m=opt("m", 3, int),
         n=opt("n", 4, int),
@@ -260,11 +252,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_multihop(args) -> int:
-    section = _load_config_section(args.config, "multihop")
-
-    def opt(key, default, cast):
-        return _merged(args, section, key, default, cast)
-
+    opt = _options(args)
     seed = opt("seed", 0, int)
     scenario = opt("scenario", None, str)
     topology = opt("topology", None, str)
@@ -281,8 +269,6 @@ def _cmd_multihop(args) -> int:
         return 0
     g, behaviors, schedule, source_symbols = load_topology(topology)
     field = default_field(opt("n", 10, int))
-    import numpy as np
-
     spec = sample_hash(np.random.default_rng(seed), "affine", field.n, opt("delta", 2, int))
     ledger = TrustLedger(opt("threshold", 0.005, float), window=opt("window", 25, int))
     transcript = run_protocol(g, behaviors, schedule, spec, field, seed, ledger,

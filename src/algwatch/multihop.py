@@ -206,6 +206,33 @@ def _latest(transcript: list[Transmission], sender: str, before: int | None = No
     return None
 
 
+def _policing_inputs(watcher: str, watched: str, transcript: list[Transmission]):
+    """The watched node's latest transmission, the watcher's own before it and
+    every other input's, sorted: what policing needs, else a ValueError why not.
+    """
+    watched_tx = _latest(transcript, watched)
+    if watched_tx is None:
+        raise ValueError(f"{watched} has not transmitted yet")
+    if watcher not in watched_tx.overheard:
+        raise ValueError(f"{watcher} has no overhearing edge from {watched}")
+    upstream = sorted(watched_tx.packet.coeffs)
+    if watcher not in upstream:
+        raise ValueError(f"{watcher} is not an input of {watched}'s transmission")
+
+    own_tx = _latest(transcript, watcher, before=watched_tx.round_index)
+    if own_tx is None:
+        raise ValueError(f"{watcher} transmitted nothing for {watched} to combine")
+    peer_txs = []
+    for u in upstream:
+        if u == watcher:
+            continue
+        peer_tx = _latest(transcript, u, before=watched_tx.round_index)
+        if peer_tx is None or watcher not in peer_tx.overheard:
+            raise ValueError(f"{watcher} has no overhearing edge from {u}")
+        peer_txs.append(peer_tx)
+    return watched_tx, own_tx, peer_txs
+
+
 def build_observation(
     watcher: str,
     watched: str,
@@ -221,44 +248,18 @@ def build_observation(
     overhearings recorded for the watcher. Raises when the watcher lacks
     an overhearing edge it needs or never fed the watched node.
     """
-    watched_tx = _latest(transcript, watched)
-    if watched_tx is None:
-        raise ValueError(f"{watched} has not transmitted yet")
-    if watcher not in watched_tx.overheard:
-        raise ValueError(f"{watcher} has no overhearing edge from {watched}")
-    upstream = sorted(watched_tx.packet.coeffs)
-    if watcher not in upstream:
-        raise ValueError(f"{watcher} is not an input of {watched}'s transmission")
+    watched_tx, own_tx, peer_txs = _policing_inputs(watcher, watched, transcript)
 
-    own_tx = _latest(transcript, watcher, before=watched_tx.round_index)
-    if own_tx is None:
-        raise ValueError(f"{watcher} transmitted nothing for {watched} to combine")
-    coeffs = [watched_tx.packet.coeffs[watcher]]
-    peers = []
-    for u in upstream:
-        if u == watcher:
-            continue
-        peer_tx = _latest(transcript, u, before=watched_tx.round_index)
-        if peer_tx is None or watcher not in peer_tx.overheard:
-            raise ValueError(f"{watcher} has no overhearing edge from {u}")
-        coeffs.append(watched_tx.packet.coeffs[u])
-        peers.append(
-            Overheard(
-                peer_tx.overheard[watcher],
-                peer_tx.packet.own_hash,
-                Bsc(g.overhearing_rate(u, watcher)),
-            )
-        )
-    relay = Overheard(
-        watched_tx.overheard[watcher],
-        watched_tx.packet.own_hash,
-        Bsc(g.overhearing_rate(watched, watcher)),
-    )
+    def heard(tx: Transmission) -> Overheard:
+        rate = g.overhearing_rate(tx.sender, watcher)
+        return Overheard(tx.overheard[watcher], tx.packet.own_hash, Bsc(rate))
+
+    coeffs = watched_tx.packet.coeffs
     return WatchdogObservation(
         own_symbol=own_tx.packet.payload,
-        coeffs=tuple(coeffs),
-        overheard=tuple(peers),
-        relay_overheard=relay,
+        coeffs=(coeffs[watcher], *(coeffs[tx.sender] for tx in peer_txs)),
+        overheard=tuple(heard(tx) for tx in peer_txs),
+        relay_overheard=heard(watched_tx),
         hash_spec=spec,
         field=field,
     )
@@ -280,19 +281,22 @@ def police(
 
 
 def can_police(watcher: str, watched: str, transcript: list[Transmission], g: Hypergraph) -> bool:
-    watched_tx = _latest(transcript, watched)
-    if watched_tx is None or watcher not in watched_tx.overheard:
+    """Whether ``build_observation`` has everything it needs for this pair."""
+    try:
+        _policing_inputs(watcher, watched, transcript)
+    except ValueError:
         return False
-    upstream = sorted(watched_tx.packet.coeffs)
-    if watcher not in upstream:
-        return False
-    for u in upstream:
-        if u == watcher:
-            continue
-        peer_tx = _latest(transcript, u, before=watched_tx.round_index)
-        if peer_tx is None or watcher not in peer_tx.overheard:
-            return False
-    return _latest(transcript, watcher, before=watched_tx.round_index) is not None
+    return True
+
+
+def _rounds(g, behaviors, schedule, spec, field, rng, source_symbols=None):
+    """Yield (transmitters, transcript so far) after each round of the schedule."""
+    state = NetworkState()
+    transcript: list[Transmission] = []
+    for round_index, transmitters in enumerate(schedule):
+        transcript.extend(run_round(g, behaviors, transmitters, state, spec, field, rng,
+                                    round_index, source_symbols))
+        yield transmitters, transcript
 
 
 def run_protocol(
@@ -313,15 +317,9 @@ def run_protocol(
     place.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
-    state = NetworkState()
     transcript: list[Transmission] = []
-    for round_index, transmitters in enumerate(schedule):
-        transcript.extend(
-            run_round(
-                g, behaviors, transmitters, state, spec, field, rng,
-                round_index, source_symbols,
-            )
-        )
+    rounds = _rounds(g, behaviors, schedule, spec, field, rng, source_symbols)
+    for transmitters, transcript in rounds:
         for watcher in sorted(g.nodes):
             behavior = behaviors.get(watcher, NodeBehavior())
             if behavior.role != HONEST or behavior.check_probability == 0.0:
@@ -416,28 +414,17 @@ def _scenario_one_honest_path(
         inst_rng = np.random.default_rng(np.random.SeedSequence((seed, inst, 99)))
         spec = sample_hash(inst_rng, "affine", 10, 2)
         ledger = TrustLedger(threshold, window=window)
-        caught = False
-        state = NetworkState()
-        transcript: list[Transmission] = []
         rng = np.random.default_rng(np.random.SeedSequence((seed, inst)))
-        for round_index, transmitters in enumerate(schedule):
-            transcript.extend(
-                run_round(g, behaviors, transmitters, state, spec, field, rng, round_index)
-            )
+        transcript: list[Transmission] = []
+        for transmitters, transcript in _rounds(g, behaviors, schedule, spec, field, rng):
             if "r" in transmitters and can_police("w", "r", transcript, g):
                 police("w", "r", transcript, g, spec, field, ledger)
                 if ledger.verdict("w", "r") is Verdict.MALICIOUS:
-                    caught = True
+                    detections += 1
                     break
-        detections += caught
-        last_r = _latest(transcript, "r")
-        if last_r is not None:
-            true = field.lincomb(
-                [last_r.packet.coeffs[u] for u in sorted(last_r.packet.coeffs)],
-                [_latest(transcript, u, last_r.round_index).packet.payload
-                 for u in sorted(last_r.packet.coeffs)],
-            )
-            corrupted_any = corrupted_any or last_r.packet.payload != true
+        if _latest(transcript, "r") is not None:
+            corrupted, _ = _injector_outcome(transcript, "r", spec, field)
+            corrupted_any = corrupted_any or corrupted
     freq = detections / instances
     return ScenarioReport(
         kind="one-honest-path",
@@ -449,17 +436,28 @@ def _scenario_one_honest_path(
     )
 
 
-def _run_fixed(g, behaviors, schedule, seed):
+def _structural_report(kind, g, behaviors, schedule, seed, injector, details) -> ScenarioReport:
+    """Run a fixed schedule once and report on the injector's last packet."""
     field = default_field(10)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 7)))
     spec = sample_hash(rng, "affine", 10, 2)
-    state = NetworkState()
-    transcript: list[Transmission] = []
-    for round_index, transmitters in enumerate(schedule):
-        transcript.extend(
-            run_round(g, behaviors, transmitters, state, spec, field, rng, round_index)
-        )
-    return transcript, spec, field
+    for _, transcript in _rounds(g, behaviors, schedule, spec, field, rng):
+        pass
+    corrupted, consistent = _injector_outcome(transcript, injector, spec, field)
+    honest_watchers = {u for u in g.parents(injector) if behaviors[u].role == HONEST}
+    return ScenarioReport(
+        kind=kind,
+        corrupted_delivered=corrupted,
+        honest_watcher_exists=bool(honest_watchers),
+        detected=False,
+        detection_frequency=None,
+        details={
+            **details,
+            "injector": injector,
+            "destination_check_passes": consistent,
+            "honest_parents_of_injector": sorted(honest_watchers),
+        },
+    )
 
 
 def _scenario_all_parents(seed, p_adv, p_overhear) -> ScenarioReport:
@@ -475,21 +473,7 @@ def _scenario_all_parents(seed, p_adv, p_overhear) -> ScenarioReport:
         "d": NodeBehavior(HONEST),
     }
     schedule = [["a1", "a2"], ["v"]] * 4
-    transcript, spec, field = _run_fixed(g, behaviors, schedule, seed)
-    corrupted, consistent = _injector_outcome(transcript, "v", spec, field)
-    honest_watchers = {u for u in g.parents("v") if behaviors[u].role == HONEST}
-    return ScenarioReport(
-        kind="all-parents-malicious",
-        corrupted_delivered=corrupted,
-        honest_watcher_exists=bool(honest_watchers),
-        detected=False,
-        detection_frequency=None,
-        details={
-            "injector": "v",
-            "destination_check_passes": consistent,
-            "honest_parents_of_injector": sorted(honest_watchers),
-        },
-    )
+    return _structural_report("all-parents-malicious", g, behaviors, schedule, seed, "v", {})
 
 
 def _scenario_all_children(seed, p_adv, p_overhear) -> ScenarioReport:
@@ -517,21 +501,9 @@ def _scenario_all_children(seed, p_adv, p_overhear) -> ScenarioReport:
         "d": NodeBehavior(HONEST),
     }
     schedule = [["s1", "s2"], ["v"], ["c"]] * 3
-    transcript, spec, field = _run_fixed(g, behaviors, schedule, seed)
-    corrupted, consistent = _injector_outcome(transcript, "c", spec, field)
-    honest_watchers = {u for u in g.parents("c") if behaviors[u].role == HONEST}
-    return ScenarioReport(
-        kind="all-children-malicious",
-        corrupted_delivered=corrupted,
-        honest_watcher_exists=bool(honest_watchers),
-        detected=False,
-        detection_frequency=None,
-        details={
-            "node_with_malicious_children": "v",
-            "injector": "c",
-            "destination_check_passes": consistent,
-            "honest_parents_of_injector": sorted(honest_watchers),
-        },
+    return _structural_report(
+        "all-children-malicious", g, behaviors, schedule, seed, "c",
+        {"node_with_malicious_children": "v"},
     )
 
 
@@ -552,19 +524,49 @@ def _check_declared(field: str, names, nodes: frozenset[str]) -> None:
         raise ValueError(f"topology field {field!r} names undeclared node(s) {undeclared}")
 
 
+def _is_names(value, count=None) -> bool:
+    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
+            and count in (None, len(value)))
+
+
+def _is_rate_edge(e) -> bool:
+    return (isinstance(e, list) and len(e) == 3 and _is_names(e[:2])
+            and isinstance(e[2], (int, float)))
+
+
+# Every field a topology document may hold: what it must be, its type, a check per entry.
+_TOPOLOGY_FIELDS = {
+    "nodes": ("a list of node names", list, lambda v: isinstance(v, str)),
+    "links": ("a list of [sender, receiver] pairs", list, lambda e: _is_names(e, 2)),
+    "interference": ("a list of [speaker, listener, rate] triples", list, _is_rate_edge),
+    "behaviors": ("an object of behavior objects", dict, lambda b: isinstance(b, dict)),
+    "schedule": ("a list of rounds, each a list of node names", list, _is_names),
+    "source_symbols": ("an object of integer symbols", dict, lambda v: isinstance(v, int)),
+}
+
+
 def load_topology(doc) -> tuple[Hypergraph, dict[str, NodeBehavior], list[list[str]], dict]:
     """Parse a declarative topology document (dict or JSON file path).
 
-    Raises ValueError naming the field when ``nodes``, ``links`` or
-    ``schedule`` is missing, when a schedule entry, behavior or
-    ``source_symbols`` key names an undeclared node, or when an honest
-    node is given a positive ``p_adv``.
+    Raises ValueError naming the field when a field is unknown, missing
+    (``nodes``, ``links``, ``schedule``) or of the wrong shape, when a
+    behavior has an unknown or invalid entry, when a schedule entry,
+    behavior or ``source_symbols`` key names an undeclared node, or when
+    an honest node is given a positive ``p_adv``.
     """
     if isinstance(doc, (str, bytes)):
         with open(doc) as fh:
             doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("topology document must be a JSON object")
+    for field, value in doc.items():
+        if field not in _TOPOLOGY_FIELDS:
+            raise ValueError(f"topology field {field!r} is unknown; "
+                             f"expected one of {sorted(_TOPOLOGY_FIELDS)}")
+        shape, kind, ok = _TOPOLOGY_FIELDS[field]
+        entries = value.values() if isinstance(value, dict) else value
+        if not isinstance(value, kind) or not all(map(ok, entries)):
+            raise ValueError(f"topology field {field!r} must be {shape}")
     for field in ("nodes", "links", "schedule"):
         if field not in doc:
             raise ValueError(f"topology field {field!r} is missing")
@@ -573,21 +575,18 @@ def load_topology(doc) -> tuple[Hypergraph, dict[str, NodeBehavior], list[list[s
         links=frozenset(tuple(e) for e in doc["links"]),
         interference={(u, v): p for u, v, p in doc.get("interference", [])},
     )
-    behaviors = {
-        name: NodeBehavior(
-            role=spec.get("role", HONEST),
-            p_adv=spec.get("p_adv", 0.0),
-            check_probability=spec.get("check_probability", 0.0),
-        )
-        for name, spec in doc.get("behaviors", {}).items()
-    }
-    _check_declared("behaviors", behaviors, g.nodes)
-    for name, behavior in sorted(behaviors.items()):
-        if behavior.role == HONEST and behavior.p_adv > 0.0:
+    behaviors = {}
+    for name, spec in doc.get("behaviors", {}).items():
+        try:
+            behaviors[name] = NodeBehavior(**spec)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"topology field 'behaviors.{name}': {exc}") from None
+        if behaviors[name].role == HONEST and behaviors[name].p_adv > 0.0:
             raise ValueError(
                 f"topology field 'behaviors.{name}.p_adv': an honest node injects "
-                f"nothing, got {behavior.p_adv}"
+                f"nothing, got {behaviors[name].p_adv}"
             )
+    _check_declared("behaviors", behaviors, g.nodes)
     schedule = [list(r) for r in doc["schedule"]]
     for i, transmitters in enumerate(schedule):
         _check_declared(f"schedule[{i}]", transmitters, g.nodes)

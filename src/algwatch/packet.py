@@ -162,7 +162,7 @@ def search_corruption(pkt: Packet, spec: HashSpec, p_overhear: float) -> Packet:
 @functools.lru_cache(maxsize=4)
 def _popcount_matrix(n: int) -> np.ndarray:
     xs = np.arange(1 << n, dtype=np.int64)
-    return np.array([hamming_vec(int(v), xs) for v in xs], dtype=np.float64)
+    return np.bitwise_count(xs[:, None] ^ xs).astype(np.float64)
 
 
 def serialize_packet(pkt: Packet, n: int, delta: int) -> bytes:

@@ -10,6 +10,7 @@ from algwatch.channel import (
     compose_error_rates,
     flip_bits,
     hamming,
+    hamming_vec,
     likelihood,
     log_likelihood,
     transmit,
@@ -131,3 +132,11 @@ def test_compose_matches_union_enumeration():
         for b in (0.0, 0.3, 0.5):
             union = a * b + a * (1 - b) + (1 - a) * b
             assert compose_error_rates(a, b) == pytest.approx(union)
+
+
+@pytest.mark.parametrize("x", [0, 1, 0x5A5A, 0xFFFF])
+def test_hamming_vec_matches_hamming(x):
+    ys = np.arange(1 << 16, dtype=np.int64)
+    d = hamming_vec(x, ys)
+    assert d.dtype == np.int64
+    assert d.tolist() == [hamming(x, y) for y in range(1 << 16)]

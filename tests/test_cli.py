@@ -138,6 +138,15 @@ _GHOST_BASE = {"nodes": ["a", "b"], "links": [["a", "b"]], "schedule": [["a"], [
     ({"nodes": None}, "nodes"),
     ({"links": None}, "links"),
     ({"schedule": None}, "schedule"),
+    ({"nodes": [["x"]]}, "nodes"),
+    ({"links": [["a"]]}, "links"),
+    ({"interference": [["b", "a"]]}, "interference"),
+    ({"schedule": "ab"}, "schedule"),
+    ({"behaviours": {"b": {"role": "adversarial"}}}, "behaviours"),
+    ({"behaviors": {"b": {"role": "adversarial", "p_adversary": 0.9}}}, "behaviors.b"),
+    ({"behaviors": {"b": {"role": "adversarial", "p_adv": "high"}}}, "behaviors.b"),
+    ({"behaviors": {"b": "adversarial"}}, "behaviors"),
+    ({"source_symbols": {"a": "x"}}, "source_symbols"),
 ])
 def test_multihop_topology_rejects_bad_document(tmp_path, capsys, change, field):
     doc = {k: v for k, v in {**_GHOST_BASE, **change}.items() if v is not None}

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algwatch.gfield import default_field
 from algwatch.hashing import HashSpec, hash_eval, sample_hash
@@ -133,6 +135,44 @@ def test_police_requires_overhearing_edges():
         police("w", "r", transcript, g, SPEC, FIELD, ledger)
 
 
+@st.composite
+def _networks(draw):
+    """A small DAG with some interference edges and a schedule of rounds."""
+    names = [f"n{i}" for i in range(draw(st.integers(3, 6)))]
+    pairs = [(u, v) for u in names for v in names if u != v]
+    links = draw(st.sets(st.sampled_from([(u, v) for u, v in pairs if u < v])))
+    heard = draw(st.sets(st.sampled_from(pairs)))
+    g = Hypergraph(frozenset(names), frozenset(links), {e: 0.1 for e in heard})
+    rounds = draw(st.lists(st.sets(st.sampled_from(names), min_size=1), min_size=1, max_size=6))
+    return g, rounds, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_networks())
+def test_can_police_iff_build_observation_succeeds(network):
+    g, rounds, seed = network
+    state = NetworkState()
+    rng = np.random.default_rng(seed)
+    transcript = []
+    for i, wanted in enumerate(rounds):
+        # a relay may transmit only what it has received, maybe earlier this round
+        pending = {v for v, inputs in state.inbox.items() if inputs}
+        transmitters = []
+        for v in sorted(wanted):
+            if not g.parents(v) or v in pending:
+                transmitters.append(v)
+                pending = (pending - {v}) | g.children(v)
+        transcript += run_round(g, {}, transmitters, state, SPEC, FIELD, rng, i)
+        for watcher in sorted(g.nodes):
+            for watched in sorted(g.nodes - {watcher}):
+                try:
+                    build_observation(watcher, watched, transcript, g, SPEC, FIELD)
+                    built = True
+                except ValueError:
+                    built = False
+                assert can_police(watcher, watched, transcript, g) == built
+
+
 def test_police_appends_samples():
     g = _star()
     state = NetworkState()
@@ -228,3 +268,25 @@ def test_topology_round_trip(tmp_path):
     lines = [json.loads(line) for line in trace.read_text().splitlines()]
     assert len(lines) == len(transcript) == 2
     assert lines[0]["sender"] == "a" and lines[0]["payload"] == 77
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2000) | st.floats(-1, 2)
+    | st.sampled_from(["a", "b", "honest", "adversarial"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["a", "b", "role", "p_adv", "check_probability"]), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(
+    st.sampled_from(["nodes", "links", "interference", "behaviors", "schedule",
+                     "source_symbols", "behaviours"]),
+    _JSON, max_size=6,
+))
+def test_load_topology_raises_only_value_error_on_fuzzed_documents(doc):
+    try:
+        load_topology(doc)
+    except ValueError:
+        pass
