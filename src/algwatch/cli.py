@@ -8,9 +8,10 @@ Subcommands:
   oracle    check the trellis against brute-force enumeration at n <= 6
 
 Every run emits CSV rows plus a JSON summary echoing the full config and
-seed, so any plot-reproducing run is a single command. A flat INI config
-file (one section per subcommand) can predefine values; explicit CLI flags
-override it. Exit codes: 0 success, 1 usage error, 2 internal fault.
+seed, and the algwatch, numpy and Python versions, so any plot-reproducing
+run is a single command. A flat INI config file (one section per
+subcommand) can predefine values; explicit CLI flags override it. Exit
+codes: 0 success, 1 usage error, 2 internal fault.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ import csv
 import dataclasses
 import json
 import os
+import platform
 import sys
 import traceback
 
 import numpy as np
 
+from . import __version__
 from .analysis import (
     TwoHopGeometry,
     matched_count_expected,
@@ -87,8 +90,13 @@ def _write_csv(path, columns, rows):
 
 
 def _write_summary(path, payload):
+    versions = {
+        "algwatch": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({**payload, "versions": versions}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -269,6 +277,10 @@ def _cmd_multihop(args) -> int:
         return 0
     g, behaviors, schedule, source_symbols = load_topology(topology)
     field = default_field(opt("n", 10, int))
+    for name, symbol in source_symbols.items():
+        if not 0 <= symbol < field.order:
+            raise CliError(f"topology field 'source_symbols.{name}': "
+                           f"{symbol} is not a GF(2^{field.n}) element")
     spec = sample_hash(np.random.default_rng(seed), "affine", field.n, opt("delta", 2, int))
     ledger = TrustLedger(opt("threshold", 0.005, float), window=opt("window", 25, int))
     transcript = run_protocol(g, behaviors, schedule, spec, field, seed, ledger,

@@ -11,6 +11,12 @@ adversarial runs of the same trial therefore share the exact same symbols
 and channel noise, which makes the null adversary (p_adv = 0) produce
 bit-identical p* values and gives every sweep common random numbers.
 
+All arms of a trial (the honest relay and the adversarial relay at each
+p_adv) share one draw and one trellis: the trellis is the watchdog's
+inference from what it holds, and only the final score p* reads the
+relay's transmission. A trial is drawn once, its trellis built once, and
+every arm scored against it.
+
 Also provides the brute-force enumeration oracle for p*, empirical
 threshold calibration, and the matched-codeword counting experiment.
 """
@@ -108,15 +114,15 @@ def _stream(seed: int, trial: int, tag: int):
     return np.random.default_rng(np.random.SeedSequence((seed, trial, tag)))
 
 
-def simulate_observation(
-    cfg: TwoHopConfig, adversarial: bool, trial: int = 0
-) -> WatchdogObservation:
-    """Draw one full trial and return the watchdog's observation of it.
+def _observations(cfg: TwoHopConfig, trial: int, p_advs) -> list[WatchdogObservation]:
+    """The watchdog's observation of one trial's honest arm, then of each p_adv arm.
 
-    Draw order is fixed: hash spec, then m symbols and m coefficients, then
-    the adversary's flip mask, then channel noise for peers 2..m and the
-    relay. Headers arrive error-free, so peer hashes and coefficients in
-    the observation are exact.
+    The trial's draws are made once. Arms differ only in the relay's
+    payload: each adversarial arm corrupts the honest packet with a fresh
+    copy of the adversary stream, and every arm is overheard through the
+    same relay noise mask (bit flips do not depend on the payload). Arm k
+    is therefore exactly what a trial drawn at p_advs[k] alone would give.
+    Headers arrive error-free, so peer hashes and coefficients are exact.
     """
     field = default_field(cfg.n)
     spec = sample_hash(_stream(cfg.seed, trial, _HASH), cfg.hash_family, cfg.n, cfg.delta)
@@ -126,9 +132,10 @@ def simulate_observation(
     coeffs = tuple(1 + int(c) for c in sym_rng.integers(0, field.order - 1, size=cfg.m))
 
     ids = range(1, cfg.m + 1)
-    pkt = make_packet(dict(zip(ids, symbols)), dict(zip(ids, coeffs)), spec, field)
-    if adversarial:
-        pkt = corrupt_payload(pkt, cfg.p_adv, spec, _stream(cfg.seed, trial, _ADVERSARY))
+    honest = make_packet(dict(zip(ids, symbols)), dict(zip(ids, coeffs)), spec, field)
+    packets = [honest] + [
+        corrupt_payload(honest, p, spec, _stream(cfg.seed, trial, _ADVERSARY)) for p in p_advs
+    ]
 
     ch_rng = _stream(cfg.seed, trial, _CHANNELS)
     ch_s, ch_r = Bsc(cfg.p_s), Bsc(cfg.p_relay)
@@ -136,16 +143,53 @@ def simulate_observation(
         Overheard(transmit(ch_s, x, cfg.n, ch_rng), hash_eval(spec, x), ch_s)
         for x in symbols[1:]
     )
-    relay = Overheard(transmit(ch_r, pkt.payload, cfg.n, ch_rng), pkt.own_hash, ch_r)
-    return WatchdogObservation(
-        own_symbol=symbols[0],
-        coeffs=coeffs,
-        overheard=peers,
-        relay_overheard=relay,
-        hash_spec=spec,
-        field=field,
-        prune_eps=cfg.pruning_eps,
-    )
+    relay_noise = transmit(ch_r, 0, cfg.n, ch_rng)
+    return [
+        WatchdogObservation(
+            own_symbol=symbols[0],
+            coeffs=coeffs,
+            overheard=peers,
+            relay_overheard=Overheard(pkt.payload ^ relay_noise, pkt.own_hash, ch_r),
+            hash_spec=spec,
+            field=field,
+            prune_eps=cfg.pruning_eps,
+        )
+        for pkt in packets
+    ]
+
+
+def _trial_pstars(cfg: TwoHopConfig, trial: int, p_advs) -> list[float]:
+    """p* of one trial's honest arm, then of each p_adv arm, from one trellis.
+
+    The trellis reads only what the watchdog holds (its own symbol, the
+    overheard peers, the headers), never the relay's transmission, so all
+    arms share it. An InferenceError while building it (pruning emptied a
+    candidate set) is maximal suspicion for every arm, and one while
+    scoring an arm for that arm only: p* = 0.
+    """
+    arms = _observations(cfg, trial, p_advs)
+    try:
+        trellis = build_and_run_trellis(arms[0])
+    except InferenceError:
+        return [0.0] * len(arms)
+    pstars = []
+    for obs in arms:
+        try:
+            pstars.append(consistency_probability(trellis, obs))
+        except InferenceError:
+            pstars.append(0.0)
+    return pstars
+
+
+def simulate_observation(
+    cfg: TwoHopConfig, adversarial: bool, trial: int = 0
+) -> WatchdogObservation:
+    """Draw one full trial and return the watchdog's observation of it.
+
+    The adversarial arm injects at cfg.p_adv; both arms share the trial's
+    hash spec, symbols, coefficients and channel noise.
+    """
+    return _observations(cfg, trial, [cfg.p_adv] if adversarial else [])[-1]
 
 
 def run_trial(cfg: TwoHopConfig, adversarial: bool, trial: int = 0) -> float:
@@ -155,42 +199,30 @@ def run_trial(cfg: TwoHopConfig, adversarial: bool, trial: int = 0) -> float:
     overheard data is inconsistent with every remaining explanation; that
     is maximal suspicion and reported as p* = 0.
     """
-    obs = simulate_observation(cfg, adversarial, trial)
-    try:
-        return consistency_probability(build_and_run_trellis(obs), obs)
-    except InferenceError:
-        return 0.0
+    return _trial_pstars(cfg, trial, [cfg.p_adv] if adversarial else [])[-1]
 
 
-def _trial_block(cfg: TwoHopConfig, adversarial: bool, lo: int, hi: int) -> list[float]:
-    return [run_trial(cfg, adversarial, t) for t in range(lo, hi)]
+def _trial_block(cfg: TwoHopConfig, p_advs, lo: int, hi: int) -> list[list[float]]:
+    return [_trial_pstars(cfg, t, p_advs) for t in range(lo, hi)]
 
 
-def _samples(cfg: TwoHopConfig, adversarial: bool, workers: int) -> np.ndarray:
+def _samples(cfg: TwoHopConfig, p_advs, workers: int) -> np.ndarray:
+    """(iterations, 1 + len(p_advs)) p* array: the honest arm, then each p_adv arm."""
     if workers <= 1 or cfg.iterations < 4 * workers:
-        return np.array(_trial_block(cfg, adversarial, 0, cfg.iterations))
+        return np.array(_trial_block(cfg, p_advs, 0, cfg.iterations))
     bounds = np.linspace(0, cfg.iterations, workers + 1, dtype=int)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(
             _trial_block,
             itertools.repeat(cfg),
-            itertools.repeat(adversarial),
+            itertools.repeat(p_advs),
             bounds[:-1],
             bounds[1:],
         )
         return np.concatenate([np.array(p) for p in parts])
 
 
-def run_experiment(
-    cfg: TwoHopConfig, keep_samples: bool = False, workers: int = 1
-) -> ExperimentStats:
-    """Paired honest/adversarial runs of cfg.iterations trials each.
-
-    Deterministic for a fixed config regardless of worker count: trials are
-    seeded individually and aggregated in index order.
-    """
-    relay = _samples(cfg, False, workers)
-    adv = _samples(cfg, True, workers)
+def _stats(relay: np.ndarray, adv: np.ndarray, keep_samples: bool) -> ExperimentStats:
     return ExperimentStats(
         mean_p_relay=float(relay.mean()),
         var_relay=float(relay.var()),
@@ -201,23 +233,39 @@ def run_experiment(
     )
 
 
+def run_experiment(
+    cfg: TwoHopConfig, keep_samples: bool = False, workers: int = 1
+) -> ExperimentStats:
+    """Paired honest/adversarial runs of cfg.iterations trials each.
+
+    Deterministic for a fixed config regardless of worker count: trials are
+    seeded individually and aggregated in index order.
+    """
+    relay, adv = np.ascontiguousarray(_samples(cfg, [cfg.p_adv], workers).T)
+    return _stats(relay, adv, keep_samples)
+
+
 SWEEP_AXES = ("p_adv", "delta", "p_s", "m")
 
 
 def run_sweep(
     cfg: TwoHopConfig, axis: str, values, keep_samples: bool = False, workers: int = 1
 ) -> list[tuple[float, ExperimentStats]]:
-    """run_experiment at each value of one config axis, seed held fixed."""
+    """run_experiment at each value of one config axis, seed held fixed.
+
+    A p_adv sweep runs as one experiment: each trial builds one trellis and
+    scores its honest arm and every p_adv arm against it.
+    """
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
     values = list(values)
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("sweep values must be strictly increasing")
-    out = []
-    for v in values:
-        point = replace(cfg, **{axis: v})
-        out.append((v, run_experiment(point, keep_samples=keep_samples, workers=workers)))
-    return out
+    points = [replace(cfg, **{axis: v}) for v in values]  # validates every value up front
+    if axis == "p_adv":
+        relay, *advs = np.ascontiguousarray(_samples(cfg, values, workers).T)
+        return [(v, _stats(relay, adv, keep_samples)) for v, adv in zip(values, advs)]
+    return [(v, run_experiment(p, keep_samples, workers)) for v, p in zip(values, points)]
 
 
 def brute_force_consistency(obs: WatchdogObservation) -> float:
@@ -298,7 +346,7 @@ def calibrate_threshold(
         raise ValueError("target_gamma must be in (0, 1)")
     if window < 1 or cfg.iterations < window:
         raise ValueError("window must be in [1, iterations]")
-    samples = _samples(cfg, False, workers)
+    samples = _samples(cfg, [], workers)[:, 0]
     if window > 1:
         groups = len(samples) // window
         samples = samples[: groups * window].reshape(groups, window).mean(axis=1)

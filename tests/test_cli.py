@@ -1,8 +1,11 @@
 import csv
 import json
+import platform
 
+import numpy as np
 import pytest
 
+import algwatch
 from algwatch import cli
 from algwatch.cli import main
 
@@ -147,6 +150,8 @@ _GHOST_BASE = {"nodes": ["a", "b"], "links": [["a", "b"]], "schedule": [["a"], [
     ({"behaviors": {"b": {"role": "adversarial", "p_adv": "high"}}}, "behaviors.b"),
     ({"behaviors": {"b": "adversarial"}}, "behaviors"),
     ({"source_symbols": {"a": "x"}}, "source_symbols"),
+    ({"interference": [["b", "a", 0.9]]}, "interference[0]"),
+    ({"source_symbols": {"a": 5000}}, "source_symbols.a"),
 ])
 def test_multihop_topology_rejects_bad_document(tmp_path, capsys, change, field):
     doc = {k: v for k, v in {**_GHOST_BASE, **change}.items() if v is not None}
@@ -156,6 +161,28 @@ def test_multihop_topology_rejects_bad_document(tmp_path, capsys, change, field)
                  "--out", str(tmp_path / "run.json")]) == 1
     assert f"'{field}'" in capsys.readouterr().err
     assert not (tmp_path / "run.json").exists()
+
+
+def test_summaries_echo_versions(tmp_path):
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps(_GHOST_BASE))
+    runs = {
+        "two-hop": ["--values", "0.1", "--n", "6", "--iterations", "2", "--workers", "1"],
+        "oracle": ["--trials", "2"],
+        "multihop": ["--topology", str(topo)],
+    }
+    expect = {
+        "algwatch": algwatch.__version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+    for command, flags in runs.items():
+        summary = tmp_path / f"{command}.json"
+        out = summary if command == "multihop" else tmp_path / f"{command}.csv"
+        assert main([command, *flags, "--out", str(out)]) == 0
+        assert json.loads(summary.read_text())["versions"] == expect
+    header = _read_csv(tmp_path / "two-hop.csv")[0]
+    assert header == cli.TWO_HOP_COLUMNS
 
 
 def test_internal_fault_exits_two(tmp_path, monkeypatch, capsys):

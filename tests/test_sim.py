@@ -2,11 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from algwatch import sim
 from algwatch.channel import Bsc
 from algwatch.gfield import default_field
 from algwatch.hashing import HashSpec, hash_eval
 from algwatch.inference import (
+    InferenceError,
     Overheard,
     WatchdogObservation,
     build_and_run_trellis,
@@ -199,3 +203,93 @@ def test_sign_test_pvalue():
     assert sign_test_pvalue([1, -1]) == pytest.approx(0.75)
     # ties are discarded
     assert sign_test_pvalue([0, 0, 1]) == pytest.approx(0.5)
+
+
+_RATES = st.sampled_from([0.0, 0.01, 0.1, 0.3, 0.5])
+
+
+@st.composite
+def _configs(draw):
+    n = draw(st.integers(4, 8))
+    return TwoHopConfig(
+        m=draw(st.integers(1, 4)),
+        n=n,
+        delta=draw(st.integers(0, n)),
+        p_s=draw(_RATES),
+        p_relay=draw(_RATES),
+        seed=draw(st.integers(0, 2**16)),
+        pruning_eps=draw(st.none() | st.sampled_from([0.05, 0.2, 0.5])),
+        hash_family=draw(st.sampled_from(["affine", "poly"])),
+    )
+
+
+def _arm_pstar(cfg, adversarial, trial):
+    obs = simulate_observation(cfg, adversarial, trial)
+    try:
+        return consistency_probability(build_and_run_trellis(obs), obs)
+    except InferenceError:
+        return 0.0
+
+
+_P_ADVS = st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]), max_size=4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_configs(), st.integers(0, 50), _P_ADVS)
+def test_shared_trellis_scores_every_arm_as_its_own_pipeline(cfg, trial, p_advs):
+    expect = [_arm_pstar(cfg, False, trial)] + [
+        _arm_pstar(dataclasses.replace(cfg, p_adv=p), True, trial) for p in p_advs
+    ]
+    assert sim._trial_pstars(cfg, trial, p_advs) == expect
+
+
+def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
+    cfg = TwoHopConfig(m=3, n=6, delta=1, seed=5)
+    p_advs = [0.3, 0.6]
+    clean = sim._trial_pstars(cfg, 0, p_advs)
+    assert all(p > 0.0 for p in clean)
+    real = sim.consistency_probability
+    scored = []
+
+    def fails_second_arm(trellis, obs):
+        scored.append(obs)
+        if len(scored) == 2:
+            raise InferenceError("scoring failed")
+        return real(trellis, obs)
+
+    monkeypatch.setattr(sim, "consistency_probability", fails_second_arm)
+    assert sim._trial_pstars(cfg, 0, p_advs) == [clean[0], 0.0, clean[2]]
+
+    def no_trellis(obs):
+        raise InferenceError("trellis failed")
+
+    monkeypatch.setattr(sim, "build_and_run_trellis", no_trellis)
+    assert sim._trial_pstars(cfg, 0, p_advs) == [0.0, 0.0, 0.0]
+
+
+def test_one_trellis_per_trial(monkeypatch):
+    calls = []
+    real = sim.build_and_run_trellis
+
+    def counted(obs):
+        calls.append(obs)
+        return real(obs)
+
+    monkeypatch.setattr(sim, "build_and_run_trellis", counted)
+    cfg = TwoHopConfig(m=3, n=6, delta=1, iterations=7, seed=2)
+    run_sweep(cfg, "p_adv", [0.0, 0.1, 0.3, 0.5])
+    assert len(calls) == cfg.iterations
+    calls.clear()
+    run_experiment(cfg)
+    assert len(calls) == cfg.iterations
+
+
+def test_p_adv_sweep_workers_do_not_change_results():
+    cfg = TwoHopConfig(m=3, n=6, delta=1, iterations=12, seed=8)
+    values = [0.0, 0.2, 0.6]
+    one = run_sweep(cfg, "p_adv", values, keep_samples=True, workers=1)
+    two = run_sweep(cfg, "p_adv", values, keep_samples=True, workers=2)
+    for (v1, st1), (v2, st2) in zip(one, two):
+        assert v1 == v2
+        assert st1.relay_samples.tolist() == st2.relay_samples.tolist()
+        assert st1.adv_samples.tolist() == st2.adv_samples.tolist()
