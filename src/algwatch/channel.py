@@ -48,10 +48,16 @@ def flip_bits(x: int, p: float, n: int, rng) -> int:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"flip probability must be in [0, 1], got {p}")
-    mask = 0
-    for i in np.flatnonzero(rng.random(n) < p):
-        mask |= 1 << int(i)
-    return x ^ mask
+    return x ^ _flip_mask(rng.random(n), p)
+
+
+def _flip_mask(draws: np.ndarray, p: float) -> int:
+    """Bit mask with bit i set iff draws[i] < p: the flips one set of uniforms makes.
+
+    Flipping at several rates with the same draws gives nested masks, which
+    is how the arms of one trial share a single adversary stream.
+    """
+    return int.from_bytes(np.packbits(draws < p, bitorder="little").tobytes(), "little")
 
 
 def transmit(ch: Bsc, x: int, n: int, rng) -> int:

@@ -13,6 +13,7 @@ delta = 0 is the empty hash: every input maps to 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,19 @@ def hash_eval_vec(spec: HashSpec, xs: np.ndarray) -> np.ndarray:
     return acc & spec.mask
 
 
+@functools.lru_cache(maxsize=8)
+def _table(spec: HashSpec) -> np.ndarray:
+    """Read-only hash of every n-bit symbol, indexed by symbol.
+
+    A trial asks many hash questions of one spec (collision classes, header
+    hashes, which final states match); each is a lookup into this table, so
+    the field is hashed once per spec. At n = 16 a table is 512 KiB.
+    """
+    table = hash_eval_vec(spec, np.arange(1 << spec.n, dtype=np.int64))
+    table.flags.writeable = False
+    return table
+
+
 def sample_hash(rng, family: str, n: int, delta: int, degree: int = 1) -> HashSpec:
     """Draw a hash uniformly from the admissible set of the family.
 
@@ -151,11 +165,11 @@ def collision_class(spec: HashSpec, target: int, codebook=None) -> np.ndarray:
     """Vectorized collision_list; codebook=None means the full n-bit space."""
     if not 0 <= target < (1 << spec.delta):
         raise ValueError(f"target {target} is not a {spec.delta}-bit value")
+    table = _table(spec)
     if codebook is None:
-        xs = np.arange(1 << spec.n, dtype=np.int64)
-    else:
-        xs = codebook.as_array()
-    return xs[hash_eval_vec(spec, xs) == target]
+        return np.flatnonzero(table == target)
+    cb = codebook.as_array()
+    return cb[table[cb] == target]
 
 
 def hash_partition(spec: HashSpec, codebook=None) -> dict[int, np.ndarray]:
@@ -164,5 +178,5 @@ def hash_partition(spec: HashSpec, codebook=None) -> dict[int, np.ndarray]:
         xs = np.arange(1 << spec.n, dtype=np.int64)
     else:
         xs = codebook.as_array()
-    hs = hash_eval_vec(spec, xs)
+    hs = _table(spec)[xs]
     return {int(t): xs[hs == t] for t in np.unique(hs)}

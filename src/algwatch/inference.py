@@ -33,7 +33,7 @@ import numpy as np
 
 from .channel import Bsc, ball_radius, hamming_vec, log_likelihood, log_likelihood_vec
 from .gfield import GF2n
-from .hashing import HashSpec, collision_class, hash_eval, hash_eval_vec
+from .hashing import HashSpec, _table, collision_class, hash_eval
 from .packet import Codebook
 
 
@@ -152,6 +152,7 @@ class Trellis:
         self.coeffs = coeffs
         self.field = field
         self._layers: list[dict[int, float]] | None = None
+        self._hashed: tuple[HashSpec, np.ndarray, np.ndarray] | None = None
 
     @property
     def depth(self) -> int:
@@ -171,6 +172,16 @@ class Trellis:
                 for vec in self._arrays
             ]
         return self._layers
+
+    def _hashed_support(self, spec: HashSpec) -> tuple[np.ndarray, np.ndarray]:
+        """Positive-weight final states and their hashes under spec.
+
+        Computed once and shared by every relay scored against this trellis.
+        """
+        if self._hashed is None or self._hashed[0] != spec:
+            support = np.flatnonzero(self.final_weights > 0.0)
+            self._hashed = (spec, support, _table(spec)[support])
+        return self._hashed[1:]
 
 
 def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
@@ -270,8 +281,8 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
     spec = obs.hash_spec
     top, denom = _relay_normalizer(relay, spec, obs.codebook)
     w = trellis.final_weights
-    support = np.flatnonzero(w > 0.0)
-    matched = support[hash_eval_vec(spec, support) == relay.hash_value]
+    support, hashes = trellis._hashed_support(spec)
+    matched = support[hashes == relay.hash_value]
     if len(matched) == 0:
         return 0.0
     logw = log_likelihood_vec(relay.channel, relay.symbol, matched, spec.n)
@@ -281,9 +292,8 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
 
 def matched_codewords(trellis: Trellis, relay_hash: int, spec: HashSpec) -> list[int]:
     """Final-layer states with positive weight hashing to the relay's value."""
-    support = np.flatnonzero(trellis.final_weights > 0.0)
-    hit = hash_eval_vec(spec, support) == relay_hash
-    return [int(s) for s in support[hit]]
+    support, hashes = trellis._hashed_support(spec)
+    return support[hashes == relay_hash].tolist()
 
 
 def decide(p_star: float, t: float) -> Verdict:

@@ -551,10 +551,10 @@ def load_topology(doc) -> tuple[Hypergraph, dict[str, NodeBehavior], list[list[s
     Raises ValueError naming the field when a field is unknown, missing
     (``nodes``, ``links``, ``schedule``) or of the wrong shape, when an
     interference rate is outside [0, 0.5], when a behavior has an unknown
-    or invalid entry, when a schedule entry, behavior or ``source_symbols``
-    key names an undeclared node, or when an honest node is given a
-    positive ``p_adv``. Whether a source symbol lies in the field is left
-    to the caller, which knows n.
+    or invalid entry, when a link, interference edge, schedule entry,
+    behavior or ``source_symbols`` key names an undeclared node, or when an
+    honest node is given a positive ``p_adv``. Whether a source symbol lies
+    in the field is left to the caller, which knows n.
     """
     if isinstance(doc, (str, bytes)):
         with open(doc) as fh:
@@ -572,13 +572,17 @@ def load_topology(doc) -> tuple[Hypergraph, dict[str, NodeBehavior], list[list[s
     for field in ("nodes", "links", "schedule"):
         if field not in doc:
             raise ValueError(f"topology field {field!r} is missing")
-    for i, (_, _, rate) in enumerate(doc.get("interference", [])):
+    nodes = frozenset(doc["nodes"])
+    for i, link in enumerate(doc["links"]):
+        _check_declared(f"links[{i}]", link, nodes)
+    for i, (speaker, listener, rate) in enumerate(doc.get("interference", [])):
+        _check_declared(f"interference[{i}]", (speaker, listener), nodes)
         try:
             Bsc(rate)
         except ValueError as exc:
             raise ValueError(f"topology field 'interference[{i}]': {exc}") from None
     g = Hypergraph(
-        nodes=frozenset(doc["nodes"]),
+        nodes=nodes,
         links=frozenset(tuple(e) for e in doc["links"]),
         interference={(u, v): p for u, v, p in doc.get("interference", [])},
     )

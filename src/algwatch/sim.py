@@ -23,6 +23,7 @@ threshold calibration, and the matched-codeword counting experiment.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -30,9 +31,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import Bsc, ball_radius, hamming, transmit
+from .channel import Bsc, _flip_mask, ball_radius, hamming, transmit
 from .gfield import default_field
-from .hashing import collision_list, hash_eval, sample_hash
+from .hashing import _table, collision_list, hash_eval, sample_hash
 from .inference import (
     InferenceError,
     Overheard,
@@ -41,7 +42,6 @@ from .inference import (
     consistency_probability,
     matched_codewords,
 )
-from .packet import corrupt_payload, make_packet
 
 _HASH, _SYMBOLS, _CHANNELS, _ADVERSARY = range(4)
 
@@ -118,29 +118,32 @@ def _observations(cfg: TwoHopConfig, trial: int, p_advs) -> list[WatchdogObserva
     """The watchdog's observation of one trial's honest arm, then of each p_adv arm.
 
     The trial's draws are made once. Arms differ only in the relay's
-    payload: each adversarial arm corrupts the honest packet with a fresh
-    copy of the adversary stream, and every arm is overheard through the
-    same relay noise mask (bit flips do not depend on the payload). Arm k
-    is therefore exactly what a trial drawn at p_advs[k] alone would give.
-    Headers arrive error-free, so peer hashes and coefficients are exact.
+    payload: each adversarial arm flips the honest payload's bits where the
+    trial's one set of adversary uniforms falls below its p_adv, and every
+    arm is overheard through the same relay noise mask (bit flips do not
+    depend on the payload). Arm k is therefore exactly what a trial drawn at
+    p_advs[k] alone would give. Headers arrive error-free, so peer hashes,
+    the relay's recomputed own hash and the coefficients are exact; every
+    hash is a lookup into the trial's hash table.
     """
     field = default_field(cfg.n)
     spec = sample_hash(_stream(cfg.seed, trial, _HASH), cfg.hash_family, cfg.n, cfg.delta)
+    table = _table(spec)
 
     sym_rng = _stream(cfg.seed, trial, _SYMBOLS)
     symbols = [int(s) for s in sym_rng.integers(0, field.order, size=cfg.m)]
     coeffs = tuple(1 + int(c) for c in sym_rng.integers(0, field.order - 1, size=cfg.m))
 
-    ids = range(1, cfg.m + 1)
-    honest = make_packet(dict(zip(ids, symbols)), dict(zip(ids, coeffs)), spec, field)
-    packets = [honest] + [
-        corrupt_payload(honest, p, spec, _stream(cfg.seed, trial, _ADVERSARY)) for p in p_advs
-    ]
+    honest = field.lincomb(coeffs, symbols)
+    payloads = [honest]
+    if p_advs:
+        draws = _stream(cfg.seed, trial, _ADVERSARY).random(cfg.n)
+        payloads += [honest ^ _flip_mask(draws, p) for p in p_advs]
 
     ch_rng = _stream(cfg.seed, trial, _CHANNELS)
     ch_s, ch_r = Bsc(cfg.p_s), Bsc(cfg.p_relay)
     peers = tuple(
-        Overheard(transmit(ch_s, x, cfg.n, ch_rng), hash_eval(spec, x), ch_s)
+        Overheard(transmit(ch_s, x, cfg.n, ch_rng), int(table[x]), ch_s)
         for x in symbols[1:]
     )
     relay_noise = transmit(ch_r, 0, cfg.n, ch_rng)
@@ -149,12 +152,12 @@ def _observations(cfg: TwoHopConfig, trial: int, p_advs) -> list[WatchdogObserva
             own_symbol=symbols[0],
             coeffs=coeffs,
             overheard=peers,
-            relay_overheard=Overheard(pkt.payload ^ relay_noise, pkt.own_hash, ch_r),
+            relay_overheard=Overheard(y ^ relay_noise, int(table[y]), ch_r),
             hash_spec=spec,
             field=field,
             prune_eps=cfg.pruning_eps,
         )
-        for pkt in packets
+        for y in payloads
     ]
 
 
@@ -309,6 +312,7 @@ def brute_force_consistency(obs: WatchdogObservation) -> float:
     if norm == 0.0:
         raise InferenceError("observation impossible under a noiseless relay channel")
 
+    @functools.cache
     def inv_term(s: int) -> float:
         if hash_eval(spec, s) != relay.hash_value:
             return 0.0

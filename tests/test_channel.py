@@ -70,6 +70,24 @@ def test_flip_bits_extremes():
         flip_bits(0, 1.5, 10, rng)
 
 
+def _flip_bits_loop(x, p, n, rng):
+    """Reference: set bit i of the mask for each draw i below p, one bit at a time."""
+    mask = 0
+    for i in np.flatnonzero(rng.random(n) < p):
+        mask |= 1 << int(i)
+    return x ^ mask
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_flip_bits_matches_per_bit_loop(p):
+    for n in range(1, 17):
+        for seed in range(20):
+            x = (seed * 2654435761) % (1 << n)
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert flip_bits(x, p, n, ours) == _flip_bits_loop(x, p, n, ref)
+            assert ours.random() == ref.random()  # the same n draws were consumed
+
+
 def test_likelihood_examples():
     ch = Bsc(0.1)
     assert likelihood(ch, 5, 5, 4) == pytest.approx(0.9**4)

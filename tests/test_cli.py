@@ -152,6 +152,8 @@ _GHOST_BASE = {"nodes": ["a", "b"], "links": [["a", "b"]], "schedule": [["a"], [
     ({"source_symbols": {"a": "x"}}, "source_symbols"),
     ({"interference": [["b", "a", 0.9]]}, "interference[0]"),
     ({"source_symbols": {"a": 5000}}, "source_symbols.a"),
+    ({"links": [["a", "zz"]]}, "links[0]"),
+    ({"interference": [["b", "yy", 0.1]]}, "interference[0]"),
 ])
 def test_multihop_topology_rejects_bad_document(tmp_path, capsys, change, field):
     doc = {k: v for k, v in {**_GHOST_BASE, **change}.items() if v is not None}

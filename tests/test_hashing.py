@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from algwatch import hashing
 from algwatch.gfield import default_field
 from algwatch.hashing import (
+    FAMILIES,
     HashSpec,
     collision_class,
     collision_list,
@@ -11,6 +15,7 @@ from algwatch.hashing import (
     hash_partition,
     sample_hash,
 )
+from algwatch.packet import Codebook
 
 
 def test_affine_eval_examples():
@@ -88,6 +93,46 @@ def test_collision_class_matches_list():
         spec = sample_hash(rng, family, 6, 2)
         for t in range(4):
             assert collision_class(spec, t).tolist() == collision_list(spec, t, range(64))
+
+
+@st.composite
+def _class_queries(draw):
+    n = draw(st.integers(1, 8))
+    spec = sample_hash(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        draw(st.sampled_from(FAMILIES)), n, draw(st.integers(0, n)),
+        degree=draw(st.integers(0, 3)),
+    )
+    members = draw(st.none() | st.frozensets(st.integers(0, (1 << n) - 1), min_size=1))
+    codebook = None if members is None else Codebook(n, members)
+    targets = draw(st.lists(st.integers(0, (1 << spec.delta) - 1), min_size=1, max_size=4))
+    return spec, codebook, targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(_class_queries())
+def test_table_collision_class_matches_list(query):
+    spec, codebook, targets = query
+    members = range(1 << spec.n) if codebook is None else codebook
+    for t in targets:
+        cls = collision_class(spec, t, codebook)
+        assert cls.dtype == np.int64
+        assert cls.tolist() == collision_list(spec, t, members)
+    for t in (-1, 1 << spec.delta):
+        with pytest.raises(ValueError):
+            collision_class(spec, t, codebook)
+
+
+def test_hash_table_is_read_only():
+    spec = sample_hash(np.random.default_rng(3), "poly", 6, 2)
+    table = hashing._table(spec)
+    assert table.tolist() == [hash_eval(spec, x) for x in range(64)]
+    with pytest.raises(ValueError):
+        table[0] ^= 1
+    # what callers get back is their own array, never a view of the table
+    cls = collision_class(spec, int(table[0]))
+    cls[0] = -1
+    assert collision_class(spec, int(table[0]))[0] != -1
 
 
 def test_partition_property():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algwatch import sim
+from algwatch import hashing, inference, packet, sim
 from algwatch.channel import Bsc
 from algwatch.gfield import default_field
 from algwatch.hashing import HashSpec, hash_eval
@@ -282,6 +282,27 @@ def test_one_trellis_per_trial(monkeypatch):
     calls.clear()
     run_experiment(cfg)
     assert len(calls) == cfg.iterations
+
+
+def test_one_hash_table_per_trial(monkeypatch):
+    bulk, scalar = [], []
+    real = hashing.hash_eval_vec
+
+    def counted(spec, xs):
+        bulk.append(len(xs) == 1 << spec.n)
+        return real(spec, xs)
+
+    monkeypatch.setattr(hashing, "hash_eval_vec", counted)
+    for module in (hashing, sim, inference, packet):
+        monkeypatch.setattr(module, "hash_eval", lambda spec, x: scalar.append(x))
+    cfg = TwoHopConfig(m=3, n=6, delta=2, iterations=7, seed=2, hash_family="poly")
+    hashing._table.cache_clear()
+    run_sweep(cfg, "p_adv", [0.0, 0.1, 0.3, 0.5])
+    assert bulk == [True] * cfg.iterations and scalar == []
+    bulk.clear()
+    hashing._table.cache_clear()
+    mean_matched_count(6, 2, 2, 0.1, trials=5)
+    assert bulk == [True] * 5 and scalar == []
 
 
 def test_p_adv_sweep_workers_do_not_change_results():
