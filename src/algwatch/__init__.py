@@ -68,14 +68,11 @@ from .multihop import (
     write_trace,
 )
 from .packet import (
-    Codebook,
     Packet,
     corrupt_payload,
     destination_check,
     make_packet,
-    parse_packet,
     search_corruption,
-    serialize_packet,
 )
 from .sim import (
     ExperimentStats,
@@ -87,7 +84,6 @@ from .sim import (
     run_experiment,
     run_sweep,
     run_trial,
-    sign_test_pvalue,
     simulate_observation,
 )
 

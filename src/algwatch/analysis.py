@@ -148,7 +148,6 @@ def algebraic_check(
     radii: tuple[int, int],
     spec: HashSpec,
     field: GF2n,
-    codebook=None,
 ) -> bool:
     """Ball-intersection consistency check for the two-source network.
 
@@ -164,9 +163,9 @@ def algebraic_check(
         raise ValueError("coding coefficients must be nonzero")
     (x2t, h2), (x3t, h3) = peer_overheard, relay_overheard
     r_peer, r_relay = radii
-    peer_set = collision_class(spec, h2, codebook)
+    peer_set = collision_class(spec, h2)
     peer_set = peer_set[hamming_vec(x2t, peer_set) <= r_peer]
-    relay_set = collision_class(spec, h3, codebook)
+    relay_set = collision_class(spec, h3)
     relay_set = relay_set[hamming_vec(x3t, relay_set) <= r_relay]
     if len(peer_set) == 0 or len(relay_set) == 0:
         return False

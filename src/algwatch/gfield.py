@@ -2,9 +2,9 @@
 
 Field elements are plain ints in [0, 2^n). Bit i of the int is the
 coefficient of x^i in the polynomial basis, so addition is XOR and
-multiplication is carry-less polynomial multiplication reduced modulo a
-fixed irreducible polynomial of degree n. Widths are capped at 16 because
-the watchdog trellis enumerates up to 2^n states.
+multiplication is carry-less polynomial multiplication reduced modulo the
+one fixed primitive polynomial of degree n in ``REDUCTION_POLYS``. Widths
+are capped at 16 because the watchdog trellis enumerates up to 2^n states.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 MAX_WIDTH = 16
 
 # One primitive polynomial per supported width, bit i = coefficient of x^i.
-# Any irreducible choice is valid; fixing a table keeps runs reproducible.
+# Fixing one polynomial per width keeps runs reproducible.
 REDUCTION_POLYS = {
     1: 0b11,
     2: 0b111,
@@ -37,93 +37,37 @@ REDUCTION_POLYS = {
 }
 
 
-def _poly_mod(a: int, b: int) -> int:
-    """Remainder of carry-less division of a by b over GF(2)."""
-    db = b.bit_length() - 1
-    while a.bit_length() - 1 >= db and a:
-        a ^= b << (a.bit_length() - 1 - db)
-    return a
-
-
-def _is_irreducible(poly: int, n: int) -> bool:
-    """Trial division by every polynomial of degree 1..n//2."""
-    for d in range(1, n // 2 + 1):
-        for q in range(1 << d, 1 << (d + 1)):
-            if _poly_mod(poly, q) == 0:
-                return False
-    return True
-
-
 class GF2n:
-    """Arithmetic over GF(2^n), n <= 16.
+    """Arithmetic over GF(2^n), n <= 16, modulo ``REDUCTION_POLYS[n]``.
 
-    Parameters
-    ----------
-    n : bit width of the field elements.
-    poly : optional reduction polynomial as an int (bit i = coefficient of
-        x^i, bit n set). Defaults to the table entry for n. Must be
-        irreducible over GF(2); checked by trial division at construction.
-
+    Products go through log/antilog tables built once at construction.
     Instances are immutable after construction and all operations are pure,
     so a single instance can be shared freely across threads or processes.
     """
 
-    def __init__(self, n: int, poly: int | None = None):
+    def __init__(self, n: int):
         if not 1 <= n <= MAX_WIDTH:
             raise ValueError(f"field width must be in [1, {MAX_WIDTH}], got {n}")
-        if poly is None:
-            poly = REDUCTION_POLYS[n]
-        if poly >> n != 1:
-            raise ValueError(
-                f"reduction polynomial 0b{poly:b} does not have degree exactly {n}"
-            )
-        if not _is_irreducible(poly, n):
-            raise ValueError(f"reduction polynomial 0b{poly:b} is reducible over GF(2)")
         self.n = n
         self.order = 1 << n
-        self.poly = poly
-        self._build_tables()
-
-    def _build_tables(self) -> None:
-        """Log/antilog tables when x generates the multiplicative group.
-
-        All table polynomials are primitive so this normally succeeds; for a
-        custom irreducible-but-not-primitive polynomial we fall back to
-        direct shift-and-reduce multiplication.
-        """
+        self.poly = REDUCTION_POLYS[n]
+        # Powers of x by shift-and-reduce; x must generate the multiplicative
+        # group, i.e. first return to 1 after exactly order - 1 steps.
         size = self.order - 1
         exp = [0] * (2 * size)
         log = [0] * self.order
         v = 1
-        ok = True
         for i in range(size):
-            if i > 0 and v == 1:
-                ok = False  # x cycled early: not primitive
-                break
-            exp[i] = v
-            exp[i + size] = v
+            exp[i] = exp[i + size] = v
             log[v] = i
-            v = self._clmul_reduce(v, 2)
-        if ok and v == 1:
-            self._exp = exp
-            self._log = log
-            self._exp_np = np.array(exp, dtype=np.int64)
-            self._log_np = np.array(log, dtype=np.int64)
-        else:
-            self._exp = None
-            self._log = None
-            self._exp_np = None
-            self._log_np = None
-
-    def _clmul_reduce(self, a: int, b: int) -> int:
-        prod = 0
-        for i in range(self.n):
-            if (b >> i) & 1:
-                prod ^= a << i
-        for bit in range(2 * self.n - 2, self.n - 1, -1):
-            if (prod >> bit) & 1:
-                prod ^= self.poly << (bit - self.n)
-        return prod
+            v <<= 1
+            if v >> n:
+                v ^= self.poly
+        if v != 1 or 1 in exp[1:size]:
+            raise ValueError(f"x does not generate GF(2^{n})* modulo 0b{self.poly:b}")
+        self._exp, self._log = exp, log
+        self._exp_np = np.array(exp, dtype=np.int64)
+        self._log_np = np.array(log, dtype=np.int64)
 
     def _check(self, v: int) -> None:
         if not 0 <= v < self.order:
@@ -141,9 +85,7 @@ class GF2n:
         self._check(b)
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._clmul_reduce(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def mul_vec(self, a: int, xs: np.ndarray) -> np.ndarray:
         """Product of the scalar a with every element of xs."""
@@ -152,21 +94,14 @@ class GF2n:
             return np.zeros(len(xs), dtype=np.int64)
         out = np.zeros(len(xs), dtype=np.int64)
         nz = xs != 0
-        if self._exp_np is not None:
-            out[nz] = self._exp_np[self._log[a] + self._log_np[xs[nz]]]
-        else:
-            out[nz] = [self._clmul_reduce(a, int(x)) for x in xs[nz]]
+        out[nz] = self._exp_np[self._log[a] + self._log_np[xs[nz]]]
         return out
 
     def mul_elementwise(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Elementwise field product of two equal-length arrays."""
         out = np.zeros(len(us), dtype=np.int64)
         nz = (us != 0) & (vs != 0)
-        if self._exp_np is not None:
-            idx = self._log_np[us[nz]] + self._log_np[vs[nz]]
-            out[nz] = self._exp_np[idx]
-        else:
-            out[nz] = [self._clmul_reduce(int(u), int(v)) for u, v in zip(us[nz], vs[nz])]
+        out[nz] = self._exp_np[self._log_np[us[nz]] + self._log_np[vs[nz]]]
         return out
 
     def lincomb(self, coeffs, symbols) -> int:

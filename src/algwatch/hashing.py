@@ -6,7 +6,8 @@ Two families of delta-bit hashes over n-bit symbols:
   with a odd. Odd a makes every preimage class over the full n-bit space
   exactly 2^(n-delta) elements, which the detection analysis assumes.
   This is the family the experiments use.
-- ``poly``: evaluate sum a_i x^i in GF(2^n) and keep the low delta bits.
+- ``poly``: evaluate sum a_i x^i in GF(2^n) (``default_field(n)``) and
+  keep the low delta bits.
 
 delta = 0 is the empty hash: every input maps to 0.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfield import GF2n, default_field
+from .gfield import default_field
 
 FAMILIES = ("affine", "poly")
 
@@ -28,14 +29,13 @@ class HashSpec:
     """Immutable description of one concrete hash function.
 
     coefficients is (a, b) for the affine family and (a_0, ..., a_d) for
-    the poly family. ``field`` is required for the poly family.
+    the poly family.
     """
 
     family: str
     n: int
     delta: int
     coefficients: tuple[int, ...]
-    field: GF2n | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -51,8 +51,6 @@ class HashSpec:
             if not (0 <= a < max(2, 1 << self.delta) and 0 <= b < max(1, 1 << self.delta)):
                 raise ValueError("affine coefficients must be delta-bit values")
         else:
-            if self.field is None or self.field.n != self.n:
-                raise ValueError("poly family requires a GF(2^n) field of matching width")
             if not self.coefficients:
                 raise ValueError("poly family needs at least one coefficient")
             if any(not 0 <= c < (1 << self.n) for c in self.coefficients):
@@ -61,31 +59,6 @@ class HashSpec:
     @property
     def mask(self) -> int:
         return (1 << self.delta) - 1
-
-    def to_dict(self) -> dict:
-        """Serializable form for experiment configs and result echoes."""
-        d = {
-            "family": self.family,
-            "n": self.n,
-            "delta": self.delta,
-            "coefficients": list(self.coefficients),
-        }
-        if self.family == "poly":
-            d["reduction_poly"] = self.field.poly
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HashSpec":
-        field = None
-        if d["family"] == "poly":
-            field = GF2n(d["n"], d.get("reduction_poly"))
-        return cls(
-            family=d["family"],
-            n=d["n"],
-            delta=d["delta"],
-            coefficients=tuple(d["coefficients"]),
-            field=field,
-        )
 
 
 def hash_eval(spec: HashSpec, x: int) -> int:
@@ -96,7 +69,7 @@ def hash_eval(spec: HashSpec, x: int) -> int:
         a, b = spec.coefficients
         return (a * x + b) & spec.mask
     acc = 0
-    f = spec.field
+    f = default_field(spec.n)
     for c in reversed(spec.coefficients):
         acc = f.add(f.mul(acc, x), c)
     return acc & spec.mask
@@ -108,7 +81,7 @@ def hash_eval_vec(spec: HashSpec, xs: np.ndarray) -> np.ndarray:
     if spec.family == "affine":
         a, b = spec.coefficients
         return (a * xs + b) & spec.mask
-    f = spec.field
+    f = default_field(spec.n)
     acc = np.zeros(len(xs), dtype=np.int64)
     for c in reversed(spec.coefficients):
         # Horner step: acc = acc*x + c, elementwise over xs.
@@ -147,36 +120,28 @@ def sample_hash(rng, family: str, n: int, delta: int, degree: int = 1) -> HashSp
         return HashSpec("affine", n, delta, (a, b))
     if family == "poly":
         coeffs = tuple(int(c) for c in rng.integers(0, 1 << n, size=degree + 1))
-        return HashSpec("poly", n, delta, coeffs, field=default_field(n))
+        return HashSpec("poly", n, delta, coeffs)
     raise ValueError(f"unknown hash family {family!r}")
 
 
-def collision_list(spec: HashSpec, target: int, codebook) -> list[int]:
-    """All codebook symbols hashing to ``target``, ascending.
+def collision_list(spec: HashSpec, target: int) -> list[int]:
+    """All n-bit symbols hashing to ``target``, ascending, one hash at a time.
 
-    An empty list is a valid result for restricted codebooks.
+    An empty list is a valid result: a poly hash need not be onto.
     """
     if not 0 <= target < (1 << spec.delta):
         raise ValueError(f"target {target} is not a {spec.delta}-bit value")
-    return [y for y in codebook if hash_eval(spec, y) == target]
+    return [y for y in range(1 << spec.n) if hash_eval(spec, y) == target]
 
 
-def collision_class(spec: HashSpec, target: int, codebook=None) -> np.ndarray:
-    """Vectorized collision_list; codebook=None means the full n-bit space."""
+def collision_class(spec: HashSpec, target: int) -> np.ndarray:
+    """Vectorized collision_list: a lookup into the spec's hash table."""
     if not 0 <= target < (1 << spec.delta):
         raise ValueError(f"target {target} is not a {spec.delta}-bit value")
+    return np.flatnonzero(_table(spec) == target)
+
+
+def hash_partition(spec: HashSpec) -> dict[int, np.ndarray]:
+    """Map each delta-bit value in the hash's image to its preimage class."""
     table = _table(spec)
-    if codebook is None:
-        return np.flatnonzero(table == target)
-    cb = codebook.as_array()
-    return cb[table[cb] == target]
-
-
-def hash_partition(spec: HashSpec, codebook=None) -> dict[int, np.ndarray]:
-    """Map each delta-bit value to its preimage class within the codebook."""
-    if codebook is None:
-        xs = np.arange(1 << spec.n, dtype=np.int64)
-    else:
-        xs = codebook.as_array()
-    hs = _table(spec)[xs]
-    return {int(t): xs[hs == t] for t in np.unique(hs)}
+    return {int(t): np.flatnonzero(table == t) for t in np.unique(table)}

@@ -34,7 +34,6 @@ import numpy as np
 from .channel import Bsc, ball_radius, hamming_vec, log_likelihood, log_likelihood_vec
 from .gfield import GF2n
 from .hashing import HashSpec, _table, collision_class, hash_eval
-from .packet import Codebook
 
 
 # Contributions summed per np.bincount call in the forward pass; bounds each
@@ -76,7 +75,6 @@ class WatchdogObservation:
     relay_overheard: Overheard
     hash_spec: HashSpec
     field: GF2n
-    codebook: Codebook | None = None
     prune_eps: float | None = None
 
     def __post_init__(self):
@@ -103,27 +101,23 @@ class TransitionRow:
     candidates: np.ndarray
     probs: np.ndarray
 
-    def items(self) -> list[tuple[int, float]]:
-        return [(int(c), float(p)) for c, p in zip(self.candidates, self.probs)]
-
 
 def transition_row(
     observed: int,
     target_hash: int,
     ch: Bsc,
     spec: HashSpec,
-    codebook: Codebook | None = None,
     prune_eps: float | None = None,
 ) -> TransitionRow:
     """Candidates for a transmitted symbol given its overheard copy and hash.
 
-    Candidates are the codebook symbols hashing to target_hash, weighted by
+    Candidates are the n-bit symbols hashing to target_hash, weighted by
     channel likelihood and normalized. With prune_eps set, candidates
     outside the Hamming ball that captures 1-eps of the channel's mass are
     dropped before renormalizing; this trades a little false-detection
     probability for a much smaller candidate set.
     """
-    cands = collision_class(spec, target_hash, codebook)
+    cands = collision_class(spec, target_hash)
     if prune_eps is not None and len(cands) > 0:
         r = ball_radius(ch, spec.n, prune_eps)
         cands = cands[hamming_vec(observed, cands) <= r]
@@ -153,10 +147,6 @@ class Trellis:
         self.field = field
         self._layers: list[dict[int, float]] | None = None
         self._hashed: tuple[HashSpec, np.ndarray, np.ndarray] | None = None
-
-    @property
-    def depth(self) -> int:
-        return len(self._arrays)
 
     @property
     def final_weights(self) -> np.ndarray:
@@ -212,8 +202,7 @@ def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
     states = np.arange(size)
     for coeff, peer in zip(obs.coeffs[1:], obs.overheard):
         row = transition_row(
-            peer.symbol, peer.hash_value, peer.channel,
-            obs.hash_spec, obs.codebook, obs.prune_eps,
+            peer.symbol, peer.hash_value, peer.channel, obs.hash_spec, obs.prune_eps
         )
         shifts = f.mul_vec(coeff, row.candidates)
         support = np.flatnonzero(vec > 0.0)
@@ -232,18 +221,16 @@ def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
     return Trellis(arrays, obs.coeffs, f)
 
 
-def _relay_normalizer(
-    relay: Overheard, spec: HashSpec, codebook: Codebook | None
-) -> tuple[float, float]:
+def _relay_normalizer(relay: Overheard, spec: HashSpec) -> tuple[float, float]:
     """Scaled normalizer over the relay's announced collision class.
 
     Returns (top, denom) where top is the max log likelihood over the class
     and denom = sum exp(logw - top); the scale cancels in every ratio built
     from them.
     """
-    cls = collision_class(spec, relay.hash_value, codebook)
+    cls = collision_class(spec, relay.hash_value)
     if len(cls) == 0:
-        raise InferenceError("relay hash matches no codebook symbol")
+        raise InferenceError("relay hash matches no symbol")
     logw = log_likelihood_vec(relay.channel, relay.symbol, cls, spec.n)
     top = float(logw.max())
     if top == -np.inf:
@@ -257,7 +244,6 @@ def inverse_transition(
     relay_hash: int,
     ch: Bsc,
     spec: HashSpec,
-    codebook: Codebook | None = None,
 ) -> float:
     """Probability of the overheard relay pair given ``candidate`` was sent.
 
@@ -266,7 +252,7 @@ def inverse_transition(
     """
     if hash_eval(spec, candidate) != relay_hash:
         return 0.0
-    top, denom = _relay_normalizer(Overheard(observed, relay_hash, ch), spec, codebook)
+    top, denom = _relay_normalizer(Overheard(observed, relay_hash, ch), spec)
     lc = log_likelihood(ch, observed, candidate, spec.n)
     return float(np.exp(lc - top) / denom)
 
@@ -279,7 +265,7 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
     """
     relay = obs.relay_overheard
     spec = obs.hash_spec
-    top, denom = _relay_normalizer(relay, spec, obs.codebook)
+    top, denom = _relay_normalizer(relay, spec)
     w = trellis.final_weights
     support, hashes = trellis._hashed_support(spec)
     matched = support[hashes == relay.hash_value]

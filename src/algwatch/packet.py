@@ -4,22 +4,11 @@ A packet carries [coding coefficients, input hashes, own hash, payload].
 Headers (coefficients and both hash fields) are assumed sufficiently coded
 to traverse links error-free; only the payload is subject to channel noise
 and adversarial corruption, so the simulator never perturbs headers.
-
-Byte layout of a serialized packet (trace dumps; stable within one build):
-
-    u8  upstream count    u8 n    u8 delta
-    per upstream, ascending node id: u16 id, u16 coeff, u16 input hash
-    u16 own hash
-    u16 payload
-
-Node ids must be ints below 2^16 for the byte form; the multi-hop
-simulator uses JSON traces instead because its node ids are names.
 """
 
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,50 +16,6 @@ import numpy as np
 from .channel import flip_bits, hamming_vec
 from .gfield import GF2n
 from .hashing import HashSpec, collision_class, hash_eval
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """Admissible payload symbols. members=None means all 2^n symbols.
-
-    The default full-space codebook models payloads carrying no
-    error-correcting redundancy; an explicit member set is the interface
-    hook for coded payloads.
-    """
-
-    n: int
-    members: frozenset[int] | None = None
-
-    def __post_init__(self):
-        if self.members is not None:
-            if not self.members:
-                raise ValueError("codebook must be nonempty")
-            if any(not 0 <= m < (1 << self.n) for m in self.members):
-                raise ValueError(f"codebook members must be {self.n}-bit symbols")
-
-    def __iter__(self):
-        if self.members is None:
-            return iter(range(1 << self.n))
-        return iter(sorted(self.members))
-
-    def __contains__(self, x: int) -> bool:
-        if self.members is None:
-            return 0 <= x < (1 << self.n)
-        return x in self.members
-
-    @property
-    def size(self) -> int:
-        return (1 << self.n) if self.members is None else len(self.members)
-
-    def as_array(self) -> np.ndarray:
-        return _codebook_array(self)
-
-
-@functools.lru_cache(maxsize=64)
-def _codebook_array(cb: Codebook) -> np.ndarray:
-    if cb.members is None:
-        return np.arange(1 << cb.n, dtype=np.int64)
-    return np.array(sorted(cb.members), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -164,28 +109,3 @@ def _popcount_matrix(n: int) -> np.ndarray:
     xs = np.arange(1 << n, dtype=np.int64)
     return np.bitwise_count(xs[:, None] ^ xs).astype(np.float64)
 
-
-def serialize_packet(pkt: Packet, n: int, delta: int) -> bytes:
-    """Byte form per the layout in the module docstring."""
-    keys = sorted(pkt.coeffs)
-    if any(not isinstance(k, int) or not 0 <= k < (1 << 16) for k in keys):
-        raise ValueError("byte serialization requires int node ids below 2^16")
-    out = [struct.pack(">BBB", len(keys), n, delta)]
-    for k in keys:
-        out.append(struct.pack(">HHH", k, pkt.coeffs[k], pkt.input_hashes[k]))
-    out.append(struct.pack(">HH", pkt.own_hash, pkt.payload))
-    return b"".join(out)
-
-
-def parse_packet(data: bytes) -> tuple[Packet, int, int]:
-    """Inverse of serialize_packet; returns (packet, n, delta)."""
-    count, n, delta = struct.unpack_from(">BBB", data, 0)
-    off = 3
-    coeffs, hashes = {}, {}
-    for _ in range(count):
-        k, c, h = struct.unpack_from(">HHH", data, off)
-        coeffs[k] = c
-        hashes[k] = h
-        off += 6
-    own_hash, payload = struct.unpack_from(">HH", data, off)
-    return Packet(coeffs, hashes, own_hash, payload), n, delta

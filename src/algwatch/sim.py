@@ -285,10 +285,9 @@ def brute_force_consistency(obs: WatchdogObservation) -> float:
     if n > 6:
         raise ValueError("enumeration oracle is limited to n <= 6")
     spec, field = obs.hash_spec, obs.field
-    codebook = obs.codebook if obs.codebook is not None else range(field.order)
 
     def candidates(o: Overheard) -> tuple[list[int], list[float]]:
-        cands = collision_list(spec, o.hash_value, codebook)
+        cands = collision_list(spec, o.hash_value)
         if obs.prune_eps is not None:
             r = ball_radius(o.channel, n, obs.prune_eps)
             cands = [y for y in cands if hamming(o.symbol, y) <= r]
@@ -303,7 +302,7 @@ def brute_force_consistency(obs: WatchdogObservation) -> float:
         return cands, [w / total for w in liks]
 
     relay = obs.relay_overheard
-    relay_cands = collision_list(spec, relay.hash_value, codebook)
+    relay_cands = collision_list(spec, relay.hash_value)
     norm = sum(
         relay.channel.p ** hamming(relay.symbol, y)
         * (1.0 - relay.channel.p) ** (n - hamming(relay.symbol, y))
@@ -399,19 +398,3 @@ def mean_matched_count(
     ]
     return float(np.mean(counts))
 
-
-def sign_test_pvalue(diffs, alternative: str = "greater") -> float:
-    """Exact one-sided sign test p-value on paired differences.
-
-    Tests the null that positive and negative differences are equally
-    likely; ties are discarded. alternative='greater' asks whether positive
-    differences dominate.
-    """
-    pos = sum(1 for d in diffs if d > 0)
-    neg = sum(1 for d in diffs if d < 0)
-    total = pos + neg
-    if total == 0:
-        return 1.0
-    k = pos if alternative == "greater" else neg
-    tail = sum(math.comb(total, j) for j in range(k, total + 1))
-    return tail / 2.0**total

@@ -33,7 +33,6 @@ from algwatch.sim import (
     run_experiment,
     run_sweep,
     run_trial,
-    sign_test_pvalue,
     simulate_observation,
 )
 
@@ -133,6 +132,27 @@ def test_04_separation_positive_at_every_hash_length():
 
 
 # --- criterion 5: degradation with worse overhearing and more sources ------
+
+
+def sign_test_pvalue(diffs) -> float:
+    """Exact one-sided sign test p-value on paired differences.
+
+    Tests the null that positive and negative differences are equally
+    likely against positive differences dominating; ties are discarded.
+    """
+    pos = sum(1 for d in diffs if d > 0)
+    total = pos + sum(1 for d in diffs if d < 0)
+    tail = sum(math.comb(total, j) for j in range(pos, total + 1))
+    return tail / 2.0**total
+
+
+def test_sign_test_pvalue():
+    assert sign_test_pvalue([1, 1, 1, 1, 1]) == pytest.approx(1 / 32)
+    assert sign_test_pvalue([-1, -1, -1]) == pytest.approx(1.0)
+    assert sign_test_pvalue([]) == 1.0
+    assert sign_test_pvalue([1, -1]) == pytest.approx(0.75)
+    # ties are discarded
+    assert sign_test_pvalue([0, 0, 1]) == pytest.approx(0.5)
 
 
 def test_05_separation_shrinks_with_p_s_and_m():

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from algwatch.gfield import GF2n, REDUCTION_POLYS, default_field
+from algwatch.gfield import MAX_WIDTH, GF2n, REDUCTION_POLYS, default_field
+
+
+def _reference_mul(a, b, n):
+    """Carry-less multiply, then reduce modulo the width's polynomial bit by bit."""
+    prod = 0
+    for i in range(n):
+        if (b >> i) & 1:
+            prod ^= a << i
+    for bit in range(2 * n - 2, n - 1, -1):
+        if (prod >> bit) & 1:
+            prod ^= REDUCTION_POLYS[n] << (bit - n)
+    return prod
 
 
 def test_add_is_xor():
@@ -49,18 +61,37 @@ def test_out_of_range_elements_rejected():
 
 
 def test_bad_polynomials_rejected():
-    with pytest.raises(ValueError):
-        GF2n(4, poly=0b11011)  # x^4+x^3+x+1 = (x+1)(x^3+x^2+1): reducible
-    with pytest.raises(ValueError):
-        GF2n(4, poly=0b10011 << 1)  # degree 5 polynomial for n=4
-    with pytest.raises(ValueError):
-        GF2n(17)
+    for n in (0, 17):
+        with pytest.raises(ValueError):
+            GF2n(n)
 
 
 def test_table_polynomials_all_valid():
-    for n in range(1, 17):
-        f = GF2n(n, REDUCTION_POLYS[n])
+    # x generates every multiplicative group, so each width, n = 1 included,
+    # multiplies through log tables
+    for n in range(1, MAX_WIDTH + 1):
+        f = GF2n(n)
         assert f.order == 1 << n
+        assert f.poly >> n == 1
+        assert sorted(f._exp[: f.order - 1]) == list(range(1, f.order))
+
+
+@pytest.mark.parametrize("n", range(1, MAX_WIDTH + 1))
+def test_products_match_reference(n):
+    # every pair for n <= 6, random pairs above
+    f = GF2n(n)
+    if n <= 6:
+        scalars = range(f.order)
+        xs = np.arange(f.order)
+    else:
+        rng = np.random.default_rng(n)
+        scalars = [0, 1, *rng.integers(2, f.order, size=6).tolist()]
+        xs = rng.integers(0, f.order, size=64)
+    for a in scalars:
+        expect = [_reference_mul(a, int(x), n) for x in xs]
+        assert [f.mul(a, int(x)) for x in xs] == expect
+        assert f.mul_vec(a, xs).tolist() == expect
+        assert f.mul_elementwise(np.full(len(xs), a), xs).tolist() == expect
 
 
 def test_field_axioms_small():
@@ -97,20 +128,6 @@ def test_vector_ops_match_scalar():
         ys = rng.integers(0, f.order, size=50)
         expect = [f.mul(int(x), int(y)) for x, y in zip(xs, ys)]
         assert expect == f.mul_elementwise(xs, ys).tolist()
-
-
-def test_non_primitive_irreducible_poly_falls_back():
-    # x^4+x^3+x^2+x+1 is irreducible but x has order 5, so no log tables.
-    f = GF2n(4, poly=0b11111)
-    assert f._exp is None
-    for a in range(16):
-        assert f.mul(a, 1) == a
-    # axioms still hold through the direct multiply path
-    for a in range(16):
-        for b in range(16):
-            assert f.mul(a, b) == f.mul(b, a)
-    image = {f.mul(7, x) for x in range(16)}
-    assert image == set(range(16))
 
 
 def test_default_field_cached():

@@ -3,7 +3,7 @@ import pytest
 
 from algwatch.channel import Bsc
 from algwatch.gfield import default_field
-from algwatch.hashing import HashSpec, hash_eval, hash_eval_vec, sample_hash
+from algwatch.hashing import HashSpec, collision_class, hash_eval, hash_eval_vec, sample_hash
 from algwatch.inference import (
     InferenceError,
     Overheard,
@@ -16,7 +16,6 @@ from algwatch.inference import (
     matched_codewords,
     transition_row,
 )
-from algwatch.packet import Codebook
 
 LOW2 = HashSpec("affine", 4, 2, (1, 0))
 IDENT = HashSpec("affine", 4, 4, (1, 0))
@@ -24,7 +23,7 @@ IDENT = HashSpec("affine", 4, 4, (1, 0))
 
 def test_transition_row_injective_hash():
     row = transition_row(0b0110, 9, Bsc(0.2), IDENT)
-    assert row.items() == [(9, 1.0)]
+    assert (row.candidates.tolist(), row.probs.tolist()) == ([9], [1.0])
 
 
 def test_transition_row_uniform_channel():
@@ -43,16 +42,10 @@ def test_transition_row_weights_hand_computed():
     assert row.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_transition_row_restricted_codebook_can_be_empty():
-    cb = Codebook(4, frozenset({3, 7}))  # nothing hashing to 2 mod 4
-    with pytest.raises(InferenceError):
-        transition_row(2, 2, Bsc(0.1), LOW2, codebook=cb)
-
-
 def test_transition_row_pruning_drops_far_candidates():
     # eps = 0.6 gives radius 0 at p=0.1, n=4: only the observation survives
     row = transition_row(2, 2, Bsc(0.1), LOW2, prune_eps=0.6)
-    assert row.items() == [(2, 1.0)]
+    assert (row.candidates.tolist(), row.probs.tolist()) == ([2], [1.0])
     # pruning away every candidate is a structural error
     with pytest.raises(InferenceError):
         transition_row(3, 2, Bsc(0.1), LOW2, prune_eps=0.6)
@@ -142,8 +135,7 @@ def _gather_loop_layers(obs):
     idx = np.arange(f.order)
     for coeff, peer in zip(obs.coeffs[1:], obs.overheard):
         row = transition_row(
-            peer.symbol, peer.hash_value, peer.channel,
-            obs.hash_spec, obs.codebook, obs.prune_eps,
+            peer.symbol, peer.hash_value, peer.channel, obs.hash_spec, obs.prune_eps
         )
         shifts = f.mul_vec(coeff, row.candidates)
         acc = np.zeros(f.order)
@@ -154,11 +146,10 @@ def _gather_loop_layers(obs):
     return arrays
 
 
-def _random_observation(rng, n, m, delta, family, codebook, prune, p):
+def _random_observation(rng, n, m, delta, family, prune, p):
     f = default_field(n)
     spec = sample_hash(rng, family, n, delta)
-    pool = np.array(sorted(codebook.members)) if codebook else np.arange(f.order)
-    symbols = [int(x) for x in rng.choice(pool, size=m)]
+    symbols = [int(x) for x in rng.choice(f.order, size=m)]
     coeffs = tuple(1 + int(c) for c in rng.integers(0, f.order - 1, size=m))
     ch = Bsc(p)
 
@@ -170,7 +161,7 @@ def _random_observation(rng, n, m, delta, family, codebook, prune, p):
     relay = overhear(f.lincomb(coeffs, symbols))
     return WatchdogObservation(
         own_symbol=symbols[0], coeffs=coeffs, overheard=peers, relay_overheard=relay,
-        hash_spec=spec, field=f, codebook=codebook, prune_eps=prune,
+        hash_spec=spec, field=f, prune_eps=prune,
     )
 
 
@@ -182,7 +173,7 @@ def _assert_matches_gather_loop(obs):
             build_and_run_trellis(obs)
         return
     trellis = build_and_run_trellis(obs)
-    assert trellis.depth == len(ref)
+    assert len(trellis.layers) == len(ref)
     for vec, layer in zip(ref, trellis.layers):
         support = np.flatnonzero(vec > 0.0)
         assert list(layer) == support.tolist()
@@ -194,23 +185,35 @@ def _assert_matches_gather_loop(obs):
     assert matched_codewords(trellis, relay_hash, spec) == expect
 
 
+def _row_is_pruned(obs, peer):
+    """True iff the peer's pruned transition row is smaller than its class."""
+    try:
+        row = transition_row(
+            peer.symbol, peer.hash_value, peer.channel, obs.hash_spec, obs.prune_eps
+        )
+    except InferenceError:
+        return False
+    return len(row.candidates) < len(collision_class(obs.hash_spec, peer.hash_value))
+
+
 @pytest.mark.parametrize("n", range(4, 13))
 def test_trellis_bit_identical_to_gather_loop(n):
     rng = np.random.default_rng(1000 + n)
+    pruned_rows = 0
     for _ in range(6):
         m = int(rng.integers(2, 6))
         delta = int(rng.choice([0, 2, n]))
         if n >= 11 and delta == 0:
             m = 2  # keep the dense reference loop quick at 2^n candidates
         family = str(rng.choice(["affine", "poly"]))
-        codebook = None
-        if rng.random() < 0.3:
-            members = rng.choice(1 << n, size=max(2, (1 << n) // 4), replace=False)
-            codebook = Codebook(n, frozenset(int(x) for x in members))
         prune = 0.5 if rng.random() < 0.3 else None
         p = float(rng.choice([0.0, 0.05, 0.2]))
-        obs = _random_observation(rng, n, m, delta, family, codebook, prune, p)
+        obs = _random_observation(rng, n, m, delta, family, prune, p)
+        if prune is not None:
+            pruned_rows += sum(_row_is_pruned(obs, peer) for peer in obs.overheard)
         _assert_matches_gather_loop(obs)
+    # sparse rows are exercised, not assumed: some pruned row drops part of its class
+    assert pruned_rows > 0
 
 
 def test_trellis_bit_identical_across_many_chunks():
@@ -218,7 +221,7 @@ def test_trellis_bit_identical_across_many_chunks():
     # about 10^6 contributions, summed over many bincount chunks
     rng = np.random.default_rng(12)
     for _ in range(2):
-        obs = _random_observation(rng, 12, 3, 2, "affine", None, None, 0.1)
+        obs = _random_observation(rng, 12, 3, 2, "affine", None, 0.1)
         peer = obs.overheard[0]
         row = transition_row(peer.symbol, peer.hash_value, peer.channel, obs.hash_spec)
         assert len(row.candidates) == 1024
@@ -261,14 +264,11 @@ def test_consistency_probability_no_matched_state():
 
 
 def test_consistency_probability_structural_error_when_class_empty():
-    cb = Codebook(4, frozenset({3, 7}))
-    peer = Overheard(3, hash_eval(LOW2, 3), Bsc(0.1))
+    # a constant poly hash maps every symbol to 1, so the class of 2 is empty
+    const = HashSpec("poly", 4, 2, (1,))
+    peer = Overheard(3, 1, Bsc(0.1))
     relay = Overheard(2, 2, Bsc(0.1))
-    f = default_field(4)
-    obs = WatchdogObservation(
-        own_symbol=1, coeffs=(1, 1), overheard=(peer,), relay_overheard=relay,
-        hash_spec=LOW2, field=f, codebook=cb,
-    )
+    obs = _obs(2, (1, 1), 1, (peer,), relay, const)
     trellis = build_and_run_trellis(obs)
     with pytest.raises(InferenceError):
         consistency_probability(trellis, obs)

@@ -5,31 +5,15 @@ from algwatch.channel import hamming
 from algwatch.gfield import default_field
 from algwatch.hashing import HashSpec, hash_eval, sample_hash
 from algwatch.packet import (
-    Codebook,
     corrupt_payload,
     destination_check,
     make_packet,
-    parse_packet,
     search_corruption,
-    serialize_packet,
 )
 
 
 def _spec(n=4, delta=2):
     return HashSpec("affine", n, delta, (1, 0))
-
-
-def test_codebook_defaults_and_validation():
-    cb = Codebook(4)
-    assert cb.size == 16
-    assert list(cb) == list(range(16))
-    assert 15 in cb and 16 not in cb
-    small = Codebook(4, frozenset({1, 9}))
-    assert small.size == 2 and list(small) == [1, 9]
-    with pytest.raises(ValueError):
-        Codebook(4, frozenset())
-    with pytest.raises(ValueError):
-        Codebook(4, frozenset({16}))
 
 
 def test_make_packet_forwarding():
@@ -104,17 +88,6 @@ def test_destination_check_catches_stale_hash():
     assert destination_check(pkt, ident)
     stale = replace(pkt, payload=pkt.payload ^ 0b0100)
     assert not destination_check(stale, ident)
-
-
-def test_serialization_round_trip():
-    f = default_field(10)
-    spec = HashSpec("affine", 10, 2, (3, 1))
-    pkt = make_packet({2: 700, 5: 31}, {2: 9, 5: 1000}, spec, f)
-    data = serialize_packet(pkt, 10, 2)
-    back, n, delta = parse_packet(data)
-    assert (back, n, delta) == (pkt, 10, 2)
-    with pytest.raises(ValueError):
-        serialize_packet(make_packet({"a": 1}, {"a": 1}, spec, f), 10, 2)
 
 
 def test_search_corruption_small_fields_only():

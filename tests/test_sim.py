@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algwatch import hashing, inference, packet, sim
-from algwatch.channel import Bsc
+from algwatch.channel import Bsc, ball_radius, hamming_vec
 from algwatch.gfield import default_field
-from algwatch.hashing import HashSpec, hash_eval
+from algwatch.hashing import FAMILIES, HashSpec, collision_class, hash_eval, sample_hash
 from algwatch.inference import (
     InferenceError,
     Overheard,
@@ -27,7 +27,6 @@ from algwatch.sim import (
     run_experiment,
     run_sweep,
     run_trial,
-    sign_test_pvalue,
     simulate_observation,
 )
 
@@ -196,16 +195,63 @@ def test_matched_count_trial_counts():
     assert avg >= 0.0
 
 
-def test_sign_test_pvalue():
-    assert sign_test_pvalue([1, 1, 1, 1, 1]) == pytest.approx(1 / 32)
-    assert sign_test_pvalue([-1, -1, -1]) == pytest.approx(1.0)
-    assert sign_test_pvalue([]) == 1.0
-    assert sign_test_pvalue([1, -1]) == pytest.approx(0.75)
-    # ties are discarded
-    assert sign_test_pvalue([0, 0, 1]) == pytest.approx(0.5)
-
-
 _RATES = st.sampled_from([0.0, 0.01, 0.1, 0.3, 0.5])
+
+
+@st.composite
+def _oracle_instances(draw):
+    """A small observation: hash, channels, pruning and relay symbol all drawn."""
+    n = draw(st.integers(3, 6))
+    m = draw(st.integers(1, 4))
+    f = default_field(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = sample_hash(rng, draw(st.sampled_from(FAMILIES)), n, draw(st.integers(0, n)))
+    symbols = [int(x) for x in rng.integers(0, f.order, size=m)]
+    coeffs = tuple(1 + int(c) for c in rng.integers(0, f.order - 1, size=m))
+
+    def overhear(x, p):  # any symbol is possible on a noisy channel, only x on a clean one
+        heard = x ^ int(rng.integers(0, f.order)) if p > 0 else x
+        return Overheard(heard, hash_eval(spec, x), Bsc(p))
+
+    p_s, p_relay = draw(_RATES), draw(_RATES)
+    sent = f.lincomb(coeffs, symbols) if draw(st.booleans()) else int(rng.integers(0, f.order))
+    return WatchdogObservation(
+        own_symbol=symbols[0],
+        coeffs=coeffs,
+        overheard=tuple(overhear(x, p_s) for x in symbols[1:]),
+        relay_overheard=overhear(sent, p_relay),
+        hash_spec=spec,
+        field=f,
+        prune_eps=draw(st.none() | st.sampled_from([0.05, 0.3, 0.6])),
+    )
+
+
+def _enumeration_size(obs):
+    """Peer-symbol tuples the oracle enumerates for obs."""
+    size = 1
+    for o in obs.overheard:
+        cands = collision_class(obs.hash_spec, o.hash_value)
+        if obs.prune_eps is not None:
+            r = ball_radius(o.channel, obs.field.n, obs.prune_eps)
+            cands = cands[hamming_vec(o.symbol, cands) <= r]
+        size *= len(cands)
+    return size
+
+
+@settings(max_examples=400, deadline=None)
+@given(_oracle_instances())
+def test_trellis_matches_oracle_on_random_instances(obs):
+    if _enumeration_size(obs) > 4096:
+        return  # too slow for the oracle
+    try:
+        expect = brute_force_consistency(obs)
+    except InferenceError:
+        with pytest.raises(InferenceError):
+            consistency_probability(build_and_run_trellis(obs), obs)
+        return
+    got = consistency_probability(build_and_run_trellis(obs), obs)
+    assert (got == 0.0) == (expect == 0.0)
+    assert got == pytest.approx(expect, rel=1e-9, abs=0.0)
 
 
 @st.composite
