@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Bsc, ball_radius, ball_volume, hamming_vec
-from .gfield import GF2n
+from .gfield import default_field
 from .hashing import HashSpec, collision_class
 
 
@@ -147,7 +147,6 @@ def algebraic_check(
     relay_overheard: tuple[int, int],
     radii: tuple[int, int],
     spec: HashSpec,
-    field: GF2n,
 ) -> bool:
     """Ball-intersection consistency check for the two-source network.
 
@@ -169,5 +168,6 @@ def algebraic_check(
     relay_set = relay_set[hamming_vec(x3t, relay_set) <= r_relay]
     if len(peer_set) == 0 or len(relay_set) == 0:
         return False
+    field = default_field(spec.n)
     implied = field.mul(a1, x1) ^ field.mul_vec(a2, peer_set)
     return bool(np.isin(implied, relay_set).any())

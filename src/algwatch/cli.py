@@ -147,19 +147,11 @@ def _cmd_two_hop(args) -> int:
     raw_values = opt("values", DEFAULT_SWEEP_VALUES[axis], str)
     cast = int if axis in ("delta", "m") else float
     values = _parse_values(raw_values, cast)
-    eps = opt("pruning_eps", None, float)
-    cfg = TwoHopConfig(
-        m=opt("m", 3, int),
-        n=opt("n", 10, int),
-        delta=opt("delta", 2, int),
-        p_s=opt("p_s", 0.1, float),
-        p_relay=opt("p_relay", 0.1, float),
-        p_adv=opt("p_adv", 0.1, float),
-        iterations=opt("iterations", 1000, int),
-        seed=opt("seed", 0, int),
-        pruning_eps=eps,
-        hash_family=opt("hash_family", "affine", str),
-    )
+    # Every config field has a flag of the same name; its default is the library's.
+    cfg = TwoHopConfig(**{
+        f.name: opt(f.name, f.default, float if f.name == "pruning_eps" else type(f.default))
+        for f in dataclasses.fields(TwoHopConfig)
+    })
     workers = opt("workers", os.cpu_count() or 1, int)
     results = run_sweep(cfg, axis, values, workers=workers)
     rows = []
@@ -283,8 +275,7 @@ def _cmd_multihop(args) -> int:
                            f"{symbol} is not a GF(2^{field.n}) element")
     spec = sample_hash(np.random.default_rng(seed), "affine", field.n, opt("delta", 2, int))
     ledger = TrustLedger(opt("threshold", 0.005, float), window=opt("window", 25, int))
-    transcript = run_protocol(g, behaviors, schedule, spec, field, seed, ledger,
-                              source_symbols or None)
+    transcript = run_protocol(g, behaviors, schedule, spec, seed, ledger, source_symbols or None)
     trace = opt("trace", None, str)
     if trace:
         write_trace(transcript, trace)
@@ -314,23 +305,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="root seed (default 0)")
         p.add_argument("--out", default="out.csv", help="output CSV/JSON path")
 
+    d = TwoHopConfig()
     p = sub.add_parser("two-hop", help="Monte Carlo sweep of the two-hop experiment")
     common(p)
     p.add_argument("--sweep", choices=SWEEP_AXES, help="axis to sweep (default p_adv)")
     p.add_argument("--values", help="comma-separated, strictly increasing axis values")
-    p.add_argument("--m", type=int, help="source count (default 3)")
-    p.add_argument("--n", type=int, help="symbol width in bits (default 10)")
-    p.add_argument("--delta", type=int, help="hash width in bits (default 2)")
-    p.add_argument("--p-s", dest="p_s", type=float, help="peer overhearing rate (default 0.1)")
+    p.add_argument("--m", type=int, help=f"source count (default {d.m})")
+    p.add_argument("--n", type=int, help=f"symbol width in bits (default {d.n})")
+    p.add_argument("--delta", type=int, help=f"hash width in bits (default {d.delta})")
+    p.add_argument("--p-s", dest="p_s", type=float,
+                   help=f"peer overhearing rate (default {d.p_s})")
     p.add_argument("--p-relay", dest="p_relay", type=float,
-                   help="relay overhearing rate (default 0.1)")
+                   help=f"relay overhearing rate (default {d.p_relay})")
     p.add_argument("--p-adv", dest="p_adv", type=float,
-                   help="adversarial injection rate (default 0.1)")
-    p.add_argument("--iterations", type=int, help="trials per point (default 1000)")
+                   help=f"adversarial injection rate (default {d.p_adv})")
+    p.add_argument("--iterations", type=int, help=f"trials per point (default {d.iterations})")
     p.add_argument("--pruning-eps", dest="pruning_eps", type=float,
                    help="ball-prune candidate sets at this eps (default off)")
     p.add_argument("--hash-family", dest="hash_family", choices=("affine", "poly"),
-                   help="hash family for the experiment (default affine)")
+                   help=f"hash family for the experiment (default {d.hash_family})")
     p.add_argument("--workers", type=int, help="parallel workers (default: cpu count)")
 
     p = sub.add_parser("multihop", help="run a min-cut scenario or topology file")

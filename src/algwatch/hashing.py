@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfield import default_field
+from .gfield import MAX_WIDTH, default_field
 
 FAMILIES = ("affine", "poly")
 
@@ -40,6 +40,8 @@ class HashSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown hash family {self.family!r}")
+        if not 1 <= self.n <= MAX_WIDTH:  # n is also the width of the run's field
+            raise ValueError(f"symbol width must be in [1, {MAX_WIDTH}], got {self.n}")
         if not 0 <= self.delta <= self.n:
             raise ValueError("delta must be in [0, n]")
         if self.family == "affine":

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Bsc, ball_radius, hamming_vec, log_likelihood, log_likelihood_vec
-from .gfield import GF2n
+from .gfield import GF2n, default_field
 from .hashing import HashSpec, _table, collision_class, hash_eval
 
 
@@ -74,7 +74,6 @@ class WatchdogObservation:
     overheard: tuple[Overheard, ...]
     relay_overheard: Overheard
     hash_spec: HashSpec
-    field: GF2n
     prune_eps: float | None = None
 
     def __post_init__(self):
@@ -82,11 +81,16 @@ class WatchdogObservation:
             raise ValueError("need exactly one coefficient per source, watchdog first")
         if any(c == 0 for c in self.coeffs):
             raise ValueError("coding coefficients must be nonzero")
-        order = self.field.order
+        order = 1 << self.hash_spec.n
         syms = [self.own_symbol, self.relay_overheard.symbol]
         syms += [o.symbol for o in self.overheard]
         if any(not 0 <= s < order for s in syms):
             raise ValueError("symbols must be n-bit field elements")
+
+    @property
+    def field(self) -> GF2n:
+        """GF(2^n) at the hash spec's width: the field the sources code over."""
+        return default_field(self.hash_spec.n)
 
     @property
     def m(self) -> int:
@@ -141,10 +145,8 @@ class Trellis:
     sum_{j<=i} a_j x_j; layer 1 is the single state a_1 x_1 with weight 1.
     """
 
-    def __init__(self, layer_weights: list[np.ndarray], coeffs: tuple[int, ...], field: GF2n):
+    def __init__(self, layer_weights: list[np.ndarray]):
         self._arrays = layer_weights
-        self.coeffs = coeffs
-        self.field = field
         self._layers: list[dict[int, float]] | None = None
         self._hashed: tuple[HashSpec, np.ndarray, np.ndarray] | None = None
 
@@ -218,7 +220,7 @@ def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
             acc = np.bincount(targets, weights, minlength=size)
         vec = acc
         arrays.append(vec)
-    return Trellis(arrays, obs.coeffs, f)
+    return Trellis(arrays)
 
 
 def _relay_normalizer(relay: Overheard, spec: HashSpec) -> tuple[float, float]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Bsc, transmit
-from .gfield import GF2n, default_field
+from .gfield import default_field
 from .hashing import HashSpec, sample_hash
 from .inference import (
     Overheard,
@@ -137,26 +137,20 @@ class TrustLedger:
         return sorted(self._samples)
 
 
-class NetworkState:
-    """Payloads received over intended links, consumed at transmission."""
-
-    def __init__(self):
-        self.inbox: dict[str, dict[str, int]] = {}
-
-
 def run_round(
     g: Hypergraph,
     behaviors: dict[str, NodeBehavior],
     transmitters,
-    state: NetworkState,
+    inbox: dict[str, dict[str, int]],
     spec: HashSpec,
-    field: GF2n,
     rng,
     round_index: int = 0,
     source_symbols: dict[str, int] | None = None,
 ) -> list[Transmission]:
     """One schedule step: the listed nodes transmit, others receive/overhear.
 
+    ``inbox`` maps each node to the payloads it has received over intended
+    links, keyed by sender; a transmission consumes the sender's entry.
     Sources (nodes with no parents) transmit a fresh exogenous symbol,
     either pinned via source_symbols or drawn uniformly. Relays code their
     inbox with per-round uniform nonzero coefficients; adversarial nodes
@@ -164,32 +158,33 @@ def run_round(
     Deterministic for a fixed rng: transmitters, inbox keys, and listeners
     are processed in sorted order.
     """
+    order = 1 << spec.n
     events = []
     for v in sorted(transmitters):
         if g.parents(v):
-            inputs = state.inbox.pop(v, {})
+            inputs = inbox.pop(v, {})
             if not inputs:
                 raise ValueError(f"node {v} scheduled with no received inputs")
         else:
             if source_symbols and v in source_symbols:
                 symbol = source_symbols[v]
             else:
-                symbol = int(rng.integers(0, field.order))
+                symbol = int(rng.integers(0, order))
             inputs = {v: symbol}
         if len(inputs) == 1:
             coeffs = {u: 1 for u in inputs}  # pure forwarding
         else:
             coeffs = {
                 u: 1 + int(c)
-                for u, c in zip(sorted(inputs), rng.integers(0, field.order - 1, size=len(inputs)))
+                for u, c in zip(sorted(inputs), rng.integers(0, order - 1, size=len(inputs)))
             }
-        pkt = make_packet(inputs, coeffs, spec, field)
+        pkt = make_packet(inputs, coeffs, spec)
         behavior = behaviors.get(v, NodeBehavior())
         if behavior.role == ADVERSARIAL and behavior.p_adv > 0.0:
             pkt = corrupt_payload(pkt, behavior.p_adv, spec, rng)
         delivered = {}
         for child in sorted(g.children(v)):
-            state.inbox.setdefault(child, {})[v] = pkt.payload
+            inbox.setdefault(child, {})[v] = pkt.payload
             delivered[child] = pkt.payload
         overheard = {}
         for (speaker, listener), p in sorted(g.interference.items()):
@@ -239,7 +234,6 @@ def build_observation(
     transcript: list[Transmission],
     g: Hypergraph,
     spec: HashSpec,
-    field: GF2n,
 ) -> WatchdogObservation:
     """Assemble the watchdog observation from what the watcher overheard.
 
@@ -261,7 +255,6 @@ def build_observation(
         overheard=tuple(heard(tx) for tx in peer_txs),
         relay_overheard=heard(watched_tx),
         hash_spec=spec,
-        field=field,
     )
 
 
@@ -271,11 +264,10 @@ def police(
     transcript: list[Transmission],
     g: Hypergraph,
     spec: HashSpec,
-    field: GF2n,
     ledger: TrustLedger,
 ) -> TrustLedger:
     """Run the two-hop watchdog on one pair and record the p* sample."""
-    obs = build_observation(watcher, watched, transcript, g, spec, field)
+    obs = build_observation(watcher, watched, transcript, g, spec)
     ledger.record(watcher, watched, consistency_probability(build_and_run_trellis(obs), obs))
     return ledger
 
@@ -289,12 +281,12 @@ def can_police(watcher: str, watched: str, transcript: list[Transmission], g: Hy
     return True
 
 
-def _rounds(g, behaviors, schedule, spec, field, rng, source_symbols=None):
+def _rounds(g, behaviors, schedule, spec, rng, source_symbols=None):
     """Yield (transmitters, transcript so far) after each round of the schedule."""
-    state = NetworkState()
+    inbox: dict[str, dict[str, int]] = {}
     transcript: list[Transmission] = []
     for round_index, transmitters in enumerate(schedule):
-        transcript.extend(run_round(g, behaviors, transmitters, state, spec, field, rng,
+        transcript.extend(run_round(g, behaviors, transmitters, inbox, spec, rng,
                                     round_index, source_symbols))
         yield transmitters, transcript
 
@@ -304,7 +296,6 @@ def run_protocol(
     behaviors: dict[str, NodeBehavior],
     schedule: list[list[str]],
     spec: HashSpec,
-    field: GF2n,
     seed: int,
     ledger: TrustLedger,
     source_symbols: dict[str, int] | None = None,
@@ -318,7 +309,7 @@ def run_protocol(
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
     transcript: list[Transmission] = []
-    rounds = _rounds(g, behaviors, schedule, spec, field, rng, source_symbols)
+    rounds = _rounds(g, behaviors, schedule, spec, rng, source_symbols)
     for transmitters, transcript in rounds:
         for watcher in sorted(g.nodes):
             behavior = behaviors.get(watcher, NodeBehavior())
@@ -328,7 +319,7 @@ def run_protocol(
                 continue
             for watched in sorted(g.children(watcher)):
                 if watched in transmitters and can_police(watcher, watched, transcript, g):
-                    police(watcher, watched, transcript, g, spec, field, ledger)
+                    police(watcher, watched, transcript, g, spec, ledger)
     return transcript
 
 
@@ -407,7 +398,6 @@ def _scenario_one_honest_path(
         "d": NodeBehavior(HONEST),
     }
     schedule = [["w", "s2", "s3"], ["r"]] * policed_samples
-    field = default_field(10)
     detections = 0
     corrupted_any = False
     for inst in range(instances):
@@ -416,14 +406,14 @@ def _scenario_one_honest_path(
         ledger = TrustLedger(threshold, window=window)
         rng = np.random.default_rng(np.random.SeedSequence((seed, inst)))
         transcript: list[Transmission] = []
-        for transmitters, transcript in _rounds(g, behaviors, schedule, spec, field, rng):
+        for transmitters, transcript in _rounds(g, behaviors, schedule, spec, rng):
             if "r" in transmitters and can_police("w", "r", transcript, g):
-                police("w", "r", transcript, g, spec, field, ledger)
+                police("w", "r", transcript, g, spec, ledger)
                 if ledger.verdict("w", "r") is Verdict.MALICIOUS:
                     detections += 1
                     break
         if _latest(transcript, "r") is not None:
-            corrupted, _ = _injector_outcome(transcript, "r", spec, field)
+            corrupted, _ = _injector_outcome(transcript, "r", spec)
             corrupted_any = corrupted_any or corrupted
     freq = detections / instances
     return ScenarioReport(
@@ -438,12 +428,11 @@ def _scenario_one_honest_path(
 
 def _structural_report(kind, g, behaviors, schedule, seed, injector, details) -> ScenarioReport:
     """Run a fixed schedule once and report on the injector's last packet."""
-    field = default_field(10)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 7)))
     spec = sample_hash(rng, "affine", 10, 2)
-    for _, transcript in _rounds(g, behaviors, schedule, spec, field, rng):
+    for _, transcript in _rounds(g, behaviors, schedule, spec, rng):
         pass
-    corrupted, consistent = _injector_outcome(transcript, injector, spec, field)
+    corrupted, consistent = _injector_outcome(transcript, injector, spec)
     honest_watchers = {u for u in g.parents(injector) if behaviors[u].role == HONEST}
     return ScenarioReport(
         kind=kind,
@@ -507,10 +496,10 @@ def _scenario_all_children(seed, p_adv, p_overhear) -> ScenarioReport:
     )
 
 
-def _injector_outcome(transcript, injector, spec, field):
+def _injector_outcome(transcript, injector, spec):
     """Did the injector's last packet corrupt the flow, and does it self-check?"""
     tx = _latest(transcript, injector)
-    true = field.lincomb(
+    true = default_field(spec.n).lincomb(
         [tx.packet.coeffs[u] for u in sorted(tx.packet.coeffs)],
         [_latest(transcript, u, tx.round_index).packet.payload
          for u in sorted(tx.packet.coeffs)],

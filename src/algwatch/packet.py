@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import flip_bits, hamming_vec
-from .gfield import GF2n
+from .gfield import default_field
 from .hashing import HashSpec, collision_class, hash_eval
 
 
@@ -32,14 +32,14 @@ class Packet:
     payload: int
 
 
-def make_packet(inputs: dict, coeffs: dict, spec: HashSpec, field: GF2n) -> Packet:
+def make_packet(inputs: dict, coeffs: dict, spec: HashSpec) -> Packet:
     """Valid packet a well-behaving node builds from its received inputs."""
     if not inputs or set(inputs) != set(coeffs):
         raise ValueError("inputs and coeffs must share a nonempty key set")
     if any(c == 0 for c in coeffs.values()):
         raise ValueError("coding coefficients must be nonzero")
     keys = sorted(inputs)
-    payload = field.lincomb([coeffs[k] for k in keys], [inputs[k] for k in keys])
+    payload = default_field(spec.n).lincomb([coeffs[k] for k in keys], [inputs[k] for k in keys])
     return Packet(
         coeffs=dict(coeffs),
         input_hashes={k: hash_eval(spec, inputs[k]) for k in keys},

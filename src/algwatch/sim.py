@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -83,27 +82,19 @@ class TwoHopConfig:
 
 @dataclass(frozen=True)
 class ExperimentStats:
-    """Aggregate p* statistics for one operating point.
+    """Aggregate p* statistics for one operating point, with its samples.
 
     Variances are population variances of the per-trial p* samples, which
-    is what the experiment error bars report; standard deviations are
-    derived accessors.
+    is what the experiment error bars report. The samples are in trial
+    order.
     """
 
     mean_p_relay: float
     var_relay: float
     mean_p_adv: float
     var_adv: float
-    relay_samples: np.ndarray | None = None
-    adv_samples: np.ndarray | None = None
-
-    @property
-    def std_relay(self) -> float:
-        return math.sqrt(self.var_relay)
-
-    @property
-    def std_adv(self) -> float:
-        return math.sqrt(self.var_adv)
+    relay_samples: np.ndarray
+    adv_samples: np.ndarray
 
     @property
     def separation(self) -> float:
@@ -154,7 +145,6 @@ def _observations(cfg: TwoHopConfig, trial: int, p_advs) -> list[WatchdogObserva
             overheard=peers,
             relay_overheard=Overheard(y ^ relay_noise, int(table[y]), ch_r),
             hash_spec=spec,
-            field=field,
             prune_eps=cfg.pruning_eps,
         )
         for y in payloads
@@ -225,34 +215,32 @@ def _samples(cfg: TwoHopConfig, p_advs, workers: int) -> np.ndarray:
         return np.concatenate([np.array(p) for p in parts])
 
 
-def _stats(relay: np.ndarray, adv: np.ndarray, keep_samples: bool) -> ExperimentStats:
+def _stats(relay: np.ndarray, adv: np.ndarray) -> ExperimentStats:
     return ExperimentStats(
         mean_p_relay=float(relay.mean()),
         var_relay=float(relay.var()),
         mean_p_adv=float(adv.mean()),
         var_adv=float(adv.var()),
-        relay_samples=relay if keep_samples else None,
-        adv_samples=adv if keep_samples else None,
+        relay_samples=relay,
+        adv_samples=adv,
     )
 
 
-def run_experiment(
-    cfg: TwoHopConfig, keep_samples: bool = False, workers: int = 1
-) -> ExperimentStats:
+def run_experiment(cfg: TwoHopConfig, workers: int = 1) -> ExperimentStats:
     """Paired honest/adversarial runs of cfg.iterations trials each.
 
     Deterministic for a fixed config regardless of worker count: trials are
     seeded individually and aggregated in index order.
     """
     relay, adv = np.ascontiguousarray(_samples(cfg, [cfg.p_adv], workers).T)
-    return _stats(relay, adv, keep_samples)
+    return _stats(relay, adv)
 
 
 SWEEP_AXES = ("p_adv", "delta", "p_s", "m")
 
 
 def run_sweep(
-    cfg: TwoHopConfig, axis: str, values, keep_samples: bool = False, workers: int = 1
+    cfg: TwoHopConfig, axis: str, values, workers: int = 1
 ) -> list[tuple[float, ExperimentStats]]:
     """run_experiment at each value of one config axis, seed held fixed.
 
@@ -262,13 +250,15 @@ def run_sweep(
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
     values = list(values)
+    if not values:
+        raise ValueError("sweep values must not be empty")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("sweep values must be strictly increasing")
     points = [replace(cfg, **{axis: v}) for v in values]  # validates every value up front
     if axis == "p_adv":
         relay, *advs = np.ascontiguousarray(_samples(cfg, values, workers).T)
-        return [(v, _stats(relay, adv, keep_samples)) for v, adv in zip(values, advs)]
-    return [(v, run_experiment(p, keep_samples, workers)) for v, p in zip(values, points)]
+        return [(v, _stats(relay, adv)) for v, adv in zip(values, advs)]
+    return [(v, run_experiment(p, workers)) for v, p in zip(values, points)]
 
 
 def brute_force_consistency(obs: WatchdogObservation) -> float:

@@ -78,7 +78,7 @@ def padv_sweep():
         iterations=1000, seed=SEED,
     )
     t0 = time.monotonic()
-    rows = run_sweep(base, "p_adv", [0.1, 0.2, 0.3, 0.4, 0.5], keep_samples=True)
+    rows = run_sweep(base, "p_adv", [0.1, 0.2, 0.3, 0.4, 0.5])
     return rows, time.monotonic() - t0
 
 
@@ -193,7 +193,7 @@ def test_06_false_detection_bounded_by_radius_budget():
         x3 = field.lincomb(coeffs, [x1, x2])
         peer = (transmit(ch, x2, n, rng), hash_eval(spec, x2))
         relay = (transmit(ch, x3, n, rng), hash_eval(spec, x3))
-        passes += algebraic_check(x1, coeffs, peer, relay, (r, r), spec, field)
+        passes += algebraic_check(x1, coeffs, peer, relay, (r, r), spec)
     freq = passes / trials
     ok = freq >= 0.90
     _report(6, "false-detection bound", ok,
@@ -328,8 +328,8 @@ def test_10_invariant_suites():
 
     # seed determinism
     cfg = TwoHopConfig(m=3, n=10, delta=2, iterations=40, seed=SEED + 2)
-    a = run_experiment(cfg, keep_samples=True)
-    b = run_experiment(cfg, keep_samples=True)
+    a = run_experiment(cfg)
+    b = run_experiment(cfg)
     determinism_ok = (
         a.relay_samples.tolist() == b.relay_samples.tolist()
         and a.adv_samples.tolist() == b.adv_samples.tolist()

@@ -159,7 +159,7 @@ def test_algebraic_check_noiseless_honest_passes():
     spec = sample_hash(rng, "affine", 10, 2)
     x1, a, _, _, x2, x3 = _honest_two_hop(rng, spec, field, p=0.1)
     assert algebraic_check(
-        x1, a, (x2, hash_eval(spec, x2)), (x3, hash_eval(spec, x3)), (0, 0), spec, field
+        x1, a, (x2, hash_eval(spec, x2)), (x3, hash_eval(spec, x3)), (0, 0), spec
     )
 
 
@@ -171,7 +171,7 @@ def test_algebraic_check_detects_with_injective_hash():
     a = (3, 9)
     x3 = field.lincomb(a, [x1, x2]) ^ 0b1  # corrupted payload, consistent hash
     assert not algebraic_check(
-        x1, a, (x2, hash_eval(ident, x2)), (x3, hash_eval(ident, x3)), (0, 0), ident, field
+        x1, a, (x2, hash_eval(ident, x2)), (x3, hash_eval(ident, x3)), (0, 0), ident
     )
 
 
@@ -185,7 +185,7 @@ def test_algebraic_check_false_detection_bounded():
     for _ in range(trials):
         spec = sample_hash(rng, "affine", 10, 2)
         x1, a, peer, relay, _, _ = _honest_two_hop(rng, spec, field)
-        passes += algebraic_check(x1, a, peer, relay, (r, r), spec, field)
+        passes += algebraic_check(x1, a, peer, relay, (r, r), spec)
     assert passes / trials >= 0.90
 
 
@@ -208,7 +208,7 @@ def _misdetect_freq(n, delta, trials, seed, p=0.1, p_adv=0.3, radius=None):
             )
         peer = (transmit(ch, x2, n, rng), hash_eval(spec, x2))
         relay = (transmit(ch, corrupted, n, rng), hash_eval(spec, corrupted))
-        passes += algebraic_check(x1, a, peer, relay, (r, r), spec, field)
+        passes += algebraic_check(x1, a, peer, relay, (r, r), spec)
     return passes / trials
 
 

@@ -102,7 +102,9 @@ def test_multihop_scenario_subcommand(tmp_path):
     assert main(["multihop", "--out", str(out)]) == 1  # neither scenario nor topology
 
 
-def test_multihop_topology_subcommand(tmp_path):
+@pytest.mark.parametrize("width", [["--n", "10"], ["--n", "6", "--delta", "1"]],
+                         ids=["n10", "n6-delta1"])
+def test_multihop_topology_subcommand(tmp_path, width):
     topo = {
         "nodes": ["w", "s2", "r", "d"],
         "links": [["w", "r"], ["s2", "r"], ["r", "d"]],
@@ -118,7 +120,7 @@ def test_multihop_topology_subcommand(tmp_path):
     out = tmp_path / "run.json"
     trace = tmp_path / "trace.jsonl"
     assert main(["multihop", "--topology", str(tpath), "--trace", str(trace),
-                 "--window", "2", "--out", str(out)]) == 0
+                 "--window", "2", "--out", str(out), *width]) == 0
     summary = json.loads(out.read_text())
     assert summary["policed_pairs"] == {"w->r": 3}
     assert trace.exists() and len(trace.read_text().splitlines()) == 9
@@ -128,6 +130,9 @@ def test_usage_errors_exit_one(tmp_path):
     assert main(["unknown-command"]) == 1
     assert main(["two-hop", "--config", str(tmp_path / "missing.ini"),
                  "--out", str(tmp_path / "o.csv")]) == 1
+    for values in ("", ","):
+        assert main(["two-hop", "--values", values, "--out", str(tmp_path / "o.csv")]) == 1
+    assert not (tmp_path / "o.csv").exists()
 
 
 _GHOST_BASE = {"nodes": ["a", "b"], "links": [["a", "b"]], "schedule": [["a"], ["b"]]}

@@ -53,6 +53,9 @@ def test_spec_validation():
         HashSpec("poly", 4, 2, ())  # no coefficient
     with pytest.raises(ValueError):
         HashSpec("poly", 4, 2, (1, 16))  # coefficient outside GF(2^4)
+    for n in (0, 17):
+        with pytest.raises(ValueError):
+            HashSpec("affine", n, 0, (1, 0))  # no GF(2^n) to code over
     with pytest.raises(ValueError):
         hash_eval(HashSpec("affine", 4, 2, (1, 0)), 16)  # symbol too wide
 

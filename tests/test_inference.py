@@ -51,15 +51,13 @@ def test_transition_row_pruning_drops_far_candidates():
         transition_row(3, 2, Bsc(0.1), LOW2, prune_eps=0.6)
 
 
-def _obs(m, coeffs, x1, peers, relay, spec, n=4, prune=None):
-    f = default_field(n)
+def _obs(m, coeffs, x1, peers, relay, spec, prune=None):
     return WatchdogObservation(
         own_symbol=x1,
         coeffs=coeffs,
         overheard=peers,
         relay_overheard=relay,
         hash_spec=spec,
-        field=f,
         prune_eps=prune,
     )
 
@@ -111,7 +109,7 @@ def test_trellis_layer_mass_conserved():
                 for _ in range(m - 1)
             )
             relay = Overheard(0, 0, Bsc(0.1))
-            obs = _obs(m, coeffs, int(rng.integers(0, f.order)), peers, relay, spec, n=n)
+            obs = _obs(m, coeffs, int(rng.integers(0, f.order)), peers, relay, spec)
             trellis = build_and_run_trellis(obs)
             for layer in trellis.layers:
                 assert sum(layer.values()) == pytest.approx(1.0, abs=1e-9)
@@ -161,7 +159,7 @@ def _random_observation(rng, n, m, delta, family, prune, p):
     relay = overhear(f.lincomb(coeffs, symbols))
     return WatchdogObservation(
         own_symbol=symbols[0], coeffs=coeffs, overheard=peers, relay_overheard=relay,
-        hash_spec=spec, field=f, prune_eps=prune,
+        hash_spec=spec, prune_eps=prune,
     )
 
 
@@ -305,10 +303,13 @@ def test_decide():
 def test_observation_validation():
     peer = Overheard(2, 2, Bsc(0.1))
     relay = Overheard(0, 0, Bsc(0.1))
-    f = default_field(4)
     with pytest.raises(ValueError):
-        WatchdogObservation(1, (1,), (peer,), relay, LOW2, f)  # coeff count off
+        WatchdogObservation(1, (1,), (peer,), relay, LOW2)  # coeff count off
     with pytest.raises(ValueError):
-        WatchdogObservation(1, (1, 0), (peer,), relay, LOW2, f)  # zero coeff
+        WatchdogObservation(1, (1, 0), (peer,), relay, LOW2)  # zero coeff
     with pytest.raises(ValueError):
-        WatchdogObservation(99, (1, 1), (peer,), relay, LOW2, f)  # symbol too wide
+        WatchdogObservation(99, (1, 1), (peer,), relay, LOW2)  # symbol too wide
+    # the width comes from the hash spec: 2^n itself is out of range
+    wide = Overheard(1 << LOW2.n, 0, Bsc(0.1))
+    with pytest.raises(ValueError):
+        WatchdogObservation(1, (1, 1), (peer,), wide, LOW2)

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algwatch.gfield import default_field
 from algwatch.hashing import HashSpec, hash_eval, sample_hash
 from algwatch.inference import Verdict
 from algwatch.multihop import (
     Hypergraph,
-    NetworkState,
     NodeBehavior,
     TrustLedger,
     build_observation,
@@ -25,7 +23,6 @@ from algwatch.multihop import (
 from algwatch.packet import destination_check
 
 SPEC = HashSpec("affine", 10, 2, (1, 0))
-FIELD = default_field(10)
 
 
 def _chain():
@@ -57,11 +54,11 @@ def test_hypergraph_validation():
 
 def test_chain_forwarding_delivers_source_symbol():
     g = _chain()
-    state = NetworkState()
+    inbox = {}
     rng = np.random.default_rng(0)
     behaviors = {}
-    t1 = run_round(g, behaviors, ["s"], state, SPEC, FIELD, rng, 0, {"s": 123})
-    t2 = run_round(g, behaviors, ["r"], state, SPEC, FIELD, rng, 1)
+    t1 = run_round(g, behaviors, ["s"], inbox, SPEC, rng, 0, {"s": 123})
+    t2 = run_round(g, behaviors, ["r"], inbox, SPEC, rng, 1)
     assert t1[0].packet.payload == 123
     assert t2[0].packet.payload == 123  # single input forwards with coefficient 1
     assert t2[0].delivered == {"d": 123}
@@ -70,18 +67,18 @@ def test_chain_forwarding_delivers_source_symbol():
 
 def test_scheduled_node_without_inputs_is_an_error():
     g = _chain()
-    state = NetworkState()
+    inbox = {}
     with pytest.raises(ValueError):
-        run_round(g, {}, ["r"], state, SPEC, FIELD, np.random.default_rng(0), 0)
+        run_round(g, {}, ["r"], inbox, SPEC, np.random.default_rng(0), 0)
 
 
 def test_round_is_deterministic():
     g = _star()
     def transcript():
-        state = NetworkState()
+        inbox = {}
         rng = np.random.default_rng(77)
-        evs = run_round(g, {}, ["w", "s2", "s3"], state, SPEC, FIELD, rng, 0)
-        evs += run_round(g, {}, ["r"], state, SPEC, FIELD, rng, 1)
+        evs = run_round(g, {}, ["w", "s2", "s3"], inbox, SPEC, rng, 0)
+        evs += run_round(g, {}, ["r"], inbox, SPEC, rng, 1)
         return [(e.sender, e.packet.payload, tuple(sorted(e.overheard.items()))) for e in evs]
 
     assert transcript() == transcript()
@@ -90,10 +87,10 @@ def test_round_is_deterministic():
 def test_adversarial_transmissions_recorded_by_listeners():
     g = _star()
     behaviors = {"r": NodeBehavior("adversarial", p_adv=0.5)}
-    state = NetworkState()
+    inbox = {}
     rng = np.random.default_rng(5)
-    evs = run_round(g, behaviors, ["w", "s2", "s3"], state, SPEC, FIELD, rng, 0)
-    evs += run_round(g, behaviors, ["r"], state, SPEC, FIELD, rng, 1)
+    evs = run_round(g, behaviors, ["w", "s2", "s3"], inbox, SPEC, rng, 0)
+    evs += run_round(g, behaviors, ["r"], inbox, SPEC, rng, 1)
     relay_tx = evs[-1]
     assert relay_tx.sender == "r"
     assert "w" in relay_tx.overheard  # the watcher heard the corrupted packet
@@ -102,11 +99,11 @@ def test_adversarial_transmissions_recorded_by_listeners():
 
 def test_build_observation_uses_only_overheard_data():
     g = _star()
-    state = NetworkState()
+    inbox = {}
     rng = np.random.default_rng(8)
-    transcript = run_round(g, {}, ["w", "s2", "s3"], state, SPEC, FIELD, rng, 0)
-    transcript += run_round(g, {}, ["r"], state, SPEC, FIELD, rng, 1)
-    obs = build_observation("w", "r", transcript, g, SPEC, FIELD)
+    transcript = run_round(g, {}, ["w", "s2", "s3"], inbox, SPEC, rng, 0)
+    transcript += run_round(g, {}, ["r"], inbox, SPEC, rng, 1)
+    obs = build_observation("w", "r", transcript, g, SPEC)
     by_sender = {e.sender: e for e in transcript}
     assert obs.own_symbol == by_sender["w"].packet.payload
     assert obs.relay_overheard.symbol == by_sender["r"].overheard["w"]
@@ -125,14 +122,14 @@ def test_police_requires_overhearing_edges():
         links=frozenset({("w", "r"), ("s2", "r"), ("r", "d")}),
         interference={("r", "w"): 0.1},  # no edge from s2 to w
     )
-    state = NetworkState()
+    inbox = {}
     rng = np.random.default_rng(3)
-    transcript = run_round(g, {}, ["w", "s2"], state, SPEC, FIELD, rng, 0)
-    transcript += run_round(g, {}, ["r"], state, SPEC, FIELD, rng, 1)
+    transcript = run_round(g, {}, ["w", "s2"], inbox, SPEC, rng, 0)
+    transcript += run_round(g, {}, ["r"], inbox, SPEC, rng, 1)
     assert not can_police("w", "r", transcript, g)
     ledger = TrustLedger(0.01)
     with pytest.raises(ValueError):
-        police("w", "r", transcript, g, SPEC, FIELD, ledger)
+        police("w", "r", transcript, g, SPEC, ledger)
 
 
 @st.composite
@@ -151,22 +148,22 @@ def _networks(draw):
 @given(_networks())
 def test_can_police_iff_build_observation_succeeds(network):
     g, rounds, seed = network
-    state = NetworkState()
+    inbox = {}
     rng = np.random.default_rng(seed)
     transcript = []
     for i, wanted in enumerate(rounds):
         # a relay may transmit only what it has received, maybe earlier this round
-        pending = {v for v, inputs in state.inbox.items() if inputs}
+        pending = {v for v, inputs in inbox.items() if inputs}
         transmitters = []
         for v in sorted(wanted):
             if not g.parents(v) or v in pending:
                 transmitters.append(v)
                 pending = (pending - {v}) | g.children(v)
-        transcript += run_round(g, {}, transmitters, state, SPEC, FIELD, rng, i)
+        transcript += run_round(g, {}, transmitters, inbox, SPEC, rng, i)
         for watcher in sorted(g.nodes):
             for watched in sorted(g.nodes - {watcher}):
                 try:
-                    build_observation(watcher, watched, transcript, g, SPEC, FIELD)
+                    build_observation(watcher, watched, transcript, g, SPEC)
                     built = True
                 except ValueError:
                     built = False
@@ -175,12 +172,12 @@ def test_can_police_iff_build_observation_succeeds(network):
 
 def test_police_appends_samples():
     g = _star()
-    state = NetworkState()
+    inbox = {}
     rng = np.random.default_rng(4)
-    transcript = run_round(g, {}, ["w", "s2", "s3"], state, SPEC, FIELD, rng, 0)
-    transcript += run_round(g, {}, ["r"], state, SPEC, FIELD, rng, 1)
+    transcript = run_round(g, {}, ["w", "s2", "s3"], inbox, SPEC, rng, 0)
+    transcript += run_round(g, {}, ["r"], inbox, SPEC, rng, 1)
     ledger = TrustLedger(0.01, window=2)
-    police("w", "r", transcript, g, SPEC, FIELD, ledger)
+    police("w", "r", transcript, g, SPEC, ledger)
     samples = ledger.samples("w", "r")
     assert len(samples) == 1 and 0.0 <= samples[0] <= 1.0
 
@@ -208,7 +205,7 @@ def test_run_protocol_polices_per_schedule():
     }
     ledger = TrustLedger(0.005, window=5)
     schedule = [["w", "s2", "s3"], ["r"]] * 6
-    run_protocol(g, behaviors, schedule, SPEC, FIELD, seed=2, ledger=ledger)
+    run_protocol(g, behaviors, schedule, SPEC, seed=2, ledger=ledger)
     assert len(ledger.samples("w", "r")) == 6
     assert ledger.pairs() == [("w", "r")]
 
@@ -262,7 +259,7 @@ def test_topology_round_trip(tmp_path):
     assert schedule == [["a"], ["b"]]
     assert symbols == {"a": 77}
     ledger = TrustLedger(0.01)
-    transcript = run_protocol(g, behaviors, schedule, SPEC, FIELD, 0, ledger, symbols)
+    transcript = run_protocol(g, behaviors, schedule, SPEC, 0, ledger, symbols)
     trace = tmp_path / "trace.jsonl"
     write_trace(transcript, trace)
     lines = [json.loads(line) for line in trace.read_text().splitlines()]

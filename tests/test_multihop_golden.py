@@ -10,12 +10,10 @@ import dataclasses
 
 import pytest
 
-from algwatch.gfield import default_field
 from algwatch.hashing import HashSpec
 from algwatch.multihop import Hypergraph, NodeBehavior, TrustLedger, mincut_scenario, run_protocol
 
 SPEC = HashSpec("affine", 10, 2, (1, 0))
-FIELD = default_field(10)
 
 # seed -> (w's p* samples of r, payload of every transmission, what w overheard of it)
 PROTOCOL = {
@@ -49,7 +47,7 @@ def test_run_protocol_golden(seed):
         "r": NodeBehavior("adversarial", p_adv=0.3),
     }
     ledger = TrustLedger(0.005, window=5)
-    transcript = run_protocol(g, behaviors, [["w", "s2", "s3"], ["r"]] * 5, SPEC, FIELD, seed, ledger)
+    transcript = run_protocol(g, behaviors, [["w", "s2", "s3"], ["r"]] * 5, SPEC, seed, ledger)
     samples, payloads, overheard = PROTOCOL[seed]
     assert ledger.pairs() == [("w", "r")]
     assert ledger.samples("w", "r") == samples

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from algwatch.channel import hamming
-from algwatch.gfield import default_field
 from algwatch.hashing import HashSpec, hash_eval, sample_hash
 from algwatch.packet import (
     corrupt_payload,
@@ -17,47 +16,41 @@ def _spec(n=4, delta=2):
 
 
 def test_make_packet_forwarding():
-    f = default_field(4)
-    pkt = make_packet({7: 9}, {7: 1}, _spec(), f)
+    pkt = make_packet({7: 9}, {7: 1}, _spec())
     assert pkt.payload == 9
     assert pkt.own_hash == hash_eval(_spec(), 9)
     assert pkt.input_hashes == {7: hash_eval(_spec(), 9)}
 
 
 def test_make_packet_zero_inputs():
-    f = default_field(4)
-    pkt = make_packet({1: 0, 2: 0}, {1: 3, 2: 5}, _spec(), f)
+    pkt = make_packet({1: 0, 2: 0}, {1: 3, 2: 5}, _spec())
     assert pkt.payload == 0
     assert pkt.own_hash == hash_eval(_spec(), 0)
 
 
 def test_make_packet_lincomb_example():
-    f = default_field(4)
-    pkt = make_packet({1: 8, 2: 1}, {1: 2, 2: 3}, _spec(), f)
+    pkt = make_packet({1: 8, 2: 1}, {1: 2, 2: 3}, _spec())
     assert pkt.payload == 0
 
 
 def test_make_packet_validation():
-    f = default_field(4)
     with pytest.raises(ValueError):
-        make_packet({1: 2}, {2: 1}, _spec(), f)
+        make_packet({1: 2}, {2: 1}, _spec())
     with pytest.raises(ValueError):
-        make_packet({1: 2}, {1: 0}, _spec(), f)
+        make_packet({1: 2}, {1: 0}, _spec())
     with pytest.raises(ValueError):
-        make_packet({}, {}, _spec(), f)
+        make_packet({}, {}, _spec())
 
 
 def test_corrupt_payload_null_rate():
-    f = default_field(10)
     spec = HashSpec("affine", 10, 2, (1, 0))
-    pkt = make_packet({1: 700}, {1: 1}, spec, f)
+    pkt = make_packet({1: 700}, {1: 1}, spec)
     assert corrupt_payload(pkt, 0.0, spec, np.random.default_rng(0)) == pkt
 
 
 def test_corrupt_payload_keeps_hash_consistent():
-    f = default_field(10)
     spec = HashSpec("affine", 10, 3, (5, 2))
-    pkt = make_packet({1: 123, 2: 456}, {1: 3, 2: 9}, spec, f)
+    pkt = make_packet({1: 123, 2: 456}, {1: 3, 2: 9}, spec)
     rng = np.random.default_rng(1)
     for _ in range(50):
         out = corrupt_payload(pkt, 0.4, spec, rng)
@@ -67,9 +60,8 @@ def test_corrupt_payload_keeps_hash_consistent():
 
 def test_corrupt_payload_mean_distance():
     # expected Hamming damage is n * p_adv = 10 * 0.1 = 1
-    f = default_field(10)
     spec = HashSpec("affine", 10, 2, (1, 0))
-    pkt = make_packet({1: 37}, {1: 1}, spec, f)
+    pkt = make_packet({1: 37}, {1: 1}, spec)
     rng = np.random.default_rng(8)
     trials = 100_000
     total = sum(
@@ -82,26 +74,23 @@ def test_corrupt_payload_mean_distance():
 def test_destination_check_catches_stale_hash():
     from dataclasses import replace
 
-    f = default_field(4)
     ident = HashSpec("affine", 4, 4, (1, 0))
-    pkt = make_packet({1: 5, 2: 2}, {1: 1, 2: 1}, ident, f)
+    pkt = make_packet({1: 5, 2: 2}, {1: 1, 2: 1}, ident)
     assert destination_check(pkt, ident)
     stale = replace(pkt, payload=pkt.payload ^ 0b0100)
     assert not destination_check(stale, ident)
 
 
 def test_search_corruption_small_fields_only():
-    f = default_field(10)
     spec = HashSpec("affine", 10, 2, (1, 0))
-    pkt = make_packet({1: 3}, {1: 1}, spec, f)
+    pkt = make_packet({1: 3}, {1: 1}, spec)
     with pytest.raises(ValueError):
         search_corruption(pkt, spec, 0.1)
 
 
 def test_search_corruption_stays_in_collision_class():
-    f = default_field(6)
     spec = HashSpec("affine", 6, 2, (3, 1))
-    pkt = make_packet({1: 20, 2: 33}, {1: 5, 2: 7}, spec, f)
+    pkt = make_packet({1: 20, 2: 33}, {1: 5, 2: 7}, spec)
     out = search_corruption(pkt, spec, 0.1)
     assert out.payload != pkt.payload
     assert destination_check(out, spec)
@@ -113,9 +102,8 @@ def test_search_corruption_stays_in_collision_class():
 
 
 def test_search_corruption_injective_hash_falls_back():
-    f = default_field(4)
     ident = HashSpec("affine", 4, 4, (1, 0))
-    pkt = make_packet({1: 9}, {1: 1}, ident, f)
+    pkt = make_packet({1: 9}, {1: 1}, ident)
     out = search_corruption(pkt, ident, 0.2)
     assert out.payload != pkt.payload
     assert hamming(out.payload, pkt.payload) == 1

@@ -69,12 +69,12 @@ def test_observation_headers_are_exact():
 
 def test_seed_determinism_and_stream_isolation():
     cfg = TwoHopConfig(m=3, n=8, delta=2, iterations=20, seed=12)
-    a = run_experiment(cfg, keep_samples=True)
-    b = run_experiment(cfg, keep_samples=True)
+    a = run_experiment(cfg)
+    b = run_experiment(cfg)
     assert a.relay_samples.tolist() == b.relay_samples.tolist()
     assert a.adv_samples.tolist() == b.adv_samples.tolist()
     other = dataclasses.replace(cfg, seed=13)
-    c = run_experiment(other, keep_samples=True)
+    c = run_experiment(other)
     assert a.relay_samples.tolist() != c.relay_samples.tolist()
 
 
@@ -87,8 +87,8 @@ def test_null_adversary_is_bit_identical():
 
 def test_workers_do_not_change_results():
     cfg = TwoHopConfig(m=2, n=6, delta=1, iterations=16, seed=9)
-    st1 = run_experiment(cfg, keep_samples=True, workers=1)
-    st2 = run_experiment(cfg, keep_samples=True, workers=2)
+    st1 = run_experiment(cfg, workers=1)
+    st2 = run_experiment(cfg, workers=2)
     assert st1.relay_samples.tolist() == st2.relay_samples.tolist()
     assert st1.adv_samples.tolist() == st2.adv_samples.tolist()
 
@@ -157,6 +157,8 @@ def test_run_sweep_validates_axis_and_orders():
         run_sweep(cfg, "bogus", [1, 2])
     with pytest.raises(ValueError):
         run_sweep(cfg, "p_adv", [0.3, 0.2])
+    with pytest.raises(ValueError, match="sweep values"):
+        run_sweep(cfg, "p_adv", [])
     rows = run_sweep(cfg, "delta", [0, 1])
     assert [v for v, _ in rows] == [0, 1]
     assert all(isinstance(st, ExperimentStats) for _, st in rows)
@@ -221,7 +223,6 @@ def _oracle_instances(draw):
         overheard=tuple(overhear(x, p_s) for x in symbols[1:]),
         relay_overheard=overhear(sent, p_relay),
         hash_spec=spec,
-        field=f,
         prune_eps=draw(st.none() | st.sampled_from([0.05, 0.3, 0.6])),
     )
 
@@ -354,8 +355,8 @@ def test_one_hash_table_per_trial(monkeypatch):
 def test_p_adv_sweep_workers_do_not_change_results():
     cfg = TwoHopConfig(m=3, n=6, delta=1, iterations=12, seed=8)
     values = [0.0, 0.2, 0.6]
-    one = run_sweep(cfg, "p_adv", values, keep_samples=True, workers=1)
-    two = run_sweep(cfg, "p_adv", values, keep_samples=True, workers=2)
+    one = run_sweep(cfg, "p_adv", values, workers=1)
+    two = run_sweep(cfg, "p_adv", values, workers=2)
     for (v1, st1), (v2, st2) in zip(one, two):
         assert v1 == v2
         assert st1.relay_samples.tolist() == st2.relay_samples.tolist()
