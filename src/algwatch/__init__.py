@@ -65,6 +65,7 @@ from .multihop import (
     police,
     run_protocol,
     run_round,
+    unpoliced_pairs,
     write_trace,
 )
 from .packet import (
@@ -79,6 +80,7 @@ from .sim import (
     TwoHopConfig,
     brute_force_consistency,
     calibrate_threshold,
+    count_fallbacks,
     matched_count_trial,
     mean_matched_count,
     run_experiment,

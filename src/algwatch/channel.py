@@ -11,6 +11,7 @@ exponentiation accessor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,10 +45,12 @@ def flip_bits(x: int, p: float, n: int, rng) -> int:
     """x with each of its n bits independently flipped with probability p.
 
     Unlike Bsc, p may be anywhere in [0, 1]: this is also the adversary's
-    injection primitive.
+    injection primitive. n is at most 63.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"flip probability must be in [0, 1], got {p}")
+    if not 0 <= n <= 63:
+        raise ValueError(f"width must be in [0, 63] bits, got {n}")
     return x ^ _flip_mask(rng.random(n), p)
 
 
@@ -57,7 +60,18 @@ def _flip_mask(draws: np.ndarray, p: float) -> int:
     Flipping at several rates with the same draws gives nested masks, which
     is how the arms of one trial share a single adversary stream.
     """
-    return int.from_bytes(np.packbits(draws < p, bitorder="little").tobytes(), "little")
+    return int(_flip_masks(draws, p))
+
+
+def _flip_masks(draws: np.ndarray, p) -> np.ndarray:
+    """``_flip_mask`` of every row of uniforms along the last axis.
+
+    p broadcasts against draws, so a stack of rows can flip at per-row
+    rates. Masks are int64, so rows hold at most 63 draws (symbols are at
+    most 16 bits).
+    """
+    bits = draws < p
+    return bits @ (1 << np.arange(bits.shape[-1], dtype=np.int64))
 
 
 def transmit(ch: Bsc, x: int, n: int, rng) -> int:
@@ -77,10 +91,27 @@ def log_likelihood(ch: Bsc, observed: int, candidate: int, n: int) -> float:
 
 
 def log_likelihood_vec(ch: Bsc, observed: int, candidates: np.ndarray, n: int) -> np.ndarray:
-    d = hamming_vec(observed, candidates)
-    if ch.p == 0.0:
-        return np.where(d == 0, 0.0, -np.inf)
-    return d * math.log(ch.p) + (n - d) * math.log1p(-ch.p)
+    return _log_likelihood_table((ch,), n)[0, hamming_vec(observed, candidates)]
+
+
+@functools.lru_cache(maxsize=32)
+def _log_likelihood_table(channels: tuple[Bsc, ...], n: int) -> np.ndarray:
+    """Read-only log_likelihood over channels[c] at Hamming distance d, in row c, column d.
+
+    The two logs of a rate come from scalar math.log and math.log1p (an
+    array np.log1p does not round every rate the same way); the products
+    and sum are elementwise, so a lookup by distance gives exactly the
+    float the formula gives at that distance.
+    """
+    d = np.arange(n + 1)
+    table = np.empty((len(channels), n + 1))
+    for row, ch in zip(table, channels):
+        if ch.p == 0.0:
+            row[:] = np.where(d == 0, 0.0, -np.inf)
+        else:
+            row[:] = d * math.log(ch.p) + (n - d) * math.log1p(-ch.p)
+    table.flags.writeable = False
+    return table
 
 
 def likelihood(ch: Bsc, observed: int, candidate: int, n: int) -> float:

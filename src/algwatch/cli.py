@@ -42,6 +42,7 @@ from .multihop import (
     load_topology,
     mincut_scenario,
     run_protocol,
+    unpoliced_pairs,
     write_trace,
 )
 from .gfield import default_field
@@ -51,6 +52,7 @@ from .sim import (
     SWEEP_AXES,
     TwoHopConfig,
     brute_force_consistency,
+    count_fallbacks,
     run_sweep,
     simulate_observation,
 )
@@ -153,7 +155,8 @@ def _cmd_two_hop(args) -> int:
         for f in dataclasses.fields(TwoHopConfig)
     })
     workers = opt("workers", os.cpu_count() or 1, int)
-    results = run_sweep(cfg, axis, values, workers=workers)
+    with count_fallbacks() as fallbacks:
+        results = run_sweep(cfg, axis, values, workers=workers)
     rows = []
     for value, stats in results:
         point = dataclasses.replace(cfg, **{axis: value})
@@ -171,6 +174,11 @@ def _cmd_two_hop(args) -> int:
         "values": values,
         "workers": workers,
         "rows": [dict(zip(TWO_HOP_COLUMNS, row)) for row in rows],
+        # trials whose trellis, and arms whose scoring, raised InferenceError: scored p* = 0
+        "diagnostics": {
+            "trials": fallbacks["trials"],
+            "fallbacks": {"trellis": fallbacks["trellis"], "scoring": fallbacks["scoring"]},
+        },
     })
     print(f"two-hop sweep over {axis}: {len(rows)} rows -> {args.out}")
     return 0
@@ -287,6 +295,10 @@ def _cmd_multihop(args) -> int:
         "command": "multihop", "seed": seed, "topology": topology,
         "rounds": len(schedule), "verdicts": verdicts,
         "policed_pairs": {f"{w}->{v}": len(ledger.samples(w, v)) for w, v in ledger.pairs()},
+        "unpoliced": {
+            f"{w}->{v}": reason
+            for (w, v), reason in unpoliced_pairs(g, behaviors, transcript, ledger).items()
+        },
     })
     print(f"multihop run: {len(schedule)} rounds, {len(verdicts)} policed pairs -> {args.out}")
     return 0

@@ -98,10 +98,9 @@ class GF2n:
         return out
 
     def mul_elementwise(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Elementwise field product of two equal-length arrays."""
-        out = np.zeros(len(us), dtype=np.int64)
-        nz = (us != 0) & (vs != 0)
-        out[nz] = self._exp_np[self._log_np[us[nz]] + self._log_np[vs[nz]]]
+        """Elementwise field product of two arrays of one shape."""
+        out = self._exp_np[self._log_np[us] + self._log_np[vs]]
+        out[(us == 0) | (vs == 0)] = 0  # the log table's entry for 0 is a placeholder
         return out
 
     def lincomb(self, coeffs, symbols) -> int:

@@ -79,27 +79,43 @@ def hash_eval(spec: HashSpec, x: int) -> int:
 
 def hash_eval_vec(spec: HashSpec, xs: np.ndarray) -> np.ndarray:
     """Vectorized hash_eval over an array of symbols."""
-    xs = np.asarray(xs, dtype=np.int64)
+    return _hash_rows([spec], xs)[0]
+
+
+def _hash_rows(specs, xs) -> np.ndarray:
+    """(len(specs), len(xs)) array: row k hashes every symbol of xs under specs[k].
+
+    The specs share family, n and delta; each row is what hash_eval gives
+    symbol by symbol.
+    """
+    xs = np.broadcast_to(np.asarray(xs, dtype=np.int64), (len(specs), len(xs)))
+    coeffs = np.array([s.coefficients for s in specs], dtype=np.int64)
+    spec = specs[0]
     if spec.family == "affine":
-        a, b = spec.coefficients
-        return (a * xs + b) & spec.mask
+        return (coeffs[:, :1] * xs + coeffs[:, 1:]) & spec.mask
     f = default_field(spec.n)
-    acc = np.zeros(len(xs), dtype=np.int64)
-    for c in reversed(spec.coefficients):
-        # Horner step: acc = acc*x + c, elementwise over xs.
-        acc = f.mul_elementwise(acc, xs) ^ c
+    acc = np.broadcast_to(coeffs[:, -1:], xs.shape)
+    for c in coeffs.T[-2::-1]:
+        # Horner step: acc = acc*x + c, elementwise over every row.
+        acc = f.mul_elementwise(acc, xs) ^ c[:, None]
     return acc & spec.mask
+
+
+def _tables(specs) -> np.ndarray:
+    """Hash of every n-bit symbol under each of specs, one row per spec.
+
+    A trial asks many hash questions of its spec (collision classes, header
+    hashes, which final states match); each is a lookup into its row, so
+    the field is hashed once per spec, and a block of trials hashes it for
+    all its specs in one pass. A row is 2^n int64 values: 8 KiB at n = 10.
+    """
+    return _hash_rows(specs, np.arange(1 << specs[0].n, dtype=np.int64))
 
 
 @functools.lru_cache(maxsize=8)
 def _table(spec: HashSpec) -> np.ndarray:
-    """Read-only hash of every n-bit symbol, indexed by symbol.
-
-    A trial asks many hash questions of one spec (collision classes, header
-    hashes, which final states match); each is a lookup into this table, so
-    the field is hashed once per spec. At n = 16 a table is 512 KiB.
-    """
-    table = hash_eval_vec(spec, np.arange(1 << spec.n, dtype=np.int64))
+    """Read-only ``_tables`` row of one spec, cached for repeated lookups."""
+    table = _tables([spec])[0]
     table.flags.writeable = False
     return table
 

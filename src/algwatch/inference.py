@@ -22,6 +22,12 @@ only); the forward pass keeps dense vectors but scatters each layer update
 from the previous layer's positive-weight support alone, summing the
 contributions with ``np.bincount`` in the same order a per-candidate dense
 pass would, so every layer is bit-for-bit what that pass gives.
+
+Transition rows and relay normalizers are computed for a whole batch at
+once (``_transition_rows``, ``_relay_normalizers``), which is how the
+Monte Carlo harness runs a block of trials; the public one-observation
+functions are one-item calls of the same code, and each item gets exactly
+the floats it would get alone.
 """
 
 from __future__ import annotations
@@ -31,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Bsc, ball_radius, hamming_vec, log_likelihood, log_likelihood_vec
+from .channel import Bsc, _log_likelihood_table, ball_radius, log_likelihood
 from .gfield import GF2n, default_field
-from .hashing import HashSpec, _table, collision_class, hash_eval
+from .hashing import HashSpec, _table, hash_eval
 
 
 # Contributions summed per np.bincount call in the forward pass; bounds each
@@ -86,6 +92,9 @@ class WatchdogObservation:
         syms += [o.symbol for o in self.overheard]
         if any(not 0 <= s < order for s in syms):
             raise ValueError("symbols must be n-bit field elements")
+        hashes = [o.hash_value for o in (*self.overheard, self.relay_overheard)]
+        if any(not 0 <= h < (1 << self.hash_spec.delta) for h in hashes):
+            raise ValueError("hash values must be delta-bit values")
 
     @property
     def field(self) -> GF2n:
@@ -106,6 +115,73 @@ class TransitionRow:
     probs: np.ndarray
 
 
+def _segment_reduce(
+    ufunc: np.ufunc, values: np.ndarray, lengths: np.ndarray, empty: float
+) -> np.ndarray:
+    """``ufunc.reduce`` of each run of ``lengths`` consecutive values; ``empty`` for an empty run.
+
+    Runs of one length are stacked and reduced along axis 1, which adds
+    each row in the order a 1-D sum of it does (``np.add.reduceat`` does
+    not, for runs of 8 or more); runs that all share one length are
+    already stacked.
+    """
+    sizes = set(lengths.tolist())
+    if len(sizes) == 1 and 0 not in sizes:
+        return ufunc.reduce(values.reshape(len(lengths), -1), axis=1)
+    out = np.full(len(lengths), empty)
+    starts = np.cumsum(lengths) - lengths
+    for length in sizes - {0}:
+        runs = np.flatnonzero(lengths == length)
+        out[runs] = ufunc.reduce(values[starts[runs, None] + np.arange(length)], axis=1)
+    return out
+
+
+def _classes(tables: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collision classes of a batch: target (k, j) looked up in hash table tables[k].
+
+    Returns (item, symbol) pairs, item indexing ``targets.ravel()``, in item
+    order and ascending symbol order within an item.
+    """
+    found = np.flatnonzero(tables[:, None, :] == targets[:, :, None])
+    return np.divmod(found, tables.shape[1])
+
+
+def _transition_rows(
+    tables: np.ndarray,
+    observed: np.ndarray,
+    targets: np.ndarray,
+    channels,
+    n: int,
+    prune_eps: float | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every transition row of a batch in one pass.
+
+    Row (k, j) is ``transition_row(observed[k, j], targets[k, j], channels[j],
+    spec_k, prune_eps)`` where tables[k] is spec_k's hash table. Returns the
+    rows' candidates and probabilities laid end to end in row order, and
+    each row's length, with the shape of targets; a length of 0 is a row
+    for which transition_row raises InferenceError. Every row holds exactly
+    the floats it would hold alone: likelihoods are elementwise, maxima
+    exact, and sums taken per row in row order (``_segment_reduce``).
+    """
+    items, cands = _classes(tables, targets)
+    peer = items % targets.shape[1]
+    d = np.bitwise_count(observed.ravel()[items] ^ cands)
+    if prune_eps is not None:
+        radius = np.array([ball_radius(ch, n, prune_eps) for ch in channels])
+        near = d <= radius[peer]
+        items, cands, d, peer = items[near], cands[near], d[near], peer[near]
+    logw = _log_likelihood_table(tuple(channels), n)[peer, d]
+    finite = logw > -np.inf
+    items, cands, logw = items[finite], cands[finite], logw[finite]
+    lengths = np.bincount(items, minlength=targets.size)
+    w = np.exp(logw - _segment_reduce(np.maximum, logw, lengths, -np.inf)[items])
+    w /= _segment_reduce(np.add, w, lengths, 0.0)[items]
+    keep = w > 0.0
+    lengths = np.bincount(items[keep], minlength=targets.size).reshape(targets.shape)
+    return cands[keep], w[keep], lengths
+
+
 def transition_row(
     observed: int,
     target_hash: int,
@@ -121,21 +197,15 @@ def transition_row(
     dropped before renormalizing; this trades a little false-detection
     probability for a much smaller candidate set.
     """
-    cands = collision_class(spec, target_hash)
-    if prune_eps is not None and len(cands) > 0:
-        r = ball_radius(ch, spec.n, prune_eps)
-        cands = cands[hamming_vec(observed, cands) <= r]
-    if len(cands) == 0:
+    if not 0 <= target_hash < (1 << spec.delta):
+        raise ValueError(f"target {target_hash} is not a {spec.delta}-bit value")
+    cands, probs, lengths = _transition_rows(
+        _table(spec)[None], np.array([[observed]]), np.array([[target_hash]]),
+        [ch], spec.n, prune_eps,
+    )
+    if lengths[0, 0] == 0:
         raise InferenceError("no candidate consistent with hash")
-    logw = log_likelihood_vec(ch, observed, cands, spec.n)
-    finite = logw > -np.inf
-    if not finite.any():
-        raise InferenceError("no candidate consistent with hash")
-    cands, logw = cands[finite], logw[finite]
-    w = np.exp(logw - logw.max())
-    w /= w.sum()
-    keep = w > 0.0
-    return TransitionRow(cands[keep], w[keep])
+    return TransitionRow(cands, probs)
 
 
 class Trellis:
@@ -171,9 +241,50 @@ class Trellis:
         Computed once and shared by every relay scored against this trellis.
         """
         if self._hashed is None or self._hashed[0] != spec:
-            support = np.flatnonzero(self.final_weights > 0.0)
-            self._hashed = (spec, support, _table(spec)[support])
+            self._hashed = (spec, *_hashed_support(self.final_weights, _table(spec)))
         return self._hashed[1:]
+
+
+def _hashed_support(w: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States of positive weight in w, and their hashes looked up in table."""
+    support = np.flatnonzero(w > 0.0)
+    return support, table[support]
+
+
+def _forward_pass(
+    start: int, size: int, shifts: np.ndarray, probs: np.ndarray, edges: list[int]
+) -> list[np.ndarray]:
+    """Layer weights from state ``start`` through rows laid end to end.
+
+    Peer i's row is shifts[edges[i]:edges[i + 1]] (its candidates times its
+    coefficient) with probabilities probs[edges[i]:edges[i + 1]]; see
+    build_and_run_trellis for the update and why it is bit-exact.
+    """
+    vec = np.zeros(size)
+    vec[start] = 1.0
+    arrays = [vec]
+    states = np.arange(size)
+    for lo_row, hi_row in zip(edges, edges[1:]):
+        row_shifts, row_probs = shifts[lo_row:hi_row], probs[lo_row:hi_row]
+        support = np.flatnonzero(vec > 0.0)
+        mass = vec[support]
+        step = max(1, _SCATTER_CHUNK // len(support))
+        acc = None
+        for lo in range(0, len(row_shifts), step):
+            targets = (row_shifts[lo:lo + step, None] ^ support).ravel()
+            weights = (row_probs[lo:lo + step, None] * mass).ravel()
+            if acc is not None:
+                targets = np.concatenate((states, targets))
+                weights = np.concatenate((acc, weights))
+            acc = np.bincount(targets, weights, minlength=size)
+        vec = acc
+        arrays.append(vec)
+    return arrays
+
+
+def _row_edges(lengths: np.ndarray) -> list[int]:
+    """Offsets of rows laid end to end: row r spans [edges[r], edges[r + 1])."""
+    return [0, *np.cumsum(lengths.ravel()).tolist()]
 
 
 def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
@@ -196,48 +307,94 @@ def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
     The layers are therefore bit-identical to that dense pass, exact
     zeros included.
     """
-    f = obs.field
-    size = f.order
-    vec = np.zeros(size)
-    vec[f.mul(obs.coeffs[0], obs.own_symbol)] = 1.0
-    arrays = [vec]
-    states = np.arange(size)
-    for coeff, peer in zip(obs.coeffs[1:], obs.overheard):
-        row = transition_row(
-            peer.symbol, peer.hash_value, peer.channel, obs.hash_spec, obs.prune_eps
-        )
-        shifts = f.mul_vec(coeff, row.candidates)
-        support = np.flatnonzero(vec > 0.0)
-        mass = vec[support]
-        step = max(1, _SCATTER_CHUNK // len(support))
-        acc = None
-        for lo in range(0, len(shifts), step):
-            targets = (shifts[lo:lo + step, None] ^ support).ravel()
-            weights = (row.probs[lo:lo + step, None] * mass).ravel()
-            if acc is not None:
-                targets = np.concatenate((states, targets))
-                weights = np.concatenate((acc, weights))
-            acc = np.bincount(targets, weights, minlength=size)
-        vec = acc
-        arrays.append(vec)
-    return Trellis(arrays)
+    f, spec, peers = obs.field, obs.hash_spec, obs.overheard
+    cands, probs, lengths = _transition_rows(
+        _table(spec)[None],
+        np.array([[o.symbol for o in peers]], dtype=np.int64),
+        np.array([[o.hash_value for o in peers]], dtype=np.int64),
+        [o.channel for o in peers],
+        spec.n,
+        obs.prune_eps,
+    )
+    if not lengths.all():
+        raise InferenceError("no candidate consistent with hash")
+    coeffs = np.array(obs.coeffs[1:], dtype=np.int64)
+    shifts = f.mul_elementwise(np.repeat(coeffs, lengths[0]), cands)
+    start = f.mul(obs.coeffs[0], obs.own_symbol)
+    return Trellis(_forward_pass(start, f.order, shifts, probs, _row_edges(lengths)))
+
+
+def _relay_normalizers(
+    tables: np.ndarray, symbols: np.ndarray, hashes: np.ndarray, ch: Bsc, n: int
+) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+    """Scaled normalizers of a batch of relays over their announced collision classes.
+
+    Relay (k, a) was overheard over ch as symbols[k, a] and announces
+    hashes[k, a] under hash table tables[k]. Returns (top, denom, faults),
+    one entry per relay in ``hashes.ravel()`` order: top is the max log
+    likelihood over the class and denom = sum exp(logw - top), whose scale
+    cancels in every ratio built from them; faults holds the InferenceError
+    message for a relay that cannot be scored, else None (its top is then 0
+    and its denom meaningless). Each value is the one the relay would get
+    alone.
+    """
+    items, cls = _classes(tables, hashes)
+    logw = _log_likelihood_table((ch,), n)[0, np.bitwise_count(symbols.ravel()[items] ^ cls)]
+    lengths = np.bincount(items, minlength=hashes.size)
+    top = _segment_reduce(np.maximum, logw, lengths, -np.inf)
+    possible = top > -np.inf
+    top[~possible] = 0.0
+    denom = _segment_reduce(np.add, np.exp(logw - top[items]), lengths, 0.0)
+    faults = [
+        None if ok
+        else "relay hash matches no symbol" if size == 0
+        else "observation impossible under a noiseless relay channel"
+        for ok, size in zip(possible.tolist(), lengths.tolist())
+    ]
+    return top, denom, faults
 
 
 def _relay_normalizer(relay: Overheard, spec: HashSpec) -> tuple[float, float]:
-    """Scaled normalizer over the relay's announced collision class.
+    """``_relay_normalizers`` of one relay; raises InferenceError on a fault."""
+    top, denom, faults = _relay_normalizers(
+        _table(spec)[None], np.array([[relay.symbol]]), np.array([[relay.hash_value]]),
+        relay.channel, spec.n,
+    )
+    if faults[0] is not None:
+        raise InferenceError(faults[0])
+    return float(top[0]), float(denom[0])
 
-    Returns (top, denom) where top is the max log likelihood over the class
-    and denom = sum exp(logw - top); the scale cancels in every ratio built
-    from them.
+
+def _score_arms(
+    w: np.ndarray,
+    support: np.ndarray,
+    hashes: np.ndarray,
+    symbols: np.ndarray,
+    relay_hashes: np.ndarray,
+    logl: np.ndarray,
+    top: np.ndarray,
+    denom: np.ndarray,
+) -> list[float]:
+    """p* of each relay arm scored against one final layer.
+
+    w is the final layer, support its positive-weight states and hashes
+    their hashes. Arm a was overheard as symbols[a] announcing
+    relay_hashes[a]; logl is the relay channel's log likelihood by Hamming
+    distance and (top[a], denom[a]) the arm's normalizer. An arm's p* sums
+    w(s) * T_inv(s, symbols[a]) over its matched states s in ascending
+    order, as one 1-D dot product; the terms of all arms are computed
+    together, elementwise.
     """
-    cls = collision_class(spec, relay.hash_value)
-    if len(cls) == 0:
-        raise InferenceError("relay hash matches no symbol")
-    logw = log_likelihood_vec(relay.channel, relay.symbol, cls, spec.n)
-    top = float(logw.max())
-    if top == -np.inf:
-        raise InferenceError("observation impossible under a noiseless relay channel")
-    return top, float(np.exp(logw - top).sum())
+    arm, at = np.divmod(np.flatnonzero(hashes == np.asarray(relay_hashes)[:, None]), len(hashes))
+    states = support[at]
+    d = np.bitwise_count(states ^ np.asarray(symbols)[arm])
+    terms = np.exp(logl[d] - np.asarray(top)[arm])
+    mass = w[states]
+    ends = np.cumsum(np.bincount(arm, minlength=len(relay_hashes))).tolist()
+    pstars = []
+    for lo, hi, scale in zip([0, *ends], ends, np.asarray(denom).tolist()):
+        pstars.append(min(1.0, float(mass[lo:hi] @ terms[lo:hi]) / scale) if hi > lo else 0.0)
+    return pstars
 
 
 def inverse_transition(
@@ -265,17 +422,14 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
     Sums w(s, m) * T_inv(s, observed) over the final layer; this is the
     statistic whose distribution separates honest from misbehaving relays.
     """
-    relay = obs.relay_overheard
-    spec = obs.hash_spec
+    relay, spec = obs.relay_overheard, obs.hash_spec
     top, denom = _relay_normalizer(relay, spec)
-    w = trellis.final_weights
     support, hashes = trellis._hashed_support(spec)
-    matched = support[hashes == relay.hash_value]
-    if len(matched) == 0:
-        return 0.0
-    logw = log_likelihood_vec(relay.channel, relay.symbol, matched, spec.n)
-    numer = float(w[matched] @ np.exp(logw - top))
-    return min(1.0, numer / denom)
+    logl = _log_likelihood_table((relay.channel,), spec.n)[0]
+    return _score_arms(
+        trellis.final_weights, support, hashes, [relay.symbol], [relay.hash_value], logl,
+        [top], [denom],
+    )[0]
 
 
 def matched_codewords(trellis: Trellis, relay_hash: int, spec: HashSpec) -> list[int]:

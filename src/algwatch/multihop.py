@@ -291,6 +291,11 @@ def _rounds(g, behaviors, schedule, spec, rng, source_symbols=None):
         yield transmitters, transcript
 
 
+def _checks(behavior: NodeBehavior) -> bool:
+    """Whether a node with this behavior ever polices its downstream."""
+    return behavior.role == HONEST and behavior.check_probability > 0.0
+
+
 def run_protocol(
     g: Hypergraph,
     behaviors: dict[str, NodeBehavior],
@@ -313,7 +318,7 @@ def run_protocol(
     for transmitters, transcript in rounds:
         for watcher in sorted(g.nodes):
             behavior = behaviors.get(watcher, NodeBehavior())
-            if behavior.role != HONEST or behavior.check_probability == 0.0:
+            if not _checks(behavior):
                 continue
             if rng.random() >= behavior.check_probability:
                 continue
@@ -321,6 +326,34 @@ def run_protocol(
                 if watched in transmitters and can_police(watcher, watched, transcript, g):
                     police(watcher, watched, transcript, g, spec, ledger)
     return transcript
+
+
+def unpoliced_pairs(
+    g: Hypergraph,
+    behaviors: dict[str, NodeBehavior],
+    transcript: list[Transmission],
+    ledger: TrustLedger,
+) -> dict[tuple[str, str], str]:
+    """Why each checking honest node's child got no p* sample, by (watcher, child).
+
+    The reason is what ``_policing_inputs`` finds missing at the end of the
+    transcript. When nothing is, the watcher never checked while the child
+    was transmitting, and the reason says so.
+    """
+    reasons = {}
+    for watcher in sorted(g.nodes):
+        if not _checks(behaviors.get(watcher, NodeBehavior())):
+            continue
+        for watched in sorted(g.children(watcher)):
+            if ledger.samples(watcher, watched):
+                continue
+            try:
+                _policing_inputs(watcher, watched, transcript)
+            except ValueError as exc:
+                reasons[watcher, watched] = str(exc)
+            else:
+                reasons[watcher, watched] = f"{watcher} never checked while {watched} transmitted"
+    return reasons
 
 
 @dataclass(frozen=True)

@@ -17,29 +17,40 @@ inference from what it holds, and only the final score p* reads the
 relay's transmission. A trial is drawn once, its trellis built once, and
 every arm scored against it.
 
+Trials run in blocks: each block makes one batched pass each for its hash
+tables, transition rows and relay normalizers, and only the forward pass
+and each arm's final dot product run per trial. Every float is the one the
+trial gives when run alone, so results do not depend on block boundaries.
+
 Also provides the brute-force enumeration oracle for p*, empirical
 threshold calibration, and the matched-codeword counting experiment.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import Bsc, _flip_mask, ball_radius, hamming, transmit
+from .channel import Bsc, _flip_masks, _log_likelihood_table, ball_radius, hamming
 from .gfield import default_field
-from .hashing import _table, collision_list, hash_eval, sample_hash
+from .hashing import HashSpec, _tables, collision_list, hash_eval, sample_hash
 from .inference import (
     InferenceError,
     Overheard,
     WatchdogObservation,
-    build_and_run_trellis,
-    consistency_probability,
-    matched_codewords,
+    _forward_pass,
+    _hashed_support,
+    _relay_normalizers,
+    _row_edges,
+    _score_arms,
+    _transition_rows,
 )
 
 _HASH, _SYMBOLS, _CHANNELS, _ADVERSARY = range(4)
@@ -105,73 +116,170 @@ def _stream(seed: int, trial: int, tag: int):
     return np.random.default_rng(np.random.SeedSequence((seed, trial, tag)))
 
 
-def _observations(cfg: TwoHopConfig, trial: int, p_advs) -> list[WatchdogObservation]:
-    """The watchdog's observation of one trial's honest arm, then of each p_adv arm.
+# Bound on a block's largest temporaries, in elements: its hash tables hold
+# 2^n values per trial, and its relay normalizers about 2^(n - delta) per
+# trial and arm. 8 single-arm trials at n = 10; blocks four times larger
+# grew peak memory by about 2 MiB there and saved little more time.
+_BLOCK_ELEMENTS = 1 << 13
 
-    The trial's draws are made once. Arms differ only in the relay's
+
+@dataclass(frozen=True)
+class _Draws:
+    """A block of trials as drawn. Row k is one trial; column a of the
+    relay arrays is arm a: the honest relay, then one arm per p_adv.
+    """
+
+    specs: list[HashSpec]
+    tables: np.ndarray  # each trial's hash of every n-bit symbol
+    symbols: np.ndarray  # the sources' symbols, the watchdog's first
+    coeffs: np.ndarray  # their nonzero coding coefficients
+    heard: np.ndarray  # the peers' symbols as the watchdog overheard them
+    peer_hashes: np.ndarray
+    relay_symbols: np.ndarray  # each arm's relay payload as overheard
+    relay_hashes: np.ndarray  # the hash each arm's relay announces
+
+
+def _draw(cfg: TwoHopConfig, p_advs, lo: int, hi: int) -> _Draws:
+    """Trials lo..hi-1, each drawn from its own (seed, trial, tag) streams.
+
+    A trial's draws are made once. Arms differ only in the relay's
     payload: each adversarial arm flips the honest payload's bits where the
     trial's one set of adversary uniforms falls below its p_adv, and every
     arm is overheard through the same relay noise mask (bit flips do not
     depend on the payload). Arm k is therefore exactly what a trial drawn at
     p_advs[k] alone would give. Headers arrive error-free, so peer hashes,
     the relay's recomputed own hash and the coefficients are exact; every
-    hash is a lookup into the trial's hash table.
+    hash is a lookup into the trial's hash table, and the block's tables
+    are made in one pass.
     """
-    field = default_field(cfg.n)
-    spec = sample_hash(_stream(cfg.seed, trial, _HASH), cfg.hash_family, cfg.n, cfg.delta)
-    table = _table(spec)
-
-    sym_rng = _stream(cfg.seed, trial, _SYMBOLS)
-    symbols = [int(s) for s in sym_rng.integers(0, field.order, size=cfg.m)]
-    coeffs = tuple(1 + int(c) for c in sym_rng.integers(0, field.order - 1, size=cfg.m))
-
-    honest = field.lincomb(coeffs, symbols)
-    payloads = [honest]
-    if p_advs:
-        draws = _stream(cfg.seed, trial, _ADVERSARY).random(cfg.n)
-        payloads += [honest ^ _flip_mask(draws, p) for p in p_advs]
-
-    ch_rng = _stream(cfg.seed, trial, _CHANNELS)
-    ch_s, ch_r = Bsc(cfg.p_s), Bsc(cfg.p_relay)
-    peers = tuple(
-        Overheard(transmit(ch_s, x, cfg.n, ch_rng), int(table[x]), ch_s)
-        for x in symbols[1:]
+    count, m, n = hi - lo, cfg.m, cfg.n
+    order = 1 << n
+    specs = []
+    symbols = np.empty((count, m), dtype=np.int64)
+    coeffs = np.empty((count, m), dtype=np.int64)
+    uniforms = np.empty((count, m, n))  # each peer's channel, then the relay's
+    adversary = np.empty((count, n if p_advs else 0))
+    for k, trial in enumerate(range(lo, hi)):
+        specs.append(sample_hash(_stream(cfg.seed, trial, _HASH), cfg.hash_family, n, cfg.delta))
+        sym_rng = _stream(cfg.seed, trial, _SYMBOLS)
+        symbols[k] = sym_rng.integers(0, order, size=m)
+        coeffs[k] = sym_rng.integers(0, order - 1, size=m)
+        uniforms[k] = _stream(cfg.seed, trial, _CHANNELS).random((m, n))
+        if p_advs:
+            adversary[k] = _stream(cfg.seed, trial, _ADVERSARY).random(n)
+    coeffs += 1
+    honest = np.bitwise_xor.reduce(default_field(n).mul_elementwise(coeffs, symbols), axis=1)
+    flips = _flip_masks(adversary[:, None, :], np.array(p_advs, dtype=float)[:, None])
+    payloads = np.column_stack((honest, honest[:, None] ^ flips))
+    noise = _flip_masks(uniforms, np.array([[cfg.p_s]] * (m - 1) + [[cfg.p_relay]]))
+    tables = _tables(specs)
+    return _Draws(
+        specs=specs,
+        tables=tables,
+        symbols=symbols,
+        coeffs=coeffs,
+        heard=symbols[:, 1:] ^ noise[:, :-1],
+        peer_hashes=np.take_along_axis(tables, symbols[:, 1:], axis=1),
+        relay_symbols=payloads ^ noise[:, -1:],
+        relay_hashes=np.take_along_axis(tables, payloads, axis=1),
     )
-    relay_noise = transmit(ch_r, 0, cfg.n, ch_rng)
-    return [
-        WatchdogObservation(
-            own_symbol=symbols[0],
-            coeffs=coeffs,
-            overheard=peers,
-            relay_overheard=Overheard(y ^ relay_noise, int(table[y]), ch_r),
-            hash_spec=spec,
-            prune_eps=cfg.pruning_eps,
-        )
-        for y in payloads
-    ]
 
 
-def _trial_pstars(cfg: TwoHopConfig, trial: int, p_advs) -> list[float]:
-    """p* of one trial's honest arm, then of each p_adv arm, from one trellis.
+@dataclass
+class _Block:
+    """What a run of trials gives, in trial order."""
 
-    The trellis reads only what the watchdog holds (its own symbol, the
-    overheard peers, the headers), never the relay's transmission, so all
-    arms share it. An InferenceError while building it (pruning emptied a
-    candidate set) is maximal suspicion for every arm, and one while
-    scoring an arm for that arm only: p* = 0.
+    pstars: np.ndarray  # p* of each trial's arms, when scored
+    matched: np.ndarray  # the honest arm's matched final states, when not scored
+    fallbacks: Counter  # InferenceErrors scored as p* = 0: "trellis", "scoring"
+
+
+def _block(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool = True) -> _Block:
+    """Trials lo..hi-1 as one block: p* of every arm, or only matched counts.
+
+    The block makes one batched pass each for its hash tables, transition
+    rows and (when scoring) relay normalizers; only the forward pass and
+    each arm's final dot product run per trial. Every float is the one a
+    trial run alone gives. The trellis reads only what the watchdog holds
+    (its own symbol, the overheard peers, the headers), never the relay's
+    transmission, so all arms share it. An InferenceError while building it
+    (pruning emptied a candidate set) is maximal suspicion for every arm,
+    and one while scoring an arm for that arm only: p* = 0, and counted.
     """
-    arms = _observations(cfg, trial, p_advs)
+    d = _draw(cfg, p_advs, lo, hi)
+    count, peers, arms = len(d.specs), cfg.m - 1, 1 + len(p_advs)
+    n, field = cfg.n, default_field(cfg.n)
+    cands, probs, lengths = _transition_rows(
+        d.tables, d.heard, d.peer_hashes, [Bsc(cfg.p_s)] * peers, n, cfg.pruning_eps
+    )
+    shifts = field.mul_elementwise(np.repeat(d.coeffs[:, 1:].ravel(), lengths.ravel()), cands)
+    edges = _row_edges(lengths)
+    starts = field.mul_elementwise(d.coeffs[:, 0], d.symbols[:, 0]).tolist()
+    complete = lengths.all(axis=1).tolist()
+    if score:
+        top, denom, faults = _relay_normalizers(
+            d.tables, d.relay_symbols, d.relay_hashes, Bsc(cfg.p_relay), n
+        )
+        top, denom = top.reshape(count, arms), denom.reshape(count, arms)
+        logl = _log_likelihood_table((Bsc(cfg.p_relay),), n)[0]
+    out = _Block(
+        np.zeros((count, arms if score else 0)), np.zeros(count, dtype=np.int64), Counter()
+    )
+    for k in range(count):
+        if not complete[k]:
+            out.fallbacks["trellis"] += 1
+            continue
+        rows = edges[k * peers:(k + 1) * peers + 1]
+        w = _forward_pass(starts[k], field.order, shifts, probs, rows)[-1]
+        support, hashes = _hashed_support(w, d.tables[k])
+        if not score:
+            out.matched[k] = np.count_nonzero(hashes == d.relay_hashes[k, 0])
+            continue
+        ok = [a for a in range(arms) if faults[k * arms + a] is None]
+        out.fallbacks["scoring"] += arms - len(ok)
+        out.pstars[k, ok] = _score_arms(
+            w, support, hashes, d.relay_symbols[k, ok], d.relay_hashes[k, ok], logl,
+            top[k, ok], denom[k, ok],
+        )
+    return out
+
+
+def _run(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool = True) -> _Block:
+    """Trials lo..hi-1, a block at a time, merged in trial order."""
+    per_trial = max(1 << cfg.n, (1 + len(p_advs)) << (cfg.n - cfg.delta))
+    step = max(1, _BLOCK_ELEMENTS // per_trial)
+    return _merge([_block(cfg, p_advs, b, min(b + step, hi), score) for b in range(lo, hi, step)])
+
+
+def _merge(parts) -> _Block:
+    return _Block(
+        np.concatenate([p.pstars for p in parts]),
+        np.concatenate([p.matched for p in parts]),
+        sum((p.fallbacks for p in parts), Counter()),
+    )
+
+
+# The Counters of the count_fallbacks blocks open in this context.
+_fallback_counts: contextvars.ContextVar[tuple[Counter, ...]] = contextvars.ContextVar(
+    "_fallback_counts", default=()
+)
+
+
+@contextlib.contextmanager
+def count_fallbacks():
+    """Count what the two-hop runs inside the ``with`` block quietly scored p* = 0.
+
+    Yields a Counter: "trials" drawn, "trellis" trials whose trellis raised
+    InferenceError (every arm of such a trial scores 0) and "scoring" arms
+    whose scoring raised it. Worker blocks merge in trial order, so the
+    counts do not depend on the worker count.
+    """
+    counts = Counter(trials=0, trellis=0, scoring=0)
+    token = _fallback_counts.set(_fallback_counts.get() + (counts,))
     try:
-        trellis = build_and_run_trellis(arms[0])
-    except InferenceError:
-        return [0.0] * len(arms)
-    pstars = []
-    for obs in arms:
-        try:
-            pstars.append(consistency_probability(trellis, obs))
-        except InferenceError:
-            pstars.append(0.0)
-    return pstars
+        yield counts
+    finally:
+        _fallback_counts.reset(token)
 
 
 def simulate_observation(
@@ -182,7 +290,20 @@ def simulate_observation(
     The adversarial arm injects at cfg.p_adv; both arms share the trial's
     hash spec, symbols, coefficients and channel noise.
     """
-    return _observations(cfg, trial, [cfg.p_adv] if adversarial else [])[-1]
+    d = _draw(cfg, [cfg.p_adv] if adversarial else [], trial, trial + 1)
+    ch_s = Bsc(cfg.p_s)
+    return WatchdogObservation(
+        own_symbol=int(d.symbols[0, 0]),
+        coeffs=tuple(d.coeffs[0].tolist()),
+        overheard=tuple(
+            Overheard(x, h, ch_s) for x, h in zip(d.heard[0].tolist(), d.peer_hashes[0].tolist())
+        ),
+        relay_overheard=Overheard(
+            int(d.relay_symbols[0, -1]), int(d.relay_hashes[0, -1]), Bsc(cfg.p_relay)
+        ),
+        hash_spec=d.specs[0],
+        prune_eps=cfg.pruning_eps,
+    )
 
 
 def run_trial(cfg: TwoHopConfig, adversarial: bool, trial: int = 0) -> float:
@@ -192,27 +313,26 @@ def run_trial(cfg: TwoHopConfig, adversarial: bool, trial: int = 0) -> float:
     overheard data is inconsistent with every remaining explanation; that
     is maximal suspicion and reported as p* = 0.
     """
-    return _trial_pstars(cfg, trial, [cfg.p_adv] if adversarial else [])[-1]
-
-
-def _trial_block(cfg: TwoHopConfig, p_advs, lo: int, hi: int) -> list[list[float]]:
-    return [_trial_pstars(cfg, t, p_advs) for t in range(lo, hi)]
+    return float(_block(cfg, [cfg.p_adv] if adversarial else [], trial, trial + 1).pstars[0, -1])
 
 
 def _samples(cfg: TwoHopConfig, p_advs, workers: int) -> np.ndarray:
     """(iterations, 1 + len(p_advs)) p* array: the honest arm, then each p_adv arm."""
     if workers <= 1 or cfg.iterations < 4 * workers:
-        return np.array(_trial_block(cfg, p_advs, 0, cfg.iterations))
-    bounds = np.linspace(0, cfg.iterations, workers + 1, dtype=int)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(
-            _trial_block,
-            itertools.repeat(cfg),
-            itertools.repeat(p_advs),
-            bounds[:-1],
-            bounds[1:],
-        )
-        return np.concatenate([np.array(p) for p in parts])
+        run = _run(cfg, p_advs, 0, cfg.iterations)
+    else:
+        bounds = np.linspace(0, cfg.iterations, workers + 1, dtype=int)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            run = _merge(list(pool.map(
+                _run,
+                itertools.repeat(cfg),
+                itertools.repeat(p_advs),
+                bounds[:-1],
+                bounds[1:],
+            )))
+    for counts in _fallback_counts.get():
+        counts.update(run.fallbacks, trials=cfg.iterations)
+    return run.pstars
 
 
 def _stats(relay: np.ndarray, adv: np.ndarray) -> ExperimentStats:
@@ -346,6 +466,13 @@ def calibrate_threshold(
     return float(np.quantile(samples, target_gamma))
 
 
+def _matched_config(n, peer_count, delta, p, seed, pruning_eps=0.5) -> TwoHopConfig:
+    return TwoHopConfig(
+        m=peer_count + 1, n=n, delta=delta, p_s=p, p_relay=p, p_adv=0.0,
+        iterations=1, seed=seed, pruning_eps=pruning_eps, hash_family="poly",
+    )
+
+
 def matched_count_trial(
     n: int,
     peer_count: int,
@@ -366,25 +493,15 @@ def matched_count_trial(
     inflate the count an order of magnitude. A trial whose pruned
     candidate sets come up empty counts zero matched states.
     """
-    cfg = TwoHopConfig(
-        m=peer_count + 1, n=n, delta=delta, p_s=p, p_relay=p, p_adv=0.0,
-        iterations=1, seed=seed, pruning_eps=pruning_eps, hash_family="poly",
-    )
-    obs = simulate_observation(cfg, False, trial)
-    try:
-        trellis = build_and_run_trellis(obs)
-    except InferenceError:
-        return 0
-    return len(matched_codewords(trellis, obs.relay_overheard.hash_value, obs.hash_spec))
+    cfg = _matched_config(n, peer_count, delta, p, seed, pruning_eps)
+    return int(_block(cfg, [], trial, trial + 1, score=False).matched[0])
 
 
 def mean_matched_count(
     n: int, peer_count: int, delta: int, p: float, trials: int, seed: int = 0
 ) -> float:
     """Empirical mean matched-codeword count over honest trials."""
-    counts = [
-        matched_count_trial(n, peer_count, delta, p, seed=seed, trial=t)
-        for t in range(trials)
-    ]
-    return float(np.mean(counts))
-
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    cfg = _matched_config(n, peer_count, delta, p, seed)
+    return float(np.mean(_run(cfg, [], 0, trials, score=False).matched))

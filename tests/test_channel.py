@@ -68,6 +68,8 @@ def test_flip_bits_extremes():
     assert flip_bits(37, 1.0, 10, rng) == 37 ^ 0b1111111111
     with pytest.raises(ValueError):
         flip_bits(0, 1.5, 10, rng)
+    with pytest.raises(ValueError):
+        flip_bits(0, 0.5, 64, rng)  # masks are int64
 
 
 def _flip_bits_loop(x, p, n, rng):

@@ -37,6 +37,21 @@ def test_two_hop_sweep_csv_and_summary(tmp_path):
     assert out.read_bytes() == first
 
 
+def _two_hop_diagnostics(tmp_path, *flags):
+    out = tmp_path / "diag.csv"
+    assert main(["two-hop", "--iterations", "40", "--out", str(out), *flags]) == 0
+    return json.loads((tmp_path / "diag.json").read_text())["diagnostics"]
+
+
+def test_two_hop_summary_counts_fallbacks(tmp_path):
+    assert _two_hop_diagnostics(tmp_path, "--workers", "1") == {
+        "trials": 40, "fallbacks": {"trellis": 0, "scoring": 0},
+    }
+    one = _two_hop_diagnostics(tmp_path, "--pruning-eps", "0.9", "--workers", "1")
+    two = _two_hop_diagnostics(tmp_path, "--pruning-eps", "0.9", "--workers", "2")
+    assert one["fallbacks"]["trellis"] > 0 and one == two
+
+
 def test_two_hop_rejects_bad_values(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["two-hop", "--values", "0.3,0.1", "--iterations", "2",
@@ -123,7 +138,29 @@ def test_multihop_topology_subcommand(tmp_path, width):
                  "--window", "2", "--out", str(out), *width]) == 0
     summary = json.loads(out.read_text())
     assert summary["policed_pairs"] == {"w->r": 3}
+    assert summary["unpoliced"] == {}
     assert trace.exists() and len(trace.read_text().splitlines()) == 9
+
+
+def test_multihop_topology_says_why_a_pair_went_unpoliced(tmp_path):
+    # w feeds r but has no overhearing edge from it: w can never police r
+    topo = {
+        "nodes": ["w", "s2", "r", "d"],
+        "links": [["w", "r"], ["s2", "r"], ["r", "d"]],
+        "interference": [["s2", "w", 0.1]],
+        "behaviors": {
+            "w": {"role": "honest", "check_probability": 1.0},
+            "r": {"role": "adversarial", "p_adv": 0.5},
+        },
+        "schedule": [["w", "s2"], ["r"]] * 2,
+    }
+    tpath = tmp_path / "topo.json"
+    tpath.write_text(json.dumps(topo))
+    out = tmp_path / "run.json"
+    assert main(["multihop", "--topology", str(tpath), "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    assert summary["policed_pairs"] == {}
+    assert summary["unpoliced"] == {"w->r": "w has no overhearing edge from r"}
 
 
 def test_usage_errors_exit_one(tmp_path):

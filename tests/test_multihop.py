@@ -18,6 +18,7 @@ from algwatch.multihop import (
     police,
     run_protocol,
     run_round,
+    unpoliced_pairs,
     write_trace,
 )
 from algwatch.packet import destination_check
@@ -208,6 +209,31 @@ def test_run_protocol_polices_per_schedule():
     run_protocol(g, behaviors, schedule, SPEC, seed=2, ledger=ledger)
     assert len(ledger.samples("w", "r")) == 6
     assert ledger.pairs() == [("w", "r")]
+
+
+def test_unpoliced_pairs_say_why():
+    g = _star()
+    schedule = [["w", "s2", "s3"], ["r"]] * 2
+    # s2 checks but never feeds r's transmission through an overheard w edge;
+    # w checks so rarely that it never does while r transmits
+    behaviors = {
+        "w": NodeBehavior("honest", check_probability=1e-12),
+        "s2": NodeBehavior("honest", check_probability=1.0),
+        "r": NodeBehavior("adversarial", p_adv=0.5),
+    }
+    ledger = TrustLedger(0.005, window=5)
+    transcript = run_protocol(g, behaviors, schedule, SPEC, seed=2, ledger=ledger)
+    assert ledger.pairs() == []
+    assert unpoliced_pairs(g, behaviors, transcript, ledger) == {
+        ("s2", "r"): "s2 has no overhearing edge from r",
+        ("w", "r"): "w never checked while r transmitted",
+    }
+    # a policed pair is not listed, and a non-checking node is not asked
+    behaviors["w"] = NodeBehavior("honest", check_probability=1.0)
+    transcript = run_protocol(g, behaviors, schedule, SPEC, seed=2, ledger=ledger)
+    assert unpoliced_pairs(g, behaviors, transcript, ledger) == {
+        ("s2", "r"): "s2 has no overhearing edge from r",
+    }
 
 
 def test_scenario_one_honest_path_smoke():

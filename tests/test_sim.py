@@ -1,8 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algwatch import hashing, inference, packet, sim
@@ -195,6 +201,8 @@ def test_matched_count_trial_counts():
     assert isinstance(c, int) and c >= 0
     avg = mean_matched_count(8, 2, 2, 0.1, trials=40, seed=1)
     assert avg >= 0.0
+    with pytest.raises(ValueError):
+        mean_matched_count(8, 2, 2, 0.1, trials=0)
 
 
 _RATES = st.sampled_from([0.0, 0.01, 0.1, 0.3, 0.5])
@@ -284,45 +292,63 @@ _P_ADVS = st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]), max_size=4)
 @settings(max_examples=120, deadline=None)
 @given(_configs(), st.integers(0, 50), _P_ADVS)
 def test_shared_trellis_scores_every_arm_as_its_own_pipeline(cfg, trial, p_advs):
-    expect = [_arm_pstar(cfg, False, trial)] + [
-        _arm_pstar(dataclasses.replace(cfg, p_adv=p), True, trial) for p in p_advs
+    # three trials in one block: each arm of each is its own public pipeline
+    expect = [
+        [_arm_pstar(cfg, False, t)]
+        + [_arm_pstar(dataclasses.replace(cfg, p_adv=p), True, t) for p in p_advs]
+        for t in range(trial, trial + 3)
     ]
-    assert sim._trial_pstars(cfg, trial, p_advs) == expect
+    assert sim._block(cfg, p_advs, trial, trial + 3).pstars.tolist() == expect
 
 
 def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
-    cfg = TwoHopConfig(m=3, n=6, delta=1, seed=5)
+    # eps = 0.9 prunes to radius 1 at n = 8: some trellises come up empty
+    cfg = TwoHopConfig(m=3, n=8, delta=2, seed=5, pruning_eps=0.9)
     p_advs = [0.3, 0.6]
-    clean = sim._trial_pstars(cfg, 0, p_advs)
-    assert all(p > 0.0 for p in clean)
-    real = sim.consistency_probability
-    scored = []
+    trials = range(12)
 
-    def fails_second_arm(trellis, obs):
-        scored.append(obs)
-        if len(scored) == 2:
-            raise InferenceError("scoring failed")
-        return real(trellis, obs)
+    def trellis_fails(t):
+        try:
+            build_and_run_trellis(simulate_observation(cfg, False, t))
+        except InferenceError:
+            return True
+        return False
 
-    monkeypatch.setattr(sim, "consistency_probability", fails_second_arm)
-    assert sim._trial_pstars(cfg, 0, p_advs) == [clean[0], 0.0, clean[2]]
+    failed = [trellis_fails(t) for t in trials]
+    assert any(failed) and not all(failed)
+    clean = sim._block(cfg, p_advs, 0, len(trials))
+    assert clean.fallbacks == Counter(trellis=sum(failed))
+    for t in trials:
+        expect = [_arm_pstar(cfg, False, t)] + [
+            _arm_pstar(dataclasses.replace(cfg, p_adv=p), True, t) for p in p_advs
+        ]
+        assert clean.pstars[t].tolist() == ([0.0] * 3 if failed[t] else expect)
 
-    def no_trellis(obs):
-        raise InferenceError("trellis failed")
+    real = sim._relay_normalizers
+    scored = next(t for t in trials if (clean.pstars[t] > 0.0).all())
 
-    monkeypatch.setattr(sim, "build_and_run_trellis", no_trellis)
-    assert sim._trial_pstars(cfg, 0, p_advs) == [0.0, 0.0, 0.0]
+    def second_arm_fails(*args):
+        top, denom, faults = real(*args)
+        faults[scored * (1 + len(p_advs)) + 1] = "scoring failed"
+        return top, denom, faults
+
+    monkeypatch.setattr(sim, "_relay_normalizers", second_arm_fails)
+    got = sim._block(cfg, p_advs, 0, len(trials))
+    expect = clean.pstars.copy()
+    expect[scored, 1] = 0.0
+    assert got.pstars.tolist() == expect.tolist()
+    assert got.fallbacks == Counter(trellis=sum(failed), scoring=1)
 
 
 def test_one_trellis_per_trial(monkeypatch):
     calls = []
-    real = sim.build_and_run_trellis
+    real = sim._forward_pass
 
-    def counted(obs):
-        calls.append(obs)
-        return real(obs)
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
 
-    monkeypatch.setattr(sim, "build_and_run_trellis", counted)
+    monkeypatch.setattr(sim, "_forward_pass", counted)
     cfg = TwoHopConfig(m=3, n=6, delta=1, iterations=7, seed=2)
     run_sweep(cfg, "p_adv", [0.0, 0.1, 0.3, 0.5])
     assert len(calls) == cfg.iterations
@@ -332,24 +358,121 @@ def test_one_trellis_per_trial(monkeypatch):
 
 
 def test_one_hash_table_per_trial(monkeypatch):
-    bulk, scalar = [], []
-    real = hashing.hash_eval_vec
+    rows, scalar = [], []
+    real = hashing._hash_rows
 
-    def counted(spec, xs):
-        bulk.append(len(xs) == 1 << spec.n)
-        return real(spec, xs)
+    def counted(specs, xs):
+        rows.extend(len(xs) == 1 << spec.n for spec in specs)
+        return real(specs, xs)
 
-    monkeypatch.setattr(hashing, "hash_eval_vec", counted)
+    monkeypatch.setattr(hashing, "_hash_rows", counted)
     for module in (hashing, sim, inference, packet):
         monkeypatch.setattr(module, "hash_eval", lambda spec, x: scalar.append(x))
     cfg = TwoHopConfig(m=3, n=6, delta=2, iterations=7, seed=2, hash_family="poly")
     hashing._table.cache_clear()
     run_sweep(cfg, "p_adv", [0.0, 0.1, 0.3, 0.5])
-    assert bulk == [True] * cfg.iterations and scalar == []
-    bulk.clear()
+    assert rows == [True] * cfg.iterations and scalar == []
+    rows.clear()
     hashing._table.cache_clear()
     mean_matched_count(6, 2, 2, 0.1, trials=5)
-    assert bulk == [True] * 5 and scalar == []
+    assert rows == [True] * 5 and scalar == []
+
+
+def _relay_faults_when_divisible_by_3(real):
+    """A relay normalizer that also faults on every relay symbol divisible by 3."""
+
+    def faulty(tables, symbols, hashes, ch, n):
+        top, denom, faults = real(tables, symbols, hashes, ch, n)
+        for i, symbol in enumerate(symbols.ravel().tolist()):
+            if symbol % 3 == 0:
+                faults[i] = "injected fault"
+        return top, denom, faults
+
+    return faulty
+
+
+@st.composite
+def _block_runs(draw):
+    """A config, p_adv arms and block size that mix block boundaries and faults."""
+    n = draw(st.integers(4, 10))
+    m = draw(st.integers(1, 5 if n <= 8 else 3))
+    cfg = TwoHopConfig(
+        m=m,
+        n=n,
+        delta=draw(st.integers(0 if m <= 3 else 1, n)),
+        p_s=draw(_RATES),
+        p_relay=draw(_RATES),
+        iterations=draw(st.integers(1, 12)),
+        seed=draw(st.integers(0, 2**16)),
+        pruning_eps=draw(st.none() | st.sampled_from([0.05, 0.5, 0.9])),
+        hash_family=draw(st.sampled_from(["affine", "poly"])),
+    )
+    p_advs = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), max_size=2))
+    block_elements = draw(st.sampled_from([1, 1 << (n + 1), 5 << n, sim._BLOCK_ELEMENTS]))
+    return cfg, p_advs, block_elements, draw(st.sampled_from([1, 1, 2]))
+
+
+# Explicit runs: long pruned rows of mixed lengths; and both kinds of
+# fallback with a noiseless relay channel. Both end in a short block.
+_LONG_ROWS_RUN = (
+    TwoHopConfig(m=4, n=10, delta=3, p_s=0.3, p_relay=0.1, iterations=11, seed=3,
+                 pruning_eps=0.5, hash_family="poly"),
+    [0.1], 3 << 10, 1,
+)
+_FAULTY_RUN = (
+    TwoHopConfig(m=3, n=8, delta=2, p_s=0.1, p_relay=0.0, iterations=11, seed=5,
+                 pruning_eps=0.9),
+    [0.1, 1.0], 3 << 8, 2,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_block_runs())
+@example(_LONG_ROWS_RUN)
+@example(_FAULTY_RUN)
+def test_blocks_equal_per_trial_pipelines(run):
+    """Trials run in blocks give, with ==, what each trial gives alone."""
+    cfg, p_advs, block_elements, workers = run
+    faulty = _relay_faults_when_divisible_by_3(inference._relay_normalizers)
+    with (
+        mock.patch.object(sim, "_BLOCK_ELEMENTS", block_elements),
+        mock.patch.object(sim, "_relay_normalizers", faulty),
+        mock.patch.object(inference, "_relay_normalizers", faulty),
+    ):
+        expect = [
+            [_arm_pstar(cfg, False, t)]
+            + [_arm_pstar(dataclasses.replace(cfg, p_adv=p), True, t) for p in p_advs]
+            for t in range(cfg.iterations)
+        ]
+        assert sim._samples(cfg, p_advs, workers).tolist() == expect
+    args = (cfg.n, cfg.m - 1, cfg.delta, cfg.p_s)
+    counts = [matched_count_trial(*args, seed=cfg.seed, trial=t) for t in range(cfg.iterations)]
+    with mock.patch.object(sim, "_BLOCK_ELEMENTS", block_elements):
+        got = mean_matched_count(*args, trials=cfg.iterations, seed=cfg.seed)
+    assert got == float(np.mean(counts))
+
+
+def _row_lengths(cfg, p_advs):
+    draws = sim._draw(cfg, p_advs, 0, cfg.iterations)
+    _, _, lengths = inference._transition_rows(
+        draws.tables, draws.heard, draws.peer_hashes, [Bsc(cfg.p_s)] * (cfg.m - 1),
+        cfg.n, cfg.pruning_eps,
+    )
+    return set(lengths.ravel().tolist())
+
+
+def test_explicit_block_runs_cover_what_they_claim():
+    cfg, p_advs, block_elements, _ = _LONG_ROWS_RUN
+    lengths = _row_lengths(cfg, p_advs)
+    assert max(lengths) >= 8 and len(lengths) > 3
+    assert cfg.iterations % (block_elements >> cfg.n) != 0
+    cfg, p_advs, block_elements, workers = _FAULTY_RUN
+    assert 0 in _row_lengths(cfg, p_advs)
+    assert cfg.iterations % (block_elements >> cfg.n) != 0 and workers == 2
+    faulty = _relay_faults_when_divisible_by_3(sim._relay_normalizers)
+    with mock.patch.object(sim, "_relay_normalizers", faulty):
+        fallbacks = sim._run(cfg, p_advs, 0, cfg.iterations).fallbacks
+    assert fallbacks["trellis"] > 0 and fallbacks["scoring"] > 0
 
 
 def test_p_adv_sweep_workers_do_not_change_results():
@@ -361,3 +484,21 @@ def test_p_adv_sweep_workers_do_not_change_results():
         assert v1 == v2
         assert st1.relay_samples.tolist() == st2.relay_samples.tolist()
         assert st1.adv_samples.tolist() == st2.adv_samples.tolist()
+
+
+def test_trial_path_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma, about 1.2 MiB of resident set that the
+    # benchmark's peak_rss_mb would absorb without any other test failing
+    script = (
+        "import sys\n"
+        "from algwatch import sim\n"
+        "cfg = sim.TwoHopConfig(n=8, iterations=20, pruning_eps=0.5, hash_family='poly')\n"
+        "sim.run_sweep(cfg, 'p_adv', [0.0, 0.2])\n"
+        "sim.mean_matched_count(10, 3, 2, 0.1, trials=20)\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = Path(sim.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
