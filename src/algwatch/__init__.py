@@ -80,7 +80,7 @@ from .sim import (
     TwoHopConfig,
     brute_force_consistency,
     calibrate_threshold,
-    count_fallbacks,
+    collect_diagnostics,
     matched_count_trial,
     mean_matched_count,
     run_experiment,

@@ -52,7 +52,7 @@ from .sim import (
     SWEEP_AXES,
     TwoHopConfig,
     brute_force_consistency,
-    count_fallbacks,
+    collect_diagnostics,
     run_sweep,
     simulate_observation,
 )
@@ -155,7 +155,7 @@ def _cmd_two_hop(args) -> int:
         for f in dataclasses.fields(TwoHopConfig)
     })
     workers = opt("workers", os.cpu_count() or 1, int)
-    with count_fallbacks() as fallbacks:
+    with collect_diagnostics() as diagnostics:
         results = run_sweep(cfg, axis, values, workers=workers)
     rows = []
     for value, stats in results:
@@ -174,11 +174,9 @@ def _cmd_two_hop(args) -> int:
         "values": values,
         "workers": workers,
         "rows": [dict(zip(TWO_HOP_COLUMNS, row)) for row in rows],
-        # trials whose trellis, and arms whose scoring, raised InferenceError: scored p* = 0
-        "diagnostics": {
-            "trials": fallbacks["trials"],
-            "fallbacks": {"trellis": fallbacks["trellis"], "scoring": fallbacks["scoring"]},
-        },
+        # fallbacks: trials whose trellis, and arms whose scoring, raised InferenceError
+        # and were scored p* = 0; row_size and support: over the trellises built
+        "diagnostics": diagnostics.summary(),
     })
     print(f"two-hop sweep over {axis}: {len(rows)} rows -> {args.out}")
     return 0
@@ -276,6 +274,8 @@ def _cmd_multihop(args) -> int:
               f"detected={report.detected} freq={report.detection_frequency}")
         return 0
     g, behaviors, schedule, source_symbols = load_topology(topology)
+    if seed < 0:  # the hash spec is drawn before run_protocol checks it
+        raise CliError(f"seed must be >= 0, got {seed}")
     field = default_field(opt("n", 10, int))
     for name, symbol in source_symbols.items():
         if not 0 <= symbol < field.order:

@@ -291,6 +291,11 @@ def _rounds(g, behaviors, schedule, spec, rng, source_symbols=None):
         yield transmitters, transcript
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _checks(behavior: NodeBehavior) -> bool:
     """Whether a node with this behavior ever polices its downstream."""
     return behavior.role == HONEST and behavior.check_probability > 0.0
@@ -312,6 +317,7 @@ def run_protocol(
     is able to overhear. Returns the transcript; the ledger is updated in
     place.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
     transcript: list[Transmission] = []
     rounds = _rounds(g, behaviors, schedule, spec, rng, source_symbols)
@@ -389,6 +395,7 @@ def mincut_scenario(
     when every receiver of a node's transmissions is malicious the flow
     beyond it is compromised no matter how the node itself behaves.
     """
+    _check_seed(seed)
     if kind == "one-honest-path":
         return _scenario_one_honest_path(
             seed, instances, policed_samples, p_adv, p_overhear, gamma, window,

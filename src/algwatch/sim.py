@@ -6,10 +6,12 @@ recomputed hash), overhears everything through BSCs, and returns the
 watchdog's consistency probability p*.
 
 Randomness is split into named per-trial sub-streams (hash, symbols,
-channels, adversary) derived from (seed, trial, tag). Honest and
-adversarial runs of the same trial therefore share the exact same symbols
-and channel noise, which makes the null adversary (p_adv = 0) produce
-bit-identical p* values and gives every sweep common random numbers.
+channels, adversary): numpy's ``SeedSequence((seed, trial, tag))`` streams,
+whose seeding words a run derives for all its trials in one vectorized
+pass (``_seed_words``). Honest and adversarial runs of the same trial
+therefore share the exact same symbols and channel noise, which makes the
+null adversary (p_adv = 0) produce bit-identical p* values and gives every
+sweep common random numbers.
 
 All arms of a trial (the honest relay and the adversarial relay at each
 p_adv) share one draw and one trellis: the trellis is the watchdog's
@@ -34,7 +36,7 @@ import functools
 import itertools
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,7 +55,11 @@ from .inference import (
     _transition_rows,
 )
 
-_HASH, _SYMBOLS, _CHANNELS, _ADVERSARY = range(4)
+_TAGS = range(4)
+_HASH, _SYMBOLS, _CHANNELS, _ADVERSARY = _TAGS
+
+# Trial indices are one 32-bit SeedSequence entropy word each.
+_MAX_TRIALS = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -86,8 +92,10 @@ class TwoHopConfig:
             raise ValueError("delta must be in [0, n]")
         if not 0.0 <= self.p_adv <= 1.0:
             raise ValueError("p_adv must be in [0, 1]")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        if not 1 <= self.iterations <= _MAX_TRIALS:
+            raise ValueError(f"iterations must be in [1, 2^32], got {self.iterations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         Bsc(self.p_s), Bsc(self.p_relay)  # range checks
 
 
@@ -112,8 +120,102 @@ class ExperimentStats:
         return self.mean_p_relay - self.mean_p_adv
 
 
-def _stream(seed: int, trial: int, tag: int):
-    return np.random.default_rng(np.random.SeedSequence((seed, trial, tag)))
+# numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_OTHERS = [[d for d in range(_POOL_SIZE) if d != s] for s in range(_POOL_SIZE)]
+
+
+@functools.cache
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (count, 1) uint32 constants the first count hashmix steps xor in and multiply by.
+
+    Each step multiplies the running constant by mult between the two uses,
+    so step j xors with c_j and multiplies by c_(j+1).
+    """
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    table = np.array(consts, dtype=np.uint32)[:, None]
+    return table[:-1], table[1:]
+
+
+# Every operand below is an array: numpy wraps uint32 array arithmetic
+# silently but warns on overflowing scalar arithmetic.
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    values = (values ^ xor) * mul
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return out ^ (out >> 16)
+
+
+def _seed_words(seed: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, tags, 4) uint64: the PCG64 seeding words of every trial's streams.
+
+    Entry [k, tag] equals ``np.random.SeedSequence((seed, lo + k,
+    tag)).generate_state(4, np.uint64)``. It is numpy's SeedSequence run
+    over all (trial, tag) pairs at once: the entropy words (the seed's
+    little-endian 32-bit words, then the trial, then the tag) are
+    hash-mixed into a 4-word pool, the pool is cross-mixed, and 8 words are
+    hashed out of it.
+    """
+    if lo < 0 or hi > _MAX_TRIALS:
+        raise ValueError(f"trial must be in [0, 2^32), got {lo if lo < 0 else hi - 1}")
+    seed = int(seed)
+    width = max(1, -(-seed.bit_length() // 32))
+    seed_words = np.frombuffer(seed.to_bytes(4 * width, "little"), dtype="<u4")
+    count, tags = hi - lo, len(_TAGS)
+    # pool slots beyond the entropy hash in a 0 word, as numpy's do
+    entropy = np.zeros((max(width + 2, _POOL_SIZE), count * tags), dtype=np.uint32)
+    entropy[:width] = seed_words[:, None]
+    entropy[width] = np.repeat(np.arange(lo, hi, dtype=np.uint32), tags)
+    entropy[width + 1] = np.tile(np.arange(tags, dtype=np.uint32), count)
+    extra = len(entropy) - _POOL_SIZE
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
+    pool = _hashmix(entropy[:_POOL_SIZE], xor[:_POOL_SIZE], mul[:_POOL_SIZE])
+    step = _POOL_SIZE
+    for src, dst in enumerate(_OTHERS):
+        hashed = _hashmix(pool[src], xor[step:step + len(dst)], mul[step:step + len(dst)])
+        pool[dst] = _mix(pool[dst], hashed)
+        step += len(dst)
+    for src in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(src, xor[step:step + _POOL_SIZE], mul[step:step + _POOL_SIZE]))
+        step += _POOL_SIZE
+    xor, mul = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = _hashmix(np.concatenate((pool, pool)), xor, mul)
+    words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+    return words.reshape(count, tags, 4)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """A seed sequence whose state is already known: one row of ``_seed_words``.
+
+    Made on first use, because subclassing ISeedSequence imports
+    numpy.random, which ``import algwatch`` otherwise leaves to the first
+    draw (5.6 MiB of resident set at import, and about 0.5 MiB more peak
+    in a fresh process's first two-hop run).
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for the 4 uint64 words it is seeded with
+
+    return SeedWords
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """The stream ``default_rng(SeedSequence(...))`` gives, from its seeding words."""
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
 
 
 # Bound on a block's largest temporaries, in elements: its hash tables hold
@@ -139,8 +241,8 @@ class _Draws:
     relay_hashes: np.ndarray  # the hash each arm's relay announces
 
 
-def _draw(cfg: TwoHopConfig, p_advs, lo: int, hi: int) -> _Draws:
-    """Trials lo..hi-1, each drawn from its own (seed, trial, tag) streams.
+def _draw(cfg: TwoHopConfig, p_advs, words: np.ndarray) -> _Draws:
+    """The trials whose ``_seed_words`` rows are given, each drawn from its own streams.
 
     A trial's draws are made once. Arms differ only in the relay's
     payload: each adversarial arm flips the honest payload's bits where the
@@ -152,21 +254,21 @@ def _draw(cfg: TwoHopConfig, p_advs, lo: int, hi: int) -> _Draws:
     hash is a lookup into the trial's hash table, and the block's tables
     are made in one pass.
     """
-    count, m, n = hi - lo, cfg.m, cfg.n
+    count, m, n = len(words), cfg.m, cfg.n
     order = 1 << n
     specs = []
     symbols = np.empty((count, m), dtype=np.int64)
     coeffs = np.empty((count, m), dtype=np.int64)
     uniforms = np.empty((count, m, n))  # each peer's channel, then the relay's
     adversary = np.empty((count, n if p_advs else 0))
-    for k, trial in enumerate(range(lo, hi)):
-        specs.append(sample_hash(_stream(cfg.seed, trial, _HASH), cfg.hash_family, n, cfg.delta))
-        sym_rng = _stream(cfg.seed, trial, _SYMBOLS)
+    for k, trial in enumerate(words):
+        specs.append(sample_hash(_generator(trial[_HASH]), cfg.hash_family, n, cfg.delta))
+        sym_rng = _generator(trial[_SYMBOLS])
         symbols[k] = sym_rng.integers(0, order, size=m)
         coeffs[k] = sym_rng.integers(0, order - 1, size=m)
-        uniforms[k] = _stream(cfg.seed, trial, _CHANNELS).random((m, n))
+        uniforms[k] = _generator(trial[_CHANNELS]).random((m, n))
         if p_advs:
-            adversary[k] = _stream(cfg.seed, trial, _ADVERSARY).random(n)
+            adversary[k] = _generator(trial[_ADVERSARY]).random(n)
     coeffs += 1
     honest = np.bitwise_xor.reduce(default_field(n).mul_elementwise(coeffs, symbols), axis=1)
     flips = _flip_masks(adversary[:, None, :], np.array(p_advs, dtype=float)[:, None])
@@ -192,10 +294,12 @@ class _Block:
     pstars: np.ndarray  # p* of each trial's arms, when scored
     matched: np.ndarray  # the honest arm's matched final states, when not scored
     fallbacks: Counter  # InferenceErrors scored as p* = 0: "trellis", "scoring"
+    row_sizes: np.ndarray  # candidates in each transition row of every trellis built
+    supports: np.ndarray  # final-layer positive support of every trellis built
 
 
-def _block(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool = True) -> _Block:
-    """Trials lo..hi-1 as one block: p* of every arm, or only matched counts.
+def _block(cfg: TwoHopConfig, p_advs, words: np.ndarray, score: bool = True) -> _Block:
+    """The trials of ``words`` as one block: p* of every arm, or only matched counts.
 
     The block makes one batched pass each for its hash tables, transition
     rows and (when scoring) relay normalizers; only the forward pass and
@@ -206,7 +310,7 @@ def _block(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool = True) -> _
     (pruning emptied a candidate set) is maximal suspicion for every arm,
     and one while scoring an arm for that arm only: p* = 0, and counted.
     """
-    d = _draw(cfg, p_advs, lo, hi)
+    d = _draw(cfg, p_advs, words)
     count, peers, arms = len(d.specs), cfg.m - 1, 1 + len(p_advs)
     n, field = cfg.n, default_field(cfg.n)
     cands, probs, lengths = _transition_rows(
@@ -215,40 +319,48 @@ def _block(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool = True) -> _
     shifts = field.mul_elementwise(np.repeat(d.coeffs[:, 1:].ravel(), lengths.ravel()), cands)
     edges = _row_edges(lengths)
     starts = field.mul_elementwise(d.coeffs[:, 0], d.symbols[:, 0]).tolist()
-    complete = lengths.all(axis=1).tolist()
+    built = lengths.all(axis=1)
+    complete = built.tolist()
     if score:
         top, denom, faults = _relay_normalizers(
             d.tables, d.relay_symbols, d.relay_hashes, Bsc(cfg.p_relay), n
         )
         top, denom = top.reshape(count, arms), denom.reshape(count, arms)
         logl = _log_likelihood_table((Bsc(cfg.p_relay),), n)[0]
-    out = _Block(
-        np.zeros((count, arms if score else 0)), np.zeros(count, dtype=np.int64), Counter()
-    )
+    pstars, matched = np.zeros((count, arms if score else 0)), np.zeros(count, dtype=np.int64)
+    fallbacks, supports = Counter(), []
     for k in range(count):
         if not complete[k]:
-            out.fallbacks["trellis"] += 1
+            fallbacks["trellis"] += 1
             continue
         rows = edges[k * peers:(k + 1) * peers + 1]
         w = _forward_pass(starts[k], field.order, shifts, probs, rows)[-1]
         support, hashes = _hashed_support(w, d.tables[k])
+        supports.append(len(support))
         if not score:
-            out.matched[k] = np.count_nonzero(hashes == d.relay_hashes[k, 0])
+            matched[k] = np.count_nonzero(hashes == d.relay_hashes[k, 0])
             continue
         ok = [a for a in range(arms) if faults[k * arms + a] is None]
-        out.fallbacks["scoring"] += arms - len(ok)
-        out.pstars[k, ok] = _score_arms(
+        fallbacks["scoring"] += arms - len(ok)
+        pstars[k, ok] = _score_arms(
             w, support, hashes, d.relay_symbols[k, ok], d.relay_hashes[k, ok], logl,
             top[k, ok], denom[k, ok],
         )
-    return out
+    return _Block(
+        pstars, matched, fallbacks, lengths[built].ravel(), np.array(supports, dtype=np.int64)
+    )
 
 
 def _run(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool = True) -> _Block:
-    """Trials lo..hi-1, a block at a time, merged in trial order."""
+    """Trials lo..hi-1, a block at a time, merged in trial order.
+
+    The streams' seeding words are derived once for the whole range: the
+    pass has a fixed cost that one pass per block would pay again and again.
+    """
     per_trial = max(1 << cfg.n, (1 + len(p_advs)) << (cfg.n - cfg.delta))
     step = max(1, _BLOCK_ELEMENTS // per_trial)
-    return _merge([_block(cfg, p_advs, b, min(b + step, hi), score) for b in range(lo, hi, step)])
+    words = _seed_words(cfg.seed, lo, hi)
+    return _merge([_block(cfg, p_advs, words[b:b + step], score) for b in range(0, hi - lo, step)])
 
 
 def _merge(parts) -> _Block:
@@ -256,30 +368,68 @@ def _merge(parts) -> _Block:
         np.concatenate([p.pstars for p in parts]),
         np.concatenate([p.matched for p in parts]),
         sum((p.fallbacks for p in parts), Counter()),
+        np.concatenate([p.row_sizes for p in parts]),
+        np.concatenate([p.supports for p in parts]),
     )
 
 
-# The Counters of the count_fallbacks blocks open in this context.
-_fallback_counts: contextvars.ContextVar[tuple[Counter, ...]] = contextvars.ContextVar(
-    "_fallback_counts", default=()
+@dataclass
+class RunDiagnostics:
+    """What the two-hop runs inside a ``collect_diagnostics`` block did besides p*.
+
+    ``trials`` drawn; ``fallbacks``, the InferenceErrors quietly scored as
+    p* = 0: "trellis" trials whose trellis raised it (every arm of such a
+    trial scores 0) and "scoring" arms whose scoring raised it; and, in
+    trial order, the candidate count of each transition row (``row_sizes``)
+    and the final-layer positive support (``supports``) of every trellis
+    built. Worker blocks merge in trial order, so nothing here depends on
+    the worker count.
+    """
+
+    trials: int = 0
+    fallbacks: Counter = field(default_factory=lambda: Counter(trellis=0, scoring=0))
+    row_sizes: list[np.ndarray] = field(default_factory=list)
+    supports: list[np.ndarray] = field(default_factory=list)
+
+    def add(self, run: _Block, trials: int) -> None:
+        self.trials += trials
+        self.fallbacks.update(run.fallbacks)
+        self.row_sizes.append(run.row_sizes)
+        self.supports.append(run.supports)
+
+    def summary(self) -> dict:
+        """The JSON form: counts, and the mean and maximum row size and support."""
+
+        def mean_max(parts):
+            values = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+            return {
+                "mean": float(values.mean()) if values.size else 0.0,
+                "max": int(values.max(initial=0)),
+            }
+
+        return {
+            "trials": self.trials,
+            "fallbacks": dict(self.fallbacks),
+            "row_size": mean_max(self.row_sizes),
+            "support": mean_max(self.supports),
+        }
+
+
+# The RunDiagnostics of the collect_diagnostics blocks open in this context.
+_diagnostics: contextvars.ContextVar[tuple[RunDiagnostics, ...]] = contextvars.ContextVar(
+    "_diagnostics", default=()
 )
 
 
 @contextlib.contextmanager
-def count_fallbacks():
-    """Count what the two-hop runs inside the ``with`` block quietly scored p* = 0.
-
-    Yields a Counter: "trials" drawn, "trellis" trials whose trellis raised
-    InferenceError (every arm of such a trial scores 0) and "scoring" arms
-    whose scoring raised it. Worker blocks merge in trial order, so the
-    counts do not depend on the worker count.
-    """
-    counts = Counter(trials=0, trellis=0, scoring=0)
-    token = _fallback_counts.set(_fallback_counts.get() + (counts,))
+def collect_diagnostics():
+    """Collect what the two-hop runs inside the ``with`` block did; yields a RunDiagnostics."""
+    diagnostics = RunDiagnostics()
+    token = _diagnostics.set(_diagnostics.get() + (diagnostics,))
     try:
-        yield counts
+        yield diagnostics
     finally:
-        _fallback_counts.reset(token)
+        _diagnostics.reset(token)
 
 
 def simulate_observation(
@@ -290,7 +440,7 @@ def simulate_observation(
     The adversarial arm injects at cfg.p_adv; both arms share the trial's
     hash spec, symbols, coefficients and channel noise.
     """
-    d = _draw(cfg, [cfg.p_adv] if adversarial else [], trial, trial + 1)
+    d = _draw(cfg, [cfg.p_adv] if adversarial else [], _seed_words(cfg.seed, trial, trial + 1))
     ch_s = Bsc(cfg.p_s)
     return WatchdogObservation(
         own_symbol=int(d.symbols[0, 0]),
@@ -313,7 +463,7 @@ def run_trial(cfg: TwoHopConfig, adversarial: bool, trial: int = 0) -> float:
     overheard data is inconsistent with every remaining explanation; that
     is maximal suspicion and reported as p* = 0.
     """
-    return float(_block(cfg, [cfg.p_adv] if adversarial else [], trial, trial + 1).pstars[0, -1])
+    return float(_run(cfg, [cfg.p_adv] if adversarial else [], trial, trial + 1).pstars[0, -1])
 
 
 def _samples(cfg: TwoHopConfig, p_advs, workers: int) -> np.ndarray:
@@ -330,8 +480,8 @@ def _samples(cfg: TwoHopConfig, p_advs, workers: int) -> np.ndarray:
                 bounds[:-1],
                 bounds[1:],
             )))
-    for counts in _fallback_counts.get():
-        counts.update(run.fallbacks, trials=cfg.iterations)
+    for diagnostics in _diagnostics.get():
+        diagnostics.add(run, cfg.iterations)
     return run.pstars
 
 
@@ -494,14 +644,14 @@ def matched_count_trial(
     candidate sets come up empty counts zero matched states.
     """
     cfg = _matched_config(n, peer_count, delta, p, seed, pruning_eps)
-    return int(_block(cfg, [], trial, trial + 1, score=False).matched[0])
+    return int(_run(cfg, [], trial, trial + 1, score=False).matched[0])
 
 
 def mean_matched_count(
     n: int, peer_count: int, delta: int, p: float, trials: int, seed: int = 0
 ) -> float:
     """Empirical mean matched-codeword count over honest trials."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must be in [1, 2^32], got {trials}")
     cfg = _matched_config(n, peer_count, delta, p, seed)
     return float(np.mean(_run(cfg, [], 0, trials, score=False).matched))

@@ -8,6 +8,8 @@ import pytest
 import algwatch
 from algwatch import cli
 from algwatch.cli import main
+from algwatch.inference import InferenceError, build_and_run_trellis, transition_row
+from algwatch.sim import TwoHopConfig, simulate_observation
 
 
 def _read_csv(path):
@@ -44,12 +46,58 @@ def _two_hop_diagnostics(tmp_path, *flags):
 
 
 def test_two_hop_summary_counts_fallbacks(tmp_path):
-    assert _two_hop_diagnostics(tmp_path, "--workers", "1") == {
+    default = _two_hop_diagnostics(tmp_path, "--workers", "1")
+    assert {key: default[key] for key in ("trials", "fallbacks")} == {
         "trials": 40, "fallbacks": {"trellis": 0, "scoring": 0},
     }
     one = _two_hop_diagnostics(tmp_path, "--pruning-eps", "0.9", "--workers", "1")
     two = _two_hop_diagnostics(tmp_path, "--pruning-eps", "0.9", "--workers", "2")
     assert one["fallbacks"]["trellis"] > 0 and one == two
+
+
+def test_two_hop_summary_reports_row_sizes_and_supports(tmp_path):
+    # eps = 0.5 at n = 8, p_s = 0.2 prunes rows to mixed sizes and empties a trellis
+    cfg = TwoHopConfig(n=8, p_s=0.2, iterations=12, seed=5, pruning_eps=0.5)
+    rows, supports, failed = [], [], 0
+    for trial in range(cfg.iterations):
+        obs = simulate_observation(cfg, False, trial)
+        try:
+            trellis = build_and_run_trellis(obs)
+        except InferenceError:
+            failed += 1
+            continue
+        rows += [
+            len(transition_row(o.symbol, o.hash_value, o.channel, obs.hash_spec, 0.5).candidates)
+            for o in obs.overheard
+        ]
+        supports.append(int(np.count_nonzero(trellis.final_weights > 0.0)))
+    assert 0 < failed < cfg.iterations and len(set(rows)) > 1
+    flags = ["two-hop", "--n", "8", "--p-s", "0.2", "--iterations", "12", "--seed", "5",
+             "--pruning-eps", "0.5", "--values", "0.1,0.4"]
+    runs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        assert main([*flags, "--workers", workers, "--out", str(out)]) == 0
+        runs.append((out.read_bytes(), json.loads(out.with_suffix(".json").read_text())))
+    (csv_one, one), (csv_two, two) = runs
+    assert csv_one == csv_two and one["diagnostics"] == two["diagnostics"]
+    assert one["diagnostics"]["fallbacks"]["trellis"] == failed
+    assert one["diagnostics"]["row_size"] == {"mean": float(np.mean(rows)), "max": max(rows)}
+    assert one["diagnostics"]["support"] == {"mean": float(np.mean(supports)), "max": max(supports)}
+
+
+@pytest.mark.parametrize("command", ["two-hop", "oracle", "multihop-scenario", "multihop-topology"])
+def test_negative_seed_names_the_field(tmp_path, capsys, command):
+    topology = tmp_path / "topo.json"
+    topology.write_text(json.dumps(_GHOST_BASE))
+    argv = {
+        "two-hop": ["two-hop", "--iterations", "4", "--workers", "1"],
+        "oracle": ["oracle", "--trials", "2"],
+        "multihop-scenario": ["multihop", "--scenario", "one-honest-path"],
+        "multihop-topology": ["multihop", "--topology", str(topology)],
+    }[command]
+    assert main([*argv, "--seed", "-1", "--out", str(tmp_path / "x.csv")]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def test_two_hop_rejects_bad_values(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -71,6 +72,87 @@ def test_observation_headers_are_exact():
     field = default_field(8)
     true_payload = field.lincomb(obs.coeffs, symbols)
     assert obs.relay_overheard.hash_value == hash_eval(obs.hash_spec, true_payload)
+
+
+_EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7, 2**130]
+_EDGE_TRIALS = [0, 1, 2**31, 2**32 - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(0, 2**130)),
+    st.one_of(st.sampled_from(_EDGE_TRIALS), st.integers(0, 2**32 - 1)),
+    st.integers(1, 3),
+)
+def test_seed_words_are_numpys_seed_sequence_streams(seed, trial, count):
+    lo = min(trial, 2**32 - count)
+    words = sim._seed_words(seed, lo, lo + count)
+    assert words.shape == (count, len(sim._TAGS), 4) and words.dtype == np.uint64
+    for k in range(count):
+        for tag in sim._TAGS:
+            seq = np.random.SeedSequence((seed, lo + k, tag))
+            assert words[k, tag].tolist() == seq.generate_state(4, np.uint64).tolist()
+            ours, ref = sim._generator(words[k, tag]), np.random.default_rng(seq)
+            assert ours.bit_generator.state == ref.bit_generator.state
+            assert ours.random(3).tolist() == ref.random(3).tolist()
+            assert ours.integers(0, 1 << 10, size=3).tolist() == ref.integers(0, 1 << 10, size=3).tolist()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: TwoHopConfig(seed=-1), "seed"),
+    (lambda: TwoHopConfig(iterations=2**32 + 1), "iterations"),
+    (lambda: simulate_observation(TwoHopConfig(), False, trial=-1), "trial"),
+    (lambda: run_trial(TwoHopConfig(), True, trial=2**32), "trial"),
+    (lambda: matched_count_trial(8, 2, 2, 0.1, trial=2**40), "trial"),
+    (lambda: mean_matched_count(8, 2, 2, 0.1, trials=2**32 + 1), "trials"),
+], ids=["config-seed", "config-iterations", "simulate_observation", "run_trial",
+        "matched_count_trial", "mean_matched_count"])
+def test_seeds_and_trial_indices_out_of_range_name_the_field(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        call()
+
+
+def test_trial_streams_build_no_seed_sequence(monkeypatch):
+    # every stream is seeded from precomputed words, never through a SeedSequence
+    made, seeded = [], []
+
+    class CountedSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    class CountedPCG64(np.random.PCG64):
+        def __init__(self, seed=None):
+            super().__init__(seed)
+            seeded.append(type(self.seed_seq))
+
+    real_default_rng = np.random.default_rng
+
+    def default_rng(*args):
+        made.append(args)
+        return real_default_rng(*args)
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    monkeypatch.setattr(np.random, "PCG64", CountedPCG64)
+    cfg = TwoHopConfig(m=3, n=6, delta=2, iterations=9, seed=4, hash_family="poly")
+    sim._samples(cfg, [0.1, 0.3], 1)
+    assert made == [] and seeded == [sim._seed_words_type()] * 4 * cfg.iterations
+    seeded.clear()
+    mean_matched_count(6, 2, 2, 0.1, trials=5, seed=3)
+    assert made == [] and seeded == [sim._seed_words_type()] * 3 * 5
+
+
+def test_trial_path_raises_no_warnings():
+    # numpy warns on overflowing uint32 scalar arithmetic but wraps arrays
+    # silently; the stream seeding must stay array arithmetic throughout
+    cfg = TwoHopConfig(m=3, n=8, delta=2, iterations=10, seed=2**64 + 5, hash_family="poly")
+    sim._hash_constants.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sim._samples(cfg, [0.0, 0.2, 1.0], 1)
+        mean_matched_count(8, 2, 2, 0.1, trials=10, seed=2**32 - 1)
+        simulate_observation(cfg, True, trial=2**32 - 1)
 
 
 def test_seed_determinism_and_stream_isolation():
@@ -298,7 +380,8 @@ def test_shared_trellis_scores_every_arm_as_its_own_pipeline(cfg, trial, p_advs)
         + [_arm_pstar(dataclasses.replace(cfg, p_adv=p), True, t) for p in p_advs]
         for t in range(trial, trial + 3)
     ]
-    assert sim._block(cfg, p_advs, trial, trial + 3).pstars.tolist() == expect
+    words = sim._seed_words(cfg.seed, trial, trial + 3)
+    assert sim._block(cfg, p_advs, words).pstars.tolist() == expect
 
 
 def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
@@ -316,7 +399,8 @@ def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
 
     failed = [trellis_fails(t) for t in trials]
     assert any(failed) and not all(failed)
-    clean = sim._block(cfg, p_advs, 0, len(trials))
+    words = sim._seed_words(cfg.seed, 0, len(trials))
+    clean = sim._block(cfg, p_advs, words)
     assert clean.fallbacks == Counter(trellis=sum(failed))
     for t in trials:
         expect = [_arm_pstar(cfg, False, t)] + [
@@ -333,7 +417,7 @@ def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
         return top, denom, faults
 
     monkeypatch.setattr(sim, "_relay_normalizers", second_arm_fails)
-    got = sim._block(cfg, p_advs, 0, len(trials))
+    got = sim._block(cfg, p_advs, words)
     expect = clean.pstars.copy()
     expect[scored, 1] = 0.0
     assert got.pstars.tolist() == expect.tolist()
@@ -453,7 +537,7 @@ def test_blocks_equal_per_trial_pipelines(run):
 
 
 def _row_lengths(cfg, p_advs):
-    draws = sim._draw(cfg, p_advs, 0, cfg.iterations)
+    draws = sim._draw(cfg, p_advs, sim._seed_words(cfg.seed, 0, cfg.iterations))
     _, _, lengths = inference._transition_rows(
         draws.tables, draws.heard, draws.peer_hashes, [Bsc(cfg.p_s)] * (cfg.m - 1),
         cfg.n, cfg.pruning_eps,
