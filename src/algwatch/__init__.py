@@ -26,7 +26,6 @@ from .channel import (
     compose_error_rates,
     flip_bits,
     hamming,
-    likelihood,
     log_likelihood,
     transmit,
 )

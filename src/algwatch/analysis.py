@@ -45,6 +45,8 @@ class TwoHopGeometry:
     peer_hears_relay: int
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.hash_bits < 0:
             raise ValueError("hash_bits must be >= 0")
         for r in (
@@ -103,6 +105,17 @@ def misdetection_probability(g: TwoHopGeometry) -> float:
     return _undetected(g, min(g.watchdog_hears_relay, g.peer_hears_relay))
 
 
+def _count_args(m: int, p_rates, d_over_n) -> tuple[list[float], list[float]]:
+    """The matched-count evaluators' rates and relative distances, as checked lists."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    p_rates = [Bsc(p).p for p in p_rates]  # each rate in [0, 0.5], as for any overhearing link
+    d_over_n = [0.0] * (m + 1) if d_over_n is None else list(d_over_n)
+    if len(p_rates) != m + 1 or len(d_over_n) != m + 1:
+        raise ValueError("need one rate and one relative distance per peer plus the relay")
+    return p_rates, d_over_n
+
+
 def matched_count_expected(
     n: int, m: int, delta: int, p_rates, d_over_n=None
 ) -> float:
@@ -114,10 +127,7 @@ def matched_count_expected(
     expected count below 1 is meaningful (the near-unique decoding
     regime), not an error.
     """
-    p_rates = list(p_rates)
-    d_over_n = [0.0] * (m + 1) if d_over_n is None else list(d_over_n)
-    if len(p_rates) != m + 1 or len(d_over_n) != m + 1:
-        raise ValueError("need one rate and one relative distance per peer plus the relay")
+    p_rates, d_over_n = _count_args(m, p_rates, d_over_n)
     total = sum(binary_entropy(p) - binary_entropy(d) for p, d in zip(p_rates, d_over_n))
     return 2.0 ** (n * (total - 1.0) - m * delta)
 
@@ -131,10 +141,7 @@ def matched_count_exponent_eps(
     of the rates) and redundancy (code distances plus hash fraction):
     n * [sum H(p) - (sum H(d) + 1 + m*eps)].
     """
-    p_rates = list(p_rates)
-    d_over_n = [0.0] * (m + 1) if d_over_n is None else list(d_over_n)
-    if len(p_rates) != m + 1 or len(d_over_n) != m + 1:
-        raise ValueError("need one rate and one relative distance per peer plus the relay")
+    p_rates, d_over_n = _count_args(m, p_rates, d_over_n)
     hp = sum(binary_entropy(p) for p in p_rates)
     hd = sum(binary_entropy(d) for d in d_over_n)
     return n * (hp - (hd + 1.0 + m * eps))

@@ -5,8 +5,7 @@ on: exact ball volumes, tail-probability radii, and the composition rule
 for cascaded bit-flip processes.
 
 Channel likelihoods are computed in log domain because products over
-several overheard links underflow doubles as p -> 0; ``likelihood`` is the
-exponentiation accessor.
+several overheard links underflow doubles as p -> 0.
 """
 
 from __future__ import annotations
@@ -51,23 +50,16 @@ def flip_bits(x: int, p: float, n: int, rng) -> int:
         raise ValueError(f"flip probability must be in [0, 1], got {p}")
     if not 0 <= n <= 63:
         raise ValueError(f"width must be in [0, 63] bits, got {n}")
-    return x ^ _flip_mask(rng.random(n), p)
-
-
-def _flip_mask(draws: np.ndarray, p: float) -> int:
-    """Bit mask with bit i set iff draws[i] < p: the flips one set of uniforms makes.
-
-    Flipping at several rates with the same draws gives nested masks, which
-    is how the arms of one trial share a single adversary stream.
-    """
-    return int(_flip_masks(draws, p))
+    return x ^ int(_flip_masks(rng.random(n), p))
 
 
 def _flip_masks(draws: np.ndarray, p) -> np.ndarray:
-    """``_flip_mask`` of every row of uniforms along the last axis.
+    """Bit masks, bit i set iff draws[..., i] < p: the flips each row of uniforms makes.
 
     p broadcasts against draws, so a stack of rows can flip at per-row
-    rates. Masks are int64, so rows hold at most 63 draws (symbols are at
+    rates. Flipping at several rates with the same draws gives nested
+    masks, which is how the arms of one trial share a single adversary
+    stream. Masks are int64, so rows hold at most 63 draws (symbols are at
     most 16 bits).
     """
     bits = draws < p
@@ -112,11 +104,6 @@ def _log_likelihood_table(channels: tuple[Bsc, ...], n: int) -> np.ndarray:
             row[:] = d * math.log(ch.p) + (n - d) * math.log1p(-ch.p)
     table.flags.writeable = False
     return table
-
-
-def likelihood(ch: Bsc, observed: int, candidate: int, n: int) -> float:
-    """P(observed | candidate sent); exponentiation of log_likelihood."""
-    return math.exp(log_likelihood(ch, observed, candidate, n))
 
 
 def ball_volume(n: int, r: int) -> int:

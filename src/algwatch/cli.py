@@ -189,6 +189,7 @@ def _cmd_analysis(args) -> int:
     out = args.out
     if table == "misdetection":
         h = opt("h", 2, int)
+        params = {"h": h}
         columns = ["n", "h", "radius", "undetected_watchdog", "undetected_peer", "misdetection"]
         rows = []
         for r in range(n + 1):
@@ -203,6 +204,7 @@ def _cmd_analysis(args) -> int:
         m = opt("m", 3, int)
         p = opt("p", 0.1, float)
         deltas = _parse_values(opt("deltas", "0,1,2,4", str), int)
+        params = {"m": m, "p": p, "deltas": deltas}
         columns = ["n", "m", "delta", "p", "expected_matched"]
         rows = [
             [n, m, d, p, matched_count_expected(n, m, d, [p] * (m + 1))]
@@ -214,7 +216,7 @@ def _cmd_analysis(args) -> int:
             f"unknown table {table!r}; choose misdetection or matched-count"
         )
     _write_summary(_summary_path(out), {
-        "command": "analysis", "table": table, "n": n,
+        "command": "analysis", "table": table, "n": n, **params,
         "rows_file": out,
     })
     print(f"analysis table {table} -> {out}")
@@ -236,6 +238,8 @@ def _cmd_oracle(args) -> int:
     if cfg.n > 6:
         raise CliError("oracle checks require n <= 6")
     trials = opt("trials", 100, int)
+    if trials < 1:
+        raise CliError(f"trials must be >= 1, got {trials}")
     max_err = 0.0
     for trial in range(trials):
         for adversarial in (False, True):

@@ -23,17 +23,21 @@ from the previous layer's positive-weight support alone, summing the
 contributions with ``np.bincount`` in the same order a per-candidate dense
 pass would, so every layer is bit-for-bit what that pass gives.
 
-Transition rows and relay normalizers are computed for a whole batch at
-once (``_transition_rows``, ``_relay_normalizers``), which is how the
-Monte Carlo harness runs a block of trials; the public one-observation
-functions are one-item calls of the same code, and each item gets exactly
-the floats it would get alone.
+Every p* is computed by one block function, ``_watch``, over
+``_Holdings``: the array form of what the watchdogs of a block of relay
+uses hold. It makes each block's transition rows and relay normalizers in
+one batched pass, and runs the forward pass and scoring per use. The Monte
+Carlo harness hands it whole blocks of drawn trials; the public
+one-observation functions are one-use calls of it, and each use gets
+exactly the floats it would get alone.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,11 +104,6 @@ class WatchdogObservation:
     def field(self) -> GF2n:
         """GF(2^n) at the hash spec's width: the field the sources code over."""
         return default_field(self.hash_spec.n)
-
-    @property
-    def m(self) -> int:
-        """Number of sources feeding the relay, watchdog included."""
-        return len(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -217,8 +216,6 @@ class Trellis:
 
     def __init__(self, layer_weights: list[np.ndarray]):
         self._arrays = layer_weights
-        self._layers: list[dict[int, float]] | None = None
-        self._hashed: tuple[HashSpec, np.ndarray, np.ndarray] | None = None
 
     @property
     def final_weights(self) -> np.ndarray:
@@ -228,21 +225,7 @@ class Trellis:
     @property
     def layers(self) -> list[dict[int, float]]:
         """Sparse per-layer maps state -> weight, positive-weight states only."""
-        if self._layers is None:
-            self._layers = [
-                {int(s): float(vec[s]) for s in np.flatnonzero(vec > 0.0)}
-                for vec in self._arrays
-            ]
-        return self._layers
-
-    def _hashed_support(self, spec: HashSpec) -> tuple[np.ndarray, np.ndarray]:
-        """Positive-weight final states and their hashes under spec.
-
-        Computed once and shared by every relay scored against this trellis.
-        """
-        if self._hashed is None or self._hashed[0] != spec:
-            self._hashed = (spec, *_hashed_support(self.final_weights, _table(spec)))
-        return self._hashed[1:]
+        return [{int(s): float(vec[s]) for s in np.flatnonzero(vec > 0.0)} for vec in self._arrays]
 
 
 def _hashed_support(w: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,8 +240,22 @@ def _forward_pass(
     """Layer weights from state ``start`` through rows laid end to end.
 
     Peer i's row is shifts[edges[i]:edges[i + 1]] (its candidates times its
-    coefficient) with probabilities probs[edges[i]:edges[i + 1]]; see
-    build_and_run_trellis for the update and why it is bit-exact.
+    coefficient) with probabilities probs[edges[i]:edges[i + 1]]. Extending
+    layer i-1 by peer i adds a_i*x for every candidate x in the peer's
+    row; for fixed x this is an XOR shift of the whole layer (a bijection
+    on states), so total mass 1 is conserved at every layer.
+
+    The update scatters from the support u of layer i-1 only: candidate x
+    sends t_x * w(u) to state shift_x ^ u. The contributions are laid out
+    candidate-major and summed by ``np.bincount``, which adds in input
+    order, so each state's sum is taken in candidate order, exactly as
+    ``acc += t_x * w(. ^ shift_x)`` over the candidates would take it. The
+    only terms skipped are t_x * 0.0, and adding +0.0 leaves a sum
+    unchanged. Candidates go in chunks of about ``_SCATTER_CHUNK``
+    contributions; each chunk after the first starts its input with the
+    running sums, and 0 + acc is exact, so chunking changes no addition.
+    The layers are therefore bit-identical to that dense pass, exact
+    zeros included.
     """
     vec = np.zeros(size)
     vec[start] = 1.0
@@ -282,46 +279,48 @@ def _forward_pass(
     return arrays
 
 
-def _row_edges(lengths: np.ndarray) -> list[int]:
-    """Offsets of rows laid end to end: row r spans [edges[r], edges[r + 1])."""
-    return [0, *np.cumsum(lengths.ravel()).tolist()]
+class _Holdings(NamedTuple):
+    """What the watchdogs of a block of relay uses hold, as arrays.
 
-
-def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
-    """Forward pass: accumulate state probabilities layer by layer.
-
-    Extending layer i-1 by peer i adds a_i*x for every candidate x in the
-    peer's transition row; for fixed x this is an XOR shift of the whole
-    layer (a bijection on states), so total mass 1 is conserved at every
-    layer.
-
-    The update scatters from the support u of layer i-1 only: candidate x
-    sends t_x * w(u) to state shift_x ^ u. The contributions are laid out
-    candidate-major and summed by ``np.bincount``, which adds in input
-    order, so each state's sum is taken in candidate order, exactly as
-    ``acc += t_x * w(. ^ shift_x)`` over the candidates would take it. The
-    only terms skipped are t_x * 0.0, and adding +0.0 leaves a sum
-    unchanged. Candidates go in chunks of about ``_SCATTER_CHUNK``
-    contributions; each chunk after the first starts its input with the
-    running sums, and 0 + acc is exact, so chunking changes no addition.
-    The layers are therefore bit-identical to that dense pass, exact
-    zeros included.
+    Row k is one use, policed by one watchdog; column a of the relay arrays
+    is arm a, one transmission of the relay. Peer column j is overheard
+    over peer_channels[j], and every arm over relay_channel.
     """
-    f, spec, peers = obs.field, obs.hash_spec, obs.overheard
-    cands, probs, lengths = _transition_rows(
-        _table(spec)[None],
+
+    specs: list[HashSpec]
+    tables: np.ndarray  # each use's hash of every n-bit symbol
+    own: np.ndarray  # the watchdog's own symbol
+    coeffs: np.ndarray  # the nonzero coding coefficients, the watchdog's first
+    heard: np.ndarray  # the peers' symbols as the watchdog overheard them
+    peer_hashes: np.ndarray
+    relay_symbols: np.ndarray  # each arm's relay payload as overheard
+    relay_hashes: np.ndarray  # the hash each arm's relay announces
+    peer_channels: tuple[Bsc, ...]
+    relay_channel: Bsc
+    prune_eps: float | None
+
+
+def _holdings(obs: WatchdogObservation) -> _Holdings:
+    """obs as a block of one use with one arm."""
+    peers, relay, spec = obs.overheard, obs.relay_overheard, obs.hash_spec
+    return _Holdings(
+        [spec], _table(spec)[None], np.array([obs.own_symbol]), np.array([obs.coeffs]),
         np.array([[o.symbol for o in peers]], dtype=np.int64),
         np.array([[o.hash_value for o in peers]], dtype=np.int64),
-        [o.channel for o in peers],
-        spec.n,
-        obs.prune_eps,
+        np.array([[relay.symbol]]), np.array([[relay.hash_value]]),
+        tuple(o.channel for o in peers), relay.channel, obs.prune_eps,
     )
-    if not lengths.all():
-        raise InferenceError("no candidate consistent with hash")
-    coeffs = np.array(obs.coeffs[1:], dtype=np.int64)
-    shifts = f.mul_elementwise(np.repeat(coeffs, lengths[0]), cands)
-    start = f.mul(obs.coeffs[0], obs.own_symbol)
-    return Trellis(_forward_pass(start, f.order, shifts, probs, _row_edges(lengths)))
+
+
+class _Use(NamedTuple):
+    """One relay use of a block, as its watchdog scored it."""
+
+    layers: list[np.ndarray] | None  # the trellis's layer weights; None: a row came up empty
+    lengths: list[int]  # the candidate count of each transition row
+    support: int  # positive-weight final states
+    matched: int  # of them, those hashing to arm 0's announced value, when not scoring
+    pstars: list[float]  # each arm's p* when scored, 0 where an InferenceError stopped it
+    faults: list[str | None]  # each scored arm's InferenceError message, else None
 
 
 def _relay_normalizers(
@@ -354,17 +353,6 @@ def _relay_normalizers(
     return top, denom, faults
 
 
-def _relay_normalizer(relay: Overheard, spec: HashSpec) -> tuple[float, float]:
-    """``_relay_normalizers`` of one relay; raises InferenceError on a fault."""
-    top, denom, faults = _relay_normalizers(
-        _table(spec)[None], np.array([[relay.symbol]]), np.array([[relay.hash_value]]),
-        relay.channel, spec.n,
-    )
-    if faults[0] is not None:
-        raise InferenceError(faults[0])
-    return float(top[0]), float(denom[0])
-
-
 def _score_arms(
     w: np.ndarray,
     support: np.ndarray,
@@ -385,16 +373,76 @@ def _score_arms(
     order, as one 1-D dot product; the terms of all arms are computed
     together, elementwise.
     """
-    arm, at = np.divmod(np.flatnonzero(hashes == np.asarray(relay_hashes)[:, None]), len(hashes))
+    arm, at = np.divmod(np.flatnonzero(hashes == relay_hashes[:, None]), len(hashes))
     states = support[at]
-    d = np.bitwise_count(states ^ np.asarray(symbols)[arm])
-    terms = np.exp(logl[d] - np.asarray(top)[arm])
+    d = np.bitwise_count(states ^ symbols[arm])
+    terms = np.exp(logl[d] - top[arm])
     mass = w[states]
     ends = np.cumsum(np.bincount(arm, minlength=len(relay_hashes))).tolist()
     pstars = []
-    for lo, hi, scale in zip([0, *ends], ends, np.asarray(denom).tolist()):
+    for lo, hi, scale in zip([0, *ends], ends, denom.tolist()):
         pstars.append(min(1.0, float(mass[lo:hi] @ terms[lo:hi]) / scale) if hi > lo else 0.0)
     return pstars
+
+
+def _watch(
+    h: _Holdings, score: bool = True, layers: list[np.ndarray] | None = None
+) -> Iterator[_Use]:
+    """The watchdog of every use of a block, in order: its trellis and each arm's p*.
+
+    One batched pass each makes the block's transition rows and (when
+    scoring) relay normalizers; the forward pass and each arm's dot product
+    run per use, one use's layers at a time. Every float is the one the use
+    gives alone. The trellis reads only what the watchdog holds, never the
+    relay's transmission, so all arms share it. ``layers`` given are scored
+    as a one-use block's trellis, and no rows are made.
+    """
+    (count, arms), n, peers = h.relay_hashes.shape, h.specs[0].n, h.heard.shape[1]
+    field, faults, lengths = default_field(n), [None] * (count * arms), [[]]
+    if layers is None:
+        cands, probs, lengths = _transition_rows(
+            h.tables, h.heard, h.peer_hashes, h.peer_channels, n, h.prune_eps
+        )
+        shifts = field.mul_elementwise(np.repeat(h.coeffs[:, 1:].ravel(), lengths.ravel()), cands)
+        edges = [0, *np.cumsum(lengths.ravel()).tolist()]  # row r spans edges[r]:edges[r + 1]
+        starts = field.mul_elementwise(h.coeffs[:, 0], h.own).tolist()
+        lengths = lengths.tolist()
+    if score:
+        top, denom, faults = _relay_normalizers(
+            h.tables, h.relay_symbols, h.relay_hashes, h.relay_channel, n
+        )
+        top, denom = top.reshape(count, arms), denom.reshape(count, arms)
+        logl = _log_likelihood_table((h.relay_channel,), n)[0]
+    for k, row_lengths in enumerate(lengths):
+        built, pstars, fault = layers, [0.0] * arms, faults[k * arms:(k + 1) * arms]
+        if built is None and all(row_lengths):
+            rows = edges[k * peers:(k + 1) * peers + 1]
+            built = _forward_pass(starts[k], field.order, shifts, probs, rows)
+        if built is None:
+            yield _Use(None, row_lengths, 0, 0, pstars, fault)
+            continue
+        w = built[-1]
+        support, hashes = _hashed_support(w, h.tables[k])
+        if score:
+            ok = [a for a, f in enumerate(fault) if f is None]
+            for a, p in zip(ok, _score_arms(
+                w, support, hashes, h.relay_symbols[k, ok], h.relay_hashes[k, ok], logl,
+                top[k, ok], denom[k, ok],
+            )):
+                pstars[a] = p
+        matched = 0 if score else int(np.count_nonzero(hashes == h.relay_hashes[k, 0]))
+        yield _Use(built, row_lengths, len(support), matched, pstars, fault)
+
+
+def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
+    """Forward pass: accumulate state probabilities layer by layer (``_forward_pass``).
+
+    Raises InferenceError when a transition row comes up empty.
+    """
+    layers = next(_watch(_holdings(obs), score=False)).layers
+    if layers is None:
+        raise InferenceError("no candidate consistent with hash")
+    return Trellis(layers)
 
 
 def inverse_transition(
@@ -408,12 +456,17 @@ def inverse_transition(
 
     Zero when the candidate does not hash to the announced value; otherwise
     the channel likelihood normalized over the announced collision class.
+    An announced class that cannot explain the overheard symbol raises
+    InferenceError, as it does for consistency_probability.
     """
+    top, denom, faults = _relay_normalizers(
+        _table(spec)[None], np.array([[observed]]), np.array([[relay_hash]]), ch, spec.n
+    )
+    if faults[0] is not None:
+        raise InferenceError(faults[0])
     if hash_eval(spec, candidate) != relay_hash:
         return 0.0
-    top, denom = _relay_normalizer(Overheard(observed, relay_hash, ch), spec)
-    lc = log_likelihood(ch, observed, candidate, spec.n)
-    return float(np.exp(lc - top) / denom)
+    return float(np.exp(log_likelihood(ch, observed, candidate, spec.n) - top[0]) / denom[0])
 
 
 def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float:
@@ -422,19 +475,15 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
     Sums w(s, m) * T_inv(s, observed) over the final layer; this is the
     statistic whose distribution separates honest from misbehaving relays.
     """
-    relay, spec = obs.relay_overheard, obs.hash_spec
-    top, denom = _relay_normalizer(relay, spec)
-    support, hashes = trellis._hashed_support(spec)
-    logl = _log_likelihood_table((relay.channel,), spec.n)[0]
-    return _score_arms(
-        trellis.final_weights, support, hashes, [relay.symbol], [relay.hash_value], logl,
-        [top], [denom],
-    )[0]
+    use = next(_watch(_holdings(obs), layers=[trellis.final_weights]))
+    if use.faults[0] is not None:
+        raise InferenceError(use.faults[0])
+    return float(use.pstars[0])
 
 
 def matched_codewords(trellis: Trellis, relay_hash: int, spec: HashSpec) -> list[int]:
     """Final-layer states with positive weight hashing to the relay's value."""
-    support, hashes = trellis._hashed_support(spec)
+    support, hashes = _hashed_support(trellis.final_weights, _table(spec))
     return support[hashes == relay_hash].tolist()
 
 

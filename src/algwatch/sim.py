@@ -2,8 +2,8 @@
 
 A trial draws random source symbols and nonzero coefficients, runs the
 relay (honest, or injecting bit errors at p_adv with a consistently
-recomputed hash), overhears everything through BSCs, and returns the
-watchdog's consistency probability p*.
+recomputed hash), and overhears everything through BSCs. This module only
+draws, seeds, blocks and merges trials; ``inference`` computes every p*.
 
 Randomness is split into named per-trial sub-streams (hash, symbols,
 channels, adversary): numpy's ``SeedSequence((seed, trial, tag))`` streams,
@@ -14,15 +14,9 @@ null adversary (p_adv = 0) produce bit-identical p* values and gives every
 sweep common random numbers.
 
 All arms of a trial (the honest relay and the adversarial relay at each
-p_adv) share one draw and one trellis: the trellis is the watchdog's
-inference from what it holds, and only the final score p* reads the
-relay's transmission. A trial is drawn once, its trellis built once, and
-every arm scored against it.
-
-Trials run in blocks: each block makes one batched pass each for its hash
-tables, transition rows and relay normalizers, and only the forward pass
-and each arm's final dot product run per trial. Every float is the one the
-trial gives when run alone, so results do not depend on block boundaries.
+p_adv) share one draw, and so one trellis. Trials are drawn and scored in
+blocks; every float is the one the trial gives when run alone, so results
+do not depend on block boundaries.
 
 Also provides the brute-force enumeration oracle for p*, empirical
 threshold calibration, and the matched-codeword counting experiment.
@@ -40,20 +34,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import Bsc, _flip_masks, _log_likelihood_table, ball_radius, hamming
-from .gfield import default_field
-from .hashing import HashSpec, _tables, collision_list, hash_eval, sample_hash
-from .inference import (
-    InferenceError,
-    Overheard,
-    WatchdogObservation,
-    _forward_pass,
-    _hashed_support,
-    _relay_normalizers,
-    _row_edges,
-    _score_arms,
-    _transition_rows,
-)
+from .channel import Bsc, _flip_masks, ball_radius, hamming
+from .gfield import MAX_WIDTH, default_field
+from .hashing import _tables, collision_list, hash_eval, sample_hash
+from .inference import InferenceError, Overheard, WatchdogObservation, _Holdings, _watch
 
 _TAGS = range(4)
 _HASH, _SYMBOLS, _CHANNELS, _ADVERSARY = _TAGS
@@ -86,6 +70,8 @@ class TwoHopConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("need at least one source")
+        if not 1 <= self.n <= MAX_WIDTH:
+            raise ValueError(f"n must be in [1, {MAX_WIDTH}], got {self.n}")
         if self.hash_family not in ("affine", "poly"):
             raise ValueError("hash_family must be 'affine' or 'poly'")
         if not 0 <= self.delta <= self.n:
@@ -225,34 +211,19 @@ def _generator(words: np.ndarray) -> np.random.Generator:
 _BLOCK_ELEMENTS = 1 << 13
 
 
-@dataclass(frozen=True)
-class _Draws:
-    """A block of trials as drawn. Row k is one trial; column a of the
-    relay arrays is arm a: the honest relay, then one arm per p_adv.
-    """
+def _draw(cfg: TwoHopConfig, p_advs, words: np.ndarray) -> _Holdings:
+    """What the watchdogs of the trials whose ``_seed_words`` rows are given hold.
 
-    specs: list[HashSpec]
-    tables: np.ndarray  # each trial's hash of every n-bit symbol
-    symbols: np.ndarray  # the sources' symbols, the watchdog's first
-    coeffs: np.ndarray  # their nonzero coding coefficients
-    heard: np.ndarray  # the peers' symbols as the watchdog overheard them
-    peer_hashes: np.ndarray
-    relay_symbols: np.ndarray  # each arm's relay payload as overheard
-    relay_hashes: np.ndarray  # the hash each arm's relay announces
-
-
-def _draw(cfg: TwoHopConfig, p_advs, words: np.ndarray) -> _Draws:
-    """The trials whose ``_seed_words`` rows are given, each drawn from its own streams.
-
-    A trial's draws are made once. Arms differ only in the relay's
-    payload: each adversarial arm flips the honest payload's bits where the
-    trial's one set of adversary uniforms falls below its p_adv, and every
-    arm is overheard through the same relay noise mask (bit flips do not
-    depend on the payload). Arm k is therefore exactly what a trial drawn at
-    p_advs[k] alone would give. Headers arrive error-free, so peer hashes,
-    the relay's recomputed own hash and the coefficients are exact; every
-    hash is a lookup into the trial's hash table, and the block's tables
-    are made in one pass.
+    Each trial is drawn once, from its own streams. Arm 0 is the honest
+    relay and arm 1 + k the one at p_advs[k]. Arms differ only in the
+    relay's payload: each adversarial arm flips the honest payload's bits
+    where the trial's one set of adversary uniforms falls below its p_adv,
+    and every arm is overheard through the same relay noise mask (bit flips
+    do not depend on the payload). Arm 1 + k is therefore exactly what a
+    trial drawn at p_advs[k] alone would give. Headers arrive error-free,
+    so peer hashes, the relay's recomputed own hash and the coefficients
+    are exact; every hash is a lookup into the trial's hash table, and the
+    block's tables are made in one pass.
     """
     count, m, n = len(words), cfg.m, cfg.n
     order = 1 << n
@@ -275,15 +246,18 @@ def _draw(cfg: TwoHopConfig, p_advs, words: np.ndarray) -> _Draws:
     payloads = np.column_stack((honest, honest[:, None] ^ flips))
     noise = _flip_masks(uniforms, np.array([[cfg.p_s]] * (m - 1) + [[cfg.p_relay]]))
     tables = _tables(specs)
-    return _Draws(
+    return _Holdings(
         specs=specs,
         tables=tables,
-        symbols=symbols,
+        own=symbols[:, 0],
         coeffs=coeffs,
         heard=symbols[:, 1:] ^ noise[:, :-1],
         peer_hashes=np.take_along_axis(tables, symbols[:, 1:], axis=1),
         relay_symbols=payloads ^ noise[:, -1:],
         relay_hashes=np.take_along_axis(tables, payloads, axis=1),
+        peer_channels=(Bsc(cfg.p_s),) * (m - 1),
+        relay_channel=Bsc(cfg.p_relay),
+        prune_eps=cfg.pruning_eps,
     )
 
 
@@ -301,53 +275,23 @@ class _Block:
 def _block(cfg: TwoHopConfig, p_advs, words: np.ndarray, score: bool = True) -> _Block:
     """The trials of ``words`` as one block: p* of every arm, or only matched counts.
 
-    The block makes one batched pass each for its hash tables, transition
-    rows and (when scoring) relay normalizers; only the forward pass and
-    each arm's final dot product run per trial. Every float is the one a
-    trial run alone gives. The trellis reads only what the watchdog holds
-    (its own symbol, the overheard peers, the headers), never the relay's
-    transmission, so all arms share it. An InferenceError while building it
-    (pruning emptied a candidate set) is maximal suspicion for every arm,
-    and one while scoring an arm for that arm only: p* = 0, and counted.
+    A trial whose trellis cannot be built (pruning emptied a candidate set)
+    scores p* = 0 on every arm, and an arm whose relay cannot be scored
+    p* = 0; each is counted.
     """
-    d = _draw(cfg, p_advs, words)
-    count, peers, arms = len(d.specs), cfg.m - 1, 1 + len(p_advs)
-    n, field = cfg.n, default_field(cfg.n)
-    cands, probs, lengths = _transition_rows(
-        d.tables, d.heard, d.peer_hashes, [Bsc(cfg.p_s)] * peers, n, cfg.pruning_eps
-    )
-    shifts = field.mul_elementwise(np.repeat(d.coeffs[:, 1:].ravel(), lengths.ravel()), cands)
-    edges = _row_edges(lengths)
-    starts = field.mul_elementwise(d.coeffs[:, 0], d.symbols[:, 0]).tolist()
-    built = lengths.all(axis=1)
-    complete = built.tolist()
-    if score:
-        top, denom, faults = _relay_normalizers(
-            d.tables, d.relay_symbols, d.relay_hashes, Bsc(cfg.p_relay), n
-        )
-        top, denom = top.reshape(count, arms), denom.reshape(count, arms)
-        logl = _log_likelihood_table((Bsc(cfg.p_relay),), n)[0]
-    pstars, matched = np.zeros((count, arms if score else 0)), np.zeros(count, dtype=np.int64)
-    fallbacks, supports = Counter(), []
-    for k in range(count):
-        if not complete[k]:
+    pstars, matched, fallbacks, row_sizes, supports = [], [], Counter(), [], []
+    for use in _watch(_draw(cfg, p_advs, words), score):
+        pstars.append(use.pstars)
+        matched.append(use.matched)
+        if use.layers is None:
             fallbacks["trellis"] += 1
             continue
-        rows = edges[k * peers:(k + 1) * peers + 1]
-        w = _forward_pass(starts[k], field.order, shifts, probs, rows)[-1]
-        support, hashes = _hashed_support(w, d.tables[k])
-        supports.append(len(support))
-        if not score:
-            matched[k] = np.count_nonzero(hashes == d.relay_hashes[k, 0])
-            continue
-        ok = [a for a in range(arms) if faults[k * arms + a] is None]
-        fallbacks["scoring"] += arms - len(ok)
-        pstars[k, ok] = _score_arms(
-            w, support, hashes, d.relay_symbols[k, ok], d.relay_hashes[k, ok], logl,
-            top[k, ok], denom[k, ok],
-        )
+        fallbacks["scoring"] += len(use.faults) - use.faults.count(None)
+        row_sizes += use.lengths
+        supports.append(use.support)
     return _Block(
-        pstars, matched, fallbacks, lengths[built].ravel(), np.array(supports, dtype=np.int64)
+        np.array(pstars), np.array(matched), fallbacks, np.array(row_sizes, dtype=np.int64),
+        np.array(supports, dtype=np.int64),
     )
 
 
@@ -441,18 +385,17 @@ def simulate_observation(
     hash spec, symbols, coefficients and channel noise.
     """
     d = _draw(cfg, [cfg.p_adv] if adversarial else [], _seed_words(cfg.seed, trial, trial + 1))
-    ch_s = Bsc(cfg.p_s)
     return WatchdogObservation(
-        own_symbol=int(d.symbols[0, 0]),
+        own_symbol=int(d.own[0]),
         coeffs=tuple(d.coeffs[0].tolist()),
         overheard=tuple(
-            Overheard(x, h, ch_s) for x, h in zip(d.heard[0].tolist(), d.peer_hashes[0].tolist())
+            map(Overheard, d.heard[0].tolist(), d.peer_hashes[0].tolist(), d.peer_channels)
         ),
         relay_overheard=Overheard(
-            int(d.relay_symbols[0, -1]), int(d.relay_hashes[0, -1]), Bsc(cfg.p_relay)
+            int(d.relay_symbols[0, -1]), int(d.relay_hashes[0, -1]), d.relay_channel
         ),
         hash_spec=d.specs[0],
-        prune_eps=cfg.pruning_eps,
+        prune_eps=d.prune_eps,
     )
 
 
@@ -468,7 +411,9 @@ def run_trial(cfg: TwoHopConfig, adversarial: bool, trial: int = 0) -> float:
 
 def _samples(cfg: TwoHopConfig, p_advs, workers: int) -> np.ndarray:
     """(iterations, 1 + len(p_advs)) p* array: the honest arm, then each p_adv arm."""
-    if workers <= 1 or cfg.iterations < 4 * workers:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1 or cfg.iterations < 4 * workers:
         run = _run(cfg, p_advs, 0, cfg.iterations)
     else:
         bounds = np.linspace(0, cfg.iterations, workers + 1, dtype=int)
@@ -616,10 +561,10 @@ def calibrate_threshold(
     return float(np.quantile(samples, target_gamma))
 
 
-def _matched_config(n, peer_count, delta, p, seed, pruning_eps=0.5) -> TwoHopConfig:
+def _matched_config(n, peer_count, delta, p, seed) -> TwoHopConfig:
     return TwoHopConfig(
         m=peer_count + 1, n=n, delta=delta, p_s=p, p_relay=p, p_adv=0.0,
-        iterations=1, seed=seed, pruning_eps=pruning_eps, hash_family="poly",
+        iterations=1, seed=seed, pruning_eps=0.5, hash_family="poly",
     )
 
 
@@ -630,20 +575,19 @@ def matched_count_trial(
     p: float,
     seed: int = 0,
     trial: int = 0,
-    pruning_eps: float = 0.5,
 ) -> int:
     """Matched codewords one honest trial produces, median-ball pruned.
 
     The counting argument behind the expected-count formula restricts each
     candidate set to the Hamming ball of the channel's expected distance;
-    pruning_eps=0.5 (the median ball) realizes that construction. The
+    pruning at eps = 0.5 (the median ball) realizes that construction. The
     formula also assumes idealized hash randomness (collision classes
     independent of Hamming geometry), which the field-polynomial family
     provides; the integer affine family's classes are low-bit aligned and
     inflate the count an order of magnitude. A trial whose pruned
     candidate sets come up empty counts zero matched states.
     """
-    cfg = _matched_config(n, peer_count, delta, p, seed, pruning_eps)
+    cfg = _matched_config(n, peer_count, delta, p, seed)
     return int(_run(cfg, [], trial, trial + 1, score=False).matched[0])
 
 

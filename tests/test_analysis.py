@@ -42,6 +42,8 @@ def test_geometry_validation():
         TwoHopGeometry(4, 2, 5, 0, 0, 0)
     with pytest.raises(ValueError):
         TwoHopGeometry(4, -1, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="^n must be >= 1"):
+        TwoHopGeometry(0, 2, 0, 0, 0, 0)
 
 
 def test_misdetection_zero_radii_no_hash():
@@ -132,6 +134,16 @@ def test_matched_count_operating_point():
 def test_matched_count_validation():
     with pytest.raises(ValueError):
         matched_count_expected(10, 3, 2, [0.1] * 3)
+
+
+@pytest.mark.parametrize("evaluator", [matched_count_expected, matched_count_exponent_eps])
+def test_matched_count_evaluators_check_peers_and_rates(evaluator):
+    with pytest.raises(ValueError, match="^m must be >= 1"):
+        evaluator(10, 0, 2, [0.1])
+    for bad in (-0.1, 0.7):
+        with pytest.raises(ValueError, match=rf"must be in \[0, 0.5\], got {bad}"):
+            evaluator(10, 3, 2, [0.1, 0.1, bad, 0.1])
+    evaluator(10, 3, 2, [0.0, 0.5, 0.1, 0.1])  # the range's ends are accepted
 
 
 def test_exponent_eps_form_matches():

@@ -11,7 +11,6 @@ from algwatch.channel import (
     flip_bits,
     hamming,
     hamming_vec,
-    likelihood,
     log_likelihood,
     transmit,
 )
@@ -92,11 +91,11 @@ def test_flip_bits_matches_per_bit_loop(p):
 
 def test_likelihood_examples():
     ch = Bsc(0.1)
-    assert likelihood(ch, 5, 5, 4) == pytest.approx(0.9**4)
-    assert likelihood(ch, 0b1111, 0b0000, 4) == pytest.approx(1e-4)
+    assert math.exp(log_likelihood(ch, 5, 5, 4)) == pytest.approx(0.9**4)
+    assert math.exp(log_likelihood(ch, 0b1111, 0b0000, 4)) == pytest.approx(1e-4)
     half = Bsc(0.5)
     for pair in ((0, 0), (3, 12), (9, 9)):
-        assert likelihood(half, *pair, 4) == pytest.approx(2.0**-4)
+        assert math.exp(log_likelihood(half, *pair, 4)) == pytest.approx(2.0**-4)
 
 
 def test_log_likelihood_degenerate_channel():
@@ -108,7 +107,7 @@ def test_log_likelihood_degenerate_channel():
 def test_likelihood_sums_to_one():
     for p in (0.05, 0.2, 0.5):
         ch, n = Bsc(p), 6
-        total = sum(likelihood(ch, 41, y, n) for y in range(1 << n))
+        total = sum(math.exp(log_likelihood(ch, 41, y, n)) for y in range(1 << n))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 

@@ -107,6 +107,22 @@ def test_two_hop_rejects_bad_values(tmp_path):
     assert main(["two-hop", "--sweep", "bogus", "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["two-hop", "--iterations", "8", "--workers", "0"], "workers must be >= 1, got 0"),
+    (["two-hop", "--iterations", "8", "--workers", "-3"], "workers must be >= 1, got -3"),
+    (["oracle", "--trials", "0"], "trials must be >= 1, got 0"),
+    (["oracle", "--n", "0"], "n must be in [1, 16], got 0"),
+    (["analysis", "--table", "misdetection", "--n", "0"], "n must be >= 1, got 0"),
+    (["analysis", "--table", "matched-count", "--m", "0"], "m must be >= 1, got 0"),
+    (["analysis", "--table", "matched-count", "--p", "0.7"], "must be in [0, 0.5], got 0.7"),
+])
+def test_out_of_range_input_exits_one_naming_the_field(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_merging(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(
@@ -146,6 +162,18 @@ def test_analysis_matched_count_table(tmp_path):
                  "--p", "0.1", "--deltas", "2", "--out", str(out)]) == 0
     rows = _read_csv(out)
     assert float(rows[1][4]) == pytest.approx(6.77, abs=0.01)
+
+
+def test_analysis_summary_echoes_resolved_parameters(tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(["analysis", "--table", "misdetection", "--n", "4", "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "t.json").read_text())
+    assert (summary["n"], summary["h"]) == (4, 2)
+    assert main(["analysis", "--table", "matched-count", "--p", "0.2", "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "t.json").read_text())
+    assert {k: summary[k] for k in ("n", "m", "p", "deltas")} == {
+        "n": 10, "m": 3, "p": 0.2, "deltas": [0, 1, 2, 4],
+    }
 
 
 def test_oracle_subcommand(tmp_path):

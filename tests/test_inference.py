@@ -272,6 +272,26 @@ def test_consistency_probability_structural_error_when_class_empty():
         consistency_probability(trellis, obs)
 
 
+@pytest.mark.parametrize("case", ["empty class", "noiseless mismatch"])
+def test_relay_faults_name_their_cause(case):
+    if case == "empty class":
+        # a constant poly hash maps every symbol to 1, so the class of 2 is empty
+        spec, relay = HashSpec("poly", 4, 2, (1,)), Overheard(2, 2, Bsc(0.1))
+        message, candidate = "relay hash matches no symbol", 2
+    else:
+        # 3 hashes to 3 under LOW2; a noiseless channel cannot have turned a 2 into it
+        spec, relay = LOW2, Overheard(3, 2, Bsc(0.0))
+        message, candidate = "observation impossible under a noiseless relay channel", 6
+    peer = Overheard(3, hash_eval(spec, 3), Bsc(0.1))
+    obs = _obs(2, (1, 1), 1, (peer,), relay, spec)
+    trellis = build_and_run_trellis(obs)
+    with pytest.raises(InferenceError, match=f"^{message}$"):
+        consistency_probability(trellis, obs)
+    for cand in (candidate, candidate ^ 1):  # whether or not cand hashes to the value
+        with pytest.raises(InferenceError, match=f"^{message}$"):
+            inverse_transition(cand, relay.symbol, relay.hash_value, relay.channel, spec)
+
+
 def test_matched_codewords():
     f = default_field(4)
     x1, x2, a = 5, 11, (1, 1)

@@ -105,8 +105,14 @@ def test_seed_words_are_numpys_seed_sequence_streams(seed, trial, count):
     (lambda: run_trial(TwoHopConfig(), True, trial=2**32), "trial"),
     (lambda: matched_count_trial(8, 2, 2, 0.1, trial=2**40), "trial"),
     (lambda: mean_matched_count(8, 2, 2, 0.1, trials=2**32 + 1), "trials"),
+    (lambda: TwoHopConfig(n=0), "n"),
+    (lambda: TwoHopConfig(n=17, delta=2), "n"),
+    (lambda: run_experiment(TwoHopConfig(iterations=8), workers=0), "workers"),
+    (lambda: run_sweep(TwoHopConfig(iterations=8), "p_adv", [0.1], workers=-3), "workers"),
+    (lambda: calibrate_threshold(TwoHopConfig(iterations=8), 0.1, workers=0), "workers"),
 ], ids=["config-seed", "config-iterations", "simulate_observation", "run_trial",
-        "matched_count_trial", "mean_matched_count"])
+        "matched_count_trial", "mean_matched_count", "config-n-0", "config-n-17",
+        "run_experiment-workers", "run_sweep-workers", "calibrate_threshold-workers"])
 def test_seeds_and_trial_indices_out_of_range_name_the_field(call, name):
     with pytest.raises(ValueError, match=rf"^{name} must be"):
         call()
@@ -408,7 +414,7 @@ def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
         ]
         assert clean.pstars[t].tolist() == ([0.0] * 3 if failed[t] else expect)
 
-    real = sim._relay_normalizers
+    real = inference._relay_normalizers
     scored = next(t for t in trials if (clean.pstars[t] > 0.0).all())
 
     def second_arm_fails(*args):
@@ -416,7 +422,7 @@ def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
         faults[scored * (1 + len(p_advs)) + 1] = "scoring failed"
         return top, denom, faults
 
-    monkeypatch.setattr(sim, "_relay_normalizers", second_arm_fails)
+    monkeypatch.setattr(inference, "_relay_normalizers", second_arm_fails)
     got = sim._block(cfg, p_advs, words)
     expect = clean.pstars.copy()
     expect[scored, 1] = 0.0
@@ -426,13 +432,13 @@ def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
 
 def test_one_trellis_per_trial(monkeypatch):
     calls = []
-    real = sim._forward_pass
+    real = inference._forward_pass
 
     def counted(*args):
         calls.append(args[0])
         return real(*args)
 
-    monkeypatch.setattr(sim, "_forward_pass", counted)
+    monkeypatch.setattr(inference, "_forward_pass", counted)
     cfg = TwoHopConfig(m=3, n=6, delta=1, iterations=7, seed=2)
     run_sweep(cfg, "p_adv", [0.0, 0.1, 0.3, 0.5])
     assert len(calls) == cfg.iterations
@@ -520,7 +526,6 @@ def test_blocks_equal_per_trial_pipelines(run):
     faulty = _relay_faults_when_divisible_by_3(inference._relay_normalizers)
     with (
         mock.patch.object(sim, "_BLOCK_ELEMENTS", block_elements),
-        mock.patch.object(sim, "_relay_normalizers", faulty),
         mock.patch.object(inference, "_relay_normalizers", faulty),
     ):
         expect = [
@@ -553,8 +558,8 @@ def test_explicit_block_runs_cover_what_they_claim():
     cfg, p_advs, block_elements, workers = _FAULTY_RUN
     assert 0 in _row_lengths(cfg, p_advs)
     assert cfg.iterations % (block_elements >> cfg.n) != 0 and workers == 2
-    faulty = _relay_faults_when_divisible_by_3(sim._relay_normalizers)
-    with mock.patch.object(sim, "_relay_normalizers", faulty):
+    faulty = _relay_faults_when_divisible_by_3(inference._relay_normalizers)
+    with mock.patch.object(inference, "_relay_normalizers", faulty):
         fallbacks = sim._run(cfg, p_advs, 0, cfg.iterations).fallbacks
     assert fallbacks["trellis"] > 0 and fallbacks["scoring"] > 0
 
