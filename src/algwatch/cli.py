@@ -20,6 +20,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import platform
@@ -192,7 +193,7 @@ def _cmd_analysis(args) -> int:
         params = {"h": h}
         columns = ["n", "h", "radius", "undetected_watchdog", "undetected_peer", "misdetection"]
         rows = []
-        for r in range(n + 1):
+        for r in range(max(n, 0) + 1):  # radius 0 always: TwoHopGeometry checks n and h
             g = TwoHopGeometry(n, h, r, r, r, r)
             rows.append([
                 n, h, r,
@@ -204,6 +205,8 @@ def _cmd_analysis(args) -> int:
         m = opt("m", 3, int)
         p = opt("p", 0.1, float)
         deltas = _parse_values(opt("deltas", "0,1,2,4", str), int)
+        if not deltas:
+            raise CliError("deltas must not be empty")
         params = {"m": m, "p": p, "deltas": deltas}
         columns = ["n", "m", "delta", "p", "expected_matched"]
         rows = [
@@ -271,9 +274,15 @@ def _cmd_multihop(args) -> int:
     if scenario is not None:
         if scenario not in SCENARIOS:
             raise CliError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-        report = mincut_scenario(scenario, seed=seed)
+        params = {
+            name: p.default for name, p in inspect.signature(mincut_scenario).parameters.items()
+            if name not in ("kind", "seed")
+        }
+        report = mincut_scenario(scenario, seed=seed, **params)
         payload = dataclasses.asdict(report)
-        _write_summary(args.out, {"command": "multihop", "seed": seed, "report": payload})
+        _write_summary(args.out, {
+            "command": "multihop", "scenario": scenario, "seed": seed, **params, "report": payload,
+        })
         print(f"scenario {scenario}: corrupted_delivered={report.corrupted_delivered} "
               f"detected={report.detected} freq={report.detection_frequency}")
         return 0

@@ -79,43 +79,42 @@ def hash_eval(spec: HashSpec, x: int) -> int:
 
 def hash_eval_vec(spec: HashSpec, xs: np.ndarray) -> np.ndarray:
     """Vectorized hash_eval over an array of symbols."""
-    return _hash_rows([spec], xs)[0]
+    return _hash_rows(spec.family, spec.n, spec.delta, [spec.coefficients], xs)[0]
 
 
-def _hash_rows(specs, xs) -> np.ndarray:
-    """(len(specs), len(xs)) array: row k hashes every symbol of xs under specs[k].
+def _hash_rows(family: str, n: int, delta: int, coeffs, xs) -> np.ndarray:
+    """(len(coeffs), len(xs)) array: row k hashes every symbol of xs under coeffs[k].
 
-    The specs share family, n and delta; each row is what hash_eval gives
-    symbol by symbol.
+    coeffs[k] is the ``coefficients`` of a family hash of n-bit symbols to
+    delta bits; each row is what hash_eval gives symbol by symbol.
     """
-    xs = np.broadcast_to(np.asarray(xs, dtype=np.int64), (len(specs), len(xs)))
-    coeffs = np.array([s.coefficients for s in specs], dtype=np.int64)
-    spec = specs[0]
-    if spec.family == "affine":
-        return (coeffs[:, :1] * xs + coeffs[:, 1:]) & spec.mask
-    f = default_field(spec.n)
-    acc = np.broadcast_to(coeffs[:, -1:], xs.shape)
+    coeffs, xs = np.asarray(coeffs, dtype=np.int64), np.asarray(xs, dtype=np.int64)
+    mask = (1 << delta) - 1
+    if family == "affine":
+        return (coeffs[:, :1] * xs + coeffs[:, 1:]) & mask
+    f = default_field(n)
+    acc = np.broadcast_to(coeffs[:, -1:], (len(coeffs), len(xs)))
     for c in coeffs.T[-2::-1]:
         # Horner step: acc = acc*x + c, elementwise over every row.
         acc = f.mul_elementwise(acc, xs) ^ c[:, None]
-    return acc & spec.mask
+    return acc & mask
 
 
-def _tables(specs) -> np.ndarray:
-    """Hash of every n-bit symbol under each of specs, one row per spec.
+def _tables(family: str, n: int, delta: int, coeffs) -> np.ndarray:
+    """Hash of every n-bit symbol under each row of coeffs, one row per hash.
 
-    A trial asks many hash questions of its spec (collision classes, header
+    A trial asks many hash questions of its hash (collision classes, header
     hashes, which final states match); each is a lookup into its row, so
-    the field is hashed once per spec, and a block of trials hashes it for
-    all its specs in one pass. A row is 2^n int64 values: 8 KiB at n = 10.
+    the field is hashed once per trial, and a block of trials hashes it for
+    all its trials in one pass. A row is 2^n int64 values: 8 KiB at n = 10.
     """
-    return _hash_rows(specs, np.arange(1 << specs[0].n, dtype=np.int64))
+    return _hash_rows(family, n, delta, coeffs, np.arange(1 << n, dtype=np.int64))
 
 
 @functools.lru_cache(maxsize=8)
 def _table(spec: HashSpec) -> np.ndarray:
     """Read-only ``_tables`` row of one spec, cached for repeated lookups."""
-    table = _tables([spec])[0]
+    table = _tables(spec.family, spec.n, spec.delta, [spec.coefficients])[0]
     table.flags.writeable = False
     return table
 

@@ -51,6 +51,10 @@ from .hashing import HashSpec, _table, hash_eval
 _SCATTER_CHUNK = 1 << 13
 
 
+# The InferenceError message of a transition row with no candidate left.
+_EMPTY_ROW = "no candidate consistent with hash"
+
+
 class InferenceError(RuntimeError):
     """Structurally impossible observation, e.g. no hash-consistent candidate."""
 
@@ -203,7 +207,7 @@ def transition_row(
         [ch], spec.n, prune_eps,
     )
     if lengths[0, 0] == 0:
-        raise InferenceError("no candidate consistent with hash")
+        raise InferenceError(_EMPTY_ROW)
     return TransitionRow(cands, probs)
 
 
@@ -287,7 +291,7 @@ class _Holdings(NamedTuple):
     over peer_channels[j], and every arm over relay_channel.
     """
 
-    specs: list[HashSpec]
+    n: int  # the symbol width
     tables: np.ndarray  # each use's hash of every n-bit symbol
     own: np.ndarray  # the watchdog's own symbol
     coeffs: np.ndarray  # the nonzero coding coefficients, the watchdog's first
@@ -304,7 +308,7 @@ def _holdings(obs: WatchdogObservation) -> _Holdings:
     """obs as a block of one use with one arm."""
     peers, relay, spec = obs.overheard, obs.relay_overheard, obs.hash_spec
     return _Holdings(
-        [spec], _table(spec)[None], np.array([obs.own_symbol]), np.array([obs.coeffs]),
+        spec.n, _table(spec)[None], np.array([obs.own_symbol]), np.array([obs.coeffs]),
         np.array([[o.symbol for o in peers]], dtype=np.int64),
         np.array([[o.hash_value for o in peers]], dtype=np.int64),
         np.array([[relay.symbol]]), np.array([[relay.hash_value]]),
@@ -397,7 +401,7 @@ def _watch(
     relay's transmission, so all arms share it. ``layers`` given are scored
     as a one-use block's trellis, and no rows are made.
     """
-    (count, arms), n, peers = h.relay_hashes.shape, h.specs[0].n, h.heard.shape[1]
+    (count, arms), n, peers = h.relay_hashes.shape, h.n, h.heard.shape[1]
     field, faults, lengths = default_field(n), [None] * (count * arms), [[]]
     if layers is None:
         cands, probs, lengths = _transition_rows(
@@ -441,7 +445,7 @@ def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
     """
     layers = next(_watch(_holdings(obs), score=False)).layers
     if layers is None:
-        raise InferenceError("no candidate consistent with hash")
+        raise InferenceError(_EMPTY_ROW)
     return Trellis(layers)
 
 
@@ -479,6 +483,18 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
     if use.faults[0] is not None:
         raise InferenceError(use.faults[0])
     return float(use.pstars[0])
+
+
+def _pstar(obs: WatchdogObservation) -> float:
+    """``consistency_probability(build_and_run_trellis(obs), obs)`` in one scored pass.
+
+    Raises the InferenceError either of those would raise.
+    """
+    use = next(_watch(_holdings(obs)))
+    fault = _EMPTY_ROW if use.layers is None else use.faults[0]
+    if fault is not None:
+        raise InferenceError(fault)
+    return use.pstars[0]
 
 
 def matched_codewords(trellis: Trellis, relay_hash: int, spec: HashSpec) -> list[int]:

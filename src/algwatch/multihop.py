@@ -28,13 +28,7 @@ import numpy as np
 from .channel import Bsc, transmit
 from .gfield import default_field
 from .hashing import HashSpec, sample_hash
-from .inference import (
-    Overheard,
-    Verdict,
-    WatchdogObservation,
-    build_and_run_trellis,
-    consistency_probability,
-)
+from .inference import Overheard, Verdict, WatchdogObservation, _pstar
 from .packet import Packet, corrupt_payload, destination_check, make_packet
 from .sim import TwoHopConfig, calibrate_threshold
 
@@ -266,9 +260,13 @@ def police(
     spec: HashSpec,
     ledger: TrustLedger,
 ) -> TrustLedger:
-    """Run the two-hop watchdog on one pair and record the p* sample."""
+    """Run the two-hop watchdog on one pair and record the p* sample.
+
+    Raises InferenceError when a transition row comes up empty or the relay
+    cannot be scored.
+    """
     obs = build_observation(watcher, watched, transcript, g, spec)
-    ledger.record(watcher, watched, consistency_probability(build_and_run_trellis(obs), obs))
+    ledger.record(watcher, watched, _pstar(obs))
     return ledger
 
 

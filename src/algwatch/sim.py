@@ -6,17 +6,20 @@ recomputed hash), and overhears everything through BSCs. This module only
 draws, seeds, blocks and merges trials; ``inference`` computes every p*.
 
 Randomness is split into named per-trial sub-streams (hash, symbols,
-channels, adversary): numpy's ``SeedSequence((seed, trial, tag))`` streams,
-whose seeding words a run derives for all its trials in one vectorized
-pass (``_seed_words``). Honest and adversarial runs of the same trial
-therefore share the exact same symbols and channel noise, which makes the
-null adversary (p_adv = 0) produce bit-identical p* values and gives every
-sweep common random numbers.
+channels, adversary): numpy's ``default_rng(SeedSequence((seed, trial,
+tag)))`` streams, bit for bit. A run derives the seeding words of all its
+trials' streams in one vectorized pass (``_seed_words``), takes each
+stream's raw PCG64 words in one call, and turns them into values through
+``Generator``'s own transforms applied to whole arrays (``_draw``).
+Honest and adversarial runs of the same trial therefore share the exact
+same symbols and channel noise, which makes the null adversary (p_adv = 0)
+produce bit-identical p* values and gives every sweep common random
+numbers.
 
 All arms of a trial (the honest relay and the adversarial relay at each
-p_adv) share one draw, and so one trellis. Trials are drawn and scored in
-blocks; every float is the one the trial gives when run alone, so results
-do not depend on block boundaries.
+p_adv) share one draw, and so one trellis. A run is drawn at once and
+scored in blocks; every float is the one the trial gives when run alone,
+so results do not depend on block boundaries.
 
 Also provides the brute-force enumeration oracle for p*, empirical
 threshold calibration, and the matched-codeword counting experiment.
@@ -31,12 +34,13 @@ import itertools
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import Bsc, _flip_masks, ball_radius, hamming
 from .gfield import MAX_WIDTH, default_field
-from .hashing import _tables, collision_list, hash_eval, sample_hash
+from .hashing import HashSpec, _tables, collision_list, hash_eval
 from .inference import InferenceError, Overheard, WatchdogObservation, _Holdings, _watch
 
 _TAGS = range(4)
@@ -199,9 +203,83 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def _generator(words: np.ndarray) -> np.random.Generator:
-    """The stream ``default_rng(SeedSequence(...))`` gives, from its seeding words."""
-    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+def _stream(words: np.ndarray) -> np.random.PCG64:
+    """The PCG64 that ``default_rng(SeedSequence(...))`` wraps, from its seeding words."""
+    return np.random.PCG64(_seed_words_type()(words))
+
+
+def _raw(words: np.ndarray, count: int) -> np.ndarray:
+    """(len(words), count) little-endian uint64: the first raw outputs of each row's stream.
+
+    Each stream lives only for its one ``random_raw`` call, so a run holds
+    its words, not its generators.
+    """
+    raw = np.array([_stream(row).random_raw(count) for row in words], dtype="<u8")
+    return raw.reshape(len(words), count)
+
+
+def _uniforms(words: np.ndarray, count: int) -> np.ndarray:
+    """Each row's stream's first count ``Generator.random()`` doubles: top 53 bits, scaled."""
+    return (_raw(words, count) >> 11) * 2.0**-53
+
+
+@functools.cache
+def _lemire_columns(highs: tuple[int, ...]) -> tuple:
+    """How ``_integers`` draws highs: (raw words taken, each draw's half, range, threshold).
+
+    A draw with a range of 1 takes no word; it reads half 0, which gives 0
+    and is never rejected. Nor is a draw with a power-of-two range, whose
+    threshold is 0: None stands for thresholds that are all 0.
+    """
+    takes = np.array(highs) > 1
+    taken = np.cumsum(takes)
+    columns = slice(len(highs)) if takes.all() else np.where(takes, taken - 1, 0)
+    ranges = np.array(highs, dtype=np.uint64)
+    thresholds = np.array([(2**32 - high) % high for high in highs], dtype=np.uint64)
+    return -(-int(taken[-1]) // 2), columns, ranges, thresholds if thresholds.any() else None
+
+
+_LOW_HALF, _HALF_BITS = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _integers(words: np.ndarray, highs) -> np.ndarray:
+    """(len(words), len(highs)) int64: each row's stream's ``Generator.integers(0, high)`` in turn.
+
+    numpy draws these by Lemire's method from 32-bit words, the low half of
+    each raw word first: word u gives u * high >> 32, unless the low 32 bits
+    of u * high fall below (2^32 - high) % high and the next word is tried
+    instead. A range of 1 takes no word. Every stream's words are taken and
+    transformed at once; a stream that rejects a word is drawn again word by
+    word (``_rescan``).
+    """
+    count, columns, ranges, thresholds = _lemire_columns(tuple(highs))
+    products = _raw(words, count).view("<u4")[:, columns] * ranges
+    values = (products >> _HALF_BITS).view(np.int64)  # every value is below 2^32
+    if thresholds is None:
+        return values
+    rejected = (products & _LOW_HALF) < thresholds
+    if rejected.any():
+        for k in np.flatnonzero(rejected.any(axis=1)).tolist():
+            values[k] = _rescan(words[k], highs)
+    return values
+
+
+def _rescan(words: np.ndarray, highs) -> list[int]:
+    """One stream's ``_integers``, word by word from its first word, as long as it needs."""
+    stream = _stream(words)
+
+    def halves():
+        while True:
+            raw = int(stream.random_raw())
+            yield from (raw & 0xFFFFFFFF, raw >> 32)
+
+    source, values = halves(), []
+    for high in highs:
+        product = next(source) * high if high > 1 else 0
+        while product & 0xFFFFFFFF < (2**32 - high) % high:
+            product = next(source) * high
+        values.append(product >> 32)
+    return values
 
 
 # Bound on a block's largest temporaries, in elements: its hash tables hold
@@ -211,51 +289,75 @@ def _generator(words: np.ndarray) -> np.random.Generator:
 _BLOCK_ELEMENTS = 1 << 13
 
 
-def _draw(cfg: TwoHopConfig, p_advs, words: np.ndarray) -> _Holdings:
-    """What the watchdogs of the trials whose ``_seed_words`` rows are given hold.
+class _Trials(NamedTuple):
+    """Drawn trials, one row each; column a of the relay arrays is arm a."""
 
-    Each trial is drawn once, from its own streams. Arm 0 is the honest
-    relay and arm 1 + k the one at p_advs[k]. Arms differ only in the
+    hashes: np.ndarray  # the hash's coefficients, as in HashSpec.coefficients
+    symbols: np.ndarray  # the sources' symbols, the watchdog's first
+    coeffs: np.ndarray  # the nonzero coding coefficients, in source order
+    noise: np.ndarray  # bit flips of each peer's channel, then of the relay's
+    payloads: np.ndarray  # each arm's relay payload
+
+    def part(self, lo: int, hi: int) -> _Trials:
+        return self._make(a[lo:hi] for a in self)
+
+
+def _draw(cfg: TwoHopConfig, p_advs, words: np.ndarray) -> _Trials:
+    """The trials whose ``_seed_words`` rows are given, each from its own streams.
+
+    Every stream is numpy's PCG64 seeded with its words, and every value is
+    what ``default_rng(SeedSequence((seed, trial, tag)))`` would draw, taken
+    from the stream's raw words through ``Generator``'s own transforms
+    (``_integers``, ``_uniforms``) for all trials at once. Arm 0 is the
+    honest relay and arm 1 + k the one at p_advs[k]. Arms differ only in the
     relay's payload: each adversarial arm flips the honest payload's bits
     where the trial's one set of adversary uniforms falls below its p_adv,
     and every arm is overheard through the same relay noise mask (bit flips
     do not depend on the payload). Arm 1 + k is therefore exactly what a
-    trial drawn at p_advs[k] alone would give. Headers arrive error-free,
-    so peer hashes, the relay's recomputed own hash and the coefficients
-    are exact; every hash is a lookup into the trial's hash table, and the
-    block's tables are made in one pass.
+    trial drawn at p_advs[k] alone would give.
     """
     count, m, n = len(words), cfg.m, cfg.n
     order = 1 << n
-    specs = []
-    symbols = np.empty((count, m), dtype=np.int64)
-    coeffs = np.empty((count, m), dtype=np.int64)
-    uniforms = np.empty((count, m, n))  # each peer's channel, then the relay's
-    adversary = np.empty((count, n if p_advs else 0))
-    for k, trial in enumerate(words):
-        specs.append(sample_hash(_generator(trial[_HASH]), cfg.hash_family, n, cfg.delta))
-        sym_rng = _generator(trial[_SYMBOLS])
-        symbols[k] = sym_rng.integers(0, order, size=m)
-        coeffs[k] = sym_rng.integers(0, order - 1, size=m)
-        uniforms[k] = _generator(trial[_CHANNELS]).random((m, n))
-        if p_advs:
-            adversary[k] = _generator(trial[_ADVERSARY]).random(n)
-    coeffs += 1
-    honest = np.bitwise_xor.reduce(default_field(n).mul_elementwise(coeffs, symbols), axis=1)
-    flips = _flip_masks(adversary[:, None, :], np.array(p_advs, dtype=float)[:, None])
-    payloads = np.column_stack((honest, honest[:, None] ^ flips))
+    # sample_hash's draws: poly coefficients in GF(2^n), or an odd affine
+    # multiplier and an offset; the empty affine hash draws nothing
+    if cfg.hash_family == "poly":
+        hashes = _integers(words[:, _HASH], [order, order])
+    elif cfg.delta:
+        hashes = _integers(words[:, _HASH], [1 << (cfg.delta - 1), 1 << cfg.delta])
+        hashes[:, 0] = 2 * hashes[:, 0] + 1
+    else:
+        hashes = np.tile(np.array([1, 0]), (count, 1))
+    drawn = _integers(words[:, _SYMBOLS], [order] * m + [order - 1] * m)
+    symbols, coeffs = drawn[:, :m], drawn[:, m:] + 1
+    uniforms = _uniforms(words[:, _CHANNELS], m * n).reshape(count, m, n)
     noise = _flip_masks(uniforms, np.array([[cfg.p_s]] * (m - 1) + [[cfg.p_relay]]))
-    tables = _tables(specs)
+    adversary = _uniforms(words[:, _ADVERSARY], n) if p_advs else np.empty((count, 0))
+    honest = np.bitwise_xor.reduce(default_field(n).mul_elementwise(coeffs, symbols), axis=1)
+    # the honest arm flips where a uniform falls below 0: nowhere
+    flips = _flip_masks(adversary[:, None, :], np.array([0.0, *p_advs])[:, None])
+    return _Trials(hashes, symbols, coeffs, noise, honest[:, None] ^ flips)
+
+
+def _held(cfg: TwoHopConfig, trials: _Trials) -> _Holdings:
+    """What the watchdogs of trials hold.
+
+    Headers arrive error-free, so peer hashes, the relay's recomputed own
+    hash and the coefficients are exact; every hash is a lookup into the
+    trial's hash table, and the tables are made in one pass.
+    """
+    tables = _tables(cfg.hash_family, cfg.n, cfg.delta, trials.hashes)
+    symbols, noise, payloads = trials.symbols, trials.noise, trials.payloads
+    rows = np.arange(len(tables))[:, None]
     return _Holdings(
-        specs=specs,
+        n=cfg.n,
         tables=tables,
         own=symbols[:, 0],
-        coeffs=coeffs,
+        coeffs=trials.coeffs,
         heard=symbols[:, 1:] ^ noise[:, :-1],
-        peer_hashes=np.take_along_axis(tables, symbols[:, 1:], axis=1),
+        peer_hashes=tables[rows, symbols[:, 1:]],
         relay_symbols=payloads ^ noise[:, -1:],
-        relay_hashes=np.take_along_axis(tables, payloads, axis=1),
-        peer_channels=(Bsc(cfg.p_s),) * (m - 1),
+        relay_hashes=tables[rows, payloads],
+        peer_channels=(Bsc(cfg.p_s),) * (cfg.m - 1),
         relay_channel=Bsc(cfg.p_relay),
         prune_eps=cfg.pruning_eps,
     )
@@ -272,15 +374,15 @@ class _Block:
     supports: np.ndarray  # final-layer positive support of every trellis built
 
 
-def _block(cfg: TwoHopConfig, p_advs, words: np.ndarray, score: bool = True) -> _Block:
-    """The trials of ``words`` as one block: p* of every arm, or only matched counts.
+def _block(cfg: TwoHopConfig, trials: _Trials, score: bool = True) -> _Block:
+    """trials as one block: p* of every arm, or only matched counts.
 
     A trial whose trellis cannot be built (pruning emptied a candidate set)
     scores p* = 0 on every arm, and an arm whose relay cannot be scored
     p* = 0; each is counted.
     """
     pstars, matched, fallbacks, row_sizes, supports = [], [], Counter(), [], []
-    for use in _watch(_draw(cfg, p_advs, words), score):
+    for use in _watch(_held(cfg, trials), score):
         pstars.append(use.pstars)
         matched.append(use.matched)
         if use.layers is None:
@@ -298,13 +400,14 @@ def _block(cfg: TwoHopConfig, p_advs, words: np.ndarray, score: bool = True) -> 
 def _run(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool = True) -> _Block:
     """Trials lo..hi-1, a block at a time, merged in trial order.
 
-    The streams' seeding words are derived once for the whole range: the
-    pass has a fixed cost that one pass per block would pay again and again.
+    The whole range is drawn at once, from seeding words derived in one
+    pass: both passes have fixed costs that one pass per block would pay
+    again and again. Each block makes only its hash tables and lookups.
     """
     per_trial = max(1 << cfg.n, (1 + len(p_advs)) << (cfg.n - cfg.delta))
     step = max(1, _BLOCK_ELEMENTS // per_trial)
-    words = _seed_words(cfg.seed, lo, hi)
-    return _merge([_block(cfg, p_advs, words[b:b + step], score) for b in range(0, hi - lo, step)])
+    trials = _draw(cfg, p_advs, _seed_words(cfg.seed, lo, hi))
+    return _merge([_block(cfg, trials.part(b, b + step), score) for b in range(0, hi - lo, step)])
 
 
 def _merge(parts) -> _Block:
@@ -384,7 +487,8 @@ def simulate_observation(
     The adversarial arm injects at cfg.p_adv; both arms share the trial's
     hash spec, symbols, coefficients and channel noise.
     """
-    d = _draw(cfg, [cfg.p_adv] if adversarial else [], _seed_words(cfg.seed, trial, trial + 1))
+    trials = _draw(cfg, [cfg.p_adv] if adversarial else [], _seed_words(cfg.seed, trial, trial + 1))
+    d = _held(cfg, trials)
     return WatchdogObservation(
         own_symbol=int(d.own[0]),
         coeffs=tuple(d.coeffs[0].tolist()),
@@ -394,7 +498,7 @@ def simulate_observation(
         relay_overheard=Overheard(
             int(d.relay_symbols[0, -1]), int(d.relay_hashes[0, -1]), d.relay_channel
         ),
-        hash_spec=d.specs[0],
+        hash_spec=HashSpec(cfg.hash_family, cfg.n, cfg.delta, tuple(trials.hashes[0].tolist())),
         prune_eps=d.prune_eps,
     )
 

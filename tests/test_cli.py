@@ -115,6 +115,8 @@ def test_two_hop_rejects_bad_values(tmp_path):
     (["analysis", "--table", "misdetection", "--n", "0"], "n must be >= 1, got 0"),
     (["analysis", "--table", "matched-count", "--m", "0"], "m must be >= 1, got 0"),
     (["analysis", "--table", "matched-count", "--p", "0.7"], "must be in [0, 0.5], got 0.7"),
+    (["analysis", "--table", "misdetection", "--n", "-1"], "n must be >= 1, got -1"),
+    (["analysis", "--table", "matched-count", "--deltas", ","], "deltas must not be empty"),
 ])
 def test_out_of_range_input_exits_one_naming_the_field(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
@@ -188,8 +190,18 @@ def test_multihop_scenario_subcommand(tmp_path):
     out = tmp_path / "scenario.json"
     assert main(["multihop", "--scenario", "all-parents-malicious",
                  "--out", str(out)]) == 0
-    report = json.loads(out.read_text())["report"]
+    summary = json.loads(out.read_text())
+    report = summary["report"]
     assert report["corrupted_delivered"] and not report["detected"]
+    # every parameter the scenario ran with, resolved from mincut_scenario's defaults
+    assert {k: summary[k] for k in (
+        "scenario", "seed", "instances", "policed_samples", "p_adv", "p_overhear", "gamma",
+        "window", "calibration_iterations",
+    )} == {
+        "scenario": "all-parents-malicious", "seed": 0, "instances": 40, "policed_samples": 50,
+        "p_adv": 0.5, "p_overhear": 0.1, "gamma": 0.05, "window": 25,
+        "calibration_iterations": 4000,
+    }
     assert main(["multihop", "--out", str(out)]) == 1  # neither scenario nor topology
 
 

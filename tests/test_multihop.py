@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algwatch import multihop
+from algwatch.channel import Bsc
 from algwatch.hashing import HashSpec, hash_eval, sample_hash
-from algwatch.inference import Verdict
+from algwatch.inference import (
+    InferenceError,
+    Overheard,
+    Verdict,
+    WatchdogObservation,
+    build_and_run_trellis,
+    consistency_probability,
+)
 from algwatch.multihop import (
     Hypergraph,
     NodeBehavior,
@@ -181,6 +190,29 @@ def test_police_appends_samples():
     police("w", "r", transcript, g, SPEC, ledger)
     samples = ledger.samples("w", "r")
     assert len(samples) == 1 and 0.0 <= samples[0] <= 1.0
+    obs = build_observation("w", "r", transcript, g, SPEC)
+    assert samples == [consistency_probability(build_and_run_trellis(obs), obs)]
+
+
+@pytest.mark.parametrize("spec, peer, relay, message", [
+    # a constant poly hash maps every symbol to 1: the peer's class of 2 is empty
+    (HashSpec("poly", 4, 2, (1,)), Overheard(3, 2, Bsc(0.1)), Overheard(2, 1, Bsc(0.1)),
+     "no candidate consistent with hash"),
+    (HashSpec("poly", 4, 2, (1,)), Overheard(3, 1, Bsc(0.1)), Overheard(2, 2, Bsc(0.1)),
+     "relay hash matches no symbol"),
+    # 3 hashes to 3 under x & 3; a noiseless channel cannot have turned a 2 into it
+    (HashSpec("affine", 4, 2, (1, 0)), Overheard(3, 3, Bsc(0.1)), Overheard(3, 2, Bsc(0.0)),
+     "observation impossible under a noiseless relay channel"),
+], ids=["empty-row", "empty-relay-class", "noiseless-relay"])
+def test_police_raises_what_the_scoring_pipeline_raises(monkeypatch, spec, peer, relay, message):
+    obs = WatchdogObservation(1, (1, 1), (peer,), relay, spec)
+    with pytest.raises(InferenceError, match=f"^{message}$"):
+        consistency_probability(build_and_run_trellis(obs), obs)
+    monkeypatch.setattr(multihop, "build_observation", lambda *args: obs)
+    ledger = TrustLedger(0.01)
+    with pytest.raises(InferenceError, match=f"^{message}$"):
+        police("w", "r", [], _star(), spec, ledger)
+    assert ledger.samples("w", "r") == []
 
 
 def test_ledger_verdicts():

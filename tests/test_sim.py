@@ -92,10 +92,109 @@ def test_seed_words_are_numpys_seed_sequence_streams(seed, trial, count):
         for tag in sim._TAGS:
             seq = np.random.SeedSequence((seed, lo + k, tag))
             assert words[k, tag].tolist() == seq.generate_state(4, np.uint64).tolist()
-            ours, ref = sim._generator(words[k, tag]), np.random.default_rng(seq)
-            assert ours.bit_generator.state == ref.bit_generator.state
-            assert ours.random(3).tolist() == ref.random(3).tolist()
-            assert ours.integers(0, 1 << 10, size=3).tolist() == ref.integers(0, 1 << 10, size=3).tolist()
+            ours, ref = sim._stream(words[k, tag]), np.random.PCG64(seq)
+            assert ours.state == ref.state
+            assert ours.random_raw(3).tolist() == ref.random_raw(3).tolist()
+
+
+@st.composite
+def _draw_points(draw):
+    """A config over the whole width range, with hash widths 0, 1 and >= 2 all likely."""
+    n = draw(st.integers(1, 16))
+    return TwoHopConfig(
+        m=draw(st.integers(1, 5)),
+        n=n,
+        delta=draw(st.sampled_from(sorted({0, 1, min(2, n), n})) | st.integers(0, n)),
+        p_s=draw(_RATES),
+        p_relay=draw(_RATES),
+        seed=draw(st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(0, 2**130))),
+        hash_family=draw(st.sampled_from(FAMILIES)),
+    )
+
+
+def _mask(uniforms, p):
+    return sum(1 << i for i, u in enumerate(uniforms) if u < p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _draw_points(),
+    st.one_of(st.sampled_from(_EDGE_TRIALS), st.integers(0, 2**32 - 1)),
+    st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), max_size=2),
+)
+def test_draws_are_numpys_generator_draws(cfg, trial, p_advs):
+    # every tag's values are what default_rng(SeedSequence((seed, trial, tag))) draws
+    lo, m, n = min(trial, 2**32 - 2), cfg.m, cfg.n
+    words = sim._seed_words(cfg.seed, lo, lo + 2)
+    drawn = sim._draw(cfg, p_advs, words)
+    field = default_field(n)
+    for k in range(2):
+        def rng(tag):
+            return np.random.default_rng(np.random.SeedSequence((cfg.seed, lo + k, tag)))
+
+        spec = sample_hash(rng(sim._HASH), cfg.hash_family, n, cfg.delta)
+        assert tuple(drawn.hashes[k].tolist()) == spec.coefficients
+        sym = rng(sim._SYMBOLS)
+        symbols = sym.integers(0, 1 << n, size=m).tolist()
+        coeffs = (sym.integers(0, (1 << n) - 1, size=m) + 1).tolist()
+        assert (drawn.symbols[k].tolist(), drawn.coeffs[k].tolist()) == (symbols, coeffs)
+        uniforms = rng(sim._CHANNELS).random((m, n))
+        ours = sim._uniforms(words[k:k + 1, sim._CHANNELS], m * n)
+        assert ours.tolist() == [uniforms.ravel().tolist()]
+        rates = [cfg.p_s] * (m - 1) + [cfg.p_relay]
+        assert drawn.noise[k].tolist() == [_mask(u, p) for u, p in zip(uniforms, rates)]
+        adversary = rng(sim._ADVERSARY).random(n)
+        ours = sim._uniforms(words[k:k + 1, sim._ADVERSARY], n)
+        assert ours.tolist() == [adversary.tolist()]
+        honest = field.lincomb(coeffs, symbols)
+        arms = [honest] + [honest ^ _mask(adversary, p) for p in p_advs]
+        assert drawn.payloads[k].tolist() == arms
+
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _stream_whose_output(k: int, word: int, inc: int = 0x1234567 << 64 | 0xABCDEF1):
+    """A PCG64 whose (k + 1)-th raw output is word: a state that outputs it, stepped back."""
+    high = 0x0123_4567_89AB_CDEF  # the top 6 state bits are 0: the output is not rotated
+    state = high << 64 | (high ^ word)
+    for _ in range(k + 1):
+        state = (state - inc) * pow(_PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+    stream = np.random.PCG64()
+    stream.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return stream
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 11, 16])
+def test_coefficient_draw_rejects_a_word_as_numpy_does(monkeypatch, n):
+    # the second raw word's low half is 0, which every range 2^n - 1 rejects:
+    # its threshold (2^32 - range) % range = 2^(32 mod n) is at least 1
+    order, m, word = 1 << n, 2, 0xDEADBEEF << 32
+    highs = [order] * m + [order - 1] * m
+
+    def numpys(stream):
+        rng = np.random.Generator(stream)
+        return rng.integers(0, order, size=m).tolist() + rng.integers(0, order - 1, size=m).tolist()
+
+    # row 0 is the crafted stream, row 1 an ordinary one
+    real = sim._stream
+    monkeypatch.setattr(
+        sim, "_stream", lambda row: _stream_whose_output(1, word) if row[0] == 0 else real(row)
+    )
+    words = sim._seed_words(7, 0, 1)[:, sim._SYMBOLS]
+    assert words[0, 0] != 0
+    ours = sim._integers(np.concatenate((np.zeros_like(words), words)), highs)
+    expect = numpys(_stream_whose_output(1, word))
+    assert ours.tolist() == [expect, numpys(real(words[0]))]
+    # the symbols take the first raw word; the coefficients skip the second's
+    # low half and take its high half, then a third word's low half
+    raw = _stream_whose_output(1, word).random_raw(3).tolist()
+    halves = [h for r in raw for h in (r & 0xFFFFFFFF, r >> 32)]
+    assert halves[2] == 0
+    assert expect == [(h * r) >> 32 for h, r in zip(halves[:2] + halves[3:5], highs)]
 
 
 @pytest.mark.parametrize("call, name", [
@@ -151,14 +250,21 @@ def test_trial_streams_build_no_seed_sequence(monkeypatch):
 
 def test_trial_path_raises_no_warnings():
     # numpy warns on overflowing uint32 scalar arithmetic but wraps arrays
-    # silently; the stream seeding must stay array arithmetic throughout
-    cfg = TwoHopConfig(m=3, n=8, delta=2, iterations=10, seed=2**64 + 5, hash_family="poly")
+    # silently; the stream seeding and the draws' word products must stay
+    # array arithmetic throughout. n = 1 and delta <= 1 draw ranges of 1,
+    # which take no word; n = 16 makes the widest products.
     sim._hash_constants.cache_clear()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        sim._samples(cfg, [0.0, 0.2, 1.0], 1)
-        mean_matched_count(8, 2, 2, 0.1, trials=10, seed=2**32 - 1)
-        simulate_observation(cfg, True, trial=2**32 - 1)
+    sim._lemire_columns.cache_clear()
+    for n, delta, family in [
+        (8, 2, "poly"), (1, 1, "poly"), (16, 16, "poly"),
+        (1, 0, "affine"), (1, 1, "affine"), (8, 0, "affine"), (8, 1, "affine"), (16, 16, "affine"),
+    ]:
+        cfg = TwoHopConfig(m=3, n=n, delta=delta, iterations=10, seed=2**64 + 5, hash_family=family)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sim._samples(cfg, [0.0, 0.2, 1.0], 1)
+            mean_matched_count(n, 2, delta, 0.1, trials=10, seed=2**32 - 1)
+            simulate_observation(cfg, True, trial=2**32 - 1)
 
 
 def test_seed_determinism_and_stream_isolation():
@@ -387,7 +493,7 @@ def test_shared_trellis_scores_every_arm_as_its_own_pipeline(cfg, trial, p_advs)
         for t in range(trial, trial + 3)
     ]
     words = sim._seed_words(cfg.seed, trial, trial + 3)
-    assert sim._block(cfg, p_advs, words).pstars.tolist() == expect
+    assert sim._block(cfg, sim._draw(cfg, p_advs, words)).pstars.tolist() == expect
 
 
 def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
@@ -405,8 +511,8 @@ def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
 
     failed = [trellis_fails(t) for t in trials]
     assert any(failed) and not all(failed)
-    words = sim._seed_words(cfg.seed, 0, len(trials))
-    clean = sim._block(cfg, p_advs, words)
+    drawn = sim._draw(cfg, p_advs, sim._seed_words(cfg.seed, 0, len(trials)))
+    clean = sim._block(cfg, drawn)
     assert clean.fallbacks == Counter(trellis=sum(failed))
     for t in trials:
         expect = [_arm_pstar(cfg, False, t)] + [
@@ -423,7 +529,7 @@ def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
         return top, denom, faults
 
     monkeypatch.setattr(inference, "_relay_normalizers", second_arm_fails)
-    got = sim._block(cfg, p_advs, words)
+    got = sim._block(cfg, drawn)
     expect = clean.pstars.copy()
     expect[scored, 1] = 0.0
     assert got.pstars.tolist() == expect.tolist()
@@ -451,9 +557,9 @@ def test_one_hash_table_per_trial(monkeypatch):
     rows, scalar = [], []
     real = hashing._hash_rows
 
-    def counted(specs, xs):
-        rows.extend(len(xs) == 1 << spec.n for spec in specs)
-        return real(specs, xs)
+    def counted(family, n, delta, coeffs, xs):
+        rows.extend([len(xs) == 1 << n] * len(coeffs))
+        return real(family, n, delta, coeffs, xs)
 
     monkeypatch.setattr(hashing, "_hash_rows", counted)
     for module in (hashing, sim, inference, packet):
@@ -542,7 +648,7 @@ def test_blocks_equal_per_trial_pipelines(run):
 
 
 def _row_lengths(cfg, p_advs):
-    draws = sim._draw(cfg, p_advs, sim._seed_words(cfg.seed, 0, cfg.iterations))
+    draws = sim._held(cfg, sim._draw(cfg, p_advs, sim._seed_words(cfg.seed, 0, cfg.iterations)))
     _, _, lengths = inference._transition_rows(
         draws.tables, draws.heard, draws.peer_hashes, [Bsc(cfg.p_s)] * (cfg.m - 1),
         cfg.n, cfg.pruning_eps,
