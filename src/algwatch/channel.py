@@ -74,12 +74,10 @@ def transmit(ch: Bsc, x: int, n: int, rng) -> int:
 def log_likelihood(ch: Bsc, observed: int, candidate: int, n: int) -> float:
     """log P(observed | candidate sent) = d*log(p) + (n-d)*log(1-p).
 
-    p = 0 degenerates to an exact-match indicator (log 0 = -inf).
+    p = 0 degenerates to an exact-match indicator (log 0 = -inf). A lookup
+    into ``_log_likelihood_table``, which computes the formula.
     """
-    d = hamming(observed, candidate)
-    if ch.p == 0.0:
-        return 0.0 if d == 0 else -math.inf
-    return d * math.log(ch.p) + (n - d) * math.log1p(-ch.p)
+    return float(_log_likelihood_table((ch,), n)[0, hamming(observed, candidate)])
 
 
 def log_likelihood_vec(ch: Bsc, observed: int, candidates: np.ndarray, n: int) -> np.ndarray:
@@ -93,7 +91,8 @@ def _log_likelihood_table(channels: tuple[Bsc, ...], n: int) -> np.ndarray:
     The two logs of a rate come from scalar math.log and math.log1p (an
     array np.log1p does not round every rate the same way); the products
     and sum are elementwise, so a lookup by distance gives exactly the
-    float the formula gives at that distance.
+    float the scalar formula d*log(p) + (n-d)*log1p(-p) gives at that
+    distance.
     """
     d = np.arange(n + 1)
     table = np.empty((len(channels), n + 1))

@@ -48,7 +48,7 @@ from .multihop import (
 )
 from .gfield import default_field
 from .hashing import sample_hash
-from .inference import build_and_run_trellis, consistency_probability
+from .inference import _pstar
 from .sim import (
     SWEEP_AXES,
     TwoHopConfig,
@@ -61,8 +61,7 @@ from .sim import (
 USAGE_ERROR, INTERNAL_ERROR = 1, 2
 
 TWO_HOP_COLUMNS = [
-    "sweep", "value", "m", "n", "delta", "p_s", "p_relay", "p_adv",
-    "iterations", "seed", "pruning_eps", "hash_family",
+    "sweep", "value", *(f.name for f in dataclasses.fields(TwoHopConfig)),
     "mean_p_relay", "var_relay", "mean_p_adv", "var_adv",
 ]
 
@@ -108,11 +107,11 @@ def _summary_path(out_path: str) -> str:
     return root + ".json"
 
 
-def _parse_values(text: str, cast):
+def _parse_values(key: str, text: str, cast):
     try:
         return [cast(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
-        raise CliError(f"bad sweep values {text!r}: {exc}") from None
+        raise CliError(f"bad {key} {text!r}: {exc}") from None
 
 
 def _options(args):
@@ -142,6 +141,14 @@ def _options(args):
     return opt
 
 
+def _rate(opt, key: str) -> float:
+    """The overhearing rate given as ``--key``, checked here so that an error names the flag."""
+    value = opt(key, 0.1, float)
+    if not 0.0 <= value <= 0.5:
+        raise CliError(f"{key} must be in [0, 0.5], got {value}")
+    return value
+
+
 def _cmd_two_hop(args) -> int:
     opt = _options(args)
     axis = opt("sweep", "p_adv", str)
@@ -149,7 +156,7 @@ def _cmd_two_hop(args) -> int:
         raise CliError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     raw_values = opt("values", DEFAULT_SWEEP_VALUES[axis], str)
     cast = int if axis in ("delta", "m") else float
-    values = _parse_values(raw_values, cast)
+    values = _parse_values("values", raw_values, cast)
     # Every config field has a flag of the same name; its default is the library's.
     cfg = TwoHopConfig(**{
         f.name: opt(f.name, f.default, float if f.name == "pruning_eps" else type(f.default))
@@ -158,15 +165,11 @@ def _cmd_two_hop(args) -> int:
     workers = opt("workers", os.cpu_count() or 1, int)
     with collect_diagnostics() as diagnostics:
         results = run_sweep(cfg, axis, values, workers=workers)
-    rows = []
-    for value, stats in results:
-        point = dataclasses.replace(cfg, **{axis: value})
-        rows.append([
-            axis, value, point.m, point.n, point.delta, point.p_s, point.p_relay,
-            point.p_adv, point.iterations, point.seed, point.pruning_eps,
-            point.hash_family, stats.mean_p_relay, stats.var_relay,
-            stats.mean_p_adv, stats.var_adv,
-        ])
+    rows = [
+        [axis, value, *dataclasses.astuple(dataclasses.replace(cfg, **{axis: value})),
+         stats.mean_p_relay, stats.var_relay, stats.mean_p_adv, stats.var_adv]
+        for value, stats in results
+    ]
     _write_csv(args.out, TWO_HOP_COLUMNS, rows)
     _write_summary(_summary_path(args.out), {
         "command": "two-hop",
@@ -190,6 +193,8 @@ def _cmd_analysis(args) -> int:
     out = args.out
     if table == "misdetection":
         h = opt("h", 2, int)
+        if h < 0:
+            raise CliError(f"h must be >= 0, got {h}")
         params = {"h": h}
         columns = ["n", "h", "radius", "undetected_watchdog", "undetected_peer", "misdetection"]
         rows = []
@@ -203,8 +208,8 @@ def _cmd_analysis(args) -> int:
         _write_csv(out, columns, rows)
     elif table == "matched-count":
         m = opt("m", 3, int)
-        p = opt("p", 0.1, float)
-        deltas = _parse_values(opt("deltas", "0,1,2,4", str), int)
+        p = _rate(opt, "p")
+        deltas = _parse_values("deltas", opt("deltas", "0,1,2,4", str), int)
         if not deltas:
             raise CliError("deltas must not be empty")
         params = {"m": m, "p": p, "deltas": deltas}
@@ -228,12 +233,13 @@ def _cmd_analysis(args) -> int:
 
 def _cmd_oracle(args) -> int:
     opt = _options(args)
+    p = _rate(opt, "p")
     cfg = TwoHopConfig(
         m=opt("m", 3, int),
         n=opt("n", 4, int),
         delta=opt("delta", 1, int),
-        p_s=opt("p", 0.1, float),
-        p_relay=opt("p", 0.1, float),
+        p_s=p,
+        p_relay=p,
         p_adv=0.3,
         iterations=1,
         seed=opt("seed", 0, int),
@@ -247,7 +253,7 @@ def _cmd_oracle(args) -> int:
     for trial in range(trials):
         for adversarial in (False, True):
             obs = simulate_observation(cfg, adversarial, trial)
-            trellis_p = consistency_probability(build_and_run_trellis(obs), obs)
+            trellis_p = _pstar(obs)
             brute_p = brute_force_consistency(obs)
             scale = max(abs(brute_p), 1e-300)
             max_err = max(max_err, abs(trellis_p - brute_p) / scale)
@@ -274,14 +280,20 @@ def _cmd_multihop(args) -> int:
     if scenario is not None:
         if scenario not in SCENARIOS:
             raise CliError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+        for key in ("threshold", "window", "n", "delta", "trace"):  # read by topology runs only
+            if opt(key, None, str) is not None:
+                raise CliError(f"--{key} applies only to --topology runs")
         params = {
             name: p.default for name, p in inspect.signature(mincut_scenario).parameters.items()
             if name not in ("kind", "seed")
         }
-        report = mincut_scenario(scenario, seed=seed, **params)
+        with collect_diagnostics() as diagnostics:
+            report = mincut_scenario(scenario, seed=seed, **params)
         payload = dataclasses.asdict(report)
         _write_summary(args.out, {
             "command": "multihop", "scenario": scenario, "seed": seed, **params, "report": payload,
+            # the threshold calibration's trials; the structural scenarios run none
+            "diagnostics": diagnostics.summary(),
         })
         print(f"scenario {scenario}: corrupted_delivered={report.corrupted_delivered} "
               f"detected={report.detected} freq={report.detection_frequency}")
@@ -355,9 +367,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--scenario", choices=SCENARIOS)
     p.add_argument("--topology", help="JSON topology document")
-    p.add_argument("--trace", help="write line-delimited transcript here")
+    p.add_argument("--trace", help="write a topology run's line-delimited transcript here")
     p.add_argument("--threshold", type=float, help="ledger threshold for custom topologies")
-    p.add_argument("--window", type=int, help="rolling verdict window (default 25)")
+    p.add_argument("--window", type=int,
+                   help="rolling verdict window for custom topologies (default 25)")
     p.add_argument("--n", type=int, help="symbol width for custom topologies (default 10)")
     p.add_argument("--delta", type=int, help="hash width for custom topologies (default 2)")
 

@@ -47,7 +47,7 @@ class GF2n:
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_WIDTH:
-            raise ValueError(f"field width must be in [1, {MAX_WIDTH}], got {n}")
+            raise ValueError(f"n must be in [1, {MAX_WIDTH}], got {n}")
         self.n = n
         self.order = 1 << n
         self.poly = REDUCTION_POLYS[n]
@@ -88,14 +88,9 @@ class GF2n:
         return self._exp[self._log[a] + self._log[b]]
 
     def mul_vec(self, a: int, xs: np.ndarray) -> np.ndarray:
-        """Product of the scalar a with every element of xs."""
+        """Product of the scalar a with every element of xs (``mul_elementwise``)."""
         self._check(a)
-        if a == 0:
-            return np.zeros(len(xs), dtype=np.int64)
-        out = np.zeros(len(xs), dtype=np.int64)
-        nz = xs != 0
-        out[nz] = self._exp_np[self._log[a] + self._log_np[xs[nz]]]
-        return out
+        return self.mul_elementwise(np.full(len(xs), a), xs)
 
     def mul_elementwise(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Elementwise field product of two arrays of one shape."""

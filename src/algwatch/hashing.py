@@ -9,7 +9,8 @@ Two families of delta-bit hashes over n-bit symbols:
 - ``poly``: evaluate sum a_i x^i in GF(2^n) (``default_field(n)``) and
   keep the low delta bits.
 
-delta = 0 is the empty hash: every input maps to 0.
+delta = 0 is the empty hash: every input maps to 0. ``_draws`` is the one
+rule for drawing a hash, from a generator or for a whole run of trials.
 """
 
 from __future__ import annotations
@@ -119,8 +120,21 @@ def _table(spec: HashSpec) -> np.ndarray:
     return table
 
 
+def _draws(family: str, n: int, delta: int, degree: int = 1) -> tuple[list, list, list]:
+    """(ranges, scale, shift): coefficient i is scale[i] * integers(0, ranges[i]) + shift[i].
+
+    A range of 1 takes no random word, so the empty affine hash (1, 0) at
+    delta = 0 takes none.
+    """
+    if family == "affine":
+        return [max(1, 1 << delta >> 1), 1 << delta], [2, 1], [1, 0]
+    if family == "poly":
+        return [1 << n] * (degree + 1), [1] * (degree + 1), [0] * (degree + 1)
+    raise ValueError(f"unknown hash family {family!r}")
+
+
 def sample_hash(rng, family: str, n: int, delta: int, degree: int = 1) -> HashSpec:
-    """Draw a hash uniformly from the admissible set of the family.
+    """Draw a hash uniformly from the admissible set of the family, as ``_draws`` says.
 
     For the affine family the multiplier is uniform over odd delta-bit
     residues (a=1 when delta=0) and the offset uniform over delta-bit
@@ -129,16 +143,9 @@ def sample_hash(rng, family: str, n: int, delta: int, degree: int = 1) -> HashSp
     """
     if not 0 <= delta <= n:
         raise ValueError("delta must be in [0, n]")
-    if family == "affine":
-        if delta == 0:
-            return HashSpec("affine", n, 0, (1, 0))
-        a = 2 * int(rng.integers(0, 1 << (delta - 1))) + 1
-        b = int(rng.integers(0, 1 << delta))
-        return HashSpec("affine", n, delta, (a, b))
-    if family == "poly":
-        coeffs = tuple(int(c) for c in rng.integers(0, 1 << n, size=degree + 1))
-        return HashSpec("poly", n, delta, coeffs)
-    raise ValueError(f"unknown hash family {family!r}")
+    ranges, scale, shift = _draws(family, n, delta, degree)
+    coefficients = rng.integers(0, np.array(ranges)) * scale + shift
+    return HashSpec(family, n, delta, tuple(coefficients.tolist()))
 
 
 def collision_list(spec: HashSpec, target: int) -> list[int]:

@@ -7,19 +7,20 @@ draws, seeds, blocks and merges trials; ``inference`` computes every p*.
 
 Randomness is split into named per-trial sub-streams (hash, symbols,
 channels, adversary): numpy's ``default_rng(SeedSequence((seed, trial,
-tag)))`` streams, bit for bit. A run derives the seeding words of all its
+tag)))`` streams, bit for bit. A run derives the seeding words of its
 trials' streams in one vectorized pass (``_seed_words``), takes each
 stream's raw PCG64 words in one call, and turns them into values through
-``Generator``'s own transforms applied to whole arrays (``_draw``).
+``Generator``'s own transforms applied to whole arrays (``_draw``); only a
+stream that rejects a word is drawn by ``Generator.integers`` itself.
 Honest and adversarial runs of the same trial therefore share the exact
 same symbols and channel noise, which makes the null adversary (p_adv = 0)
 produce bit-identical p* values and gives every sweep common random
 numbers.
 
 All arms of a trial (the honest relay and the adversarial relay at each
-p_adv) share one draw, and so one trellis. A run is drawn at once and
+p_adv) share one draw, and so one trellis. A run is drawn in slices and
 scored in blocks; every float is the one the trial gives when run alone,
-so results do not depend on block boundaries.
+so results do not depend on slice or block boundaries.
 
 Also provides the brute-force enumeration oracle for p*, empirical
 threshold calibration, and the matched-codeword counting experiment.
@@ -40,7 +41,7 @@ import numpy as np
 
 from .channel import Bsc, _flip_masks, ball_radius, hamming
 from .gfield import MAX_WIDTH, default_field
-from .hashing import HashSpec, _tables, collision_list, hash_eval
+from .hashing import HashSpec, _draws, _tables, collision_list, hash_eval
 from .inference import InferenceError, Overheard, WatchdogObservation, _Holdings, _watch
 
 _TAGS = range(4)
@@ -73,20 +74,24 @@ class TwoHopConfig:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("need at least one source")
+            raise ValueError(f"m must be >= 1, got {self.m}")
         if not 1 <= self.n <= MAX_WIDTH:
             raise ValueError(f"n must be in [1, {MAX_WIDTH}], got {self.n}")
         if self.hash_family not in ("affine", "poly"):
             raise ValueError("hash_family must be 'affine' or 'poly'")
         if not 0 <= self.delta <= self.n:
             raise ValueError("delta must be in [0, n]")
+        for name in ("p_s", "p_relay"):  # overhearing rates, as a Bsc takes them
+            if not 0.0 <= getattr(self, name) <= 0.5:
+                raise ValueError(f"{name} must be in [0, 0.5], got {getattr(self, name)}")
         if not 0.0 <= self.p_adv <= 1.0:
             raise ValueError("p_adv must be in [0, 1]")
+        if self.pruning_eps is not None and not 0.0 < self.pruning_eps < 1.0:
+            raise ValueError(f"pruning_eps must be in (0, 1), got {self.pruning_eps}")
         if not 1 <= self.iterations <= _MAX_TRIALS:
             raise ValueError(f"iterations must be in [1, 2^32], got {self.iterations}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        Bsc(self.p_s), Bsc(self.p_relay)  # range checks
 
 
 @dataclass(frozen=True)
@@ -248,39 +253,25 @@ def _integers(words: np.ndarray, highs) -> np.ndarray:
     numpy draws these by Lemire's method from 32-bit words, the low half of
     each raw word first: word u gives u * high >> 32, unless the low 32 bits
     of u * high fall below (2^32 - high) % high and the next word is tried
-    instead. A range of 1 takes no word. Every stream's words are taken and
-    transformed at once; a stream that rejects a word is drawn again word by
-    word (``_rescan``).
+    instead. A range of 1 takes no word, and ranges that take none build no
+    stream. Every stream's words are taken and transformed at once; a stream
+    that rejects a word is drawn again by ``Generator.integers`` itself.
     """
     count, columns, ranges, thresholds = _lemire_columns(tuple(highs))
+    if not count:
+        return np.zeros((len(words), len(highs)), dtype=np.int64)
     products = _raw(words, count).view("<u4")[:, columns] * ranges
     values = (products >> _HALF_BITS).view(np.int64)  # every value is below 2^32
     if thresholds is None:
         return values
-    rejected = (products & _LOW_HALF) < thresholds
-    if rejected.any():
-        for k in np.flatnonzero(rejected.any(axis=1)).tolist():
-            values[k] = _rescan(words[k], highs)
+    for k in np.flatnonzero(((products & _LOW_HALF) < thresholds).any(axis=1)).tolist():
+        values[k] = np.random.Generator(_stream(words[k])).integers(0, np.array(highs))
     return values
 
 
-def _rescan(words: np.ndarray, highs) -> list[int]:
-    """One stream's ``_integers``, word by word from its first word, as long as it needs."""
-    stream = _stream(words)
-
-    def halves():
-        while True:
-            raw = int(stream.random_raw())
-            yield from (raw & 0xFFFFFFFF, raw >> 32)
-
-    source, values = halves(), []
-    for high in highs:
-        product = next(source) * high if high > 1 else 0
-        while product & 0xFFFFFFFF < (2**32 - high) % high:
-            product = next(source) * high
-        values.append(product >> 32)
-    return values
-
+# Trials a run draws at once, about 0.8 KiB each; the full-size threshold
+# calibration (4,000 trials) and every default run draw once.
+_DRAW_TRIALS = 1 << 12
 
 # Bound on a block's largest temporaries, in elements: its hash tables hold
 # 2^n values per trial, and its relay normalizers about 2^(n - delta) per
@@ -308,7 +299,8 @@ def _draw(cfg: TwoHopConfig, p_advs, words: np.ndarray) -> _Trials:
     Every stream is numpy's PCG64 seeded with its words, and every value is
     what ``default_rng(SeedSequence((seed, trial, tag)))`` would draw, taken
     from the stream's raw words through ``Generator``'s own transforms
-    (``_integers``, ``_uniforms``) for all trials at once. Arm 0 is the
+    (``_integers``, ``_uniforms``, ``hashing._draws``) for all trials at
+    once. Arm 0 is the
     honest relay and arm 1 + k the one at p_advs[k]. Arms differ only in the
     relay's payload: each adversarial arm flips the honest payload's bits
     where the trial's one set of adversary uniforms falls below its p_adv,
@@ -318,15 +310,8 @@ def _draw(cfg: TwoHopConfig, p_advs, words: np.ndarray) -> _Trials:
     """
     count, m, n = len(words), cfg.m, cfg.n
     order = 1 << n
-    # sample_hash's draws: poly coefficients in GF(2^n), or an odd affine
-    # multiplier and an offset; the empty affine hash draws nothing
-    if cfg.hash_family == "poly":
-        hashes = _integers(words[:, _HASH], [order, order])
-    elif cfg.delta:
-        hashes = _integers(words[:, _HASH], [1 << (cfg.delta - 1), 1 << cfg.delta])
-        hashes[:, 0] = 2 * hashes[:, 0] + 1
-    else:
-        hashes = np.tile(np.array([1, 0]), (count, 1))
+    ranges, scale, shift = _draws(cfg.hash_family, n, cfg.delta)
+    hashes = _integers(words[:, _HASH], ranges) * scale + shift
     drawn = _integers(words[:, _SYMBOLS], [order] * m + [order - 1] * m)
     symbols, coeffs = drawn[:, :m], drawn[:, m:] + 1
     uniforms = _uniforms(words[:, _CHANNELS], m * n).reshape(count, m, n)
@@ -364,95 +349,38 @@ def _held(cfg: TwoHopConfig, trials: _Trials) -> _Holdings:
 
 
 @dataclass
-class _Block:
-    """What a run of trials gives, in trial order."""
-
-    pstars: np.ndarray  # p* of each trial's arms, when scored
-    matched: np.ndarray  # the honest arm's matched final states, when not scored
-    fallbacks: Counter  # InferenceErrors scored as p* = 0: "trellis", "scoring"
-    row_sizes: np.ndarray  # candidates in each transition row of every trellis built
-    supports: np.ndarray  # final-layer positive support of every trellis built
-
-
-def _block(cfg: TwoHopConfig, trials: _Trials, score: bool = True) -> _Block:
-    """trials as one block: p* of every arm, or only matched counts.
-
-    A trial whose trellis cannot be built (pruning emptied a candidate set)
-    scores p* = 0 on every arm, and an arm whose relay cannot be scored
-    p* = 0; each is counted.
-    """
-    pstars, matched, fallbacks, row_sizes, supports = [], [], Counter(), [], []
-    for use in _watch(_held(cfg, trials), score):
-        pstars.append(use.pstars)
-        matched.append(use.matched)
-        if use.layers is None:
-            fallbacks["trellis"] += 1
-            continue
-        fallbacks["scoring"] += len(use.faults) - use.faults.count(None)
-        row_sizes += use.lengths
-        supports.append(use.support)
-    return _Block(
-        np.array(pstars), np.array(matched), fallbacks, np.array(row_sizes, dtype=np.int64),
-        np.array(supports, dtype=np.int64),
-    )
-
-
-def _run(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool = True) -> _Block:
-    """Trials lo..hi-1, a block at a time, merged in trial order.
-
-    The whole range is drawn at once, from seeding words derived in one
-    pass: both passes have fixed costs that one pass per block would pay
-    again and again. Each block makes only its hash tables and lookups.
-    """
-    per_trial = max(1 << cfg.n, (1 + len(p_advs)) << (cfg.n - cfg.delta))
-    step = max(1, _BLOCK_ELEMENTS // per_trial)
-    trials = _draw(cfg, p_advs, _seed_words(cfg.seed, lo, hi))
-    return _merge([_block(cfg, trials.part(b, b + step), score) for b in range(0, hi - lo, step)])
-
-
-def _merge(parts) -> _Block:
-    return _Block(
-        np.concatenate([p.pstars for p in parts]),
-        np.concatenate([p.matched for p in parts]),
-        sum((p.fallbacks for p in parts), Counter()),
-        np.concatenate([p.row_sizes for p in parts]),
-        np.concatenate([p.supports for p in parts]),
-    )
-
-
-@dataclass
 class RunDiagnostics:
-    """What the two-hop runs inside a ``collect_diagnostics`` block did besides p*.
+    """What two-hop trials did besides p*, as counts that merge in any order.
 
-    ``trials`` drawn; ``fallbacks``, the InferenceErrors quietly scored as
-    p* = 0: "trellis" trials whose trellis raised it (every arm of such a
-    trial scores 0) and "scoring" arms whose scoring raised it; and, in
-    trial order, the candidate count of each transition row (``row_sizes``)
-    and the final-layer positive support (``supports``) of every trellis
-    built. Worker blocks merge in trial order, so nothing here depends on
-    the worker count.
+    ``fallbacks``: the InferenceErrors quietly scored as p* = 0, "trellis"
+    trials whose trellis raised it (every arm scores 0) and "scoring" arms
+    whose scoring did. Over the trellises built, ``row_sizes`` counts
+    transition rows by candidate count and ``supports`` trellises by
+    final-layer positive support. Blocks, runs and workers each return one.
     """
 
-    trials: int = 0
     fallbacks: Counter = field(default_factory=lambda: Counter(trellis=0, scoring=0))
-    row_sizes: list[np.ndarray] = field(default_factory=list)
-    supports: list[np.ndarray] = field(default_factory=list)
+    row_sizes: Counter = field(default_factory=Counter)
+    supports: Counter = field(default_factory=Counter)
 
-    def add(self, run: _Block, trials: int) -> None:
-        self.trials += trials
-        self.fallbacks.update(run.fallbacks)
-        self.row_sizes.append(run.row_sizes)
-        self.supports.append(run.supports)
+    @property
+    def trials(self) -> int:
+        """Trials run: each built a trellis or fell back."""
+        return self.supports.total() + self.fallbacks["trellis"]
+
+    def add(self, other: RunDiagnostics) -> RunDiagnostics:
+        """Fold other's counts into this record, and return it."""
+        for mine, theirs in zip(vars(self).values(), vars(other).values()):
+            mine.update(theirs)
+        return self
 
     def summary(self) -> dict:
         """The JSON form: counts, and the mean and maximum row size and support."""
 
-        def mean_max(parts):
-            values = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-            return {
-                "mean": float(values.mean()) if values.size else 0.0,
-                "max": int(values.max(initial=0)),
-            }
+        def mean_max(counts: Counter) -> dict:
+            total = counts.total()  # sums below 2^53: the mean is one rounding
+            mean = sum(value * count for value, count in counts.items()) / total if total else 0.0
+            return {"mean": mean, "max": max(counts, default=0)}
 
         return {
             "trials": self.trials,
@@ -460,6 +388,57 @@ class RunDiagnostics:
             "row_size": mean_max(self.row_sizes),
             "support": mean_max(self.supports),
         }
+
+
+def _block(cfg: TwoHopConfig, trials: _Trials, score: bool = True):
+    """trials as one block: (p* of every arm, matched counts, RunDiagnostics).
+
+    p* are meaningful when scored, matched counts when not. A trial whose
+    trellis cannot be built (pruning emptied a candidate set) scores p* = 0
+    on every arm, and an arm whose relay cannot be scored p* = 0; each is
+    counted.
+    """
+    pstars, matched, sizes, supports, scoring = [], [], [], [], 0
+    for use in _watch(_held(cfg, trials), score):
+        pstars.append(use.pstars)
+        matched.append(use.matched)
+        if use.layers is not None:
+            sizes += use.lengths
+            supports.append(use.support)
+            scoring += len(use.faults) - use.faults.count(None)
+    fallbacks = Counter(trellis=len(pstars) - len(supports), scoring=scoring)
+    record = RunDiagnostics(fallbacks, Counter(sizes), Counter(supports))
+    return np.array(pstars), np.array(matched), record
+
+
+def _run(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool = True):
+    """Trials lo..hi-1 as ``_block`` gives them, a block at a time, merged in trial order.
+
+    Each slice of ``_DRAW_TRIALS`` is drawn at once, from seeding words
+    derived in one pass: both passes have fixed costs that one pass per
+    block would pay again and again. Each block makes only its hash tables
+    and lookups.
+    """
+    per_trial = max(1 << cfg.n, (1 + len(p_advs)) << (cfg.n - cfg.delta))
+    step = max(1, _BLOCK_ELEMENTS // per_trial)
+    drawn = (
+        _draw(cfg, p_advs, _seed_words(cfg.seed, at, min(hi, at + _DRAW_TRIALS)))
+        for at in range(lo, hi, _DRAW_TRIALS)
+    )
+    return _merge(
+        _block(cfg, trials.part(b, b + step), score)
+        for trials in drawn for b in range(0, len(trials.symbols), step)
+    )
+
+
+def _merge(parts):
+    """Consecutive runs' ``_block`` results, in trial order, as one; records fold as they come."""
+    pstars, matched, record = [], [], RunDiagnostics()
+    for part_pstars, part_matched, part_record in parts:
+        pstars.append(part_pstars)
+        matched.append(part_matched)
+        record.add(part_record)
+    return np.concatenate(pstars), np.concatenate(matched), record
 
 
 # The RunDiagnostics of the collect_diagnostics blocks open in this context.
@@ -510,7 +489,8 @@ def run_trial(cfg: TwoHopConfig, adversarial: bool, trial: int = 0) -> float:
     overheard data is inconsistent with every remaining explanation; that
     is maximal suspicion and reported as p* = 0.
     """
-    return float(_run(cfg, [cfg.p_adv] if adversarial else [], trial, trial + 1).pstars[0, -1])
+    pstars, _, _ = _run(cfg, [cfg.p_adv] if adversarial else [], trial, trial + 1)
+    return float(pstars[0, -1])
 
 
 def _samples(cfg: TwoHopConfig, p_advs, workers: int) -> np.ndarray:
@@ -518,20 +498,20 @@ def _samples(cfg: TwoHopConfig, p_advs, workers: int) -> np.ndarray:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1 or cfg.iterations < 4 * workers:
-        run = _run(cfg, p_advs, 0, cfg.iterations)
+        pstars, _, record = _run(cfg, p_advs, 0, cfg.iterations)
     else:
         bounds = np.linspace(0, cfg.iterations, workers + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            run = _merge(list(pool.map(
+            pstars, _, record = _merge(pool.map(
                 _run,
                 itertools.repeat(cfg),
                 itertools.repeat(p_advs),
                 bounds[:-1],
                 bounds[1:],
-            )))
+            ))
     for diagnostics in _diagnostics.get():
-        diagnostics.add(run, cfg.iterations)
-    return run.pstars
+        diagnostics.add(record)
+    return pstars
 
 
 def _stats(relay: np.ndarray, adv: np.ndarray) -> ExperimentStats:
@@ -692,7 +672,8 @@ def matched_count_trial(
     candidate sets come up empty counts zero matched states.
     """
     cfg = _matched_config(n, peer_count, delta, p, seed)
-    return int(_run(cfg, [], trial, trial + 1, score=False).matched[0])
+    _, matched, _ = _run(cfg, [], trial, trial + 1, score=False)
+    return int(matched[0])
 
 
 def mean_matched_count(
@@ -702,4 +683,5 @@ def mean_matched_count(
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be in [1, 2^32], got {trials}")
     cfg = _matched_config(n, peer_count, delta, p, seed)
-    return float(np.mean(_run(cfg, [], 0, trials, score=False).matched))
+    _, matched, _ = _run(cfg, [], 0, trials, score=False)
+    return float(np.mean(matched))

@@ -1,9 +1,12 @@
 import csv
 import json
 import platform
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import algwatch
 from algwatch import cli
@@ -117,6 +120,16 @@ def test_two_hop_rejects_bad_values(tmp_path):
     (["analysis", "--table", "matched-count", "--p", "0.7"], "must be in [0, 0.5], got 0.7"),
     (["analysis", "--table", "misdetection", "--n", "-1"], "n must be >= 1, got -1"),
     (["analysis", "--table", "matched-count", "--deltas", ","], "deltas must not be empty"),
+    (["two-hop", "--p-s", "0.7"], "p_s must be in [0, 0.5], got 0.7"),
+    (["two-hop", "--p-relay", "-1"], "p_relay must be in [0, 0.5], got -1.0"),
+    (["two-hop", "--m", "0"], "m must be >= 1, got 0"),
+    (["two-hop", "--pruning-eps", "2"], "pruning_eps must be in (0, 1), got 2.0"),
+    (["analysis", "--h", "-1"], "h must be >= 0, got -1"),
+    (["oracle", "--p", "0.7"], "p must be in [0, 0.5], got 0.7"),
+    (["multihop", "--scenario", "one-honest-path", "--window", "0"],
+     "--window applies only to --topology runs"),
+    (["multihop", "--scenario", "all-parents-malicious", "--n", "6"],
+     "--n applies only to --topology runs"),
 ])
 def test_out_of_range_input_exits_one_naming_the_field(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
@@ -201,6 +214,10 @@ def test_multihop_scenario_subcommand(tmp_path):
         "scenario": "all-parents-malicious", "seed": 0, "instances": 40, "policed_samples": 50,
         "p_adv": 0.5, "p_overhear": 0.1, "gamma": 0.05, "window": 25,
         "calibration_iterations": 4000,
+    }
+    assert summary["diagnostics"] == {  # a structural scenario calibrates nothing
+        "trials": 0, "fallbacks": {"trellis": 0, "scoring": 0},
+        "row_size": {"mean": 0.0, "max": 0}, "support": {"mean": 0.0, "max": 0},
     }
     assert main(["multihop", "--out", str(out)]) == 1  # neither scenario nor topology
 
@@ -324,3 +341,96 @@ def test_internal_fault_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli._COMMANDS, "analysis", broken)
     assert main(["analysis", "--out", str(tmp_path / "a.csv")]) == 2
     assert "lookup bug" in capsys.readouterr().err
+
+
+def _flag_values(flag_values: dict):
+    """Some of the given flags, each with one of its values; a value of None omits the flag."""
+    return st.fixed_dictionaries({}, optional={
+        flag: st.sampled_from(values) for flag, values in flag_values.items()
+    })
+
+
+_RATE_VALUES = ["-1", "0", "0.1", "0.5", "0.7"]
+_FUZZ_FLAGS = {
+    "two-hop": {
+        "--sweep": ["p_adv", "delta", "p_s", "m"],
+        "--values": ["0,0.1", "0.3,0.1", "1,2", "0,9", "x", ","],
+        "--m": ["-1", "0", "1", "3"],
+        "--n": ["-1", "0", "1", "4", "8"],
+        "--delta": ["-1", "0", "2", "9"],
+        "--p-s": _RATE_VALUES,
+        "--p-relay": _RATE_VALUES,
+        "--p-adv": ["-0.5", "0", "0.3", "1", "1.5"],
+        "--iterations": ["-1", "0", "1", "8"],
+        "--pruning-eps": ["-1", "0", "0.5", "1", "2"],
+        "--hash-family": ["affine", "poly"],
+        "--workers": ["-1", "0", "1"],
+        "--seed": ["-1", "0", "7"],
+    },
+    "oracle": {
+        "--n": ["-1", "0", "3", "6", "8"],
+        "--m": ["0", "1", "3"],
+        "--delta": ["-1", "0", "1", "7"],
+        "--p": _RATE_VALUES,
+        "--trials": ["-1", "0", "1", "3"],
+        "--seed": ["-1", "0", "7"],
+    },
+    "analysis": {
+        "--table": ["misdetection", "matched-count"],
+        "--n": ["-1", "0", "1", "10"],
+        "--h": ["-1", "0", "2", "12"],
+        "--m": ["-1", "0", "3"],
+        "--p": _RATE_VALUES,
+        "--deltas": ["0,2", ",", "x", "1"],
+        "--seed": ["-1", "0"],
+    },
+    "multihop": {
+        "--scenario": ["all-parents-malicious", "all-children-malicious", None],
+        "--threshold": ["-1", "0.005", "2"],
+        "--window": ["-1", "0", "2"],
+        "--n": ["-1", "0", "4", "10", "17"],
+        "--delta": ["-1", "0", "2", "5"],
+        "--trace": ["trace.jsonl"],
+        "--seed": ["-1", "0", "7"],
+    },
+}
+_SMALL_TOPOLOGY = {
+    "nodes": ["w", "s2", "r", "d"],
+    "links": [["w", "r"], ["s2", "r"], ["r", "d"]],
+    "interference": [["s2", "w", 0.1], ["r", "w", 0.1]],
+    "behaviors": {"w": {"role": "honest", "check_probability": 1.0}},
+    "schedule": [["s2", "w"], ["r"]],
+}
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(_FUZZ_FLAGS)).flatmap(
+    lambda command: st.tuples(st.just(command), _flag_values(_FUZZ_FLAGS[command]))
+))
+def test_cli_fuzz_exits_zero_or_one_naming_a_flag(tmp_path, capsys, run):
+    """Small runs over every subcommand's flags: exit 0, or exit 1 naming a flag given."""
+    command, drawn = run
+    flags = {flag: value for flag, value in drawn.items() if value is not None}
+    # small runs only: at most 8 two-hop iterations at n <= 8, 3 oracle trials
+    if command == "two-hop":
+        flags = {"--iterations": "8", "--workers": "1", **flags}
+    if command == "oracle":
+        flags = {"--trials": "3", **flags}
+    if command == "multihop" and "--scenario" not in flags:
+        (tmp_path / "topo.json").write_text(json.dumps(_SMALL_TOPOLOGY))
+        flags["--topology"] = str(tmp_path / "topo.json")
+    if "--trace" in flags:
+        flags["--trace"] = str(tmp_path / flags["--trace"])
+    argv = [command, *(token for item in flags.items() for token in item)]
+    code = main([*argv, "--out", str(tmp_path / "fuzz.csv")])
+    err = capsys.readouterr().err
+    assert code in (0, 1), err
+    if code == 1:
+        # a field is named as its flag's dest or spelling; swept values name the axis
+        names = {flag[2:] for flag in flags} | {flag[2:].replace("-", "_") for flag in flags}
+        if command == "two-hop":
+            names.add(flags.get("--sweep", "p_adv"))
+        assert any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", err) for name in names), (
+            argv, err,
+        )

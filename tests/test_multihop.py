@@ -31,6 +31,7 @@ from algwatch.multihop import (
     write_trace,
 )
 from algwatch.packet import destination_check
+from algwatch.sim import collect_diagnostics
 
 SPEC = HashSpec("affine", 10, 2, (1, 0))
 
@@ -269,10 +270,12 @@ def test_unpoliced_pairs_say_why():
 
 
 def test_scenario_one_honest_path_smoke():
-    report = mincut_scenario(
-        "one-honest-path", seed=0, instances=4, policed_samples=40,
-        calibration_iterations=800,
-    )
+    with collect_diagnostics() as diagnostics:
+        report = mincut_scenario(
+            "one-honest-path", seed=0, instances=4, policed_samples=40,
+            calibration_iterations=800,
+        )
+    assert diagnostics.trials == 800  # the calibration's; policing is not a two-hop run
     assert report.honest_watcher_exists
     assert report.corrupted_delivered
     assert report.detection_frequency == pytest.approx(1.0)

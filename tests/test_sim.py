@@ -217,7 +217,12 @@ def test_seeds_and_trial_indices_out_of_range_name_the_field(call, name):
         call()
 
 
-def test_trial_streams_build_no_seed_sequence(monkeypatch):
+@pytest.mark.parametrize("cfg, streams", [
+    (TwoHopConfig(m=3, n=6, delta=2, iterations=9, seed=4, hash_family="poly"), 4),
+    # the empty affine hash draws from ranges of 1, which take no word: no hash stream
+    (TwoHopConfig(m=3, n=6, delta=0, iterations=9, seed=4), 3),
+], ids=["poly", "affine-delta-0"])
+def test_trial_streams_build_no_seed_sequence(monkeypatch, cfg, streams):
     # every stream is seeded from precomputed words, never through a SeedSequence
     made, seeded = [], []
 
@@ -240,12 +245,28 @@ def test_trial_streams_build_no_seed_sequence(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
     monkeypatch.setattr(np.random, "default_rng", default_rng)
     monkeypatch.setattr(np.random, "PCG64", CountedPCG64)
-    cfg = TwoHopConfig(m=3, n=6, delta=2, iterations=9, seed=4, hash_family="poly")
     sim._samples(cfg, [0.1, 0.3], 1)
-    assert made == [] and seeded == [sim._seed_words_type()] * 4 * cfg.iterations
+    assert made == [] and seeded == [sim._seed_words_type()] * streams * cfg.iterations
     seeded.clear()
     mean_matched_count(6, 2, 2, 0.1, trials=5, seed=3)
     assert made == [] and seeded == [sim._seed_words_type()] * 3 * 5
+
+
+def test_draw_slices_equal_one_draw():
+    # a run drawn a few trials at a time gives, with ==, what one draw gives
+    cfg = TwoHopConfig(m=3, n=6, delta=1, iterations=11, seed=9, pruning_eps=0.5)
+    args = (6, 2, 1, 0.1)
+    with sim.collect_diagnostics() as whole:
+        pstars = sim._samples(cfg, [0.2, 0.5], 1)
+    matched = mean_matched_count(*args, trials=11, seed=9)
+    with (
+        mock.patch.object(sim, "_DRAW_TRIALS", 3),
+        mock.patch.object(sim, "_draw", wraps=sim._draw) as draw,
+        sim.collect_diagnostics() as sliced,
+    ):
+        assert sim._samples(cfg, [0.2, 0.5], 1).tolist() == pstars.tolist()
+        assert mean_matched_count(*args, trials=11, seed=9) == matched
+    assert draw.call_count == 2 * 4 and sliced == whole
 
 
 def test_trial_path_raises_no_warnings():
@@ -493,7 +514,8 @@ def test_shared_trellis_scores_every_arm_as_its_own_pipeline(cfg, trial, p_advs)
         for t in range(trial, trial + 3)
     ]
     words = sim._seed_words(cfg.seed, trial, trial + 3)
-    assert sim._block(cfg, sim._draw(cfg, p_advs, words)).pstars.tolist() == expect
+    pstars, _, _ = sim._block(cfg, sim._draw(cfg, p_advs, words))
+    assert pstars.tolist() == expect
 
 
 def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
@@ -512,16 +534,16 @@ def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
     failed = [trellis_fails(t) for t in trials]
     assert any(failed) and not all(failed)
     drawn = sim._draw(cfg, p_advs, sim._seed_words(cfg.seed, 0, len(trials)))
-    clean = sim._block(cfg, drawn)
+    clean_pstars, _, clean = sim._block(cfg, drawn)
     assert clean.fallbacks == Counter(trellis=sum(failed))
     for t in trials:
         expect = [_arm_pstar(cfg, False, t)] + [
             _arm_pstar(dataclasses.replace(cfg, p_adv=p), True, t) for p in p_advs
         ]
-        assert clean.pstars[t].tolist() == ([0.0] * 3 if failed[t] else expect)
+        assert clean_pstars[t].tolist() == ([0.0] * 3 if failed[t] else expect)
 
     real = inference._relay_normalizers
-    scored = next(t for t in trials if (clean.pstars[t] > 0.0).all())
+    scored = next(t for t in trials if (clean_pstars[t] > 0.0).all())
 
     def second_arm_fails(*args):
         top, denom, faults = real(*args)
@@ -529,10 +551,10 @@ def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
         return top, denom, faults
 
     monkeypatch.setattr(inference, "_relay_normalizers", second_arm_fails)
-    got = sim._block(cfg, drawn)
-    expect = clean.pstars.copy()
+    got_pstars, _, got = sim._block(cfg, drawn)
+    expect = clean_pstars.copy()
     expect[scored, 1] = 0.0
-    assert got.pstars.tolist() == expect.tolist()
+    assert got_pstars.tolist() == expect.tolist()
     assert got.fallbacks == Counter(trellis=sum(failed), scoring=1)
 
 
@@ -666,7 +688,7 @@ def test_explicit_block_runs_cover_what_they_claim():
     assert cfg.iterations % (block_elements >> cfg.n) != 0 and workers == 2
     faulty = _relay_faults_when_divisible_by_3(inference._relay_normalizers)
     with mock.patch.object(inference, "_relay_normalizers", faulty):
-        fallbacks = sim._run(cfg, p_advs, 0, cfg.iterations).fallbacks
+        fallbacks = sim._run(cfg, p_advs, 0, cfg.iterations)[2].fallbacks
     assert fallbacks["trellis"] > 0 and fallbacks["scoring"] > 0
 
 
