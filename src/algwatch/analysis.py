@@ -125,11 +125,17 @@ def matched_count_expected(
     the relay); d_over_n the matching relative minimum distances of their
     payload codes (all zero when payloads are uncoded). Returned raw: an
     expected count below 1 is meaningful (the near-unique decoding
-    regime), not an error.
+    regime), not an error; a count beyond float range is a ValueError.
     """
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
     p_rates, d_over_n = _count_args(m, p_rates, d_over_n)
     total = sum(binary_entropy(p) - binary_entropy(d) for p, d in zip(p_rates, d_over_n))
-    return 2.0 ** (n * (total - 1.0) - m * delta)
+    exponent = n * (total - 1.0) - m * delta
+    try:
+        return 2.0 ** exponent
+    except OverflowError:
+        raise ValueError(f"expected count 2^{exponent:.6g} at n = {n} overflows a float") from None
 
 
 def matched_count_exponent_eps(

@@ -212,6 +212,8 @@ def _cmd_analysis(args) -> int:
         deltas = _parse_values("deltas", opt("deltas", "0,1,2,4", str), int)
         if not deltas:
             raise CliError("deltas must not be empty")
+        if min(deltas) < 0:
+            raise CliError(f"deltas must be >= 0, got {min(deltas)}")
         params = {"m": m, "p": p, "deltas": deltas}
         columns = ["n", "m", "delta", "p", "expected_matched"]
         rows = [

@@ -35,13 +35,14 @@ exactly the floats it would get alone.
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import Bsc, _log_likelihood_table, ball_radius, log_likelihood
+from .channel import Bsc, _log_likelihood_table, ball_radius, ball_volume, log_likelihood
 from .gfield import GF2n, default_field
 from .hashing import HashSpec, _table, hash_eval
 
@@ -118,24 +119,42 @@ class TransitionRow:
     probs: np.ndarray
 
 
+# The widest row that ``np.add.reduce(axis=1)`` adds in the order of the
+# row's own 1-D sum once padded with zeros: from 8 on, numpy's pairwise sum
+# regroups the padded row's additions.
+_PADDED_WIDTH = 7
+
+
 def _segment_reduce(
     ufunc: np.ufunc, values: np.ndarray, lengths: np.ndarray, empty: float
 ) -> np.ndarray:
     """``ufunc.reduce`` of each run of ``lengths`` consecutive values; ``empty`` for an empty run.
 
-    Runs of one length are stacked and reduced along axis 1, which adds
-    each row in the order a 1-D sum of it does (``np.add.reduceat`` does
-    not, for runs of 8 or more); runs that all share one length are
-    already stacked.
+    Each run is reduced as one row of a 2-D array along axis 1, which takes
+    it in the order a 1-D reduce of it does (``np.add.reduceat`` does not,
+    from runs of 3 values up). Runs that all share one length are already
+    such rows. Otherwise every run is cut or padded with ``empty`` (-inf
+    for max, 0.0 for add) to ``_PADDED_WIDTH`` values, and all of them are
+    reduced in one pass: padding leaves a max, and a sum of values that are
+    not -0.0, unchanged. Longer runs are then stacked by length.
     """
     sizes = set(lengths.tolist())
     if len(sizes) == 1 and 0 not in sizes:
         return ufunc.reduce(values.reshape(len(lengths), -1), axis=1)
-    out = np.full(len(lengths), empty)
     starts = np.cumsum(lengths) - lengths
-    for length in sizes - {0}:
-        runs = np.flatnonzero(lengths == length)
-        out[runs] = ufunc.reduce(values[starts[runs, None] + np.arange(length)], axis=1)
+    if min(sizes, default=0) <= _PADDED_WIDTH:
+        # row r holds run r's first values, then the empty value appended at len(values)
+        at = np.arange(_PADDED_WIDTH)
+        slots = np.where(at < lengths[:, None], starts[:, None] + at, len(values))
+        out = ufunc.reduce(np.append(values, empty)[slots], axis=1)
+    else:
+        out = np.empty(len(lengths))
+    for length in sizes:
+        if length > _PADDED_WIDTH:  # this run's row above was cut short: reduce it whole
+            long_runs = np.flatnonzero(lengths == length)
+            out[long_runs] = ufunc.reduce(
+                values[starts[long_runs, None] + np.arange(length)], axis=1
+            )
     return out
 
 
@@ -149,32 +168,86 @@ def _classes(tables: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.divmod(found, tables.shape[1])
 
 
+@functools.cache
+def _ball_masks(n: int, r: int) -> np.ndarray:
+    """Read-only: every n-bit mask of weight at most r, ascending."""
+    masks = np.arange(1 << n)
+    masks = masks[np.bitwise_count(masks) <= r]
+    masks.flags.writeable = False
+    return masks
+
+
+def _ball_members(
+    tables: np.ndarray, observed: np.ndarray, targets: np.ndarray, r: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_classes`` of a batch kept within distance r of observed, found from the balls.
+
+    Item (k, j) tries observed[k, j] XOR every mask of weight at most r and
+    keeps the symbols that hash to targets[k, j] under tables[k]. Sorting
+    the keys ``item << n | symbol`` gives the pairs in item order and
+    ascending symbol order within an item, as ``_classes`` orders them.
+    """
+    masks = _ball_masks(n, r)
+    count, peers = targets.shape
+    symbols = (observed[:, :, None] ^ masks).reshape(count, peers * len(masks))
+    hit = tables[np.arange(count)[:, None], symbols] == np.repeat(targets, len(masks), axis=1)
+    found = np.flatnonzero(hit)
+    keys = np.sort((found // len(masks)) << n | symbols.ravel()[found])
+    return keys >> n, keys & ((1 << n) - 1)
+
+
+@functools.lru_cache(maxsize=32)
+def _pruning(
+    channels: tuple[Bsc, ...], n: int, delta: int, eps: float
+) -> tuple[np.ndarray, int | None]:
+    """Each channel's read-only ball radius at eps, and the radius to find candidates at.
+
+    Candidates are found in the balls of the widest radius when that ball
+    holds no more symbols than a collision class of an onto hash,
+    2^(n - delta); else (None) in the whole hash table.
+    """
+    radius = np.array([ball_radius(ch, n, eps) for ch in channels], dtype=np.int64)
+    radius.flags.writeable = False
+    reach = int(radius.max(initial=0))
+    return radius, reach if ball_volume(n, reach) <= 1 << (n - delta) else None
+
+
 def _transition_rows(
     tables: np.ndarray,
     observed: np.ndarray,
     targets: np.ndarray,
     channels,
     n: int,
+    delta: int,
     prune_eps: float | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every transition row of a batch in one pass.
 
     Row (k, j) is ``transition_row(observed[k, j], targets[k, j], channels[j],
-    spec_k, prune_eps)`` where tables[k] is spec_k's hash table. Returns the
-    rows' candidates and probabilities laid end to end in row order, and
-    each row's length, with the shape of targets; a length of 0 is a row
-    for which transition_row raises InferenceError. Every row holds exactly
-    the floats it would hold alone: likelihoods are elementwise, maxima
-    exact, and sums taken per row in row order (``_segment_reduce``).
+    spec_k, prune_eps)`` where tables[k] is spec_k's delta-bit hash table.
+    Returns the rows' candidates and probabilities laid end to end in row
+    order, and each row's length, with the shape of targets; a length of 0
+    is a row for which transition_row raises InferenceError. Every row holds
+    exactly the floats it would hold alone: likelihoods are elementwise,
+    maxima exact, and sums taken per row in row order (``_segment_reduce``).
+
+    Pruned rows find their candidates in the balls (``_ball_members``)
+    where ``_pruning`` says so; other rows scan the whole hash table
+    (``_classes``). The distance filter then leaves the same candidates in
+    the same order either way.
     """
-    items, cands = _classes(tables, targets)
+    channels = tuple(channels)
+    radius, reach = (None, None) if prune_eps is None else _pruning(channels, n, delta, prune_eps)
+    if reach is None:
+        items, cands = _classes(tables, targets)
+    else:
+        items, cands = _ball_members(tables, observed, targets, reach, n)
     peer = items % targets.shape[1]
     d = np.bitwise_count(observed.ravel()[items] ^ cands)
-    if prune_eps is not None:
-        radius = np.array([ball_radius(ch, n, prune_eps) for ch in channels])
+    if radius is not None:
         near = d <= radius[peer]
         items, cands, d, peer = items[near], cands[near], d[near], peer[near]
-    logw = _log_likelihood_table(tuple(channels), n)[peer, d]
+    logw = _log_likelihood_table(channels, n)[peer, d]
     finite = logw > -np.inf
     items, cands, logw = items[finite], cands[finite], logw[finite]
     lengths = np.bincount(items, minlength=targets.size)
@@ -204,7 +277,7 @@ def transition_row(
         raise ValueError(f"target {target_hash} is not a {spec.delta}-bit value")
     cands, probs, lengths = _transition_rows(
         _table(spec)[None], np.array([[observed]]), np.array([[target_hash]]),
-        [ch], spec.n, prune_eps,
+        [ch], spec.n, spec.delta, prune_eps,
     )
     if lengths[0, 0] == 0:
         raise InferenceError(_EMPTY_ROW)
@@ -259,13 +332,19 @@ def _forward_pass(
     contributions; each chunk after the first starts its input with the
     running sums, and 0 + acc is exact, so chunking changes no addition.
     The layers are therefore bit-identical to that dense pass, exact
-    zeros included.
+    zeros included. Layer 1 is written without a sum: its one source state
+    has weight 1.0 and a row's shifts are distinct, so each of its states
+    takes one term t_x * 1.0 = t_x, and 0.0 + t_x is t_x.
     """
     vec = np.zeros(size)
     vec[start] = 1.0
     arrays = [vec]
+    if len(edges) > 1:
+        vec = np.zeros(size)
+        vec[shifts[edges[0]:edges[1]] ^ start] = probs[edges[0]:edges[1]]
+        arrays.append(vec)
     states = np.arange(size)
-    for lo_row, hi_row in zip(edges, edges[1:]):
+    for lo_row, hi_row in zip(edges[1:], edges[2:]):
         row_shifts, row_probs = shifts[lo_row:hi_row], probs[lo_row:hi_row]
         support = np.flatnonzero(vec > 0.0)
         mass = vec[support]
@@ -292,6 +371,7 @@ class _Holdings(NamedTuple):
     """
 
     n: int  # the symbol width
+    delta: int  # the hash width
     tables: np.ndarray  # each use's hash of every n-bit symbol
     own: np.ndarray  # the watchdog's own symbol
     coeffs: np.ndarray  # the nonzero coding coefficients, the watchdog's first
@@ -308,7 +388,7 @@ def _holdings(obs: WatchdogObservation) -> _Holdings:
     """obs as a block of one use with one arm."""
     peers, relay, spec = obs.overheard, obs.relay_overheard, obs.hash_spec
     return _Holdings(
-        spec.n, _table(spec)[None], np.array([obs.own_symbol]), np.array([obs.coeffs]),
+        spec.n, spec.delta, _table(spec)[None], np.array([obs.own_symbol]), np.array([obs.coeffs]),
         np.array([[o.symbol for o in peers]], dtype=np.int64),
         np.array([[o.hash_value for o in peers]], dtype=np.int64),
         np.array([[relay.symbol]]), np.array([[relay.hash_value]]),
@@ -405,7 +485,7 @@ def _watch(
     field, faults, lengths = default_field(n), [None] * (count * arms), [[]]
     if layers is None:
         cands, probs, lengths = _transition_rows(
-            h.tables, h.heard, h.peer_hashes, h.peer_channels, n, h.prune_eps
+            h.tables, h.heard, h.peer_hashes, h.peer_channels, n, h.delta, h.prune_eps
         )
         shifts = field.mul_elementwise(np.repeat(h.coeffs[:, 1:].ravel(), lengths.ravel()), cands)
         edges = [0, *np.cumsum(lengths.ravel()).tolist()]  # row r spans edges[r]:edges[r + 1]

@@ -290,7 +290,9 @@ class _Trials(NamedTuple):
     payloads: np.ndarray  # each arm's relay payload
 
     def part(self, lo: int, hi: int) -> _Trials:
-        return self._make(a[lo:hi] for a in self)
+        # from a list: a tuple made from a generator is resized, and every such
+        # tuple freed would stay behind on CPython's tuple free list
+        return self._make([a[lo:hi] for a in self])
 
 
 def _draw(cfg: TwoHopConfig, p_advs, words: np.ndarray) -> _Trials:
@@ -335,6 +337,7 @@ def _held(cfg: TwoHopConfig, trials: _Trials) -> _Holdings:
     rows = np.arange(len(tables))[:, None]
     return _Holdings(
         n=cfg.n,
+        delta=cfg.delta,
         tables=tables,
         own=symbols[:, 0],
         coeffs=trials.coeffs,
@@ -412,33 +415,40 @@ def _block(cfg: TwoHopConfig, trials: _Trials, score: bool = True):
 
 
 def _run(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool = True):
-    """Trials lo..hi-1 as ``_block`` gives them, a block at a time, merged in trial order.
+    """Trials lo..hi-1 as ``_block`` gives them: (values in trial order, RunDiagnostics).
 
-    Each slice of ``_DRAW_TRIALS`` is drawn at once, from seeding words
-    derived in one pass: both passes have fixed costs that one pass per
-    block would pay again and again. Each block makes only its hash tables
-    and lookups.
+    The values are every arm's p* when scoring, else the matched counts,
+    held in the smallest unsigned type that holds 2^n. Each slice of
+    ``_DRAW_TRIALS`` is drawn at once, from seeding words derived in one
+    pass: both passes have fixed costs that one pass per block would pay
+    again and again. Each block makes only its hash tables and lookups,
+    writes its values into the run's array and folds its record into the
+    run's.
     """
     per_trial = max(1 << cfg.n, (1 + len(p_advs)) << (cfg.n - cfg.delta))
     step = max(1, _BLOCK_ELEMENTS // per_trial)
-    drawn = (
-        _draw(cfg, p_advs, _seed_words(cfg.seed, at, min(hi, at + _DRAW_TRIALS)))
-        for at in range(lo, hi, _DRAW_TRIALS)
-    )
-    return _merge(
-        _block(cfg, trials.part(b, b + step), score)
-        for trials in drawn for b in range(0, len(trials.symbols), step)
-    )
+    if score:
+        values = np.empty((hi - lo, 1 + len(p_advs)))
+    else:
+        values = np.empty(hi - lo, np.min_scalar_type(1 << cfg.n))
+    record = RunDiagnostics()
+    for at in range(lo, hi, _DRAW_TRIALS):
+        trials = _draw(cfg, p_advs, _seed_words(cfg.seed, at, min(hi, at + _DRAW_TRIALS)))
+        for b in range(0, len(trials.symbols), step):
+            pstars, matched, part = _block(cfg, trials.part(b, b + step), score)
+            values[at - lo + b:at - lo + b + len(matched)] = pstars if score else matched
+            record.add(part)
+        del trials  # so that drawing the next slice does not hold two
+    return values, record
 
 
 def _merge(parts):
-    """Consecutive runs' ``_block`` results, in trial order, as one; records fold as they come."""
-    pstars, matched, record = [], [], RunDiagnostics()
-    for part_pstars, part_matched, part_record in parts:
-        pstars.append(part_pstars)
-        matched.append(part_matched)
+    """Consecutive runs' ``_run`` results, in trial order, as one; records fold as they come."""
+    values, record = [], RunDiagnostics()
+    for part_values, part_record in parts:
+        values.append(part_values)
         record.add(part_record)
-    return np.concatenate(pstars), np.concatenate(matched), record
+    return np.concatenate(values), record
 
 
 # The RunDiagnostics of the collect_diagnostics blocks open in this context.
@@ -489,7 +499,7 @@ def run_trial(cfg: TwoHopConfig, adversarial: bool, trial: int = 0) -> float:
     overheard data is inconsistent with every remaining explanation; that
     is maximal suspicion and reported as p* = 0.
     """
-    pstars, _, _ = _run(cfg, [cfg.p_adv] if adversarial else [], trial, trial + 1)
+    pstars, _ = _run(cfg, [cfg.p_adv] if adversarial else [], trial, trial + 1)
     return float(pstars[0, -1])
 
 
@@ -498,11 +508,11 @@ def _samples(cfg: TwoHopConfig, p_advs, workers: int) -> np.ndarray:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1 or cfg.iterations < 4 * workers:
-        pstars, _, record = _run(cfg, p_advs, 0, cfg.iterations)
+        pstars, record = _run(cfg, p_advs, 0, cfg.iterations)
     else:
         bounds = np.linspace(0, cfg.iterations, workers + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pstars, _, record = _merge(pool.map(
+            pstars, record = _merge(pool.map(
                 _run,
                 itertools.repeat(cfg),
                 itertools.repeat(p_advs),
@@ -672,7 +682,7 @@ def matched_count_trial(
     candidate sets come up empty counts zero matched states.
     """
     cfg = _matched_config(n, peer_count, delta, p, seed)
-    _, matched, _ = _run(cfg, [], trial, trial + 1, score=False)
+    matched, _ = _run(cfg, [], trial, trial + 1, score=False)
     return int(matched[0])
 
 
@@ -683,5 +693,5 @@ def mean_matched_count(
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be in [1, 2^32], got {trials}")
     cfg = _matched_config(n, peer_count, delta, p, seed)
-    _, matched, _ = _run(cfg, [], 0, trials, score=False)
-    return float(np.mean(matched))
+    matched, _ = _run(cfg, [], 0, trials, score=False)
+    return int(matched.sum(dtype=np.int64)) / trials  # exact sum, one rounding: np.mean's float

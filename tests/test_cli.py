@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import algwatch
@@ -381,7 +381,7 @@ _FUZZ_FLAGS = {
         "--h": ["-1", "0", "2", "12"],
         "--m": ["-1", "0", "3"],
         "--p": _RATE_VALUES,
-        "--deltas": ["0,2", ",", "x", "1"],
+        "--deltas": ["0,2", ",", "x", "1", "-1"],
         "--seed": ["-1", "0"],
     },
     "multihop": {
@@ -408,6 +408,9 @@ _SMALL_TOPOLOGY = {
 @given(st.sampled_from(sorted(_FUZZ_FLAGS)).flatmap(
     lambda command: st.tuples(st.just(command), _flag_values(_FUZZ_FLAGS[command]))
 ))
+@example(run=("analysis", {"--table": "matched-count", "--deltas": "-400"}))
+@example(run=("analysis", {"--table": "matched-count", "--n": "2000", "--p": "0.5"}))
+@example(run=("analysis", {"--table": "matched-count", "--deltas": "-1"}))
 def test_cli_fuzz_exits_zero_or_one_naming_a_flag(tmp_path, capsys, run):
     """Small runs over every subcommand's flags: exit 0, or exit 1 naming a flag given."""
     command, drawn = run

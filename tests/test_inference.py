@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from algwatch.channel import Bsc
+from algwatch import inference
+from algwatch.channel import Bsc, _log_likelihood_table, ball_radius, ball_volume
 from algwatch.gfield import default_field
-from algwatch.hashing import HashSpec, collision_class, hash_eval, hash_eval_vec, sample_hash
+from algwatch.hashing import (
+    FAMILIES, HashSpec, _tables, collision_class, hash_eval, hash_eval_vec, sample_hash,
+)
 from algwatch.inference import (
     InferenceError,
     Overheard,
@@ -49,6 +54,113 @@ def test_transition_row_pruning_drops_far_candidates():
     # pruning away every candidate is a structural error
     with pytest.raises(InferenceError):
         transition_row(3, 2, Bsc(0.1), LOW2, prune_eps=0.6)
+
+
+@st.composite
+def _runs(draw):
+    """Run lengths 0-20 mixed in one call, and values spanning 1e-8 to 1e8."""
+    lengths = draw(st.lists(st.integers(0, 20), min_size=1, max_size=30))
+    magnitude = st.floats(-8, 8).map(lambda e: 10.0**e)
+    values = draw(st.lists(
+        magnitude | st.floats(1e-8, 1e8), min_size=sum(lengths), max_size=sum(lengths)
+    ))
+    return np.array(values, dtype=float), np.array(lengths, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs())
+@example((np.arange(1.0, 25.0) * 1e-3, np.array([3, 0, 7, 8, 1, 5])))
+@example((np.arange(1.0, 13.0), np.array([4, 4, 4])))
+@example((np.arange(1.0, 28.0), np.array([9, 9, 9])))
+def test_segment_reduce_is_each_runs_own_reduce(run):
+    # bit for bit what a 1-D reduce of each run gives, empty runs included
+    values, lengths = run
+    starts = np.cumsum(lengths) - lengths
+    for ufunc, empty in ((np.add, 0.0), (np.maximum, -np.inf)):
+        got = inference._segment_reduce(ufunc, values, lengths, empty)
+        expect = [
+            ufunc.reduce(values[lo:lo + size]) if size else empty
+            for lo, size in zip(starts.tolist(), lengths.tolist())
+        ]
+        assert got.tolist() == expect
+
+
+# Pruning levels from radius 0 to radius n; rate 0 always gives radius 0, and
+# rate 0.5 with a tiny eps radius n.
+_EPS = [None, 1e-12, 1e-6, 1e-3, 0.05, 0.3, 0.5, 0.9]
+_ROW_RATES = [0.0, 0.01, 0.1, 0.3, 0.5]
+
+
+@st.composite
+def _row_batches(draw):
+    """A batch of rows: (n, delta, family, hash seeds, observed, targets, rates, eps)."""
+    n = draw(st.integers(1, 10))
+    delta = draw(st.integers(0, n))
+    count, peers = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    symbol, target = st.integers(0, (1 << n) - 1), st.integers(0, (1 << delta) - 1)
+    return (
+        n, delta, draw(st.sampled_from(FAMILIES)),
+        draw(st.lists(st.integers(0, 2**32 - 1), min_size=count, max_size=count)),
+        [draw(st.lists(symbol, min_size=peers, max_size=peers)) for _ in range(count)],
+        [draw(st.lists(target, min_size=peers, max_size=peers)) for _ in range(count)],
+        draw(st.lists(st.sampled_from(_ROW_RATES), min_size=peers, max_size=peers)),
+        draw(st.sampled_from(_EPS)),
+    )
+
+
+def _reference_row(spec, observed, target, ch, eps):
+    """One row from its collision class: distance filter, then a 1-D normalization."""
+    cands = collision_class(spec, target)
+    d = np.bitwise_count(cands ^ observed)
+    if eps is not None:
+        near = d <= ball_radius(ch, spec.n, eps)
+        cands, d = cands[near], d[near]
+    logw = _log_likelihood_table((ch,), spec.n)[0, d]
+    cands, logw = cands[logw > -np.inf], logw[logw > -np.inf]
+    if len(cands) == 0:
+        return [], []
+    w = np.exp(logw - logw.max())
+    w /= w.sum()
+    return cands[w > 0.0].tolist(), w[w > 0.0].tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_batches())
+# the ball side (11 <= 2^8) and the class side (V(10, 6) = 848 > 2^8), pruned
+@example((10, 2, "poly", [1, 2], [[3, 700], [0, 1023]], [[1, 2], [3, 0]], [0.1, 0.1], 0.5))
+@example((10, 2, "affine", [5, 6], [[3, 700], [0, 1023]], [[1, 2], [3, 0]], [0.1, 0.1], 1e-6))
+# columns of different radii on the ball side, one of them a rate-0 channel
+@example((10, 2, "poly", [7], [[3, 700, 5]], [[1, 2, 0]], [0.1, 0.0, 0.01], 0.05))
+# no peers at all (m = 1)
+@example((6, 2, "affine", [1, 2], [[], []], [[], []], [], 0.5))
+def test_transition_rows_match_class_filter_normalize(batch):
+    n, delta, family, seeds, observed, targets, rates, eps = batch
+    specs = [sample_hash(np.random.default_rng(s), family, n, delta) for s in seeds]
+    channels = [Bsc(p) for p in rates]
+    observed = np.array(observed, dtype=np.int64).reshape(len(specs), len(rates))
+    targets = np.array(targets, dtype=np.int64).reshape(observed.shape)
+    tables = _tables(family, n, delta, [spec.coefficients for spec in specs])
+    cands, probs, lengths = inference._transition_rows(
+        tables, observed, targets, channels, n, delta, eps
+    )
+    expect_cands, expect_probs, expect_lengths = [], [], []
+    for k, spec in enumerate(specs):
+        for j, ch in enumerate(channels):
+            row_cands, row_probs = _reference_row(spec, observed[k, j], targets[k, j], ch, eps)
+            expect_cands += row_cands
+            expect_probs += row_probs
+            expect_lengths.append(len(row_cands))
+    assert lengths.ravel().tolist() == expect_lengths
+    assert cands.tolist() == expect_cands
+    assert probs.tolist() == expect_probs
+
+
+def test_transition_row_examples_sit_on_both_sides_of_the_ball_rule():
+    # the rule that picks ball enumeration: V(n, r) <= 2^(n - delta)
+    radius = [ball_radius(Bsc(0.1), 10, eps) for eps in (0.5, 1e-6, 0.05)]
+    assert ball_volume(10, radius[0]) <= 1 << 8 < ball_volume(10, radius[1])
+    assert ball_volume(10, radius[2]) <= 1 << 8
+    assert len({radius[2], *(ball_radius(Bsc(p), 10, 0.05) for p in (0.0, 0.01))}) == 3
 
 
 def _obs(m, coeffs, x1, peers, relay, spec, prune=None):

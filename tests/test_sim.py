@@ -673,7 +673,7 @@ def _row_lengths(cfg, p_advs):
     draws = sim._held(cfg, sim._draw(cfg, p_advs, sim._seed_words(cfg.seed, 0, cfg.iterations)))
     _, _, lengths = inference._transition_rows(
         draws.tables, draws.heard, draws.peer_hashes, [Bsc(cfg.p_s)] * (cfg.m - 1),
-        cfg.n, cfg.pruning_eps,
+        cfg.n, cfg.delta, cfg.pruning_eps,
     )
     return set(lengths.ravel().tolist())
 
@@ -688,7 +688,7 @@ def test_explicit_block_runs_cover_what_they_claim():
     assert cfg.iterations % (block_elements >> cfg.n) != 0 and workers == 2
     faulty = _relay_faults_when_divisible_by_3(inference._relay_normalizers)
     with mock.patch.object(inference, "_relay_normalizers", faulty):
-        fallbacks = sim._run(cfg, p_advs, 0, cfg.iterations)[2].fallbacks
+        fallbacks = sim._run(cfg, p_advs, 0, cfg.iterations)[1].fallbacks
     assert fallbacks["trellis"] > 0 and fallbacks["scoring"] > 0
 
 
