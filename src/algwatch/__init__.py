@@ -23,7 +23,6 @@ from .channel import (
     Bsc,
     ball_radius,
     ball_volume,
-    compose_error_rates,
     flip_bits,
     hamming,
     log_likelihood,

@@ -78,7 +78,7 @@ def _undetected(g: TwoHopGeometry, relay_radius: int) -> float:
         * ball_volume(g.n, relay_radius)
     )
     den = 1 << (3 * g.hash_bits + 2 * g.n)
-    return min(1.0, num / den)
+    return 1.0 if num >= den else num / den  # capped before dividing: num / den may overflow
 
 
 def undetected_prob_watchdog(g: TwoHopGeometry) -> float:

@@ -1,8 +1,7 @@
 """Binary symmetric channel model for overhearing links.
 
 Also holds the Hamming ball combinatorics the detection analysis is built
-on: exact ball volumes, tail-probability radii, and the composition rule
-for cascaded bit-flip processes.
+on: exact ball volumes and tail-probability radii.
 
 Channel likelihoods are computed in log domain because products over
 several overheard links underflow doubles as p -> 0.
@@ -11,6 +10,7 @@ several overheard links underflow doubles as p -> 0.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,8 +29,7 @@ class Bsc:
     """Binary symmetric channel flipping each bit independently with prob p.
 
     Raw overhearing channels are no worse than a coin flip, so p is
-    restricted to [0, 0.5]; adversarially composed rates above 0.5 only
-    arise through compose_error_rates, which works on plain floats.
+    restricted to [0, 0.5].
     """
 
     p: float
@@ -112,7 +111,13 @@ def ball_volume(n: int, r: int) -> int:
     """
     if not 0 <= r <= n:
         raise ValueError(f"radius must be in [0, {n}], got {r}")
-    return sum(math.comb(n, k) for k in range(r + 1))
+    return _ball_volumes(n)[r]
+
+
+@functools.lru_cache(maxsize=8)
+def _ball_volumes(n: int) -> tuple[int, ...]:
+    """ball_volume(n, r) for r = 0..n: one cumulative sum of the binomials C(n, k)."""
+    return tuple(itertools.accumulate(math.comb(n, k) for k in range(n + 1)))
 
 
 def ball_radius(ch: Bsc, n: int, eps: float) -> int:
@@ -130,14 +135,3 @@ def ball_radius(ch: Bsc, n: int, eps: float) -> int:
             return r
     return n
 
-
-def compose_error_rates(p_adv: float, p_ch: float) -> float:
-    """Flip rate of two cascaded independent bit-flip processes.
-
-    This is the effective error rate a watchdog sees when overhearing a
-    relay that injects errors at p_adv through a channel flipping at p_ch.
-    """
-    for v in (p_adv, p_ch):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"rates must be in [0, 1], got {v}")
-    return p_adv + p_ch - p_adv * p_ch

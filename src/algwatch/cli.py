@@ -9,8 +9,8 @@ Subcommands:
 
 Every run emits CSV rows plus a JSON summary echoing the full config and
 seed, and the algwatch, numpy and Python versions, so any plot-reproducing
-run is a single command. A flat INI config file (one section per
-subcommand) can predefine values; explicit CLI flags override it. Exit
+run is a single command. A flat INI config file's section named after
+the subcommand sets its flags' defaults; explicit flags override it. Exit
 codes: 0 success, 1 usage error, 2 internal fault.
 """
 
@@ -72,6 +72,16 @@ DEFAULT_SWEEP_VALUES = {
     "m": "2,3,4,5",
 }
 
+# The flags only a --topology run reads: (type, default there, help). Each is
+# None on the parser, so a --scenario run can reject any that is set.
+TOPOLOGY_FLAGS = {
+    "threshold": (float, 0.005, "ledger verdict threshold"),
+    "window": (int, 25, "rolling verdict window"),
+    "n": (int, 10, "symbol width in bits"),
+    "delta": (int, 2, "hash width in bits"),
+    "trace": (str, None, "write the line-delimited transcript here"),
+}
+
 
 class CliError(Exception):
     pass
@@ -114,57 +124,24 @@ def _parse_values(key: str, text: str, cast):
         raise CliError(f"bad {key} {text!r}: {exc}") from None
 
 
-def _options(args):
-    """Option lookup for ``args.command``: CLI flag beats config file beats default.
-
-    The config file's section is the one named after the command.
-    """
-    section = {}
-    if args.config is not None:
-        parser = configparser.ConfigParser()
-        if not parser.read(args.config):
-            raise CliError(f"config file not found: {args.config}")
-        if parser.has_section(args.command):
-            section = dict(parser.items(args.command))
-
-    def opt(key, default, cast):
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            return cli_value
-        if key in section:
-            try:
-                return cast(section[key])
-            except ValueError as exc:
-                raise CliError(f"config field {key!r}: {exc}") from None
-        return default
-
-    return opt
-
-
-def _rate(opt, key: str) -> float:
+def _rate(args, key: str) -> float:
     """The overhearing rate given as ``--key``, checked here so that an error names the flag."""
-    value = opt(key, 0.1, float)
+    value = getattr(args, key)
     if not 0.0 <= value <= 0.5:
         raise CliError(f"{key} must be in [0, 0.5], got {value}")
     return value
 
 
 def _cmd_two_hop(args) -> int:
-    opt = _options(args)
-    axis = opt("sweep", "p_adv", str)
-    if axis not in SWEEP_AXES:
+    axis = args.sweep
+    if axis not in SWEEP_AXES:  # a config value skips argparse's choices check
         raise CliError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-    raw_values = opt("values", DEFAULT_SWEEP_VALUES[axis], str)
-    cast = int if axis in ("delta", "m") else float
-    values = _parse_values("values", raw_values, cast)
+    raw_values = DEFAULT_SWEEP_VALUES[axis] if args.values is None else args.values
+    values = _parse_values("values", raw_values, int if axis in ("delta", "m") else float)
     # Every config field has a flag of the same name; its default is the library's.
-    cfg = TwoHopConfig(**{
-        f.name: opt(f.name, f.default, float if f.name == "pruning_eps" else type(f.default))
-        for f in dataclasses.fields(TwoHopConfig)
-    })
-    workers = opt("workers", os.cpu_count() or 1, int)
+    cfg = TwoHopConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TwoHopConfig)})
     with collect_diagnostics() as diagnostics:
-        results = run_sweep(cfg, axis, values, workers=workers)
+        results = run_sweep(cfg, axis, values, workers=args.workers)
     rows = [
         [axis, value, *dataclasses.astuple(dataclasses.replace(cfg, **{axis: value})),
          stats.mean_p_relay, stats.var_relay, stats.mean_p_adv, stats.var_adv]
@@ -176,7 +153,7 @@ def _cmd_two_hop(args) -> int:
         "config": dataclasses.asdict(cfg),
         "sweep": axis,
         "values": values,
-        "workers": workers,
+        "workers": args.workers,
         "rows": [dict(zip(TWO_HOP_COLUMNS, row)) for row in rows],
         # fallbacks: trials whose trellis, and arms whose scoring, raised InferenceError
         # and were scored p* = 0; row_size and support: over the trellises built
@@ -187,12 +164,9 @@ def _cmd_two_hop(args) -> int:
 
 
 def _cmd_analysis(args) -> int:
-    opt = _options(args)
-    table = opt("table", "misdetection", str)
-    n = opt("n", 10, int)
-    out = args.out
+    table, n, out = args.table, args.n, args.out
     if table == "misdetection":
-        h = opt("h", 2, int)
+        h = args.h
         if h < 0:
             raise CliError(f"h must be >= 0, got {h}")
         params = {"h": h}
@@ -207,9 +181,9 @@ def _cmd_analysis(args) -> int:
             ])
         _write_csv(out, columns, rows)
     elif table == "matched-count":
-        m = opt("m", 3, int)
-        p = _rate(opt, "p")
-        deltas = _parse_values("deltas", opt("deltas", "0,1,2,4", str), int)
+        m = args.m
+        p = _rate(args, "p")
+        deltas = _parse_values("deltas", args.deltas, int)
         if not deltas:
             raise CliError("deltas must not be empty")
         if min(deltas) < 0:
@@ -222,9 +196,7 @@ def _cmd_analysis(args) -> int:
         ]
         _write_csv(out, columns, rows)
     else:
-        raise CliError(
-            f"unknown table {table!r}; choose misdetection or matched-count"
-        )
+        raise CliError(f"unknown table {table!r}; choose misdetection or matched-count")
     _write_summary(_summary_path(out), {
         "command": "analysis", "table": table, "n": n, **params,
         "rows_file": out,
@@ -234,21 +206,14 @@ def _cmd_analysis(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    opt = _options(args)
-    p = _rate(opt, "p")
+    p = _rate(args, "p")
     cfg = TwoHopConfig(
-        m=opt("m", 3, int),
-        n=opt("n", 4, int),
-        delta=opt("delta", 1, int),
-        p_s=p,
-        p_relay=p,
-        p_adv=0.3,
-        iterations=1,
-        seed=opt("seed", 0, int),
+        m=args.m, n=args.n, delta=args.delta, p_s=p, p_relay=p, p_adv=0.3, iterations=1,
+        seed=args.seed,
     )
     if cfg.n > 6:
         raise CliError("oracle checks require n <= 6")
-    trials = opt("trials", 100, int)
+    trials = args.trials
     if trials < 1:
         raise CliError(f"trials must be >= 1, got {trials}")
     max_err = 0.0
@@ -273,18 +238,17 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_multihop(args) -> int:
-    opt = _options(args)
-    seed = opt("seed", 0, int)
-    scenario = opt("scenario", None, str)
-    topology = opt("topology", None, str)
+    seed, scenario, topology = args.seed, args.scenario, args.topology
     if (scenario is None) == (topology is None):
         raise CliError("multihop needs exactly one of --scenario or --topology")
+    for key, (_, default, _) in TOPOLOGY_FLAGS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
+        elif scenario is not None:
+            raise CliError(f"--{key} applies only to --topology runs")
     if scenario is not None:
         if scenario not in SCENARIOS:
             raise CliError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-        for key in ("threshold", "window", "n", "delta", "trace"):  # read by topology runs only
-            if opt(key, None, str) is not None:
-                raise CliError(f"--{key} applies only to --topology runs")
         params = {
             name: p.default for name, p in inspect.signature(mincut_scenario).parameters.items()
             if name not in ("kind", "seed")
@@ -303,17 +267,18 @@ def _cmd_multihop(args) -> int:
     g, behaviors, schedule, source_symbols = load_topology(topology)
     if seed < 0:  # the hash spec is drawn before run_protocol checks it
         raise CliError(f"seed must be >= 0, got {seed}")
-    field = default_field(opt("n", 10, int))
+    field = default_field(args.n)
     for name, symbol in source_symbols.items():
         if not 0 <= symbol < field.order:
             raise CliError(f"topology field 'source_symbols.{name}': "
                            f"{symbol} is not a GF(2^{field.n}) element")
-    spec = sample_hash(np.random.default_rng(seed), "affine", field.n, opt("delta", 2, int))
-    ledger = TrustLedger(opt("threshold", 0.005, float), window=opt("window", 25, int))
+    # Not run_protocol's stream, SeedSequence((seed,)); (seed, 0) would equal it (zero padding).
+    spec = sample_hash(np.random.default_rng(np.random.SeedSequence((seed, 1))), "affine",
+                       field.n, args.delta)
+    ledger = TrustLedger(args.threshold, window=args.window)
     transcript = run_protocol(g, behaviors, schedule, spec, seed, ledger, source_symbols or None)
-    trace = opt("trace", None, str)
-    if trace:
-        write_trace(transcript, trace)
+    if args.trace:
+        write_trace(transcript, args.trace)
     verdicts = {
         f"{watcher}->{watched}": ledger.verdict(watcher, watched).value
         for watcher, watched in ledger.pairs()
@@ -331,7 +296,8 @@ def _cmd_multihop(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI's parser, and each subcommand's parser by name; help shows every default."""
     parser = argparse.ArgumentParser(
         prog="algwatch",
         description="Algebraic watchdog experiments: trellis inference over overheard "
@@ -339,60 +305,81 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="INI config file; flags override it")
-        p.add_argument("--seed", type=int, help="root seed (default 0)")
+    def command(name, help):
+        p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.add_argument("--config", help=f"INI config file; its [{name}] section sets defaults")
+        p.add_argument("--seed", type=int, default=0, help="root seed")
         p.add_argument("--out", default="out.csv", help="output CSV/JSON path")
+        return p
 
     d = TwoHopConfig()
-    p = sub.add_parser("two-hop", help="Monte Carlo sweep of the two-hop experiment")
-    common(p)
-    p.add_argument("--sweep", choices=SWEEP_AXES, help="axis to sweep (default p_adv)")
-    p.add_argument("--values", help="comma-separated, strictly increasing axis values")
-    p.add_argument("--m", type=int, help=f"source count (default {d.m})")
-    p.add_argument("--n", type=int, help=f"symbol width in bits (default {d.n})")
-    p.add_argument("--delta", type=int, help=f"hash width in bits (default {d.delta})")
-    p.add_argument("--p-s", dest="p_s", type=float,
-                   help=f"peer overhearing rate (default {d.p_s})")
-    p.add_argument("--p-relay", dest="p_relay", type=float,
-                   help=f"relay overhearing rate (default {d.p_relay})")
-    p.add_argument("--p-adv", dest="p_adv", type=float,
-                   help=f"adversarial injection rate (default {d.p_adv})")
-    p.add_argument("--iterations", type=int, help=f"trials per point (default {d.iterations})")
-    p.add_argument("--pruning-eps", dest="pruning_eps", type=float,
-                   help="ball-prune candidate sets at this eps (default off)")
+    p = command("two-hop", "Monte Carlo sweep of the two-hop experiment")
+    p.add_argument("--sweep", choices=SWEEP_AXES, default="p_adv", help="axis to sweep")
+    p.add_argument("--values", help="comma-separated, strictly increasing axis values; unset, by "
+                   "axis: " + "; ".join(f"{k} {v}" for k, v in DEFAULT_SWEEP_VALUES.items()))
+    p.add_argument("--m", type=int, default=d.m, help="source count")
+    p.add_argument("--n", type=int, default=d.n, help="symbol width in bits")
+    p.add_argument("--delta", type=int, default=d.delta, help="hash width in bits")
+    p.add_argument("--p-s", dest="p_s", type=float, default=d.p_s, help="peer overhearing rate")
+    p.add_argument("--p-relay", dest="p_relay", type=float, default=d.p_relay,
+                   help="relay overhearing rate")
+    p.add_argument("--p-adv", dest="p_adv", type=float, default=d.p_adv,
+                   help="adversarial injection rate")
+    p.add_argument("--iterations", type=int, default=d.iterations, help="trials per point")
+    p.add_argument("--pruning-eps", dest="pruning_eps", type=float, default=d.pruning_eps,
+                   help="ball-prune candidate sets at this eps, if set")
     p.add_argument("--hash-family", dest="hash_family", choices=("affine", "poly"),
-                   help=f"hash family for the experiment (default {d.hash_family})")
-    p.add_argument("--workers", type=int, help="parallel workers (default: cpu count)")
+                   default=d.hash_family, help="hash family for the experiment")
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                   help="parallel workers; the cpu count unless set")
 
-    p = sub.add_parser("multihop", help="run a min-cut scenario or topology file")
-    common(p)
+    p = command("multihop", "run a min-cut scenario or topology file")
     p.add_argument("--scenario", choices=SCENARIOS)
     p.add_argument("--topology", help="JSON topology document")
-    p.add_argument("--trace", help="write a topology run's line-delimited transcript here")
-    p.add_argument("--threshold", type=float, help="ledger threshold for custom topologies")
-    p.add_argument("--window", type=int,
-                   help="rolling verdict window for custom topologies (default 25)")
-    p.add_argument("--n", type=int, help="symbol width for custom topologies (default 10)")
-    p.add_argument("--delta", type=int, help="hash width for custom topologies (default 2)")
+    for key, (kind, default, text) in TOPOLOGY_FLAGS.items():
+        p.add_argument(f"--{key}", type=kind, help=f"{text} (--topology only; unset: {default})")
 
-    p = sub.add_parser("analysis", help="tabulate the closed-form evaluators")
-    common(p)
-    p.add_argument("--table", choices=("misdetection", "matched-count"))
-    p.add_argument("--n", type=int, help="symbol width (default 10)")
-    p.add_argument("--h", type=int, help="hash bits for the misdetection table")
-    p.add_argument("--m", type=int, help="peer count for the matched-count table")
-    p.add_argument("--p", type=float, help="overhearing rate for the matched-count table")
-    p.add_argument("--deltas", help="comma-separated hash widths for matched-count")
+    p = command("analysis", "tabulate the closed-form evaluators")
+    p.add_argument("--table", choices=("misdetection", "matched-count"), default="misdetection",
+                   help="table to write")
+    p.add_argument("--n", type=int, default=10, help="symbol width")
+    p.add_argument("--h", type=int, default=2, help="hash bits for the misdetection table")
+    p.add_argument("--m", type=int, default=3, help="peer count for the matched-count table")
+    p.add_argument("--p", type=float, default=0.1,
+                   help="overhearing rate for the matched-count table")
+    p.add_argument("--deltas", default="0,1,2,4",
+                   help="comma-separated hash widths for matched-count")
 
-    p = sub.add_parser("oracle", help="trellis vs brute-force enumeration check")
-    common(p)
-    p.add_argument("--n", type=int, help="symbol width <= 6 (default 4)")
-    p.add_argument("--m", type=int, help="source count (default 3)")
-    p.add_argument("--delta", type=int, help="hash width (default 1)")
-    p.add_argument("--p", type=float, help="overhearing rate (default 0.1)")
-    p.add_argument("--trials", type=int, help="instances to check (default 100)")
-    return parser
+    p = command("oracle", "trellis vs brute-force enumeration check")
+    p.add_argument("--n", type=int, default=4, help="symbol width <= 6")
+    p.add_argument("--m", type=int, default=3, help="source count")
+    p.add_argument("--delta", type=int, default=1, help="hash width")
+    p.add_argument("--p", type=float, default=0.1, help="overhearing rate")
+    p.add_argument("--trials", type=int, default=100, help="instances to check")
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """argv's options: each from its flag, else the --config section, else its default.
+
+    The section named after the command becomes that command's parser
+    defaults and argv is parsed again, so argparse converts each config
+    value with its flag's own type and names the flag when that fails.
+    """
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    config = configparser.ConfigParser()
+    try:
+        if not config.read(args.config):
+            raise CliError(f"config file not found: {args.config}")
+        section = config.items(args.command) if config.has_section(args.command) else []
+    except configparser.Error as exc:
+        raise CliError(f"config file {args.config}: {exc}") from None
+    own = vars(args).keys() - {"command", "config"}  # the command's option destinations
+    commands[args.command].set_defaults(**{key: value for key, value in section if key in own})
+    return parser.parse_args(argv)
 
 
 _COMMANDS = {
@@ -404,13 +391,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else USAGE_ERROR
-    try:
+        args = _parse_args(argv)
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse's, after --help or a usage message
+        return 0 if exc.code == 0 else USAGE_ERROR
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

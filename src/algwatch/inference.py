@@ -258,6 +258,14 @@ def _transition_rows(
     return cands[keep], w[keep], lengths
 
 
+def _check_overheard(spec: HashSpec, observed: int, hash_name: str, hash_value: int) -> None:
+    """Raise a ValueError naming the argument unless both fit the spec's widths."""
+    if not 0 <= observed < (1 << spec.n):
+        raise ValueError(f"observed {observed} is not an {spec.n}-bit symbol")
+    if not 0 <= hash_value < (1 << spec.delta):
+        raise ValueError(f"{hash_name} {hash_value} is not a {spec.delta}-bit value")
+
+
 def transition_row(
     observed: int,
     target_hash: int,
@@ -273,8 +281,7 @@ def transition_row(
     dropped before renormalizing; this trades a little false-detection
     probability for a much smaller candidate set.
     """
-    if not 0 <= target_hash < (1 << spec.delta):
-        raise ValueError(f"target {target_hash} is not a {spec.delta}-bit value")
+    _check_overheard(spec, observed, "target_hash", target_hash)
     cands, probs, lengths = _transition_rows(
         _table(spec)[None], np.array([[observed]]), np.array([[target_hash]]),
         [ch], spec.n, spec.delta, prune_eps,
@@ -543,6 +550,7 @@ def inverse_transition(
     An announced class that cannot explain the overheard symbol raises
     InferenceError, as it does for consistency_probability.
     """
+    _check_overheard(spec, observed, "relay_hash", relay_hash)
     top, denom, faults = _relay_normalizers(
         _table(spec)[None], np.array([[observed]]), np.array([[relay_hash]]), ch, spec.n
     )

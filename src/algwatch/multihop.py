@@ -28,7 +28,7 @@ import numpy as np
 from .channel import Bsc, transmit
 from .gfield import default_field
 from .hashing import HashSpec, sample_hash
-from .inference import Overheard, Verdict, WatchdogObservation, _pstar
+from .inference import Overheard, Verdict, WatchdogObservation, _pstar, decide
 from .packet import Packet, corrupt_payload, destination_check, make_packet
 from .sim import TwoHopConfig, calibrate_threshold
 
@@ -124,8 +124,7 @@ class TrustLedger:
         samples = self._samples.get((watcher, watched), [])
         if len(samples) < self.window:
             return Verdict.WELL_BEHAVING
-        mean = float(np.mean(samples[-self.window:]))
-        return Verdict.MALICIOUS if mean <= self.threshold else Verdict.WELL_BEHAVING
+        return decide(float(np.mean(samples[-self.window:])), self.threshold)
 
     def pairs(self) -> list[tuple[str, str]]:
         return sorted(self._samples)

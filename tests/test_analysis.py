@@ -241,6 +241,13 @@ def test_misdetection_bound_shrinks_with_width_at_small_radius():
     assert values[0] > 10 * values[-1]
 
 
+def test_undetected_bounds_cap_at_one_beyond_float_range():
+    # every ball is the whole space: the ratio is 2^(3n - 3h - 2n) = 2^1094, beyond a float
+    g = TwoHopGeometry(1100, 2, 1100, 1100, 1100, 1100)
+    assert undetected_prob_watchdog(g) == undetected_prob_peer(g) == 1.0
+    assert misdetection_probability(g) == 1.0
+
+
 def test_geometry_from_eps_composes_ball_radius():
     g = geometry_from_eps(10, 2, 0.05, Bsc(0.1), Bsc(0.2))
     assert g.watchdog_hears_peer == ball_radius(Bsc(0.1), 10, 0.05)

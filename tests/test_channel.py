@@ -7,7 +7,6 @@ from algwatch.channel import (
     Bsc,
     ball_radius,
     ball_volume,
-    compose_error_rates,
     flip_bits,
     hamming,
     hamming_vec,
@@ -117,6 +116,9 @@ def test_ball_volume():
     assert ball_volume(4, 1) == 5
     with pytest.raises(ValueError):
         ball_volume(4, 5)
+    for n in range(65):
+        for r in range(n + 1):
+            assert ball_volume(n, r) == sum(math.comb(n, k) for k in range(r + 1))
 
 
 def test_ball_radius_examples():
@@ -136,21 +138,6 @@ def test_ball_radius_monotone():
     for p in (0.05, 0.2, 0.45):
         radii = [ball_radius(Bsc(p), n, eps) for eps in (0.01, 0.05, 0.2, 0.5, 0.9)]
         assert radii == sorted(radii, reverse=True)
-
-
-def test_compose_error_rates():
-    assert compose_error_rates(0.0, 0.3) == 0.3
-    assert compose_error_rates(1.0, 0.3) == 1.0
-    assert compose_error_rates(0.1, 0.1) == pytest.approx(0.19)
-    assert compose_error_rates(0.2, 0.4) == compose_error_rates(0.4, 0.2)
-
-
-def test_compose_matches_union_enumeration():
-    # a + b - ab is the at-least-one-flip probability of the 2x2 enumeration
-    for a in (0.0, 0.15, 0.6, 1.0):
-        for b in (0.0, 0.3, 0.5):
-            union = a * b + a * (1 - b) + (1 - a) * b
-            assert compose_error_rates(a, b) == pytest.approx(union)
 
 
 @pytest.mark.parametrize("x", [0, 1, 0x5A5A, 0xFFFF])

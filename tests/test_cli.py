@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import platform
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import algwatch
 from algwatch import cli
 from algwatch.cli import main
+from algwatch.hashing import sample_hash
 from algwatch.inference import InferenceError, build_and_run_trellis, transition_row
 from algwatch.sim import TwoHopConfig, simulate_observation
 
@@ -160,6 +162,68 @@ def test_malformed_config_names_field(tmp_path, capsys):
     assert main(["two-hop", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "iterations" in err
+    cfg.write_text("[two-hop]\np_s = high\n")
+    assert main(["two-hop", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "--p-s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, options", [
+    ("two-hop", {
+        "sweep": "m", "values": "2,3", "n": "6", "delta": "1", "p_s": "0.2", "p_relay": "0.15",
+        "p_adv": "0.4", "iterations": "12", "seed": "3", "pruning_eps": "0.3",
+        "hash_family": "poly", "workers": "1",
+    }),
+    ("oracle", {"n": "3", "m": "2", "delta": "2", "p": "0.2", "trials": "3", "seed": "5"}),
+    ("analysis", {"table": "misdetection", "n": "6", "h": "1"}),
+    ("analysis", {"table": "matched-count", "n": "12", "m": "2", "p": "0.2", "deltas": "1,3"}),
+    ("multihop", {"threshold": "0.01", "window": "2", "n": "6", "delta": "1", "seed": "4"}),
+], ids=["two-hop", "oracle", "misdetection", "matched-count", "multihop-topology"])
+def test_config_section_equals_its_flags(tmp_path, command, options):
+    """One run given by flags, one by the same options and its out path in a config section."""
+    topology = tmp_path / "topo.json"
+    topology.write_text(json.dumps(_SMALL_TOPOLOGY))
+    written = {}
+    for how in ("flags", "config"):
+        run = tmp_path / how
+        run.mkdir()
+        out = run / ("run.json" if command == "multihop" else "run.csv")
+        given = dict(options)
+        if command == "multihop":
+            given.update(topology=str(topology), trace=str(run / "trace.jsonl"))
+        if how == "flags":
+            flags = (token for key, value in given.items()
+                     for token in (f"--{key.replace('_', '-')}", value))
+            argv = [command, *flags, "--out", str(out)]
+        else:
+            ini = run / "run.ini"
+            ini.write_text(f"[{command}]\n" + "".join(
+                f"{key} = {value}\n" for key, value in {**given, "out": str(out)}.items()
+            ))
+            argv = [command, "--config", str(ini)]
+        assert main(argv) == 0
+        summary = json.loads(out.with_suffix(".json").read_text())
+        assert summary.pop("rows_file", str(out)) == str(out)  # analysis echoes its output path
+        files = [out, run / "trace.jsonl"] if command == "multihop" else [out]
+        written[how] = summary, [path.read_bytes() for path in files]
+    assert written["config"] == written["flags"]
+
+
+def test_topology_hash_is_not_drawn_from_the_protocol_stream(tmp_path, monkeypatch):
+    first_words = []
+
+    def spy(rng, *args):
+        first_words.append(int(copy.deepcopy(rng).bit_generator.random_raw()))
+        return sample_hash(rng, *args)
+
+    monkeypatch.setattr(cli, "sample_hash", spy)
+    topology = tmp_path / "topo.json"
+    topology.write_text(json.dumps(_SMALL_TOPOLOGY))
+    for seed in range(3):
+        assert main(["multihop", "--topology", str(topology), "--seed", str(seed),
+                     "--out", str(tmp_path / "run.json")]) == 0
+        # run_protocol's own generator for the same seed
+        protocol = np.random.default_rng(np.random.SeedSequence((seed,)))
+        assert first_words[-1] != int(protocol.bit_generator.random_raw())
 
 
 def test_analysis_misdetection_table(tmp_path):
@@ -268,10 +332,16 @@ def test_multihop_topology_says_why_a_pair_went_unpoliced(tmp_path):
     assert summary["unpoliced"] == {"w->r": "w has no overhearing edge from r"}
 
 
-def test_usage_errors_exit_one(tmp_path):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["unknown-command"]) == 1
     assert main(["two-hop", "--config", str(tmp_path / "missing.ini"),
                  "--out", str(tmp_path / "o.csv")]) == 1
+    bad = tmp_path / "bad.ini"
+    for text in ("n = 6\n", "[two-hop]\nn = 6\nn = 7\n"):  # no section header; a duplicate key
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["two-hop", "--config", str(bad), "--out", str(tmp_path / "o.csv")]) == 1
+        assert str(bad) in capsys.readouterr().err
     for values in ("", ","):
         assert main(["two-hop", "--values", values, "--out", str(tmp_path / "o.csv")]) == 1
     assert not (tmp_path / "o.csv").exists()
@@ -411,6 +481,7 @@ _SMALL_TOPOLOGY = {
 @example(run=("analysis", {"--table": "matched-count", "--deltas": "-400"}))
 @example(run=("analysis", {"--table": "matched-count", "--n": "2000", "--p": "0.5"}))
 @example(run=("analysis", {"--table": "matched-count", "--deltas": "-1"}))
+@example(run=("analysis", {"--table": "misdetection", "--n": "1100"}))
 def test_cli_fuzz_exits_zero_or_one_naming_a_flag(tmp_path, capsys, run):
     """Small runs over every subcommand's flags: exit 0, or exit 1 naming a flag given."""
     command, drawn = run

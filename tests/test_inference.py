@@ -338,6 +338,19 @@ def test_trellis_bit_identical_across_many_chunks():
         _assert_matches_gather_loop(obs)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda spec: transition_row(5000, 0, Bsc(0.1), spec), "observed"),
+    (lambda spec: transition_row(2047, 0, Bsc(0.1), spec), "observed"),
+    (lambda spec: transition_row(-1, 0, Bsc(0.1), spec, prune_eps=0.5), "observed"),
+    (lambda spec: inverse_transition(3, 5000, 3, Bsc(0.1), spec), "observed"),
+    (lambda spec: inverse_transition(3, 3, 9, Bsc(0.1), spec), "relay_hash"),
+], ids=["row-13-bit-symbol", "row-11-bit-symbol", "row-negative-pruned", "inverse-13-bit-symbol",
+        "inverse-4-bit-hash"])
+def test_impossible_symbol_or_hash_is_a_value_error_naming_it(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        call(HashSpec("affine", 10, 2, (1, 0)))
+
+
 def test_inverse_transition_hash_mismatch_is_zero():
     assert inverse_transition(3, 2, 2, Bsc(0.1), LOW2) == 0.0
 
