@@ -156,7 +156,7 @@ def _cmd_two_hop(args) -> int:
         "workers": args.workers,
         "rows": [dict(zip(TWO_HOP_COLUMNS, row)) for row in rows],
         # fallbacks: trials whose trellis, and arms whose scoring, raised InferenceError
-        # and were scored p* = 0; row_size and support: over the trellises built
+        # and were scored p* = 0; row_size, support and forward paths: over the trellises built
         "diagnostics": diagnostics.summary(),
     })
     print(f"two-hop sweep over {axis}: {len(rows)} rows -> {args.out}")
@@ -364,7 +364,8 @@ def _parse_args(argv) -> argparse.Namespace:
 
     The section named after the command becomes that command's parser
     defaults and argv is parsed again, so argparse converts each config
-    value with its flag's own type and names the flag when that fails.
+    value with its flag's own type and names the flag when that fails. A
+    key that names none of the command's destinations is an error.
     """
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
@@ -378,7 +379,14 @@ def _parse_args(argv) -> argparse.Namespace:
     except configparser.Error as exc:
         raise CliError(f"config file {args.config}: {exc}") from None
     own = vars(args).keys() - {"command", "config"}  # the command's option destinations
-    commands[args.command].set_defaults(**{key: value for key, value in section if key in own})
+    for key, _ in section:
+        if key not in own:
+            meant = key.replace("-", "_")
+            hint = f" (did you mean {meant}?)" if meant in own else ""
+            raise CliError(
+                f"config file {args.config}: [{args.command}] has no option {key!r}{hint}"
+            )
+    commands[args.command].set_defaults(**dict(section))
     return parser.parse_args(argv)
 
 

@@ -93,7 +93,7 @@ class GF2n:
         return self.mul_elementwise(np.full(len(xs), a), xs)
 
     def mul_elementwise(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Elementwise field product of two arrays of one shape."""
+        """Elementwise field product of two arrays, broadcast against each other."""
         out = self._exp_np[self._log_np[us] + self._log_np[vs]]
         out[(us == 0) | (vs == 0)] = 0  # the log table's entry for 0 is a placeholder
         return out

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,32 +85,55 @@ def hash_eval_vec(spec: HashSpec, xs: np.ndarray) -> np.ndarray:
 
 
 def _hash_rows(family: str, n: int, delta: int, coeffs, xs) -> np.ndarray:
-    """(len(coeffs), len(xs)) array: row k hashes every symbol of xs under coeffs[k].
+    """Row k hashes symbols under coeffs[k]: every symbol of a 1-D xs, or row k of a 2-D xs.
 
     coeffs[k] is the ``coefficients`` of a family hash of n-bit symbols to
-    delta bits; each row is what hash_eval gives symbol by symbol.
+    delta bits; each row is what hash_eval gives symbol by symbol. A 1-D xs
+    gives a (len(coeffs), len(xs)) array, a 2-D xs an array of its shape.
     """
     coeffs, xs = np.asarray(coeffs, dtype=np.int64), np.asarray(xs, dtype=np.int64)
     mask = (1 << delta) - 1
     if family == "affine":
         return (coeffs[:, :1] * xs + coeffs[:, 1:]) & mask
     f = default_field(n)
-    acc = np.broadcast_to(coeffs[:, -1:], (len(coeffs), len(xs)))
+    acc = coeffs[:, -1:]
     for c in coeffs.T[-2::-1]:
-        # Horner step: acc = acc*x + c, elementwise over every row.
+        # Horner step: acc = acc*x + c, elementwise over every row (broadcast).
         acc = f.mul_elementwise(acc, xs) ^ c[:, None]
-    return acc & mask
+    return np.broadcast_to(acc, np.broadcast_shapes(acc.shape, xs.shape)) & mask
 
 
 def _tables(family: str, n: int, delta: int, coeffs) -> np.ndarray:
     """Hash of every n-bit symbol under each row of coeffs, one row per hash.
 
-    A trial asks many hash questions of its hash (collision classes, header
-    hashes, which final states match); each is a lookup into its row, so
-    the field is hashed once per trial, and a block of trials hashes it for
-    all its trials in one pass. A row is 2^n int64 values: 8 KiB at n = 10.
+    Made only for a question that reads a whole collision class: a
+    transition row that scans the class, or a relay's normalizer. A row is
+    2^n int64 values, 8 KiB at n = 10, while a ball-pruned trial reads about
+    33 symbols there; ``_Hashes.at`` hashes just the symbols read when a
+    block has no tables.
     """
     return _hash_rows(family, n, delta, coeffs, np.arange(1 << n, dtype=np.int64))
+
+
+class _Hashes(NamedTuple):
+    """The hashes of a block of uses, one per row, and their ``_tables`` when made."""
+
+    family: str
+    n: int
+    delta: int
+    coeffs: np.ndarray  # row k: use k's hash's coefficients
+    tables: np.ndarray | None
+
+    def at(self, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """xs[i] hashed under use rows[i]'s hash, for xs of 1 or 2 dimensions.
+
+        Looked up in the tables when they are made, else computed.
+        """
+        if xs.ndim == 1:
+            return self.at(rows, xs[:, None])[:, 0]
+        if self.tables is not None:
+            return self.tables.ravel()[rows[:, None] << self.n | xs]
+        return _hash_rows(self.family, self.n, self.delta, self.coeffs[rows], xs)
 
 
 @functools.lru_cache(maxsize=8)

@@ -18,18 +18,25 @@ the relay's actual transmission against that inference:
 4. p* <= t for a calibrated threshold t flags the relay as malicious.
 
 Layer weights are exposed sparsely (state -> weight for reachable states
-only); the forward pass keeps dense vectors but scatters each layer update
-from the previous layer's positive-weight support alone, summing the
-contributions with ``np.bincount`` in the same order a per-candidate dense
-pass would, so every layer is bit-for-bit what that pass gives.
+only). The forward pass scatters each layer update from the previous
+layer's positive-weight support alone, summing the contributions with
+``np.bincount`` in the order a per-candidate dense pass would, so every
+layer is bit-for-bit what that pass gives. It runs one of two ways, chosen
+per trellis from its row lengths alone: dense, one trellis at a time over
+2^n-entry vectors (``_forward_pass``), or, when the rows bound every layer
+far below 2^n states, keyed: all such trellises of a block together, one
+pass per layer over (trellis, state) keys (``_keyed_pass``).
 
 Every p* is computed by one block function, ``_watch``, over
 ``_Holdings``: the array form of what the watchdogs of a block of relay
 uses hold. It makes each block's transition rows and relay normalizers in
-one batched pass, and runs the forward pass and scoring per use. The Monte
-Carlo harness hands it whole blocks of drawn trials; the public
-one-observation functions are one-use calls of it, and each use gets
-exactly the floats it would get alone.
+one batched pass, runs the forward passes, and hashes, counts and scores
+the final layers of all uses together; only each arm's dot product runs
+per arm. A block hashes the whole field under each use's hash only when it
+reads a whole collision class (``hashing._Hashes``). The Monte Carlo
+harness hands it whole blocks of drawn trials; the public one-observation
+functions are one-use calls of it, and each use gets exactly the floats it
+would get alone.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ import numpy as np
 
 from .channel import Bsc, _log_likelihood_table, ball_radius, ball_volume, log_likelihood
 from .gfield import GF2n, default_field
-from .hashing import HashSpec, _table, hash_eval
+from .hashing import HashSpec, _Hashes, _table, hash_eval
 
 
 # Contributions summed per np.bincount call in the forward pass; bounds each
@@ -178,20 +185,22 @@ def _ball_masks(n: int, r: int) -> np.ndarray:
 
 
 def _ball_members(
-    tables: np.ndarray, observed: np.ndarray, targets: np.ndarray, r: int, n: int
+    hashes: _Hashes, observed: np.ndarray, targets: np.ndarray, r: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_classes`` of a batch kept within distance r of observed, found from the balls.
 
     Item (k, j) tries observed[k, j] XOR every mask of weight at most r and
-    keeps the symbols that hash to targets[k, j] under tables[k]. Sorting
-    the keys ``item << n | symbol`` gives the pairs in item order and
-    ascending symbol order within an item, as ``_classes`` orders them.
+    keeps the symbols that hash to targets[k, j] under use k's hash; only
+    those symbols are hashed. Sorting the keys ``item << n | symbol`` gives
+    the pairs in item order and ascending symbol order within an item, as
+    ``_classes`` orders them.
     """
+    n = hashes.n
     masks = _ball_masks(n, r)
     count, peers = targets.shape
-    symbols = (observed[:, :, None] ^ masks).reshape(count, peers * len(masks))
-    hit = tables[np.arange(count)[:, None], symbols] == np.repeat(targets, len(masks), axis=1)
-    found = np.flatnonzero(hit)
+    symbols = observed[:, :, None] ^ masks
+    hashed = hashes.at(np.arange(count), symbols.reshape(count, -1))
+    found = np.flatnonzero(hashed.reshape(symbols.shape) == targets[:, :, None])
     keys = np.sort((found // len(masks)) << n | symbols.ravel()[found])
     return keys >> n, keys & ((1 << n) - 1)
 
@@ -213,35 +222,33 @@ def _pruning(
 
 
 def _transition_rows(
-    tables: np.ndarray,
+    hashes: _Hashes,
     observed: np.ndarray,
     targets: np.ndarray,
     channels,
-    n: int,
-    delta: int,
     prune_eps: float | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every transition row of a batch in one pass.
 
     Row (k, j) is ``transition_row(observed[k, j], targets[k, j], channels[j],
-    spec_k, prune_eps)`` where tables[k] is spec_k's delta-bit hash table.
-    Returns the rows' candidates and probabilities laid end to end in row
-    order, and each row's length, with the shape of targets; a length of 0
-    is a row for which transition_row raises InferenceError. Every row holds
-    exactly the floats it would hold alone: likelihoods are elementwise,
-    maxima exact, and sums taken per row in row order (``_segment_reduce``).
+    spec_k, prune_eps)`` where spec_k is use k's hash in hashes. Returns the
+    rows' candidates and probabilities laid end to end in row order, and
+    each row's length, with the shape of targets; a length of 0 is a row for
+    which transition_row raises InferenceError. Every row holds exactly the
+    floats it would hold alone: likelihoods are elementwise, maxima exact,
+    and sums taken per row in row order (``_segment_reduce``).
 
     Pruned rows find their candidates in the balls (``_ball_members``)
     where ``_pruning`` says so; other rows scan the whole hash table
-    (``_classes``). The distance filter then leaves the same candidates in
-    the same order either way.
+    (``_classes``), which hashes must then hold. The distance filter then
+    leaves the same candidates in the same order either way.
     """
-    channels = tuple(channels)
+    channels, n, delta = tuple(channels), hashes.n, hashes.delta
     radius, reach = (None, None) if prune_eps is None else _pruning(channels, n, delta, prune_eps)
     if reach is None:
-        items, cands = _classes(tables, targets)
+        items, cands = _classes(hashes.tables, targets)
     else:
-        items, cands = _ball_members(tables, observed, targets, reach, n)
+        items, cands = _ball_members(hashes, observed, targets, reach)
     peer = items % targets.shape[1]
     d = np.bitwise_count(observed.ravel()[items] ^ cands)
     if radius is not None:
@@ -283,8 +290,7 @@ def transition_row(
     """
     _check_overheard(spec, observed, "target_hash", target_hash)
     cands, probs, lengths = _transition_rows(
-        _table(spec)[None], np.array([[observed]]), np.array([[target_hash]]),
-        [ch], spec.n, spec.delta, prune_eps,
+        _spec_hashes(spec), np.array([[observed]]), np.array([[target_hash]]), [ch], prune_eps
     )
     if lengths[0, 0] == 0:
         raise InferenceError(_EMPTY_ROW)
@@ -296,26 +302,25 @@ class Trellis:
 
     Layer i holds the weights of all reachable values of
     sum_{j<=i} a_j x_j; layer 1 is the single state a_1 x_1 with weight 1.
+    Each layer is held as its positive-weight states, ascending, and their
+    weights; a dense vector is built only when asked for.
     """
 
-    def __init__(self, layer_weights: list[np.ndarray]):
-        self._arrays = layer_weights
+    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]], order: int):
+        self._layers, self._order = layers, order
 
     @property
     def final_weights(self) -> np.ndarray:
         """Dense weight vector of the last layer, indexed by state."""
-        return self._arrays[-1]
+        states, weights = self._layers[-1]
+        vec = np.zeros(self._order)
+        vec[states] = weights
+        return vec
 
     @property
     def layers(self) -> list[dict[int, float]]:
         """Sparse per-layer maps state -> weight, positive-weight states only."""
-        return [{int(s): float(vec[s]) for s in np.flatnonzero(vec > 0.0)} for vec in self._arrays]
-
-
-def _hashed_support(w: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """States of positive weight in w, and their hashes looked up in table."""
-    support = np.flatnonzero(w > 0.0)
-    return support, table[support]
+        return [dict(zip(states.tolist(), weights.tolist())) for states, weights in self._layers]
 
 
 def _forward_pass(
@@ -369,6 +374,88 @@ def _forward_pass(
     return arrays
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., up to lengths[i] values, for each i in turn."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+
+
+def _keyed_pass(
+    starts: np.ndarray,
+    shifts: np.ndarray,
+    probs: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    n: int,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``_forward_pass`` of a group of trellises at once, one keyed pass per layer.
+
+    Trellis g starts at state starts[g], and its peer i's row is
+    shifts[lo[g, i]:hi[g, i]] with probabilities probs[lo[g, i]:hi[g, i]].
+    Each layer comes back as (trellis, state, weight) arrays of its
+    positive-weight states, in ascending (trellis, state) order.
+
+    A layer's contributions are laid out trellis by trellis, and within a
+    trellis as ``_forward_pass`` lays them out: candidate-major, then over
+    the ascending live states of the layer before. Each is keyed
+    ``g << n | state``. Sorting the keys and comparing neighbours gives the
+    distinct keys, and ``np.searchsorted`` each contribution's id among
+    them. One ``np.bincount`` over the ids then adds each id's terms in
+    input order, starting from 0.0, so each state's sum takes the terms that
+    pass adds, in the order it adds them. Each layer equals that pass's
+    positive support bit for bit, layer 1 included (0.0 + t_x * 1.0 is
+    t_x). A rank-based id (``np.argsort``) was faster, but its first use
+    adds about 0.2 MiB of resident set.
+    """
+    count, mask = len(starts), (1 << n) - 1
+    layers = [(np.arange(count), starts, np.ones(count))]
+    for row_lo, row_hi in zip(lo.T, hi.T):
+        keys, terms = _contributions(layers[-1], count, row_lo, row_hi, shifts, probs, n)
+        distinct, ids = _ranks(keys)
+        sums = np.bincount(ids, terms, minlength=len(distinct))
+        live = sums > 0.0
+        layers.append((distinct[live] >> n, distinct[live] & mask, sums[live]))
+    return layers
+
+
+def _contributions(
+    layer: tuple[np.ndarray, np.ndarray, np.ndarray],
+    count: int,
+    row_lo: np.ndarray,
+    row_hi: np.ndarray,
+    shifts: np.ndarray,
+    probs: np.ndarray,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, terms) of one ``_keyed_pass`` layer's contributions, laid out as it lays them.
+
+    A function of its own so that its index arrays are freed before the
+    keys are sorted: a block's peak memory is a layer's temporaries.
+    """
+    trellis, states, weights = layer
+    sizes = np.bincount(trellis, minlength=count)
+    lengths = row_hi - row_lo
+    owner = np.repeat(np.arange(count), lengths)  # every candidate, trellis-major
+    reps = sizes[owner]  # a candidate meets every live state of its trellis
+    cand = np.repeat(_ranges(row_lo, lengths), reps)
+    src = _ranges((np.cumsum(sizes) - sizes)[owner], reps)
+    keys = np.repeat(owner, reps)
+    keys <<= n
+    keys |= shifts[cand] ^ states[src]
+    terms = probs[cand]
+    terms *= weights[src]
+    return keys, terms
+
+
+def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and each key's index among them."""
+    ranked = np.sort(keys)
+    new = np.ones(len(keys), bool)  # the first of its key
+    new[1:] = ranked[1:] != ranked[:-1]
+    distinct = ranked[new]
+    return distinct, np.searchsorted(distinct, keys)
+
+
 class _Holdings(NamedTuple):
     """What the watchdogs of a block of relay uses hold, as arrays.
 
@@ -377,9 +464,7 @@ class _Holdings(NamedTuple):
     over peer_channels[j], and every arm over relay_channel.
     """
 
-    n: int  # the symbol width
-    delta: int  # the hash width
-    tables: np.ndarray  # each use's hash of every n-bit symbol
+    hashes: _Hashes  # each use's hash, with tables where a whole collision class is read
     own: np.ndarray  # the watchdog's own symbol
     coeffs: np.ndarray  # the nonzero coding coefficients, the watchdog's first
     heard: np.ndarray  # the peers' symbols as the watchdog overheard them
@@ -391,11 +476,17 @@ class _Holdings(NamedTuple):
     prune_eps: float | None
 
 
+def _spec_hashes(spec: HashSpec) -> _Hashes:
+    """spec as the hashes of a one-use block, with its cached table."""
+    coeffs = np.array([spec.coefficients])
+    return _Hashes(spec.family, spec.n, spec.delta, coeffs, _table(spec)[None])
+
+
 def _holdings(obs: WatchdogObservation) -> _Holdings:
     """obs as a block of one use with one arm."""
-    peers, relay, spec = obs.overheard, obs.relay_overheard, obs.hash_spec
+    peers, relay = obs.overheard, obs.relay_overheard
     return _Holdings(
-        spec.n, spec.delta, _table(spec)[None], np.array([obs.own_symbol]), np.array([obs.coeffs]),
+        _spec_hashes(obs.hash_spec), np.array([obs.own_symbol]), np.array([obs.coeffs]),
         np.array([[o.symbol for o in peers]], dtype=np.int64),
         np.array([[o.hash_value for o in peers]], dtype=np.int64),
         np.array([[relay.symbol]]), np.array([[relay.hash_value]]),
@@ -403,15 +494,82 @@ def _holdings(obs: WatchdogObservation) -> _Holdings:
     )
 
 
-class _Use(NamedTuple):
-    """One relay use of a block, as its watchdog scored it."""
+# A trellis whose row lengths bound every layer to at most 2^n / _KEYED_SHARE
+# states runs keyed, with others of its block (``_keyed_pass``); the rest run
+# dense, one at a time (``_forward_pass``). Both give the same floats, so the
+# rule picks speed only: the keyed pass's sort costs more per contribution
+# than a dense ``bincount``, and the dense pass pays 2^n per layer and a
+# Python round trip per layer and trellis. 2^n / 8 is 128 states at n = 10.
+_KEYED_SHARE = 8
 
-    layers: list[np.ndarray] | None  # the trellis's layer weights; None: a row came up empty
-    lengths: list[int]  # the candidate count of each transition row
-    support: int  # positive-weight final states
-    matched: int  # of them, those hashing to arm 0's announced value, when not scoring
-    pstars: list[float]  # each arm's p* when scored, 0 where an InferenceError stopped it
-    faults: list[str | None]  # each scored arm's InferenceError message, else None
+
+def _groups(uses: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
+    """uses cut, in order, into groups whose bounds sum to at most _SCATTER_CHUNK each.
+
+    A use whose bound alone is larger makes a group of its own.
+    """
+    ends = np.cumsum(bounds[uses])  # exact: integer sums below 2^53
+    groups, lo = [], 0
+    while lo < len(uses):
+        limit = ends[lo] - bounds[uses[lo]] + _SCATTER_CHUNK
+        hi = max(lo + 1, int(np.searchsorted(ends, limit, "right")))
+        groups.append(uses[lo:hi])
+        lo = hi
+    return groups
+
+
+def _trellises(h: _Holdings, keep: bool = False):
+    """Every use's trellis: (row lengths, built, keyed, final layer, layers when kept).
+
+    A use's trellis is built when none of its transition rows came up
+    empty. The final layer is (use, state, weight) arrays of the built
+    uses' positive-weight final states, each use's states together and
+    ascending. Keyed uses run in groups whose row lengths bound a layer's
+    contributions to ``_SCATTER_CHUNK``. keep asks for every use's layers,
+    each as (states, weights), None for a use not built.
+    """
+    peers, n = h.heard.shape[1], h.hashes.n
+    field = default_field(n)
+    cands, probs, lengths = _transition_rows(
+        h.hashes, h.heard, h.peer_hashes, h.peer_channels, h.prune_eps
+    )
+    shifts = field.mul_elementwise(np.repeat(h.coeffs[:, 1:].ravel(), lengths.ravel()), cands)
+    edges = np.append(0, np.cumsum(lengths))  # row (k, j) starts at edges[k * peers + j]
+    starts = field.mul_elementwise(h.coeffs[:, 0], h.own)
+    built = lengths.all(axis=1)
+    bounds = np.prod(lengths, axis=1, dtype=float)  # no layer holds more states
+    keyed = built & (bounds * _KEYED_SHARE <= 1 << n)
+    finals, kept = [], {}
+    for group in _groups(np.flatnonzero(keyed), bounds) if keyed.any() else []:
+        rows = group[:, None] * peers + np.arange(peers)
+        passed = _keyed_pass(starts[group], shifts, probs, edges[rows], edges[rows + 1], n)
+        trellis, states, weights = passed[-1]
+        finals.append((group[trellis], states, weights))
+        for g, k in enumerate(group.tolist() if keep else []):
+            kept[k] = [(s[t == g], w[t == g]) for t, s, w in passed]
+    for k in np.flatnonzero(built ^ keyed).tolist():  # built, not keyed
+        rows = edges[k * peers:(k + 1) * peers + 1].tolist()
+        vecs = _forward_pass(int(starts[k]), 1 << n, shifts, probs, rows)
+        kept[k] = [(states, vec[states]) for vec in vecs[0 if keep else -1:]
+                   for states in [np.flatnonzero(vec > 0.0)]]
+        finals.append((np.full(len(kept[k][-1][0]), k), *kept[k][-1]))
+    if len(finals) != 1:  # none, or several to join
+        empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+        finals = [[np.concatenate(parts) for parts in zip(empty, *finals)]]
+    layers = [kept.get(k) for k in range(len(built))] if keep else None
+    return lengths, built, keyed, tuple(finals[0]), layers
+
+
+class _Watched(NamedTuple):
+    """What the watchdogs of a block found, one row per use; column a is arm a."""
+
+    lengths: np.ndarray  # each transition row's candidate count
+    built: np.ndarray  # whether the use's trellis was built: no row came up empty
+    keyed: np.ndarray  # whether its forward pass ran keyed
+    support: np.ndarray  # its positive-weight final states
+    matched: np.ndarray  # of them, those hashing to arm 0's announced value, when not scoring
+    pstars: np.ndarray  # each arm's p* when scored, 0 where an InferenceError stopped it
+    faults: list[str | None]  # each scored arm's InferenceError message, use by use, else None
 
 
 def _relay_normalizers(
@@ -445,84 +603,72 @@ def _relay_normalizers(
 
 
 def _score_arms(
-    w: np.ndarray,
-    support: np.ndarray,
+    h: _Holdings,
+    final: tuple[np.ndarray, np.ndarray, np.ndarray],
     hashes: np.ndarray,
-    symbols: np.ndarray,
-    relay_hashes: np.ndarray,
-    logl: np.ndarray,
     top: np.ndarray,
     denom: np.ndarray,
-) -> list[float]:
-    """p* of each relay arm scored against one final layer.
+    faults: list[str | None],
+) -> np.ndarray:
+    """(uses, arms) p* of every arm of a block scored against its final layers.
 
-    w is the final layer, support its positive-weight states and hashes
-    their hashes. Arm a was overheard as symbols[a] announcing
-    relay_hashes[a]; logl is the relay channel's log likelihood by Hamming
-    distance and (top[a], denom[a]) the arm's normalizer. An arm's p* sums
-    w(s) * T_inv(s, symbols[a]) over its matched states s in ascending
-    order, as one 1-D dot product; the terms of all arms are computed
-    together, elementwise.
+    final is the uses' (use, state, weight) final states and hashes their
+    hashes; top, denom and faults are ``_relay_normalizers``'s, arm by arm
+    of each use in turn. Arm a of use k sums w(s) * T_inv(s,
+    relay_symbols[k, a]) over its matched states s in ascending order, as
+    one 1-D dot product; the terms of every arm of every use are computed
+    together, elementwise. An arm with a fault, or no matched state, scores 0.
     """
-    arm, at = np.divmod(np.flatnonzero(hashes == relay_hashes[:, None]), len(hashes))
-    states = support[at]
-    d = np.bitwise_count(states ^ symbols[arm])
-    terms = np.exp(logl[d] - top[arm])
-    mass = w[states]
-    ends = np.cumsum(np.bincount(arm, minlength=len(relay_hashes))).tolist()
-    pstars = []
-    for lo, hi, scale in zip([0, *ends], ends, denom.tolist()):
-        pstars.append(min(1.0, float(mass[lo:hi] @ terms[lo:hi]) / scale) if hi > lo else 0.0)
-    return pstars
+    use, states, weights = final
+    count, arms = h.relay_hashes.shape
+    # matched (arm, state) pairs, arm-major: an arm's pairs run use by use, ascending
+    arm, at = np.nonzero(np.take(h.relay_hashes.T, use, axis=1) == hashes)
+    relay = use[at] * arms + arm  # the pair's relay, as normalizers index relays
+    d = np.bitwise_count(states[at] ^ h.relay_symbols.ravel()[relay])
+    terms = np.exp(_log_likelihood_table((h.relay_channel,), h.hashes.n)[0, d] - top[relay])
+    mass = weights[at]
+    opens = np.ones(len(relay), bool)  # where a relay's pairs start
+    opens[1:] = relay[1:] != relay[:-1]
+    first = np.flatnonzero(opens).tolist()
+    ends = [*first[1:], len(relay)]
+    pstars = np.zeros(count * arms)
+    for lo, hi, r in zip(first, ends, relay[first].tolist()):
+        if faults[r] is None:
+            pstars[r] = min(1.0, float(mass[lo:hi] @ terms[lo:hi]) / denom[r])
+    return pstars.reshape(count, arms)
 
 
 def _watch(
-    h: _Holdings, score: bool = True, layers: list[np.ndarray] | None = None
-) -> Iterator[_Use]:
-    """The watchdog of every use of a block, in order: its trellis and each arm's p*.
+    h: _Holdings, score: bool = True, final: tuple[np.ndarray, np.ndarray] | None = None
+) -> _Watched:
+    """The watchdog of every use of a block: its trellis and each arm's p*, as arrays.
 
     One batched pass each makes the block's transition rows and (when
-    scoring) relay normalizers; the forward pass and each arm's dot product
-    run per use, one use's layers at a time. Every float is the one the use
-    gives alone. The trellis reads only what the watchdog holds, never the
-    relay's transmission, so all arms share it. ``layers`` given are scored
-    as a one-use block's trellis, and no rows are made.
+    scoring) relay normalizers; ``_trellises`` runs the forward passes, and
+    the final layers of all uses are hashed, counted and scored together.
+    Every float is the one the use gives alone. The trellis reads only what
+    the watchdog holds, never the relay's transmission, so all arms share
+    it. ``final`` given, a (states, weights) final layer, is scored as a
+    one-use block's, and no rows are made.
     """
-    (count, arms), n, peers = h.relay_hashes.shape, h.n, h.heard.shape[1]
-    field, faults, lengths = default_field(n), [None] * (count * arms), [[]]
-    if layers is None:
-        cands, probs, lengths = _transition_rows(
-            h.tables, h.heard, h.peer_hashes, h.peer_channels, n, h.delta, h.prune_eps
-        )
-        shifts = field.mul_elementwise(np.repeat(h.coeffs[:, 1:].ravel(), lengths.ravel()), cands)
-        edges = [0, *np.cumsum(lengths.ravel()).tolist()]  # row r spans edges[r]:edges[r + 1]
-        starts = field.mul_elementwise(h.coeffs[:, 0], h.own).tolist()
-        lengths = lengths.tolist()
-    if score:
-        top, denom, faults = _relay_normalizers(
-            h.tables, h.relay_symbols, h.relay_hashes, h.relay_channel, n
-        )
-        top, denom = top.reshape(count, arms), denom.reshape(count, arms)
-        logl = _log_likelihood_table((h.relay_channel,), n)[0]
-    for k, row_lengths in enumerate(lengths):
-        built, pstars, fault = layers, [0.0] * arms, faults[k * arms:(k + 1) * arms]
-        if built is None and all(row_lengths):
-            rows = edges[k * peers:(k + 1) * peers + 1]
-            built = _forward_pass(starts[k], field.order, shifts, probs, rows)
-        if built is None:
-            yield _Use(None, row_lengths, 0, 0, pstars, fault)
-            continue
-        w = built[-1]
-        support, hashes = _hashed_support(w, h.tables[k])
-        if score:
-            ok = [a for a, f in enumerate(fault) if f is None]
-            for a, p in zip(ok, _score_arms(
-                w, support, hashes, h.relay_symbols[k, ok], h.relay_hashes[k, ok], logl,
-                top[k, ok], denom[k, ok],
-            )):
-                pstars[a] = p
-        matched = 0 if score else int(np.count_nonzero(hashes == h.relay_hashes[k, 0]))
-        yield _Use(built, row_lengths, len(support), matched, pstars, fault)
+    count, arms = h.relay_hashes.shape
+    if final is None:
+        lengths, built, keyed, final, _ = _trellises(h)
+    else:
+        lengths, built, keyed = np.zeros((1, 0), np.int64), np.ones(1, bool), np.zeros(1, bool)
+        final = (np.zeros(len(final[0]), np.int64), *final)
+    use, states, _ = final
+    hashes = h.hashes.at(use, states)
+    support = np.bincount(use, minlength=count)
+    if not score:
+        matched = np.bincount(use[hashes == h.relay_hashes[use, 0]], minlength=count)
+        return _Watched(lengths, built, keyed, support, matched, np.zeros((count, arms)),
+                        [None] * (count * arms))
+    top, denom, faults = _relay_normalizers(
+        h.hashes.tables, h.relay_symbols, h.relay_hashes, h.relay_channel, h.hashes.n
+    )
+    pstars = _score_arms(h, final, hashes, top, denom, faults)
+    return _Watched(lengths, built, keyed, support, np.zeros(count, np.int64), pstars, faults)
 
 
 def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
@@ -530,10 +676,10 @@ def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
 
     Raises InferenceError when a transition row comes up empty.
     """
-    layers = next(_watch(_holdings(obs), score=False)).layers
-    if layers is None:
+    _, built, _, _, layers = _trellises(_holdings(obs), keep=True)
+    if not built[0]:
         raise InferenceError(_EMPTY_ROW)
-    return Trellis(layers)
+    return Trellis(layers[0], 1 << obs.hash_spec.n)
 
 
 def inverse_transition(
@@ -567,10 +713,10 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
     Sums w(s, m) * T_inv(s, observed) over the final layer; this is the
     statistic whose distribution separates honest from misbehaving relays.
     """
-    use = next(_watch(_holdings(obs), layers=[trellis.final_weights]))
-    if use.faults[0] is not None:
-        raise InferenceError(use.faults[0])
-    return float(use.pstars[0])
+    got = _watch(_holdings(obs), final=trellis._layers[-1])
+    if got.faults[0] is not None:
+        raise InferenceError(got.faults[0])
+    return float(got.pstars[0, 0])
 
 
 def _pstar(obs: WatchdogObservation) -> float:
@@ -578,17 +724,17 @@ def _pstar(obs: WatchdogObservation) -> float:
 
     Raises the InferenceError either of those would raise.
     """
-    use = next(_watch(_holdings(obs)))
-    fault = _EMPTY_ROW if use.layers is None else use.faults[0]
+    got = _watch(_holdings(obs))
+    fault = got.faults[0] if got.built[0] else _EMPTY_ROW
     if fault is not None:
         raise InferenceError(fault)
-    return use.pstars[0]
+    return float(got.pstars[0, 0])
 
 
 def matched_codewords(trellis: Trellis, relay_hash: int, spec: HashSpec) -> list[int]:
     """Final-layer states with positive weight hashing to the relay's value."""
-    support, hashes = _hashed_support(trellis.final_weights, _table(spec))
-    return support[hashes == relay_hash].tolist()
+    states, _ = trellis._layers[-1]
+    return states[_table(spec)[states] == relay_hash].tolist()
 
 
 def decide(p_star: float, t: float) -> Verdict:

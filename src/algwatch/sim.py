@@ -39,10 +39,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import Bsc, _flip_masks, ball_radius, hamming
+from .channel import Bsc, _flip_masks, ball_radius, ball_volume, hamming
 from .gfield import MAX_WIDTH, default_field
-from .hashing import HashSpec, _draws, _tables, collision_list, hash_eval
-from .inference import InferenceError, Overheard, WatchdogObservation, _Holdings, _watch
+from .hashing import HashSpec, _draws, _Hashes, _tables, collision_list, hash_eval
+from .inference import (
+    InferenceError, Overheard, WatchdogObservation, _Holdings, _pruning, _watch,
+)
 
 _TAGS = range(4)
 _HASH, _SYMBOLS, _CHANNELS, _ADVERSARY = _TAGS
@@ -273,10 +275,9 @@ def _integers(words: np.ndarray, highs) -> np.ndarray:
 # calibration (4,000 trials) and every default run draw once.
 _DRAW_TRIALS = 1 << 12
 
-# Bound on a block's largest temporaries, in elements: its hash tables hold
-# 2^n values per trial, and its relay normalizers about 2^(n - delta) per
-# trial and arm. 8 single-arm trials at n = 10; blocks four times larger
-# grew peak memory by about 2 MiB there and saved little more time.
+# Bound on a block's largest temporaries, in elements (``_trial_elements``):
+# 8 single-arm trials with hash tables at n = 10, where blocks four times
+# larger grew peak memory by about 2 MiB and saved little more time.
 _BLOCK_ELEMENTS = 1 << 13
 
 
@@ -325,26 +326,54 @@ def _draw(cfg: TwoHopConfig, p_advs, words: np.ndarray) -> _Trials:
     return _Trials(hashes, symbols, coeffs, noise, honest[:, None] ^ flips)
 
 
-def _held(cfg: TwoHopConfig, trials: _Trials) -> _Holdings:
+def _reach(cfg: TwoHopConfig, score: bool) -> int | None:
+    """The ball radius a block finds candidates at without hash tables; None: it makes them.
+
+    A block makes its trials' hash tables where it reads a whole collision
+    class: to score the relay, or for rows that scan their classes.
+    """
+    if score or cfg.pruning_eps is None:
+        return None
+    return _pruning((Bsc(cfg.p_s),) * (cfg.m - 1), cfg.n, cfg.delta, cfg.pruning_eps)[1]
+
+
+def _trial_elements(cfg: TwoHopConfig, arms: int, score: bool) -> int:
+    """The elements a trial of cfg holds in a block, as ``_BLOCK_ELEMENTS`` counts them.
+
+    With hash tables, 2^n values in its table, and about 2^(n - delta) per
+    arm in its relay normalizers. Without, its ball candidates and their
+    hashes: 2 x peers x V(n, r), 66 at the criterion-08 point, 124 trials a
+    block. Blocks of 248 trials ran no faster there, and grew peak memory by
+    about 0.4 MiB.
+    """
+    reach = _reach(cfg, score)
+    if reach is None:
+        return max(1 << cfg.n, arms << (cfg.n - cfg.delta))
+    return max(1, 2 * (cfg.m - 1) * ball_volume(cfg.n, reach))
+
+
+def _held(cfg: TwoHopConfig, trials: _Trials, score: bool = True) -> _Holdings:
     """What the watchdogs of trials hold.
 
     Headers arrive error-free, so peer hashes, the relay's recomputed own
-    hash and the coefficients are exact; every hash is a lookup into the
-    trial's hash table, and the tables are made in one pass.
+    hash and the coefficients are exact. The trials' hash tables are made
+    in one pass where ``_reach`` says so; otherwise each symbol read is
+    hashed on its own (``_Hashes.at``).
     """
-    tables = _tables(cfg.hash_family, cfg.n, cfg.delta, trials.hashes)
+    tables = None
+    if _reach(cfg, score) is None:
+        tables = _tables(cfg.hash_family, cfg.n, cfg.delta, trials.hashes)
+    hashes = _Hashes(cfg.hash_family, cfg.n, cfg.delta, trials.hashes, tables)
     symbols, noise, payloads = trials.symbols, trials.noise, trials.payloads
-    rows = np.arange(len(tables))[:, None]
+    sent = hashes.at(np.arange(len(symbols)), np.concatenate((symbols[:, 1:], payloads), axis=1))
     return _Holdings(
-        n=cfg.n,
-        delta=cfg.delta,
-        tables=tables,
+        hashes=hashes,
         own=symbols[:, 0],
         coeffs=trials.coeffs,
         heard=symbols[:, 1:] ^ noise[:, :-1],
-        peer_hashes=tables[rows, symbols[:, 1:]],
+        peer_hashes=sent[:, :cfg.m - 1],
         relay_symbols=payloads ^ noise[:, -1:],
-        relay_hashes=tables[rows, payloads],
+        relay_hashes=sent[:, cfg.m - 1:],
         peer_channels=(Bsc(cfg.p_s),) * (cfg.m - 1),
         relay_channel=Bsc(cfg.p_relay),
         prune_eps=cfg.pruning_eps,
@@ -358,13 +387,16 @@ class RunDiagnostics:
     ``fallbacks``: the InferenceErrors quietly scored as p* = 0, "trellis"
     trials whose trellis raised it (every arm scores 0) and "scoring" arms
     whose scoring did. Over the trellises built, ``row_sizes`` counts
-    transition rows by candidate count and ``supports`` trellises by
-    final-layer positive support. Blocks, runs and workers each return one.
+    transition rows by candidate count, ``supports`` trellises by
+    final-layer positive support and ``forward`` trellises by the forward
+    pass they ran, "dense" or "keyed". Blocks, runs and workers each return
+    one.
     """
 
     fallbacks: Counter = field(default_factory=lambda: Counter(trellis=0, scoring=0))
     row_sizes: Counter = field(default_factory=Counter)
     supports: Counter = field(default_factory=Counter)
+    forward: Counter = field(default_factory=lambda: Counter(dense=0, keyed=0))
 
     @property
     def trials(self) -> int:
@@ -378,7 +410,7 @@ class RunDiagnostics:
         return self
 
     def summary(self) -> dict:
-        """The JSON form: counts, and the mean and maximum row size and support."""
+        """The JSON form: counts, the mean and maximum row size and support, and the paths."""
 
         def mean_max(counts: Counter) -> dict:
             total = counts.total()  # sums below 2^53: the mean is one rounding
@@ -390,6 +422,7 @@ class RunDiagnostics:
             "fallbacks": dict(self.fallbacks),
             "row_size": mean_max(self.row_sizes),
             "support": mean_max(self.supports),
+            "forward": dict(self.forward),
         }
 
 
@@ -401,17 +434,16 @@ def _block(cfg: TwoHopConfig, trials: _Trials, score: bool = True):
     on every arm, and an arm whose relay cannot be scored p* = 0; each is
     counted.
     """
-    pstars, matched, sizes, supports, scoring = [], [], [], [], 0
-    for use in _watch(_held(cfg, trials), score):
-        pstars.append(use.pstars)
-        matched.append(use.matched)
-        if use.layers is not None:
-            sizes += use.lengths
-            supports.append(use.support)
-            scoring += len(use.faults) - use.faults.count(None)
-    fallbacks = Counter(trellis=len(pstars) - len(supports), scoring=scoring)
-    record = RunDiagnostics(fallbacks, Counter(sizes), Counter(supports))
-    return np.array(pstars), np.array(matched), record
+    got = _watch(_held(cfg, trials, score), score)
+    built, keyed = got.built, int(got.keyed.sum())  # every keyed trellis was built
+    faulted = np.array([f is not None for f in got.faults]).reshape(got.pstars.shape)[built]
+    record = RunDiagnostics(
+        Counter(trellis=int((~built).sum()), scoring=int(faulted.sum())),
+        Counter(got.lengths[built].ravel().tolist()),
+        Counter(got.support[built].tolist()),
+        Counter(dense=int(built.sum()) - keyed, keyed=keyed),
+    )
+    return got.pstars, got.matched, record
 
 
 def _run(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool = True):
@@ -421,12 +453,11 @@ def _run(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool = True):
     held in the smallest unsigned type that holds 2^n. Each slice of
     ``_DRAW_TRIALS`` is drawn at once, from seeding words derived in one
     pass: both passes have fixed costs that one pass per block would pay
-    again and again. Each block makes only its hash tables and lookups,
-    writes its values into the run's array and folds its record into the
-    run's.
+    again and again. Each block hashes only what it reads, sized by the
+    elements it holds (``_BLOCK_ELEMENTS``), writes its values into the
+    run's array and folds its record into the run's.
     """
-    per_trial = max(1 << cfg.n, (1 + len(p_advs)) << (cfg.n - cfg.delta))
-    step = max(1, _BLOCK_ELEMENTS // per_trial)
+    step = max(1, _BLOCK_ELEMENTS // _trial_elements(cfg, 1 + len(p_advs), score))
     if score:
         values = np.empty((hi - lo, 1 + len(p_advs)))
     else:

@@ -140,6 +140,17 @@ def test_out_of_range_input_exits_one_naming_the_field(tmp_path, capsys, argv, m
     assert not out.exists()
 
 
+def test_two_hop_summary_counts_forward_paths(tmp_path):
+    # full 256-candidate rows run dense; median-ball pruned poly rows mostly keyed
+    default = _two_hop_diagnostics(tmp_path, "--workers", "1")
+    assert default["forward"] == {"dense": 40, "keyed": 0}
+    pruned = ["--n", "10", "--delta", "2", "--pruning-eps", "0.5", "--hash-family", "poly"]
+    one = _two_hop_diagnostics(tmp_path, *pruned, "--workers", "1")
+    two = _two_hop_diagnostics(tmp_path, *pruned, "--workers", "2")
+    assert one["forward"]["keyed"] > 0 and one == two
+    assert sum(one["forward"].values()) == one["trials"] - one["fallbacks"]["trellis"]
+
+
 def test_config_file_merging(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(
@@ -165,6 +176,22 @@ def test_malformed_config_names_field(tmp_path, capsys):
     cfg.write_text("[two-hop]\np_s = high\n")
     assert main(["two-hop", "--config", str(cfg), "--out", str(out)]) == 1
     assert "--p-s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, hint", [
+    ("analysis", "tabel", None), ("two-hop", "p-s", "p_s"), ("analysis", "p-s", None),
+    ("analysis", "sweep", None), ("oracle", "config", None),
+])
+def test_config_key_naming_no_option_exits_one(tmp_path, capsys, command, key, hint):
+    """A section key that is not one of the command's destinations is an error, not ignored."""
+    ini = tmp_path / "typo.ini"
+    ini.write_text(f"[{command}]\nseed = 3\n{key} = 0.3\n")
+    out = tmp_path / "typo.csv"
+    assert main([command, "--config", str(ini), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert repr(key) in err and str(ini) in err
+    assert (f"did you mean {hint}?" in err) == (hint is not None)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, options", [
@@ -282,6 +309,7 @@ def test_multihop_scenario_subcommand(tmp_path):
     assert summary["diagnostics"] == {  # a structural scenario calibrates nothing
         "trials": 0, "fallbacks": {"trellis": 0, "scoring": 0},
         "row_size": {"mean": 0.0, "max": 0}, "support": {"mean": 0.0, "max": 0},
+        "forward": {"dense": 0, "keyed": 0},
     }
     assert main(["multihop", "--out", str(out)]) == 1  # neither scenario nor topology
 

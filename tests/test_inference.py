@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,7 @@ from algwatch import inference
 from algwatch.channel import Bsc, _log_likelihood_table, ball_radius, ball_volume
 from algwatch.gfield import default_field
 from algwatch.hashing import (
-    FAMILIES, HashSpec, _tables, collision_class, hash_eval, hash_eval_vec, sample_hash,
+    FAMILIES, HashSpec, _Hashes, _tables, collision_class, hash_eval, hash_eval_vec, sample_hash,
 )
 from algwatch.inference import (
     InferenceError,
@@ -139,10 +141,15 @@ def test_transition_rows_match_class_filter_normalize(batch):
     channels = [Bsc(p) for p in rates]
     observed = np.array(observed, dtype=np.int64).reshape(len(specs), len(rates))
     targets = np.array(targets, dtype=np.int64).reshape(observed.shape)
-    tables = _tables(family, n, delta, [spec.coefficients for spec in specs])
-    cands, probs, lengths = inference._transition_rows(
-        tables, observed, targets, channels, n, delta, eps
-    )
+    coeffs = np.array([spec.coefficients for spec in specs])
+    hashes = _Hashes(family, n, delta, coeffs, _tables(family, n, delta, coeffs))
+    cands, probs, lengths = inference._transition_rows(hashes, observed, targets, channels, eps)
+    if eps is not None and inference._pruning(tuple(channels), n, delta, eps)[1] is not None:
+        # the ball side: rows read no table
+        tableless = inference._transition_rows(
+            hashes._replace(tables=None), observed, targets, channels, eps
+        )
+        assert [a.tolist() for a in tableless] == [cands.tolist(), probs.tolist(), lengths.tolist()]
     expect_cands, expect_probs, expect_lengths = [], [], []
     for k, spec in enumerate(specs):
         for j, ch in enumerate(channels):
@@ -458,3 +465,133 @@ def test_observation_validation():
     wide = Overheard(1 << LOW2.n, 0, Bsc(0.1))
     with pytest.raises(ValueError):
         WatchdogObservation(1, (1, 1), (peer,), wide, LOW2)
+
+
+@st.composite
+def _watch_blocks(draw):
+    """A block of uses: (n, delta, family, peers, uses, arms, rates, eps, seed, emptied use).
+
+    rates holds each peer column's rate, then the relay's. With an emptied
+    use, peer 0 is noiseless and that use overhears it as a symbol of
+    another hash: its first row comes up empty.
+    """
+    n = draw(st.integers(1, 12))
+    peers = draw(st.integers(0, 3))
+    count = draw(st.integers(1, 5))
+    return (
+        n, draw(st.integers(0, n)), draw(st.sampled_from(FAMILIES)), peers, count,
+        draw(st.integers(1, 3)),
+        draw(st.lists(st.sampled_from(_ROW_RATES), min_size=peers + 1, max_size=peers + 1)),
+        draw(st.sampled_from(_EPS)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.none() | st.integers(0, count - 1)) if peers else None,
+    )
+
+
+def _block_holdings(n, delta, family, peers, count, arms, rates, eps, seed, emptied):
+    """The block drawn from seed: what its watchdogs hold, as ``inference._watch`` takes it."""
+    rng = np.random.default_rng(seed)
+    order, rows = 1 << n, np.arange(count)[:, None]
+    coeffs = np.array([sample_hash(rng, family, n, delta).coefficients for _ in range(count)])
+    tables = _tables(family, n, delta, coeffs)
+    rates = [0.0, *rates[1:]] if emptied is not None else rates
+
+    def overheard(sent, rate):  # every bit of sent flipped with its column's probability
+        bits = rng.random((*sent.shape, n)) < np.reshape(rate, (-1, 1))
+        return sent ^ (bits << np.arange(n)).sum(axis=-1)
+
+    symbols = rng.integers(0, order, (count, peers + 1))
+    codes = rng.integers(1, order, (count, peers + 1))
+    heard = overheard(symbols[:, 1:], np.array(rates[:peers]))
+    peer_hashes = tables[rows, symbols[:, 1:]]
+    if emptied is not None:
+        others = np.flatnonzero(tables[emptied] != peer_hashes[emptied, 0])
+        heard[emptied, 0] = others[0] if len(others) else heard[emptied, 0]
+    field = default_field(n)
+    honest = np.bitwise_xor.reduce(field.mul_elementwise(codes, symbols), axis=1)
+    payloads = np.concatenate((honest[:, None], rng.integers(0, order, (count, arms - 1))), axis=1)
+    return inference._Holdings(
+        _Hashes(family, n, delta, coeffs, tables), symbols[:, 0], codes, heard, peer_hashes,
+        overheard(payloads, rates[-1]), tables[rows, payloads],
+        tuple(Bsc(p) for p in rates[:peers]), Bsc(rates[-1]), eps,
+    )
+
+
+def _one_use(h, k):
+    """Use k's first arm as a WatchdogObservation."""
+    spec = HashSpec(h.hashes.family, h.hashes.n, h.hashes.delta, tuple(h.hashes.coeffs[k].tolist()))
+    peers = tuple(map(Overheard, h.heard[k].tolist(), h.peer_hashes[k].tolist(), h.peer_channels))
+    relay = Overheard(int(h.relay_symbols[k, 0]), int(h.relay_hashes[k, 0]), h.relay_channel)
+    coeffs = tuple(h.coeffs[k].tolist())
+    return WatchdogObservation(int(h.own[k]), coeffs, peers, relay, spec, h.prune_eps)
+
+
+def _public_calls(obs):
+    """The public one-observation results, an InferenceError as its message."""
+    try:
+        trellis = build_and_run_trellis(obs)
+    except InferenceError as exc:
+        return str(exc)
+    got = [trellis.layers, trellis.final_weights.tolist(),
+           matched_codewords(trellis, obs.relay_overheard.hash_value, obs.hash_spec)]
+    for call in (lambda: consistency_probability(trellis, obs), lambda: inference._pstar(obs)):
+        try:
+            got.append(call())
+        except InferenceError as exc:
+            got.append(str(exc))
+    return got
+
+
+def _as_lists(result):
+    return [a.tolist() if isinstance(a, np.ndarray) else a for a in result]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_watch_blocks(), st.sampled_from([1, 40, inference._SCATTER_CHUNK]))
+# the criterion-08 point, pruning on, with a use emptied mid-block
+@example((10, 2, "poly", 3, 5, 2, [0.1, 0.1, 0.1, 0.1], 0.5, 7, 2), inference._SCATTER_CHUNK)
+# one peer, no pruning, and small fields where states collect many terms
+@example((6, 1, "affine", 1, 4, 1, [0.3, 0.1], None, 3, None), 40)
+@example((4, 0, "poly", 3, 3, 2, [0.5, 0.3, 0.0, 0.1], None, 11, 1), 1)
+# states of four terms each: a state-major layout, or terms summed in sorted
+# key order, changes the last bit of a weight here
+@example((2, 0, "affine", 2, 1, 1, [0.01, 0.01, 0.0], None, 0, None), 1)
+def test_keyed_pass_equals_dense_pass(block, chunk):
+    """Every layer, support, matched count and p* of the keyed pass ==, the dense pass's."""
+    h = _block_holdings(*block)
+    n, emptied = block[0], block[-1]
+    # 1/64 runs keyed every trellis whose row lengths bound its layers to 64 * 2^n
+    # states, so that states collect many terms; 2^64 runs none keyed
+    runs, keyed_share, dense_share = {}, 1 / 64, 2**64
+    for share in (keyed_share, dense_share):
+        with (
+            mock.patch.object(inference, "_KEYED_SHARE", share),
+            mock.patch.object(inference, "_SCATTER_CHUNK", chunk),
+        ):
+            lengths, built, keyed, _, layers = inference._trellises(h, keep=True)
+            run = runs[share] = {
+                "lengths": lengths.tolist(), "built": built.tolist(),
+                "layers": [None if use is None else [(s.tolist(), w.tolist()) for s, w in use]
+                           for use in layers],
+                "scored": _as_lists(inference._watch(h)),
+                "unscored": _as_lists(inference._watch(h, score=False)),
+                "public": [_public_calls(_one_use(h, k)) for k in range(len(built))],
+            }
+            pruning = h.prune_eps and inference._pruning(h.peer_channels, n, block[1], h.prune_eps)
+            if pruning and pruning[1] is not None:  # the ball side: rows read no table
+                tableless = h._replace(hashes=h.hashes._replace(tables=None))
+                run["tableless"] = _as_lists(inference._watch(tableless, score=False))
+            for result in ("scored", "unscored", "tableless"):  # only the keyed flags differ
+                if result in run:
+                    assert run[result][2] == keyed.tolist()
+                    run[result][2] = None
+            run["keyed"] = keyed
+    keyed, dense = runs[keyed_share].pop("keyed"), runs[dense_share].pop("keyed")
+    bounds = np.prod(lengths, axis=1)
+    assert keyed.tolist() == (built & (bounds <= 64 << n)).tolist() and not dense.any()
+    assert runs[keyed_share] == runs[dense_share]
+    table = h.hashes.tables[emptied] if emptied is not None else np.zeros(1)
+    if (table != table[0]).any():  # a symbol of another hash was overheard noiselessly
+        assert lengths[emptied, 0] == 0 and not built[emptied]
+        assert inference._watch(h).pstars[emptied].tolist() == [0.0] * h.relay_hashes.shape[1]
+        assert runs[keyed_share]["public"][emptied] == inference._EMPTY_ROW

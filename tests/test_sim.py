@@ -579,8 +579,8 @@ def test_one_hash_table_per_trial(monkeypatch):
     rows, scalar = [], []
     real = hashing._hash_rows
 
-    def counted(family, n, delta, coeffs, xs):
-        rows.extend([len(xs) == 1 << n] * len(coeffs))
+    def counted(family, n, delta, coeffs, xs):  # each hash's row: is it a full-space table?
+        rows.extend([np.ndim(xs) == 1 and len(xs) == 1 << n] * len(coeffs))
         return real(family, n, delta, coeffs, xs)
 
     monkeypatch.setattr(hashing, "_hash_rows", counted)
@@ -593,7 +593,8 @@ def test_one_hash_table_per_trial(monkeypatch):
     rows.clear()
     hashing._table.cache_clear()
     mean_matched_count(6, 2, 2, 0.1, trials=5)
-    assert rows == [True] * 5 and scalar == []
+    # ball-pruned and unscored: only the symbols read are hashed, never a table
+    assert rows and True not in rows and scalar == []
 
 
 def _relay_faults_when_divisible_by_3(real):
@@ -626,8 +627,19 @@ def _block_runs(draw):
         hash_family=draw(st.sampled_from(["affine", "poly"])),
     )
     p_advs = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), max_size=2))
-    block_elements = draw(st.sampled_from([1, 1 << (n + 1), 5 << n, sim._BLOCK_ELEMENTS]))
+    # sizes in both units: 2^n per trial with hash tables, 2 x peers x V(n, r) without
+    per_trial = sim._trial_elements(_matched(cfg), 1, score=False)
+    block_elements = draw(st.sampled_from(
+        [1, 1 << (n + 1), 5 << n, sim._BLOCK_ELEMENTS, 2 * per_trial, 5 * per_trial]
+    ))
     return cfg, p_advs, block_elements, draw(st.sampled_from([1, 1, 2]))
+
+
+def _matched(cfg):
+    """The matched-count run at cfg's width, peers, hash width, rate, seed and iterations."""
+    matched = sim._matched_config(cfg.n, cfg.m - 1, cfg.delta, cfg.p_s, cfg.seed)
+    return dataclasses.replace(matched, iterations=cfg.iterations)
+
 
 
 # Explicit runs: long pruned rows of mixed lengths; and both kinds of
@@ -642,12 +654,20 @@ _FAULTY_RUN = (
                  pruning_eps=0.9),
     [0.1, 1.0], 3 << 8, 2,
 )
+# The criterion-08 point: its matched-count blocks hold no hash tables and run
+# keyed, 5 trials each, and trial 7's trellis, mid-block, is emptied by pruning.
+_CRITERION_08_RUN = (
+    TwoHopConfig(m=4, n=10, delta=2, p_s=0.1, p_relay=0.1, iterations=12, seed=5,
+                 pruning_eps=0.5, hash_family="poly"),
+    [0.1], 5 * 2 * 3 * 11, 1,
+)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_block_runs())
 @example(_LONG_ROWS_RUN)
 @example(_FAULTY_RUN)
+@example(_CRITERION_08_RUN)
 def test_blocks_equal_per_trial_pipelines(run):
     """Trials run in blocks give, with ==, what each trial gives alone."""
     cfg, p_advs, block_elements, workers = run
@@ -669,18 +689,20 @@ def test_blocks_equal_per_trial_pipelines(run):
     assert got == float(np.mean(counts))
 
 
-def _row_lengths(cfg, p_advs):
-    draws = sim._held(cfg, sim._draw(cfg, p_advs, sim._seed_words(cfg.seed, 0, cfg.iterations)))
-    _, _, lengths = inference._transition_rows(
-        draws.tables, draws.heard, draws.peer_hashes, [Bsc(cfg.p_s)] * (cfg.m - 1),
-        cfg.n, cfg.delta, cfg.pruning_eps,
+def _row_lengths(cfg, p_advs, score=True):
+    """(trials, peers): each transition row's candidate count in cfg's run."""
+    draws = sim._held(
+        cfg, sim._draw(cfg, p_advs, sim._seed_words(cfg.seed, 0, cfg.iterations)), score
     )
-    return set(lengths.ravel().tolist())
+    _, _, lengths = inference._transition_rows(
+        draws.hashes, draws.heard, draws.peer_hashes, draws.peer_channels, cfg.pruning_eps
+    )
+    return lengths
 
 
 def test_explicit_block_runs_cover_what_they_claim():
     cfg, p_advs, block_elements, _ = _LONG_ROWS_RUN
-    lengths = _row_lengths(cfg, p_advs)
+    lengths = set(_row_lengths(cfg, p_advs).ravel().tolist())
     assert max(lengths) >= 8 and len(lengths) > 3
     assert cfg.iterations % (block_elements >> cfg.n) != 0
     cfg, p_advs, block_elements, workers = _FAULTY_RUN
@@ -690,6 +712,17 @@ def test_explicit_block_runs_cover_what_they_claim():
     with mock.patch.object(inference, "_relay_normalizers", faulty):
         fallbacks = sim._run(cfg, p_advs, 0, cfg.iterations)[1].fallbacks
     assert fallbacks["trellis"] > 0 and fallbacks["scoring"] > 0
+    cfg, p_advs, block_elements, _ = _CRITERION_08_RUN
+    matched = _matched(cfg)
+    assert matched == dataclasses.replace(cfg, p_adv=0.0)
+    per_block = block_elements // sim._trial_elements(matched, 1, score=False)
+    assert sim._reach(matched, score=False) is not None  # the blocks hold no hash tables
+    assert 1 < per_block < cfg.iterations  # the run crosses block boundaries
+    emptied = np.flatnonzero((_row_lengths(matched, [], score=False) == 0).any(axis=1))
+    assert any(0 < t % per_block < per_block - 1 for t in emptied.tolist())  # mid-block
+    with mock.patch.object(sim, "_BLOCK_ELEMENTS", block_elements):
+        record = sim._run(matched, [], 0, cfg.iterations, score=False)[1]
+    assert record.forward["keyed"] > 0 and record.fallbacks["trellis"] == len(emptied)
 
 
 def test_p_adv_sweep_workers_do_not_change_results():
