@@ -83,6 +83,10 @@ TOPOLOGY_FLAGS = {
 }
 
 
+# The largest misdetection --n and --h: time grows as about n^2.4, memory with 3h + 2n.
+MISDETECTION_MAX = 2048
+
+
 class CliError(Exception):
     pass
 
@@ -169,6 +173,9 @@ def _cmd_analysis(args) -> int:
         h = args.h
         if h < 0:
             raise CliError(f"h must be >= 0, got {h}")
+        for name, value in (("n", n), ("h", h)):
+            if value > MISDETECTION_MAX:
+                raise CliError(f"{name} must be <= {MISDETECTION_MAX}, got {value}")
         params = {"h": h}
         columns = ["n", "h", "radius", "undetected_watchdog", "undetected_peer", "misdetection"]
         rows = []

@@ -17,34 +17,33 @@ the relay's actual transmission against that inference:
    collision class), giving the consistency probability p*.
 4. p* <= t for a calibrated threshold t flags the relay as malicious.
 
-Layer weights are exposed sparsely (state -> weight for reachable states
-only). The forward pass scatters each layer update from the previous
-layer's positive-weight support alone, summing the contributions with
+Every layer is held one way: (trellis, state, weight) arrays of its
+positive-weight states. The forward pass scatters each layer update from
+the previous layer's states alone, summing the contributions with
 ``np.bincount`` in the order a per-candidate dense pass would, so every
-layer is bit-for-bit what that pass gives. It runs one of two ways, chosen
-per trellis from its row lengths alone: dense, one trellis at a time over
-2^n-entry vectors (``_forward_pass``), or, when the rows bound every layer
-far below 2^n states, keyed: all such trellises of a block together, one
-pass per layer over (trellis, state) keys (``_keyed_pass``).
+layer is bit-for-bit what that pass gives. Chosen per trellis from its row
+lengths alone, it runs dense, one trellis at a time (``_forward_pass``),
+or, when the rows bound every layer far below 2^n states, keyed: trellises
+of a block together (``_keyed_pass``).
 
-Every p* is computed by one block function, ``_watch``, over
-``_Holdings``: the array form of what the watchdogs of a block of relay
-uses hold. It makes each block's transition rows and relay normalizers in
-one batched pass, runs the forward passes, and hashes, counts and scores
-the final layers of all uses together; only each arm's dot product runs
-per arm. A block hashes the whole field under each use's hash only when it
-reads a whole collision class (``hashing._Hashes``). The Monte Carlo
-harness hands it whole blocks of drawn trials; the public one-observation
-functions are one-use calls of it, and each use gets exactly the floats it
-would get alone.
+The block path is ``_watch`` over ``_Holdings``, the array form of what
+the watchdogs of a block of relay uses hold. It makes the block's
+transition rows and relay normalizers in one batched pass each, runs the
+forward passes, scores the final layers of all uses together, and returns
+each arm's p* (or each use's matched count), each arm's fault and the
+block's ``RunDiagnostics``. The Monte Carlo harness hands it blocks of
+drawn trials. The one-observation calls are thin: ``build_and_run_trellis``
+keeps a one-use block's one pass, ``consistency_probability`` scores its
+final layer (``_score_arms``), and ``_pstar`` is a one-use ``_watch``.
+Every use gets exactly the floats it would get alone.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -302,17 +301,17 @@ class Trellis:
 
     Layer i holds the weights of all reachable values of
     sum_{j<=i} a_j x_j; layer 1 is the single state a_1 x_1 with weight 1.
-    Each layer is held as its positive-weight states, ascending, and their
-    weights; a dense vector is built only when asked for.
+    The layers are its one pass's, as ``_trellises`` gives them; a dense
+    vector is built only when asked for.
     """
 
-    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]], order: int):
+    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]], order: int):
         self._layers, self._order = layers, order
 
     @property
     def final_weights(self) -> np.ndarray:
         """Dense weight vector of the last layer, indexed by state."""
-        states, weights = self._layers[-1]
+        _, states, weights = self._layers[-1]
         vec = np.zeros(self._order)
         vec[states] = weights
         return vec
@@ -320,19 +319,22 @@ class Trellis:
     @property
     def layers(self) -> list[dict[int, float]]:
         """Sparse per-layer maps state -> weight, positive-weight states only."""
-        return [dict(zip(states.tolist(), weights.tolist())) for states, weights in self._layers]
+        return [dict(zip(states.tolist(), weights.tolist())) for _, states, weights in self._layers]
 
 
 def _forward_pass(
-    start: int, size: int, shifts: np.ndarray, probs: np.ndarray, edges: list[int]
-) -> list[np.ndarray]:
-    """Layer weights from state ``start`` through rows laid end to end.
+    starts: np.ndarray, shifts: np.ndarray, probs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    n: int,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``_keyed_pass`` of a group of one trellis, run dense over 2^n-entry vectors.
 
-    Peer i's row is shifts[edges[i]:edges[i + 1]] (its candidates times its
-    coefficient) with probabilities probs[edges[i]:edges[i + 1]]. Extending
-    layer i-1 by peer i adds a_i*x for every candidate x in the peer's
-    row; for fixed x this is an XOR shift of the whole layer (a bijection
-    on states), so total mass 1 is conserved at every layer.
+    The trellis starts at state starts[0], and its peer i's row is
+    shifts[lo[0, i]:hi[0, i]] (its candidates times its coefficient) with
+    probabilities probs[lo[0, i]:hi[0, i]]. Extending layer i-1 by peer i
+    adds a_i*x for every candidate x in the peer's row; for fixed x this is
+    an XOR shift of the whole layer (a bijection on states), so total mass
+    1 is conserved at every layer. The layers come back as ``_keyed_pass``
+    gives them, trellis 0 throughout: no 2^n-entry vector leaves the pass.
 
     The update scatters from the support u of layer i-1 only: candidate x
     sends t_x * w(u) to state shift_x ^ u. The contributions are laid out
@@ -348,30 +350,28 @@ def _forward_pass(
     has weight 1.0 and a row's shifts are distinct, so each of its states
     takes one term t_x * 1.0 = t_x, and 0.0 + t_x is t_x.
     """
-    vec = np.zeros(size)
-    vec[start] = 1.0
-    arrays = [vec]
-    if len(edges) > 1:
-        vec = np.zeros(size)
-        vec[shifts[edges[0]:edges[1]] ^ start] = probs[edges[0]:edges[1]]
-        arrays.append(vec)
+    size, start = 1 << n, int(starts[0])
+    layers = [(np.zeros(1, np.int64), starts, np.ones(1))]
     states = np.arange(size)
-    for lo_row, hi_row in zip(edges[1:], edges[2:]):
+    for lo_row, hi_row in zip(lo[0].tolist(), hi[0].tolist()):
         row_shifts, row_probs = shifts[lo_row:hi_row], probs[lo_row:hi_row]
+        _, support, mass = layers[-1]
+        if len(layers) == 1:
+            vec = np.zeros(size)
+            vec[row_shifts ^ start] = row_probs
+        else:
+            step = max(1, _SCATTER_CHUNK // len(support))
+            vec = None
+            for at in range(0, len(row_shifts), step):
+                targets = (row_shifts[at:at + step, None] ^ support).ravel()
+                weights = (row_probs[at:at + step, None] * mass).ravel()
+                if vec is not None:
+                    targets = np.concatenate((states, targets))
+                    weights = np.concatenate((vec, weights))
+                vec = np.bincount(targets, weights, minlength=size)
         support = np.flatnonzero(vec > 0.0)
-        mass = vec[support]
-        step = max(1, _SCATTER_CHUNK // len(support))
-        acc = None
-        for lo in range(0, len(row_shifts), step):
-            targets = (row_shifts[lo:lo + step, None] ^ support).ravel()
-            weights = (row_probs[lo:lo + step, None] * mass).ravel()
-            if acc is not None:
-                targets = np.concatenate((states, targets))
-                weights = np.concatenate((acc, weights))
-            acc = np.bincount(targets, weights, minlength=size)
-        vec = acc
-        arrays.append(vec)
-    return arrays
+        layers.append((np.zeros(len(support), np.int64), support, vec[support]))
+    return layers
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -518,58 +518,79 @@ def _groups(uses: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
     return groups
 
 
-def _trellises(h: _Holdings, keep: bool = False):
-    """Every use's trellis: (row lengths, built, keyed, final layer, layers when kept).
+def _trellises(h: _Holdings):
+    """Every use's trellis: (row lengths, built, keyed, passes).
 
     A use's trellis is built when none of its transition rows came up
-    empty. The final layer is (use, state, weight) arrays of the built
-    uses' positive-weight final states, each use's states together and
-    ascending. Keyed uses run in groups whose row lengths bound a layer's
-    contributions to ``_SCATTER_CHUNK``. keep asks for every use's layers,
-    each as (states, weights), None for a use not built.
+    empty. Each pass is (uses, layers): a group of uses run together, and
+    its layers as the pass gives them, trellis indexing uses. Keyed uses
+    run in groups whose row lengths bound a layer's contributions to
+    ``_SCATTER_CHUNK``; every other built use runs dense, a group of one.
     """
     peers, n = h.heard.shape[1], h.hashes.n
-    field = default_field(n)
+    gf = default_field(n)
     cands, probs, lengths = _transition_rows(
         h.hashes, h.heard, h.peer_hashes, h.peer_channels, h.prune_eps
     )
-    shifts = field.mul_elementwise(np.repeat(h.coeffs[:, 1:].ravel(), lengths.ravel()), cands)
+    shifts = gf.mul_elementwise(np.repeat(h.coeffs[:, 1:].ravel(), lengths.ravel()), cands)
     edges = np.append(0, np.cumsum(lengths))  # row (k, j) starts at edges[k * peers + j]
-    starts = field.mul_elementwise(h.coeffs[:, 0], h.own)
+    starts = gf.mul_elementwise(h.coeffs[:, 0], h.own)
     built = lengths.all(axis=1)
     bounds = np.prod(lengths, axis=1, dtype=float)  # no layer holds more states
     keyed = built & (bounds * _KEYED_SHARE <= 1 << n)
-    finals, kept = [], {}
-    for group in _groups(np.flatnonzero(keyed), bounds) if keyed.any() else []:
+    dense = np.flatnonzero(built ^ keyed)[:, None]  # built, not keyed: groups of one
+    passes = []
+    for group in [*(_groups(np.flatnonzero(keyed), bounds) if keyed.any() else []), *dense]:
         rows = group[:, None] * peers + np.arange(peers)
-        passed = _keyed_pass(starts[group], shifts, probs, edges[rows], edges[rows + 1], n)
-        trellis, states, weights = passed[-1]
-        finals.append((group[trellis], states, weights))
-        for g, k in enumerate(group.tolist() if keep else []):
-            kept[k] = [(s[t == g], w[t == g]) for t, s, w in passed]
-    for k in np.flatnonzero(built ^ keyed).tolist():  # built, not keyed
-        rows = edges[k * peers:(k + 1) * peers + 1].tolist()
-        vecs = _forward_pass(int(starts[k]), 1 << n, shifts, probs, rows)
-        kept[k] = [(states, vec[states]) for vec in vecs[0 if keep else -1:]
-                   for states in [np.flatnonzero(vec > 0.0)]]
-        finals.append((np.full(len(kept[k][-1][0]), k), *kept[k][-1]))
-    if len(finals) != 1:  # none, or several to join
-        empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-        finals = [[np.concatenate(parts) for parts in zip(empty, *finals)]]
-    layers = [kept.get(k) for k in range(len(built))] if keep else None
-    return lengths, built, keyed, tuple(finals[0]), layers
+        run = _keyed_pass if keyed[group[0]] else _forward_pass
+        passes.append((group, run(starts[group], shifts, probs, edges[rows], edges[rows + 1], n)))
+    return lengths, built, keyed, passes
 
 
-class _Watched(NamedTuple):
-    """What the watchdogs of a block found, one row per use; column a is arm a."""
+@dataclass
+class RunDiagnostics:
+    """What watched relay uses did besides p*, as counts that merge in any order.
 
-    lengths: np.ndarray  # each transition row's candidate count
-    built: np.ndarray  # whether the use's trellis was built: no row came up empty
-    keyed: np.ndarray  # whether its forward pass ran keyed
-    support: np.ndarray  # its positive-weight final states
-    matched: np.ndarray  # of them, those hashing to arm 0's announced value, when not scoring
-    pstars: np.ndarray  # each arm's p* when scored, 0 where an InferenceError stopped it
-    faults: list[str | None]  # each scored arm's InferenceError message, use by use, else None
+    ``fallbacks``: the InferenceErrors quietly scored as p* = 0, "trellis"
+    uses whose trellis raised it (every arm scores 0) and "scoring" arms
+    whose scoring did. Over the trellises built, ``row_sizes`` counts
+    transition rows by candidate count, ``supports`` trellises by
+    final-layer positive support and ``forward`` trellises by the forward
+    pass they ran, "dense" or "keyed". ``_watch`` returns one per block,
+    and runs and workers fold theirs together.
+    """
+
+    fallbacks: Counter = field(default_factory=lambda: Counter(trellis=0, scoring=0))
+    row_sizes: Counter = field(default_factory=Counter)
+    supports: Counter = field(default_factory=Counter)
+    forward: Counter = field(default_factory=lambda: Counter(dense=0, keyed=0))
+
+    @property
+    def trials(self) -> int:
+        """Uses watched: each built a trellis or fell back."""
+        return self.supports.total() + self.fallbacks["trellis"]
+
+    def add(self, other: RunDiagnostics) -> RunDiagnostics:
+        """Fold other's counts into this record, and return it."""
+        for mine, theirs in zip(vars(self).values(), vars(other).values()):
+            mine.update(theirs)
+        return self
+
+    def summary(self) -> dict:
+        """The JSON form: counts, the mean and maximum row size and support, and the paths."""
+
+        def mean_max(counts: Counter) -> dict:
+            total = counts.total()  # sums below 2^53: the mean is one rounding
+            mean = sum(value * count for value, count in counts.items()) / total if total else 0.0
+            return {"mean": mean, "max": max(counts, default=0)}
+
+        return {
+            "trials": self.trials,
+            "fallbacks": dict(self.fallbacks),
+            "row_size": mean_max(self.row_sizes),
+            "support": mean_max(self.supports),
+            "forward": dict(self.forward),
+        }
 
 
 def _relay_normalizers(
@@ -603,26 +624,24 @@ def _relay_normalizers(
 
 
 def _score_arms(
-    h: _Holdings,
-    final: tuple[np.ndarray, np.ndarray, np.ndarray],
-    hashes: np.ndarray,
-    top: np.ndarray,
-    denom: np.ndarray,
-    faults: list[str | None],
-) -> np.ndarray:
-    """(uses, arms) p* of every arm of a block scored against its final layers.
+    h: _Holdings, final: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, list[str | None]]:
+    """(p*, faults) of every arm of a block scored against its final layers.
 
-    final is the uses' (use, state, weight) final states and hashes their
-    hashes; top, denom and faults are ``_relay_normalizers``'s, arm by arm
-    of each use in turn. Arm a of use k sums w(s) * T_inv(s,
-    relay_symbols[k, a]) over its matched states s in ascending order, as
-    one 1-D dot product; the terms of every arm of every use are computed
-    together, elementwise. An arm with a fault, or no matched state, scores 0.
+    final is the uses' final layers as one (use, state, weight) layer. p*
+    comes as a (uses, arms) array, and faults as ``_relay_normalizers``
+    gives them. Arm a of use k sums w(s) * T_inv(s, relay_symbols[k, a])
+    over its matched states s in ascending order, as one 1-D dot product;
+    the terms of every arm of every use are computed together,
+    elementwise. An arm with a fault, or no matched state, scores 0.
     """
     use, states, weights = final
     count, arms = h.relay_hashes.shape
+    top, denom, faults = _relay_normalizers(
+        h.hashes.tables, h.relay_symbols, h.relay_hashes, h.relay_channel, h.hashes.n
+    )
     # matched (arm, state) pairs, arm-major: an arm's pairs run use by use, ascending
-    arm, at = np.nonzero(np.take(h.relay_hashes.T, use, axis=1) == hashes)
+    arm, at = np.nonzero(np.take(h.relay_hashes.T, use, axis=1) == h.hashes.at(use, states))
     relay = use[at] * arms + arm  # the pair's relay, as normalizers index relays
     d = np.bitwise_count(states[at] ^ h.relay_symbols.ravel()[relay])
     terms = np.exp(_log_likelihood_table((h.relay_channel,), h.hashes.n)[0, d] - top[relay])
@@ -635,51 +654,58 @@ def _score_arms(
     for lo, hi, r in zip(first, ends, relay[first].tolist()):
         if faults[r] is None:
             pstars[r] = min(1.0, float(mass[lo:hi] @ terms[lo:hi]) / denom[r])
-    return pstars.reshape(count, arms)
+    return pstars.reshape(count, arms), faults
 
 
-def _watch(
-    h: _Holdings, score: bool = True, final: tuple[np.ndarray, np.ndarray] | None = None
-) -> _Watched:
-    """The watchdog of every use of a block: its trellis and each arm's p*, as arrays.
+def _watch(h: _Holdings, score: bool = True):
+    """The watchdog of every use of a block: (values, faults, RunDiagnostics).
+
+    values is each arm's p* as a (uses, arms) array when scored, else each
+    use's matched count: its final states hashing to arm 0's announced
+    value. faults is each arm's InferenceError message, else None, arm by
+    arm of each use in turn; every arm of a use whose trellis was not built
+    (a transition row came up empty) carries the empty-row fault. An arm
+    with a fault scores p* = 0, and the record counts it.
 
     One batched pass each makes the block's transition rows and (when
     scoring) relay normalizers; ``_trellises`` runs the forward passes, and
     the final layers of all uses are hashed, counted and scored together.
     Every float is the one the use gives alone. The trellis reads only what
     the watchdog holds, never the relay's transmission, so all arms share
-    it. ``final`` given, a (states, weights) final layer, is scored as a
-    one-use block's, and no rows are made.
+    it.
     """
     count, arms = h.relay_hashes.shape
-    if final is None:
-        lengths, built, keyed, final, _ = _trellises(h)
+    lengths, built, keyed, passes = _trellises(h)
+    finals = [(uses[t], s, w) for uses, layers in passes for t, s, w in layers[-1:]]
+    empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+    use, states, _ = final = [np.concatenate(parts) for parts in zip(empty, *finals)]
+    if score:
+        values, faults = _score_arms(h, final)
     else:
-        lengths, built, keyed = np.zeros((1, 0), np.int64), np.ones(1, bool), np.zeros(1, bool)
-        final = (np.zeros(len(final[0]), np.int64), *final)
-    use, states, _ = final
-    hashes = h.hashes.at(use, states)
-    support = np.bincount(use, minlength=count)
-    if not score:
-        matched = np.bincount(use[hashes == h.relay_hashes[use, 0]], minlength=count)
-        return _Watched(lengths, built, keyed, support, matched, np.zeros((count, arms)),
-                        [None] * (count * arms))
-    top, denom, faults = _relay_normalizers(
-        h.hashes.tables, h.relay_symbols, h.relay_hashes, h.relay_channel, h.hashes.n
+        matched = h.hashes.at(use, states) == h.relay_hashes[use, 0]
+        values, faults = np.bincount(use[matched], minlength=count), [None] * (count * arms)
+    unbuilt = np.flatnonzero(~built).tolist()
+    for k in unbuilt:
+        faults[k * arms:(k + 1) * arms] = [_EMPTY_ROW] * arms
+    faulted = sum(f is not None for f in faults) - arms * len(unbuilt)  # arms of built uses
+    return values, faults, RunDiagnostics(
+        Counter(trellis=len(unbuilt), scoring=faulted),
+        Counter(lengths[built].ravel().tolist()),
+        Counter(np.bincount(use, minlength=count)[built].tolist()),
+        Counter(dense=int(np.count_nonzero(built ^ keyed)), keyed=int(np.count_nonzero(keyed))),
     )
-    pstars = _score_arms(h, final, hashes, top, denom, faults)
-    return _Watched(lengths, built, keyed, support, np.zeros(count, np.int64), pstars, faults)
 
 
 def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
-    """Forward pass: accumulate state probabilities layer by layer (``_forward_pass``).
+    """Forward pass: accumulate state probabilities layer by layer (``_trellises``).
 
     Raises InferenceError when a transition row comes up empty.
     """
-    _, built, _, _, layers = _trellises(_holdings(obs), keep=True)
+    _, built, _, passes = _trellises(_holdings(obs))
     if not built[0]:
         raise InferenceError(_EMPTY_ROW)
-    return Trellis(layers[0], 1 << obs.hash_spec.n)
+    (_, layers), = passes
+    return Trellis(layers, 1 << obs.hash_spec.n)
 
 
 def inverse_transition(
@@ -713,10 +739,10 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
     Sums w(s, m) * T_inv(s, observed) over the final layer; this is the
     statistic whose distribution separates honest from misbehaving relays.
     """
-    got = _watch(_holdings(obs), final=trellis._layers[-1])
-    if got.faults[0] is not None:
-        raise InferenceError(got.faults[0])
-    return float(got.pstars[0, 0])
+    pstars, faults = _score_arms(_holdings(obs), trellis._layers[-1])
+    if faults[0] is not None:
+        raise InferenceError(faults[0])
+    return float(pstars[0, 0])
 
 
 def _pstar(obs: WatchdogObservation) -> float:
@@ -724,16 +750,15 @@ def _pstar(obs: WatchdogObservation) -> float:
 
     Raises the InferenceError either of those would raise.
     """
-    got = _watch(_holdings(obs))
-    fault = got.faults[0] if got.built[0] else _EMPTY_ROW
-    if fault is not None:
-        raise InferenceError(fault)
-    return float(got.pstars[0, 0])
+    pstars, faults, _ = _watch(_holdings(obs))
+    if faults[0] is not None:
+        raise InferenceError(faults[0])
+    return float(pstars[0, 0])
 
 
 def matched_codewords(trellis: Trellis, relay_hash: int, spec: HashSpec) -> list[int]:
     """Final-layer states with positive weight hashing to the relay's value."""
-    states, _ = trellis._layers[-1]
+    _, states, _ = trellis._layers[-1]
     return states[_table(spec)[states] == relay_hash].tolist()
 
 

@@ -393,6 +393,10 @@ def mincut_scenario(
     beyond it is compromised no matter how the node itself behaves.
     """
     _check_seed(seed)
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
+    if policed_samples < 0:  # 0 is an empty schedule: nothing policed, nothing detected
+        raise ValueError(f"policed_samples must be >= 0, got {policed_samples}")
     if kind == "one-honest-path":
         return _scenario_one_honest_path(
             seed, instances, policed_samples, p_adv, p_overhear, gamma, window,

@@ -32,9 +32,8 @@ import contextlib
 import contextvars
 import functools
 import itertools
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +42,7 @@ from .channel import Bsc, _flip_masks, ball_radius, ball_volume, hamming
 from .gfield import MAX_WIDTH, default_field
 from .hashing import HashSpec, _draws, _Hashes, _tables, collision_list, hash_eval
 from .inference import (
-    InferenceError, Overheard, WatchdogObservation, _Holdings, _pruning, _watch,
+    InferenceError, Overheard, RunDiagnostics, WatchdogObservation, _Holdings, _pruning, _watch,
 )
 
 _TAGS = range(4)
@@ -380,74 +379,8 @@ def _held(cfg: TwoHopConfig, trials: _Trials, score: bool = True) -> _Holdings:
     )
 
 
-@dataclass
-class RunDiagnostics:
-    """What two-hop trials did besides p*, as counts that merge in any order.
-
-    ``fallbacks``: the InferenceErrors quietly scored as p* = 0, "trellis"
-    trials whose trellis raised it (every arm scores 0) and "scoring" arms
-    whose scoring did. Over the trellises built, ``row_sizes`` counts
-    transition rows by candidate count, ``supports`` trellises by
-    final-layer positive support and ``forward`` trellises by the forward
-    pass they ran, "dense" or "keyed". Blocks, runs and workers each return
-    one.
-    """
-
-    fallbacks: Counter = field(default_factory=lambda: Counter(trellis=0, scoring=0))
-    row_sizes: Counter = field(default_factory=Counter)
-    supports: Counter = field(default_factory=Counter)
-    forward: Counter = field(default_factory=lambda: Counter(dense=0, keyed=0))
-
-    @property
-    def trials(self) -> int:
-        """Trials run: each built a trellis or fell back."""
-        return self.supports.total() + self.fallbacks["trellis"]
-
-    def add(self, other: RunDiagnostics) -> RunDiagnostics:
-        """Fold other's counts into this record, and return it."""
-        for mine, theirs in zip(vars(self).values(), vars(other).values()):
-            mine.update(theirs)
-        return self
-
-    def summary(self) -> dict:
-        """The JSON form: counts, the mean and maximum row size and support, and the paths."""
-
-        def mean_max(counts: Counter) -> dict:
-            total = counts.total()  # sums below 2^53: the mean is one rounding
-            mean = sum(value * count for value, count in counts.items()) / total if total else 0.0
-            return {"mean": mean, "max": max(counts, default=0)}
-
-        return {
-            "trials": self.trials,
-            "fallbacks": dict(self.fallbacks),
-            "row_size": mean_max(self.row_sizes),
-            "support": mean_max(self.supports),
-            "forward": dict(self.forward),
-        }
-
-
-def _block(cfg: TwoHopConfig, trials: _Trials, score: bool = True):
-    """trials as one block: (p* of every arm, matched counts, RunDiagnostics).
-
-    p* are meaningful when scored, matched counts when not. A trial whose
-    trellis cannot be built (pruning emptied a candidate set) scores p* = 0
-    on every arm, and an arm whose relay cannot be scored p* = 0; each is
-    counted.
-    """
-    got = _watch(_held(cfg, trials, score), score)
-    built, keyed = got.built, int(got.keyed.sum())  # every keyed trellis was built
-    faulted = np.array([f is not None for f in got.faults]).reshape(got.pstars.shape)[built]
-    record = RunDiagnostics(
-        Counter(trellis=int((~built).sum()), scoring=int(faulted.sum())),
-        Counter(got.lengths[built].ravel().tolist()),
-        Counter(got.support[built].tolist()),
-        Counter(dense=int(built.sum()) - keyed, keyed=keyed),
-    )
-    return got.pstars, got.matched, record
-
-
 def _run(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool = True):
-    """Trials lo..hi-1 as ``_block`` gives them: (values in trial order, RunDiagnostics).
+    """Trials lo..hi-1 as ``_watch`` gives them: (values in trial order, RunDiagnostics).
 
     The values are every arm's p* when scoring, else the matched counts,
     held in the smallest unsigned type that holds 2^n. Each slice of
@@ -466,8 +399,8 @@ def _run(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool = True):
     for at in range(lo, hi, _DRAW_TRIALS):
         trials = _draw(cfg, p_advs, _seed_words(cfg.seed, at, min(hi, at + _DRAW_TRIALS)))
         for b in range(0, len(trials.symbols), step):
-            pstars, matched, part = _block(cfg, trials.part(b, b + step), score)
-            values[at - lo + b:at - lo + b + len(matched)] = pstars if score else matched
+            got, _, part = _watch(_held(cfg, trials.part(b, b + step), score), score)
+            values[at - lo + b:at - lo + b + len(got)] = got
             record.add(part)
         del trials  # so that drawing the next slice does not hold two
     return values, record

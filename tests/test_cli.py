@@ -132,6 +132,8 @@ def test_two_hop_rejects_bad_values(tmp_path):
      "--window applies only to --topology runs"),
     (["multihop", "--scenario", "all-parents-malicious", "--n", "6"],
      "--n applies only to --topology runs"),
+    (["analysis", "--table", "misdetection", "--n", "2049"], "n must be <= 2048, got 2049"),
+    (["analysis", "--table", "misdetection", "--h", "30000000"], "h must be <= 2048, got 30000000"),
 ])
 def test_out_of_range_input_exits_one_naming_the_field(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"

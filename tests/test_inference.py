@@ -568,11 +568,13 @@ def test_keyed_pass_equals_dense_pass(block, chunk):
             mock.patch.object(inference, "_KEYED_SHARE", share),
             mock.patch.object(inference, "_SCATTER_CHUNK", chunk),
         ):
-            lengths, built, keyed, _, layers = inference._trellises(h, keep=True)
+            lengths, built, keyed, passes = inference._trellises(h)
+            layers = [None] * len(built)  # each use's layers, as (states, weights) lists
+            for uses, got in passes:
+                for g, k in enumerate(uses.tolist()):
+                    layers[k] = [(s[t == g].tolist(), w[t == g].tolist()) for t, s, w in got]
             run = runs[share] = {
-                "lengths": lengths.tolist(), "built": built.tolist(),
-                "layers": [None if use is None else [(s.tolist(), w.tolist()) for s, w in use]
-                           for use in layers],
+                "lengths": lengths.tolist(), "built": built.tolist(), "layers": layers,
                 "scored": _as_lists(inference._watch(h)),
                 "unscored": _as_lists(inference._watch(h, score=False)),
                 "public": [_public_calls(_one_use(h, k)) for k in range(len(built))],
@@ -581,10 +583,11 @@ def test_keyed_pass_equals_dense_pass(block, chunk):
             if pruning and pruning[1] is not None:  # the ball side: rows read no table
                 tableless = h._replace(hashes=h.hashes._replace(tables=None))
                 run["tableless"] = _as_lists(inference._watch(tableless, score=False))
-            for result in ("scored", "unscored", "tableless"):  # only the keyed flags differ
+            for result in ("scored", "unscored", "tableless"):  # only the forward paths differ
                 if result in run:
-                    assert run[result][2] == keyed.tolist()
-                    run[result][2] = None
+                    forward = {"dense": int((built & ~keyed).sum()), "keyed": int(keyed.sum())}
+                    assert run[result][2].forward == forward
+                    run[result][2].forward = None
             run["keyed"] = keyed
     keyed, dense = runs[keyed_share].pop("keyed"), runs[dense_share].pop("keyed")
     bounds = np.prod(lengths, axis=1)
@@ -593,5 +596,5 @@ def test_keyed_pass_equals_dense_pass(block, chunk):
     table = h.hashes.tables[emptied] if emptied is not None else np.zeros(1)
     if (table != table[0]).any():  # a symbol of another hash was overheard noiselessly
         assert lengths[emptied, 0] == 0 and not built[emptied]
-        assert inference._watch(h).pstars[emptied].tolist() == [0.0] * h.relay_hashes.shape[1]
+        assert inference._watch(h)[0][emptied].tolist() == [0.0] * h.relay_hashes.shape[1]
         assert runs[keyed_share]["public"][emptied] == inference._EMPTY_ROW

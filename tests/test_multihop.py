@@ -298,9 +298,15 @@ def test_scenario_all_children_malicious():
     assert report.details["injector"] == "c"
 
 
-def test_scenario_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        mincut_scenario("nonsense")
+@pytest.mark.parametrize("kind, counts, message", [
+    ("nonsense", {}, "unknown scenario 'nonsense'"),
+    ("one-honest-path", {"instances": 0}, "instances must be >= 1, got 0"),
+    ("one-honest-path", {"instances": -2}, "instances must be >= 1, got -2"),
+    ("one-honest-path", {"policed_samples": -1}, "policed_samples must be >= 0, got -1"),
+], ids=["kind", "instances-0", "instances-negative", "samples-negative"])
+def test_scenario_rejects_unknown_kind(kind, counts, message):
+    with pytest.raises(ValueError, match=message):
+        mincut_scenario(kind, calibration_iterations=50, **counts)
 
 
 def test_topology_round_trip(tmp_path):

@@ -514,7 +514,7 @@ def test_shared_trellis_scores_every_arm_as_its_own_pipeline(cfg, trial, p_advs)
         for t in range(trial, trial + 3)
     ]
     words = sim._seed_words(cfg.seed, trial, trial + 3)
-    pstars, _, _ = sim._block(cfg, sim._draw(cfg, p_advs, words))
+    pstars, _, _ = inference._watch(sim._held(cfg, sim._draw(cfg, p_advs, words)))
     assert pstars.tolist() == expect
 
 
@@ -534,7 +534,7 @@ def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
     failed = [trellis_fails(t) for t in trials]
     assert any(failed) and not all(failed)
     drawn = sim._draw(cfg, p_advs, sim._seed_words(cfg.seed, 0, len(trials)))
-    clean_pstars, _, clean = sim._block(cfg, drawn)
+    clean_pstars, _, clean = inference._watch(sim._held(cfg, drawn))
     assert clean.fallbacks == Counter(trellis=sum(failed))
     for t in trials:
         expect = [_arm_pstar(cfg, False, t)] + [
@@ -551,7 +551,7 @@ def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
         return top, denom, faults
 
     monkeypatch.setattr(inference, "_relay_normalizers", second_arm_fails)
-    got_pstars, _, got = sim._block(cfg, drawn)
+    got_pstars, _, got = inference._watch(sim._held(cfg, drawn))
     expect = clean_pstars.copy()
     expect[scored, 1] = 0.0
     assert got_pstars.tolist() == expect.tolist()
@@ -669,24 +669,31 @@ _CRITERION_08_RUN = (
 @example(_FAULTY_RUN)
 @example(_CRITERION_08_RUN)
 def test_blocks_equal_per_trial_pipelines(run):
-    """Trials run in blocks give, with ==, what each trial gives alone."""
+    """Trials run in blocks give, with ==, what each trial gives alone, and the same record."""
     cfg, p_advs, block_elements, workers = run
     faulty = _relay_faults_when_divisible_by_3(inference._relay_normalizers)
-    with (
-        mock.patch.object(sim, "_BLOCK_ELEMENTS", block_elements),
-        mock.patch.object(inference, "_relay_normalizers", faulty),
-    ):
+    records = []
+    with mock.patch.object(inference, "_relay_normalizers", faulty):
         expect = [
             [_arm_pstar(cfg, False, t)]
             + [_arm_pstar(dataclasses.replace(cfg, p_adv=p), True, t) for p in p_advs]
             for t in range(cfg.iterations)
         ]
-        assert sim._samples(cfg, p_advs, workers).tolist() == expect
+        for elements in (block_elements, 1):  # then one trial a block
+            with (
+                mock.patch.object(sim, "_BLOCK_ELEMENTS", elements),
+                sim.collect_diagnostics() as record,
+            ):
+                assert sim._samples(cfg, p_advs, workers).tolist() == expect
+            records.append(record)
     args = (cfg.n, cfg.m - 1, cfg.delta, cfg.p_s)
     counts = [matched_count_trial(*args, seed=cfg.seed, trial=t) for t in range(cfg.iterations)]
-    with mock.patch.object(sim, "_BLOCK_ELEMENTS", block_elements):
-        got = mean_matched_count(*args, trials=cfg.iterations, seed=cfg.seed)
-    assert got == float(np.mean(counts))
+    for elements in (block_elements, 1):
+        with mock.patch.object(sim, "_BLOCK_ELEMENTS", elements):
+            got = mean_matched_count(*args, trials=cfg.iterations, seed=cfg.seed)
+            records.append(sim._run(_matched(cfg), [], 0, cfg.iterations, score=False)[1])
+        assert got == float(np.mean(counts))
+    assert records[0] == records[1] and records[2] == records[3]
 
 
 def _row_lengths(cfg, p_advs, score=True):
