@@ -86,6 +86,10 @@ TOPOLOGY_FLAGS = {
 # The largest misdetection --n and --h: time grows as about n^2.4, memory with 3h + 2n.
 MISDETECTION_MAX = 2048
 
+# log2 of the most peer tuples the oracle enumerates an observation, (2^(n - delta))^(m - 1),
+# a count each further source multiplies by 2^(n - delta): m = 4 at n = 6, delta = 0.
+ORACLE_BUDGET_BITS = 18
+
 
 class CliError(Exception):
     pass
@@ -119,6 +123,27 @@ def _write_summary(path, payload):
 def _summary_path(out_path: str) -> str:
     root, _ = os.path.splitext(out_path)
     return root + ".json"
+
+
+def _check_outputs(args) -> None:
+    """Refuse, before anything runs, an output path that is another output's or an input's.
+
+    Paths are compared as resolved, so two spellings of one file collide.
+    """
+    if args.command == "multihop":
+        outputs = [("out", args.out, "JSON summary"), ("trace", args.trace, "trace")]
+    else:
+        outputs = [("out", args.out, "CSV"), ("out", _summary_path(args.out), "JSON summary")]
+    taken = {  # each resolved path in use, as the error names it
+        os.path.realpath(path): f"--{key} file" for key in ("config", "topology")
+        if (path := getattr(args, key, None))
+    }
+    for flag, path, what in outputs:
+        if path:
+            real = os.path.realpath(path)
+            if real in taken:
+                raise CliError(f"{flag}: the {what} {path!r} would be written over the {taken[real]}")
+            taken[real] = what
 
 
 def _parse_values(key: str, text: str, cast):
@@ -220,6 +245,12 @@ def _cmd_oracle(args) -> int:
     )
     if cfg.n > 6:
         raise CliError("oracle checks require n <= 6")
+    if (cfg.n - cfg.delta) * (cfg.m - 1) > ORACLE_BUDGET_BITS:
+        raise CliError(
+            f"m must be <= {1 + ORACLE_BUDGET_BITS // (cfg.n - cfg.delta)} at n - delta = "
+            f"{cfg.n - cfg.delta}, got {cfg.m}: the oracle enumerates 2^((n - delta)(m - 1)) "
+            f"peer tuples an observation, at most 2^{ORACLE_BUDGET_BITS}"
+        )
     trials = args.trials
     if trials < 1:
         raise CliError(f"trials must be >= 1, got {trials}")
@@ -408,6 +439,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
+        _check_outputs(args)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse's, after --help or a usage message
         return 0 if exc.code == 0 else USAGE_ERROR

@@ -3,7 +3,7 @@
 A trial draws random source symbols and nonzero coefficients, runs the
 relay (honest, or injecting bit errors at p_adv with a consistently
 recomputed hash), and overhears everything through BSCs. This module only
-draws, seeds, blocks and merges trials; ``inference`` computes every p*.
+draws, seeds and runs trials (``_samples``); ``inference`` computes every p*.
 
 Randomness is split into named per-trial sub-streams (hash, symbols,
 channels, adversary): numpy's ``default_rng(SeedSequence((seed, trial,
@@ -270,8 +270,8 @@ def _integers(words: np.ndarray, highs) -> np.ndarray:
     return values
 
 
-# Trials a run draws at once, about 0.8 KiB each; the full-size threshold
-# calibration (4,000 trials) and every default run draw once.
+# Trials a run's piece draws at once, about 0.8 KiB each; the full-size
+# threshold calibration (4,000 trials) and every default run draw once.
 _DRAW_TRIALS = 1 << 12
 
 # Bound on a block's largest temporaries, in elements (``_trial_elements``):
@@ -379,16 +379,13 @@ def _held(cfg: TwoHopConfig, trials: _Trials, score: bool = True) -> _Holdings:
     )
 
 
-def _run(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool = True):
-    """Trials lo..hi-1 as ``_watch`` gives them: (values in trial order, RunDiagnostics).
+def _run(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool):
+    """Trials lo..hi-1, one piece of a ``_samples`` run: (values in trial order, RunDiagnostics).
 
     The values are every arm's p* when scoring, else the matched counts,
-    held in the smallest unsigned type that holds 2^n. Each slice of
-    ``_DRAW_TRIALS`` is drawn at once, from seeding words derived in one
-    pass: both passes have fixed costs that one pass per block would pay
-    again and again. Each block hashes only what it reads, sized by the
-    elements it holds (``_BLOCK_ELEMENTS``), writes its values into the
-    run's array and folds its record into the run's.
+    held in the smallest unsigned type that holds 2^n. The piece is drawn at
+    once and watched in blocks sized by the elements they hold
+    (``_BLOCK_ELEMENTS``); each block hashes only what it reads.
     """
     step = max(1, _BLOCK_ELEMENTS // _trial_elements(cfg, 1 + len(p_advs), score))
     if score:
@@ -396,23 +393,12 @@ def _run(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool = True):
     else:
         values = np.empty(hi - lo, np.min_scalar_type(1 << cfg.n))
     record = RunDiagnostics()
-    for at in range(lo, hi, _DRAW_TRIALS):
-        trials = _draw(cfg, p_advs, _seed_words(cfg.seed, at, min(hi, at + _DRAW_TRIALS)))
-        for b in range(0, len(trials.symbols), step):
-            got, _, part = _watch(_held(cfg, trials.part(b, b + step), score), score)
-            values[at - lo + b:at - lo + b + len(got)] = got
-            record.add(part)
-        del trials  # so that drawing the next slice does not hold two
+    trials = _draw(cfg, p_advs, _seed_words(cfg.seed, lo, hi))
+    for b in range(0, hi - lo, step):
+        got, _, part = _watch(_held(cfg, trials.part(b, b + step), score), score)
+        values[b:b + len(got)] = got
+        record.add(part)
     return values, record
-
-
-def _merge(parts):
-    """Consecutive runs' ``_run`` results, in trial order, as one; records fold as they come."""
-    values, record = [], RunDiagnostics()
-    for part_values, part_record in parts:
-        values.append(part_values)
-        record.add(part_record)
-    return np.concatenate(values), record
 
 
 # The RunDiagnostics of the collect_diagnostics blocks open in this context.
@@ -423,13 +409,46 @@ _diagnostics: contextvars.ContextVar[tuple[RunDiagnostics, ...]] = contextvars.C
 
 @contextlib.contextmanager
 def collect_diagnostics():
-    """Collect what the two-hop runs inside the ``with`` block did; yields a RunDiagnostics."""
+    """Collect what each run of trials inside the ``with`` block did; yields a RunDiagnostics."""
     diagnostics = RunDiagnostics()
     token = _diagnostics.set(_diagnostics.get() + (diagnostics,))
     try:
         yield diagnostics
     finally:
         _diagnostics.reset(token)
+
+
+def _samples(
+    cfg: TwoHopConfig, p_advs, workers: int = 1, trials: range | None = None, score: bool = True
+) -> np.ndarray:
+    """The one runner of two-hop trials: ``_run``'s values for ``trials``, in trial order.
+
+    trials defaults to all of cfg.iterations. The range is cut once: into
+    one range per worker when pooled (more than one worker, and at least 4
+    trials each), then into ``_DRAW_TRIALS`` pieces. Pieces run here or in
+    the pool, each written into the run's one array as it arrives; the
+    folded record goes to every open ``collect_diagnostics`` block.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    trials = range(cfg.iterations) if trials is None else trials
+    pooled = workers > 1 and len(trials) >= 4 * workers
+    bounds = np.linspace(trials.start, trials.stop, workers + 1 if pooled else 2, dtype=int)
+    los = [at for a, b in itertools.pairwise(bounds.tolist()) for at in range(a, b, _DRAW_TRIALS)]
+    his = [*los[1:], trials.stop]  # the pieces tile the range
+    values, record = None, RunDiagnostics()
+    with ProcessPoolExecutor(workers) if pooled else contextlib.nullcontext() as pool:
+        pieces = (map if pool is None else pool.map)(
+            _run, itertools.repeat(cfg), itertools.repeat(p_advs), los, his, itertools.repeat(score)
+        )
+        for lo, hi, (got, part) in zip(los, his, pieces):
+            if values is None:  # of the pieces' type and width
+                values = np.empty((len(trials), *got.shape[1:]), got.dtype)
+            values[lo - trials.start:hi - trials.start] = got
+            record.add(part)
+    for diagnostics in _diagnostics.get():
+        diagnostics.add(record)
+    return values
 
 
 def simulate_observation(
@@ -463,29 +482,8 @@ def run_trial(cfg: TwoHopConfig, adversarial: bool, trial: int = 0) -> float:
     overheard data is inconsistent with every remaining explanation; that
     is maximal suspicion and reported as p* = 0.
     """
-    pstars, _ = _run(cfg, [cfg.p_adv] if adversarial else [], trial, trial + 1)
-    return float(pstars[0, -1])
-
-
-def _samples(cfg: TwoHopConfig, p_advs, workers: int) -> np.ndarray:
-    """(iterations, 1 + len(p_advs)) p* array: the honest arm, then each p_adv arm."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or cfg.iterations < 4 * workers:
-        pstars, record = _run(cfg, p_advs, 0, cfg.iterations)
-    else:
-        bounds = np.linspace(0, cfg.iterations, workers + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pstars, record = _merge(pool.map(
-                _run,
-                itertools.repeat(cfg),
-                itertools.repeat(p_advs),
-                bounds[:-1],
-                bounds[1:],
-            ))
-    for diagnostics in _diagnostics.get():
-        diagnostics.add(record)
-    return pstars
+    arms = [cfg.p_adv] if adversarial else []
+    return float(_samples(cfg, arms, trials=range(trial, trial + 1))[0, -1])
 
 
 def _stats(relay: np.ndarray, adv: np.ndarray) -> ExperimentStats:
@@ -646,8 +644,7 @@ def matched_count_trial(
     candidate sets come up empty counts zero matched states.
     """
     cfg = _matched_config(n, peer_count, delta, p, seed)
-    matched, _ = _run(cfg, [], trial, trial + 1, score=False)
-    return int(matched[0])
+    return int(_samples(cfg, [], trials=range(trial, trial + 1), score=False)[0])
 
 
 def mean_matched_count(
@@ -657,5 +654,5 @@ def mean_matched_count(
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be in [1, 2^32], got {trials}")
     cfg = _matched_config(n, peer_count, delta, p, seed)
-    matched, _ = _run(cfg, [], 0, trials, score=False)
+    matched = _samples(cfg, [], trials=range(trials), score=False)
     return int(matched.sum(dtype=np.int64)) / trials  # exact sum, one rounding: np.mean's float

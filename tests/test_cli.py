@@ -3,6 +3,7 @@ import csv
 import json
 import platform
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,12 +135,36 @@ def test_two_hop_rejects_bad_values(tmp_path):
      "--n applies only to --topology runs"),
     (["analysis", "--table", "misdetection", "--n", "2049"], "n must be <= 2048, got 2049"),
     (["analysis", "--table", "misdetection", "--h", "30000000"], "h must be <= 2048, got 30000000"),
+    (["oracle", "--n", "6", "--delta", "0", "--m", "5", "--trials", "1"],
+     "m must be <= 4 at n - delta = 6, got 5"),
 ])
 def test_out_of_range_input_exits_one_naming_the_field(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
     assert main([*argv, "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag, kept", [
+    (["oracle", "--trials", "3", "--out", "t.json"], "out", "t.json"),
+    (["two-hop", "--iterations", "4", "--workers", "1", "--out", "th.json"], "out", "th.json"),
+    (["multihop", "--topology", "topo.json", "--trace", "same.json", "--out", "same.json"],
+     "trace", "same.json"),
+    (["multihop", "--topology", "topo2.json", "--out", "./topo2.json"], "out", "topo2.json"),
+    (["oracle", "--config", "run.json", "--out", "run.csv"], "out", "run.json"),
+], ids=["oracle-summary", "two-hop-summary", "trace", "topology", "config"])
+def test_output_over_an_output_or_input_exits_one(tmp_path, monkeypatch, capsys, argv, flag, kept):
+    # the colliding file exists beforehand, and the refused run leaves it as it was
+    monkeypatch.chdir(tmp_path)
+    for name in ("topo.json", "topo2.json"):
+        Path(name).write_text(json.dumps(_SMALL_TOPOLOGY))
+    Path("run.json").write_text("[oracle]\ntrials = 1\n")
+    if not Path(kept).exists():
+        Path(kept).write_text("kept\n")
+    before = Path(kept).read_bytes()
+    assert main(argv) == 1
+    assert re.search(rf"(?<!\w){flag}(?!\w)", capsys.readouterr().err)
+    assert Path(kept).read_bytes() == before
 
 
 def test_two_hop_summary_counts_forward_paths(tmp_path):
@@ -512,6 +537,7 @@ _SMALL_TOPOLOGY = {
 @example(run=("analysis", {"--table": "matched-count", "--n": "2000", "--p": "0.5"}))
 @example(run=("analysis", {"--table": "matched-count", "--deltas": "-1"}))
 @example(run=("analysis", {"--table": "misdetection", "--n": "1100"}))
+@example(run=("oracle", {"--n": "6", "--delta": "0", "--m": "5", "--trials": "1"}))
 def test_cli_fuzz_exits_zero_or_one_naming_a_flag(tmp_path, capsys, run):
     """Small runs over every subcommand's flags: exit 0, or exit 1 naming a flag given."""
     command, drawn = run

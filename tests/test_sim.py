@@ -253,20 +253,38 @@ def test_trial_streams_build_no_seed_sequence(monkeypatch, cfg, streams):
 
 
 def test_draw_slices_equal_one_draw():
-    # a run drawn a few trials at a time gives, with ==, what one draw gives
+    # a run drawn a few trials at a time gives, with ==, what one draw gives;
+    # pooled, the worker bounds (0, 5, 11) and slice bounds interleave
     cfg = TwoHopConfig(m=3, n=6, delta=1, iterations=11, seed=9, pruning_eps=0.5)
     args = (6, 2, 1, 0.1)
     with sim.collect_diagnostics() as whole:
         pstars = sim._samples(cfg, [0.2, 0.5], 1)
-    matched = mean_matched_count(*args, trials=11, seed=9)
-    with (
-        mock.patch.object(sim, "_DRAW_TRIALS", 3),
-        mock.patch.object(sim, "_draw", wraps=sim._draw) as draw,
-        sim.collect_diagnostics() as sliced,
-    ):
-        assert sim._samples(cfg, [0.2, 0.5], 1).tolist() == pstars.tolist()
-        assert mean_matched_count(*args, trials=11, seed=9) == matched
-    assert draw.call_count == 2 * 4 and sliced == whole
+        matched = mean_matched_count(*args, trials=11, seed=9)
+    for workers, draws in ((1, 2 * 4), (2, 4)):  # a forked worker's draws are its own
+        with (
+            mock.patch.object(sim, "_DRAW_TRIALS", 3),
+            mock.patch.object(sim, "_draw", wraps=sim._draw) as draw,
+            sim.collect_diagnostics() as sliced,
+        ):
+            assert sim._samples(cfg, [0.2, 0.5], workers).tolist() == pstars.tolist()
+            assert mean_matched_count(*args, trials=11, seed=9) == matched
+        assert draw.call_count == draws and sliced == whole
+
+
+def test_every_run_reports_its_own_trials():
+    # one-trial and matched-count runs report as sweeps do, to every open block
+    cfg = TwoHopConfig(m=3, n=6, delta=1, seed=9)
+    with sim.collect_diagnostics() as outer:
+        with sim.collect_diagnostics() as inner:
+            mean_matched_count(6, 2, 1, 0.1, trials=11, seed=9)
+        assert inner.trials == 11 and outer == inner
+        with sim.collect_diagnostics() as one:
+            run_trial(cfg, True, trial=4)
+        assert one.trials == 1
+        with sim.collect_diagnostics() as one:
+            matched_count_trial(6, 2, 1, 0.1, seed=9, trial=4)
+        assert one.trials == 1
+    assert outer.trials == 11 + 1 + 1
 
 
 def test_trial_path_raises_no_warnings():
@@ -689,10 +707,13 @@ def test_blocks_equal_per_trial_pipelines(run):
     args = (cfg.n, cfg.m - 1, cfg.delta, cfg.p_s)
     counts = [matched_count_trial(*args, seed=cfg.seed, trial=t) for t in range(cfg.iterations)]
     for elements in (block_elements, 1):
-        with mock.patch.object(sim, "_BLOCK_ELEMENTS", elements):
+        with (
+            mock.patch.object(sim, "_BLOCK_ELEMENTS", elements),
+            sim.collect_diagnostics() as record,
+        ):
             got = mean_matched_count(*args, trials=cfg.iterations, seed=cfg.seed)
-            records.append(sim._run(_matched(cfg), [], 0, cfg.iterations, score=False)[1])
         assert got == float(np.mean(counts))
+        records.append(record)
     assert records[0] == records[1] and records[2] == records[3]
 
 
@@ -716,9 +737,12 @@ def test_explicit_block_runs_cover_what_they_claim():
     assert 0 in _row_lengths(cfg, p_advs)
     assert cfg.iterations % (block_elements >> cfg.n) != 0 and workers == 2
     faulty = _relay_faults_when_divisible_by_3(inference._relay_normalizers)
-    with mock.patch.object(inference, "_relay_normalizers", faulty):
-        fallbacks = sim._run(cfg, p_advs, 0, cfg.iterations)[1].fallbacks
-    assert fallbacks["trellis"] > 0 and fallbacks["scoring"] > 0
+    with (
+        mock.patch.object(inference, "_relay_normalizers", faulty),
+        sim.collect_diagnostics() as record,
+    ):
+        sim._samples(cfg, p_advs)
+    assert record.fallbacks["trellis"] > 0 and record.fallbacks["scoring"] > 0
     cfg, p_advs, block_elements, _ = _CRITERION_08_RUN
     matched = _matched(cfg)
     assert matched == dataclasses.replace(cfg, p_adv=0.0)
@@ -727,8 +751,11 @@ def test_explicit_block_runs_cover_what_they_claim():
     assert 1 < per_block < cfg.iterations  # the run crosses block boundaries
     emptied = np.flatnonzero((_row_lengths(matched, [], score=False) == 0).any(axis=1))
     assert any(0 < t % per_block < per_block - 1 for t in emptied.tolist())  # mid-block
-    with mock.patch.object(sim, "_BLOCK_ELEMENTS", block_elements):
-        record = sim._run(matched, [], 0, cfg.iterations, score=False)[1]
+    with (
+        mock.patch.object(sim, "_BLOCK_ELEMENTS", block_elements),
+        sim.collect_diagnostics() as record,
+    ):
+        sim._samples(matched, [], score=False)
     assert record.forward["keyed"] > 0 and record.fallbacks["trellis"] == len(emptied)
 
 
