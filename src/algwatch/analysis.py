@@ -105,10 +105,11 @@ def misdetection_probability(g: TwoHopGeometry) -> float:
     return _undetected(g, min(g.watchdog_hears_relay, g.peer_hears_relay))
 
 
-def _count_args(m: int, p_rates, d_over_n) -> tuple[list[float], list[float]]:
+def _count_args(n: int, m: int, p_rates, d_over_n) -> tuple[list[float], list[float]]:
     """The matched-count evaluators' rates and relative distances, as checked lists."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    for name, value in (("n", n), ("m", m)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     p_rates = [Bsc(p).p for p in p_rates]  # each rate in [0, 0.5], as for any overhearing link
     d_over_n = [0.0] * (m + 1) if d_over_n is None else list(d_over_n)
     if len(p_rates) != m + 1 or len(d_over_n) != m + 1:
@@ -129,7 +130,7 @@ def matched_count_expected(
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    p_rates, d_over_n = _count_args(m, p_rates, d_over_n)
+    p_rates, d_over_n = _count_args(n, m, p_rates, d_over_n)
     total = sum(binary_entropy(p) - binary_entropy(d) for p, d in zip(p_rates, d_over_n))
     exponent = n * (total - 1.0) - m * delta
     try:
@@ -147,7 +148,7 @@ def matched_count_exponent_eps(
     of the rates) and redundancy (code distances plus hash fraction):
     n * [sum H(p) - (sum H(d) + 1 + m*eps)].
     """
-    p_rates, d_over_n = _count_args(m, p_rates, d_over_n)
+    p_rates, d_over_n = _count_args(n, m, p_rates, d_over_n)
     hp = sum(binary_entropy(p) for p in p_rates)
     hd = sum(binary_entropy(d) for d in d_over_n)
     return n * (hp - (hd + 1.0 + m * eps))

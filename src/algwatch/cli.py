@@ -48,7 +48,7 @@ from .multihop import (
 )
 from .gfield import default_field
 from .hashing import sample_hash
-from .inference import _pstar
+from .inference import build_and_run_trellis, consistency_probability
 from .sim import (
     SWEEP_AXES,
     TwoHopConfig,
@@ -258,7 +258,7 @@ def _cmd_oracle(args) -> int:
     for trial in range(trials):
         for adversarial in (False, True):
             obs = simulate_observation(cfg, adversarial, trial)
-            trellis_p = _pstar(obs)
+            trellis_p = consistency_probability(build_and_run_trellis(obs), obs)
             brute_p = brute_force_consistency(obs)
             scale = max(abs(brute_p), 1e-300)
             max_err = max(max_err, abs(trellis_p - brute_p) / scale)

@@ -144,7 +144,7 @@ def _table(spec: HashSpec) -> np.ndarray:
     return table
 
 
-def _draws(family: str, n: int, delta: int, degree: int = 1) -> tuple[list, list, list]:
+def _draws(family: str, n: int, delta: int) -> tuple[list, list, list]:
     """(ranges, scale, shift): coefficient i is scale[i] * integers(0, ranges[i]) + shift[i].
 
     A range of 1 takes no random word, so the empty affine hash (1, 0) at
@@ -152,22 +152,22 @@ def _draws(family: str, n: int, delta: int, degree: int = 1) -> tuple[list, list
     """
     if family == "affine":
         return [max(1, 1 << delta >> 1), 1 << delta], [2, 1], [1, 0]
-    if family == "poly":
-        return [1 << n] * (degree + 1), [1] * (degree + 1), [0] * (degree + 1)
+    if family == "poly":  # a_0 + a_1 x
+        return [1 << n] * 2, [1, 1], [0, 0]
     raise ValueError(f"unknown hash family {family!r}")
 
 
-def sample_hash(rng, family: str, n: int, delta: int, degree: int = 1) -> HashSpec:
+def sample_hash(rng, family: str, n: int, delta: int) -> HashSpec:
     """Draw a hash uniformly from the admissible set of the family, as ``_draws`` says.
 
     For the affine family the multiplier is uniform over odd delta-bit
     residues (a=1 when delta=0) and the offset uniform over delta-bit
-    values. For the poly family, ``degree``+1 coefficients are drawn
-    uniformly from GF(2^n).
+    values. For the poly family, both coefficients of a_0 + a_1 x are
+    drawn uniformly from GF(2^n).
     """
     if not 0 <= delta <= n:
         raise ValueError("delta must be in [0, n]")
-    ranges, scale, shift = _draws(family, n, delta, degree)
+    ranges, scale, shift = _draws(family, n, delta)
     coefficients = rng.integers(0, np.array(ranges)) * scale + shift
     return HashSpec(family, n, delta, tuple(coefficients.tolist()))
 

@@ -27,15 +27,15 @@ or, when the rows bound every layer far below 2^n states, keyed: trellises
 of a block together (``_keyed_pass``).
 
 The block path is ``_watch`` over ``_Holdings``, the array form of what
-the watchdogs of a block of relay uses hold. It makes the block's
-transition rows and relay normalizers in one batched pass each, runs the
-forward passes, scores the final layers of all uses together, and returns
-each arm's p* (or each use's matched count), each arm's fault and the
-block's ``RunDiagnostics``. The Monte Carlo harness hands it blocks of
-drawn trials. The one-observation calls are thin: ``build_and_run_trellis``
-keeps a one-use block's one pass, ``consistency_probability`` scores its
-final layer (``_score_arms``), and ``_pstar`` is a one-use ``_watch``.
-Every use gets exactly the floats it would get alone.
+the watchdogs of any number of relay uses hold. It cuts them into blocks
+and makes each block's hash tables only where they are read, then makes a
+block's transition rows and relay normalizers in one batched pass each,
+runs the forward passes and scores the final layers of all its uses
+together. The Monte Carlo harness hands it whole pieces of drawn trials.
+The one-observation calls are thin: ``build_and_run_trellis`` keeps a
+one-use block's one pass, and ``consistency_probability`` scores its
+final layer (``_score_arms``). Every use gets exactly the floats it would
+get alone.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 
 from .channel import Bsc, _log_likelihood_table, ball_radius, ball_volume, log_likelihood
 from .gfield import GF2n, default_field
-from .hashing import HashSpec, _Hashes, _table, hash_eval
+from .hashing import HashSpec, _Hashes, _table, _tables, hash_eval
 
 
 # Contributions summed per np.bincount call in the forward pass; bounds each
@@ -457,7 +457,7 @@ def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Holdings(NamedTuple):
-    """What the watchdogs of a block of relay uses hold, as arrays.
+    """What the watchdogs of relay uses hold, as arrays.
 
     Row k is one use, policed by one watchdog; column a of the relay arrays
     is arm a, one transmission of the relay. Peer column j is overheard
@@ -474,6 +474,15 @@ class _Holdings(NamedTuple):
     peer_channels: tuple[Bsc, ...]
     relay_channel: Bsc
     prune_eps: float | None
+
+    def block(self, lo: int, hi: int, score: bool) -> _Holdings:
+        """Uses lo..hi-1, with tables made from their own hashes where ``_reach`` says so."""
+        # from a list: a tuple made from a generator is resized, and every such
+        # tuple freed would stay behind on CPython's tuple free list
+        part = self._make([a[lo:hi] if isinstance(a, np.ndarray) else a for a in self])
+        family, n, delta, coeffs, _ = self.hashes
+        tables = _tables(family, n, delta, coeffs[lo:hi]) if _reach(self, score) is None else None
+        return part._replace(hashes=_Hashes(family, n, delta, coeffs[lo:hi], tables))
 
 
 def _spec_hashes(spec: HashSpec) -> _Hashes:
@@ -570,11 +579,10 @@ class RunDiagnostics:
         """Uses watched: each built a trellis or fell back."""
         return self.supports.total() + self.fallbacks["trellis"]
 
-    def add(self, other: RunDiagnostics) -> RunDiagnostics:
-        """Fold other's counts into this record, and return it."""
+    def add(self, other: RunDiagnostics) -> None:
+        """Fold other's counts into this record."""
         for mine, theirs in zip(vars(self).values(), vars(other).values()):
             mine.update(theirs)
-        return self
 
     def summary(self) -> dict:
         """The JSON form: counts, the mean and maximum row size and support, and the paths."""
@@ -657,15 +665,66 @@ def _score_arms(
     return pstars.reshape(count, arms), faults
 
 
+# Bound on a block's largest temporaries, in elements (``_use_elements``):
+# 8 single-arm uses with hash tables at n = 10, where blocks four times
+# larger grew peak memory by about 2 MiB and saved little more time.
+_BLOCK_ELEMENTS = 1 << 13
+
+
+def _reach(h: _Holdings, score: bool) -> int | None:
+    """The ball radius h's blocks find candidates at without hash tables; None: they make them.
+
+    A block makes its uses' hash tables where it reads a whole collision
+    class: to score the relay, or for rows that scan their classes.
+    """
+    if score or h.prune_eps is None:
+        return None
+    return _pruning(h.peer_channels, h.hashes.n, h.hashes.delta, h.prune_eps)[1]
+
+
+def _use_elements(h: _Holdings, score: bool) -> int:
+    """The elements a use of h holds in a block, as ``_BLOCK_ELEMENTS`` counts them.
+
+    With hash tables, 2^n values in its table, and about 2^(n - delta) per
+    arm in its relay normalizers. Without, its ball candidates and their
+    hashes: 2 x peers x V(n, r), 66 at the criterion-08 point, 124 uses a
+    block. Blocks of 248 uses ran no faster there, and grew peak memory by
+    about 0.4 MiB.
+    """
+    n, reach = h.hashes.n, _reach(h, score)
+    if reach is None:
+        return max(1 << n, h.relay_hashes.shape[1] << (n - h.hashes.delta))
+    return max(1, 2 * h.heard.shape[1] * ball_volume(n, reach))
+
+
 def _watch(h: _Holdings, score: bool = True):
-    """The watchdog of every use of a block: (values, faults, RunDiagnostics).
+    """The watchdog of every use of h, in blocks: (values, faults, RunDiagnostics).
 
     values is each arm's p* as a (uses, arms) array when scored, else each
-    use's matched count: its final states hashing to arm 0's announced
-    value. faults is each arm's InferenceError message, else None, arm by
-    arm of each use in turn; every arm of a use whose trellis was not built
-    (a transition row came up empty) carries the empty-row fault. An arm
-    with a fault scores p* = 0, and the record counts it.
+    use's matched count (its final states hashing to arm 0's announced
+    value) in the smallest unsigned type that holds 2^n. faults is each
+    arm's InferenceError message, else None, arm by arm of each use in
+    turn; every arm of a use whose trellis was not built (a transition row
+    came up empty) carries the empty-row fault. An arm with a fault scores
+    p* = 0, and the record counts it. A block holds ``_BLOCK_ELEMENTS //
+    _use_elements`` uses (``_Holdings.block``, ``_watch_block``).
+    """
+    step = max(1, _BLOCK_ELEMENTS // _use_elements(h, score))
+    if score:
+        values = np.empty(h.relay_hashes.shape)
+    else:
+        values = np.empty(len(h.own), np.min_scalar_type(1 << h.hashes.n))
+    faults, record = [], RunDiagnostics()
+    for lo in range(0, len(values), step):
+        got, part_faults, part = _watch_block(h.block(lo, lo + step, score), score)
+        values[lo:lo + step] = got
+        faults += part_faults
+        record.add(part)
+    return values, faults, record
+
+
+def _watch_block(h: _Holdings, score: bool):
+    """``_watch`` of one block, whose hashes hold the tables it reads.
 
     One batched pass each makes the block's transition rows and (when
     scoring) relay normalizers; ``_trellises`` runs the forward passes, and
@@ -740,17 +799,6 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
     statistic whose distribution separates honest from misbehaving relays.
     """
     pstars, faults = _score_arms(_holdings(obs), trellis._layers[-1])
-    if faults[0] is not None:
-        raise InferenceError(faults[0])
-    return float(pstars[0, 0])
-
-
-def _pstar(obs: WatchdogObservation) -> float:
-    """``consistency_probability(build_and_run_trellis(obs), obs)`` in one scored pass.
-
-    Raises the InferenceError either of those would raise.
-    """
-    pstars, faults, _ = _watch(_holdings(obs))
     if faults[0] is not None:
         raise InferenceError(faults[0])
     return float(pstars[0, 0])

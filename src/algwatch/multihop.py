@@ -28,7 +28,8 @@ import numpy as np
 from .channel import Bsc, transmit
 from .gfield import default_field
 from .hashing import HashSpec, sample_hash
-from .inference import Overheard, Verdict, WatchdogObservation, _pstar, decide
+from .inference import Overheard, Verdict, WatchdogObservation, decide
+from .inference import build_and_run_trellis, consistency_probability
 from .packet import Packet, corrupt_payload, destination_check, make_packet
 from .sim import TwoHopConfig, calibrate_threshold
 
@@ -265,7 +266,7 @@ def police(
     cannot be scored.
     """
     obs = build_observation(watcher, watched, transcript, g, spec)
-    ledger.record(watcher, watched, _pstar(obs))
+    ledger.record(watcher, watched, consistency_probability(build_and_run_trellis(obs), obs))
     return ledger
 
 

@@ -18,9 +18,10 @@ produce bit-identical p* values and gives every sweep common random
 numbers.
 
 All arms of a trial (the honest relay and the adversarial relay at each
-p_adv) share one draw, and so one trellis. A run is drawn in slices and
-scored in blocks; every float is the one the trial gives when run alone,
-so results do not depend on slice or block boundaries.
+p_adv) share one draw, and so one trellis. A run is drawn in slices, and
+``inference._watch`` scores each slice in blocks it sizes itself; every
+float is the one the trial gives when run alone, so results do not depend
+on slice or block boundaries.
 
 Also provides the brute-force enumeration oracle for p*, empirical
 threshold calibration, and the matched-codeword counting experiment.
@@ -38,11 +39,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import Bsc, _flip_masks, ball_radius, ball_volume, hamming
+from .channel import Bsc, _flip_masks, ball_radius, hamming
 from .gfield import MAX_WIDTH, default_field
-from .hashing import HashSpec, _draws, _Hashes, _tables, collision_list, hash_eval
+from .hashing import HashSpec, _draws, _Hashes, collision_list, hash_eval
 from .inference import (
-    InferenceError, Overheard, RunDiagnostics, WatchdogObservation, _Holdings, _pruning, _watch,
+    InferenceError, Overheard, RunDiagnostics, WatchdogObservation, _Holdings, _watch,
 )
 
 _TAGS = range(4)
@@ -274,11 +275,6 @@ def _integers(words: np.ndarray, highs) -> np.ndarray:
 # threshold calibration (4,000 trials) and every default run draw once.
 _DRAW_TRIALS = 1 << 12
 
-# Bound on a block's largest temporaries, in elements (``_trial_elements``):
-# 8 single-arm trials with hash tables at n = 10, where blocks four times
-# larger grew peak memory by about 2 MiB and saved little more time.
-_BLOCK_ELEMENTS = 1 << 13
-
 
 class _Trials(NamedTuple):
     """Drawn trials, one row each; column a of the relay arrays is arm a."""
@@ -288,11 +284,6 @@ class _Trials(NamedTuple):
     coeffs: np.ndarray  # the nonzero coding coefficients, in source order
     noise: np.ndarray  # bit flips of each peer's channel, then of the relay's
     payloads: np.ndarray  # each arm's relay payload
-
-    def part(self, lo: int, hi: int) -> _Trials:
-        # from a list: a tuple made from a generator is resized, and every such
-        # tuple freed would stay behind on CPython's tuple free list
-        return self._make([a[lo:hi] for a in self])
 
 
 def _draw(cfg: TwoHopConfig, p_advs, words: np.ndarray) -> _Trials:
@@ -325,44 +316,13 @@ def _draw(cfg: TwoHopConfig, p_advs, words: np.ndarray) -> _Trials:
     return _Trials(hashes, symbols, coeffs, noise, honest[:, None] ^ flips)
 
 
-def _reach(cfg: TwoHopConfig, score: bool) -> int | None:
-    """The ball radius a block finds candidates at without hash tables; None: it makes them.
-
-    A block makes its trials' hash tables where it reads a whole collision
-    class: to score the relay, or for rows that scan their classes.
-    """
-    if score or cfg.pruning_eps is None:
-        return None
-    return _pruning((Bsc(cfg.p_s),) * (cfg.m - 1), cfg.n, cfg.delta, cfg.pruning_eps)[1]
-
-
-def _trial_elements(cfg: TwoHopConfig, arms: int, score: bool) -> int:
-    """The elements a trial of cfg holds in a block, as ``_BLOCK_ELEMENTS`` counts them.
-
-    With hash tables, 2^n values in its table, and about 2^(n - delta) per
-    arm in its relay normalizers. Without, its ball candidates and their
-    hashes: 2 x peers x V(n, r), 66 at the criterion-08 point, 124 trials a
-    block. Blocks of 248 trials ran no faster there, and grew peak memory by
-    about 0.4 MiB.
-    """
-    reach = _reach(cfg, score)
-    if reach is None:
-        return max(1 << cfg.n, arms << (cfg.n - cfg.delta))
-    return max(1, 2 * (cfg.m - 1) * ball_volume(cfg.n, reach))
-
-
-def _held(cfg: TwoHopConfig, trials: _Trials, score: bool = True) -> _Holdings:
-    """What the watchdogs of trials hold.
+def _held(cfg: TwoHopConfig, trials: _Trials) -> _Holdings:
+    """What the watchdogs of trials hold; ``_watch`` makes the hash tables it reads.
 
     Headers arrive error-free, so peer hashes, the relay's recomputed own
-    hash and the coefficients are exact. The trials' hash tables are made
-    in one pass where ``_reach`` says so; otherwise each symbol read is
-    hashed on its own (``_Hashes.at``).
+    hash and the coefficients are exact.
     """
-    tables = None
-    if _reach(cfg, score) is None:
-        tables = _tables(cfg.hash_family, cfg.n, cfg.delta, trials.hashes)
-    hashes = _Hashes(cfg.hash_family, cfg.n, cfg.delta, trials.hashes, tables)
+    hashes = _Hashes(cfg.hash_family, cfg.n, cfg.delta, trials.hashes, None)
     symbols, noise, payloads = trials.symbols, trials.noise, trials.payloads
     sent = hashes.at(np.arange(len(symbols)), np.concatenate((symbols[:, 1:], payloads), axis=1))
     return _Holdings(
@@ -382,22 +342,10 @@ def _held(cfg: TwoHopConfig, trials: _Trials, score: bool = True) -> _Holdings:
 def _run(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool):
     """Trials lo..hi-1, one piece of a ``_samples`` run: (values in trial order, RunDiagnostics).
 
-    The values are every arm's p* when scoring, else the matched counts,
-    held in the smallest unsigned type that holds 2^n. The piece is drawn at
-    once and watched in blocks sized by the elements they hold
-    (``_BLOCK_ELEMENTS``); each block hashes only what it reads.
+    The values are every arm's p* when scoring, else the matched counts.
+    The piece is drawn at once and watched in one ``_watch`` call.
     """
-    step = max(1, _BLOCK_ELEMENTS // _trial_elements(cfg, 1 + len(p_advs), score))
-    if score:
-        values = np.empty((hi - lo, 1 + len(p_advs)))
-    else:
-        values = np.empty(hi - lo, np.min_scalar_type(1 << cfg.n))
-    record = RunDiagnostics()
-    trials = _draw(cfg, p_advs, _seed_words(cfg.seed, lo, hi))
-    for b in range(0, hi - lo, step):
-        got, _, part = _watch(_held(cfg, trials.part(b, b + step), score), score)
-        values[b:b + len(got)] = got
-        record.add(part)
+    values, _, record = _watch(_held(cfg, _draw(cfg, p_advs, _seed_words(cfg.seed, lo, hi))), score)
     return values, record
 
 

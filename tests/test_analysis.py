@@ -146,6 +146,14 @@ def test_matched_count_evaluators_check_peers_and_rates(evaluator):
     evaluator(10, 3, 2, [0.0, 0.5, 0.1, 0.1])  # the range's ends are accepted
 
 
+@pytest.mark.parametrize("evaluator", [matched_count_expected, matched_count_exponent_eps])
+@pytest.mark.parametrize("n", [0, -3])
+def test_matched_count_evaluators_check_the_symbol_width(evaluator, n):
+    with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
+        evaluator(n, 3, 2, [0.1] * 4)
+    evaluator(1, 3, 2, [0.1] * 4)  # the smallest width is accepted
+
+
 def test_exponent_eps_form_matches():
     # delta = eps * n: both forms agree
     n, m, delta = 10, 3, 2

@@ -137,6 +137,8 @@ def test_two_hop_rejects_bad_values(tmp_path):
     (["analysis", "--table", "misdetection", "--h", "30000000"], "h must be <= 2048, got 30000000"),
     (["oracle", "--n", "6", "--delta", "0", "--m", "5", "--trials", "1"],
      "m must be <= 4 at n - delta = 6, got 5"),
+    (["analysis", "--table", "matched-count", "--n", "0"], "n must be >= 1, got 0"),
+    (["analysis", "--table", "matched-count", "--n", "-3"], "n must be >= 1, got -3"),
 ])
 def test_out_of_range_input_exits_one_naming_the_field(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
@@ -538,6 +540,7 @@ _SMALL_TOPOLOGY = {
 @example(run=("analysis", {"--table": "matched-count", "--deltas": "-1"}))
 @example(run=("analysis", {"--table": "misdetection", "--n": "1100"}))
 @example(run=("oracle", {"--n": "6", "--delta": "0", "--m": "5", "--trials": "1"}))
+@example(run=("analysis", {"--table": "matched-count", "--n": "0"}))
 def test_cli_fuzz_exits_zero_or_one_naming_a_flag(tmp_path, capsys, run):
     """Small runs over every subcommand's flags: exit 0, or exit 1 naming a flag given."""
     command, drawn = run

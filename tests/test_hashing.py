@@ -106,11 +106,13 @@ def test_collision_class_matches_list():
 @st.composite
 def _class_queries(draw):
     n = draw(st.integers(1, 8))
-    spec = sample_hash(
-        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
-        draw(st.sampled_from(FAMILIES)), n, draw(st.integers(0, n)),
-        degree=draw(st.integers(0, 3)),
-    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family, delta = draw(st.sampled_from(FAMILIES)), draw(st.integers(0, n))
+    if family == "affine":
+        spec = sample_hash(rng, family, n, delta)
+    else:  # degrees 0 to 3, not only the drawn hashes' degree
+        coefficients = rng.integers(0, 1 << n, draw(st.integers(1, 4)))
+        spec = HashSpec(family, n, delta, tuple(coefficients.tolist()))
     targets = draw(st.lists(st.integers(0, (1 << spec.delta) - 1), min_size=1, max_size=4))
     return spec, targets
 

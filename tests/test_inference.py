@@ -534,11 +534,10 @@ def _public_calls(obs):
         return str(exc)
     got = [trellis.layers, trellis.final_weights.tolist(),
            matched_codewords(trellis, obs.relay_overheard.hash_value, obs.hash_spec)]
-    for call in (lambda: consistency_probability(trellis, obs), lambda: inference._pstar(obs)):
-        try:
-            got.append(call())
-        except InferenceError as exc:
-            got.append(str(exc))
+    try:
+        got.append(consistency_probability(trellis, obs))
+    except InferenceError as exc:
+        got.append(str(exc))
     return got
 
 
@@ -579,15 +578,10 @@ def test_keyed_pass_equals_dense_pass(block, chunk):
                 "unscored": _as_lists(inference._watch(h, score=False)),
                 "public": [_public_calls(_one_use(h, k)) for k in range(len(built))],
             }
-            pruning = h.prune_eps and inference._pruning(h.peer_channels, n, block[1], h.prune_eps)
-            if pruning and pruning[1] is not None:  # the ball side: rows read no table
-                tableless = h._replace(hashes=h.hashes._replace(tables=None))
-                run["tableless"] = _as_lists(inference._watch(tableless, score=False))
-            for result in ("scored", "unscored", "tableless"):  # only the forward paths differ
-                if result in run:
-                    forward = {"dense": int((built & ~keyed).sum()), "keyed": int(keyed.sum())}
-                    assert run[result][2].forward == forward
-                    run[result][2].forward = None
+            for result in ("scored", "unscored"):  # only the forward paths differ
+                forward = {"dense": int((built & ~keyed).sum()), "keyed": int(keyed.sum())}
+                assert run[result][2].forward == forward
+                run[result][2].forward = None
             run["keyed"] = keyed
     keyed, dense = runs[keyed_share].pop("keyed"), runs[dense_share].pop("keyed")
     bounds = np.prod(lengths, axis=1)

@@ -43,5 +43,9 @@ def test_traced_scenario_reports_police_calls():
     with tracing.Tracer().installed() as tracer:
         multihop.mincut_scenario("one-honest-path", instances=1, policed_samples=3,
                                  calibration_iterations=50)
-    _, counts = tracing.layer_metrics(tracer.spans)
+    timings, counts = tracing.layer_metrics(tracer.spans)
     assert counts["multihop.police.calls"] > 0
+    # policing scores through the spanned public pipeline, so its stages are read
+    assert timings["inference.build_and_run_trellis.ms"] > 0
+    assert timings["inference.consistency_probability.ms"] > 0
+    assert counts["inference.support.mean"] > 0

@@ -607,12 +607,32 @@ def test_one_hash_table_per_trial(monkeypatch):
     cfg = TwoHopConfig(m=3, n=6, delta=2, iterations=7, seed=2, hash_family="poly")
     hashing._table.cache_clear()
     run_sweep(cfg, "p_adv", [0.0, 0.1, 0.3, 0.5])
-    assert rows == [True] * cfg.iterations and scalar == []
+    # each trial's sent symbols hashed as drawn, then its table made in its one block
+    assert rows == [False] * cfg.iterations + [True] * cfg.iterations and scalar == []
     rows.clear()
     hashing._table.cache_clear()
     mean_matched_count(6, 2, 2, 0.1, trials=5)
     # ball-pruned and unscored: only the symbols read are hashed, never a table
     assert rows and True not in rows and scalar == []
+
+
+def test_a_drawn_piece_is_watched_in_one_call(monkeypatch):
+    watched, blocks = [], []
+    real_watch, real_block = sim._watch, inference._watch_block
+
+    def watch(h, score=True):
+        watched.append(len(h.own))
+        return real_watch(h, score)
+
+    def block(h, score):
+        blocks.append(len(h.own))
+        return real_block(h, score)
+
+    monkeypatch.setattr(sim, "_watch", watch)
+    monkeypatch.setattr(inference, "_watch_block", block)
+    mean_matched_count(10, 3, 2, 0.1, trials=300)
+    # one piece, which _watch cuts itself: 124 trials a block at the criterion-08 point
+    assert watched == [300] and blocks == [124, 124, 52]
 
 
 def _relay_faults_when_divisible_by_3(real):
@@ -646,9 +666,9 @@ def _block_runs(draw):
     )
     p_advs = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), max_size=2))
     # sizes in both units: 2^n per trial with hash tables, 2 x peers x V(n, r) without
-    per_trial = sim._trial_elements(_matched(cfg), 1, score=False)
+    per_trial = inference._use_elements(_held_run(_matched(cfg), []), score=False)
     block_elements = draw(st.sampled_from(
-        [1, 1 << (n + 1), 5 << n, sim._BLOCK_ELEMENTS, 2 * per_trial, 5 * per_trial]
+        [1, 1 << (n + 1), 5 << n, inference._BLOCK_ELEMENTS, 2 * per_trial, 5 * per_trial]
     ))
     return cfg, p_advs, block_elements, draw(st.sampled_from([1, 1, 2]))
 
@@ -657,6 +677,11 @@ def _matched(cfg):
     """The matched-count run at cfg's width, peers, hash width, rate, seed and iterations."""
     matched = sim._matched_config(cfg.n, cfg.m - 1, cfg.delta, cfg.p_s, cfg.seed)
     return dataclasses.replace(matched, iterations=cfg.iterations)
+
+
+def _held_run(cfg, p_advs):
+    """What the watchdogs of cfg's run with p_advs arms hold, as ``sim._run`` hands it to _watch."""
+    return sim._held(cfg, sim._draw(cfg, p_advs, sim._seed_words(cfg.seed, 0, cfg.iterations)))
 
 
 
@@ -699,7 +724,7 @@ def test_blocks_equal_per_trial_pipelines(run):
         ]
         for elements in (block_elements, 1):  # then one trial a block
             with (
-                mock.patch.object(sim, "_BLOCK_ELEMENTS", elements),
+                mock.patch.object(inference, "_BLOCK_ELEMENTS", elements),
                 sim.collect_diagnostics() as record,
             ):
                 assert sim._samples(cfg, p_advs, workers).tolist() == expect
@@ -708,7 +733,7 @@ def test_blocks_equal_per_trial_pipelines(run):
     counts = [matched_count_trial(*args, seed=cfg.seed, trial=t) for t in range(cfg.iterations)]
     for elements in (block_elements, 1):
         with (
-            mock.patch.object(sim, "_BLOCK_ELEMENTS", elements),
+            mock.patch.object(inference, "_BLOCK_ELEMENTS", elements),
             sim.collect_diagnostics() as record,
         ):
             got = mean_matched_count(*args, trials=cfg.iterations, seed=cfg.seed)
@@ -717,13 +742,11 @@ def test_blocks_equal_per_trial_pipelines(run):
     assert records[0] == records[1] and records[2] == records[3]
 
 
-def _row_lengths(cfg, p_advs, score=True):
+def _row_lengths(cfg, p_advs):
     """(trials, peers): each transition row's candidate count in cfg's run."""
-    draws = sim._held(
-        cfg, sim._draw(cfg, p_advs, sim._seed_words(cfg.seed, 0, cfg.iterations)), score
-    )
+    h = _held_run(cfg, p_advs).block(0, cfg.iterations, score=False)  # tables where rows scan
     _, _, lengths = inference._transition_rows(
-        draws.hashes, draws.heard, draws.peer_hashes, draws.peer_channels, cfg.pruning_eps
+        h.hashes, h.heard, h.peer_hashes, h.peer_channels, cfg.pruning_eps
     )
     return lengths
 
@@ -746,13 +769,14 @@ def test_explicit_block_runs_cover_what_they_claim():
     cfg, p_advs, block_elements, _ = _CRITERION_08_RUN
     matched = _matched(cfg)
     assert matched == dataclasses.replace(cfg, p_adv=0.0)
-    per_block = block_elements // sim._trial_elements(matched, 1, score=False)
-    assert sim._reach(matched, score=False) is not None  # the blocks hold no hash tables
+    held = _held_run(matched, [])
+    per_block = block_elements // inference._use_elements(held, score=False)
+    assert inference._reach(held, score=False) is not None  # the blocks hold no hash tables
     assert 1 < per_block < cfg.iterations  # the run crosses block boundaries
-    emptied = np.flatnonzero((_row_lengths(matched, [], score=False) == 0).any(axis=1))
+    emptied = np.flatnonzero((_row_lengths(matched, []) == 0).any(axis=1))
     assert any(0 < t % per_block < per_block - 1 for t in emptied.tolist())  # mid-block
     with (
-        mock.patch.object(sim, "_BLOCK_ELEMENTS", block_elements),
+        mock.patch.object(inference, "_BLOCK_ELEMENTS", block_elements),
         sim.collect_diagnostics() as record,
     ):
         sim._samples(matched, [], score=False)
