@@ -31,11 +31,14 @@ the watchdogs of any number of relay uses hold. It cuts them into blocks
 and makes each block's hash tables only where they are read, then makes a
 block's transition rows and relay normalizers in one batched pass each,
 runs the forward passes and scores the final layers of all its uses
-together. The Monte Carlo harness hands it whole pieces of drawn trials.
-The one-observation calls are thin: ``build_and_run_trellis`` keeps a
-one-use block's one pass, and ``consistency_probability`` scores its
-final layer (``_score_arms``). Every use gets exactly the floats it would
-get alone.
+together. The Monte Carlo harness hands it whole pieces of drawn trials,
+and it hands back their values and one RunDiagnostics. On this path an
+InferenceError's cause is a small fault code (``_FAULTS`` holds the
+messages): a faulted arm scores p* = 0 and is counted, never listed. The
+one-observation calls are thin: ``build_and_run_trellis`` keeps a one-use
+block's one pass, and ``consistency_probability`` scores its final layer
+(``_score_arms``); they raise the message of their use's fault. Every use
+gets exactly the floats it would get alone.
 """
 
 from __future__ import annotations
@@ -58,8 +61,11 @@ from .hashing import HashSpec, _Hashes, _table, _tables, hash_eval
 _SCATTER_CHUNK = 1 << 13
 
 
-# The InferenceError message of a transition row with no candidate left.
-_EMPTY_ROW = "no candidate consistent with hash"
+# The InferenceError messages, indexed by fault code (0: no fault): a transition
+# row with no candidate left, and two relays that cannot be scored.
+_FAULTS = (None, "no candidate consistent with hash", "relay hash matches no symbol",
+           "observation impossible under a noiseless relay channel")
+_EMPTY_ROW, _NO_CLASS, _IMPOSSIBLE = 1, 2, 3
 
 
 class InferenceError(RuntimeError):
@@ -292,7 +298,7 @@ def transition_row(
         _spec_hashes(spec), np.array([[observed]]), np.array([[target_hash]]), [ch], prune_eps
     )
     if lengths[0, 0] == 0:
-        raise InferenceError(_EMPTY_ROW)
+        raise InferenceError(_FAULTS[_EMPTY_ROW])
     return TransitionRow(cands, probs)
 
 
@@ -565,8 +571,8 @@ class RunDiagnostics:
     whose scoring did. Over the trellises built, ``row_sizes`` counts
     transition rows by candidate count, ``supports`` trellises by
     final-layer positive support and ``forward`` trellises by the forward
-    pass they ran, "dense" or "keyed". ``_watch`` returns one per block,
-    and runs and workers fold theirs together.
+    pass they ran, "dense" or "keyed". ``_watch_block`` returns one per
+    block, and ``_watch``, runs and workers fold them together.
     """
 
     fallbacks: Counter = field(default_factory=lambda: Counter(trellis=0, scoring=0))
@@ -603,17 +609,16 @@ class RunDiagnostics:
 
 def _relay_normalizers(
     tables: np.ndarray, symbols: np.ndarray, hashes: np.ndarray, ch: Bsc, n: int
-) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scaled normalizers of a batch of relays over their announced collision classes.
 
     Relay (k, a) was overheard over ch as symbols[k, a] and announces
-    hashes[k, a] under hash table tables[k]. Returns (top, denom, faults),
+    hashes[k, a] under hash table tables[k]. Returns (top, denom, fault),
     one entry per relay in ``hashes.ravel()`` order: top is the max log
     likelihood over the class and denom = sum exp(logw - top), whose scale
-    cancels in every ratio built from them; faults holds the InferenceError
-    message for a relay that cannot be scored, else None (its top is then 0
-    and its denom meaningless). Each value is the one the relay would get
-    alone.
+    cancels in every ratio built from them; fault is the ``_FAULTS`` code of
+    a relay that cannot be scored, else 0 (its top is then 0 and its denom
+    meaningless). Each value is the one the relay would get alone.
     """
     items, cls = _classes(tables, hashes)
     logw = _log_likelihood_table((ch,), n)[0, np.bitwise_count(symbols.ravel()[items] ^ cls)]
@@ -622,30 +627,26 @@ def _relay_normalizers(
     possible = top > -np.inf
     top[~possible] = 0.0
     denom = _segment_reduce(np.add, np.exp(logw - top[items]), lengths, 0.0)
-    faults = [
-        None if ok
-        else "relay hash matches no symbol" if size == 0
-        else "observation impossible under a noiseless relay channel"
-        for ok, size in zip(possible.tolist(), lengths.tolist())
-    ]
-    return top, denom, faults
+    fault = np.where(possible, 0, np.where(lengths > 0, _IMPOSSIBLE, _NO_CLASS))
+    return top, denom, fault
 
 
 def _score_arms(
     h: _Holdings, final: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, list[str | None]]:
-    """(p*, faults) of every arm of a block scored against its final layers.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(p*, fault) of every arm of a block scored against its final layers.
 
-    final is the uses' final layers as one (use, state, weight) layer. p*
-    comes as a (uses, arms) array, and faults as ``_relay_normalizers``
-    gives them. Arm a of use k sums w(s) * T_inv(s, relay_symbols[k, a])
-    over its matched states s in ascending order, as one 1-D dot product;
-    the terms of every arm of every use are computed together,
-    elementwise. An arm with a fault, or no matched state, scores 0.
+    final is the uses' final layers as one (use, state, weight) layer. Both
+    come as (uses, arms) arrays, fault as ``_relay_normalizers`` codes it.
+    Arm a of use k sums w(s) * T_inv(s, relay_symbols[k, a]) over its
+    matched states s in ascending order, as one 1-D dot product; the terms
+    of every arm of every use are computed together, elementwise. An arm
+    with a fault, or no matched state, scores 0: no dot product is taken
+    for an arm with a fault.
     """
     use, states, weights = final
     count, arms = h.relay_hashes.shape
-    top, denom, faults = _relay_normalizers(
+    top, denom, fault = _relay_normalizers(
         h.hashes.tables, h.relay_symbols, h.relay_hashes, h.relay_channel, h.hashes.n
     )
     # matched (arm, state) pairs, arm-major: an arm's pairs run use by use, ascending
@@ -656,13 +657,14 @@ def _score_arms(
     mass = weights[at]
     opens = np.ones(len(relay), bool)  # where a relay's pairs start
     opens[1:] = relay[1:] != relay[:-1]
-    first = np.flatnonzero(opens).tolist()
-    ends = [*first[1:], len(relay)]
+    first = np.flatnonzero(opens)
+    ends = np.append(first[1:], len(relay))
+    scored = fault[relay[first]] == 0  # an arm with a fault keeps p* = 0
+    first, ends = first[scored], ends[scored]
     pstars = np.zeros(count * arms)
-    for lo, hi, r in zip(first, ends, relay[first].tolist()):
-        if faults[r] is None:
-            pstars[r] = min(1.0, float(mass[lo:hi] @ terms[lo:hi]) / denom[r])
-    return pstars.reshape(count, arms), faults
+    for lo, hi, r in zip(first.tolist(), ends.tolist(), relay[first].tolist()):
+        pstars[r] = min(1.0, float(mass[lo:hi] @ terms[lo:hi]) / denom[r])
+    return pstars.reshape(count, arms), fault.reshape(count, arms)
 
 
 # Bound on a block's largest temporaries, in elements (``_use_elements``):
@@ -698,57 +700,53 @@ def _use_elements(h: _Holdings, score: bool) -> int:
 
 
 def _watch(h: _Holdings, score: bool = True):
-    """The watchdog of every use of h, in blocks: (values, faults, RunDiagnostics).
+    """The watchdog of every use of h, in blocks: (values, RunDiagnostics).
 
     values is each arm's p* as a (uses, arms) array when scored, else each
     use's matched count (its final states hashing to arm 0's announced
-    value) in the smallest unsigned type that holds 2^n. faults is each
-    arm's InferenceError message, else None, arm by arm of each use in
-    turn; every arm of a use whose trellis was not built (a transition row
-    came up empty) carries the empty-row fault. An arm with a fault scores
-    p* = 0, and the record counts it. A block holds ``_BLOCK_ELEMENTS //
-    _use_elements`` uses (``_Holdings.block``, ``_watch_block``).
+    value) in the smallest unsigned type that holds 2^n. An arm that raises
+    InferenceError (every arm of a use whose trellis was not built, because
+    a transition row came up empty, and an arm whose relay cannot be
+    scored) scores p* = 0, and the record counts it as a fallback. A block
+    holds ``_BLOCK_ELEMENTS // _use_elements`` uses (``_Holdings.block``,
+    ``_watch_block``).
     """
     step = max(1, _BLOCK_ELEMENTS // _use_elements(h, score))
     if score:
         values = np.empty(h.relay_hashes.shape)
     else:
         values = np.empty(len(h.own), np.min_scalar_type(1 << h.hashes.n))
-    faults, record = [], RunDiagnostics()
+    record = RunDiagnostics()
     for lo in range(0, len(values), step):
-        got, part_faults, part = _watch_block(h.block(lo, lo + step, score), score)
-        values[lo:lo + step] = got
-        faults += part_faults
+        values[lo:lo + step], part = _watch_block(h.block(lo, lo + step, score), score)
         record.add(part)
-    return values, faults, record
+    return values, record
 
 
 def _watch_block(h: _Holdings, score: bool):
-    """``_watch`` of one block, whose hashes hold the tables it reads.
+    """``_watch`` of one block, whose hashes hold the tables it reads: (values, RunDiagnostics).
 
     One batched pass each makes the block's transition rows and (when
     scoring) relay normalizers; ``_trellises`` runs the forward passes, and
     the final layers of all uses are hashed, counted and scored together.
     Every float is the one the use gives alone. The trellis reads only what
     the watchdog holds, never the relay's transmission, so all arms share
-    it.
+    it. Fallbacks are counted from the uses' built flags and the arms'
+    fault codes.
     """
-    count, arms = h.relay_hashes.shape
+    count = len(h.own)
     lengths, built, keyed, passes = _trellises(h)
     finals = [(uses[t], s, w) for uses, layers in passes for t, s, w in layers[-1:]]
     empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     use, states, _ = final = [np.concatenate(parts) for parts in zip(empty, *finals)]
     if score:
-        values, faults = _score_arms(h, final)
+        values, fault = _score_arms(h, final)
+        faulted = int(np.count_nonzero(fault[built]))  # an unbuilt use counts as a trellis fault
     else:
         matched = h.hashes.at(use, states) == h.relay_hashes[use, 0]
-        values, faults = np.bincount(use[matched], minlength=count), [None] * (count * arms)
-    unbuilt = np.flatnonzero(~built).tolist()
-    for k in unbuilt:
-        faults[k * arms:(k + 1) * arms] = [_EMPTY_ROW] * arms
-    faulted = sum(f is not None for f in faults) - arms * len(unbuilt)  # arms of built uses
-    return values, faults, RunDiagnostics(
-        Counter(trellis=len(unbuilt), scoring=faulted),
+        values, faulted = np.bincount(use[matched], minlength=count), 0
+    return values, RunDiagnostics(
+        Counter(trellis=count - int(built.sum()), scoring=faulted),
         Counter(lengths[built].ravel().tolist()),
         Counter(np.bincount(use, minlength=count)[built].tolist()),
         Counter(dense=int(np.count_nonzero(built ^ keyed)), keyed=int(np.count_nonzero(keyed))),
@@ -762,7 +760,7 @@ def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
     """
     _, built, _, passes = _trellises(_holdings(obs))
     if not built[0]:
-        raise InferenceError(_EMPTY_ROW)
+        raise InferenceError(_FAULTS[_EMPTY_ROW])
     (_, layers), = passes
     return Trellis(layers, 1 << obs.hash_spec.n)
 
@@ -782,11 +780,11 @@ def inverse_transition(
     InferenceError, as it does for consistency_probability.
     """
     _check_overheard(spec, observed, "relay_hash", relay_hash)
-    top, denom, faults = _relay_normalizers(
+    top, denom, fault = _relay_normalizers(
         _table(spec)[None], np.array([[observed]]), np.array([[relay_hash]]), ch, spec.n
     )
-    if faults[0] is not None:
-        raise InferenceError(faults[0])
+    if fault[0]:
+        raise InferenceError(_FAULTS[fault[0]])
     if hash_eval(spec, candidate) != relay_hash:
         return 0.0
     return float(np.exp(log_likelihood(ch, observed, candidate, spec.n) - top[0]) / denom[0])
@@ -798,9 +796,9 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
     Sums w(s, m) * T_inv(s, observed) over the final layer; this is the
     statistic whose distribution separates honest from misbehaving relays.
     """
-    pstars, faults = _score_arms(_holdings(obs), trellis._layers[-1])
-    if faults[0] is not None:
-        raise InferenceError(faults[0])
+    pstars, fault = _score_arms(_holdings(obs), trellis._layers[-1])
+    if fault[0, 0]:
+        raise InferenceError(_FAULTS[fault[0, 0]])
     return float(pstars[0, 0])
 
 

@@ -188,10 +188,16 @@ def run_round(
     return events
 
 
-def _latest(transcript: list[Transmission], sender: str, before: int | None = None):
-    for ev in reversed(transcript):
-        if ev.sender == sender and (before is None or ev.round_index < before):
-            return ev
+def _last(transcript: list[Transmission], sender: str, before: int | None = None) -> int | None:
+    """Where sender's last transmission in transcript[:before] is, else None.
+
+    The transcript is in delivery order (``run_round`` transmits a round's
+    nodes in sorted order), so a relay coded its inputs' last transmissions
+    before its own, from its own round too.
+    """
+    for at in range(len(transcript) if before is None else before)[::-1]:
+        if transcript[at].sender == sender:
+            return at
     return None
 
 
@@ -199,27 +205,28 @@ def _policing_inputs(watcher: str, watched: str, transcript: list[Transmission])
     """The watched node's latest transmission, the watcher's own before it and
     every other input's, sorted: what policing needs, else a ValueError why not.
     """
-    watched_tx = _latest(transcript, watched)
-    if watched_tx is None:
+    at = _last(transcript, watched)
+    if at is None:
         raise ValueError(f"{watched} has not transmitted yet")
+    watched_tx = transcript[at]
     if watcher not in watched_tx.overheard:
         raise ValueError(f"{watcher} has no overhearing edge from {watched}")
     upstream = sorted(watched_tx.packet.coeffs)
     if watcher not in upstream:
         raise ValueError(f"{watcher} is not an input of {watched}'s transmission")
 
-    own_tx = _latest(transcript, watcher, before=watched_tx.round_index)
-    if own_tx is None:
+    own = _last(transcript, watcher, before=at)
+    if own is None:
         raise ValueError(f"{watcher} transmitted nothing for {watched} to combine")
     peer_txs = []
     for u in upstream:
         if u == watcher:
             continue
-        peer_tx = _latest(transcript, u, before=watched_tx.round_index)
-        if peer_tx is None or watcher not in peer_tx.overheard:
+        peer = _last(transcript, u, before=at)
+        if peer is None or watcher not in transcript[peer].overheard:
             raise ValueError(f"{watcher} has no overhearing edge from {u}")
-        peer_txs.append(peer_tx)
-    return watched_tx, own_tx, peer_txs
+        peer_txs.append(transcript[peer])
+    return watched_tx, transcript[own], peer_txs
 
 
 def build_observation(
@@ -454,7 +461,7 @@ def _scenario_one_honest_path(
                 if ledger.verdict("w", "r") is Verdict.MALICIOUS:
                     detections += 1
                     break
-        if _latest(transcript, "r") is not None:
+        if _last(transcript, "r") is not None:
             corrupted, _ = _injector_outcome(transcript, "r", spec)
             corrupted_any = corrupted_any or corrupted
     freq = detections / instances
@@ -540,11 +547,12 @@ def _scenario_all_children(seed, p_adv, p_overhear) -> ScenarioReport:
 
 def _injector_outcome(transcript, injector, spec):
     """Did the injector's last packet corrupt the flow, and does it self-check?"""
-    tx = _latest(transcript, injector)
+    at = _last(transcript, injector)
+    tx = transcript[at]
+    inputs = sorted(tx.packet.coeffs)
     true = default_field(spec.n).lincomb(
-        [tx.packet.coeffs[u] for u in sorted(tx.packet.coeffs)],
-        [_latest(transcript, u, tx.round_index).packet.payload
-         for u in sorted(tx.packet.coeffs)],
+        [tx.packet.coeffs[u] for u in inputs],
+        [transcript[_last(transcript, u, at)].packet.payload for u in inputs],
     )
     return tx.packet.payload != true, destination_check(tx.packet, spec)
 
@@ -583,9 +591,11 @@ def load_topology(doc) -> tuple[Hypergraph, dict[str, NodeBehavior], list[list[s
     (``nodes``, ``links``, ``schedule``) or of the wrong shape, when an
     interference rate is outside [0, 0.5], when a behavior has an unknown
     or invalid entry, when a link, interference edge, schedule entry,
-    behavior or ``source_symbols`` key names an undeclared node, or when an
-    honest node is given a positive ``p_adv``. Whether a source symbol lies
-    in the field is left to the caller, which knows n.
+    behavior or ``source_symbols`` key names an undeclared node, when an
+    interference edge is given twice, when a ``source_symbols`` key names a
+    node with parents (only sources send one), or when an honest node is
+    given a positive ``p_adv``. Whether a source symbol lies in the field is
+    left to the caller, which knows n.
     """
     if isinstance(doc, (str, bytes)):
         with open(doc) as fh:
@@ -606,17 +616,18 @@ def load_topology(doc) -> tuple[Hypergraph, dict[str, NodeBehavior], list[list[s
     nodes = frozenset(doc["nodes"])
     for i, link in enumerate(doc["links"]):
         _check_declared(f"links[{i}]", link, nodes)
+    interference = {}
     for i, (speaker, listener, rate) in enumerate(doc.get("interference", [])):
         _check_declared(f"interference[{i}]", (speaker, listener), nodes)
         try:
             Bsc(rate)
         except ValueError as exc:
             raise ValueError(f"topology field 'interference[{i}]': {exc}") from None
-    g = Hypergraph(
-        nodes=nodes,
-        links=frozenset(tuple(e) for e in doc["links"]),
-        interference={(u, v): p for u, v, p in doc.get("interference", [])},
-    )
+        if (speaker, listener) in interference:
+            raise ValueError(f"topology field 'interference[{i}]': the edge {speaker} -> "
+                             f"{listener} is already given a rate")
+        interference[speaker, listener] = rate
+    g = Hypergraph(nodes, frozenset(tuple(e) for e in doc["links"]), interference)
     behaviors = {}
     for name, spec in doc.get("behaviors", {}).items():
         try:
@@ -634,6 +645,10 @@ def load_topology(doc) -> tuple[Hypergraph, dict[str, NodeBehavior], list[list[s
         _check_declared(f"schedule[{i}]", transmitters, g.nodes)
     source_symbols = dict(doc.get("source_symbols", {}))
     _check_declared("source_symbols", source_symbols, g.nodes)
+    for name in source_symbols:
+        if g.parents(name):
+            raise ValueError(f"topology field 'source_symbols.{name}': {name} has parents, "
+                             "so it codes what it receives and sends no source symbol")
     return g, behaviors, schedule, source_symbols
 
 

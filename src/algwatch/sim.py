@@ -18,10 +18,12 @@ produce bit-identical p* values and gives every sweep common random
 numbers.
 
 All arms of a trial (the honest relay and the adversarial relay at each
-p_adv) share one draw, and so one trellis. A run is drawn in slices, and
-``inference._watch`` scores each slice in blocks it sizes itself; every
-float is the one the trial gives when run alone, so results do not depend
-on slice or block boundaries.
+p_adv) share one draw, and so one trellis. A run is drawn in slices, each
+drawn straight into what its watchdogs hold (``inference._Holdings``), and
+``inference._watch`` scores each slice in blocks it sizes itself, handing
+back its values and one RunDiagnostics; every float is the one the trial
+gives when run alone, so results do not depend on slice or block
+boundaries.
 
 Also provides the brute-force enumeration oracle for p*, empirical
 threshold calibration, and the matched-codeword counting experiment.
@@ -35,7 +37,6 @@ import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -276,35 +277,30 @@ def _integers(words: np.ndarray, highs) -> np.ndarray:
 _DRAW_TRIALS = 1 << 12
 
 
-class _Trials(NamedTuple):
-    """Drawn trials, one row each; column a of the relay arrays is arm a."""
+def _draw(cfg: TwoHopConfig, p_advs, words: np.ndarray) -> _Holdings:
+    """What the watchdogs of the trials whose ``_seed_words`` rows are given hold.
 
-    hashes: np.ndarray  # the hash's coefficients, as in HashSpec.coefficients
-    symbols: np.ndarray  # the sources' symbols, the watchdog's first
-    coeffs: np.ndarray  # the nonzero coding coefficients, in source order
-    noise: np.ndarray  # bit flips of each peer's channel, then of the relay's
-    payloads: np.ndarray  # each arm's relay payload
-
-
-def _draw(cfg: TwoHopConfig, p_advs, words: np.ndarray) -> _Trials:
-    """The trials whose ``_seed_words`` rows are given, each from its own streams.
-
-    Every stream is numpy's PCG64 seeded with its words, and every value is
-    what ``default_rng(SeedSequence((seed, trial, tag)))`` would draw, taken
-    from the stream's raw words through ``Generator``'s own transforms
+    Each trial is drawn from its own streams. Every stream is numpy's PCG64
+    seeded with its words, and every value is what
+    ``default_rng(SeedSequence((seed, trial, tag)))`` would draw, taken from
+    the stream's raw words through ``Generator``'s own transforms
     (``_integers``, ``_uniforms``, ``hashing._draws``) for all trials at
-    once. Arm 0 is the
-    honest relay and arm 1 + k the one at p_advs[k]. Arms differ only in the
-    relay's payload: each adversarial arm flips the honest payload's bits
-    where the trial's one set of adversary uniforms falls below its p_adv,
-    and every arm is overheard through the same relay noise mask (bit flips
-    do not depend on the payload). Arm 1 + k is therefore exactly what a
-    trial drawn at p_advs[k] alone would give.
+    once. Arm 0 is the honest relay and arm 1 + k the one at p_advs[k].
+    Arms differ only in the relay's payload: each adversarial arm flips the
+    honest payload's bits where the trial's one set of adversary uniforms
+    falls below its p_adv, and every arm is overheard through the same relay
+    noise mask (bit flips do not depend on the payload). Arm 1 + k is
+    therefore exactly what a trial drawn at p_advs[k] alone would give.
+
+    Headers arrive error-free, so peer hashes, the relay's recomputed own
+    hash and the coefficients are exact. Each sender's hash is computed
+    directly (``_Hashes.at``); ``_watch`` makes the hash tables it reads.
     """
     count, m, n = len(words), cfg.m, cfg.n
     order = 1 << n
     ranges, scale, shift = _draws(cfg.hash_family, n, cfg.delta)
-    hashes = _integers(words[:, _HASH], ranges) * scale + shift
+    coefficients = _integers(words[:, _HASH], ranges) * scale + shift
+    hashes = _Hashes(cfg.hash_family, n, cfg.delta, coefficients, None)
     drawn = _integers(words[:, _SYMBOLS], [order] * m + [order - 1] * m)
     symbols, coeffs = drawn[:, :m], drawn[:, m:] + 1
     uniforms = _uniforms(words[:, _CHANNELS], m * n).reshape(count, m, n)
@@ -313,27 +309,17 @@ def _draw(cfg: TwoHopConfig, p_advs, words: np.ndarray) -> _Trials:
     honest = np.bitwise_xor.reduce(default_field(n).mul_elementwise(coeffs, symbols), axis=1)
     # the honest arm flips where a uniform falls below 0: nowhere
     flips = _flip_masks(adversary[:, None, :], np.array([0.0, *p_advs])[:, None])
-    return _Trials(hashes, symbols, coeffs, noise, honest[:, None] ^ flips)
-
-
-def _held(cfg: TwoHopConfig, trials: _Trials) -> _Holdings:
-    """What the watchdogs of trials hold; ``_watch`` makes the hash tables it reads.
-
-    Headers arrive error-free, so peer hashes, the relay's recomputed own
-    hash and the coefficients are exact.
-    """
-    hashes = _Hashes(cfg.hash_family, cfg.n, cfg.delta, trials.hashes, None)
-    symbols, noise, payloads = trials.symbols, trials.noise, trials.payloads
-    sent = hashes.at(np.arange(len(symbols)), np.concatenate((symbols[:, 1:], payloads), axis=1))
+    payloads = honest[:, None] ^ flips
+    sent = hashes.at(np.arange(count), np.concatenate((symbols[:, 1:], payloads), axis=1))
     return _Holdings(
         hashes=hashes,
         own=symbols[:, 0],
-        coeffs=trials.coeffs,
+        coeffs=coeffs,
         heard=symbols[:, 1:] ^ noise[:, :-1],
-        peer_hashes=sent[:, :cfg.m - 1],
+        peer_hashes=sent[:, :m - 1],
         relay_symbols=payloads ^ noise[:, -1:],
-        relay_hashes=sent[:, cfg.m - 1:],
-        peer_channels=(Bsc(cfg.p_s),) * (cfg.m - 1),
+        relay_hashes=sent[:, m - 1:],
+        peer_channels=(Bsc(cfg.p_s),) * (m - 1),
         relay_channel=Bsc(cfg.p_relay),
         prune_eps=cfg.pruning_eps,
     )
@@ -343,10 +329,9 @@ def _run(cfg: TwoHopConfig, p_advs, lo: int, hi: int, score: bool):
     """Trials lo..hi-1, one piece of a ``_samples`` run: (values in trial order, RunDiagnostics).
 
     The values are every arm's p* when scoring, else the matched counts.
-    The piece is drawn at once and watched in one ``_watch`` call.
+    The piece is drawn at once (``_draw``) and watched in one ``_watch`` call.
     """
-    values, _, record = _watch(_held(cfg, _draw(cfg, p_advs, _seed_words(cfg.seed, lo, hi))), score)
-    return values, record
+    return _watch(_draw(cfg, p_advs, _seed_words(cfg.seed, lo, hi)), score)
 
 
 # The RunDiagnostics of the collect_diagnostics blocks open in this context.
@@ -407,8 +392,7 @@ def simulate_observation(
     The adversarial arm injects at cfg.p_adv; both arms share the trial's
     hash spec, symbols, coefficients and channel noise.
     """
-    trials = _draw(cfg, [cfg.p_adv] if adversarial else [], _seed_words(cfg.seed, trial, trial + 1))
-    d = _held(cfg, trials)
+    d = _draw(cfg, [cfg.p_adv] if adversarial else [], _seed_words(cfg.seed, trial, trial + 1))
     return WatchdogObservation(
         own_symbol=int(d.own[0]),
         coeffs=tuple(d.coeffs[0].tolist()),
@@ -418,7 +402,7 @@ def simulate_observation(
         relay_overheard=Overheard(
             int(d.relay_symbols[0, -1]), int(d.relay_hashes[0, -1]), d.relay_channel
         ),
-        hash_spec=HashSpec(cfg.hash_family, cfg.n, cfg.delta, tuple(trials.hashes[0].tolist())),
+        hash_spec=HashSpec(cfg.hash_family, cfg.n, cfg.delta, tuple(d.hashes.coeffs[0].tolist())),
         prune_eps=d.prune_eps,
     )
 

@@ -428,6 +428,8 @@ _GHOST_BASE = {"nodes": ["a", "b"], "links": [["a", "b"]], "schedule": [["a"], [
     ({"source_symbols": {"a": 5000}}, "source_symbols.a"),
     ({"links": [["a", "zz"]]}, "links[0]"),
     ({"interference": [["b", "yy", 0.1]]}, "interference[0]"),
+    ({"interference": [["b", "a", 0.1], ["b", "a", 0.4]]}, "interference[1]"),
+    ({"source_symbols": {"b": 3}}, "source_symbols.b"),
 ])
 def test_multihop_topology_rejects_bad_document(tmp_path, capsys, change, field):
     doc = {k: v for k, v in {**_GHOST_BASE, **change}.items() if v is not None}

@@ -580,8 +580,8 @@ def test_keyed_pass_equals_dense_pass(block, chunk):
             }
             for result in ("scored", "unscored"):  # only the forward paths differ
                 forward = {"dense": int((built & ~keyed).sum()), "keyed": int(keyed.sum())}
-                assert run[result][2].forward == forward
-                run[result][2].forward = None
+                assert run[result][1].forward == forward
+                run[result][1].forward = None
             run["keyed"] = keyed
     keyed, dense = runs[keyed_share].pop("keyed"), runs[dense_share].pop("keyed")
     bounds = np.prod(lengths, axis=1)
@@ -591,4 +591,4 @@ def test_keyed_pass_equals_dense_pass(block, chunk):
     if (table != table[0]).any():  # a symbol of another hash was overheard noiselessly
         assert lengths[emptied, 0] == 0 and not built[emptied]
         assert inference._watch(h)[0][emptied].tolist() == [0.0] * h.relay_hashes.shape[1]
-        assert runs[keyed_share]["public"][emptied] == inference._EMPTY_ROW
+        assert runs[keyed_share]["public"][emptied] == inference._FAULTS[inference._EMPTY_ROW]

@@ -1,8 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algwatch import multihop
@@ -144,26 +145,26 @@ def test_police_requires_overhearing_edges():
 
 
 @st.composite
-def _networks(draw):
-    """A small DAG with some interference edges and a schedule of rounds."""
+def _networks(draw, rate=st.sampled_from([0.1, 0.0])):
+    """A small all-honest DAG with some interference edges of one rate, and a schedule of rounds."""
     names = [f"n{i}" for i in range(draw(st.integers(3, 6)))]
     pairs = [(u, v) for u in names for v in names if u != v]
     links = draw(st.sets(st.sampled_from([(u, v) for u, v in pairs if u < v])))
     heard = draw(st.sets(st.sampled_from(pairs)))
-    g = Hypergraph(frozenset(names), frozenset(links), {e: 0.1 for e in heard})
+    g = Hypergraph(frozenset(names), frozenset(links), dict.fromkeys(heard, draw(rate)))
     rounds = draw(st.lists(st.sets(st.sampled_from(names), min_size=1), min_size=1, max_size=6))
     return g, rounds, draw(st.integers(0, 2**16))
 
 
-@settings(max_examples=150, deadline=None)
-@given(_networks())
-def test_can_police_iff_build_observation_succeeds(network):
-    g, rounds, seed = network
+def _transcripts(g, rounds, seed):
+    """Run rounds with every node honest; yield the transcript after each one.
+
+    A relay transmits only what it has received, maybe earlier in its round.
+    """
     inbox = {}
     rng = np.random.default_rng(seed)
     transcript = []
     for i, wanted in enumerate(rounds):
-        # a relay may transmit only what it has received, maybe earlier this round
         pending = {v for v, inputs in inbox.items() if inputs}
         transmitters = []
         for v in sorted(wanted):
@@ -171,6 +172,14 @@ def test_can_police_iff_build_observation_succeeds(network):
                 transmitters.append(v)
                 pending = (pending - {v}) | g.children(v)
         transcript += run_round(g, {}, transmitters, inbox, SPEC, rng, i)
+        yield transcript
+
+
+@settings(max_examples=150, deadline=None)
+@given(_networks())
+def test_can_police_iff_build_observation_succeeds(network):
+    g, rounds, seed = network
+    for transcript in _transcripts(g, rounds, seed):
         for watcher in sorted(g.nodes):
             for watched in sorted(g.nodes - {watcher}):
                 try:
@@ -179,6 +188,35 @@ def test_can_police_iff_build_observation_succeeds(network):
                 except ValueError:
                     built = False
                 assert can_police(watcher, watched, transcript, g) == built
+
+
+@settings(max_examples=150, deadline=None)
+@given(_networks(rate=st.just(0.0)))
+def test_noiseless_honest_networks_score_one(network):
+    # exact overhearing of honest nodes: the watcher infers what the relay coded,
+    # also when the relay transmits in the same round as its inputs
+    g, rounds, seed = network
+    for transcript in _transcripts(g, rounds, seed):
+        for watcher in sorted(g.nodes):
+            for watched in sorted(g.nodes - {watcher}):
+                if can_police(watcher, watched, transcript, g):
+                    obs = build_observation(watcher, watched, transcript, g, SPEC)
+                    assert consistency_probability(build_and_run_trellis(obs), obs) == 1.0
+
+
+def test_a_relay_in_its_inputs_round_is_policed_on_what_it_coded():
+    # r codes a's and b's packets of its own round, which run_round delivers first
+    g = Hypergraph(
+        nodes=frozenset({"a", "b", "r", "d"}),
+        links=frozenset({("a", "r"), ("b", "r"), ("r", "d")}),
+        interference={("b", "a"): 0.0, ("r", "a"): 0.0},
+    )
+    behaviors = {"a": NodeBehavior(check_probability=1.0)}
+    ledger = TrustLedger(0.01, window=5)
+    transcript = run_protocol(g, behaviors, [["a", "b"], ["a", "b", "r"]] * 20, SPEC, 0, ledger)
+    assert ledger.samples("a", "r") == [1.0] * 20
+    assert ledger.verdict("a", "r") is Verdict.WELL_BEHAVING
+    assert multihop._injector_outcome(transcript, "r", SPEC) == (False, True)
 
 
 def test_police_appends_samples():
@@ -343,12 +381,34 @@ _JSON = st.recursive(
 )
 
 
+# Documents whose every field is well formed, but which run_protocol would
+# read differently from what they say.
+_REPEATED_EDGE = {
+    "nodes": ["a", "b"], "links": [["a", "b"]], "schedule": [["a"], ["b"]],
+    "interference": [["b", "a", 0.1], ["b", "a", 0.4]],
+}
+_RELAY_SOURCE_SYMBOL = {
+    "nodes": ["a", "b"], "links": [["a", "b"]], "schedule": [["a"], ["b"]],
+    "source_symbols": {"a": 1, "b": 2},
+}
+
+
+@pytest.mark.parametrize("doc, field", [
+    (_REPEATED_EDGE, "interference[1]"), (_RELAY_SOURCE_SYMBOL, "source_symbols.b"),
+], ids=["repeated-edge", "relay-source-symbol"])
+def test_load_topology_rejects_what_the_protocol_would_not_read(doc, field):
+    with pytest.raises(ValueError, match=f"^topology field '{re.escape(field)}': "):
+        load_topology(doc)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(
     st.sampled_from(["nodes", "links", "interference", "behaviors", "schedule",
                      "source_symbols", "behaviours"]),
     _JSON, max_size=6,
 ))
+@example(_REPEATED_EDGE)
+@example(_RELAY_SOURCE_SYMBOL)
 def test_load_topology_raises_only_value_error_on_fuzzed_documents(doc):
     try:
         load_topology(doc)

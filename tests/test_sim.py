@@ -123,32 +123,40 @@ def _mask(uniforms, p):
     st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), max_size=2),
 )
 def test_draws_are_numpys_generator_draws(cfg, trial, p_advs):
-    # every tag's values are what default_rng(SeedSequence((seed, trial, tag))) draws
+    # every tag's values are what default_rng(SeedSequence((seed, trial, tag))) draws,
+    # and every field of the holdings is made from those values
     lo, m, n = min(trial, 2**32 - 2), cfg.m, cfg.n
     words = sim._seed_words(cfg.seed, lo, lo + 2)
-    drawn = sim._draw(cfg, p_advs, words)
+    h = sim._draw(cfg, p_advs, words)
     field = default_field(n)
     for k in range(2):
         def rng(tag):
             return np.random.default_rng(np.random.SeedSequence((cfg.seed, lo + k, tag)))
 
         spec = sample_hash(rng(sim._HASH), cfg.hash_family, n, cfg.delta)
-        assert tuple(drawn.hashes[k].tolist()) == spec.coefficients
+        assert tuple(h.hashes.coeffs[k].tolist()) == spec.coefficients
         sym = rng(sim._SYMBOLS)
         symbols = sym.integers(0, 1 << n, size=m).tolist()
         coeffs = (sym.integers(0, (1 << n) - 1, size=m) + 1).tolist()
-        assert (drawn.symbols[k].tolist(), drawn.coeffs[k].tolist()) == (symbols, coeffs)
+        ours = sim._integers(words[k:k + 1, sim._SYMBOLS], [1 << n] * m + [(1 << n) - 1] * m)
+        assert ours.tolist() == [symbols + [c - 1 for c in coeffs]]
+        assert (int(h.own[k]), h.coeffs[k].tolist()) == (symbols[0], coeffs)
         uniforms = rng(sim._CHANNELS).random((m, n))
         ours = sim._uniforms(words[k:k + 1, sim._CHANNELS], m * n)
         assert ours.tolist() == [uniforms.ravel().tolist()]
         rates = [cfg.p_s] * (m - 1) + [cfg.p_relay]
-        assert drawn.noise[k].tolist() == [_mask(u, p) for u, p in zip(uniforms, rates)]
+        noise = [_mask(u, p) for u, p in zip(uniforms, rates)]
+        assert h.heard[k].tolist() == [s ^ e for s, e in zip(symbols[1:], noise[:-1])]
+        assert h.peer_hashes[k].tolist() == [hash_eval(spec, s) for s in symbols[1:]]
         adversary = rng(sim._ADVERSARY).random(n)
         ours = sim._uniforms(words[k:k + 1, sim._ADVERSARY], n)
         assert ours.tolist() == [adversary.tolist()]
         honest = field.lincomb(coeffs, symbols)
         arms = [honest] + [honest ^ _mask(adversary, p) for p in p_advs]
-        assert drawn.payloads[k].tolist() == arms
+        assert h.relay_symbols[k].tolist() == [a ^ noise[-1] for a in arms]
+        assert h.relay_hashes[k].tolist() == [hash_eval(spec, a) for a in arms]
+    assert h.peer_channels == (Bsc(cfg.p_s),) * (m - 1) and h.relay_channel == Bsc(cfg.p_relay)
+    assert h.prune_eps == cfg.pruning_eps and h.hashes.tables is None  # _watch makes them
 
 
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
@@ -532,7 +540,7 @@ def test_shared_trellis_scores_every_arm_as_its_own_pipeline(cfg, trial, p_advs)
         for t in range(trial, trial + 3)
     ]
     words = sim._seed_words(cfg.seed, trial, trial + 3)
-    pstars, _, _ = inference._watch(sim._held(cfg, sim._draw(cfg, p_advs, words)))
+    pstars, _ = inference._watch(sim._draw(cfg, p_advs, words))
     assert pstars.tolist() == expect
 
 
@@ -552,7 +560,7 @@ def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
     failed = [trellis_fails(t) for t in trials]
     assert any(failed) and not all(failed)
     drawn = sim._draw(cfg, p_advs, sim._seed_words(cfg.seed, 0, len(trials)))
-    clean_pstars, _, clean = inference._watch(sim._held(cfg, drawn))
+    clean_pstars, clean = inference._watch(drawn)
     assert clean.fallbacks == Counter(trellis=sum(failed))
     for t in trials:
         expect = [_arm_pstar(cfg, False, t)] + [
@@ -564,12 +572,12 @@ def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
     scored = next(t for t in trials if (clean_pstars[t] > 0.0).all())
 
     def second_arm_fails(*args):
-        top, denom, faults = real(*args)
-        faults[scored * (1 + len(p_advs)) + 1] = "scoring failed"
-        return top, denom, faults
+        top, denom, fault = real(*args)
+        fault[scored * (1 + len(p_advs)) + 1] = inference._IMPOSSIBLE
+        return top, denom, fault
 
     monkeypatch.setattr(inference, "_relay_normalizers", second_arm_fails)
-    got_pstars, _, got = inference._watch(sim._held(cfg, drawn))
+    got_pstars, got = inference._watch(drawn)
     expect = clean_pstars.copy()
     expect[scored, 1] = 0.0
     assert got_pstars.tolist() == expect.tolist()
@@ -639,11 +647,9 @@ def _relay_faults_when_divisible_by_3(real):
     """A relay normalizer that also faults on every relay symbol divisible by 3."""
 
     def faulty(tables, symbols, hashes, ch, n):
-        top, denom, faults = real(tables, symbols, hashes, ch, n)
-        for i, symbol in enumerate(symbols.ravel().tolist()):
-            if symbol % 3 == 0:
-                faults[i] = "injected fault"
-        return top, denom, faults
+        top, denom, fault = real(tables, symbols, hashes, ch, n)
+        fault[symbols.ravel() % 3 == 0] = inference._IMPOSSIBLE
+        return top, denom, fault
 
     return faulty
 
@@ -681,7 +687,7 @@ def _matched(cfg):
 
 def _held_run(cfg, p_advs):
     """What the watchdogs of cfg's run with p_advs arms hold, as ``sim._run`` hands it to _watch."""
-    return sim._held(cfg, sim._draw(cfg, p_advs, sim._seed_words(cfg.seed, 0, cfg.iterations)))
+    return sim._draw(cfg, p_advs, sim._seed_words(cfg.seed, 0, cfg.iterations))
 
 
 
