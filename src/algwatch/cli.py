@@ -185,7 +185,7 @@ def _cmd_two_hop(args) -> int:
         "workers": args.workers,
         "rows": [dict(zip(TWO_HOP_COLUMNS, row)) for row in rows],
         # fallbacks: trials whose trellis, and arms whose scoring, raised InferenceError
-        # and were scored p* = 0; row_size, support and forward paths: over the trellises built
+        # and were scored p* = 0; row_size, announced_support and forward: over trellises built
         "diagnostics": diagnostics.summary(),
     })
     print(f"two-hop sweep over {axis}: {len(rows)} rows -> {args.out}")

@@ -24,7 +24,8 @@ the previous layer's states alone, summing the contributions with
 layer is bit-for-bit what that pass gives. Chosen per trellis from its row
 lengths alone, it runs dense, one trellis at a time (``_forward_pass``),
 or, when the rows bound every layer far below 2^n states, keyed: trellises
-of a block together (``_keyed_pass``).
+of a block together (``_keyed_pass``). On the block path a dense pass
+builds its last layer over the collision classes p* reads (``_class_keys``).
 
 The block path is ``_watch`` over ``_Holdings``, the array form of what
 the watchdogs of any number of relay uses hold. It cuts them into blocks
@@ -330,7 +331,7 @@ class Trellis:
 
 def _forward_pass(
     starts: np.ndarray, shifts: np.ndarray, probs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-    n: int,
+    n: int, lam: int, wanted: np.ndarray | None,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``_keyed_pass`` of a group of one trellis, run dense over 2^n-entry vectors.
 
@@ -351,30 +352,53 @@ def _forward_pass(
     unchanged. Candidates go in chunks of about ``_SCATTER_CHUNK``
     contributions; each chunk after the first starts its input with the
     running sums, and 0 + acc is exact, so chunking changes no addition.
-    The layers are therefore bit-identical to that dense pass, exact
-    zeros included. Layer 1 is written without a sum: its one source state
-    has weight 1.0 and a row's shifts are distinct, so each of its states
-    takes one term t_x * 1.0 = t_x, and 0.0 + t_x is t_x.
+    Layer 1 is written without a sum: its one source state has weight 1.0
+    and a row's shifts are distinct, so each of its states takes one term
+    t_x * 1.0 = t_x, and 0.0 + t_x is t_x.
+
+    The last layer keeps only the classes marked in wanted when lam makes
+    several and it has over ``_SCATTER_CHUNK`` terms (a smaller cut costs
+    more than it saves). State s's class is the low bits of lam * s in
+    GF(2^n), a GF(2)-linear key: shift_x ^ u is in class c when u is in
+    class c ^ key(shift_x). Layer i-1 is laid out as a grid, row r its
+    states of class r padded with weight 0.0; for each wanted class c,
+    candidate x meets row c ^ key(shift_x). A kept state still takes one
+    term per candidate, in candidate order (a pad adds +0.0): bit-identical.
     """
-    size, start = 1 << n, int(starts[0])
+    size, start, gf = 1 << n, int(starts[0]), default_field(n)
     layers = [(np.zeros(1, np.int64), starts, np.ones(1))]
     states = np.arange(size)
-    for lo_row, hi_row in zip(lo[0].tolist(), hi[0].tolist()):
+    for i, (lo_row, hi_row) in enumerate(zip(lo[0].tolist(), hi[0].tolist()), 1):
         row_shifts, row_probs = shifts[lo_row:hi_row], probs[lo_row:hi_row]
         _, support, mass = layers[-1]
-        if len(layers) == 1:
+        if i == 1:
             vec = np.zeros(size)
             vec[row_shifts ^ start] = row_probs
         else:
-            step = max(1, _SCATTER_CHUNK // len(support))
-            vec = None
-            for at in range(0, len(row_shifts), step):
-                targets = (row_shifts[at:at + step, None] ^ support).ravel()
-                weights = (row_probs[at:at + step, None] * mass).ravel()
-                if vec is not None:
-                    targets = np.concatenate((states, targets))
-                    weights = np.concatenate((vec, weights))
-                vec = np.bincount(targets, weights, minlength=size)
+            cut = (i == lo.shape[1] and lam != 0 and len(wanted) > 1
+                   and len(row_shifts) * len(support) > _SCATTER_CHUNK)
+            if cut:
+                mask = len(wanted) - 1
+                keyed = np.sort((gf.mul_elementwise(lam, support) & mask) << n | support)
+                cls, members = keyed >> n, keyed & (size - 1)
+                counts = np.bincount(cls, minlength=mask + 1)
+                col = np.arange(len(keyed)) - (np.cumsum(counts) - counts)[cls]
+                grid_states = np.zeros((mask + 1, counts.max()), np.int64)
+                grid_weights = np.zeros(grid_states.shape)
+                grid_states[cls, col], grid_weights[cls, col] = members, vec[members]
+                own, classes = gf.mul_elementwise(lam, row_shifts) & mask, np.flatnonzero(wanted)
+            else:  # the whole layer, one class: its support is the grid's one row, read as is
+                grid_states, grid_weights, classes = support[None], mass[None], [0]
+            step, vec = max(1, _SCATTER_CHUNK // grid_states.shape[1]), None
+            for c in classes:
+                for at in range(0, len(row_shifts), step):
+                    rows = own[at:at + step] ^ c if cut else 0
+                    targets = (row_shifts[at:at + step, None] ^ grid_states[rows]).ravel()
+                    weights = (row_probs[at:at + step, None] * grid_weights[rows]).ravel()
+                    if vec is not None:
+                        targets = np.concatenate((states, targets))
+                        weights = np.concatenate((vec, weights))
+                    vec = np.bincount(targets, weights, minlength=size)
         support = np.flatnonzero(vec > 0.0)
         layers.append((np.zeros(len(support), np.int64), support, vec[support]))
     return layers
@@ -533,7 +557,30 @@ def _groups(uses: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
     return groups
 
 
-def _trellises(h: _Holdings):
+def _class_keys(hashes: _Hashes, k: int, announced: np.ndarray | None) -> tuple:
+    """Use k's (key multiplier, wanted classes): the classes hashing to a value announced[k].
+
+    Every hash ``_draws`` draws is beta(L(x)), L(x) the low delta bits of
+    lam * x in GF(2^n) (GF(2)-linear) and beta a bijection: the affine hash
+    has lam = 1, beta(c) = a c + b (a odd), and the poly hash a_0 + a_1 x
+    lam = a_1, beta(c) = c ^ a_0. With a_1 = 0, or none announced, lam = 0: one class.
+    """
+    if announced is None:
+        return 0, None
+    family, n, delta, coeffs, _ = hashes
+    mask, drawn = (1 << delta) - 1, coeffs[k].tolist()
+    if family == "affine":
+        lam, keys = 1, (announced[k] - drawn[1]) * pow(drawn[0], -1, mask + 1) & mask
+    elif len(drawn) == 2:
+        lam, keys = drawn[1], (announced[k] ^ drawn[0]) & mask
+    else:
+        raise ValueError(f"a {family} hash of {len(drawn)} coefficients is never drawn")
+    wanted = np.zeros(mask + 1, bool)
+    wanted[keys] = True
+    return lam, wanted
+
+
+def _trellises(h: _Holdings, announced: np.ndarray | None = None):
     """Every use's trellis: (row lengths, built, keyed, passes).
 
     A use's trellis is built when none of its transition rows came up
@@ -541,6 +588,7 @@ def _trellises(h: _Holdings):
     its layers as the pass gives them, trellis indexing uses. Keyed uses
     run in groups whose row lengths bound a layer's contributions to
     ``_SCATTER_CHUNK``; every other built use runs dense, a group of one.
+    A dense pass's last layer keeps the classes hashing to announced[k] (none given: all).
     """
     peers, n = h.heard.shape[1], h.hashes.n
     gf = default_field(n)
@@ -557,8 +605,9 @@ def _trellises(h: _Holdings):
     passes = []
     for group in [*(_groups(np.flatnonzero(keyed), bounds) if keyed.any() else []), *dense]:
         rows = group[:, None] * peers + np.arange(peers)
-        run = _keyed_pass if keyed[group[0]] else _forward_pass
-        passes.append((group, run(starts[group], shifts, probs, edges[rows], edges[rows + 1], n)))
+        args = starts[group], shifts, probs, edges[rows], edges[rows + 1], n
+        passes.append((group, _keyed_pass(*args) if keyed[group[0]] else
+                       _forward_pass(*args, *_class_keys(h.hashes, group[0], announced))))
     return lengths, built, keyed, passes
 
 
@@ -569,21 +618,21 @@ class RunDiagnostics:
     ``fallbacks``: the InferenceErrors quietly scored as p* = 0, "trellis"
     uses whose trellis raised it (every arm scores 0) and "scoring" arms
     whose scoring did. Over the trellises built, ``row_sizes`` counts
-    transition rows by candidate count, ``supports`` trellises by
-    final-layer positive support and ``forward`` trellises by the forward
-    pass they ran, "dense" or "keyed". ``_watch_block`` returns one per
-    block, and ``_watch``, runs and workers fold them together.
+    transition rows by candidate count, ``announced_supports`` trellises by
+    the final states p* reads (positive weight, hashing to a value an arm
+    read announced) and ``forward`` trellises by pass, "dense" or "keyed".
+    ``_watch_block`` returns one per block; ``_watch`` and runs fold them.
     """
 
     fallbacks: Counter = field(default_factory=lambda: Counter(trellis=0, scoring=0))
     row_sizes: Counter = field(default_factory=Counter)
-    supports: Counter = field(default_factory=Counter)
+    announced_supports: Counter = field(default_factory=Counter)
     forward: Counter = field(default_factory=lambda: Counter(dense=0, keyed=0))
 
     @property
     def trials(self) -> int:
         """Uses watched: each built a trellis or fell back."""
-        return self.supports.total() + self.fallbacks["trellis"]
+        return self.announced_supports.total() + self.fallbacks["trellis"]
 
     def add(self, other: RunDiagnostics) -> None:
         """Fold other's counts into this record."""
@@ -591,7 +640,7 @@ class RunDiagnostics:
             mine.update(theirs)
 
     def summary(self) -> dict:
-        """The JSON form: counts, the mean and maximum row size and support, and the paths."""
+        """The JSON form: counts, the mean and maximum row size and announced support, the paths."""
 
         def mean_max(counts: Counter) -> dict:
             total = counts.total()  # sums below 2^53: the mean is one rounding
@@ -602,7 +651,7 @@ class RunDiagnostics:
             "trials": self.trials,
             "fallbacks": dict(self.fallbacks),
             "row_size": mean_max(self.row_sizes),
-            "support": mean_max(self.supports),
+            "announced_support": mean_max(self.announced_supports),
             "forward": dict(self.forward),
         }
 
@@ -729,26 +778,28 @@ def _watch_block(h: _Holdings, score: bool):
     One batched pass each makes the block's transition rows and (when
     scoring) relay normalizers; ``_trellises`` runs the forward passes, and
     the final layers of all uses are hashed, counted and scored together.
-    Every float is the one the use gives alone. The trellis reads only what
-    the watchdog holds, never the relay's transmission, so all arms share
-    it. Fallbacks are counted from the uses' built flags and the arms'
-    fault codes.
+    A large dense last layer is cut to the classes every arm (arm 0 when
+    counting) announced. Every float is the one the use gives alone. The
+    trellis reads only what the watchdog holds, never the relay's payload,
+    so all arms share it. Fallbacks count built flags and fault codes.
     """
     count = len(h.own)
-    lengths, built, keyed, passes = _trellises(h)
+    announced = h.relay_hashes if score else h.relay_hashes[:, :1]
+    lengths, built, keyed, passes = _trellises(h, announced)
     finals = [(uses[t], s, w) for uses, layers in passes for t, s, w in layers[-1:]]
     empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     use, states, _ = final = [np.concatenate(parts) for parts in zip(empty, *finals)]
+    read = (h.hashes.at(use, states)[:, None] == announced[use]).any(axis=1)
+    reads = np.bincount(use[read], minlength=count)  # the final states p* reads
     if score:
         values, fault = _score_arms(h, final)
         faulted = int(np.count_nonzero(fault[built]))  # an unbuilt use counts as a trellis fault
     else:
-        matched = h.hashes.at(use, states) == h.relay_hashes[use, 0]
-        values, faulted = np.bincount(use[matched], minlength=count), 0
+        values, faulted = reads, 0
     return values, RunDiagnostics(
         Counter(trellis=count - int(built.sum()), scoring=faulted),
         Counter(lengths[built].ravel().tolist()),
-        Counter(np.bincount(use, minlength=count)[built].tolist()),
+        Counter(reads[built].tolist()),
         Counter(dense=int(np.count_nonzero(built ^ keyed)), keyed=int(np.count_nonzero(keyed))),
     )
 

@@ -568,9 +568,9 @@ def _is_names(value, count=None) -> bool:
             and count in (None, len(value)))
 
 
-def _is_rate_edge(e) -> bool:
+def _is_rate_edge(e) -> bool:  # a number, not a bool: JSON true is no 1
     return (isinstance(e, list) and len(e) == 3 and _is_names(e[:2])
-            and isinstance(e[2], (int, float)))
+            and isinstance(e[2], (int, float)) and not isinstance(e[2], bool))
 
 
 # Every field a topology document may hold: what it must be, its type, a check per entry.
@@ -580,7 +580,7 @@ _TOPOLOGY_FIELDS = {
     "interference": ("a list of [speaker, listener, rate] triples", list, _is_rate_edge),
     "behaviors": ("an object of behavior objects", dict, lambda b: isinstance(b, dict)),
     "schedule": ("a list of rounds, each a list of node names", list, _is_names),
-    "source_symbols": ("an object of integer symbols", dict, lambda v: isinstance(v, int)),
+    "source_symbols": ("an object of integer symbols", dict, lambda v: type(v) is int),
 }
 
 
@@ -593,9 +593,10 @@ def load_topology(doc) -> tuple[Hypergraph, dict[str, NodeBehavior], list[list[s
     or invalid entry, when a link, interference edge, schedule entry,
     behavior or ``source_symbols`` key names an undeclared node, when an
     interference edge is given twice, when a ``source_symbols`` key names a
-    node with parents (only sources send one), or when an honest node is
-    given a positive ``p_adv``. Whether a source symbol lies in the field is
-    left to the caller, which knows n.
+    node with parents (only sources send one), when an honest node is given
+    a positive ``p_adv``, when a number is a JSON boolean, or when a relay
+    is scheduled with an empty inbox (replayed as ``run_round`` runs it).
+    Whether a source symbol lies in the field is left to the caller, which knows n.
     """
     if isinstance(doc, (str, bytes)):
         with open(doc) as fh:
@@ -630,6 +631,9 @@ def load_topology(doc) -> tuple[Hypergraph, dict[str, NodeBehavior], list[list[s
     g = Hypergraph(nodes, frozenset(tuple(e) for e in doc["links"]), interference)
     behaviors = {}
     for name, spec in doc.get("behaviors", {}).items():
+        boolean = next((key for key, value in spec.items() if isinstance(value, bool)), None)
+        if boolean is not None:
+            raise ValueError(f"topology field 'behaviors.{name}.{boolean}': got a boolean")
         try:
             behaviors[name] = NodeBehavior(**spec)
         except (TypeError, ValueError) as exc:
@@ -641,8 +645,13 @@ def load_topology(doc) -> tuple[Hypergraph, dict[str, NodeBehavior], list[list[s
             )
     _check_declared("behaviors", behaviors, g.nodes)
     schedule = [list(r) for r in doc["schedule"]]
+    filled = set()  # the nodes whose inbox holds a payload, as ``run_round`` fills them
     for i, transmitters in enumerate(schedule):
         _check_declared(f"schedule[{i}]", transmitters, g.nodes)
+        for v in sorted(transmitters):
+            if g.parents(v) and v not in filled:
+                raise ValueError(f"topology field 'schedule[{i}]': relay {v} has nothing to send")
+            filled = (filled - {v}) | g.children(v)
     source_symbols = dict(doc.get("source_symbols", {}))
     _check_declared("source_symbols", source_symbols, g.nodes)
     for name in source_symbols:

@@ -3,6 +3,7 @@ import csv
 import json
 import platform
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import algwatch
 from algwatch import cli
 from algwatch.cli import main
-from algwatch.hashing import sample_hash
+from algwatch.hashing import hash_eval_vec, sample_hash
 from algwatch.inference import InferenceError, build_and_run_trellis, transition_row
 from algwatch.sim import TwoHopConfig, simulate_observation
 
@@ -76,7 +77,14 @@ def test_two_hop_summary_reports_row_sizes_and_supports(tmp_path):
             len(transition_row(o.symbol, o.hash_value, o.channel, obs.hash_spec, 0.5).candidates)
             for o in obs.overheard
         ]
-        supports.append(int(np.count_nonzero(trellis.final_weights > 0.0)))
+        # the final states p* reads: positive weight, hashing to a value some arm announced
+        announced = [obs.relay_overheard.hash_value] + [
+            simulate_observation(replace(cfg, p_adv=p_adv), True, trial).relay_overheard.hash_value
+            for p_adv in (0.1, 0.4)
+        ]
+        weights = trellis.final_weights
+        hashed = hash_eval_vec(obs.hash_spec, np.arange(len(weights)))
+        supports.append(int(np.count_nonzero((weights > 0.0) & np.isin(hashed, announced))))
     assert 0 < failed < cfg.iterations and len(set(rows)) > 1
     flags = ["two-hop", "--n", "8", "--p-s", "0.2", "--iterations", "12", "--seed", "5",
              "--pruning-eps", "0.5", "--values", "0.1,0.4"]
@@ -89,7 +97,9 @@ def test_two_hop_summary_reports_row_sizes_and_supports(tmp_path):
     assert csv_one == csv_two and one["diagnostics"] == two["diagnostics"]
     assert one["diagnostics"]["fallbacks"]["trellis"] == failed
     assert one["diagnostics"]["row_size"] == {"mean": float(np.mean(rows)), "max": max(rows)}
-    assert one["diagnostics"]["support"] == {"mean": float(np.mean(supports)), "max": max(supports)}
+    assert one["diagnostics"]["announced_support"] == {
+        "mean": float(np.mean(supports)), "max": max(supports),
+    }
 
 
 @pytest.mark.parametrize("command", ["two-hop", "oracle", "multihop-scenario", "multihop-topology"])
@@ -337,7 +347,7 @@ def test_multihop_scenario_subcommand(tmp_path):
     }
     assert summary["diagnostics"] == {  # a structural scenario calibrates nothing
         "trials": 0, "fallbacks": {"trellis": 0, "scoring": 0},
-        "row_size": {"mean": 0.0, "max": 0}, "support": {"mean": 0.0, "max": 0},
+        "row_size": {"mean": 0.0, "max": 0}, "announced_support": {"mean": 0.0, "max": 0},
         "forward": {"dense": 0, "keyed": 0},
     }
     assert main(["multihop", "--out", str(out)]) == 1  # neither scenario nor topology
@@ -430,6 +440,9 @@ _GHOST_BASE = {"nodes": ["a", "b"], "links": [["a", "b"]], "schedule": [["a"], [
     ({"interference": [["b", "yy", 0.1]]}, "interference[0]"),
     ({"interference": [["b", "a", 0.1], ["b", "a", 0.4]]}, "interference[1]"),
     ({"source_symbols": {"b": 3}}, "source_symbols.b"),
+    ({"source_symbols": {"a": True}}, "source_symbols"),
+    ({"behaviors": {"b": {"role": "adversarial", "p_adv": True}}}, "behaviors.b.p_adv"),
+    ({"schedule": [["b"], ["a"]]}, "schedule[0]"),
 ])
 def test_multihop_topology_rejects_bad_document(tmp_path, capsys, change, field):
     doc = {k: v for k, v in {**_GHOST_BASE, **change}.items() if v is not None}

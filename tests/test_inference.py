@@ -592,3 +592,94 @@ def test_keyed_pass_equals_dense_pass(block, chunk):
         assert lengths[emptied, 0] == 0 and not built[emptied]
         assert inference._watch(h)[0][emptied].tolist() == [0.0] * h.relay_hashes.shape[1]
         assert runs[keyed_share]["public"][emptied] == inference._FAULTS[inference._EMPTY_ROW]
+
+
+@st.composite
+def _cut_blocks(draw):
+    """A ``_watch_blocks`` block with 1-7 arms: (block, forged arms, constant use, seed).
+
+    A forged arm announces a value drawn from seed instead of its payload's
+    hash: overheard noiselessly it cannot be scored, and its class may hold
+    no final state. The constant use's poly hash becomes a_0 + 0 x.
+    """
+    block = list(draw(_watch_blocks()))
+    block[5] = arms = draw(st.integers(1, 7))
+    forged = draw(st.lists(st.integers(0, arms - 1), max_size=3, unique=True))
+    constant = draw(st.none() | st.integers(0, block[4] - 1)) if block[2] == "poly" else None
+    return tuple(block), forged, constant, draw(st.integers(0, 2**32 - 1))
+
+
+def _forged_holdings(block, forged, constant, seed):
+    """``_block_holdings(*block)`` with the forged arms' values and the constant use applied."""
+    h = _block_holdings(*block)
+    hashes, mask = h.hashes, (1 << h.hashes.delta) - 1
+    coeffs, tables = hashes.coeffs.copy(), hashes.tables.copy()
+    peer_hashes, relay_hashes = h.peer_hashes.copy(), h.relay_hashes.copy()
+    if constant is not None:  # every symbol hashes to a_0's low bits
+        coeffs[constant, 1] = 0
+        tables[constant] = peer_hashes[constant] = coeffs[constant, 0] & mask
+        relay_hashes[constant] = coeffs[constant, 0] & mask
+    rng = np.random.default_rng(seed)
+    relay_hashes[:, forged] = rng.integers(0, mask + 1, (len(h.own), len(forged)))
+    return h._replace(
+        hashes=hashes._replace(coeffs=coeffs, tables=tables), peer_hashes=peer_hashes,
+        relay_hashes=relay_hashes,
+    )
+
+
+def _cut_run(h):
+    """Every use's final layer, the support it was summed from, (p*, fault) and both ``_watch``
+    results, all trellises dense."""
+    with mock.patch.object(inference, "_KEYED_SHARE", 2**64):
+        lengths, built, _, passes = inference._trellises(h, h.relay_hashes)
+        finals = [(uses[t], s, w) for uses, layers in passes for t, s, w in layers[-1:]]
+        empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+        final = [np.concatenate(parts) for parts in zip(empty, *finals)]
+        layers = [{} for _ in built]  # each use's final layer, state -> weight
+        for t, s, w in zip(*(a.tolist() for a in final)):
+            layers[t][s] = w
+        return {
+            "lengths": lengths.tolist(), "built": built.tolist(), "layers": layers,
+            "before": {int(uses[0]): len(got[-2][1]) for uses, got in passes if len(got) > 2},
+            "scores": _as_lists(inference._score_arms(h, final)),
+            "scored": _as_lists(inference._watch(h)),
+            "unscored": _as_lists(inference._watch(h, score=False)),
+        }
+
+
+@settings(max_examples=120, deadline=None)
+@given(_cut_blocks(), st.sampled_from([40, inference._SCATTER_CHUNK]))
+# a constant poly hash, two forged arms and two peers: one kept class, faults on noiseless arms
+@example(((8, 3, "poly", 2, 3, 4, [0.1, 0.1, 0.0], None, 5, None), [1, 3], 1, 9), 40)
+# m = 1 and m = 2: no summed last layer
+@example(((6, 2, "affine", 0, 2, 7, [0.0], 0.3, 1, None), [2], None, 4), 40)
+@example(((6, 2, "poly", 1, 3, 2, [0.1, 0.1], None, 2, None), [0], 0, 4), 40)
+# seven arms over the four classes of an affine hash, pruning on; then full rows, cut
+@example(((10, 2, "affine", 2, 2, 7, [0.1, 0.1, 0.1], 0.05, 3, None), [0, 6], None, 11), 40)
+@example(((10, 2, "affine", 2, 2, 1, [0.1, 0.1, 0.1], None, 3, None), [], None, 11),
+         inference._SCATTER_CHUNK)
+def test_cut_last_layer_scores_what_the_whole_layer_scores(drawn, chunk):
+    """Each p*, fault, count and record == the whole last layer's; a cut keeps its classes.
+
+    A last layer of more than ``_SCATTER_CHUNK`` contributions (40 here in some runs, to
+    cut small trellises too) is cut to the announced classes; a smaller one is kept whole.
+    """
+    h = _forged_holdings(*drawn)
+    with mock.patch.object(inference, "_SCATTER_CHUNK", chunk):
+        cut = _cut_run(h)
+        with mock.patch.object(inference, "_class_keys", lambda *_: (0, np.ones(1, bool))):
+            whole = _cut_run(h)
+    assert {k: v for k, v in cut.items() if k != "layers"} == {
+        k: v for k, v in whole.items() if k != "layers"
+    }
+    hashes, before = h.hashes, cut["before"]
+    for k, (kept, full) in enumerate(zip(cut["layers"], whole["layers"])):
+        one_class = hashes.delta == 0 or hashes.family == "poly" and hashes.coeffs[k, 1] == 0
+        # m <= 2 (no summed last layer), one class, or a last layer too small to cut: whole
+        if one_class or k not in before or cut["lengths"][k][-1] * before[k] <= chunk:
+            assert kept == full
+        else:  # exactly the states hashing to an announced value, with the whole layer's weights
+            states = np.array(sorted(full), dtype=np.int64)
+            hashed = h.hashes.at(np.full(len(states), k), states)
+            announced = states[np.isin(hashed, h.relay_hashes[k])].tolist()
+            assert kept == {s: full[s] for s in announced}

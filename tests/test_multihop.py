@@ -391,14 +391,75 @@ _RELAY_SOURCE_SYMBOL = {
     "nodes": ["a", "b"], "links": [["a", "b"]], "schedule": [["a"], ["b"]],
     "source_symbols": {"a": 1, "b": 2},
 }
+# run_protocol would stop in round 0: r transmits before w and s2 have sent it anything
+_EARLY_RELAY = {
+    "nodes": ["w", "s2", "r", "d"], "links": [["w", "r"], ["s2", "r"], ["r", "d"]],
+    "schedule": [["r"], ["w", "s2"]],
+}
+# JSON true, where a number is read
+_BOOLEAN_SYMBOL = {
+    "nodes": ["a", "b"], "links": [["a", "b"]], "schedule": [["a"], ["b"]],
+    "source_symbols": {"a": True}, "interference": [["b", "a", False]],
+}
 
 
 @pytest.mark.parametrize("doc, field", [
     (_REPEATED_EDGE, "interference[1]"), (_RELAY_SOURCE_SYMBOL, "source_symbols.b"),
-], ids=["repeated-edge", "relay-source-symbol"])
+    (_EARLY_RELAY, "schedule[0]"),
+], ids=["repeated-edge", "relay-source-symbol", "early-relay"])
 def test_load_topology_rejects_what_the_protocol_would_not_read(doc, field):
     with pytest.raises(ValueError, match=f"^topology field '{re.escape(field)}': "):
         load_topology(doc)
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"source_symbols": {"a": True}}, "source_symbols"),
+    ({"interference": [["b", "a", False]]}, "interference"),
+    ({"behaviors": {"b": {"role": "adversarial", "p_adv": True}}}, "behaviors.b.p_adv"),
+    ({"behaviors": {"a": {"check_probability": True}}}, "behaviors.a.check_probability"),
+], ids=["source-symbol", "interference-rate", "p-adv", "check-probability"])
+def test_load_topology_reads_no_boolean_as_a_number(change, field):
+    doc = {"nodes": ["a", "b"], "links": [["a", "b"]], "schedule": [["a"], ["b"]], **change}
+    with pytest.raises(ValueError, match=f"^topology field '{re.escape(field)}'"):
+        load_topology(doc)
+
+
+@st.composite
+def _scheduled_networks(draw):
+    """A ``_networks`` DAG with a schedule of rounds that may repeat a node or starve a relay."""
+    g, _, seed = draw(_networks())
+    rounds = st.lists(st.sampled_from(sorted(g.nodes)), min_size=1, max_size=4)
+    return g, draw(st.lists(rounds, min_size=1, max_size=6)), seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scheduled_networks())
+@example((Hypergraph(frozenset("wrd"), frozenset({("w", "r"), ("r", "d")}), {}),
+          [["r", "w"], ["r"]], 0))
+def test_load_topology_rejects_exactly_the_schedules_the_protocol_stops_on(network):
+    g, schedule, seed = network
+    doc = {"nodes": sorted(g.nodes), "links": [list(e) for e in sorted(g.links)],
+           "schedule": schedule}
+    rounds = multihop._rounds(g, {}, schedule, SPEC, np.random.default_rng(seed))
+    stopped = None  # the round run_round raised in
+    for i in range(len(schedule)):
+        try:
+            next(rounds)
+        except ValueError as exc:
+            assert "scheduled with no received inputs" in str(exc)
+            stopped = i
+            break
+    try:
+        run_protocol(g, {}, schedule, SPEC, seed, TrustLedger(0.05))
+    except ValueError:
+        assert stopped is not None
+    else:
+        assert stopped is None
+    if stopped is None:
+        assert load_topology(doc)[2] == schedule
+    else:
+        with pytest.raises(ValueError, match=rf"^topology field 'schedule\[{stopped}\]': "):
+            load_topology(doc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -409,6 +470,8 @@ def test_load_topology_rejects_what_the_protocol_would_not_read(doc, field):
 ))
 @example(_REPEATED_EDGE)
 @example(_RELAY_SOURCE_SYMBOL)
+@example(_EARLY_RELAY)
+@example(_BOOLEAN_SYMBOL)
 def test_load_topology_raises_only_value_error_on_fuzzed_documents(doc):
     try:
         load_topology(doc)
