@@ -573,14 +573,14 @@ def _is_rate_edge(e) -> bool:  # a number, not a bool: JSON true is no 1
             and isinstance(e[2], (int, float)) and not isinstance(e[2], bool))
 
 
-# Every field a topology document may hold: what it must be, its type, a check per entry.
+# Every field a topology document may hold: its type, what an entry must be, the check.
 _TOPOLOGY_FIELDS = {
-    "nodes": ("a list of node names", list, lambda v: isinstance(v, str)),
-    "links": ("a list of [sender, receiver] pairs", list, lambda e: _is_names(e, 2)),
-    "interference": ("a list of [speaker, listener, rate] triples", list, _is_rate_edge),
-    "behaviors": ("an object of behavior objects", dict, lambda b: isinstance(b, dict)),
-    "schedule": ("a list of rounds, each a list of node names", list, _is_names),
-    "source_symbols": ("an object of integer symbols", dict, lambda v: type(v) is int),
+    "nodes": (list, "a node name", lambda v: isinstance(v, str)),
+    "links": (list, "a [sender, receiver] pair", lambda e: _is_names(e, 2)),
+    "interference": (list, "a [speaker, listener, rate] triple, the rate a number", _is_rate_edge),
+    "behaviors": (dict, "a behavior object", lambda b: isinstance(b, dict)),
+    "schedule": (list, "a round: a list of node names", _is_names),
+    "source_symbols": (dict, "an integer symbol", lambda v: type(v) is int),
 }
 
 
@@ -588,7 +588,8 @@ def load_topology(doc) -> tuple[Hypergraph, dict[str, NodeBehavior], list[list[s
     """Parse a declarative topology document (dict or JSON file path).
 
     Raises ValueError naming the field when a field is unknown, missing
-    (``nodes``, ``links``, ``schedule``) or of the wrong shape, when an
+    (``nodes``, ``links``, ``schedule``) or of the wrong shape (and naming
+    its first bad entry, as ``links[i]`` or ``source_symbols.name``), when an
     interference rate is outside [0, 0.5], when a behavior has an unknown
     or invalid entry, when a link, interference edge, schedule entry,
     behavior or ``source_symbols`` key names an undeclared node, when an
@@ -607,10 +608,15 @@ def load_topology(doc) -> tuple[Hypergraph, dict[str, NodeBehavior], list[list[s
         if field not in _TOPOLOGY_FIELDS:
             raise ValueError(f"topology field {field!r} is unknown; "
                              f"expected one of {sorted(_TOPOLOGY_FIELDS)}")
-        shape, kind, ok = _TOPOLOGY_FIELDS[field]
-        entries = value.values() if isinstance(value, dict) else value
-        if not isinstance(value, kind) or not all(map(ok, entries)):
-            raise ValueError(f"topology field {field!r} must be {shape}")
+        kind, entry, ok = _TOPOLOGY_FIELDS[field]
+        if not isinstance(value, kind):
+            container = "a list" if kind is list else "an object"
+            raise ValueError(f"topology field {field!r} must be {container}, each entry {entry}")
+        keys = value if kind is dict else range(len(value))
+        bad = next((k for k in keys if not ok(value[k])), None)
+        if bad is not None:  # named as behaviors are: field.key or field[i]
+            name = f"{field}.{bad}" if kind is dict else f"{field}[{bad}]"
+            raise ValueError(f"topology field {name!r} (an entry of {field!r}) must be {entry}")
     for field in ("nodes", "links", "schedule"):
         if field not in doc:
             raise ValueError(f"topology field {field!r} is missing")

@@ -8,10 +8,10 @@ draws, seeds and runs trials (``_samples``); ``inference`` computes every p*.
 Randomness is split into named per-trial sub-streams (hash, symbols,
 channels, adversary): numpy's ``default_rng(SeedSequence((seed, trial,
 tag)))`` streams, bit for bit. A run derives the seeding words of its
-trials' streams in one vectorized pass (``_seed_words``), takes each
-stream's raw PCG64 words in one call, and turns them into values through
-``Generator``'s own transforms applied to whole arrays (``_draw``); only a
-stream that rejects a word is drawn by ``Generator.integers`` itself.
+trials' streams in one vectorized pass (``_seed_words``), steps all their
+PCG64 states at once in array arithmetic, building no generator (``_raw``),
+and turns the raw words into values through ``Generator``'s own transforms
+applied to whole arrays (``_draw``), a rejected word's stream half by half.
 Honest and adversarial runs of the same trial therefore share the exact
 same symbols and channel noise, which makes the null adversary (p_adv = 0)
 produce bit-identical p* values and gives every sweep common random
@@ -190,40 +190,50 @@ def _seed_words(seed: int, lo: int, hi: int) -> np.ndarray:
     return words.reshape(count, tags, 4)
 
 
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 multiplier (pcg64.h)
+
+
 @functools.cache
-def _seed_words_type() -> type:
-    """A seed sequence whose state is already known: one row of ``_seed_words``.
+def _pcg_steps(count: int) -> np.ndarray:
+    """(4 * count, 17) float64: what takes a stream's seeding words to its first count states.
 
-    Made on first use, because subclassing ISeedSequence imports
-    numpy.random, which ``import algwatch`` otherwise leaves to the first
-    draw (5.6 MiB of resident set at import, and about 0.5 MiB more peak
-    in a fresh process's first two-hop run).
+    ``pcg64_set_seed`` sets inc = w << 1 | 1 for w = words[2:4], steps state 0
+    (state * M + inc), adds init = words[0:2] and steps again: output k's state is
+    A init + 2B w + B (mod 2^128), A = M^(k+2), B = 1 + M + ... + M^(k+2). Entry
+    [t * count + k, i] is bits 32t..32t+31 of "<u2" limb i's constant shifted to
+    the limb's place, bit 16 (i % 8 ^ 4), or of B for i = 16 (a 1). The limbs'
+    products with a row sum to under 2^53, so float64 sums them exactly.
     """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words  # PCG64 asks for the 4 uint64 words it is seeded with
-
-    return SeedWords
+    a, b, steps = _PCG_MULT**2, 1 + _PCG_MULT + _PCG_MULT**2, []
+    for _ in range(count):
+        shifted = [(a if i < 8 else 2 * b) << 16 * (i % 8 ^ 4) for i in range(16)] + [b]
+        steps.append([[v >> 32 * t & 0xFFFFFFFF for v in shifted] for t in range(4)])
+        a, b = a * _PCG_MULT % 2**128, (b * _PCG_MULT + 1) % 2**128
+    return np.array(steps, dtype=float).transpose(1, 0, 2).reshape(4 * count, 17)
 
 
-def _stream(words: np.ndarray) -> np.random.PCG64:
-    """The PCG64 that ``default_rng(SeedSequence(...))`` wraps, from its seeding words."""
-    return np.random.PCG64(_seed_words_type()(words))
+# Words one _raw chunk computes: a (1000, 40) draw in one piece ran about 3x slower.
+_RAW_CHUNK = 1 << 12
+_LOW_HALF, _HALF_BITS, _ROTATION = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(58)
 
 
 def _raw(words: np.ndarray, count: int) -> np.ndarray:
-    """(len(words), count) little-endian uint64: the first raw outputs of each row's stream.
+    """(len(words), count) little-endian uint64: the first raw outputs of each row's PCG64 stream.
 
-    Each stream lives only for its one ``random_raw`` call, so a run holds
-    its words, not its generators.
+    No generator is built: a chunk of rows' states are one float64 product of
+    their seeding words' limbs with ``_pcg_steps``, carried into 128 bits in
+    uint64 and output by XSL-RR: the halves xored, rotated by the top 6 bits.
     """
-    raw = np.array([_stream(row).random_raw(count) for row in words], dtype="<u8")
-    return raw.reshape(len(words), count)
+    limbs = np.ones((17, len(words)))
+    limbs[:16] = words.astype("<u8", copy=False).view("<u2").T
+    raw, steps = np.empty((len(words), count), "<u8"), _pcg_steps(count)
+    for at in range(0, len(words), step := max(1, _RAW_CHUNK // count)):
+        parts = (steps @ limbs[:, at:at + step]).astype(np.int64).view(np.uint64)
+        y0, y1, y2, y3 = parts.reshape(4, count, -1)
+        high = ((y0 >> _HALF_BITS) + y1 >> _HALF_BITS) + y2 + (y3 << _HALF_BITS)
+        x, rotation = high ^ (y0 + (y1 << _HALF_BITS)), high >> _ROTATION
+        raw[at:at + step] = (x >> rotation | x << (-rotation & np.uint64(63))).T
+    return raw
 
 
 def _uniforms(words: np.ndarray, count: int) -> np.ndarray:
@@ -247,7 +257,20 @@ def _lemire_columns(highs: tuple[int, ...]) -> tuple:
     return -(-int(taken[-1]) // 2), columns, ranges, thresholds if thresholds.any() else None
 
 
-_LOW_HALF, _HALF_BITS = np.uint64(0xFFFFFFFF), np.uint64(32)
+def _rejecting(row: np.ndarray, highs) -> list[int]:
+    """A stream that rejects a word: ``Generator.integers(0, high)`` per high, half by half."""
+    count = len(highs)  # words, with room for one rejection a draw; doubled if they run out
+    while True:
+        halves, values = iter(_raw(row[None], count).view("<u4")[0].tolist()), []
+        try:
+            for high in highs:
+                product = 0
+                while high > 1 and (product := next(halves) * high) & 0xFFFFFFFF < 2**32 % high:
+                    pass
+                values.append(product >> 32)
+            return values
+        except StopIteration:
+            count *= 2
 
 
 def _integers(words: np.ndarray, highs) -> np.ndarray:
@@ -256,9 +279,9 @@ def _integers(words: np.ndarray, highs) -> np.ndarray:
     numpy draws these by Lemire's method from 32-bit words, the low half of
     each raw word first: word u gives u * high >> 32, unless the low 32 bits
     of u * high fall below (2^32 - high) % high and the next word is tried
-    instead. A range of 1 takes no word, and ranges that take none build no
+    instead. A range of 1 takes no word, and ranges that take none step no
     stream. Every stream's words are taken and transformed at once; a stream
-    that rejects a word is drawn again by ``Generator.integers`` itself.
+    that rejects a word is drawn again, half by half (``_rejecting``).
     """
     count, columns, ranges, thresholds = _lemire_columns(tuple(highs))
     if not count:
@@ -268,7 +291,7 @@ def _integers(words: np.ndarray, highs) -> np.ndarray:
     if thresholds is None:
         return values
     for k in np.flatnonzero(((products & _LOW_HALF) < thresholds).any(axis=1)).tolist():
-        values[k] = np.random.Generator(_stream(words[k])).integers(0, np.array(highs))
+        values[k] = _rejecting(words[k], highs)
     return values
 
 
@@ -280,10 +303,10 @@ _DRAW_TRIALS = 1 << 12
 def _draw(cfg: TwoHopConfig, p_advs, words: np.ndarray) -> _Holdings:
     """What the watchdogs of the trials whose ``_seed_words`` rows are given hold.
 
-    Each trial is drawn from its own streams. Every stream is numpy's PCG64
-    seeded with its words, and every value is what
-    ``default_rng(SeedSequence((seed, trial, tag)))`` would draw, taken from
-    the stream's raw words through ``Generator``'s own transforms
+    Each trial is drawn from its own streams: numpy's PCG64 seeded with
+    their words, all stepped at once in array arithmetic (``_raw``). Every
+    value is what ``default_rng(SeedSequence((seed, trial, tag)))`` would
+    draw, taken from the raw words through ``Generator``'s own transforms
     (``_integers``, ``_uniforms``, ``hashing._draws``) for all trials at
     once. Arm 0 is the honest relay and arm 1 + k the one at p_advs[k].
     Arms differ only in the relay's payload: each adversarial arm flips the

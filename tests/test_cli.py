@@ -454,6 +454,35 @@ def test_multihop_topology_rejects_bad_document(tmp_path, capsys, change, field)
     assert not (tmp_path / "run.json").exists()
 
 
+_ENTRY_BASE = {
+    "nodes": ["w", "a", "b"], "links": [["w", "a"], ["a", "b"]], "schedule": [["w"], ["a"]],
+}
+
+
+@pytest.mark.parametrize("change, entry", [
+    ({"source_symbols": {"w": 1, "x": True}}, "source_symbols.x"),
+    ({"source_symbols": {"w": "1"}}, "source_symbols.w"),
+    ({"interference": [["b", "a", 0.1], ["a", "b", False]]}, "interference[1]"),
+    ({"interference": [["b", "a", 0.1], ["a", "b"]]}, "interference[1]"),
+    ({"links": [["w", "a"], ["a", "b"], ["b"]]}, "links[2]"),
+    ({"links": [["w", "a"], ["a", 7]]}, "links[1]"),
+    ({"schedule": [["w"], "a"]}, "schedule[1]"),
+    ({"schedule": [["w"], ["a", None]]}, "schedule[1]"),
+    ({"nodes": ["w", "a", "b", 3]}, "nodes[3]"),
+    ({"nodes": ["w", False, "b"]}, "nodes[1]"),
+    ({"behaviors": {"a": {"role": "honest"}, "b": []}}, "behaviors.b"),
+], ids=["symbol-boolean", "symbol-string", "rate-boolean", "pair-not-triple", "link-short",
+        "link-number", "round-not-list", "round-null", "node-number", "node-boolean",
+        "behavior-list"])
+def test_multihop_topology_names_the_first_bad_entry(tmp_path, capsys, change, entry):
+    tpath = tmp_path / "topo.json"
+    tpath.write_text(json.dumps({**_ENTRY_BASE, **change}))
+    assert main(["multihop", "--topology", str(tpath),
+                 "--out", str(tmp_path / "run.json")]) == 1
+    assert f"error: topology field '{entry}' " in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
 def test_summaries_echo_versions(tmp_path):
     topo = tmp_path / "topo.json"
     topo.write_text(json.dumps(_GHOST_BASE))

@@ -413,8 +413,8 @@ def test_load_topology_rejects_what_the_protocol_would_not_read(doc, field):
 
 
 @pytest.mark.parametrize("change, field", [
-    ({"source_symbols": {"a": True}}, "source_symbols"),
-    ({"interference": [["b", "a", False]]}, "interference"),
+    ({"source_symbols": {"a": True}}, "source_symbols.a"),
+    ({"interference": [["b", "a", False]]}, "interference[0]"),
     ({"behaviors": {"b": {"role": "adversarial", "p_adv": True}}}, "behaviors.b.p_adv"),
     ({"behaviors": {"a": {"check_probability": True}}}, "behaviors.a.check_probability"),
 ], ids=["source-symbol", "interference-rate", "p-adv", "check-probability"])

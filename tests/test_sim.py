@@ -92,9 +92,8 @@ def test_seed_words_are_numpys_seed_sequence_streams(seed, trial, count):
         for tag in sim._TAGS:
             seq = np.random.SeedSequence((seed, lo + k, tag))
             assert words[k, tag].tolist() == seq.generate_state(4, np.uint64).tolist()
-            ours, ref = sim._stream(words[k, tag]), np.random.PCG64(seq)
-            assert ours.state == ref.state
-            assert ours.random_raw(3).tolist() == ref.random_raw(3).tolist()
+            ref = np.random.PCG64(seq).random_raw(3).tolist()
+            assert sim._raw(words[k:k + 1, tag], 3).tolist() == [ref]
 
 
 @st.composite
@@ -160,14 +159,10 @@ def test_draws_are_numpys_generator_draws(cfg, trial, p_advs):
 
 
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_WORD = (1 << 64) - 1
 
 
-def _stream_whose_output(k: int, word: int, inc: int = 0x1234567 << 64 | 0xABCDEF1):
-    """A PCG64 whose (k + 1)-th raw output is word: a state that outputs it, stepped back."""
-    high = 0x0123_4567_89AB_CDEF  # the top 6 state bits are 0: the output is not rotated
-    state = high << 64 | (high ^ word)
-    for _ in range(k + 1):
-        state = (state - inc) * pow(_PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+def _pcg64(state: int, inc: int) -> np.random.PCG64:
     stream = np.random.PCG64()
     stream.state = {
         "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
@@ -176,8 +171,31 @@ def _stream_whose_output(k: int, word: int, inc: int = 0x1234567 << 64 | 0xABCDE
     return stream
 
 
+def _stepped_back(state: int, inc: int, steps: int) -> int:
+    for _ in range(steps):
+        state = (state - inc) * pow(_PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+    return state
+
+
+def _stream_whose_output(k: int, word: int, inc: int = 0x1234567 << 64 | 0xABCDEF1):
+    """A PCG64 whose (k + 1)-th raw output is word: a state that outputs it, stepped back."""
+    high = 0x0123_4567_89AB_CDEF  # the top 6 state bits are 0: the output is not rotated
+    return _pcg64(_stepped_back(high << 64 | (high ^ word), inc, k + 1), inc)
+
+
+def _seeding_words(stream: np.random.PCG64) -> np.ndarray:
+    """The 4 words that numpy's pcg64_set_seed takes to stream's state.
+
+    Seeding sets inc = words[2:4] << 1 | 1 and state M * (init + inc) + inc,
+    with init = words[0:2]: undo the step, then subtract inc.
+    """
+    state, inc = stream.state["state"]["state"], stream.state["state"]["inc"]
+    init = ((state - inc) * pow(_PCG64_MULTIPLIER, -1, 1 << 128) - inc) % (1 << 128)
+    return np.array([init >> 64, init & _WORD, inc >> 65, inc >> 1 & _WORD], dtype=np.uint64)
+
+
 @pytest.mark.parametrize("n", [2, 3, 10, 11, 16])
-def test_coefficient_draw_rejects_a_word_as_numpy_does(monkeypatch, n):
+def test_coefficient_draw_rejects_a_word_as_numpy_does(n):
     # the second raw word's low half is 0, which every range 2^n - 1 rejects:
     # its threshold (2^32 - range) % range = 2^(32 mod n) is at least 1
     order, m, word = 1 << n, 2, 0xDEADBEEF << 32
@@ -187,22 +205,38 @@ def test_coefficient_draw_rejects_a_word_as_numpy_does(monkeypatch, n):
         rng = np.random.Generator(stream)
         return rng.integers(0, order, size=m).tolist() + rng.integers(0, order - 1, size=m).tolist()
 
-    # row 0 is the crafted stream, row 1 an ordinary one
-    real = sim._stream
-    monkeypatch.setattr(
-        sim, "_stream", lambda row: _stream_whose_output(1, word) if row[0] == 0 else real(row)
-    )
-    words = sim._seed_words(7, 0, 1)[:, sim._SYMBOLS]
-    assert words[0, 0] != 0
-    ours = sim._integers(np.concatenate((np.zeros_like(words), words)), highs)
+    # row 0 is seeded to the crafted stream's state, row 1 is an ordinary stream
+    crafted = _seeding_words(_stream_whose_output(1, word))
+    words = np.stack((crafted, sim._seed_words(7, 0, 1)[0, sim._SYMBOLS]))
+    raw = _stream_whose_output(1, word).random_raw(3).tolist()
+    assert sim._raw(words[:1], 3).tolist() == [raw]
+    ours = sim._integers(words, highs)
     expect = numpys(_stream_whose_output(1, word))
-    assert ours.tolist() == [expect, numpys(real(words[0]))]
+    ordinary = np.random.PCG64(np.random.SeedSequence((7, 0, sim._SYMBOLS)))
+    assert ours.tolist() == [expect, numpys(ordinary)]
     # the symbols take the first raw word; the coefficients skip the second's
     # low half and take its high half, then a third word's low half
-    raw = _stream_whose_output(1, word).random_raw(3).tolist()
     halves = [h for r in raw for h in (r & 0xFFFFFFFF, r >> 32)]
     assert halves[2] == 0
     assert expect == [(h * r) >> 32 for h, r in zip(halves[:2] + halves[3:5], highs)]
+
+
+def test_a_stream_that_runs_out_of_words_draws_more():
+    # a range of 3 rejects only the half 0 (threshold 2^32 % 3 = 1). The first
+    # two raw words are 0 and 0xDEADBEEF << 32: three rejected halves, where
+    # _rejecting first takes 2 words for its 2 draws, so it takes more
+    high = 0x0123_4567_89AB_CDEF  # odd, with the top 6 bits 0: no rotation
+    first = high << 64 | high  # outputs high ^ high = 0
+    second = (high - 1) << 64 | ((high - 1) ^ 0xDEADBEEF << 32)
+    inc = (second - _PCG64_MULTIPLIER * first) % (1 << 128)  # odd: first is odd, second even
+    start = _stepped_back(first, inc, 1)
+    assert _pcg64(start, inc).random_raw(2).tolist() == [0, 0xDEADBEEF << 32]
+    words = _seeding_words(_pcg64(start, inc))
+    expect = np.random.Generator(_pcg64(start, inc)).integers(0, np.array([3, 3])).tolist()
+    with mock.patch.object(sim, "_raw", wraps=sim._raw) as raw:
+        assert sim._rejecting(words, [3, 3]) == expect
+    assert [c.args[1] for c in raw.call_args_list] == [2, 4]
+    assert sim._integers(words[None], [3, 3]).tolist() == [expect]
 
 
 @pytest.mark.parametrize("call, name", [
@@ -225,39 +259,73 @@ def test_seeds_and_trial_indices_out_of_range_name_the_field(call, name):
         call()
 
 
-@pytest.mark.parametrize("cfg, streams", [
-    (TwoHopConfig(m=3, n=6, delta=2, iterations=9, seed=4, hash_family="poly"), 4),
-    # the empty affine hash draws from ranges of 1, which take no word: no hash stream
-    (TwoHopConfig(m=3, n=6, delta=0, iterations=9, seed=4), 3),
+@pytest.mark.parametrize("cfg", [
+    TwoHopConfig(m=3, n=6, delta=2, iterations=9, seed=4, hash_family="poly"),
+    TwoHopConfig(m=3, n=6, delta=0, iterations=9, seed=4),
 ], ids=["poly", "affine-delta-0"])
-def test_trial_streams_build_no_seed_sequence(monkeypatch, cfg, streams):
-    # every stream is seeded from precomputed words, never through a SeedSequence
-    made, seeded = [], []
+def test_trial_streams_build_no_seed_sequence(monkeypatch, cfg):
+    # every stream is stepped in array arithmetic from precomputed words:
+    # no SeedSequence, no default_rng and no PCG64 is ever built
+    made = []
 
-    class CountedSeedSequence(np.random.SeedSequence):
-        def __init__(self, *args, **kwargs):
-            made.append(args)
-            super().__init__(*args, **kwargs)
+    def counted(real):
+        def make(*args, **kwargs):
+            made.append((real.__name__, args))
+            return real(*args, **kwargs)
+        return make
 
-    class CountedPCG64(np.random.PCG64):
-        def __init__(self, seed=None):
-            super().__init__(seed)
-            seeded.append(type(self.seed_seq))
-
-    real_default_rng = np.random.default_rng
-
-    def default_rng(*args):
-        made.append(args)
-        return real_default_rng(*args)
-
-    monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
-    monkeypatch.setattr(np.random, "default_rng", default_rng)
-    monkeypatch.setattr(np.random, "PCG64", CountedPCG64)
+    for name in ("SeedSequence", "default_rng", "PCG64", "Generator"):
+        monkeypatch.setattr(np.random, name, counted(getattr(np.random, name)))
     sim._samples(cfg, [0.1, 0.3], 1)
-    assert made == [] and seeded == [sim._seed_words_type()] * streams * cfg.iterations
-    seeded.clear()
     mean_matched_count(6, 2, 2, 0.1, trials=5, seed=3)
-    assert made == [] and seeded == [sim._seed_words_type()] * 3 * 5
+    simulate_observation(cfg, True, trial=2**32 - 1)
+    assert made == []
+
+
+def test_trial_path_leaves_numpy_random_unimported(tmp_path):
+    # no draw imports numpy.random: not a matched-count run, not a default two-hop run
+    script = (
+        "import sys\n"
+        "from algwatch import cli, sim\n"
+        "sim.mean_matched_count(10, 3, 2, 0.1, trials=1000)\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+        f"out = {str(tmp_path / 'out.csv')!r}\n"
+        "assert cli.main(['two-hop', '--workers', '1', '--out', out]) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+    )
+    src = Path(sim.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("count", range(1, 65))
+def test_raw_words_are_numpys_pcg64_words(count):
+    # every tag's stream, multi-word seeds, the last trial index, and row
+    # counts that fill one chunk exactly and spill one row into a second
+    seed = (2**32 + 5, 2**100 + 7)[count % 2]
+    step = sim._RAW_CHUNK // count  # rows a chunk takes
+    trials = -(-(step + 1) // len(sim._TAGS))
+    words = sim._seed_words(seed, 2**32 - trials, 2**32).reshape(-1, 4)[-(step + 1):]
+    streams = [
+        np.random.PCG64(np.random.SeedSequence((seed, 2**32 - trials + k // 4, k % 4)))
+        for k in range(trials * len(sim._TAGS))
+    ][-(step + 1):]
+    assert len(words) == len(streams) == step + 1
+    seeded = [stream.state["state"] for stream in streams]
+    expect = [stream.random_raw(count).tolist() for stream in streams]
+    assert sim._raw(words, count).tolist() == expect
+    assert sim._raw(words[:step], count).tolist() == expect[:step]
+    # some outputs come from states whose top 6 bits are 0, so are not rotated:
+    # a rotation by 0 that shifted by 64 would get them wrong
+    unrotated = 0
+    for state in seeded:
+        word = state["state"]
+        for _ in range(count):
+            word = (word * _PCG64_MULTIPLIER + state["inc"]) % (1 << 128)
+            unrotated += word >> 122 == 0
+    assert unrotated > 0
 
 
 def test_draw_slices_equal_one_draw():
