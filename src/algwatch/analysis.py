@@ -126,11 +126,12 @@ def matched_count_expected(
     the relay); d_over_n the matching relative minimum distances of their
     payload codes (all zero when payloads are uncoded). Returned raw: an
     expected count below 1 is meaningful (the near-unique decoding
-    regime), not an error; a count beyond float range is a ValueError.
+    regime), not an error; a count beyond float range is a ValueError, as
+    is a hash wider than the symbol (delta > n).
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
     p_rates, d_over_n = _count_args(n, m, p_rates, d_over_n)
+    if not 0 <= delta <= n:
+        raise ValueError(f"delta must be in [0, n], got {delta} at n = {n}")
     total = sum(binary_entropy(p) - binary_entropy(d) for p, d in zip(p_rates, d_over_n))
     exponent = n * (total - 1.0) - m * delta
     try:

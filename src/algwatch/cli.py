@@ -218,8 +218,8 @@ def _cmd_analysis(args) -> int:
         deltas = _parse_values("deltas", args.deltas, int)
         if not deltas:
             raise CliError("deltas must not be empty")
-        if min(deltas) < 0:
-            raise CliError(f"deltas must be >= 0, got {min(deltas)}")
+        if min(deltas) < 0 or max(deltas) > n >= 1:  # an n below 1 is the evaluator's to name
+            raise CliError(f"deltas must be in [0, n] at n = {n}, got {args.deltas}")
         params = {"m": m, "p": p, "deltas": deltas}
         columns = ["n", "m", "delta", "p", "expected_matched"]
         rows = [

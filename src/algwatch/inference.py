@@ -22,10 +22,11 @@ positive-weight states. The forward pass scatters each layer update from
 the previous layer's states alone, summing the contributions with
 ``np.bincount`` in the order a per-candidate dense pass would, so every
 layer is bit-for-bit what that pass gives. Chosen per trellis from its row
-lengths alone, it runs dense, one trellis at a time (``_forward_pass``),
-or, when the rows bound every layer far below 2^n states, keyed: trellises
-of a block together (``_keyed_pass``). On the block path a dense pass
-builds its last layer over the collision classes p* reads (``_class_keys``).
+lengths alone, it runs keyed, trellises of a block together, when the rows
+bound its paths to 2^n (``_keyed_pass``), else dense, one trellis at a time
+(``_forward_pass``). On the block path a large dense last layer is built
+over the collision classes p* reads (``_class_keys``), and so is a keyed
+one when every use reads one announced value: a count, or one scored arm.
 
 The block path is ``_watch`` over ``_Holdings``, the array form of what
 the watchdogs of any number of relay uses hold. It cuts them into blocks
@@ -331,7 +332,7 @@ class Trellis:
 
 def _forward_pass(
     starts: np.ndarray, shifts: np.ndarray, probs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-    n: int, lam: int, wanted: np.ndarray | None,
+    n: int, cut: tuple[np.ndarray, np.ndarray, int] | None,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``_keyed_pass`` of a group of one trellis, run dense over 2^n-entry vectors.
 
@@ -356,11 +357,12 @@ def _forward_pass(
     and a row's shifts are distinct, so each of its states takes one term
     t_x * 1.0 = t_x, and 0.0 + t_x is t_x.
 
-    The last layer keeps only the classes marked in wanted when lam makes
-    several and it has over ``_SCATTER_CHUNK`` terms (a smaller cut costs
-    more than it saves). State s's class is the low bits of lam * s in
-    GF(2^n), a GF(2)-linear key: shift_x ^ u is in class c when u is in
-    class c ^ key(shift_x). Layer i-1 is laid out as a grid, row r its
+    With cut = (lam, keys, mask) of the trellis (``_class_keys``), the last
+    layer keeps only the classes in keys when lam != 0 and it has over
+    ``_SCATTER_CHUNK`` terms (a smaller cut costs more than it saves).
+    State s's class is the low bits (mask) of lam * s in GF(2^n), a
+    GF(2)-linear key: shift_x ^ u is in class c when u is in class
+    c ^ key(shift_x). Layer i-1 is laid out as a grid, row r its
     states of class r padded with weight 0.0; for each wanted class c,
     candidate x meets row c ^ key(shift_x). A kept state still takes one
     term per candidate, in candidate order (a pad adds +0.0): bit-identical.
@@ -375,10 +377,10 @@ def _forward_pass(
             vec = np.zeros(size)
             vec[row_shifts ^ start] = row_probs
         else:
-            cut = (i == lo.shape[1] and lam != 0 and len(wanted) > 1
-                   and len(row_shifts) * len(support) > _SCATTER_CHUNK)
-            if cut:
-                mask = len(wanted) - 1
+            split = (i == lo.shape[1] and cut is not None and cut[0][0] != 0
+                     and len(row_shifts) * len(support) > _SCATTER_CHUNK)
+            if split:
+                (lam,), (keys,), mask = cut
                 keyed = np.sort((gf.mul_elementwise(lam, support) & mask) << n | support)
                 cls, members = keyed >> n, keyed & (size - 1)
                 counts = np.bincount(cls, minlength=mask + 1)
@@ -386,13 +388,14 @@ def _forward_pass(
                 grid_states = np.zeros((mask + 1, counts.max()), np.int64)
                 grid_weights = np.zeros(grid_states.shape)
                 grid_states[cls, col], grid_weights[cls, col] = members, vec[members]
-                own, classes = gf.mul_elementwise(lam, row_shifts) & mask, np.flatnonzero(wanted)
+                own = gf.mul_elementwise(lam, row_shifts) & mask
+                classes = np.flatnonzero(np.bincount(keys, minlength=mask + 1))  # wanted, ascending
             else:  # the whole layer, one class: its support is the grid's one row, read as is
                 grid_states, grid_weights, classes = support[None], mass[None], [0]
             step, vec = max(1, _SCATTER_CHUNK // grid_states.shape[1]), None
             for c in classes:
                 for at in range(0, len(row_shifts), step):
-                    rows = own[at:at + step] ^ c if cut else 0
+                    rows = own[at:at + step] ^ c if split else 0
                     targets = (row_shifts[at:at + step, None] ^ grid_states[rows]).ravel()
                     weights = (row_probs[at:at + step, None] * grid_weights[rows]).ravel()
                     if vec is not None:
@@ -417,6 +420,7 @@ def _keyed_pass(
     lo: np.ndarray,
     hi: np.ndarray,
     n: int,
+    cut: tuple[np.ndarray, np.ndarray, int] | None,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``_forward_pass`` of a group of trellises at once, one keyed pass per layer.
 
@@ -435,12 +439,16 @@ def _keyed_pass(
     pass adds, in the order it adds them. Each layer equals that pass's
     positive support bit for bit, layer 1 included (0.0 + t_x * 1.0 is
     t_x). A rank-based id (``np.argsort``) was faster, but its first use
-    adds about 0.2 MiB of resident set.
+    adds about 0.2 MiB of resident set. With cut, (lam, keys, mask) of its
+    trellises (``_class_keys``), the last layer's contributions to classes
+    other than keys[:, 0] are dropped before ranking: a kept state keeps all
+    its terms.
     """
     count, mask = len(starts), (1 << n) - 1
     layers = [(np.arange(count), starts, np.ones(count))]
-    for row_lo, row_hi in zip(lo.T, hi.T):
-        keys, terms = _contributions(layers[-1], count, row_lo, row_hi, shifts, probs, n)
+    for i, (row_lo, row_hi) in enumerate(zip(lo.T, hi.T), 1):
+        last = cut if i == lo.shape[1] else None
+        keys, terms = _contributions(layers[-1], count, row_lo, row_hi, shifts, probs, n, last)
         distinct, ids = _ranks(keys)
         sums = np.bincount(ids, terms, minlength=len(distinct))
         live = sums > 0.0
@@ -456,8 +464,14 @@ def _contributions(
     shifts: np.ndarray,
     probs: np.ndarray,
     n: int,
+    cut: tuple[np.ndarray, np.ndarray, int] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(keys, terms) of one ``_keyed_pass`` layer's contributions, laid out as it lays them.
+
+    With cut = (lam, classes, mask), ``_class_keys``' multipliers and keys,
+    only contributions to each trellis's class classes[:, 0] are kept, in
+    order. The class key is GF(2)-linear, key(shift ^ u) = key(shift) ^
+    key(u): shifts and live states are keyed, not contributions.
 
     A function of its own so that its index arrays are freed before the
     keys are sorted: a block's peak memory is a layer's temporaries.
@@ -467,9 +481,15 @@ def _contributions(
     lengths = row_hi - row_lo
     owner = np.repeat(np.arange(count), lengths)  # every candidate, trellis-major
     reps = sizes[owner]  # a candidate meets every live state of its trellis
-    cand = np.repeat(_ranges(row_lo, lengths), reps)
+    cands = _ranges(row_lo, lengths)
+    cand = np.repeat(cands, reps)
     src = _ranges((np.cumsum(sizes) - sizes)[owner], reps)
     keys = np.repeat(owner, reps)
+    if cut is not None:  # u's class must be key(shift) ^ classes[owner, 0]
+        (lam, classes, mask), gf = cut, default_field(n)
+        target = gf.mul_elementwise(lam[owner], shifts[cands]) & mask ^ classes[owner, 0]
+        keep = np.repeat(target, reps) == (gf.mul_elementwise(lam[trellis], states) & mask)[src]
+        cand, src, keys = cand[keep], src[keep], keys[keep]
     keys <<= n
     keys |= shifts[cand] ^ states[src]
     terms = probs[cand]
@@ -533,13 +553,14 @@ def _holdings(obs: WatchdogObservation) -> _Holdings:
     )
 
 
-# A trellis whose row lengths bound every layer to at most 2^n / _KEYED_SHARE
-# states runs keyed, with others of its block (``_keyed_pass``); the rest run
-# dense, one at a time (``_forward_pass``). Both give the same floats, so the
-# rule picks speed only: the keyed pass's sort costs more per contribution
-# than a dense ``bincount``, and the dense pass pays 2^n per layer and a
-# Python round trip per layer and trellis. 2^n / 8 is 128 states at n = 10.
-_KEYED_SHARE = 8
+# A trellis whose row lengths bound its paths, so every layer, to 2^n / _KEYED_SHARE
+# runs keyed, with others of its block (``_keyed_pass``); the rest run dense, one at
+# a time (``_forward_pass``). Both give the same floats, so the rule picks speed only:
+# the keyed pass's sort costs more per contribution than a dense ``bincount``, and
+# the dense pass pays 2^n per layer and a Python round trip per layer and trellis.
+# With its last layer cut to the announced class, the keyed pass wins up to 2^n
+# paths; full 256-candidate rows (65,536 paths at m = 3, n = 10) stay dense.
+_KEYED_SHARE = 1
 
 
 def _groups(uses: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
@@ -557,27 +578,31 @@ def _groups(uses: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
     return groups
 
 
-def _class_keys(hashes: _Hashes, k: int, announced: np.ndarray | None) -> tuple:
-    """Use k's (key multiplier, wanted classes): the classes hashing to a value announced[k].
+def _class_keys(hashes: _Hashes, announced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every use's (key multiplier, keys): the classes of the values it announced.
 
     Every hash ``_draws`` draws is beta(L(x)), L(x) the low delta bits of
     lam * x in GF(2^n) (GF(2)-linear) and beta a bijection: the affine hash
-    has lam = 1, beta(c) = a c + b (a odd), and the poly hash a_0 + a_1 x
-    lam = a_1, beta(c) = c ^ a_0. With a_1 = 0, or none announced, lam = 0: one class.
+    has lam = 1, beta(c) = a c + b (a odd, inverted mod 2^delta by Newton's
+    iteration, which doubles the correct low bits of a^-1 from a's own 3),
+    and the poly hash a_0 + a_1 x lam = a_1, beta(c) = c ^ a_0. keys[k, a]
+    is beta^-1(announced[k, a]). Where lam = 0 (a_1 = 0) every state is in
+    class 0, and so is every key: nothing is cut.
     """
-    if announced is None:
-        return 0, None
     family, n, delta, coeffs, _ = hashes
-    mask, drawn = (1 << delta) - 1, coeffs[k].tolist()
+    mask = (1 << delta) - 1
     if family == "affine":
-        lam, keys = 1, (announced[k] - drawn[1]) * pow(drawn[0], -1, mask + 1) & mask
-    elif len(drawn) == 2:
-        lam, keys = drawn[1], (announced[k] ^ drawn[0]) & mask
+        (a, b), lam = coeffs.T[:, :, None], np.ones(len(coeffs), np.int64)
+        inverse, bits = a, 3  # a * a = 1 mod 8 for odd a
+        while bits < delta:
+            inverse, bits = inverse * (2 - a * inverse) & mask, 2 * bits
+        keys = (announced - b) * inverse & mask
+    elif coeffs.shape[1] == 2:
+        lam, keys = coeffs[:, 1], (announced ^ coeffs[:, :1]) & mask
     else:
-        raise ValueError(f"a {family} hash of {len(drawn)} coefficients is never drawn")
-    wanted = np.zeros(mask + 1, bool)
-    wanted[keys] = True
-    return lam, wanted
+        raise ValueError(f"a {family} hash of {coeffs.shape[1]} coefficients is never drawn")
+    keys[lam == 0] = 0
+    return lam, keys
 
 
 def _trellises(h: _Holdings, announced: np.ndarray | None = None):
@@ -588,7 +613,10 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
     its layers as the pass gives them, trellis indexing uses. Keyed uses
     run in groups whose row lengths bound a layer's contributions to
     ``_SCATTER_CHUNK``; every other built use runs dense, a group of one.
-    A dense pass's last layer keeps the classes hashing to announced[k] (none given: all).
+    With announced given, a last layer may keep only the classes hashing to
+    a value announced[k] (``_class_keys``): dense, when large; keyed, when
+    every use reads one value. Several arms' classes cover most of a layer,
+    and a keyed cut there cost more than it saved.
     """
     peers, n = h.heard.shape[1], h.hashes.n
     gf = default_field(n)
@@ -602,12 +630,19 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
     bounds = np.prod(lengths, axis=1, dtype=float)  # no layer holds more states
     keyed = built & (bounds * _KEYED_SHARE <= 1 << n)
     dense = np.flatnonzero(built ^ keyed)[:, None]  # built, not keyed: groups of one
+    one_value = announced is not None and announced.shape[1] == 1  # counting, or one scored arm
+    cuts = announced is not None and h.hashes.delta > 0 and (one_value or len(dense) > 0)
+    lam, keys = _class_keys(h.hashes, announced) if cuts else (None, None)
     passes = []
     for group in [*(_groups(np.flatnonzero(keyed), bounds) if keyed.any() else []), *dense]:
         rows = group[:, None] * peers + np.arange(peers)
         args = starts[group], shifts, probs, edges[rows], edges[rows + 1], n
-        passes.append((group, _keyed_pass(*args) if keyed[group[0]] else
-                       _forward_pass(*args, *_class_keys(h.hashes, group[0], announced))))
+        cut = None if keys is None else (lam[group], keys[group], (1 << h.hashes.delta) - 1)
+        if not keyed[group[0]]:
+            passes.append((group, _forward_pass(*args, cut)))
+        else:  # cut where each use reads one value and some use's class key varies (lam != 0)
+            whole = cut is None or not one_value or not cut[0].any()
+            passes.append((group, _keyed_pass(*args, None if whole else cut)))
     return lengths, built, keyed, passes
 
 
@@ -779,7 +814,8 @@ def _watch_block(h: _Holdings, score: bool):
     scoring) relay normalizers; ``_trellises`` runs the forward passes, and
     the final layers of all uses are hashed, counted and scored together.
     A large dense last layer is cut to the classes every arm (arm 0 when
-    counting) announced. Every float is the one the use gives alone. The
+    counting) announced, and a keyed one when each use reads one arm. Every
+    float is the one the use gives alone. The
     trellis reads only what the watchdog holds, never the relay's payload,
     so all arms share it. Fallbacks count built flags and fault codes.
     """

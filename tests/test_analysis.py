@@ -136,6 +136,13 @@ def test_matched_count_validation():
         matched_count_expected(10, 3, 2, [0.1] * 3)
 
 
+@pytest.mark.parametrize("n, delta", [(10, 11), (10, 20), (1, 2), (10, -1)])
+def test_matched_count_rejects_a_hash_wider_than_the_symbol(n, delta):
+    with pytest.raises(ValueError, match=rf"^delta must be in \[0, n\], got {delta} at n = {n}$"):
+        matched_count_expected(n, 3, delta, [0.1] * 4)
+    assert matched_count_expected(n, 3, n, [0.1] * 4) > 0.0  # delta = n is accepted
+
+
 @pytest.mark.parametrize("evaluator", [matched_count_expected, matched_count_exponent_eps])
 def test_matched_count_evaluators_check_peers_and_rates(evaluator):
     with pytest.raises(ValueError, match="^m must be >= 1"):
@@ -151,7 +158,7 @@ def test_matched_count_evaluators_check_peers_and_rates(evaluator):
 def test_matched_count_evaluators_check_the_symbol_width(evaluator, n):
     with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
         evaluator(n, 3, 2, [0.1] * 4)
-    evaluator(1, 3, 2, [0.1] * 4)  # the smallest width is accepted
+    evaluator(1, 3, 1, [0.1] * 4)  # the smallest width is accepted
 
 
 def test_exponent_eps_form_matches():

@@ -149,6 +149,10 @@ def test_two_hop_rejects_bad_values(tmp_path):
      "m must be <= 4 at n - delta = 6, got 5"),
     (["analysis", "--table", "matched-count", "--n", "0"], "n must be >= 1, got 0"),
     (["analysis", "--table", "matched-count", "--n", "-3"], "n must be >= 1, got -3"),
+    (["analysis", "--table", "matched-count", "--deltas", "20"],
+     "deltas must be in [0, n] at n = 10, got 20"),
+    (["analysis", "--table", "matched-count", "--n", "4", "--deltas", "0,5"],
+     "deltas must be in [0, n] at n = 4, got 0,5"),
 ])
 def test_out_of_range_input_exits_one_naming_the_field(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"

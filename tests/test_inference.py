@@ -473,13 +473,16 @@ def _watch_blocks(draw):
 
     rates holds each peer column's rate, then the relay's. With an emptied
     use, peer 0 is noiseless and that use overhears it as a symbol of
-    another hash: its first row comes up empty.
+    another hash: its first row comes up empty. A trellis with a summed
+    layer (two peers or more) has rows of at most 2^8 candidates, delta >=
+    n - 8: at n = 12, delta = 0, a dense layer takes 16M contributions.
     """
     n = draw(st.integers(1, 12))
     peers = draw(st.integers(0, 3))
     count = draw(st.integers(1, 5))
     return (
-        n, draw(st.integers(0, n)), draw(st.sampled_from(FAMILIES)), peers, count,
+        n, draw(st.integers(max(0, n - 8) if peers >= 2 else 0, n)),
+        draw(st.sampled_from(FAMILIES)), peers, count,
         draw(st.integers(1, 3)),
         draw(st.lists(st.sampled_from(_ROW_RATES), min_size=peers + 1, max_size=peers + 1)),
         draw(st.sampled_from(_EPS)),
@@ -627,24 +630,38 @@ def _forged_holdings(block, forged, constant, seed):
     )
 
 
-def _cut_run(h):
-    """Every use's final layer, the support it was summed from, (p*, fault) and both ``_watch``
-    results, all trellises dense."""
-    with mock.patch.object(inference, "_KEYED_SHARE", 2**64):
-        lengths, built, _, passes = inference._trellises(h, h.relay_hashes)
-        finals = [(uses[t], s, w) for uses, layers in passes for t, s, w in layers[-1:]]
-        empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-        final = [np.concatenate(parts) for parts in zip(empty, *finals)]
-        layers = [{} for _ in built]  # each use's final layer, state -> weight
-        for t, s, w in zip(*(a.tolist() for a in final)):
-            layers[t][s] = w
-        return {
-            "lengths": lengths.tolist(), "built": built.tolist(), "layers": layers,
-            "before": {int(uses[0]): len(got[-2][1]) for uses, got in passes if len(got) > 2},
-            "scores": _as_lists(inference._score_arms(h, final)),
-            "scored": _as_lists(inference._watch(h)),
-            "unscored": _as_lists(inference._watch(h, score=False)),
-        }
+def _cut_run(h, announced):
+    """Every use's final layer, the support it was summed from and whether it ran keyed, each
+    arm's (p*, fault) read through announced's arms, and each use's final states hashing to a
+    value of announced."""
+    lengths, built, keyed, passes = inference._trellises(h, announced)
+    finals = [(uses[t], s, w) for uses, layers in passes for t, s, w in layers[-1:]]
+    empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+    use, states, _ = final = [np.concatenate(parts) for parts in zip(empty, *finals)]
+    layers = [{} for _ in built]  # each use's final layer, state -> weight
+    for t, s, w in zip(*(a.tolist() for a in final)):
+        layers[t][s] = w
+    arms = h._replace(relay_symbols=h.relay_symbols[:, :announced.shape[1]], relay_hashes=announced)
+    read = (h.hashes.at(use, states)[:, None] == announced[use]).any(axis=1)
+    return {
+        "lengths": lengths.tolist(), "built": built.tolist(), "keyed": keyed.tolist(),
+        "layers": layers,
+        "before": {int(uses[0]): len(got[-2][1]) for uses, got in passes if len(got) > 2},
+        "scores": _as_lists(inference._score_arms(arms, final)),
+        "reads": np.bincount(use[read], minlength=len(built)).tolist(),
+    }
+
+
+def _cut_runs(h):
+    """``_cut_run`` announcing every arm (scoring) and arm 0 (counting), and both ``_watch``
+    results."""
+    runs = [_cut_run(h, announced) for announced in (h.relay_hashes, h.relay_hashes[:, :1])]
+    return runs, _as_lists(inference._watch(h)), _as_lists(inference._watch(h, score=False))
+
+
+def _whole_keys(hashes, announced):
+    """``_class_keys`` with one class a use (lam = 0): no last layer is cut."""
+    return np.zeros(len(announced), np.int64), np.zeros_like(announced)
 
 
 @settings(max_examples=120, deadline=None)
@@ -661,25 +678,66 @@ def _cut_run(h):
 def test_cut_last_layer_scores_what_the_whole_layer_scores(drawn, chunk):
     """Each p*, fault, count and record == the whole last layer's; a cut keeps its classes.
 
-    A last layer of more than ``_SCATTER_CHUNK`` contributions (40 here in some runs, to
-    cut small trellises too) is cut to the announced classes; a smaller one is kept whole.
+    Trellises run keyed where their paths fit in 64 * 2^n (share 1/64), then all dense
+    (2^64), each announcing every arm (scoring) and arm 0 (counting). A dense last layer of
+    more than ``_SCATTER_CHUNK`` contributions (40 here in some runs, to cut small trellises
+    too) is cut to the announced classes; a smaller one is kept whole. A keyed last layer is
+    cut when every use announces one value, and kept whole for several arms.
     """
     h = _forged_holdings(*drawn)
-    with mock.patch.object(inference, "_SCATTER_CHUNK", chunk):
-        cut = _cut_run(h)
-        with mock.patch.object(inference, "_class_keys", lambda *_: (0, np.ones(1, bool))):
-            whole = _cut_run(h)
-    assert {k: v for k, v in cut.items() if k != "layers"} == {
-        k: v for k, v in whole.items() if k != "layers"
-    }
-    hashes, before = h.hashes, cut["before"]
-    for k, (kept, full) in enumerate(zip(cut["layers"], whole["layers"])):
-        one_class = hashes.delta == 0 or hashes.family == "poly" and hashes.coeffs[k, 1] == 0
-        # m <= 2 (no summed last layer), one class, or a last layer too small to cut: whole
-        if one_class or k not in before or cut["lengths"][k][-1] * before[k] <= chunk:
-            assert kept == full
-        else:  # exactly the states hashing to an announced value, with the whole layer's weights
-            states = np.array(sorted(full), dtype=np.int64)
-            hashed = h.hashes.at(np.full(len(states), k), states)
-            announced = states[np.isin(hashed, h.relay_hashes[k])].tolist()
-            assert kept == {s: full[s] for s in announced}
+    hashes = h.hashes
+    for share in (1 / 64, 2**64):
+        with (
+            mock.patch.object(inference, "_SCATTER_CHUNK", chunk),
+            mock.patch.object(inference, "_KEYED_SHARE", share),
+        ):
+            cuts, *cut_watch = _cut_runs(h)
+            with mock.patch.object(inference, "_class_keys", _whole_keys):
+                wholes, *whole_watch = _cut_runs(h)
+        assert cut_watch == whole_watch
+        for announced, cut, whole in zip((h.relay_hashes, h.relay_hashes[:, :1]), cuts, wholes):
+            assert {k: v for k, v in cut.items() if k != "layers"} == {
+                k: v for k, v in whole.items() if k != "layers"
+            }
+            before, one_value = cut["before"], announced.shape[1] == 1
+            for k, (kept, full) in enumerate(zip(cut["layers"], whole["layers"])):
+                one_class = hashes.delta == 0 or hashes.family == "poly" and not hashes.coeffs[k, 1]
+                if cut["keyed"][k]:  # every last layer built by a sum, with one announced value
+                    split = one_value and len(cut["lengths"][k]) > 0
+                else:  # a summed last layer (m >= 3) of more contributions than the chunk
+                    split = k in before and cut["lengths"][k][-1] * before[k] > chunk
+                if one_class or not split:
+                    assert kept == full
+                else:  # exactly the states hashing to an announced value, the whole layer's weights
+                    states = np.array(sorted(full), dtype=np.int64)
+                    hashed = hashes.at(np.full(len(states), k), states)
+                    announced_states = states[np.isin(hashed, announced[k])].tolist()
+                    assert kept == {s: full[s] for s in announced_states}
+
+
+@pytest.mark.parametrize("delta", range(17))
+def test_class_keys_invert_every_drawn_hash(delta):
+    """Each announced value's class is ``pow(a, -1, 2^delta)`` (r - b) (affine) or r ^ a_0 (poly).
+
+    Every odd affine multiplier a at this delta, with b and the announced values drawn;
+    poly hashes of every a_1 below 16, 0 included, whose one class is class 0.
+    """
+    rng, mask = np.random.default_rng(delta), (1 << delta) - 1
+    n = max(delta, 4)
+    odd = np.arange(1, mask + 2, 2)
+    coeffs = np.stack([odd, rng.integers(0, mask + 1, len(odd))], axis=1)
+    announced = rng.integers(0, mask + 1, (len(odd), 2))
+    lam, keys = inference._class_keys(_Hashes("affine", n, delta, coeffs, None), announced)
+    assert lam.tolist() == [1] * len(odd)
+    assert keys.tolist() == [[(r - b) * pow(a, -1, mask + 1) & mask for r in rs]
+                             for (a, b), rs in zip(coeffs.tolist(), announced.tolist())]
+    coeffs = np.stack([rng.integers(0, 1 << n, 16), np.arange(16)], axis=1)
+    announced = rng.integers(0, mask + 1, (16, 3))
+    lam, keys = inference._class_keys(_Hashes("poly", n, delta, coeffs, None), announced)
+    assert lam.tolist() == list(range(16))
+    assert keys[0].tolist() == [0] * 3  # a_1 = 0
+    drawn = zip(coeffs[1:, 0].tolist(), announced[1:].tolist())
+    assert keys[1:].tolist() == [[(r ^ a0) & mask for r in rs] for a0, rs in drawn]
+    quadratic = _Hashes("poly", n, delta, np.ones((1, 3), np.int64), None)
+    with pytest.raises(ValueError, match="never drawn"):
+        inference._class_keys(quadratic, announced[:1])
