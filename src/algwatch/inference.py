@@ -21,12 +21,12 @@ Every layer is held one way: (trellis, state, weight) arrays of its
 positive-weight states. The forward pass scatters each layer update from
 the previous layer's states alone, summing the contributions with
 ``np.bincount`` in the order a per-candidate dense pass would, so every
-layer is bit-for-bit what that pass gives. Chosen per trellis from its row
-lengths alone, it runs keyed, trellises of a block together, when the rows
-bound its paths to 2^n (``_keyed_pass``), else dense, one trellis at a time
-(``_forward_pass``). On the block path a large dense last layer is built
-over the collision classes p* reads (``_class_keys``), and so is a keyed
-one when every use reads one announced value: a count, or one scored arm.
+layer is bit-for-bit what that pass gives. It runs keyed, trellises of a
+block together, when the rows bound its paths to 2^n / 8 (``_keyed_pass``),
+else dense, one trellis at a time (``_forward_pass``). On the block path a
+large dense last layer is built over the collision classes p* reads
+(``_class_keys``), and so is a summed keyed one when every use reads one
+announced value, a count or one scored arm: then 2^n paths run keyed.
 
 The block path is ``_watch`` over ``_Holdings``, the array form of what
 the watchdogs of any number of relay uses hold. It cuts them into blocks
@@ -558,9 +558,9 @@ def _holdings(obs: WatchdogObservation) -> _Holdings:
 # a time (``_forward_pass``). Both give the same floats, so the rule picks speed only:
 # the keyed pass's sort costs more per contribution than a dense ``bincount``, and
 # the dense pass pays 2^n per layer and a Python round trip per layer and trellis.
-# With its last layer cut to the announced class, the keyed pass wins up to 2^n
-# paths; full 256-candidate rows (65,536 paths at m = 3, n = 10) stay dense.
-_KEYED_SHARE = 1
+# A keyed pass whose last layer is cut to one class wins up to 2^n paths, 8 times
+# as many (``_trellises``); full 256-candidate rows (65,536 paths) stay dense.
+_KEYED_SHARE = 8
 
 
 def _groups(uses: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
@@ -614,9 +614,10 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
     run in groups whose row lengths bound a layer's contributions to
     ``_SCATTER_CHUNK``; every other built use runs dense, a group of one.
     With announced given, a last layer may keep only the classes hashing to
-    a value announced[k] (``_class_keys``): dense, when large; keyed, when
-    every use reads one value. Several arms' classes cover most of a layer,
-    and a keyed cut there cost more than it saved.
+    a value announced[k] (``_class_keys``): dense, when large; keyed, when it
+    sums two or more peers and every use reads one value (then it runs keyed
+    up to 2^n paths). Several arms' classes cover most of a layer, and a
+    keyed cut there, or of a layer 1, cost more than it saved.
     """
     peers, n = h.heard.shape[1], h.hashes.n
     gf = default_field(n)
@@ -628,10 +629,11 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
     starts = gf.mul_elementwise(h.coeffs[:, 0], h.own)
     built = lengths.all(axis=1)
     bounds = np.prod(lengths, axis=1, dtype=float)  # no layer holds more states
-    keyed = built & (bounds * _KEYED_SHARE <= 1 << n)
+    cut_keyed = (announced is not None and announced.shape[1] == 1  # one value: count, one arm
+                 and peers > 1 and h.hashes.delta > 0)  # a summed last layer of several classes
+    keyed = built & (bounds * (_KEYED_SHARE / 8 if cut_keyed else _KEYED_SHARE) <= 1 << n)
     dense = np.flatnonzero(built ^ keyed)[:, None]  # built, not keyed: groups of one
-    one_value = announced is not None and announced.shape[1] == 1  # counting, or one scored arm
-    cuts = announced is not None and h.hashes.delta > 0 and (one_value or len(dense) > 0)
+    cuts = announced is not None and h.hashes.delta > 0 and (cut_keyed or len(dense) > 0)
     lam, keys = _class_keys(h.hashes, announced) if cuts else (None, None)
     passes = []
     for group in [*(_groups(np.flatnonzero(keyed), bounds) if keyed.any() else []), *dense]:
@@ -641,7 +643,7 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
         if not keyed[group[0]]:
             passes.append((group, _forward_pass(*args, cut)))
         else:  # cut where each use reads one value and some use's class key varies (lam != 0)
-            whole = cut is None or not one_value or not cut[0].any()
+            whole = not cut_keyed or not cut[0].any()
             passes.append((group, _keyed_pass(*args, None if whole else cut)))
     return lengths, built, keyed, passes
 

@@ -558,6 +558,8 @@ def _as_lists(result):
 # states of four terms each: a state-major layout, or terms summed in sorted
 # key order, changes the last bit of a weight here
 @example((2, 0, "affine", 2, 1, 1, [0.01, 0.01, 0.0], None, 0, None), 1)
+# three arms over full rows, 128 * 2^n paths: dense when scored, keyed and cut when counted
+@example((5, 1, "affine", 3, 2, 3, [0.1, 0.1, 0.1, 0.1], None, 1, None), 40)
 def test_keyed_pass_equals_dense_pass(block, chunk):
     """Every layer, support, matched count and p* of the keyed pass ==, the dense pass's."""
     h = _block_holdings(*block)
@@ -581,13 +583,17 @@ def test_keyed_pass_equals_dense_pass(block, chunk):
                 "unscored": _as_lists(inference._watch(h, score=False)),
                 "public": [_public_calls(_one_use(h, k)) for k in range(len(built))],
             }
-            for result in ("scored", "unscored"):  # only the forward paths differ
-                forward = {"dense": int((built & ~keyed).sum()), "keyed": int(keyed.sum())}
+            bounds = np.prod(lengths, axis=1, dtype=float)
+            for result, arms in (("scored", h.relay_hashes.shape[1]), ("unscored", 1)):
+                # only the forward paths differ; a keyed last layer cut to one announced
+                # value (a sum, delta > 0) runs keyed up to 8 times the paths
+                cut = arms == 1 and lengths.shape[1] > 1 and h.hashes.delta > 0
+                ran = built & (bounds * share <= (8 if cut else 1) << n)
+                forward = {"dense": int((built & ~ran).sum()), "keyed": int(ran.sum())}
                 assert run[result][1].forward == forward
                 run[result][1].forward = None
             run["keyed"] = keyed
     keyed, dense = runs[keyed_share].pop("keyed"), runs[dense_share].pop("keyed")
-    bounds = np.prod(lengths, axis=1)
     assert keyed.tolist() == (built & (bounds <= 64 << n)).tolist() and not dense.any()
     assert runs[keyed_share] == runs[dense_share]
     table = h.hashes.tables[emptied] if emptied is not None else np.zeros(1)
@@ -682,7 +688,7 @@ def test_cut_last_layer_scores_what_the_whole_layer_scores(drawn, chunk):
     (2^64), each announcing every arm (scoring) and arm 0 (counting). A dense last layer of
     more than ``_SCATTER_CHUNK`` contributions (40 here in some runs, to cut small trellises
     too) is cut to the announced classes; a smaller one is kept whole. A keyed last layer is
-    cut when every use announces one value, and kept whole for several arms.
+    cut when it is a sum and every use announces one value, and kept whole for several arms.
     """
     h = _forged_holdings(*drawn)
     hashes = h.hashes
@@ -702,8 +708,8 @@ def test_cut_last_layer_scores_what_the_whole_layer_scores(drawn, chunk):
             before, one_value = cut["before"], announced.shape[1] == 1
             for k, (kept, full) in enumerate(zip(cut["layers"], whole["layers"])):
                 one_class = hashes.delta == 0 or hashes.family == "poly" and not hashes.coeffs[k, 1]
-                if cut["keyed"][k]:  # every last layer built by a sum, with one announced value
-                    split = one_value and len(cut["lengths"][k]) > 0
+                if cut["keyed"][k]:  # every summed last layer (m >= 3), with one announced value
+                    split = one_value and len(cut["lengths"][k]) > 1
                 else:  # a summed last layer (m >= 3) of more contributions than the chunk
                     split = k in before and cut["lengths"][k][-1] * before[k] > chunk
                 if one_class or not split:
