@@ -147,9 +147,12 @@ def matched_count_exponent_eps(
 
     Rearranged to expose the tradeoff between overhearing quality (entropy
     of the rates) and redundancy (code distances plus hash fraction):
-    n * [sum H(p) - (sum H(d) + 1 + m*eps)].
+    n * [sum H(p) - (sum H(d) + 1 + m*eps)]. eps outside [0, 1], a hash
+    wider than the symbol, is a ValueError.
     """
     p_rates, d_over_n = _count_args(n, m, p_rates, d_over_n)
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must be in [0, 1], got {eps}")
     hp = sum(binary_entropy(p) for p in p_rates)
     hd = sum(binary_entropy(d) for d in d_over_n)
     return n * (hp - (hd + 1.0 + m * eps))

@@ -6,16 +6,19 @@ Two families of delta-bit hashes over n-bit symbols:
   with a odd. Odd a makes every preimage class over the full n-bit space
   exactly 2^(n-delta) elements, which the detection analysis assumes.
   This is the family the experiments use.
-- ``poly``: evaluate sum a_i x^i in GF(2^n) (``default_field(n)``) and
+- ``poly``: evaluate a_0 + a_1 x in GF(2^n) (``default_field(n)``) and
   keep the low delta bits.
 
 delta = 0 is the empty hash: every input maps to 0. ``_draws`` is the one
 rule for drawing a hash, from a generator or for a whole run of trials.
+
+Both families are beta(L(x)), L GF(2)-linear and beta a bijection
+(``_class_keys``), so each collision class is a coset of ker L, which
+``_classes`` enumerates without hashing the whole n-bit space.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,8 +33,8 @@ FAMILIES = ("affine", "poly")
 class HashSpec:
     """Immutable description of one concrete hash function.
 
-    coefficients is (a, b) for the affine family and (a_0, ..., a_d) for
-    the poly family.
+    coefficients is (a, b) for the affine family and (a_0, a_1) for the
+    poly family.
     """
 
     family: str
@@ -55,8 +58,8 @@ class HashSpec:
             if not (0 <= a < max(2, 1 << self.delta) and 0 <= b < max(1, 1 << self.delta)):
                 raise ValueError("affine coefficients must be delta-bit values")
         else:
-            if not self.coefficients:
-                raise ValueError("poly family needs at least one coefficient")
+            if len(self.coefficients) != 2:
+                raise ValueError("poly family takes coefficients (a_0, a_1)")
             if any(not 0 <= c < (1 << self.n) for c in self.coefficients):
                 raise ValueError("poly coefficients must be n-bit field elements")
 
@@ -72,11 +75,8 @@ def hash_eval(spec: HashSpec, x: int) -> int:
     if spec.family == "affine":
         a, b = spec.coefficients
         return (a * x + b) & spec.mask
-    acc = 0
-    f = default_field(spec.n)
-    for c in reversed(spec.coefficients):
-        acc = f.add(f.mul(acc, x), c)
-    return acc & spec.mask
+    a_0, a_1 = spec.coefficients
+    return (default_field(spec.n).mul(a_1, x) ^ a_0) & spec.mask
 
 
 def hash_eval_vec(spec: HashSpec, xs: np.ndarray) -> np.ndarray:
@@ -95,53 +95,80 @@ def _hash_rows(family: str, n: int, delta: int, coeffs, xs) -> np.ndarray:
     mask = (1 << delta) - 1
     if family == "affine":
         return (coeffs[:, :1] * xs + coeffs[:, 1:]) & mask
-    f = default_field(n)
-    acc = coeffs[:, -1:]
-    for c in coeffs.T[-2::-1]:
-        # Horner step: acc = acc*x + c, elementwise over every row (broadcast).
-        acc = f.mul_elementwise(acc, xs) ^ c[:, None]
-    return np.broadcast_to(acc, np.broadcast_shapes(acc.shape, xs.shape)) & mask
-
-
-def _tables(family: str, n: int, delta: int, coeffs) -> np.ndarray:
-    """Hash of every n-bit symbol under each row of coeffs, one row per hash.
-
-    Made only for a question that reads a whole collision class: a
-    transition row that scans the class, or a relay's normalizer. A row is
-    2^n int64 values, 8 KiB at n = 10, while a ball-pruned trial reads about
-    33 symbols there; ``_Hashes.at`` hashes just the symbols read when a
-    block has no tables.
-    """
-    return _hash_rows(family, n, delta, coeffs, np.arange(1 << n, dtype=np.int64))
+    return (default_field(n).mul_elementwise(coeffs[:, 1:], xs) ^ coeffs[:, :1]) & mask
 
 
 class _Hashes(NamedTuple):
-    """The hashes of a block of uses, one per row, and their ``_tables`` when made."""
+    """The hashes of a block of uses, one per row."""
 
     family: str
     n: int
     delta: int
     coeffs: np.ndarray  # row k: use k's hash's coefficients
-    tables: np.ndarray | None
 
     def at(self, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """xs[i] hashed under use rows[i]'s hash, for xs of 1 or 2 dimensions.
-
-        Looked up in the tables when they are made, else computed.
-        """
+        """xs[i] hashed under use rows[i]'s hash, for xs of 1 or 2 dimensions."""
         if xs.ndim == 1:
             return self.at(rows, xs[:, None])[:, 0]
-        if self.tables is not None:
-            return self.tables.ravel()[rows[:, None] << self.n | xs]
         return _hash_rows(self.family, self.n, self.delta, self.coeffs[rows], xs)
 
 
-@functools.lru_cache(maxsize=8)
-def _table(spec: HashSpec) -> np.ndarray:
-    """Read-only ``_tables`` row of one spec, cached for repeated lookups."""
-    table = _tables(spec.family, spec.n, spec.delta, [spec.coefficients])[0]
-    table.flags.writeable = False
-    return table
+def _spec_hashes(spec: HashSpec) -> _Hashes:
+    """spec as the hashes of a one-use block."""
+    return _Hashes(spec.family, spec.n, spec.delta, np.array([spec.coefficients]))
+
+
+def _class_keys(hashes: _Hashes, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every use's (key multiplier, keys): the classes of the values in its row of targets.
+
+    Every hash is beta(L(x)), L(x) the low delta bits of lam * x in GF(2^n)
+    (GF(2)-linear) and beta a bijection: the affine hash has lam = 1,
+    beta(c) = a c + b (a odd, inverted mod 2^delta by Newton's iteration,
+    which doubles the correct low bits of a^-1 from a's own 3), and the poly
+    hash a_0 + a_1 x lam = a_1, beta(c) = c ^ a_0. keys[k, j] is
+    beta^-1(targets[k, j]). Where lam = 0 (a_1 = 0) every symbol is in
+    class 0, and so is every key.
+    """
+    family, _, delta, coeffs = hashes
+    mask = (1 << delta) - 1
+    if family == "affine":
+        (a, b), lam = coeffs.T[:, :, None], np.ones(len(coeffs), np.int64)
+        inverse, bits = a, 3  # a * a = 1 mod 8 for odd a
+        while bits < delta:
+            inverse, bits = inverse * (2 - a * inverse) & mask, 2 * bits
+        keys = (targets - b) * inverse & mask
+    else:
+        lam, keys = coeffs[:, 1], (targets ^ coeffs[:, :1]) & mask
+    keys[lam == 0] = 0
+    return lam, keys
+
+
+def _classes(hashes: _Hashes, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collision classes of a batch: target (k, j) under use k's hash, as cosets.
+
+    Returns (item, symbol) pairs, item indexing ``targets.ravel()``, in item
+    order and ascending symbol order within an item. The class of key c
+    (``_class_keys``) is lam^-1 {c, c + 2^delta, c + 2 * 2^delta, ...}:
+    affine classes (lam = 1) come out ascending, and poly ones are sorted
+    by the keys ``item << n | symbol``. A poly hash with a_1 = 0 is the
+    constant a_0: its class is the whole space or nothing.
+    """
+    family, n, delta, coeffs = hashes
+    lam, keys = _class_keys(hashes, targets)
+    items = np.arange(targets.size)
+    coset = keys.reshape(-1, 1) | np.arange(1 << (n - delta)) << delta
+    if family == "affine":
+        return np.repeat(items, coset.shape[1]), coset.ravel()
+    f, lam = default_field(n), np.repeat(lam, targets.shape[1])
+    live = lam != 0
+    inverse = f._exp_np[f.order - 1 - f._log_np[lam[live]]]  # lam^-1 from the log tables
+    constant = (coeffs[:, :1] & (1 << delta) - 1) == targets
+    whole = np.flatnonzero(~live & constant.ravel())
+    found = np.sort(np.concatenate((
+        (items[live, None] << n | f.mul_elementwise(inverse[:, None], coset[live])).ravel(),
+        (whole[:, None] << n | np.arange(1 << n)).ravel(),
+    )))
+    return found >> n, found & (1 << n) - 1
 
 
 def _draws(family: str, n: int, delta: int) -> tuple[list, list, list]:
@@ -183,13 +210,12 @@ def collision_list(spec: HashSpec, target: int) -> list[int]:
 
 
 def collision_class(spec: HashSpec, target: int) -> np.ndarray:
-    """Vectorized collision_list: a lookup into the spec's hash table."""
+    """Vectorized collision_list: the target's coset (``_classes``)."""
     if not 0 <= target < (1 << spec.delta):
         raise ValueError(f"target {target} is not a {spec.delta}-bit value")
-    return np.flatnonzero(_table(spec) == target)
+    return _classes(_spec_hashes(spec), np.array([[target]]))[1]
 
 
 def hash_partition(spec: HashSpec) -> dict[int, np.ndarray]:
     """Map each delta-bit value in the hash's image to its preimage class."""
-    table = _table(spec)
-    return {int(t): np.flatnonzero(table == t) for t in np.unique(table)}
+    return {t: cls for t in range(1 << spec.delta) if len(cls := collision_class(spec, t))}

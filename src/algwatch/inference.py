@@ -30,17 +30,19 @@ announced value, a count or one scored arm: then 2^n paths run keyed.
 
 The block path is ``_watch`` over ``_Holdings``, the array form of what
 the watchdogs of any number of relay uses hold. It cuts them into blocks
-and makes each block's hash tables only where they are read, then makes a
-block's transition rows and relay normalizers in one batched pass each,
-runs the forward passes and scores the final layers of all its uses
-together. The Monte Carlo harness hands it whole pieces of drawn trials,
-and it hands back their values and one RunDiagnostics. On this path an
-InferenceError's cause is a small fault code (``_FAULTS`` holds the
-messages): a faulted arm scores p* = 0 and is counted, never listed. The
-one-observation calls are thin: ``build_and_run_trellis`` keeps a one-use
-block's one pass, and ``consistency_probability`` scores its final layer
-(``_score_arms``); they raise the message of their use's fault. Every use
-gets exactly the floats it would get alone.
+sized by the candidates a use holds, then makes a block's transition rows
+and relay normalizers in one batched pass each, reading collision classes
+as cosets (``hashing._classes``) or ball candidates, and no table of a
+hash over all 2^n symbols. It runs the forward passes, then hashes and
+scores the final layers of all its uses together. The Monte Carlo
+harness hands it whole pieces of drawn trials, and it hands back their
+values and one RunDiagnostics. On this path an InferenceError's cause is
+a small fault code (``_FAULTS`` holds the messages): a faulted arm
+scores p* = 0 and is counted, never listed. The one-observation calls
+are thin: ``build_and_run_trellis`` keeps a one-use block's one pass,
+and ``consistency_probability`` scores its final layer
+(``_score_arms``); they raise the message of their use's fault. Every
+use gets exactly the floats it would get alone.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import numpy as np
 
 from .channel import Bsc, _log_likelihood_table, ball_radius, ball_volume, log_likelihood
 from .gfield import GF2n, default_field
-from .hashing import HashSpec, _Hashes, _table, _tables, hash_eval
+from .hashing import HashSpec, _class_keys, _classes, _Hashes, _spec_hashes, hash_eval
 
 
 # Contributions summed per np.bincount call in the forward pass; bounds each
@@ -172,16 +174,6 @@ def _segment_reduce(
     return out
 
 
-def _classes(tables: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collision classes of a batch: target (k, j) looked up in hash table tables[k].
-
-    Returns (item, symbol) pairs, item indexing ``targets.ravel()``, in item
-    order and ascending symbol order within an item.
-    """
-    found = np.flatnonzero(tables[:, None, :] == targets[:, :, None])
-    return np.divmod(found, tables.shape[1])
-
-
 @functools.cache
 def _ball_masks(n: int, r: int) -> np.ndarray:
     """Read-only: every n-bit mask of weight at most r, ascending."""
@@ -220,7 +212,7 @@ def _pruning(
 
     Candidates are found in the balls of the widest radius when that ball
     holds no more symbols than a collision class of an onto hash,
-    2^(n - delta); else (None) in the whole hash table.
+    2^(n - delta); else (None) in the whole classes (``_classes``).
     """
     radius = np.array([ball_radius(ch, n, eps) for ch in channels], dtype=np.int64)
     radius.flags.writeable = False
@@ -246,14 +238,14 @@ def _transition_rows(
     and sums taken per row in row order (``_segment_reduce``).
 
     Pruned rows find their candidates in the balls (``_ball_members``)
-    where ``_pruning`` says so; other rows scan the whole hash table
-    (``_classes``), which hashes must then hold. The distance filter then
-    leaves the same candidates in the same order either way.
+    where ``_pruning`` says so; other rows enumerate their whole collision
+    classes (``_classes``). The distance filter then leaves the same
+    candidates in the same order either way.
     """
     channels, n, delta = tuple(channels), hashes.n, hashes.delta
     radius, reach = (None, None) if prune_eps is None else _pruning(channels, n, delta, prune_eps)
     if reach is None:
-        items, cands = _classes(hashes.tables, targets)
+        items, cands = _classes(hashes, targets)
     else:
         items, cands = _ball_members(hashes, observed, targets, reach)
     peer = items % targets.shape[1]
@@ -514,7 +506,7 @@ class _Holdings(NamedTuple):
     over peer_channels[j], and every arm over relay_channel.
     """
 
-    hashes: _Hashes  # each use's hash, with tables where a whole collision class is read
+    hashes: _Hashes  # each use's hash
     own: np.ndarray  # the watchdog's own symbol
     coeffs: np.ndarray  # the nonzero coding coefficients, the watchdog's first
     heard: np.ndarray  # the peers' symbols as the watchdog overheard them
@@ -525,20 +517,12 @@ class _Holdings(NamedTuple):
     relay_channel: Bsc
     prune_eps: float | None
 
-    def block(self, lo: int, hi: int, score: bool) -> _Holdings:
-        """Uses lo..hi-1, with tables made from their own hashes where ``_reach`` says so."""
+    def block(self, lo: int, hi: int) -> _Holdings:
+        """Uses lo..hi-1."""
         # from a list: a tuple made from a generator is resized, and every such
         # tuple freed would stay behind on CPython's tuple free list
         part = self._make([a[lo:hi] if isinstance(a, np.ndarray) else a for a in self])
-        family, n, delta, coeffs, _ = self.hashes
-        tables = _tables(family, n, delta, coeffs[lo:hi]) if _reach(self, score) is None else None
-        return part._replace(hashes=_Hashes(family, n, delta, coeffs[lo:hi], tables))
-
-
-def _spec_hashes(spec: HashSpec) -> _Hashes:
-    """spec as the hashes of a one-use block, with its cached table."""
-    coeffs = np.array([spec.coefficients])
-    return _Hashes(spec.family, spec.n, spec.delta, coeffs, _table(spec)[None])
+        return part._replace(hashes=self.hashes._replace(coeffs=self.hashes.coeffs[lo:hi]))
 
 
 def _holdings(obs: WatchdogObservation) -> _Holdings:
@@ -576,33 +560,6 @@ def _groups(uses: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
         groups.append(uses[lo:hi])
         lo = hi
     return groups
-
-
-def _class_keys(hashes: _Hashes, announced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every use's (key multiplier, keys): the classes of the values it announced.
-
-    Every hash ``_draws`` draws is beta(L(x)), L(x) the low delta bits of
-    lam * x in GF(2^n) (GF(2)-linear) and beta a bijection: the affine hash
-    has lam = 1, beta(c) = a c + b (a odd, inverted mod 2^delta by Newton's
-    iteration, which doubles the correct low bits of a^-1 from a's own 3),
-    and the poly hash a_0 + a_1 x lam = a_1, beta(c) = c ^ a_0. keys[k, a]
-    is beta^-1(announced[k, a]). Where lam = 0 (a_1 = 0) every state is in
-    class 0, and so is every key: nothing is cut.
-    """
-    family, n, delta, coeffs, _ = hashes
-    mask = (1 << delta) - 1
-    if family == "affine":
-        (a, b), lam = coeffs.T[:, :, None], np.ones(len(coeffs), np.int64)
-        inverse, bits = a, 3  # a * a = 1 mod 8 for odd a
-        while bits < delta:
-            inverse, bits = inverse * (2 - a * inverse) & mask, 2 * bits
-        keys = (announced - b) * inverse & mask
-    elif coeffs.shape[1] == 2:
-        lam, keys = coeffs[:, 1], (announced ^ coeffs[:, :1]) & mask
-    else:
-        raise ValueError(f"a {family} hash of {coeffs.shape[1]} coefficients is never drawn")
-    keys[lam == 0] = 0
-    return lam, keys
 
 
 def _trellises(h: _Holdings, announced: np.ndarray | None = None):
@@ -694,21 +651,22 @@ class RunDiagnostics:
 
 
 def _relay_normalizers(
-    tables: np.ndarray, symbols: np.ndarray, hashes: np.ndarray, ch: Bsc, n: int
+    hashes: _Hashes, symbols: np.ndarray, announced: np.ndarray, ch: Bsc
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scaled normalizers of a batch of relays over their announced collision classes.
 
     Relay (k, a) was overheard over ch as symbols[k, a] and announces
-    hashes[k, a] under hash table tables[k]. Returns (top, denom, fault),
-    one entry per relay in ``hashes.ravel()`` order: top is the max log
+    announced[k, a] under use k's hash. Returns (top, denom, fault),
+    one entry per relay in ``announced.ravel()`` order: top is the max log
     likelihood over the class and denom = sum exp(logw - top), whose scale
     cancels in every ratio built from them; fault is the ``_FAULTS`` code of
     a relay that cannot be scored, else 0 (its top is then 0 and its denom
     meaningless). Each value is the one the relay would get alone.
     """
-    items, cls = _classes(tables, hashes)
-    logw = _log_likelihood_table((ch,), n)[0, np.bitwise_count(symbols.ravel()[items] ^ cls)]
-    lengths = np.bincount(items, minlength=hashes.size)
+    items, cls = _classes(hashes, announced)
+    d = np.bitwise_count(symbols.ravel()[items] ^ cls)
+    logw = _log_likelihood_table((ch,), hashes.n)[0, d]
+    lengths = np.bincount(items, minlength=announced.size)
     top = _segment_reduce(np.maximum, logw, lengths, -np.inf)
     possible = top > -np.inf
     top[~possible] = 0.0
@@ -718,11 +676,12 @@ def _relay_normalizers(
 
 
 def _score_arms(
-    h: _Holdings, final: tuple[np.ndarray, np.ndarray, np.ndarray]
+    h: _Holdings, final: tuple[np.ndarray, np.ndarray, np.ndarray], hashed: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(p*, fault) of every arm of a block scored against its final layers.
 
-    final is the uses' final layers as one (use, state, weight) layer. Both
+    final is the uses' final layers as one (use, state, weight) layer, and
+    hashed each of its states hashed under its use's hash. p* and fault
     come as (uses, arms) arrays, fault as ``_relay_normalizers`` codes it.
     Arm a of use k sums w(s) * T_inv(s, relay_symbols[k, a]) over its
     matched states s in ascending order, as one 1-D dot product; the terms
@@ -733,10 +692,10 @@ def _score_arms(
     use, states, weights = final
     count, arms = h.relay_hashes.shape
     top, denom, fault = _relay_normalizers(
-        h.hashes.tables, h.relay_symbols, h.relay_hashes, h.relay_channel, h.hashes.n
+        h.hashes, h.relay_symbols, h.relay_hashes, h.relay_channel
     )
     # matched (arm, state) pairs, arm-major: an arm's pairs run use by use, ascending
-    arm, at = np.nonzero(np.take(h.relay_hashes.T, use, axis=1) == h.hashes.at(use, states))
+    arm, at = np.nonzero(np.take(h.relay_hashes.T, use, axis=1) == hashed)
     relay = use[at] * arms + arm  # the pair's relay, as normalizers index relays
     d = np.bitwise_count(states[at] ^ h.relay_symbols.ravel()[relay])
     terms = np.exp(_log_likelihood_table((h.relay_channel,), h.hashes.n)[0, d] - top[relay])
@@ -753,36 +712,26 @@ def _score_arms(
     return pstars.reshape(count, arms), fault.reshape(count, arms)
 
 
-# Bound on a block's largest temporaries, in elements (``_use_elements``):
-# 8 single-arm uses with hash tables at n = 10, where blocks four times
-# larger grew peak memory by about 2 MiB and saved little more time.
+# Bound on a block's largest temporaries, in elements (``_use_elements``): set
+# when 8 single-arm uses each held a 2^n-entry hash table at n = 10; blocks four
+# times larger grew peak memory by about 2 MiB and saved little more time.
 _BLOCK_ELEMENTS = 1 << 13
-
-
-def _reach(h: _Holdings, score: bool) -> int | None:
-    """The ball radius h's blocks find candidates at without hash tables; None: they make them.
-
-    A block makes its uses' hash tables where it reads a whole collision
-    class: to score the relay, or for rows that scan their classes.
-    """
-    if score or h.prune_eps is None:
-        return None
-    return _pruning(h.peer_channels, h.hashes.n, h.hashes.delta, h.prune_eps)[1]
 
 
 def _use_elements(h: _Holdings, score: bool) -> int:
     """The elements a use of h holds in a block, as ``_BLOCK_ELEMENTS`` counts them.
 
-    With hash tables, 2^n values in its table, and about 2^(n - delta) per
-    arm in its relay normalizers. Without, its ball candidates and their
-    hashes: 2 x peers x V(n, r), 66 at the criterion-08 point, 124 uses a
-    block. Blocks of 248 uses ran no faster there, and grew peak memory by
-    about 0.4 MiB.
+    Its transition rows' candidates: a collision class of 2^(n - delta)
+    symbols a peer, or, where ``_pruning`` finds them in the balls, the ball
+    candidates and their hashes, 2 x peers x V(n, r): 66 at the criterion-08
+    point, 124 uses a block. Blocks of 248 uses ran no faster there, and
+    grew peak memory by about 0.4 MiB. Scored, also each arm's class in its
+    relay normalizers, 2^(n - delta) symbols.
     """
-    n, reach = h.hashes.n, _reach(h, score)
-    if reach is None:
-        return max(1 << n, h.relay_hashes.shape[1] << (n - h.hashes.delta))
-    return max(1, 2 * h.heard.shape[1] * ball_volume(n, reach))
+    n, delta, peers = h.hashes.n, h.hashes.delta, h.heard.shape[1]
+    reach = None if h.prune_eps is None else _pruning(h.peer_channels, n, delta, h.prune_eps)[1]
+    rows = peers << (n - delta) if reach is None else 2 * peers * ball_volume(n, reach)
+    return max(1, rows, h.relay_hashes.shape[1] << (n - delta) if score else 0)
 
 
 def _watch(h: _Holdings, score: bool = True):
@@ -804,13 +753,13 @@ def _watch(h: _Holdings, score: bool = True):
         values = np.empty(len(h.own), np.min_scalar_type(1 << h.hashes.n))
     record = RunDiagnostics()
     for lo in range(0, len(values), step):
-        values[lo:lo + step], part = _watch_block(h.block(lo, lo + step, score), score)
+        values[lo:lo + step], part = _watch_block(h.block(lo, lo + step), score)
         record.add(part)
     return values, record
 
 
 def _watch_block(h: _Holdings, score: bool):
-    """``_watch`` of one block, whose hashes hold the tables it reads: (values, RunDiagnostics).
+    """``_watch`` of one block: (values, RunDiagnostics).
 
     One batched pass each makes the block's transition rows and (when
     scoring) relay normalizers; ``_trellises`` runs the forward passes, and
@@ -827,10 +776,11 @@ def _watch_block(h: _Holdings, score: bool):
     finals = [(uses[t], s, w) for uses, layers in passes for t, s, w in layers[-1:]]
     empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     use, states, _ = final = [np.concatenate(parts) for parts in zip(empty, *finals)]
-    read = (h.hashes.at(use, states)[:, None] == announced[use]).any(axis=1)
+    hashed = h.hashes.at(use, states)
+    read = (hashed[:, None] == announced[use]).any(axis=1)
     reads = np.bincount(use[read], minlength=count)  # the final states p* reads
     if score:
-        values, fault = _score_arms(h, final)
+        values, fault = _score_arms(h, final, hashed)
         faulted = int(np.count_nonzero(fault[built]))  # an unbuilt use counts as a trellis fault
     else:
         values, faulted = reads, 0
@@ -870,7 +820,7 @@ def inverse_transition(
     """
     _check_overheard(spec, observed, "relay_hash", relay_hash)
     top, denom, fault = _relay_normalizers(
-        _table(spec)[None], np.array([[observed]]), np.array([[relay_hash]]), ch, spec.n
+        _spec_hashes(spec), np.array([[observed]]), np.array([[relay_hash]]), ch
     )
     if fault[0]:
         raise InferenceError(_FAULTS[fault[0]])
@@ -885,7 +835,9 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
     Sums w(s, m) * T_inv(s, observed) over the final layer; this is the
     statistic whose distribution separates honest from misbehaving relays.
     """
-    pstars, fault = _score_arms(_holdings(obs), trellis._layers[-1])
+    h = _holdings(obs)
+    use, states, _ = final = trellis._layers[-1]
+    pstars, fault = _score_arms(h, final, h.hashes.at(use, states))
     if fault[0, 0]:
         raise InferenceError(_FAULTS[fault[0, 0]])
     return float(pstars[0, 0])
@@ -893,8 +845,8 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
 
 def matched_codewords(trellis: Trellis, relay_hash: int, spec: HashSpec) -> list[int]:
     """Final-layer states with positive weight hashing to the relay's value."""
-    _, states, _ = trellis._layers[-1]
-    return states[_table(spec)[states] == relay_hash].tolist()
+    use, states, _ = trellis._layers[-1]
+    return states[_spec_hashes(spec).at(use, states) == relay_hash].tolist()
 
 
 def decide(p_star: float, t: float) -> Verdict:

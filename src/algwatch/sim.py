@@ -317,13 +317,13 @@ def _draw(cfg: TwoHopConfig, p_advs, words: np.ndarray) -> _Holdings:
 
     Headers arrive error-free, so peer hashes, the relay's recomputed own
     hash and the coefficients are exact. Each sender's hash is computed
-    directly (``_Hashes.at``); ``_watch`` makes the hash tables it reads.
+    directly (``_Hashes.at``).
     """
     count, m, n = len(words), cfg.m, cfg.n
     order = 1 << n
     ranges, scale, shift = _draws(cfg.hash_family, n, cfg.delta)
     coefficients = _integers(words[:, _HASH], ranges) * scale + shift
-    hashes = _Hashes(cfg.hash_family, n, cfg.delta, coefficients, None)
+    hashes = _Hashes(cfg.hash_family, n, cfg.delta, coefficients)
     drawn = _integers(words[:, _SYMBOLS], [order] * m + [order - 1] * m)
     symbols, coeffs = drawn[:, :m], drawn[:, m:] + 1
     uniforms = _uniforms(words[:, _CHANNELS], m * n).reshape(count, m, n)

@@ -143,22 +143,36 @@ def test_matched_count_rejects_a_hash_wider_than_the_symbol(n, delta):
     assert matched_count_expected(n, 3, n, [0.1] * 4) > 0.0  # delta = n is accepted
 
 
-@pytest.mark.parametrize("evaluator", [matched_count_expected, matched_count_exponent_eps])
+# Each evaluator's valid hash width: delta = 2 bits, or eps = 0.2 of a 10-bit symbol.
+_WIDTH = {matched_count_expected: 2, matched_count_exponent_eps: 0.2}
+
+
+@pytest.mark.parametrize("evaluator", list(_WIDTH))
 def test_matched_count_evaluators_check_peers_and_rates(evaluator):
+    width = _WIDTH[evaluator]
     with pytest.raises(ValueError, match="^m must be >= 1"):
-        evaluator(10, 0, 2, [0.1])
+        evaluator(10, 0, width, [0.1])
     for bad in (-0.1, 0.7):
         with pytest.raises(ValueError, match=rf"must be in \[0, 0.5\], got {bad}"):
-            evaluator(10, 3, 2, [0.1, 0.1, bad, 0.1])
-    evaluator(10, 3, 2, [0.0, 0.5, 0.1, 0.1])  # the range's ends are accepted
+            evaluator(10, 3, width, [0.1, 0.1, bad, 0.1])
+    evaluator(10, 3, width, [0.0, 0.5, 0.1, 0.1])  # the range's ends are accepted
 
 
-@pytest.mark.parametrize("evaluator", [matched_count_expected, matched_count_exponent_eps])
+@pytest.mark.parametrize("evaluator", list(_WIDTH))
 @pytest.mark.parametrize("n", [0, -3])
 def test_matched_count_evaluators_check_the_symbol_width(evaluator, n):
     with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
-        evaluator(n, 3, 2, [0.1] * 4)
-    evaluator(1, 3, 1, [0.1] * 4)  # the smallest width is accepted
+        evaluator(n, 3, _WIDTH[evaluator], [0.1] * 4)
+    evaluator(1, 3, 1, [0.1] * 4)  # the smallest width is accepted, its whole symbol hashed
+
+
+@pytest.mark.parametrize("eps", [2.0, -1.0, 1.0 + 1e-12, -1e-12, float("nan")])
+def test_exponent_eps_rejects_a_hash_fraction_outside_0_1(eps):
+    with pytest.raises(ValueError, match=rf"^eps must be in \[0, 1\], got {eps}$"):
+        matched_count_exponent_eps(10, 3, eps, [0.1] * 4)
+    for delta in (0, 10):  # no hash, and a hash as wide as the symbol, are accepted
+        exponent = matched_count_exponent_eps(10, 3, delta / 10, [0.1] * 4)
+        assert 2.0**exponent == pytest.approx(matched_count_expected(10, 3, delta, [0.1] * 4))
 
 
 def test_exponent_eps_form_matches():

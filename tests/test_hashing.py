@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algwatch import hashing
 from algwatch.gfield import default_field
 from algwatch.hashing import (
     FAMILIES,
@@ -49,8 +48,9 @@ def test_spec_validation():
         HashSpec("affine", 4, 2, (2, 1))  # even multiplier
     with pytest.raises(ValueError):
         HashSpec("affine", 4, 5, (1, 0))  # delta > n
-    with pytest.raises(ValueError):
-        HashSpec("poly", 4, 2, ())  # no coefficient
+    for coefficients in ((), (3,), (1, 1, 1)):  # a_0 + a_1 x only
+        with pytest.raises(ValueError, match="coefficients"):
+            HashSpec("poly", 4, 2, coefficients)
     with pytest.raises(ValueError):
         HashSpec("poly", 4, 2, (1, 16))  # coefficient outside GF(2^4)
     for n in (0, 17):
@@ -90,7 +90,7 @@ def test_collision_list_examples():
     with pytest.raises(ValueError):
         collision_list(spec, 4)
     # a constant poly hash is not onto: the other classes are empty
-    const = HashSpec("poly", 4, 2, (3,))
+    const = HashSpec("poly", 4, 2, (3, 0))
     assert collision_list(const, 3) == list(range(16))
     assert collision_list(const, 0) == []
 
@@ -105,41 +105,38 @@ def test_collision_class_matches_list():
 
 @st.composite
 def _class_queries(draw):
-    n = draw(st.integers(1, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    family, delta = draw(st.sampled_from(FAMILIES)), draw(st.integers(0, n))
+    n = draw(st.integers(1, 12))
+    family = draw(st.sampled_from(FAMILIES))
+    delta = draw(st.sampled_from([0, n]) | st.integers(0, n))  # both ends drawn often
     if family == "affine":
-        spec = sample_hash(rng, family, n, delta)
-    else:  # degrees 0 to 3, not only the drawn hashes' degree
-        coefficients = rng.integers(0, 1 << n, draw(st.integers(1, 4)))
-        spec = HashSpec(family, n, delta, tuple(coefficients.tolist()))
+        spec = sample_hash(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), family, n, delta)
+    else:  # (a_0, a_1) with a_1 = 0, the constant hash, drawn too
+        element = st.integers(0, (1 << n) - 1)
+        spec = HashSpec(family, n, delta, (draw(element), draw(st.just(0) | element)))
     targets = draw(st.lists(st.integers(0, (1 << spec.delta) - 1), min_size=1, max_size=4))
     return spec, targets
 
 
 @settings(max_examples=300, deadline=None)
 @given(_class_queries())
+@example((HashSpec("poly", 12, 0, (9, 0)), [0]))
+@example((HashSpec("poly", 12, 3, (9, 0)), [1, 2]))
+@example((HashSpec("poly", 12, 12, (5, 2049)), [0, 4095]))
+@example((HashSpec("affine", 12, 12, (4093, 7)), [0, 4095]))
+@example((HashSpec("affine", 1, 0, (1, 0)), [0]))
 def test_table_collision_class_matches_list(query):
+    """The coset route (``hashing._classes``) gives each class as the scalar scan does."""
     spec, targets = query
     for t in targets:
         cls = collision_class(spec, t)
         assert cls.dtype == np.int64
         assert cls.tolist() == collision_list(spec, t)
+        # what callers get back is their own writable array
+        cls[:] = -1
+        assert collision_class(spec, t).tolist() == collision_list(spec, t)
     for t in (-1, 1 << spec.delta):
         with pytest.raises(ValueError):
             collision_class(spec, t)
-
-
-def test_hash_table_is_read_only():
-    spec = sample_hash(np.random.default_rng(3), "poly", 6, 2)
-    table = hashing._table(spec)
-    assert table.tolist() == [hash_eval(spec, x) for x in range(64)]
-    with pytest.raises(ValueError):
-        table[0] ^= 1
-    # what callers get back is their own array, never a view of the table
-    cls = collision_class(spec, int(table[0]))
-    cls[0] = -1
-    assert collision_class(spec, int(table[0]))[0] != -1
 
 
 def test_partition_property():
@@ -153,8 +150,7 @@ def test_partition_property():
         assert sorted(seen.tolist()) == list(range(256))
 
 
-def test_equal_specs_share_one_table():
+def test_equal_specs_are_equal_values():
     # the poly field follows from n, so a spec is its values alone
     a, b = (HashSpec("poly", 6, 3, (5, 9)) for _ in range(2))
     assert a == b and hash(a) == hash(b)
-    assert hashing._table(a) is hashing._table(b)

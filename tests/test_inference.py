@@ -9,7 +9,8 @@ from algwatch import inference
 from algwatch.channel import Bsc, _log_likelihood_table, ball_radius, ball_volume
 from algwatch.gfield import default_field
 from algwatch.hashing import (
-    FAMILIES, HashSpec, _Hashes, _tables, collision_class, hash_eval, hash_eval_vec, sample_hash,
+    FAMILIES, HashSpec, _class_keys, _hash_rows, _Hashes, collision_class, collision_list,
+    hash_eval, hash_eval_vec, sample_hash,
 )
 from algwatch.inference import (
     InferenceError,
@@ -112,7 +113,7 @@ def _row_batches(draw):
 
 def _reference_row(spec, observed, target, ch, eps):
     """One row from its collision class: distance filter, then a 1-D normalization."""
-    cands = collision_class(spec, target)
+    cands = np.array(collision_list(spec, target), dtype=np.int64)
     d = np.bitwise_count(cands ^ observed)
     if eps is not None:
         near = d <= ball_radius(ch, spec.n, eps)
@@ -142,14 +143,8 @@ def test_transition_rows_match_class_filter_normalize(batch):
     observed = np.array(observed, dtype=np.int64).reshape(len(specs), len(rates))
     targets = np.array(targets, dtype=np.int64).reshape(observed.shape)
     coeffs = np.array([spec.coefficients for spec in specs])
-    hashes = _Hashes(family, n, delta, coeffs, _tables(family, n, delta, coeffs))
+    hashes = _Hashes(family, n, delta, coeffs)
     cands, probs, lengths = inference._transition_rows(hashes, observed, targets, channels, eps)
-    if eps is not None and inference._pruning(tuple(channels), n, delta, eps)[1] is not None:
-        # the ball side: rows read no table
-        tableless = inference._transition_rows(
-            hashes._replace(tables=None), observed, targets, channels, eps
-        )
-        assert [a.tolist() for a in tableless] == [cands.tolist(), probs.tolist(), lengths.tolist()]
     expect_cands, expect_probs, expect_lengths = [], [], []
     for k, spec in enumerate(specs):
         for j, ch in enumerate(channels):
@@ -395,7 +390,7 @@ def test_consistency_probability_no_matched_state():
 
 def test_consistency_probability_structural_error_when_class_empty():
     # a constant poly hash maps every symbol to 1, so the class of 2 is empty
-    const = HashSpec("poly", 4, 2, (1,))
+    const = HashSpec("poly", 4, 2, (1, 0))
     peer = Overheard(3, 1, Bsc(0.1))
     relay = Overheard(2, 2, Bsc(0.1))
     obs = _obs(2, (1, 1), 1, (peer,), relay, const)
@@ -408,7 +403,7 @@ def test_consistency_probability_structural_error_when_class_empty():
 def test_relay_faults_name_their_cause(case):
     if case == "empty class":
         # a constant poly hash maps every symbol to 1, so the class of 2 is empty
-        spec, relay = HashSpec("poly", 4, 2, (1,)), Overheard(2, 2, Bsc(0.1))
+        spec, relay = HashSpec("poly", 4, 2, (1, 0)), Overheard(2, 2, Bsc(0.1))
         message, candidate = "relay hash matches no symbol", 2
     else:
         # 3 hashes to 3 under LOW2; a noiseless channel cannot have turned a 2 into it
@@ -496,7 +491,7 @@ def _block_holdings(n, delta, family, peers, count, arms, rates, eps, seed, empt
     rng = np.random.default_rng(seed)
     order, rows = 1 << n, np.arange(count)[:, None]
     coeffs = np.array([sample_hash(rng, family, n, delta).coefficients for _ in range(count)])
-    tables = _tables(family, n, delta, coeffs)
+    tables = _hash_rows(family, n, delta, coeffs, np.arange(order))
     rates = [0.0, *rates[1:]] if emptied is not None else rates
 
     def overheard(sent, rate):  # every bit of sent flipped with its column's probability
@@ -514,7 +509,7 @@ def _block_holdings(n, delta, family, peers, count, arms, rates, eps, seed, empt
     honest = np.bitwise_xor.reduce(field.mul_elementwise(codes, symbols), axis=1)
     payloads = np.concatenate((honest[:, None], rng.integers(0, order, (count, arms - 1))), axis=1)
     return inference._Holdings(
-        _Hashes(family, n, delta, coeffs, tables), symbols[:, 0], codes, heard, peer_hashes,
+        _Hashes(family, n, delta, coeffs), symbols[:, 0], codes, heard, peer_hashes,
         overheard(payloads, rates[-1]), tables[rows, payloads],
         tuple(Bsc(p) for p in rates[:peers]), Bsc(rates[-1]), eps,
     )
@@ -596,7 +591,9 @@ def test_keyed_pass_equals_dense_pass(block, chunk):
     keyed, dense = runs[keyed_share].pop("keyed"), runs[dense_share].pop("keyed")
     assert keyed.tolist() == (built & (bounds <= 64 << n)).tolist() and not dense.any()
     assert runs[keyed_share] == runs[dense_share]
-    table = h.hashes.tables[emptied] if emptied is not None else np.zeros(1)
+    family, _, delta, coeffs = h.hashes
+    table = (_hash_rows(family, n, delta, coeffs[emptied:emptied + 1], np.arange(1 << n))[0]
+             if emptied is not None else np.zeros(1))
     if (table != table[0]).any():  # a symbol of another hash was overheard noiselessly
         assert lengths[emptied, 0] == 0 and not built[emptied]
         assert inference._watch(h)[0][emptied].tolist() == [0.0] * h.relay_hashes.shape[1]
@@ -622,16 +619,16 @@ def _forged_holdings(block, forged, constant, seed):
     """``_block_holdings(*block)`` with the forged arms' values and the constant use applied."""
     h = _block_holdings(*block)
     hashes, mask = h.hashes, (1 << h.hashes.delta) - 1
-    coeffs, tables = hashes.coeffs.copy(), hashes.tables.copy()
+    coeffs = hashes.coeffs.copy()
     peer_hashes, relay_hashes = h.peer_hashes.copy(), h.relay_hashes.copy()
     if constant is not None:  # every symbol hashes to a_0's low bits
         coeffs[constant, 1] = 0
-        tables[constant] = peer_hashes[constant] = coeffs[constant, 0] & mask
+        peer_hashes[constant] = coeffs[constant, 0] & mask
         relay_hashes[constant] = coeffs[constant, 0] & mask
     rng = np.random.default_rng(seed)
     relay_hashes[:, forged] = rng.integers(0, mask + 1, (len(h.own), len(forged)))
     return h._replace(
-        hashes=hashes._replace(coeffs=coeffs, tables=tables), peer_hashes=peer_hashes,
+        hashes=hashes._replace(coeffs=coeffs), peer_hashes=peer_hashes,
         relay_hashes=relay_hashes,
     )
 
@@ -648,12 +645,13 @@ def _cut_run(h, announced):
     for t, s, w in zip(*(a.tolist() for a in final)):
         layers[t][s] = w
     arms = h._replace(relay_symbols=h.relay_symbols[:, :announced.shape[1]], relay_hashes=announced)
-    read = (h.hashes.at(use, states)[:, None] == announced[use]).any(axis=1)
+    hashed = h.hashes.at(use, states)
+    read = (hashed[:, None] == announced[use]).any(axis=1)
     return {
         "lengths": lengths.tolist(), "built": built.tolist(), "keyed": keyed.tolist(),
         "layers": layers,
         "before": {int(uses[0]): len(got[-2][1]) for uses, got in passes if len(got) > 2},
-        "scores": _as_lists(inference._score_arms(arms, final)),
+        "scores": _as_lists(inference._score_arms(arms, final, hashed)),
         "reads": np.bincount(use[read], minlength=len(built)).tolist(),
     }
 
@@ -666,7 +664,12 @@ def _cut_runs(h):
 
 
 def _whole_keys(hashes, announced):
-    """``_class_keys`` with one class a use (lam = 0): no last layer is cut."""
+    """``_class_keys`` with one class a use (lam = 0): no last layer is cut.
+
+    Patched as inference's own name for it, which only the cut reads: the
+    class enumerator (``hashing._classes``) reads hashing's, so rows and
+    relay normalizers are untouched.
+    """
     return np.zeros(len(announced), np.int64), np.zeros_like(announced)
 
 
@@ -726,24 +729,24 @@ def test_class_keys_invert_every_drawn_hash(delta):
     """Each announced value's class is ``pow(a, -1, 2^delta)`` (r - b) (affine) or r ^ a_0 (poly).
 
     Every odd affine multiplier a at this delta, with b and the announced values drawn;
-    poly hashes of every a_1 below 16, 0 included, whose one class is class 0.
+    poly hashes of every a_1 below 16, 0 included, whose one class is class 0. A poly
+    hash of other than 2 coefficients has no such form, and no spec holds one.
     """
     rng, mask = np.random.default_rng(delta), (1 << delta) - 1
     n = max(delta, 4)
     odd = np.arange(1, mask + 2, 2)
     coeffs = np.stack([odd, rng.integers(0, mask + 1, len(odd))], axis=1)
     announced = rng.integers(0, mask + 1, (len(odd), 2))
-    lam, keys = inference._class_keys(_Hashes("affine", n, delta, coeffs, None), announced)
+    lam, keys = _class_keys(_Hashes("affine", n, delta, coeffs), announced)
     assert lam.tolist() == [1] * len(odd)
     assert keys.tolist() == [[(r - b) * pow(a, -1, mask + 1) & mask for r in rs]
                              for (a, b), rs in zip(coeffs.tolist(), announced.tolist())]
     coeffs = np.stack([rng.integers(0, 1 << n, 16), np.arange(16)], axis=1)
     announced = rng.integers(0, mask + 1, (16, 3))
-    lam, keys = inference._class_keys(_Hashes("poly", n, delta, coeffs, None), announced)
+    lam, keys = _class_keys(_Hashes("poly", n, delta, coeffs), announced)
     assert lam.tolist() == list(range(16))
     assert keys[0].tolist() == [0] * 3  # a_1 = 0
     drawn = zip(coeffs[1:, 0].tolist(), announced[1:].tolist())
     assert keys[1:].tolist() == [[(r ^ a0) & mask for r in rs] for a0, rs in drawn]
-    quadratic = _Hashes("poly", n, delta, np.ones((1, 3), np.int64), None)
-    with pytest.raises(ValueError, match="never drawn"):
-        inference._class_keys(quadratic, announced[:1])
+    with pytest.raises(ValueError, match="coefficients"):
+        HashSpec("poly", n, delta, (1, 1, 1))  # quadratic

@@ -235,9 +235,9 @@ def test_police_appends_samples():
 
 @pytest.mark.parametrize("spec, peer, relay, message", [
     # a constant poly hash maps every symbol to 1: the peer's class of 2 is empty
-    (HashSpec("poly", 4, 2, (1,)), Overheard(3, 2, Bsc(0.1)), Overheard(2, 1, Bsc(0.1)),
+    (HashSpec("poly", 4, 2, (1, 0)), Overheard(3, 2, Bsc(0.1)), Overheard(2, 1, Bsc(0.1)),
      "no candidate consistent with hash"),
-    (HashSpec("poly", 4, 2, (1,)), Overheard(3, 1, Bsc(0.1)), Overheard(2, 2, Bsc(0.1)),
+    (HashSpec("poly", 4, 2, (1, 0)), Overheard(3, 1, Bsc(0.1)), Overheard(2, 2, Bsc(0.1)),
      "relay hash matches no symbol"),
     # 3 hashes to 3 under x & 3; a noiseless channel cannot have turned a 2 into it
     (HashSpec("affine", 4, 2, (1, 0)), Overheard(3, 3, Bsc(0.1)), Overheard(3, 2, Bsc(0.0)),

@@ -23,6 +23,8 @@ from algwatch.inference import (
     build_and_run_trellis,
     consistency_probability,
     inverse_transition,
+    matched_codewords,
+    transition_row,
 )
 from algwatch.sim import (
     ExperimentStats,
@@ -155,7 +157,7 @@ def test_draws_are_numpys_generator_draws(cfg, trial, p_advs):
         assert h.relay_symbols[k].tolist() == [a ^ noise[-1] for a in arms]
         assert h.relay_hashes[k].tolist() == [hash_eval(spec, a) for a in arms]
     assert h.peer_channels == (Bsc(cfg.p_s),) * (m - 1) and h.relay_channel == Bsc(cfg.p_relay)
-    assert h.prune_eps == cfg.pruning_eps and h.hashes.tables is None  # _watch makes them
+    assert h.prune_eps == cfg.pruning_eps
 
 
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
@@ -670,26 +672,48 @@ def test_one_trellis_per_trial(monkeypatch):
 
 
 def test_one_hash_table_per_trial(monkeypatch):
-    rows, scalar = [], []
-    real = hashing._hash_rows
+    """No path makes a hash table: no hash row of all 2^n symbols, classes are cosets."""
+    tables, scalar, blocks = [], [], []
+    real_rows, real_block = hashing._hash_rows, inference._watch_block
 
-    def counted(family, n, delta, coeffs, xs):  # each hash's row: is it a full-space table?
-        rows.extend([np.ndim(xs) == 1 and len(xs) == 1 << n] * len(coeffs))
-        return real(family, n, delta, coeffs, xs)
+    def counted(family, n, delta, coeffs, xs):  # a row of 2^n symbols would be a table
+        tables.append(np.shape(xs)[-1] >= 1 << n)
+        return real_rows(family, n, delta, coeffs, xs)
+
+    def block(h, score):
+        blocks.append(len(h.own))
+        return real_block(h, score)
 
     monkeypatch.setattr(hashing, "_hash_rows", counted)
+    monkeypatch.setattr(inference, "_watch_block", block)
+    cfg = TwoHopConfig(m=3, n=6, delta=2, iterations=7, seed=2, hash_family="poly")
+    for obs in (simulate_observation(cfg, True), simulate_observation(cfg, True, trial=3)):
+        relay, peer = obs.relay_overheard, obs.overheard[0]
+        trellis = build_and_run_trellis(obs)
+        consistency_probability(trellis, obs)
+        matched_codewords(trellis, relay.hash_value, obs.hash_spec)
+        transition_row(peer.symbol, peer.hash_value, peer.channel, obs.hash_spec)
+        transition_row(peer.symbol, peer.hash_value, peer.channel, obs.hash_spec, prune_eps=0.5)
+        inverse_transition(relay.symbol, relay.symbol, relay.hash_value, relay.channel,
+                           obs.hash_spec)
+    assert tables and True not in tables
+    tables.clear()
     for module in (hashing, sim, inference, packet):
         monkeypatch.setattr(module, "hash_eval", lambda spec, x: scalar.append(x))
-    cfg = TwoHopConfig(m=3, n=6, delta=2, iterations=7, seed=2, hash_family="poly")
-    hashing._table.cache_clear()
     run_sweep(cfg, "p_adv", [0.0, 0.1, 0.3, 0.5])
-    # each trial's sent symbols hashed as drawn, then its table made in its one block
-    assert rows == [False] * cfg.iterations + [True] * cfg.iterations and scalar == []
-    rows.clear()
-    hashing._table.cache_clear()
+    # each trial's sent symbols hashed as drawn, and its final states: never the whole field
+    assert tables and True not in tables and scalar == []
+    tables.clear()
+    pruned = dataclasses.replace(cfg, n=10, iterations=20, pruning_eps=0.5)
+    run_sweep(pruned, "p_adv", [0.0, 0.1])
+    blocks.clear()
+    run_experiment(pruned)
+    # scored and pruned: blocks are sized by the classes they read, not by 2^n tables
+    assert tables and True not in tables and scalar == [] and blocks[0] > 8
+    tables.clear()
     mean_matched_count(6, 2, 2, 0.1, trials=5)
-    # ball-pruned and unscored: only the symbols read are hashed, never a table
-    assert rows and True not in rows and scalar == []
+    # ball-pruned and unscored: only the symbols read are hashed
+    assert tables and True not in tables and scalar == []
 
 
 def test_a_drawn_piece_is_watched_in_one_call(monkeypatch):
@@ -714,8 +738,8 @@ def test_a_drawn_piece_is_watched_in_one_call(monkeypatch):
 def _relay_faults_when_divisible_by_3(real):
     """A relay normalizer that also faults on every relay symbol divisible by 3."""
 
-    def faulty(tables, symbols, hashes, ch, n):
-        top, denom, fault = real(tables, symbols, hashes, ch, n)
+    def faulty(hashes, symbols, announced, ch):
+        top, denom, fault = real(hashes, symbols, announced, ch)
         fault[symbols.ravel() % 3 == 0] = inference._IMPOSSIBLE
         return top, denom, fault
 
@@ -739,7 +763,7 @@ def _block_runs(draw):
         hash_family=draw(st.sampled_from(["affine", "poly"])),
     )
     p_advs = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), max_size=2))
-    # sizes in both units: 2^n per trial with hash tables, 2 x peers x V(n, r) without
+    # sizes near a trial's classes (2^(n - delta) a peer or arm) and balls (2 x peers x V(n, r))
     per_trial = inference._use_elements(_held_run(_matched(cfg), []), score=False)
     block_elements = draw(st.sampled_from(
         [1, 1 << (n + 1), 5 << n, inference._BLOCK_ELEMENTS, 2 * per_trial, 5 * per_trial]
@@ -818,7 +842,7 @@ def test_blocks_equal_per_trial_pipelines(run):
 
 def _row_lengths(cfg, p_advs):
     """(trials, peers): each transition row's candidate count in cfg's run."""
-    h = _held_run(cfg, p_advs).block(0, cfg.iterations, score=False)  # tables where rows scan
+    h = _held_run(cfg, p_advs)
     _, _, lengths = inference._transition_rows(
         h.hashes, h.heard, h.peer_hashes, h.peer_channels, cfg.pruning_eps
     )
@@ -829,10 +853,12 @@ def test_explicit_block_runs_cover_what_they_claim():
     cfg, p_advs, block_elements, _ = _LONG_ROWS_RUN
     lengths = set(_row_lengths(cfg, p_advs).ravel().tolist())
     assert max(lengths) >= 8 and len(lengths) > 3
-    assert cfg.iterations % (block_elements >> cfg.n) != 0
+    per_block = block_elements // inference._use_elements(_held_run(cfg, p_advs), score=True)
+    assert cfg.iterations % per_block != 0
     cfg, p_advs, block_elements, workers = _FAULTY_RUN
     assert 0 in _row_lengths(cfg, p_advs)
-    assert cfg.iterations % (block_elements >> cfg.n) != 0 and workers == 2
+    per_block = block_elements // inference._use_elements(_held_run(cfg, p_advs), score=True)
+    assert cfg.iterations % per_block != 0 and workers == 2
     faulty = _relay_faults_when_divisible_by_3(inference._relay_normalizers)
     with (
         mock.patch.object(inference, "_relay_normalizers", faulty),
@@ -845,7 +871,8 @@ def test_explicit_block_runs_cover_what_they_claim():
     assert matched == dataclasses.replace(cfg, p_adv=0.0)
     held = _held_run(matched, [])
     per_block = block_elements // inference._use_elements(held, score=False)
-    assert inference._reach(held, score=False) is not None  # the blocks hold no hash tables
+    # the blocks find their candidates in the balls
+    assert inference._pruning(held.peer_channels, cfg.n, cfg.delta, cfg.pruning_eps)[1] is not None
     assert 1 < per_block < cfg.iterations  # the run crosses block boundaries
     emptied = np.flatnonzero((_row_lengths(matched, []) == 0).any(axis=1))
     assert any(0 < t % per_block < per_block - 1 for t in emptied.tolist())  # mid-block
