@@ -19,11 +19,13 @@ the relay's actual transmission against that inference:
 
 Every layer is held one way: (trellis, state, weight) arrays of its
 positive-weight states. The forward pass scatters each layer update from
-the previous layer's states alone, summing the contributions with
-``np.bincount`` in the order a per-candidate dense pass would, so every
-layer is bit-for-bit what that pass gives. It runs keyed, trellises of a
-block together, when the rows bound its paths to 2^n / 8 (``_keyed_pass``),
-else dense, one trellis at a time (``_forward_pass``). On the block path a
+the previous layer's states alone and adds the contributions in the order
+a per-candidate dense pass would: ``np.add.at`` into a 2^n-entry vector,
+or ``np.bincount`` over a keyed layer's distinct states, each applying
+them one at a time in input order. So every layer is bit-for-bit what
+that pass gives. It runs keyed, trellises of a block together, when the
+rows bound its paths to 2^n / 8 (``_keyed_pass``), else dense, one
+trellis at a time (``_forward_pass``). On the block path a
 large dense last layer is built over the collision classes p* reads
 (``_class_keys``), and so is a summed keyed one when every use reads one
 announced value, a count or one scored arm: then 2^n paths run keyed.
@@ -60,8 +62,8 @@ from .gfield import GF2n, default_field
 from .hashing import HashSpec, _class_keys, _classes, _Hashes, _spec_hashes, hash_eval
 
 
-# Contributions summed per np.bincount call in the forward pass; bounds each
-# temporary at about 64 KiB without changing any result.
+# Contributions added per chunk of a dense layer, and per group of a keyed pass;
+# bounds each temporary at about 64 KiB without changing any result.
 _SCATTER_CHUNK = 1 << 13
 
 
@@ -113,6 +115,8 @@ class WatchdogObservation:
         if any(c == 0 for c in self.coeffs):
             raise ValueError("coding coefficients must be nonzero")
         order = 1 << self.hash_spec.n
+        if any(not 0 < c < order for c in self.coeffs):
+            raise ValueError(f"coeffs {self.coeffs} must be elements of GF(2^n) in [1, {order})")
         syms = [self.own_symbol, self.relay_overheard.symbol]
         syms += [o.symbol for o in self.overheard]
         if any(not 0 <= s < order for s in syms):
@@ -135,42 +139,29 @@ class TransitionRow:
     probs: np.ndarray
 
 
-# The widest row that ``np.add.reduce(axis=1)`` adds in the order of the
-# row's own 1-D sum once padded with zeros: from 8 on, numpy's pairwise sum
-# regroups the padded row's additions.
-_PADDED_WIDTH = 7
-
-
 def _segment_reduce(
     ufunc: np.ufunc, values: np.ndarray, lengths: np.ndarray, empty: float
 ) -> np.ndarray:
     """``ufunc.reduce`` of each run of ``lengths`` consecutive values; ``empty`` for an empty run.
 
-    Each run is reduced as one row of a 2-D array along axis 1, which takes
-    it in the order a 1-D reduce of it does (``np.add.reduceat`` does not,
-    from runs of 3 values up). Runs that all share one length are already
-    such rows. Otherwise every run is cut or padded with ``empty`` (-inf
-    for max, 0.0 for add) to ``_PADDED_WIDTH`` values, and all of them are
-    reduced in one pass: padding leaves a max, and a sum of values that are
-    not -0.0, unchanged. Longer runs are then stacked by length.
+    Runs that all share one length, and the runs of each length from 8 on,
+    are reduced as the rows of a 2-D array along axis 1, which takes each
+    run in the order a 1-D reduce of it does (``np.add.reduceat`` does not,
+    from runs of 3 values up). Every shorter run goes into one unbuffered
+    ``ufunc.at`` call from ``empty`` (-inf for max, 0.0 for add): it applies
+    the values one at a time in order, as numpy's reduce takes fewer than 8,
+    and its first step gives back the first value, unless a sum's is -0.0.
     """
     sizes = set(lengths.tolist())
     if len(sizes) == 1 and 0 not in sizes:
         return ufunc.reduce(values.reshape(len(lengths), -1), axis=1)
-    starts = np.cumsum(lengths) - lengths
-    if min(sizes, default=0) <= _PADDED_WIDTH:
-        # row r holds run r's first values, then the empty value appended at len(values)
-        at = np.arange(_PADDED_WIDTH)
-        slots = np.where(at < lengths[:, None], starts[:, None] + at, len(values))
-        out = ufunc.reduce(np.append(values, empty)[slots], axis=1)
-    else:
-        out = np.empty(len(lengths))
-    for length in sizes:
-        if length > _PADDED_WIDTH:  # this run's row above was cut short: reduce it whole
-            long_runs = np.flatnonzero(lengths == length)
-            out[long_runs] = ufunc.reduce(
-                values[starts[long_runs, None] + np.arange(length)], axis=1
-            )
+    out = np.full(len(lengths), empty)
+    run = np.repeat(np.arange(len(lengths)), lengths)  # each value's run
+    short = lengths[run] < 8  # from 8 values on, numpy's pairwise sum regroups a reduce
+    ufunc.at(out, run[short], values[short])
+    for length in sizes.difference(range(8)):  # the runs of this length, one a row
+        rows = values[lengths[run] == length].reshape(-1, length)
+        out[lengths == length] = ufunc.reduce(rows, axis=1)
     return out
 
 
@@ -264,9 +255,11 @@ def _transition_rows(
     return cands[keep], w[keep], lengths
 
 
-def _check_overheard(spec: HashSpec, observed: int, hash_name: str, hash_value: int) -> None:
-    """Raise a ValueError naming the argument unless both fit the spec's widths."""
-    if not 0 <= observed < (1 << spec.n):
+def _check_overheard(
+    spec: HashSpec, hash_name: str, hash_value: int, observed: int | None = None
+) -> None:
+    """Raise a ValueError naming the argument unless each given value fits the spec's widths."""
+    if observed is not None and not 0 <= observed < (1 << spec.n):
         raise ValueError(f"observed {observed} is not an {spec.n}-bit symbol")
     if not 0 <= hash_value < (1 << spec.delta):
         raise ValueError(f"{hash_name} {hash_value} is not a {spec.delta}-bit value")
@@ -287,7 +280,7 @@ def transition_row(
     dropped before renormalizing; this trades a little false-detection
     probability for a much smaller candidate set.
     """
-    _check_overheard(spec, observed, "target_hash", target_hash)
+    _check_overheard(spec, "target_hash", target_hash, observed)
     cands, probs, lengths = _transition_rows(
         _spec_hashes(spec), np.array([[observed]]), np.array([[target_hash]]), [ch], prune_eps
     )
@@ -338,16 +331,16 @@ def _forward_pass(
 
     The update scatters from the support u of layer i-1 only: candidate x
     sends t_x * w(u) to state shift_x ^ u. The contributions are laid out
-    candidate-major and summed by ``np.bincount``, which adds in input
-    order, so each state's sum is taken in candidate order, exactly as
-    ``acc += t_x * w(. ^ shift_x)`` over the candidates would take it. The
-    only terms skipped are t_x * 0.0, and adding +0.0 leaves a sum
-    unchanged. Candidates go in chunks of about ``_SCATTER_CHUNK``
-    contributions; each chunk after the first starts its input with the
-    running sums, and 0 + acc is exact, so chunking changes no addition.
-    Layer 1 is written without a sum: its one source state has weight 1.0
-    and a row's shifts are distinct, so each of its states takes one term
-    t_x * 1.0 = t_x, and 0.0 + t_x is t_x.
+    candidate-major and added into a zero vector by ``np.add.at``, which
+    applies them one at a time in input order, so each state's sum is taken
+    in candidate order, exactly as ``acc += t_x * w(. ^ shift_x)`` over the
+    candidates would take it. The only terms skipped are t_x * 0.0, and
+    adding +0.0 leaves a sum unchanged. Candidates go in chunks of about
+    ``_SCATTER_CHUNK`` contributions, each added in place into the same
+    vector, so chunking changes no addition. Layer 1 is written without a
+    sum: its one source state has weight 1.0 and a row's shifts are
+    distinct, so each of its states takes one term t_x * 1.0 = t_x, and
+    0.0 + t_x is t_x.
 
     With cut = (lam, keys, mask) of the trellis (``_class_keys``), the last
     layer keeps only the classes in keys when lam != 0 and it has over
@@ -361,7 +354,6 @@ def _forward_pass(
     """
     size, start, gf = 1 << n, int(starts[0]), default_field(n)
     layers = [(np.zeros(1, np.int64), starts, np.ones(1))]
-    states = np.arange(size)
     for i, (lo_row, hi_row) in enumerate(zip(lo[0].tolist(), hi[0].tolist()), 1):
         row_shifts, row_probs = shifts[lo_row:hi_row], probs[lo_row:hi_row]
         _, support, mass = layers[-1]
@@ -384,16 +376,12 @@ def _forward_pass(
                 classes = np.flatnonzero(np.bincount(keys, minlength=mask + 1))  # wanted, ascending
             else:  # the whole layer, one class: its support is the grid's one row, read as is
                 grid_states, grid_weights, classes = support[None], mass[None], [0]
-            step, vec = max(1, _SCATTER_CHUNK // grid_states.shape[1]), None
+            step, vec = max(1, _SCATTER_CHUNK // grid_states.shape[1]), np.zeros(size)
             for c in classes:
                 for at in range(0, len(row_shifts), step):
                     rows = own[at:at + step] ^ c if split else 0
-                    targets = (row_shifts[at:at + step, None] ^ grid_states[rows]).ravel()
-                    weights = (row_probs[at:at + step, None] * grid_weights[rows]).ravel()
-                    if vec is not None:
-                        targets = np.concatenate((states, targets))
-                        weights = np.concatenate((vec, weights))
-                    vec = np.bincount(targets, weights, minlength=size)
+                    np.add.at(vec, (row_shifts[at:at + step, None] ^ grid_states[rows]).ravel(),
+                              (row_probs[at:at + step, None] * grid_weights[rows]).ravel())
         support = np.flatnonzero(vec > 0.0)
         layers.append((np.zeros(len(support), np.int64), support, vec[support]))
     return layers
@@ -540,7 +528,7 @@ def _holdings(obs: WatchdogObservation) -> _Holdings:
 # A trellis whose row lengths bound its paths, so every layer, to 2^n / _KEYED_SHARE
 # runs keyed, with others of its block (``_keyed_pass``); the rest run dense, one at
 # a time (``_forward_pass``). Both give the same floats, so the rule picks speed only:
-# the keyed pass's sort costs more per contribution than a dense ``bincount``, and
+# the keyed pass's sort costs more per contribution than a dense ``np.add.at``, and
 # the dense pass pays 2^n per layer and a Python round trip per layer and trellis.
 # A keyed pass whose last layer is cut to one class wins up to 2^n paths, 8 times
 # as many (``_trellises``); full 256-candidate rows (65,536 paths) stay dense.
@@ -712,9 +700,11 @@ def _score_arms(
     return pstars.reshape(count, arms), fault.reshape(count, arms)
 
 
-# Bound on a block's largest temporaries, in elements (``_use_elements``): set
-# when 8 single-arm uses each held a 2^n-entry hash table at n = 10; blocks four
-# times larger grew peak memory by about 2 MiB and saved little more time.
+# Bound on the elements a block's uses hold together (``_use_elements``): the
+# candidates of their transition rows and, scored, the members of their arms'
+# announced classes. So each row and normalizer array of a block holds at most
+# 8,192 elements, 64 KiB of float64, as ``_SCATTER_CHUNK`` bounds a forward-pass
+# chunk; a use that holds more runs in a block of its own.
 _BLOCK_ELEMENTS = 1 << 13
 
 
@@ -818,7 +808,7 @@ def inverse_transition(
     An announced class that cannot explain the overheard symbol raises
     InferenceError, as it does for consistency_probability.
     """
-    _check_overheard(spec, observed, "relay_hash", relay_hash)
+    _check_overheard(spec, "relay_hash", relay_hash, observed)
     top, denom, fault = _relay_normalizers(
         _spec_hashes(spec), np.array([[observed]]), np.array([[relay_hash]]), ch
     )
@@ -845,6 +835,7 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
 
 def matched_codewords(trellis: Trellis, relay_hash: int, spec: HashSpec) -> list[int]:
     """Final-layer states with positive weight hashing to the relay's value."""
+    _check_overheard(spec, "relay_hash", relay_hash)
     use, states, _ = trellis._layers[-1]
     return states[_spec_hashes(spec).at(use, states) == relay_hash].tolist()
 

@@ -88,6 +88,27 @@ def test_segment_reduce_is_each_runs_own_reduce(run):
         assert got.tolist() == expect
 
 
+def test_numpy_adds_in_the_orders_the_bit_exact_contract_reads():
+    def left_to_right(values):  # not sum(): Python 3.12 compensates float sums
+        total = 0.0
+        for value in values.tolist():
+            total += value
+        return total
+
+    # each order below changes this sum: left to right from 0.0 it is 3.0
+    values = np.array([1e16, 1, -1e16, 1, 1, 1])
+    assert left_to_right(values) == 3.0
+    at = np.zeros(1)
+    np.add.at(at, np.zeros(len(values), np.int64), values)  # one repeated index
+    assert at.tolist() == [3.0]
+    assert np.bincount(np.zeros(len(values), np.int64), values).tolist() == [3.0]
+    assert np.add.reduce(values) == 3.0  # fewer than 8 values: one by one
+    # from 8 values on, numpy's pairwise sum may regroup the additions
+    nine = np.array([1e16, 1, 1, 1, 1, 1, 1, 1, -1e16])
+    assert left_to_right(nine) == 0.0
+    assert np.add.reduce(nine) == 6.0
+
+
 # Pruning levels from radius 0 to radius n; rate 0 always gives radius 0, and
 # rate 0.5 with a tiny eps radius n.
 _EPS = [None, 1e-12, 1e-6, 1e-3, 0.05, 0.3, 0.5, 0.9]
@@ -438,6 +459,16 @@ def test_matched_codewords():
     assert true in matched_codewords(build_and_run_trellis(obs), relay.hash_value, LOW2)
 
 
+@pytest.mark.parametrize("relay_hash", [2, -1])
+def test_matched_codewords_rejects_a_hash_outside_delta_bits(relay_hash):
+    one_bit = HashSpec("affine", 4, 1, (1, 0))
+    peer, relay = Overheard(11, 1, Bsc(0.1)), Overheard(14, 0, Bsc(0.1))
+    trellis = build_and_run_trellis(_obs(2, (1, 1), 5, (peer,), relay, one_bit))
+    assert matched_codewords(trellis, 0, one_bit) != []  # a valid hash still reads states
+    with pytest.raises(ValueError, match=rf"^relay_hash {relay_hash} "):
+        matched_codewords(trellis, relay_hash, one_bit)
+
+
 def test_decide():
     assert decide(0.0, 0.0) is Verdict.MALICIOUS
     assert decide(0.3, 0.0) is Verdict.WELL_BEHAVING
@@ -452,8 +483,12 @@ def test_observation_validation():
     relay = Overheard(0, 0, Bsc(0.1))
     with pytest.raises(ValueError):
         WatchdogObservation(1, (1,), (peer,), relay, LOW2)  # coeff count off
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^coding coefficients must be nonzero$"):
         WatchdogObservation(1, (1, 0), (peer,), relay, LOW2)  # zero coeff
+    # -3 would read the log table from its end and score as 13; 16 is past it
+    for coeffs in ((1, -3), (1, 16)):
+        with pytest.raises(ValueError, match=rf"^coeffs \({coeffs[0]}, {coeffs[1]}\) "):
+            WatchdogObservation(1, coeffs, (peer,), relay, LOW2)
     with pytest.raises(ValueError):
         WatchdogObservation(99, (1, 1), (peer,), relay, LOW2)  # symbol too wide
     # the width comes from the hash spec: 2^n itself is out of range
