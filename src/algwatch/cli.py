@@ -48,12 +48,12 @@ from .multihop import (
 )
 from .gfield import default_field
 from .hashing import sample_hash
-from .inference import build_and_run_trellis, consistency_probability
 from .sim import (
     SWEEP_AXES,
     TwoHopConfig,
     brute_force_consistency,
     collect_diagnostics,
+    run_experiment,
     run_sweep,
     simulate_observation,
 )
@@ -254,12 +254,11 @@ def _cmd_oracle(args) -> int:
     trials = args.trials
     if trials < 1:
         raise CliError(f"trials must be >= 1, got {trials}")
+    stats = run_experiment(dataclasses.replace(cfg, iterations=trials))  # as experiments score
     max_err = 0.0
-    for trial in range(trials):
-        for adversarial in (False, True):
-            obs = simulate_observation(cfg, adversarial, trial)
-            trellis_p = consistency_probability(build_and_run_trellis(obs), obs)
-            brute_p = brute_force_consistency(obs)
+    for adversarial, samples in ((False, stats.relay_samples), (True, stats.adv_samples)):
+        for trial, trellis_p in enumerate(samples.tolist()):
+            brute_p = brute_force_consistency(simulate_observation(cfg, adversarial, trial))
             scale = max(abs(brute_p), 1e-300)
             max_err = max(max_err, abs(trellis_p - brute_p) / scale)
     _write_csv(args.out, ["n", "m", "delta", "p", "trials", "seed", "max_rel_err"],

@@ -664,13 +664,14 @@ def _relay_normalizers(
 
 
 def _score_arms(
-    h: _Holdings, final: tuple[np.ndarray, np.ndarray, np.ndarray], hashed: np.ndarray
+    h: _Holdings, final: tuple[np.ndarray, np.ndarray, np.ndarray], match: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(p*, fault) of every arm of a block scored against its final layers.
 
     final is the uses' final layers as one (use, state, weight) layer, and
-    hashed each of its states hashed under its use's hash. p* and fault
-    come as (uses, arms) arrays, fault as ``_relay_normalizers`` codes it.
+    match[a, i] whether its state i hashes, under its use's hash, to the
+    value arm a of that use announced. p* and fault come as (uses, arms)
+    arrays, fault as ``_relay_normalizers`` codes it.
     Arm a of use k sums w(s) * T_inv(s, relay_symbols[k, a]) over its
     matched states s in ascending order, as one 1-D dot product; the terms
     of every arm of every use are computed together, elementwise. An arm
@@ -683,7 +684,7 @@ def _score_arms(
         h.hashes, h.relay_symbols, h.relay_hashes, h.relay_channel
     )
     # matched (arm, state) pairs, arm-major: an arm's pairs run use by use, ascending
-    arm, at = np.nonzero(np.take(h.relay_hashes.T, use, axis=1) == hashed)
+    arm, at = np.nonzero(match)
     relay = use[at] * arms + arm  # the pair's relay, as normalizers index relays
     d = np.bitwise_count(states[at] ^ h.relay_symbols.ravel()[relay])
     terms = np.exp(_log_likelihood_table((h.relay_channel,), h.hashes.n)[0, d] - top[relay])
@@ -729,18 +730,15 @@ def _watch(h: _Holdings, score: bool = True):
 
     values is each arm's p* as a (uses, arms) array when scored, else each
     use's matched count (its final states hashing to arm 0's announced
-    value) in the smallest unsigned type that holds 2^n. An arm that raises
-    InferenceError (every arm of a use whose trellis was not built, because
-    a transition row came up empty, and an arm whose relay cannot be
-    scored) scores p* = 0, and the record counts it as a fallback. A block
-    holds ``_BLOCK_ELEMENTS // _use_elements`` uses (``_Holdings.block``,
-    ``_watch_block``).
+    value) as a (uses, 1) float column, exact: a count is at most 2^16.
+    An arm that raises InferenceError (every arm of a use whose trellis was
+    not built, because a transition row came up empty, and an arm whose
+    relay cannot be scored) scores p* = 0, and the record counts it as a
+    fallback. A block holds ``_BLOCK_ELEMENTS // _use_elements`` uses
+    (``_Holdings.block``, ``_watch_block``).
     """
     step = max(1, _BLOCK_ELEMENTS // _use_elements(h, score))
-    if score:
-        values = np.empty(h.relay_hashes.shape)
-    else:
-        values = np.empty(len(h.own), np.min_scalar_type(1 << h.hashes.n))
+    values = np.empty((len(h.own), h.relay_hashes.shape[1] if score else 1))
     record = RunDiagnostics()
     for lo in range(0, len(values), step):
         values[lo:lo + step], part = _watch_block(h.block(lo, lo + step), score)
@@ -752,11 +750,12 @@ def _watch_block(h: _Holdings, score: bool):
     """``_watch`` of one block: (values, RunDiagnostics).
 
     One batched pass each makes the block's transition rows and (when
-    scoring) relay normalizers; ``_trellises`` runs the forward passes, and
-    the final layers of all uses are hashed, counted and scored together.
-    A large dense last layer is cut to the classes every arm (arm 0 when
-    counting) announced, and a keyed one when each use reads one arm. Every
-    float is the one the use gives alone. The
+    scoring) relay normalizers; ``_trellises`` runs the forward passes.
+    The final layers of all uses are hashed once, and one (arm, state)
+    match array compares each state with each arm's announced value (arm
+    0's when counting); the counts and p* are both read from it. A large
+    dense last layer is cut to the announced classes, and a keyed one when
+    each use reads one arm. Every float is the one the use gives alone. The
     trellis reads only what the watchdog holds, never the relay's payload,
     so all arms share it. Fallbacks count built flags and fault codes.
     """
@@ -766,14 +765,13 @@ def _watch_block(h: _Holdings, score: bool):
     finals = [(uses[t], s, w) for uses, layers in passes for t, s, w in layers[-1:]]
     empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     use, states, _ = final = [np.concatenate(parts) for parts in zip(empty, *finals)]
-    hashed = h.hashes.at(use, states)
-    read = (hashed[:, None] == announced[use]).any(axis=1)
-    reads = np.bincount(use[read], minlength=count)  # the final states p* reads
+    match = np.take(announced.T, use, axis=1) == h.hashes.at(use, states)  # (arm, state)
+    reads = np.bincount(use[match.any(axis=0)], minlength=count)  # the final states p* reads
     if score:
-        values, fault = _score_arms(h, final, hashed)
+        values, fault = _score_arms(h, final, match)
         faulted = int(np.count_nonzero(fault[built]))  # an unbuilt use counts as a trellis fault
     else:
-        values, faulted = reads, 0
+        values, faulted = reads[:, None], 0
     return values, RunDiagnostics(
         Counter(trellis=count - int(built.sum()), scoring=faulted),
         Counter(lengths[built].ravel().tolist()),
@@ -827,7 +825,8 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
     """
     h = _holdings(obs)
     use, states, _ = final = trellis._layers[-1]
-    pstars, fault = _score_arms(h, final, h.hashes.at(use, states))
+    match = h.hashes.at(use, states)[None] == obs.relay_overheard.hash_value
+    pstars, fault = _score_arms(h, final, match)
     if fault[0, 0]:
         raise InferenceError(_FAULTS[fault[0, 0]])
     return float(pstars[0, 0])

@@ -405,7 +405,17 @@ def mincut_scenario(
         raise ValueError(f"instances must be >= 1, got {instances}")
     if policed_samples < 0:  # 0 is an empty schedule: nothing policed, nothing detected
         raise ValueError(f"policed_samples must be >= 0, got {policed_samples}")
+    if not 0.0 <= p_adv <= 1.0:
+        raise ValueError(f"p_adv must be in [0, 1], got {p_adv}")
+    if not 0.0 <= p_overhear <= 0.5:
+        raise ValueError(f"p_overhear must be in [0, 0.5], got {p_overhear}")
     if kind == "one-honest-path":
+        if not 0.0 < gamma < 1.0:
+            raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+        if calibration_iterations < window:
+            raise ValueError(
+                f"calibration_iterations must be >= window ({window}), got {calibration_iterations}"
+            )
         return _scenario_one_honest_path(
             seed, instances, policed_samples, p_adv, p_overhear, gamma, window,
             calibration_iterations,

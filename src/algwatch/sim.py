@@ -382,8 +382,9 @@ def _samples(
     trials defaults to all of cfg.iterations. The range is cut once: into
     one range per worker when pooled (more than one worker, and at least 4
     trials each), then into ``_DRAW_TRIALS`` pieces. Pieces run here or in
-    the pool, each written into the run's one array as it arrives; the
-    folded record goes to every open ``collect_diagnostics`` block.
+    the pool, each written into the run's one (trials, arms) float array
+    as it arrives (a count run has one arm, its p_advs empty); the folded
+    record goes to every open ``collect_diagnostics`` block.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -392,14 +393,12 @@ def _samples(
     bounds = np.linspace(trials.start, trials.stop, workers + 1 if pooled else 2, dtype=int)
     los = [at for a, b in itertools.pairwise(bounds.tolist()) for at in range(a, b, _DRAW_TRIALS)]
     his = [*los[1:], trials.stop]  # the pieces tile the range
-    values, record = None, RunDiagnostics()
+    values, record = np.empty((len(trials), 1 + len(p_advs))), RunDiagnostics()
     with ProcessPoolExecutor(workers) if pooled else contextlib.nullcontext() as pool:
         pieces = (map if pool is None else pool.map)(
             _run, itertools.repeat(cfg), itertools.repeat(p_advs), los, his, itertools.repeat(score)
         )
         for lo, hi, (got, part) in zip(los, his, pieces):
-            if values is None:  # of the pieces' type and width
-                values = np.empty((len(trials), *got.shape[1:]), got.dtype)
             values[lo - trials.start:hi - trials.start] = got
             record.add(part)
     for diagnostics in _diagnostics.get():
@@ -573,6 +572,10 @@ def calibrate_threshold(
 
 
 def _matched_config(n, peer_count, delta, p, seed) -> TwoHopConfig:
+    if peer_count < 0:
+        raise ValueError(f"peer_count must be >= 0, got {peer_count}")
+    if not 0.0 <= p <= 0.5:
+        raise ValueError(f"p must be in [0, 0.5], got {p}")
     return TwoHopConfig(
         m=peer_count + 1, n=n, delta=delta, p_s=p, p_relay=p, p_adv=0.0,
         iterations=1, seed=seed, pruning_eps=0.5, hash_family="poly",
@@ -595,11 +598,27 @@ def matched_count_trial(
     formula also assumes idealized hash randomness (collision classes
     independent of Hamming geometry), which the field-polynomial family
     provides; the integer affine family's classes are low-bit aligned and
-    inflate the count an order of magnitude. A trial whose pruned
-    candidate sets come up empty counts zero matched states.
+    inflate the count an order of magnitude.
+
+    What is counted, exactly:
+
+    - the hash is the poly family's a_0 + a_1 x (its low delta bits), both
+      coefficients drawn uniformly from GF(2^n); when a_1 = 0 the hash is
+      constant, so every final state counts;
+    - each peer's transition row is its collision class within the median
+      ball, radius ``ball_radius(Bsc(p), n, 0.5)`` about the overheard
+      symbol: at p = 0.1 that is radius 0 (1 symbol) up to n = 6, and
+      radius 1 (n + 1 symbols) from n = 7 to 16;
+    - a counted state is a final state of positive weight that hashes to
+      the honest relay's announced value; a trial with an empty row
+      counts 0.
+
+    The count never reads the relay's overheard symbol, whereas
+    ``analysis.matched_count_expected`` takes m + 1 rates, the relay's
+    among them, and charges hash bits for the m peers only (m * delta).
     """
     cfg = _matched_config(n, peer_count, delta, p, seed)
-    return int(_samples(cfg, [], trials=range(trial, trial + 1), score=False)[0])
+    return int(_samples(cfg, [], trials=range(trial, trial + 1), score=False)[0, 0])
 
 
 def mean_matched_count(
@@ -610,4 +629,4 @@ def mean_matched_count(
         raise ValueError(f"trials must be in [1, 2^32], got {trials}")
     cfg = _matched_config(n, peer_count, delta, p, seed)
     matched = _samples(cfg, [], trials=range(trials), score=False)
-    return int(matched.sum(dtype=np.int64)) / trials  # exact sum, one rounding: np.mean's float
+    return float(matched.mean())  # a sum of counts below 2^53 is exact: one rounding

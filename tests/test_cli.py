@@ -15,8 +15,10 @@ import algwatch
 from algwatch import cli
 from algwatch.cli import main
 from algwatch.hashing import hash_eval_vec, sample_hash
-from algwatch.inference import InferenceError, build_and_run_trellis, transition_row
-from algwatch.sim import TwoHopConfig, simulate_observation
+from algwatch.inference import (
+    InferenceError, build_and_run_trellis, consistency_probability, transition_row,
+)
+from algwatch.sim import TwoHopConfig, brute_force_consistency, simulate_observation
 
 
 def _read_csv(path):
@@ -331,6 +333,26 @@ def test_oracle_subcommand(tmp_path):
     rows = _read_csv(out)
     assert float(rows[1][-1]) <= 1e-9
     assert main(["oracle", "--n", "8", "--out", str(tmp_path / "y.csv")]) == 1
+
+
+@pytest.mark.parametrize("flags, cfg", [
+    ([], TwoHopConfig(m=3, n=4, delta=1, p_s=0.1, p_relay=0.1, p_adv=0.3)),
+    (["--n", "6", "--delta", "0", "--m", "3", "--p", "0"],
+     TwoHopConfig(m=3, n=6, delta=0, p_s=0.0, p_relay=0.0, p_adv=0.3)),
+], ids=["default", "n6-delta0-p0"])
+def test_oracle_reports_the_public_pairs_error(tmp_path, flags, cfg):
+    # the CLI scores its trials as a run does; its error is the public pair's, to the bit
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", *flags, "--trials", "20", "--out", str(out)]) == 0
+    expect = 0.0
+    for trial in range(20):
+        for adversarial in (False, True):
+            obs = simulate_observation(cfg, adversarial, trial)
+            brute = brute_force_consistency(obs)
+            err = abs(consistency_probability(build_and_run_trellis(obs), obs) - brute)
+            expect = max(expect, err / max(abs(brute), 1e-300))
+    assert _read_csv(out)[1][-1] == cli._fmt(expect)
+    assert json.loads(out.with_suffix(".json").read_text())["max_rel_err"] == expect
 
 
 def test_multihop_scenario_subcommand(tmp_path):

@@ -680,13 +680,13 @@ def _cut_run(h, announced):
     for t, s, w in zip(*(a.tolist() for a in final)):
         layers[t][s] = w
     arms = h._replace(relay_symbols=h.relay_symbols[:, :announced.shape[1]], relay_hashes=announced)
-    hashed = h.hashes.at(use, states)
-    read = (hashed[:, None] == announced[use]).any(axis=1)
+    match = np.take(announced.T, use, axis=1) == h.hashes.at(use, states)
+    read = match.any(axis=0)
     return {
         "lengths": lengths.tolist(), "built": built.tolist(), "keyed": keyed.tolist(),
         "layers": layers,
         "before": {int(uses[0]): len(got[-2][1]) for uses, got in passes if len(got) > 2},
-        "scores": _as_lists(inference._score_arms(arms, final, hashed)),
+        "scores": _as_lists(inference._score_arms(arms, final, match)),
         "reads": np.bincount(use[read], minlength=len(built)).tolist(),
     }
 

@@ -341,10 +341,28 @@ def test_scenario_all_children_malicious():
     ("one-honest-path", {"instances": 0}, "instances must be >= 1, got 0"),
     ("one-honest-path", {"instances": -2}, "instances must be >= 1, got -2"),
     ("one-honest-path", {"policed_samples": -1}, "policed_samples must be >= 0, got -1"),
-], ids=["kind", "instances-0", "instances-negative", "samples-negative"])
+    ("one-honest-path", {"p_overhear": 0.6}, r"p_overhear must be in \[0, 0.5\], got 0.6"),
+    ("all-parents-malicious", {"p_overhear": 0.6}, r"p_overhear must be in \[0, 0.5\], got 0.6"),
+    ("all-children-malicious", {"p_overhear": -0.1}, r"p_overhear must be in \[0, 0.5\]"),
+    ("one-honest-path", {"gamma": 0.0}, r"gamma must be in \(0, 1\), got 0.0"),
+    ("one-honest-path", {"window": 60}, r"calibration_iterations must be >= window \(60\), got 50"),
+    ("one-honest-path", {"p_adv": 1.5}, r"p_adv must be in \[0, 1\], got 1.5"),
+    ("all-children-malicious", {"p_adv": -0.5}, r"p_adv must be in \[0, 1\], got -0.5"),
+], ids=["kind", "instances-0", "instances-negative", "samples-negative", "p_overhear",
+        "p_overhear-all-parents", "p_overhear-all-children", "gamma", "calibration_iterations",
+        "p_adv", "p_adv-all-children"])
 def test_scenario_rejects_unknown_kind(kind, counts, message):
     with pytest.raises(ValueError, match=message):
         mincut_scenario(kind, calibration_iterations=50, **counts)
+
+
+def test_scenario_rejects_a_bad_p_adv_before_calibrating(monkeypatch):
+    def calibrate(*args, **kwargs):
+        raise AssertionError("calibrate_threshold ran before p_adv was checked")
+
+    monkeypatch.setattr(multihop, "calibrate_threshold", calibrate)
+    with pytest.raises(ValueError, match="^p_adv must be"):
+        mincut_scenario("one-honest-path", p_adv=1.5)
 
 
 def test_topology_round_trip(tmp_path):

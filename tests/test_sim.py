@@ -248,13 +248,17 @@ def test_a_stream_that_runs_out_of_words_draws_more():
     (lambda: run_trial(TwoHopConfig(), True, trial=2**32), "trial"),
     (lambda: matched_count_trial(8, 2, 2, 0.1, trial=2**40), "trial"),
     (lambda: mean_matched_count(8, 2, 2, 0.1, trials=2**32 + 1), "trials"),
+    (lambda: mean_matched_count(8, 2, 2, 0.6, trials=5), "p"),
+    (lambda: matched_count_trial(8, 2, 2, -0.1), "p"),
+    (lambda: matched_count_trial(8, -1, 2, 0.1), "peer_count"),
     (lambda: TwoHopConfig(n=0), "n"),
     (lambda: TwoHopConfig(n=17, delta=2), "n"),
     (lambda: run_experiment(TwoHopConfig(iterations=8), workers=0), "workers"),
     (lambda: run_sweep(TwoHopConfig(iterations=8), "p_adv", [0.1], workers=-3), "workers"),
     (lambda: calibrate_threshold(TwoHopConfig(iterations=8), 0.1, workers=0), "workers"),
 ], ids=["config-seed", "config-iterations", "simulate_observation", "run_trial",
-        "matched_count_trial", "mean_matched_count", "config-n-0", "config-n-17",
+        "matched_count_trial", "mean_matched_count", "mean_matched_count-p",
+        "matched_count_trial-p", "matched_count_trial-peer_count", "config-n-0", "config-n-17",
         "run_experiment-workers", "run_sweep-workers", "calibrate_threshold-workers"])
 def test_seeds_and_trial_indices_out_of_range_name_the_field(call, name):
     with pytest.raises(ValueError, match=rf"^{name} must be"):
