@@ -66,8 +66,10 @@ class GF2n:
         if v != 1 or 1 in exp[1:size]:
             raise ValueError(f"x does not generate GF(2^{n})* modulo 0b{self.poly:b}")
         self._exp, self._log = exp, log
-        self._exp_np = np.array(exp, dtype=np.int64)
-        self._log_np = np.array(log, dtype=np.int64)
+        # Array tables for products of arrays: 0's log is 2 * size, past every sum of two
+        # nonzero logs, and the antilog table is 0 from there on, so a product with 0 is 0.
+        self._exp_np = np.array(exp + [0] * (2 * size + 1), dtype=np.int64)
+        self._log_np = np.array([2 * size, *log[1:]], dtype=np.int64)
 
     def _check(self, v: int) -> None:
         if not 0 <= v < self.order:
@@ -94,9 +96,7 @@ class GF2n:
 
     def mul_elementwise(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Elementwise field product of two arrays, broadcast against each other."""
-        out = self._exp_np[self._log_np[us] + self._log_np[vs]]
-        out[(us == 0) | (vs == 0)] = 0  # the log table's entry for 0 is a placeholder
-        return out
+        return self._exp_np[self._log_np[us] + self._log_np[vs]]
 
     def lincomb(self, coeffs, symbols) -> int:
         """Sum of coeff*symbol over paired lists."""

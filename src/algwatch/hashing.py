@@ -136,11 +136,21 @@ def _class_keys(hashes: _Hashes, targets: np.ndarray) -> tuple[np.ndarray, np.nd
         inverse, bits = a, 3  # a * a = 1 mod 8 for odd a
         while bits < delta:
             inverse, bits = inverse * (2 - a * inverse) & mask, 2 * bits
-        keys = (targets - b) * inverse & mask
-    else:
-        lam, keys = coeffs[:, 1], (targets ^ coeffs[:, :1]) & mask
+        return lam, (targets - b) * inverse & mask
+    lam, keys = coeffs[:, 1], (targets ^ coeffs[:, :1]) & mask
     keys[lam == 0] = 0
     return lam, keys
+
+
+def _key_of(lam, xs: np.ndarray, n: int, mask: int) -> np.ndarray:
+    """L(x) for each x of xs: the low bits (mask) of lam * x in GF(2^n), lam broadcast.
+
+    Where every lam is 1 (every affine hash) lam * x is x, and no field
+    multiply runs.
+    """
+    if not np.count_nonzero(lam != 1):
+        return xs & mask
+    return default_field(n).mul_elementwise(lam, xs) & mask
 
 
 def _classes(hashes: _Hashes, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -41,10 +41,14 @@ harness hands it whole pieces of drawn trials, and it hands back their
 values and one RunDiagnostics. On this path an InferenceError's cause is
 a small fault code (``_FAULTS`` holds the messages): a faulted arm
 scores p* = 0 and is counted, never listed. The one-observation calls
-are thin: ``build_and_run_trellis`` keeps a one-use block's one pass,
-and ``consistency_probability`` scores its final layer
-(``_score_arms``); they raise the message of their use's fault. Every
-use gets exactly the floats it would get alone.
+are thin: ``build_and_run_trellis`` runs a one-use block that reads the
+relay's announced value, so its last layer may hold only that value's
+class, and keeps that final layer with the block's arrays (``Trellis``).
+``consistency_probability`` scores an observation of the same hash and
+announced value on it (``_score_arms``), and any other on the whole last
+layer; the whole pass runs once, when first read. They raise the message
+of their use's fault. Every use gets exactly the floats it would get
+alone.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ import numpy as np
 
 from .channel import Bsc, _log_likelihood_table, ball_radius, ball_volume, log_likelihood
 from .gfield import GF2n, default_field
-from .hashing import HashSpec, _class_keys, _classes, _Hashes, _spec_hashes, hash_eval
+from .hashing import HashSpec, _class_keys, _classes, _Hashes, _key_of, _spec_hashes, hash_eval
 
 
 # Contributions added per chunk of a dense layer, and per group of a keyed pass;
@@ -245,14 +249,17 @@ def _transition_rows(
         near = d <= radius[peer]
         items, cands, d, peer = items[near], cands[near], d[near], peer[near]
     logw = _log_likelihood_table(channels, n)[peer, d]
-    finite = logw > -np.inf
-    items, cands, logw = items[finite], cands[finite], logw[finite]
+    if (logw == -np.inf).any():  # a noiseless channel's likelihood is 0 off its symbol
+        finite = logw > -np.inf
+        items, cands, logw = items[finite], cands[finite], logw[finite]
     lengths = np.bincount(items, minlength=targets.size)
     w = np.exp(logw - _segment_reduce(np.maximum, logw, lengths, -np.inf)[items])
     w /= _segment_reduce(np.add, w, lengths, 0.0)[items]
-    keep = w > 0.0
-    lengths = np.bincount(items[keep], minlength=targets.size).reshape(targets.shape)
-    return cands[keep], w[keep], lengths
+    if not w.all():  # a likelihood far below its row's largest rounds to 0
+        keep = w > 0.0
+        items, cands, w = items[keep], cands[keep], w[keep]
+        lengths = np.bincount(items, minlength=targets.size)
+    return cands, w, lengths.reshape(targets.shape)
 
 
 def _check_overheard(
@@ -294,18 +301,28 @@ class Trellis:
 
     Layer i holds the weights of all reachable values of
     sum_{j<=i} a_j x_j; layer 1 is the single state a_1 x_1 with weight 1.
-    The layers are its one pass's, as ``_trellises`` gives them; a dense
-    vector is built only when asked for.
+    Built by ``build_and_run_trellis``, it holds its observation, that
+    observation as a block of one use, and the final layer that pass gave,
+    which may hold only the announced class. The whole pass (``_trellises``)
+    runs once, when first needed: by ``layers``, ``final_weights``,
+    ``matched_codewords``, or ``consistency_probability`` of another
+    announced value. A dense vector is built only when asked for.
     """
 
-    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]], order: int):
-        self._layers, self._order = layers, order
+    def __init__(self, obs: WatchdogObservation, h: _Holdings, final):
+        self._obs, self._holdings, self._final = obs, h, final
+
+    @functools.cached_property
+    def _layers(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Every layer of the whole pass, none cut."""
+        (_, layers), = _trellises(self._holdings)[3]
+        return layers
 
     @property
     def final_weights(self) -> np.ndarray:
         """Dense weight vector of the last layer, indexed by state."""
         _, states, weights = self._layers[-1]
-        vec = np.zeros(self._order)
+        vec = np.zeros(1 << self._obs.hash_spec.n)
         vec[states] = weights
         return vec
 
@@ -345,14 +362,14 @@ def _forward_pass(
     With cut = (lam, keys, mask) of the trellis (``_class_keys``), the last
     layer keeps only the classes in keys when lam != 0 and it has over
     ``_SCATTER_CHUNK`` terms (a smaller cut costs more than it saves).
-    State s's class is the low bits (mask) of lam * s in GF(2^n), a
-    GF(2)-linear key: shift_x ^ u is in class c when u is in class
+    State s's class is ``_key_of``: the low bits (mask) of lam * s in
+    GF(2^n), a GF(2)-linear key: shift_x ^ u is in class c when u is in class
     c ^ key(shift_x). Layer i-1 is laid out as a grid, row r its
     states of class r padded with weight 0.0; for each wanted class c,
     candidate x meets row c ^ key(shift_x). A kept state still takes one
     term per candidate, in candidate order (a pad adds +0.0): bit-identical.
     """
-    size, start, gf = 1 << n, int(starts[0]), default_field(n)
+    size, start = 1 << n, int(starts[0])
     layers = [(np.zeros(1, np.int64), starts, np.ones(1))]
     for i, (lo_row, hi_row) in enumerate(zip(lo[0].tolist(), hi[0].tolist()), 1):
         row_shifts, row_probs = shifts[lo_row:hi_row], probs[lo_row:hi_row]
@@ -364,25 +381,29 @@ def _forward_pass(
             split = (i == lo.shape[1] and cut is not None and cut[0][0] != 0
                      and len(row_shifts) * len(support) > _SCATTER_CHUNK)
             if split:
-                (lam,), (keys,), mask = cut
-                keyed = np.sort((gf.mul_elementwise(lam, support) & mask) << n | support)
+                lam, (keys,), mask = cut
+                keyed = _key_of(lam, support, n, mask) << n | support
+                keyed.sort()
                 cls, members = keyed >> n, keyed & (size - 1)
-                counts = np.bincount(cls, minlength=mask + 1)
-                col = np.arange(len(keyed)) - (np.cumsum(counts) - counts)[cls]
-                grid_states = np.zeros((mask + 1, counts.max()), np.int64)
+                col = np.arange(len(keyed)) - cls.searchsorted(cls)  # its place in its class
+                grid_states = np.zeros((mask + 1, col.max() + 1), np.int64)
                 grid_weights = np.zeros(grid_states.shape)
                 grid_states[cls, col], grid_weights[cls, col] = members, vec[members]
-                own = gf.mul_elementwise(lam, row_shifts) & mask
-                classes = np.flatnonzero(np.bincount(keys, minlength=mask + 1))  # wanted, ascending
-            else:  # the whole layer, one class: its support is the grid's one row, read as is
+                own = _key_of(lam, row_shifts, n, mask)
+                classes = sorted(set(keys.tolist()))  # wanted
+            else:  # the whole layer, one class: its support is the grid's one row
                 grid_states, grid_weights, classes = support[None], mass[None], [0]
+                own = np.zeros(len(row_shifts), np.int64)
             step, vec = max(1, _SCATTER_CHUNK // grid_states.shape[1]), np.zeros(size)
             for c in classes:
                 for at in range(0, len(row_shifts), step):
-                    rows = own[at:at + step] ^ c if split else 0
-                    np.add.at(vec, (row_shifts[at:at + step, None] ^ grid_states[rows]).ravel(),
-                              (row_probs[at:at + step, None] * grid_weights[rows]).ravel())
-        support = np.flatnonzero(vec > 0.0)
+                    rows = own[at:at + step] ^ c
+                    targets = grid_states.take(rows, axis=0)
+                    targets ^= row_shifts[at:at + step, None]
+                    terms = grid_weights.take(rows, axis=0)
+                    terms *= row_probs[at:at + step, None]
+                    np.add.at(vec, targets.ravel(), terms.ravel())
+        support = (vec > 0.0).nonzero()[0]
         layers.append((np.zeros(len(support), np.int64), support, vec[support]))
     return layers
 
@@ -450,8 +471,8 @@ def _contributions(
 
     With cut = (lam, classes, mask), ``_class_keys``' multipliers and keys,
     only contributions to each trellis's class classes[:, 0] are kept, in
-    order. The class key is GF(2)-linear, key(shift ^ u) = key(shift) ^
-    key(u): shifts and live states are keyed, not contributions.
+    order. The class key (``_key_of``) is GF(2)-linear, key(shift ^ u) =
+    key(shift) ^ key(u): shifts and live states are keyed, not contributions.
 
     A function of its own so that its index arrays are freed before the
     keys are sorted: a block's peak memory is a layer's temporaries.
@@ -466,9 +487,9 @@ def _contributions(
     src = _ranges((np.cumsum(sizes) - sizes)[owner], reps)
     keys = np.repeat(owner, reps)
     if cut is not None:  # u's class must be key(shift) ^ classes[owner, 0]
-        (lam, classes, mask), gf = cut, default_field(n)
-        target = gf.mul_elementwise(lam[owner], shifts[cands]) & mask ^ classes[owner, 0]
-        keep = np.repeat(target, reps) == (gf.mul_elementwise(lam[trellis], states) & mask)[src]
+        lam, classes, mask = cut
+        target = _key_of(lam[owner], shifts[cands], n, mask) ^ classes[owner, 0]
+        keep = np.repeat(target, reps) == _key_of(lam[trellis], states, n, mask)[src]
         cand, src, keys = cand[keep], src[keep], keys[keep]
     keys <<= n
     keys |= shifts[cand] ^ states[src]
@@ -570,20 +591,20 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
         h.hashes, h.heard, h.peer_hashes, h.peer_channels, h.prune_eps
     )
     shifts = gf.mul_elementwise(np.repeat(h.coeffs[:, 1:].ravel(), lengths.ravel()), cands)
-    edges = np.append(0, np.cumsum(lengths))  # row (k, j) starts at edges[k * peers + j]
+    ends = lengths.cumsum().reshape(lengths.shape)  # row (k, j): shifts[firsts[k, j]:ends[k, j]]
+    firsts = ends - lengths
     starts = gf.mul_elementwise(h.coeffs[:, 0], h.own)
     built = lengths.all(axis=1)
-    bounds = np.prod(lengths, axis=1, dtype=float)  # no layer holds more states
+    bounds = lengths.prod(axis=1, dtype=float)  # no layer holds more states
     cut_keyed = (announced is not None and announced.shape[1] == 1  # one value: count, one arm
                  and peers > 1 and h.hashes.delta > 0)  # a summed last layer of several classes
     keyed = built & (bounds * (_KEYED_SHARE / 8 if cut_keyed else _KEYED_SHARE) <= 1 << n)
-    dense = np.flatnonzero(built ^ keyed)[:, None]  # built, not keyed: groups of one
+    dense = (built ^ keyed).nonzero()[0][:, None]  # built, not keyed: groups of one
     cuts = announced is not None and h.hashes.delta > 0 and (cut_keyed or len(dense) > 0)
     lam, keys = _class_keys(h.hashes, announced) if cuts else (None, None)
     passes = []
     for group in [*(_groups(np.flatnonzero(keyed), bounds) if keyed.any() else []), *dense]:
-        rows = group[:, None] * peers + np.arange(peers)
-        args = starts[group], shifts, probs, edges[rows], edges[rows + 1], n
+        args = starts[group], shifts, probs, firsts[group], ends[group], n
         cut = None if keys is None else (lam[group], keys[group], (1 << h.hashes.delta) - 1)
         if not keyed[group[0]]:
             passes.append((group, _forward_pass(*args, cut)))
@@ -691,8 +712,8 @@ def _score_arms(
     mass = weights[at]
     opens = np.ones(len(relay), bool)  # where a relay's pairs start
     opens[1:] = relay[1:] != relay[:-1]
-    first = np.flatnonzero(opens)
-    ends = np.append(first[1:], len(relay))
+    first = opens.nonzero()[0]
+    ends = np.concatenate((first[1:], [len(relay)]))
     scored = fault[relay[first]] == 0  # an arm with a fault keeps p* = 0
     first, ends = first[scored], ends[scored]
     pstars = np.zeros(count * arms)
@@ -783,13 +804,16 @@ def _watch_block(h: _Holdings, score: bool):
 def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
     """Forward pass: accumulate state probabilities layer by layer (``_trellises``).
 
-    Raises InferenceError when a transition row comes up empty.
+    The last layer is built over the class of the relay's announced value
+    where ``_trellises`` cuts it; the trellis completes itself when a layer
+    is read. Raises InferenceError when a transition row comes up empty.
     """
-    _, built, _, passes = _trellises(_holdings(obs))
+    h = _holdings(obs)
+    _, built, _, passes = _trellises(h, h.relay_hashes)
     if not built[0]:
         raise InferenceError(_FAULTS[_EMPTY_ROW])
     (_, layers), = passes
-    return Trellis(layers, 1 << obs.hash_spec.n)
+    return Trellis(obs, h, layers[-1])
 
 
 def inverse_transition(
@@ -822,10 +846,16 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
 
     Sums w(s, m) * T_inv(s, observed) over the final layer; this is the
     statistic whose distribution separates honest from misbehaving relays.
+    An obs with the trellis's hash and announced value is scored on the
+    final layer it was built with, which holds every state p* reads; any
+    other obs on the whole final layer.
     """
-    h = _holdings(obs)
-    use, states, _ = final = trellis._layers[-1]
-    match = h.hashes.at(use, states)[None] == obs.relay_overheard.hash_value
+    built = trellis._obs
+    h = trellis._holdings if obs == built else _holdings(obs)
+    relay = obs.relay_overheard
+    same = (obs.hash_spec, relay.hash_value) == (built.hash_spec, built.relay_overheard.hash_value)
+    use, states, _ = final = trellis._final if same else trellis._layers[-1]
+    match = h.hashes.at(use, states)[None] == relay.hash_value
     pstars, fault = _score_arms(h, final, match)
     if fault[0, 0]:
         raise InferenceError(_FAULTS[fault[0, 0]])
@@ -833,7 +863,7 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
 
 
 def matched_codewords(trellis: Trellis, relay_hash: int, spec: HashSpec) -> list[int]:
-    """Final-layer states with positive weight hashing to the relay's value."""
+    """Final-layer states with positive weight hashing to the relay's value (the whole layer)."""
     _check_overheard(spec, "relay_hash", relay_hash)
     use, states, _ = trellis._layers[-1]
     return states[_spec_hashes(spec).at(use, states) == relay_hash].tolist()

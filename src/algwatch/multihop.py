@@ -25,13 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Bsc, transmit
+from .channel import Bsc, flip_bits
 from .gfield import default_field
 from .hashing import HashSpec, sample_hash
 from .inference import Overheard, Verdict, WatchdogObservation, decide
 from .inference import build_and_run_trellis, consistency_probability
 from .packet import Packet, corrupt_payload, destination_check, make_packet
-from .sim import TwoHopConfig, calibrate_threshold
+from .sim import _MAX_TRIALS, TwoHopConfig, calibrate_threshold
 
 HONEST = "honest"
 ADVERSARIAL = "adversarial"
@@ -43,7 +43,8 @@ class Hypergraph:
 
     ``links`` are directed (sender, receiver) pairs; ``interference`` maps
     directed (speaker, listener) pairs to the BSC crossover rate of that
-    overhearing channel.
+    overhearing channel. Each node's parents, children and listeners are
+    read from them once, at construction.
     """
 
     nodes: frozenset[str]
@@ -58,12 +59,21 @@ class Hypergraph:
             if u not in self.nodes or v not in self.nodes:
                 raise ValueError(f"interference edge ({u}, {v}) references undeclared node")
             Bsc(p)
+        parents, children, listeners = ({v: [] for v in self.nodes} for _ in range(3))
+        for u, v in sorted(self.links):
+            parents[v].append(u)
+            children[u].append(v)
+        for (u, v), p in sorted(self.interference.items()):
+            listeners[u].append((v, p))
+        object.__setattr__(self, "_parents", parents)  # each list sorted
+        object.__setattr__(self, "_children", children)
+        object.__setattr__(self, "_listeners", listeners)  # (listener, rate) pairs
 
     def parents(self, v: str) -> set[str]:
-        return {u for u, w in self.links if w == v}
+        return set(self._parents.get(v, ()))
 
     def children(self, v: str) -> set[str]:
-        return {w for u, w in self.links if u == v}
+        return set(self._children.get(v, ()))
 
     def overhearing_rate(self, speaker: str, listener: str) -> float:
         key = (speaker, listener)
@@ -155,7 +165,7 @@ def run_round(
     order = 1 << spec.n
     events = []
     for v in sorted(transmitters):
-        if g.parents(v):
+        if g._parents.get(v):
             inputs = inbox.pop(v, {})
             if not inputs:
                 raise ValueError(f"node {v} scheduled with no received inputs")
@@ -177,13 +187,12 @@ def run_round(
         if behavior.role == ADVERSARIAL and behavior.p_adv > 0.0:
             pkt = corrupt_payload(pkt, behavior.p_adv, spec, rng)
         delivered = {}
-        for child in sorted(g.children(v)):
+        for child in g._children.get(v, ()):
             inbox.setdefault(child, {})[v] = pkt.payload
             delivered[child] = pkt.payload
         overheard = {}
-        for (speaker, listener), p in sorted(g.interference.items()):
-            if speaker == v:
-                overheard[listener] = transmit(Bsc(p), pkt.payload, spec.n, rng)
+        for listener, p in g._listeners.get(v, ()):  # each rate checked by Hypergraph
+            overheard[listener] = flip_bits(pkt.payload, p, spec.n, rng)
         events.append(Transmission(round_index, v, pkt, delivered, overheard))
     return events
 
@@ -412,9 +421,15 @@ def mincut_scenario(
     if kind == "one-honest-path":
         if not 0.0 < gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
         if calibration_iterations < window:
             raise ValueError(
                 f"calibration_iterations must be >= window ({window}), got {calibration_iterations}"
+            )
+        if calibration_iterations > _MAX_TRIALS:
+            raise ValueError(
+                f"calibration_iterations must be <= 2^32, got {calibration_iterations}"
             )
         return _scenario_one_honest_path(
             seed, instances, policed_samples, p_adv, p_overhear, gamma, window,

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from algwatch import inference
 from algwatch.channel import Bsc, _log_likelihood_table, ball_radius, ball_volume
 from algwatch.gfield import default_field
 from algwatch.hashing import (
-    FAMILIES, HashSpec, _class_keys, _hash_rows, _Hashes, collision_class, collision_list,
+    FAMILIES, HashSpec, _class_keys, _hash_rows, _Hashes, _key_of, collision_class, collision_list,
     hash_eval, hash_eval_vec, sample_hash,
 )
 from algwatch.inference import (
@@ -785,3 +786,106 @@ def test_class_keys_invert_every_drawn_hash(delta):
     assert keys[1:].tolist() == [[(r ^ a0) & mask for r in rs] for a0, rs in drawn]
     with pytest.raises(ValueError, match="coefficients"):
         HashSpec("poly", n, delta, (1, 1, 1))  # quadratic
+
+
+@st.composite
+def _public_observations(draw):
+    """(obs, another announced value, another relay symbol) at n 3-6, delta 0-n.
+
+    Both families; a poly hash has a_1 = 0 (lam = 0: one class, nothing cut)
+    half the time. A last layer can be cut from m = 3 on, so m = 3 and 4 are
+    drawn twice as often as 1 and 2. Peers are overheard at rates that may
+    be 0, so a row may come up empty and a relay may not be scorable.
+    """
+    n = draw(st.integers(3, 6))
+    delta, family = draw(st.integers(0, n)), draw(st.sampled_from(FAMILIES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = sample_hash(rng, family, n, delta)
+    if family == "poly" and draw(st.booleans()):
+        spec = HashSpec("poly", n, delta, (spec.coefficients[0], 0))
+    m, order = draw(st.sampled_from([1, 2, 3, 3, 4, 4])), 1 << n
+    symbols = rng.integers(0, order, m).tolist()
+    coeffs = tuple(rng.integers(1, order, m).tolist())
+    rates = draw(st.lists(st.sampled_from(_ROW_RATES), min_size=m, max_size=m))
+
+    def overheard(x, rate):
+        flips = int((rng.random(n) < rate) @ (1 << np.arange(n)))
+        return Overheard(x ^ flips, hash_eval(spec, x), Bsc(rate))
+
+    relay = overheard(default_field(n).lincomb(coeffs, symbols), rates[-1])
+    obs = WatchdogObservation(
+        symbols[0], coeffs, tuple(map(overheard, symbols[1:], rates)), relay, spec,
+        draw(st.sampled_from([None, 0.05, 0.3])),
+    )
+    other_hash = draw(st.integers(0, (1 << delta) - 1))
+    other_symbol = draw(st.integers(0, order - 1))
+    return obs, other_hash, other_symbol
+
+
+def _whole_pstar(obs, final):
+    """p* of obs scored on a whole final layer, as the whole-layer pair scores it, else the
+    InferenceError message."""
+    h = inference._holdings(obs)
+    use, states, _ = final
+    match = h.hashes.at(use, states)[None] == obs.relay_overheard.hash_value
+    pstars, fault = inference._score_arms(h, final, match)
+    return inference._FAULTS[fault[0, 0]] if fault[0, 0] else float(pstars[0, 0])
+
+
+def _public_pstar(trellis, obs):
+    try:
+        return consistency_probability(trellis, obs)
+    except InferenceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_public_observations(), st.sampled_from([40, inference._SCATTER_CHUNK]))
+def test_public_trellis_completes_to_the_whole_trellis(drawn, chunk):
+    """The public pair's trellis, built over the announced class, reads as the whole trellis.
+
+    p* of the build observation, of one that differs only in its relay symbol
+    and of one that differs only in its announced value equals p* scored on
+    the whole final layer, fault for fault; then layers, final_weights and
+    matched_codewords of every delta-bit value equal the whole pass's. A
+    chunk of 40 cuts dense last layers at these small n too.
+    """
+    obs, other_hash, other_symbol = drawn
+    relay = obs.relay_overheard
+    variants = [obs, replace(obs, relay_overheard=replace(relay, symbol=other_symbol)),
+                replace(obs, relay_overheard=replace(relay, hash_value=other_hash))]
+    with mock.patch.object(inference, "_SCATTER_CHUNK", chunk):
+        _, built, _, passes = inference._trellises(inference._holdings(obs))
+        if not built[0]:
+            with pytest.raises(InferenceError, match=inference._FAULTS[inference._EMPTY_ROW]):
+                build_and_run_trellis(obs)
+            return
+        (_, whole), = passes
+        trellis = build_and_run_trellis(obs)
+        assert [_public_pstar(trellis, o) for o in variants] == [
+            _whole_pstar(o, whole[-1]) for o in variants
+        ]
+    assert trellis.layers == [dict(zip(s.tolist(), w.tolist())) for _, s, w in whole]
+    vec = np.zeros(1 << obs.hash_spec.n)
+    vec[whole[-1][1]] = whole[-1][2]
+    assert np.array_equal(trellis.final_weights, vec)
+    spec, states = obs.hash_spec, whole[-1][1]
+    for value in range(1 << spec.delta):
+        expect = states[hash_eval_vec(spec, states) == value].tolist()
+        assert matched_codewords(trellis, value, spec) == expect
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_key_of_is_the_field_product_masked(n):
+    """``_key_of`` equals the low delta bits of lam * x in GF(2^n), for lam of 1, other
+    than 1 and 0, one per x or one for all, at every delta from 1 to n."""
+    rng, order = np.random.default_rng(n), 1 << n
+    xs = rng.integers(0, order, 64)
+    drawn = rng.integers(2, order, 64) if order > 2 else np.zeros(64, np.int64)
+    lams = [np.ones(64, np.int64), np.ones(1, np.int64), drawn, drawn[:1],
+            np.zeros(64, np.int64), np.zeros(1, np.int64), np.where(xs & 1, 1, drawn)]
+    for delta in range(1, n + 1):
+        mask = (1 << delta) - 1
+        for lam in lams:
+            expect = default_field(n).mul_elementwise(lam, xs) & mask
+            assert _key_of(lam, xs, n, mask).tolist() == expect.tolist()

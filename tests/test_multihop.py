@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algwatch import multihop
+from algwatch import inference, multihop
 from algwatch.channel import Bsc
 from algwatch.hashing import HashSpec, hash_eval, sample_hash
 from algwatch.inference import (
@@ -319,6 +319,31 @@ def test_scenario_one_honest_path_smoke():
     assert report.detection_frequency == pytest.approx(1.0)
 
 
+def test_scenario_police_builds_only_the_classes_it_reads(monkeypatch):
+    """Every trellis the scenario builds, for calibration or for a ``police`` call, ends in a
+    last layer whose states all hash to a value its use announced: the class p* reads."""
+    trellises, finals, polices = inference._trellises, [], []
+
+    def recorded(h, announced=None):
+        got = trellises(h, announced)
+        finals.extend((h, announced, uses[t], s)
+                      for uses, layers in got[3] for t, s, _ in layers[-1:])
+        return got
+
+    def policing(*args):
+        polices.append(len(finals))
+        return police(*args)
+
+    monkeypatch.setattr(inference, "_trellises", recorded)
+    monkeypatch.setattr(multihop, "police", policing)
+    mincut_scenario("one-honest-path", instances=1, policed_samples=3, calibration_iterations=50)
+    assert polices and len(finals) > polices[-1]  # the police calls built trellises too
+    for h, announced, use, states in finals:
+        assert announced is not None
+        hashed = h.hashes.at(use, states)
+        assert (hashed[:, None] == announced[use]).any(axis=1).all()
+
+
 def test_scenario_all_parents_malicious():
     report = mincut_scenario("all-parents-malicious", seed=1)
     assert report.corrupted_delivered
@@ -348,12 +373,18 @@ def test_scenario_all_children_malicious():
     ("one-honest-path", {"window": 60}, r"calibration_iterations must be >= window \(60\), got 50"),
     ("one-honest-path", {"p_adv": 1.5}, r"p_adv must be in \[0, 1\], got 1.5"),
     ("all-children-malicious", {"p_adv": -0.5}, r"p_adv must be in \[0, 1\], got -0.5"),
+    ("one-honest-path", {"window": 0}, "^window must be >= 1, got 0$"),
+    ("one-honest-path", {"calibration_iterations": 2**33},
+     r"^calibration_iterations must be <= 2\^32, got 8589934592$"),
+    ("one-honest-path", {"calibration_iterations": 0, "window": -1},
+     "^window must be >= 1, got -1$"),
 ], ids=["kind", "instances-0", "instances-negative", "samples-negative", "p_overhear",
         "p_overhear-all-parents", "p_overhear-all-children", "gamma", "calibration_iterations",
-        "p_adv", "p_adv-all-children"])
+        "p_adv", "p_adv-all-children", "window-0", "calibration_iterations-2^33",
+        "window-negative"])
 def test_scenario_rejects_unknown_kind(kind, counts, message):
     with pytest.raises(ValueError, match=message):
-        mincut_scenario(kind, calibration_iterations=50, **counts)
+        mincut_scenario(kind, **{"calibration_iterations": 50, **counts})
 
 
 def test_scenario_rejects_a_bad_p_adv_before_calibrating(monkeypatch):

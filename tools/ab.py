@@ -1,0 +1,227 @@
+"""Alternating A/B timing of a parent commit against the working tree.
+
+Run from the root of an algwatch checkout:
+
+    python3 tools/ab.py process --parent REV --pairs 10 --seconds 30
+    python3 tools/ab.py inprocess --parent REV --pairs 20 --call scenario
+
+``process`` exports REV with ``git archive`` into a temporary directory and
+runs ``perfbench/run.py --workload W --seed 1 --seconds S --trace 0`` for
+every workload of ``BENCHMARK.json``, from each root in turn; pair k runs
+the parent first when k is even and the working tree first when k is odd.
+It prints one JSON object: for each end-to-end metric of each workload,
+each side's runs, median and quartiles, the pairs in which the working
+tree reads better, the relative change of the medians, the parent's
+interquartile range over its median, the ``BENCHMARK.json`` bound and a
+verdict: ``unresolved`` when that spread exceeds the bound and not every
+run of the working tree reads better than every run of the parent, else
+``beyond`` when the change is worse by more than the bound, else
+``within``.
+
+``inprocess`` imports both trees into this one process under two package
+names and times one call of each side in turn, alternating which goes
+first, after checking that both sides return equal results:
+
+- ``calibrate``: ``calibrate_threshold`` at the ``one-honest-path``
+  workload's calibration point (m = 3, n = 10, delta = 2, p = 0.1, 400
+  trials, window 25);
+- ``pair``: ``consistency_probability(build_and_run_trellis(obs), obs)``
+  over every observation that workload's call polices at seed 1;
+- ``scenario``: that workload's call, ``mincut_scenario("one-honest-path",
+  instances=4, calibration_iterations=400)``.
+
+It prints the pairs in which the working tree was faster and the median
+ratio of its time to the parent's.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path.cwd()
+SEED = 1
+
+
+def _export(rev: str, into: Path) -> Path:
+    """The tree of rev, unpacked under into."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
+    return into
+
+
+def _quartiles(runs: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def _verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    sign = 1 if better == "lower" else -1
+    p, c = _quartiles(parent), _quartiles(change)
+    spread = (p["q3"] - p["q1"]) / p["median"]
+    worse = sign * (c["median"] - p["median"]) / p["median"]
+    every_run_better = max(sign * v for v in change) < min(sign * v for v in parent)
+    if spread > bound and not every_run_better:
+        verdict = "unresolved"
+    else:
+        verdict = "beyond" if worse > bound else "within"
+    return {
+        "parent": p, "change": c,
+        "change_better_in_pairs": f"{sum(sign * (b - a) < 0 for a, b in zip(parent, change))}"
+                                  f"/{len(parent)}",
+        "relative_change": (c["median"] - p["median"]) / p["median"],
+        "parent_iqr_relative": spread, "bound": bound, "verdict": verdict,
+        "runs": {"parent": parent, "change": change},
+    }
+
+
+def _run(root: Path, workload: str, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def process(parent: str, pairs: int, seconds: float) -> dict:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    runs = {}  # (workload, metric, side) -> values
+    failed = {"parent": 0, "change": 0}
+    with tempfile.TemporaryDirectory() as tmp:
+        roots = {"parent": _export(parent, Path(tmp)), "change": ROOT}
+        for k in range(pairs):
+            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                for workload in (w["name"] for w in bench["workloads"]):
+                    got = _run(roots[side], workload, seconds)
+                    failed[side] += got["failed"]
+                    for metric in bench["end_to_end"]:
+                        value = got["metrics"][metric["name"]]["value"]
+                        runs.setdefault((workload, metric["name"], side), []).append(value)
+    metrics = {
+        f"{workload}.{m['name']}": _verdict(runs[workload, m["name"], "parent"],
+                                            runs[workload, m["name"], "change"],
+                                            m["better"], m["bound"])
+        for workload in (w["name"] for w in bench["workloads"]) for m in bench["end_to_end"]
+    }
+    return {"parent": parent, "pairs": pairs, "seconds": seconds, "seed": SEED,
+            "failed_calls": failed, "metrics": metrics}
+
+
+def _load(name: str, root: Path):
+    """root's algwatch package, imported as name."""
+    package = root / "src" / "algwatch"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    for sub in ("channel", "hashing", "inference", "multihop", "sim"):
+        importlib.import_module(f"{name}.{sub}")
+    return module
+
+
+def _policed(aw) -> list:
+    """Every observation the one-honest-path workload's call polices at SEED."""
+    got, build = [], aw.multihop.build_observation
+
+    def recorded(*args):
+        got.append(build(*args))
+        return got[-1]
+
+    aw.multihop.build_observation = recorded
+    try:
+        aw.multihop.mincut_scenario("one-honest-path", seed=SEED, instances=4,
+                                    calibration_iterations=400)
+    finally:
+        aw.multihop.build_observation = build
+    return got
+
+
+def _as(aw, obs):
+    """obs rebuilt from aw's own classes."""
+    inf = aw.inference
+
+    def heard(o):
+        return inf.Overheard(o.symbol, o.hash_value, aw.channel.Bsc(o.channel.p))
+
+    spec = aw.hashing.HashSpec(obs.hash_spec.family, obs.hash_spec.n, obs.hash_spec.delta,
+                               obs.hash_spec.coefficients)
+    return inf.WatchdogObservation(obs.own_symbol, obs.coeffs, tuple(map(heard, obs.overheard)),
+                                   heard(obs.relay_overheard), spec, obs.prune_eps)
+
+
+def _call(aw, what: str, policed: list):
+    """The timed call of aw for what: a function of the pair index."""
+    if what == "calibrate":
+        def call(k):
+            cfg = aw.sim.TwoHopConfig(m=3, n=10, delta=2, p_s=0.1, p_relay=0.1, p_adv=0.0,
+                                      iterations=400, seed=k + 1)
+            return aw.sim.calibrate_threshold(cfg, 0.05, window=25)
+    elif what == "pair":
+        observations = [_as(aw, obs) for obs in policed]
+        inf = aw.inference
+
+        def call(k):
+            return [inf.consistency_probability(inf.build_and_run_trellis(o), o)
+                    for o in observations]
+    else:
+        def call(k):
+            report = aw.multihop.mincut_scenario("one-honest-path", seed=k, instances=4,
+                                                 calibration_iterations=400)
+            return report.details, report.detection_frequency
+    return call
+
+
+def inprocess(parent: str, pairs: int, what: str) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"parent": _load("algwatch_parent", _export(parent, Path(tmp))),
+                 "change": _load("algwatch_change", ROOT)}
+        policed = _policed(trees["parent"]) if what == "pair" else []
+        calls = {side: _call(aw, what, policed) for side, aw in trees.items()}
+        for k in range(2):  # equal results, and warm caches on both sides
+            assert calls["parent"](k) == calls["change"](k), "the trees disagree"
+        ratios, times = [], {"parent": [], "change": []}
+        for k in range(pairs):
+            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                start = time.perf_counter()
+                calls[side](k + 2)
+                times[side].append(time.perf_counter() - start)
+            ratios.append(times["change"][-1] / times["parent"][-1])
+    return {"call": what, "parent": parent, "pairs": pairs,
+            "change_faster_in_pairs": f"{sum(r < 1 for r in ratios)}/{pairs}",
+            "median_ratio": statistics.median(ratios),
+            "median_s": {side: statistics.median(t) for side, t in times.items()}}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="mode", required=True)
+    proc = sub.add_parser("process")
+    proc.add_argument("--parent", required=True)
+    proc.add_argument("--pairs", type=int, default=10)
+    proc.add_argument("--seconds", type=float, default=30)
+    inproc = sub.add_parser("inprocess")
+    inproc.add_argument("--parent", required=True)
+    inproc.add_argument("--pairs", type=int, default=20)
+    inproc.add_argument("--call", required=True, choices=("calibrate", "pair", "scenario"))
+    args = parser.parse_args(argv)
+    if args.mode == "process":
+        result = process(args.parent, args.pairs, args.seconds)
+    else:
+        result = inprocess(args.parent, args.pairs, args.call)
+    print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
