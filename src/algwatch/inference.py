@@ -25,8 +25,9 @@ or ``np.bincount`` over a keyed layer's distinct states, each applying
 them one at a time in input order. So every layer is bit-for-bit what
 that pass gives. It runs keyed, trellises of a block together, when the
 rows bound its paths to 2^n / 8 (``_keyed_pass``), else dense, one
-trellis at a time (``_forward_pass``). On the block path a
-large dense last layer is built over the collision classes p* reads
+trellis at a time (``_forward_pass``). One rule cuts a last layer
+(``_trellises``): where an announced value is read and delta > 0, a large
+dense last layer is built over the collision classes p* reads
 (``_class_keys``), and so is a summed keyed one when every use reads one
 announced value, a count or one scored arm: then 2^n paths run keyed.
 
@@ -360,14 +361,15 @@ def _forward_pass(
     0.0 + t_x is t_x.
 
     With cut = (lam, keys, mask) of the trellis (``_class_keys``), the last
-    layer keeps only the classes in keys when lam != 0 and it has over
-    ``_SCATTER_CHUNK`` terms (a smaller cut costs more than it saves).
-    State s's class is ``_key_of``: the low bits (mask) of lam * s in
-    GF(2^n), a GF(2)-linear key: shift_x ^ u is in class c when u is in class
-    c ^ key(shift_x). Layer i-1 is laid out as a grid, row r its
-    states of class r padded with weight 0.0; for each wanted class c,
-    candidate x meets row c ^ key(shift_x). A kept state still takes one
-    term per candidate, in candidate order (a pad adds +0.0): bit-identical.
+    layer keeps only the classes in keys when it has over ``_SCATTER_CHUNK``
+    terms (a smaller cut costs more than it saves). State s's class is
+    ``_key_of``: the low bits (mask) of lam * s in GF(2^n), a GF(2)-linear
+    key: shift_x ^ u is in class c when u is in class c ^ key(shift_x).
+    Layer i-1 is laid out as a grid, row r its states of class r padded
+    with weight 0.0; for each wanted class c, candidate x meets row
+    c ^ key(shift_x). A kept state still takes one term per candidate, in
+    candidate order (a pad adds +0.0): bit-identical. Where lam = 0 every
+    state and every key is class 0, so the grid is the whole layer.
     """
     size, start = 1 << n, int(starts[0])
     layers = [(np.zeros(1, np.int64), starts, np.ones(1))]
@@ -378,9 +380,8 @@ def _forward_pass(
             vec = np.zeros(size)
             vec[row_shifts ^ start] = row_probs
         else:
-            split = (i == lo.shape[1] and cut is not None and cut[0][0] != 0
-                     and len(row_shifts) * len(support) > _SCATTER_CHUNK)
-            if split:
+            if (i == lo.shape[1] and cut is not None
+                    and len(row_shifts) * len(support) > _SCATTER_CHUNK):
                 lam, (keys,), mask = cut
                 keyed = _key_of(lam, support, n, mask) << n | support
                 keyed.sort()
@@ -561,7 +562,7 @@ def _groups(uses: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
 
     A use whose bound alone is larger makes a group of its own.
     """
-    ends = np.cumsum(bounds[uses])  # exact: integer sums below 2^53
+    ends = bounds[uses].cumsum()  # exact: integer sums below 2^53
     groups, lo = [], 0
     while lo < len(uses):
         limit = ends[lo] - bounds[uses[lo]] + _SCATTER_CHUNK
@@ -579,8 +580,9 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
     its layers as the pass gives them, trellis indexing uses. Keyed uses
     run in groups whose row lengths bound a layer's contributions to
     ``_SCATTER_CHUNK``; every other built use runs dense, a group of one.
-    With announced given, a last layer may keep only the classes hashing to
-    a value announced[k] (``_class_keys``): dense, when large; keyed, when it
+    One cut rule: with announced given and delta > 0, every pass gets its
+    uses' class keys (``_class_keys``), and its last layer may keep only the
+    classes of the values announced[k]: dense, when large; keyed, when it
     sums two or more peers and every use reads one value (then it runs keyed
     up to 2^n paths). Several arms' classes cover most of a layer, and a
     keyed cut there, or of a layer 1, cost more than it saved.
@@ -596,21 +598,18 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
     starts = gf.mul_elementwise(h.coeffs[:, 0], h.own)
     built = lengths.all(axis=1)
     bounds = lengths.prod(axis=1, dtype=float)  # no layer holds more states
-    cut_keyed = (announced is not None and announced.shape[1] == 1  # one value: count, one arm
-                 and peers > 1 and h.hashes.delta > 0)  # a summed last layer of several classes
-    keyed = built & (bounds * (_KEYED_SHARE / 8 if cut_keyed else _KEYED_SHARE) <= 1 << n)
-    dense = (built ^ keyed).nonzero()[0][:, None]  # built, not keyed: groups of one
-    cuts = announced is not None and h.hashes.delta > 0 and (cut_keyed or len(dense) > 0)
-    lam, keys = _class_keys(h.hashes, announced) if cuts else (None, None)
+    cut = announced is not None and h.hashes.delta > 0
+    one = cut and announced.shape[1] == 1 and peers > 1  # one value of a summed last layer
+    keyed = built & (bounds * (_KEYED_SHARE / 8 if one else _KEYED_SHARE) <= 1 << n)
+    lam, keys = _class_keys(h.hashes, announced) if cut else (None, None)
     passes = []
-    for group in [*(_groups(np.flatnonzero(keyed), bounds) if keyed.any() else []), *dense]:
+    for group in [*_groups(keyed.nonzero()[0], bounds), *(built ^ keyed).nonzero()[0][:, None]]:
         args = starts[group], shifts, probs, firsts[group], ends[group], n
-        cut = None if keys is None else (lam[group], keys[group], (1 << h.hashes.delta) - 1)
-        if not keyed[group[0]]:
-            passes.append((group, _forward_pass(*args, cut)))
-        else:  # cut where each use reads one value and some use's class key varies (lam != 0)
-            whole = not cut_keyed or not cut[0].any()
-            passes.append((group, _keyed_pass(*args, None if whole else cut)))
+        last = (lam[group], keys[group], (1 << h.hashes.delta) - 1) if cut else None
+        if keyed[group[0]]:
+            passes.append((group, _keyed_pass(*args, last if one else None)))
+        else:
+            passes.append((group, _forward_pass(*args, last)))
     return lengths, built, keyed, passes
 
 

@@ -247,14 +247,13 @@ def _lemire_columns(highs: tuple[int, ...]) -> tuple:
 
     A draw with a range of 1 takes no word; it reads half 0, which gives 0
     and is never rejected. Nor is a draw with a power-of-two range, whose
-    threshold is 0: None stands for thresholds that are all 0.
+    threshold is 0.
     """
     takes = np.array(highs) > 1
     taken = np.cumsum(takes)
-    columns = slice(len(highs)) if takes.all() else np.where(takes, taken - 1, 0)
     ranges = np.array(highs, dtype=np.uint64)
     thresholds = np.array([(2**32 - high) % high for high in highs], dtype=np.uint64)
-    return -(-int(taken[-1]) // 2), columns, ranges, thresholds if thresholds.any() else None
+    return -(-int(taken[-1]) // 2), np.where(takes, taken - 1, 0), ranges, thresholds
 
 
 def _rejecting(row: np.ndarray, highs) -> list[int]:
@@ -288,8 +287,6 @@ def _integers(words: np.ndarray, highs) -> np.ndarray:
         return np.zeros((len(words), len(highs)), dtype=np.int64)
     products = _raw(words, count).view("<u4")[:, columns] * ranges
     values = (products >> _HALF_BITS).view(np.int64)  # every value is below 2^32
-    if thresholds is None:
-        return values
     for k in np.flatnonzero(((products & _LOW_HALF) < thresholds).any(axis=1)).tolist():
         values[k] = _rejecting(words[k], highs)
     return values

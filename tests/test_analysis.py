@@ -216,6 +216,13 @@ def test_algebraic_check_detects_with_injective_hash():
     )
 
 
+@pytest.mark.parametrize("coeffs", [(0, 9), (3, 0)])
+def test_algebraic_check_rejects_a_zero_coefficient(coeffs):
+    ident = HashSpec("affine", 10, 10, (1, 0))
+    with pytest.raises(ValueError, match="^coding coefficients must be nonzero$"):
+        algebraic_check(5, coeffs, (700, 700), (1, 1), (0, 0), ident)
+
+
 def test_algebraic_check_false_detection_bounded():
     # honest chain with radii at eps=0.05 passes at least 1 - 2*eps of the time
     field = default_field(10)

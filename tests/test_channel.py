@@ -11,6 +11,7 @@ from algwatch.channel import (
     hamming,
     hamming_vec,
     log_likelihood,
+    log_likelihood_vec,
     transmit,
 )
 
@@ -110,6 +111,14 @@ def test_likelihood_sums_to_one():
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.5])
+def test_log_likelihood_vec_is_log_likelihood_elementwise(p):
+    ch, n = Bsc(p), 6
+    cands = np.arange(1 << n)
+    expect = [log_likelihood(ch, 41, int(y), n) for y in cands]
+    assert log_likelihood_vec(ch, 41, cands, n).tolist() == expect
+
+
 def test_ball_volume():
     assert ball_volume(7, 0) == 1
     assert ball_volume(7, 7) == 2**7
@@ -128,6 +137,8 @@ def test_ball_radius_examples():
     assert ball_radius(Bsc(0.01), 4, 0.9) == 0
     with pytest.raises(ValueError):
         ball_radius(Bsc(0.1), 10, 0.0)
+    # the pmf sums to 0.9999999999999999, short of 1 - 1e-17 = 1.0: no r reaches it, so n
+    assert ball_radius(Bsc(0.3), 2, 1e-17) == 2
 
 
 def test_ball_radius_monotone():

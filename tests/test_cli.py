@@ -223,6 +223,22 @@ def test_malformed_config_names_field(tmp_path, capsys):
     assert "--p-s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("two-hop", "sweep", "bogus", "sweep axis must be one of"),
+    ("analysis", "table", "bogus", "unknown table 'bogus'"),
+    ("multihop", "scenario", "bogus", "scenario must be one of"),
+])
+def test_config_value_outside_its_choices_exits_one(tmp_path, capsys, command, key, value,
+                                                    message):
+    # argparse checks a flag's choices, not a config value's: the command names the field
+    ini = tmp_path / "choice.ini"
+    ini.write_text(f"[{command}]\n{key} = {value}\n")
+    out = tmp_path / "choice.csv"
+    assert main([command, "--config", str(ini), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, key, hint", [
     ("analysis", "tabel", None), ("two-hop", "p-s", "p_s"), ("analysis", "p-s", None),
     ("analysis", "sweep", None), ("oracle", "config", None),
@@ -353,6 +369,14 @@ def test_oracle_reports_the_public_pairs_error(tmp_path, flags, cfg):
             expect = max(expect, err / max(abs(brute), 1e-300))
     assert _read_csv(out)[1][-1] == cli._fmt(expect)
     assert json.loads(out.with_suffix(".json").read_text())["max_rel_err"] == expect
+
+
+def test_oracle_mismatch_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "brute_force_consistency", lambda obs: 0.5)
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--trials", "2", "--out", str(out)]) == cli.INTERNAL_ERROR == 2
+    assert "oracle mismatch beyond tolerance" in capsys.readouterr().err
+    assert float(_read_csv(out)[1][-1]) > 1e-9  # the error is still written
 
 
 def test_multihop_scenario_subcommand(tmp_path):

@@ -60,6 +60,20 @@ def test_spec_validation():
         hash_eval(HashSpec("affine", 4, 2, (1, 0)), 16)  # symbol too wide
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: HashSpec("cubic", 4, 2, (1, 0)), "hash family 'cubic'"),
+    (lambda: HashSpec("affine", 4, 2, (1, 0, 0)), "coefficients"),
+    (lambda: HashSpec("affine", 4, 2, (1, 4)), "coefficients"),  # b past delta bits
+    (lambda: HashSpec("affine", 4, 2, (5, 0)), "coefficients"),  # a past delta bits
+    (lambda: sample_hash(np.random.default_rng(0), "cubic", 4, 2), "hash family 'cubic'"),
+    (lambda: sample_hash(np.random.default_rng(0), "affine", 4, 5), "delta"),
+], ids=["family", "affine-count", "affine-offset-range", "affine-multiplier-range",
+        "sample-family", "sample-delta"])
+def test_bad_hash_fields_are_named(make, field):
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
 def test_sample_determinism():
     a = sample_hash(np.random.default_rng(7), "affine", 10, 2)
     b = sample_hash(np.random.default_rng(7), "affine", 10, 2)

@@ -25,9 +25,33 @@ from algwatch.inference import (
     matched_codewords,
     transition_row,
 )
+from algwatch.sim import TwoHopConfig, brute_force_consistency, simulate_observation
 
 LOW2 = HashSpec("affine", 4, 2, (1, 0))
 IDENT = HashSpec("affine", 4, 4, (1, 0))
+
+
+def test_transition_row_drops_candidates_whose_weight_underflows():
+    # at p = 1e-100 a candidate at distance d weighs 1e-100^d against the observed
+    # symbol's 1.0, which rounds to 0 from d = 4: 26 of the class's 32 stay
+    spec = HashSpec("affine", 6, 1, (1, 0))
+    row = transition_row(5, 1, Bsc(1e-100), spec)
+    kept = [y for y in range(1, 64, 2) if bin(y ^ 5).count("1") <= 3]
+    assert len(kept) == 26 and row.candidates.tolist() == kept
+    assert (row.probs > 0).all() and row.probs[kept.index(5)] == 1.0
+
+
+def test_trellis_matches_the_oracle_where_weights_underflow():
+    # every transition row of these observations loses its far candidates to underflow
+    cfg = TwoHopConfig(m=3, n=6, delta=1, p_s=1e-100, p_relay=1e-100, p_adv=0.3)
+    worst = 0.0
+    for trial in range(40):
+        for adversarial in (False, True):
+            obs = simulate_observation(cfg, adversarial, trial)
+            brute = brute_force_consistency(obs)
+            trellis = consistency_probability(build_and_run_trellis(obs), obs)
+            worst = max(worst, abs(trellis - brute) / max(abs(brute), 1e-300))
+    assert worst <= 1e-12  # 5.0e-14 when written; the run contract is 1e-9
 
 
 def test_transition_row_injective_hash():
@@ -436,6 +460,9 @@ def test_relay_faults_name_their_cause(case):
     trellis = build_and_run_trellis(obs)
     with pytest.raises(InferenceError, match=f"^{message}$"):
         consistency_probability(trellis, obs)
+    if case == "noiseless mismatch":  # the oracle refuses the observation with the same words
+        with pytest.raises(InferenceError, match=f"^{message}$"):
+            brute_force_consistency(obs)
     for cand in (candidate, candidate ^ 1):  # whether or not cand hashes to the value
         with pytest.raises(InferenceError, match=f"^{message}$"):
             inverse_transition(cand, relay.symbol, relay.hash_value, relay.channel, spec)
@@ -496,6 +523,11 @@ def test_observation_validation():
     wide = Overheard(1 << LOW2.n, 0, Bsc(0.1))
     with pytest.raises(ValueError):
         WatchdogObservation(1, (1, 1), (peer,), wide, LOW2)
+    for hashed in (Overheard(2, 4, Bsc(0.1)), Overheard(2, -1, Bsc(0.1))):  # LOW2 hashes to 2 bits
+        with pytest.raises(ValueError, match="^hash values must be delta-bit values$"):
+            WatchdogObservation(1, (1, 1), (hashed,), relay, LOW2)
+        with pytest.raises(ValueError, match="^hash values must be delta-bit values$"):
+            WatchdogObservation(1, (1, 1), (peer,), hashed, LOW2)
 
 
 @st.composite

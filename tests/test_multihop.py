@@ -58,6 +58,8 @@ def test_hypergraph_validation():
         Hypergraph(frozenset({"a"}), frozenset({("a", "b")}), {})
     with pytest.raises(ValueError):
         Hypergraph(frozenset({"a", "b"}), frozenset(), {("a", "b"): 0.9})
+    with pytest.raises(ValueError, match=r"^interference edge \(a, c\) references undeclared"):
+        Hypergraph(frozenset({"a", "b"}), frozenset({("a", "b")}), {("a", "c"): 0.1})
     g = _chain()
     assert g.parents("r") == {"s"} and g.children("r") == {"d"}
     with pytest.raises(ValueError):
@@ -75,6 +77,19 @@ def test_chain_forwarding_delivers_source_symbol():
     assert t2[0].packet.payload == 123  # single input forwards with coefficient 1
     assert t2[0].delivered == {"d": 123}
     assert destination_check(t2[0].packet, SPEC)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: NodeBehavior(role="bystander"), "^unknown role 'bystander'$"),
+    (lambda: NodeBehavior(check_probability=1.5), "^check_probability must be in"),
+    (lambda: NodeBehavior(check_probability=-0.1), "^check_probability must be in"),
+    (lambda: NodeBehavior(p_adv=2.0), "^p_adv must be in"),
+    (lambda: TrustLedger(1.5, 25), "^threshold must be in"),
+    (lambda: TrustLedger(0.5, 0), "^window must be >= 1$"),
+], ids=["role", "check-above-1", "check-below-0", "p-adv", "threshold", "window"])
+def test_bad_protocol_fields_are_named(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_scheduled_node_without_inputs_is_an_error():
@@ -458,6 +473,12 @@ _BOOLEAN_SYMBOL = {
 ], ids=["repeated-edge", "relay-source-symbol", "early-relay"])
 def test_load_topology_rejects_what_the_protocol_would_not_read(doc, field):
     with pytest.raises(ValueError, match=f"^topology field '{re.escape(field)}': "):
+        load_topology(doc)
+
+
+@pytest.mark.parametrize("doc", [[], 3, None])
+def test_load_topology_rejects_a_document_that_is_not_an_object(doc):
+    with pytest.raises(ValueError, match="^topology document must be a JSON object$"):
         load_topology(doc)
 
 

@@ -108,3 +108,10 @@ def test_search_corruption_injective_hash_falls_back():
     assert out.payload != pkt.payload
     assert hamming(out.payload, pkt.payload) == 1
     assert destination_check(out, ident)
+
+
+@pytest.mark.parametrize("p_overhear", [0.0, 1.0, -0.2])
+def test_search_corruption_names_a_rate_outside_0_1(p_overhear):
+    pkt = make_packet({1: 9}, {1: 1}, _spec())
+    with pytest.raises(ValueError, match=r"^p_overhear must be in \(0, 1\)$"):
+        search_corruption(pkt, _spec(), p_overhear)

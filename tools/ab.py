@@ -12,8 +12,8 @@ the parent first when k is even and the working tree first when k is odd.
 It prints one JSON object: for each end-to-end metric of each workload,
 each side's runs, median and quartiles, the pairs in which the working
 tree reads better, the relative change of the medians, the parent's
-interquartile range over its median, the ``BENCHMARK.json`` bound and a
-verdict: ``unresolved`` when that spread exceeds the bound and not every
+interquartile range over its median, the exact two-sided sign-test p-value
+of the pairs (ties dropped), the ``BENCHMARK.json`` bound and a verdict: ``unresolved`` when that spread exceeds the bound and not every
 run of the working tree reads better than every run of the parent, else
 ``beyond`` when the change is worse by more than the bound, else
 ``within``.
@@ -40,6 +40,7 @@ import argparse
 import importlib
 import importlib.util
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -63,8 +64,16 @@ def _quartiles(runs: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _sign_test(better: int, worse: int) -> float:
+    """Exact two-sided sign-test p-value of better against worse pairs (ties already dropped)."""
+    total = better + worse
+    tail = sum(math.comb(total, j) for j in range(min(better, worse) + 1))
+    return min(1.0, 2 * tail / 2**total)
+
+
 def _verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     sign = 1 if better == "lower" else -1
+    steps = [sign * (b - a) for a, b in zip(parent, change)]  # below 0: the change reads better
     p, c = _quartiles(parent), _quartiles(change)
     spread = (p["q3"] - p["q1"]) / p["median"]
     worse = sign * (c["median"] - p["median"]) / p["median"]
@@ -75,8 +84,8 @@ def _verdict(parent: list[float], change: list[float], better: str, bound: float
         verdict = "beyond" if worse > bound else "within"
     return {
         "parent": p, "change": c,
-        "change_better_in_pairs": f"{sum(sign * (b - a) < 0 for a, b in zip(parent, change))}"
-                                  f"/{len(parent)}",
+        "change_better_in_pairs": f"{sum(d < 0 for d in steps)}/{len(parent)}",
+        "sign_test_p": _sign_test(sum(d < 0 for d in steps), sum(d > 0 for d in steps)),
         "relative_change": (c["median"] - p["median"]) / p["median"],
         "parent_iqr_relative": spread, "bound": bound, "verdict": verdict,
         "runs": {"parent": parent, "change": change},
