@@ -173,10 +173,10 @@ def _classes(hashes: _Hashes, targets: np.ndarray) -> tuple[np.ndarray, np.ndarr
     live = lam != 0
     inverse = f._exp_np[f.order - 1 - f._log_np[lam[live]]]  # lam^-1 from the log tables
     constant = (coeffs[:, :1] & (1 << delta) - 1) == targets
-    spanning = np.flatnonzero(~live & constant.ravel())  # a class of every symbol
+    whole = np.flatnonzero(~live & constant.ravel())
     found = np.sort(np.concatenate((
         (items[live, None] << n | f.mul_elementwise(inverse[:, None], coset[live])).ravel(),
-        (spanning[:, None] << n | np.arange(1 << n)).ravel(),
+        (whole[:, None] << n | np.arange(1 << n)).ravel(),
     )))
     return found >> n, found & (1 << n) - 1
 

@@ -368,8 +368,9 @@ def _forward_pass(
     Layer i-1 is laid out as a grid, row r its states of class r padded
     with weight 0.0; for each wanted class c, candidate x meets row
     c ^ key(shift_x). A kept state still takes one term per candidate, in
-    candidate order (a pad adds +0.0): bit-identical. Where lam = 0 every
-    state and every key is class 0, so the grid is the whole layer.
+    candidate order (a pad adds +0.0): bit-identical. A cut's lam is nonzero
+    (``_trellises``), so a class holds 2^(n - delta) of the 2^n states, and
+    the grid at most 2^n entries.
     """
     size, start = 1 << n, int(starts[0])
     layers = [(np.zeros(1, np.int64), starts, np.ones(1))]
@@ -580,9 +581,10 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
     its layers as the pass gives them, trellis indexing uses. Keyed uses
     run in groups whose row lengths bound a layer's contributions to
     ``_SCATTER_CHUNK``; every other built use runs dense, a group of one.
-    One cut rule: with announced given and delta > 0, every pass gets its
-    uses' class keys (``_class_keys``), and its last layer may keep only the
-    classes of the values announced[k]: dense, when large; keyed, when it
+    One cut rule: with announced given and delta > 0, every pass of a use
+    whose hash has more than one class (lam != 0) gets its uses' class keys
+    (``_class_keys``), and its last layer may keep only the classes of the
+    values announced[k]: dense, when large; keyed, when it
     sums two or more peers and every use reads one value (then it runs keyed
     up to 2^n paths). Several arms' classes cover most of a layer, and a
     keyed cut there, or of a layer 1, cost more than it saved.
@@ -605,7 +607,8 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
     passes = []
     for group in [*_groups(keyed.nonzero()[0], bounds), *(built ^ keyed).nonzero()[0][:, None]]:
         args = starts[group], shifts, probs, firsts[group], ends[group], n
-        last = (lam[group], keys[group], (1 << h.hashes.delta) - 1) if cut else None
+        varies = cut and lam[group].any()  # lam = 0, a constant poly hash: one class, no cut
+        last = (lam[group], keys[group], (1 << h.hashes.delta) - 1) if varies else None
         if keyed[group[0]]:
             passes.append((group, _keyed_pass(*args, last if one else None)))
         else:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -790,6 +791,33 @@ def test_cut_last_layer_scores_what_the_whole_layer_scores(drawn, chunk):
                     hashed = hashes.at(np.full(len(states), k), states)
                     announced_states = states[np.isin(hashed, announced[k])].tolist()
                     assert kept == {s: full[s] for s in announced_states}
+
+
+def test_constant_hash_last_layer_is_built_whole_in_layer_memory():
+    """A poly hash with a_1 = 0 (lam = 0) has one class: its large dense last layer is not cut.
+
+    Every symbol hashes to a_0 here, so each peer row is a whole pruning ball and the last
+    layer scatters 79 * 2068 terms, over ``_SCATTER_CHUNK``. A cut's grid would be 2^delta
+    rows of the whole layer (8.8 MB traced peak at delta = 8, about 2^delta times the layer);
+    the whole-layer pass peaks near 0.5 MB. Its floats are the unchunked pass's.
+    """
+    spec, ch = HashSpec("poly", 12, 8, (5, 0)), Bsc(0.05)
+    peers = tuple(Overheard(x, 5, ch) for x in (1234, 3001, 77))
+    obs = WatchdogObservation(7, (1, 3, 5, 9), peers, Overheard(11, 5, ch), spec, 0.05)
+    tracemalloc.start()
+    try:
+        trellis = build_and_run_trellis(obs)
+        p_star = consistency_probability(trellis, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sizes = [len(layer) for layer in trellis.layers]
+    assert sizes[2] * 79 > inference._SCATTER_CHUNK and sizes[-1] == 1 << 12
+    assert peak < 2 << 20
+    with mock.patch.object(inference, "_SCATTER_CHUNK", 1 << 40):  # one chunk, never cut
+        whole = build_and_run_trellis(obs)
+        assert consistency_probability(whole, obs) == p_star
+    assert np.array_equal(whole.final_weights, trellis.final_weights)
 
 
 @pytest.mark.parametrize("delta", range(17))

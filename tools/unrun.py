@@ -6,13 +6,25 @@ Run from the root of an algwatch checkout:
     python3 tools/unrun.py tests/test_gfield.py -k mul
 
 It runs pytest in this process (``-q --continue-on-collection-errors``,
-then the given arguments, else ``tests``) under ``sys.settrace`` and
-``threading.settrace``; no coverage package is needed. It prints each
-statement of ``src/algwatch/*.py`` that no line event reached, one a line
-as ``file:line`` and the statement's first line of source, and the count.
-A simple statement is run when any of its lines fires a line event; a
-compound one (``if``, ``def``, ``for``, ...) when a line of its header,
-before its body, does. Docstrings are not counted.
+then the given arguments, else ``tests``) under the standard library's
+``trace.Trace``, which counts the lines each thread runs; no coverage
+package is needed. This script only groups those lines into statements: it
+prints each statement of ``src/algwatch/*.py`` none of whose lines ran, one
+a line as ``file:line`` and the statement's first line of source, and the
+count. A simple statement is run when any of its lines ran; a compound one
+(``if``, ``def``, ``for``, ...) when a line of its header, before its body,
+did. Docstrings are not counted.
+
+The stdlib alone lists lines, not statements:
+
+    python3 -m trace --count --missing -C <dir> --ignore-dir <site-packages> \
+        --ignore-dir <stdlib> --module pytest -q tests
+
+marks each line it found no run of with ``>>>>>>`` in ``<dir>/algwatch.*.cover``,
+each line of a multi-line statement on its own. It writes no cover of
+``src/algwatch/__init__.py``: trace remembers an ignored file by its base
+name, so a library's ``__init__.py`` ignored first ignores the package's
+own too. Here every file outside the package is left untraced by path.
 
 Pool workers are not traced: ``multiprocessing`` starts them in processes
 of their own, so a statement that only a worker runs (``--workers`` above 1)
@@ -25,12 +37,19 @@ from __future__ import annotations
 
 import ast
 import sys
-import threading
+import trace
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path.cwd() / "src" / "algwatch"
+
+
+class _OutsidePackage:
+    """trace's ignore test, by path: every file but the package's is left untraced."""
+
+    def names(self, filename: str, modulename: str) -> bool:
+        return not filename.startswith(str(PACKAGE))
 
 
 def _is_docstring(node: ast.AST) -> bool:
@@ -59,28 +78,12 @@ def statements(path: Path) -> dict[int, range]:
 
 
 def main(argv: list[str]) -> int:
-    prefix = str(PACKAGE)
-    hits: set[tuple[str, int]] = set()
-
-    def local(frame, event, arg):
-        if event == "line":
-            hits.add((frame.f_code.co_filename, frame.f_lineno))
-        return local
-
-    def start(frame, event, arg):  # a new frame: trace its lines only if it is the package's
-        if frame.f_code.co_filename.startswith(prefix):
-            hits.add((frame.f_code.co_filename, frame.f_lineno))
-            return local
-        return None
-
     sys.path.insert(0, str(PACKAGE.parent))
-    threading.settrace(start)
-    sys.settrace(start)
-    try:
-        code = pytest.main(["-q", "--continue-on-collection-errors", *(argv or ["tests"])])
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+    tracer = trace.Trace(count=1, trace=0)
+    tracer.ignore = _OutsidePackage()
+    ran = {"args": ["-q", "--continue-on-collection-errors", *(argv or ["tests"])]}
+    tracer.runctx("code = pytest.main(args)", {"pytest": pytest}, ran)  # sys and threading
+    hits = tracer.results().counts  # (filename, line) -> times run
     unrun = 0
     for path in sorted(PACKAGE.glob("*.py")):
         lines = path.read_text().splitlines()
@@ -89,7 +92,7 @@ def main(argv: list[str]) -> int:
                 print(f"{path.name}:{lineno}: {lines[lineno - 1].strip()}")
                 unrun += 1
     print(f"{unrun} statements never ran")
-    return int(code)
+    return int(ran["code"])
 
 
 if __name__ == "__main__":
