@@ -336,7 +336,7 @@ class Trellis:
 def _forward_pass(
     starts: np.ndarray, shifts: np.ndarray, probs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     n: int, cut: tuple[np.ndarray, np.ndarray, int] | None,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], bool]:
     """``_keyed_pass`` of a group of one trellis, run dense over 2^n-entry vectors.
 
     The trellis starts at state starts[0], and its peer i's row is
@@ -370,9 +370,10 @@ def _forward_pass(
     c ^ key(shift_x). A kept state still takes one term per candidate, in
     candidate order (a pad adds +0.0): bit-identical. A cut's lam is nonzero
     (``_trellises``), so a class holds 2^(n - delta) of the 2^n states, and
-    the grid at most 2^n entries.
+    the grid at most 2^n entries. Returns the layers and whether the last
+    was cut; a layer 1 never is.
     """
-    size, start = 1 << n, int(starts[0])
+    size, start, cuts = 1 << n, int(starts[0]), False
     layers = [(np.zeros(1, np.int64), starts, np.ones(1))]
     for i, (lo_row, hi_row) in enumerate(zip(lo[0].tolist(), hi[0].tolist()), 1):
         row_shifts, row_probs = shifts[lo_row:hi_row], probs[lo_row:hi_row]
@@ -381,8 +382,9 @@ def _forward_pass(
             vec = np.zeros(size)
             vec[row_shifts ^ start] = row_probs
         else:
-            if (i == lo.shape[1] and cut is not None
-                    and len(row_shifts) * len(support) > _SCATTER_CHUNK):
+            cuts = (i == lo.shape[1] and cut is not None
+                    and len(row_shifts) * len(support) > _SCATTER_CHUNK)
+            if cuts:
                 lam, (keys,), mask = cut
                 keyed = _key_of(lam, support, n, mask) << n | support
                 keyed.sort()
@@ -407,7 +409,7 @@ def _forward_pass(
                     np.add.at(vec, targets.ravel(), terms.ravel())
         support = (vec > 0.0).nonzero()[0]
         layers.append((np.zeros(len(support), np.int64), support, vec[support]))
-    return layers
+    return layers, cuts
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -424,7 +426,7 @@ def _keyed_pass(
     hi: np.ndarray,
     n: int,
     cut: tuple[np.ndarray, np.ndarray, int] | None,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], bool]:
     """``_forward_pass`` of a group of trellises at once, one keyed pass per layer.
 
     Trellis g starts at state starts[g], and its peer i's row is
@@ -445,7 +447,8 @@ def _keyed_pass(
     adds about 0.2 MiB of resident set. With cut, (lam, keys, mask) of its
     trellises (``_class_keys``), the last layer's contributions to classes
     other than keys[:, 0] are dropped before ranking: a kept state keeps all
-    its terms.
+    its terms. Returns the layers and whether the last was cut: always, when
+    a cut is given and there is a layer to cut.
     """
     count, mask = len(starts), (1 << n) - 1
     layers = [(np.arange(count), starts, np.ones(count))]
@@ -456,7 +459,7 @@ def _keyed_pass(
         sums = np.bincount(ids, terms, minlength=len(distinct))
         live = sums > 0.0
         layers.append((distinct[live] >> n, distinct[live] & mask, sums[live]))
-    return layers
+    return layers, cut is not None and lo.shape[1] > 0
 
 
 def _contributions(
@@ -574,7 +577,7 @@ def _groups(uses: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
 
 
 def _trellises(h: _Holdings, announced: np.ndarray | None = None):
-    """Every use's trellis: (row lengths, built, keyed, passes).
+    """Every use's trellis: (row lengths, built, keyed, passes, cut).
 
     A use's trellis is built when none of its transition rows came up
     empty. Each pass is (uses, layers): a group of uses run together, and
@@ -587,7 +590,9 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
     values announced[k]: dense, when large; keyed, when it
     sums two or more peers and every use reads one value (then it runs keyed
     up to 2^n paths). Several arms' classes cover most of a layer, and a
-    keyed cut there, or of a layer 1, cost more than it saved.
+    keyed cut there, or of a layer 1, cost more than it saved. cut flags
+    the uses whose last layer holds only states in announced classes: a
+    pass cut it and their hash has more than one class.
     """
     peers, n = h.heard.shape[1], h.hashes.n
     gf = default_field(n)
@@ -604,16 +609,19 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
     one = cut and announced.shape[1] == 1 and peers > 1  # one value of a summed last layer
     keyed = built & (bounds * (_KEYED_SHARE / 8 if one else _KEYED_SHARE) <= 1 << n)
     lam, keys = _class_keys(h.hashes, announced) if cut else (None, None)
-    passes = []
+    passes, cuts = [], np.zeros(len(built), bool)
     for group in [*_groups(keyed.nonzero()[0], bounds), *(built ^ keyed).nonzero()[0][:, None]]:
         args = starts[group], shifts, probs, firsts[group], ends[group], n
         varies = cut and lam[group].any()  # lam = 0, a constant poly hash: one class, no cut
         last = (lam[group], keys[group], (1 << h.hashes.delta) - 1) if varies else None
         if keyed[group[0]]:
-            passes.append((group, _keyed_pass(*args, last if one else None)))
+            layers, cuts[group] = _keyed_pass(*args, last if one else None)
         else:
-            passes.append((group, _forward_pass(*args, last)))
-    return lengths, built, keyed, passes
+            layers, cuts[group] = _forward_pass(*args, last)
+        passes.append((group, layers))
+    if cut:
+        cuts &= lam != 0
+    return lengths, built, keyed, passes, cuts
 
 
 @dataclass
@@ -774,21 +782,29 @@ def _watch_block(h: _Holdings, score: bool):
 
     One batched pass each makes the block's transition rows and (when
     scoring) relay normalizers; ``_trellises`` runs the forward passes.
-    The final layers of all uses are hashed once, and one (arm, state)
-    match array compares each state with each arm's announced value (arm
-    0's when counting); the counts and p* are both read from it. A large
-    dense last layer is cut to the announced classes, and a keyed one when
-    each use reads one arm. Every float is the one the use gives alone. The
-    trellis reads only what the watchdog holds, never the relay's payload,
-    so all arms share it. Fallbacks count built flags and fault codes.
+    The final layers of all uses are hashed at most once, and one (arm,
+    state) match array compares each state with each arm's announced value
+    (arm 0's when counting); the counts and p* are both read from it. A
+    large dense last layer is cut to the announced classes, and a keyed one
+    when each use reads one arm: then every state of a cut use matches, and
+    only the other uses' states are hashed. Every float is the one the use
+    gives alone. The trellis reads only what the watchdog holds, never the
+    relay's payload, so all arms share it. Fallbacks count built flags and
+    fault codes.
     """
     count = len(h.own)
     announced = h.relay_hashes if score else h.relay_hashes[:, :1]
-    lengths, built, keyed, passes = _trellises(h, announced)
+    lengths, built, keyed, passes, cut = _trellises(h, announced)
     finals = [(uses[t], s, w) for uses, layers in passes for t, s, w in layers[-1:]]
     empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     use, states, _ = final = [np.concatenate(parts) for parts in zip(empty, *finals)]
-    match = np.take(announced.T, use, axis=1) == h.hashes.at(use, states)  # (arm, state)
+    if announced.shape[1] == 1:  # a cut use's final states all hash to its one value
+        match = cut[use][None]  # (arm, state)
+        rest = (~match[0]).nonzero()[0]
+        if len(rest):
+            match[0, rest] = announced[use[rest], 0] == h.hashes.at(use[rest], states[rest])
+    else:
+        match = np.take(announced.T, use, axis=1) == h.hashes.at(use, states)
     reads = np.bincount(use[match.any(axis=0)], minlength=count)  # the final states p* reads
     if score:
         values, fault = _score_arms(h, final, match)
@@ -811,7 +827,7 @@ def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
     is read. Raises InferenceError when a transition row comes up empty.
     """
     h = _holdings(obs)
-    _, built, _, passes = _trellises(h, h.relay_hashes)
+    _, built, _, passes, _ = _trellises(h, h.relay_hashes)
     if not built[0]:
         raise InferenceError(_FAULTS[_EMPTY_ROW])
     (_, layers), = passes

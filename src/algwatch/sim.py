@@ -35,7 +35,7 @@ import contextlib
 import contextvars
 import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -391,6 +391,8 @@ def _samples(
     los = [at for a, b in itertools.pairwise(bounds.tolist()) for at in range(a, b, _DRAW_TRIALS)]
     his = [*los[1:], trials.stop]  # the pieces tile the range
     values, record = np.empty((len(trials), 1 + len(p_advs))), RunDiagnostics()
+    if pooled:  # a one-worker run imports no pool, nor multiprocessing under it
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if pooled else contextlib.nullcontext() as pool:
         pieces = (map if pool is None else pool.map)(
             _run, itertools.repeat(cfg), itertools.repeat(p_advs), los, his, itertools.repeat(score)
@@ -565,7 +567,25 @@ def calibrate_threshold(
     if window > 1:
         groups = len(samples) // window
         samples = samples[: groups * window].reshape(groups, window).mean(axis=1)
-    return float(np.quantile(samples, target_gamma))
+    return _quantile(samples, target_gamma)
+
+
+def _quantile(samples: np.ndarray, q: float) -> float:
+    """``np.quantile(samples, q)`` bit for bit, without the ``np.unique`` that imports numpy.ma.
+
+    numpy's linear rule over the sorted samples: at virtual index i = (n - 1) q,
+    between a = sorted[floor(i)] and b = the next, with t = i - floor(i), it
+    reads a + (b - a) t, or b - (b - a) (1 - t) where t >= 0.5 (its ``_lerp``).
+    From the last index on, numpy reads index -1 for both and t = i + 1. The
+    samples are finite and hold no -0.0, as p* and its means never do: numpy's
+    partition may order -0.0 and 0.0 either way.
+    """
+    ordered = np.sort(samples).tolist()
+    at = (len(ordered) - 1) * q
+    lo = -1 if at >= len(ordered) - 1 else math.floor(at)
+    a, b = ordered[lo], ordered[lo + 1 if lo >= 0 else -1]
+    t = at - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def _matched_config(n, peer_count, delta, p, seed) -> TwoHopConfig:

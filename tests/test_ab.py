@@ -1,6 +1,7 @@
-"""The verdict rule of tools/ab.py, pinned on synthetic runs."""
+"""The verdict rule and the footprint pairs of tools/ab.py, pinned on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,36 @@ def test_sign_test_p_values():
     assert ab._sign_test(5, 5) == 1.0
     assert ab._sign_test(0, 0) == 1.0  # every pair tied
     assert ab._sign_test(9, 1) == pytest.approx(2 * 11 / 1024)
+
+
+def test_footprint_alternates_probes_and_reads_each_probes_own_peak(monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    calls = []
+
+    def probe(at, workload, workdir):
+        side = "change" if at == root else "parent"
+        calls.append(side)
+        return (30.0 if side == "change" else 31.0), 0.2, {"workload": workload}
+
+    monkeypatch.setattr(ab, "ROOT", root)
+    monkeypatch.setattr(ab, "_export", lambda rev, into: into)
+    monkeypatch.setattr(ab, "_probe", probe)
+    got = ab.footprint("HEAD", 3)
+    # pair k runs the parent's probes first when k is even, every workload in turn
+    assert calls[::len(workloads)] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert got["outputs_differ"] == [] and got["pairs"] == 3
+    for w in workloads:
+        peak, wall = got["metrics"][f"{w}.peak_rss_mb"], got["metrics"][f"{w}.probe_s"]
+        assert peak["change_better_in_pairs"] == "3/3" and peak["bound"] == bounds["peak_rss_mb"]
+        assert wall["change_better_in_pairs"] == "0/3" and wall["bound"] == bounds["setup_s"]
+    assert len(got["metrics"]) == 2 * len(workloads)
+
+
+@pytest.mark.parametrize("mode", ["process", "footprint"])
+def test_a_single_pair_is_refused_by_name(mode, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        ab.main([mode, "--parent", "HEAD", "--pairs", "1"])
+    assert exit_.value.code == 2 and "--pairs must be at least 2" in capsys.readouterr().err

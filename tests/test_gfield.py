@@ -66,6 +66,17 @@ def test_bad_polynomials_rejected():
             GF2n(n)
 
 
+@pytest.mark.parametrize("poly", [0b1_1111, 0b1_0001])  # x has order 5; x^4 + 1 is reducible
+def test_a_polynomial_x_does_not_generate_is_rejected(monkeypatch, poly):
+    monkeypatch.setitem(REDUCTION_POLYS, 4, poly)
+    with pytest.raises(ValueError, match=rf"^x does not generate GF\(2\^4\)\* modulo 0b{poly:b}$"):
+        GF2n(4)
+
+
+def test_repr_names_width_and_polynomial():
+    assert repr(default_field(4)) == "GF2n(n=4, poly=0b10011)"
+
+
 def test_table_polynomials_all_valid():
     # x generates every multiplicative group, so each width, n = 1 included,
     # multiplies through log tables

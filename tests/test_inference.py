@@ -636,7 +636,7 @@ def test_keyed_pass_equals_dense_pass(block, chunk):
             mock.patch.object(inference, "_KEYED_SHARE", share),
             mock.patch.object(inference, "_SCATTER_CHUNK", chunk),
         ):
-            lengths, built, keyed, passes = inference._trellises(h)
+            lengths, built, keyed, passes, _ = inference._trellises(h)
             layers = [None] * len(built)  # each use's layers, as (states, weights) lists
             for uses, got in passes:
                 for g, k in enumerate(uses.tolist()):
@@ -706,7 +706,7 @@ def _cut_run(h, announced):
     """Every use's final layer, the support it was summed from and whether it ran keyed, each
     arm's (p*, fault) read through announced's arms, and each use's final states hashing to a
     value of announced."""
-    lengths, built, keyed, passes = inference._trellises(h, announced)
+    lengths, built, keyed, passes, _ = inference._trellises(h, announced)
     finals = [(uses[t], s, w) for uses, layers in passes for t, s, w in layers[-1:]]
     empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     use, states, _ = final = [np.concatenate(parts) for parts in zip(empty, *finals)]
@@ -820,6 +820,91 @@ def test_constant_hash_last_layer_is_built_whole_in_layer_memory():
     assert np.array_equal(whole.final_weights, trellis.final_weights)
 
 
+_TRELLISES, _HASHES_AT = inference._trellises, inference._Hashes.at
+
+
+def _uncut(h, announced=None):
+    """``inference._trellises`` flagging no use as cut: ``_watch_block`` then hashes every
+    final state, the reference the skipped hash is checked against."""
+    *got, cut = _TRELLISES(h, announced)
+    return (*got, np.zeros_like(cut))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("delta", [0, 1, 2, "n"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("eps", [None, 0.5])
+def test_cut_uses_read_what_hashing_every_final_state_reads(family, delta, m, eps):
+    """Counts, p* and records == the hash-everything reference's, with cut uses' hashes skipped.
+
+    Eight uses, a constant poly hash (a_1 = 0) among them, counted, scored with one arm and
+    with three; a chunk of 40 cuts the small dense last layers too. Uses are cut wherever a
+    summed last layer (m >= 3) of a hash of several classes reads one value.
+    """
+    n = 6
+    delta = n if delta == "n" else delta
+    block = (n, delta, family, m - 1, 8, 3, [0.05] * m, eps, 100 * m + delta, None)
+    h = _forged_holdings(block, [], 2 if family == "poly" else None, 5)
+    one = h._replace(relay_symbols=h.relay_symbols[:, :1], relay_hashes=h.relay_hashes[:, :1])
+    cuts = []
+
+    def flagged(h, announced=None):
+        got = _TRELLISES(h, announced)
+        cuts.append(got[-1])
+        return got
+
+    for chunk in (40, inference._SCATTER_CHUNK):
+        with mock.patch.object(inference, "_SCATTER_CHUNK", chunk):
+            runs = {}
+            for name, trellises in (("skipped", flagged), ("hashed", _uncut)):
+                with mock.patch.object(inference, "_trellises", trellises):
+                    runs[name] = [
+                        _as_lists(inference._watch(x, score))
+                        for x, score in ((h, False), (one, True), (h, True))
+                    ]
+            assert runs["skipped"] == runs["hashed"]
+    cut = np.concatenate(cuts)
+    assert cut.any() == (m >= 3 and delta > 0)
+    if family == "poly":  # the constant use is never flagged: its one class holds every state
+        assert not cut.reshape(-1, len(h.own))[:, 2].any()
+
+
+def test_a_cut_counting_block_never_hashes_its_final_states(monkeypatch):
+    """``_Hashes.at`` is called on no final state of a cut use, and on every other use's.
+
+    The criterion-08 point (poly hash, median-ball pruning): every built use is cut, save
+    the constant one (a_1 = 0), whose final states alone are hashed.
+    """
+    block = (10, 2, "poly", 3, 40, 1, [0.1] * 4, 0.5, 7, None)
+    passes_done, hashed, seen = [], [], {}
+
+    def trellises(h, announced=None):
+        got = _TRELLISES(h, announced)
+        seen["cut"], passes_done[:] = got[-1], [True]
+        return got
+
+    def at(self, rows, xs):  # a 1-D xs is hashed as a column: count the 2-D call
+        if passes_done and xs.ndim == 2:
+            hashed.append(rows.tolist())
+        return _HASHES_AT(self, rows, xs)
+
+    monkeypatch.setattr(inference, "_trellises", trellises)
+    monkeypatch.setattr(inference._Hashes, "at", at)
+    for constant in (None, 3):
+        passes_done.clear()
+        hashed.clear()
+        h = _forged_holdings(block, [], constant, 5)
+        rows = inference._transition_rows(h.hashes, h.heard, h.peer_hashes, h.peer_channels, 0.5)
+        cut = (rows[2] > 0).all(axis=1)  # every built use
+        counts, record = inference._watch(h, score=False)
+        assert record.fallbacks["trellis"] == 40 - cut.sum()
+        if constant is not None:
+            cut[constant] = False
+        assert seen["cut"].tolist() == cut.tolist()
+        # only the uncut use's final states, each hashed once
+        assert hashed == ([] if constant is None else [[constant] * int(counts[constant, 0])])
+
+
 @pytest.mark.parametrize("delta", range(17))
 def test_class_keys_invert_every_drawn_hash(delta):
     """Each announced value's class is ``pow(a, -1, 2^delta)`` (r - b) (affine) or r ^ a_0 (poly).
@@ -915,7 +1000,7 @@ def test_public_trellis_completes_to_the_whole_trellis(drawn, chunk):
     variants = [obs, replace(obs, relay_overheard=replace(relay, symbol=other_symbol)),
                 replace(obs, relay_overheard=replace(relay, hash_value=other_hash))]
     with mock.patch.object(inference, "_SCATTER_CHUNK", chunk):
-        _, built, _, passes = inference._trellises(inference._holdings(obs))
+        _, built, _, passes, _ = inference._trellises(inference._holdings(obs))
         if not built[0]:
             with pytest.raises(InferenceError, match=inference._FAULTS[inference._EMPTY_ROW]):
                 build_and_run_trellis(obs)

@@ -20,6 +20,7 @@ from algwatch.inference import (
 from algwatch.multihop import (
     Hypergraph,
     NodeBehavior,
+    Transmission,
     TrustLedger,
     build_observation,
     can_police,
@@ -31,7 +32,7 @@ from algwatch.multihop import (
     unpoliced_pairs,
     write_trace,
 )
-from algwatch.packet import destination_check
+from algwatch.packet import destination_check, make_packet
 from algwatch.sim import collect_diagnostics
 
 SPEC = HashSpec("affine", 10, 2, (1, 0))
@@ -141,6 +142,18 @@ def test_build_observation_uses_only_overheard_data():
     }
     # coefficient order: watcher's own first
     assert obs.coeffs[0] == by_sender["r"].packet.coeffs["w"]
+
+
+def test_build_observation_names_a_watcher_that_never_transmitted():
+    # a hand-built transcript: w is an input of r's transmission and overheard it, but the
+    # transcript holds no transmission of w's before it (run_round always sends inputs first)
+    inputs = {"w": 3, "s2": 5, "s3": 9}
+    packet = make_packet(inputs, {"w": 1, "s2": 2, "s3": 3}, SPEC)
+    relay = Transmission(1, "r", packet, {"d": packet.payload}, {"w": packet.payload})
+    peers = [Transmission(0, u, make_packet({u: x}, {u: 1}, SPEC), {"r": x}, {"w": x})
+             for u, x in inputs.items() if u != "w"]
+    with pytest.raises(ValueError, match="^w transmitted nothing for r to combine$"):
+        build_observation("w", "r", [*peers, relay], _star(), SPEC)
 
 
 def test_police_requires_overhearing_edges():

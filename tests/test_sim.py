@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 import os
 import subprocess
 import sys
@@ -288,22 +290,77 @@ def test_trial_streams_build_no_seed_sequence(monkeypatch, cfg):
     assert made == []
 
 
-def test_trial_path_leaves_numpy_random_unimported(tmp_path):
-    # no draw imports numpy.random: not a matched-count run, not a default two-hop run
-    script = (
-        "import sys\n"
-        "from algwatch import cli, sim\n"
-        "sim.mean_matched_count(10, 3, 2, 0.1, trials=1000)\n"
-        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
-        f"out = {str(tmp_path / 'out.csv')!r}\n"
-        "assert cli.main(['two-hop', '--workers', '1', '--out', out]) == 0\n"
-        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
-    )
+def _run_fresh(script: str) -> None:
+    """Run script in a fresh interpreter that imports this checkout's algwatch: it must exit 0."""
     src = Path(sim.__file__).resolve().parents[1]
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# What a one-worker run must leave unimported, as a line of a fresh-process script.
+_NO_POOL = (
+    "assert not {'concurrent.futures', 'multiprocessing'} & set(sys.modules), 'pool imported'\n"
+)
+
+
+def test_trial_path_leaves_numpy_random_unimported(tmp_path):
+    # no draw imports numpy.random: not a matched-count run, not a default two-hop run;
+    # and neither one-worker run imports the process pool or multiprocessing
+    script = (
+        "import sys\n"
+        "from algwatch import cli, sim\n"
+        "sim.mean_matched_count(10, 3, 2, 0.1, trials=1000)\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+        + _NO_POOL +
+        f"out = {str(tmp_path / 'out.csv')!r}\n"
+        "assert cli.main(['two-hop', '--workers', '1', '--out', out]) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+        + _NO_POOL
+    )
+    _run_fresh(script)
+
+
+def test_a_pooled_run_loads_the_pool_and_writes_the_one_worker_run(tmp_path):
+    script = (
+        "import sys\n"
+        "from algwatch import cli\n"
+        "flags = ['two-hop', '--iterations', '40', '--seed', '3', '--values', '0.0,0.2']\n"
+        f"one, two = {str(tmp_path / 'one.csv')!r}, {str(tmp_path / 'two.csv')!r}\n"
+        "assert cli.main([*flags, '--workers', '1', '--out', one]) == 0\n"
+        + _NO_POOL +
+        "assert cli.main([*flags, '--workers', '2', '--out', two]) == 0\n"
+        "assert {'concurrent.futures', 'multiprocessing'} <= set(sys.modules), 'no pool'\n"
+    )
+    _run_fresh(script)
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+    one, two = (json.loads((tmp_path / f"{k}.json").read_text()) for k in ("one", "two"))
+    assert (one.pop("workers"), two.pop("workers")) == (1, 2) and one == two
+
+
+@st.composite
+def _quantile_cases(draw):
+    """1-64 finite samples with ties, and q at 0, 1, 0.5, a grid point k/(n - 1) or a float
+    next to one, or anywhere in [0, 1]. No sample is -0.0 (``sim._quantile``)."""
+    values = st.floats(-1e300, 1e300, allow_nan=False).map(lambda v: v + 0.0)  # -0.0 + 0.0 is 0.0
+    pool = draw(st.lists(values, min_size=1, max_size=3))
+    count = draw(st.integers(1, 64))
+    samples = draw(st.lists(st.sampled_from(pool) | values, min_size=count, max_size=count))
+    grid = draw(st.integers(0, count - 1)) / (count - 1) if count > 1 else 0.5
+    near = [0.0, 1.0, 0.5, grid, math.nextafter(grid, 0.0), math.nextafter(grid, 1.0)]
+    return np.array(samples), draw(st.sampled_from(near) | st.floats(0.0, 1.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_quantile_cases())
+@example((np.array([0.25]), 0.5))
+@example((np.array([0.0, 1.0, 1.0, 3.0]), 2 / 3))
+@example((np.array([3.0, 1.0, 1.0, 0.0]), math.nextafter(1 / 3, 1.0)))
+def test_quantile_is_numpys_linear_quantile_bit_for_bit(case):
+    samples, q = case
+    got, want = sim._quantile(samples, q), np.quantile(samples, q)
+    assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("count", range(1, 65))
@@ -900,18 +957,19 @@ def test_p_adv_sweep_workers_do_not_change_results():
 
 
 def test_trial_path_leaves_numpy_ma_unimported():
-    # np.unique imports numpy.ma, about 1.2 MiB of resident set that the
-    # benchmark's peak_rss_mb would absorb without any other test failing
+    # np.unique, and np.quantile through it, import numpy.ma, about 1.2 MiB of resident
+    # set that the benchmark's peak_rss_mb would absorb without any other test failing:
+    # not on the two-hop path, in a threshold's calibration or in a scenario
     script = (
         "import sys\n"
         "from algwatch import sim\n"
         "cfg = sim.TwoHopConfig(n=8, iterations=20, pruning_eps=0.5, hash_family='poly')\n"
         "sim.run_sweep(cfg, 'p_adv', [0.0, 0.2])\n"
         "sim.mean_matched_count(10, 3, 2, 0.1, trials=20)\n"
+        "sim.calibrate_threshold(sim.TwoHopConfig(p_adv=0.0, iterations=50), 0.05, window=5)\n"
+        "from algwatch import multihop\n"
+        "multihop.mincut_scenario('one-honest-path', instances=1, policed_samples=3,\n"
+        "                         calibration_iterations=50)\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
-    src = Path(sim.__file__).resolve().parents[1]
-    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    _run_fresh(script)

@@ -3,6 +3,7 @@
 Run from the root of an algwatch checkout:
 
     python3 tools/ab.py process --parent REV --pairs 10 --seconds 30
+    python3 tools/ab.py footprint --parent REV --pairs 11
     python3 tools/ab.py inprocess --parent REV --pairs 20 --call scenario
 
 ``process`` exports REV with ``git archive`` into a temporary directory and
@@ -17,6 +18,15 @@ of the pairs (ties dropped), the ``BENCHMARK.json`` bound and a verdict: ``unres
 run of the working tree reads better than every run of the parent, else
 ``beyond`` when the change is worse by more than the bound, else
 ``within``.
+
+``footprint`` runs each root's set-up probe, ``perfbench/probe.py W 0 DIR``,
+for every workload in the same alternating pairs, from this process, which
+imports no algwatch and stays small. A process's peak resident set starts at
+its spawner's, so ``run.py``'s ``peak_rss_mb`` never reads below ``run.py``'s
+own; here each probe's ``peak_rss_mb`` is its own peak. It prints the same
+JSON, with each probe's ``peak_rss_mb`` and its wall time ``probe_s`` (set-up
+time as measured, no speed scaling, against ``setup_s``'s bound) as the
+metrics, and the workloads whose probe output differs between the roots.
 
 ``inprocess`` imports both trees into this one process under two package
 names and times one call of each side in turn, alternating which goes
@@ -125,6 +135,45 @@ def process(parent: str, pairs: int, seconds: float) -> dict:
             "failed_calls": failed, "metrics": metrics}
 
 
+def _probe(root: Path, workload: str, workdir: str) -> tuple[float, float, object]:
+    """One fresh set-up probe of root: (its peak_rss_mb, its wall time in s, its output)."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "perfbench/probe.py", workload, "0", workdir],
+        cwd=root, capture_output=True, text=True, check=True,
+    )
+    elapsed = time.perf_counter() - start
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    return got["peak_rss_mb"], elapsed, got["output"]
+
+
+def footprint(parent: str, pairs: int) -> dict:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    workloads = [w["name"] for w in bench["workloads"]]
+    runs, outputs = {}, {}  # (workload, metric, side) -> values; (workload, side) -> outputs
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "parent").mkdir()
+        (Path(tmp) / "work").mkdir()
+        roots = {"parent": _export(parent, Path(tmp) / "parent"), "change": ROOT}
+        for k in range(pairs):
+            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                for workload in workloads:
+                    peak, wall, output = _probe(roots[side], workload, str(Path(tmp) / "work"))
+                    runs.setdefault((workload, "peak_rss_mb", side), []).append(peak)
+                    runs.setdefault((workload, "probe_s", side), []).append(wall)
+                    outputs.setdefault((workload, side), []).append(output)
+    metrics = {
+        f"{workload}.{metric}": _verdict(runs[workload, metric, "parent"],
+                                         runs[workload, metric, "change"], "lower", bounds[bound])
+        for workload in workloads
+        for metric, bound in (("peak_rss_mb", "peak_rss_mb"), ("probe_s", "setup_s"))
+    }
+    differ = [w for w in workloads if outputs[w, "parent"] != outputs[w, "change"]]
+    return {"parent": parent, "pairs": pairs, "seed": 0, "outputs_differ": differ,
+            "metrics": metrics}
+
+
 def _load(name: str, root: Path):
     """root's algwatch package, imported as name."""
     package = root / "src" / "algwatch"
@@ -219,13 +268,20 @@ def main(argv=None) -> int:
     proc.add_argument("--parent", required=True)
     proc.add_argument("--pairs", type=int, default=10)
     proc.add_argument("--seconds", type=float, default=30)
+    foot = sub.add_parser("footprint")
+    foot.add_argument("--parent", required=True)
+    foot.add_argument("--pairs", type=int, default=11)
     inproc = sub.add_parser("inprocess")
     inproc.add_argument("--parent", required=True)
     inproc.add_argument("--pairs", type=int, default=20)
     inproc.add_argument("--call", required=True, choices=("calibrate", "pair", "scenario"))
     args = parser.parse_args(argv)
+    if args.mode != "inprocess" and args.pairs < 2:  # quartiles need two runs a side
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
     if args.mode == "process":
         result = process(args.parent, args.pairs, args.seconds)
+    elif args.mode == "footprint":
+        result = footprint(args.parent, args.pairs)
     else:
         result = inprocess(args.parent, args.pairs, args.call)
     print(json.dumps(result, indent=1))
