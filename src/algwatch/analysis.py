@@ -2,9 +2,10 @@
 
 Exact misdetection formulas for the two-source network (watchdog, peer,
 relay), the expected matched-codeword count for the general two-hop
-network, and the ball-intersection pass/fail check the closed forms
-describe. Binomial sums are exact integers; each evaluator performs a
-single final floating division.
+network, and the ball-intersection pass/fail check the misdetection
+forms are set beside (each form's docstring says which experiment it is
+for, and where no simulated event gives it). Binomial sums are exact
+integers; each evaluator performs a single final floating division.
 """
 
 from __future__ import annotations
@@ -72,6 +73,20 @@ def geometry_from_eps(
 
 
 def _undetected(g: TwoHopGeometry, relay_radius: int) -> float:
+    """V(r_pw) V(r_wp) V(r) / 2^(3h + 2n), capped at 1, with r = relay_radius.
+
+    Read factor by factor, it is the chance that a uniform symbol lies in the
+    peer's hash-consistent ball around the watchdog's symbol, V(r_pw) /
+    2^(n + h) (r_pw = peer_hears_watchdog), times the chance that one lies in
+    the watchdog's around the peer's symbol, V(r_wp) / 2^(n + h), times the
+    symbols of a hash-consistent relay ball, V(r) / 2^h, with a hash onto h
+    bits (a class of 2^(n - h) symbols). It is the paper's form; no event
+    this library simulates gives it. ``algebraic_check`` is the one check
+    here, and it reads nothing the peer holds, so its pass probability
+    does not depend on r_pw, while this product grows strictly with it. The
+    check's own first-order count of matches, V(r_wp) V(r) / 2^(2h + n), is
+    this product divided by V(r_pw) / 2^(n + h).
+    """
     num = (
         ball_volume(g.n, g.peer_hears_watchdog)
         * ball_volume(g.n, g.watchdog_hears_peer)
@@ -82,25 +97,40 @@ def _undetected(g: TwoHopGeometry, relay_radius: int) -> float:
 
 
 def undetected_prob_watchdog(g: TwoHopGeometry) -> float:
-    """Probability a malicious relay escapes the watchdog's own check.
+    """The paper's probability that a malicious relay escapes the watchdog's own check.
 
-    Product of the per-set membership probabilities, scaled by the volume
-    of the relay candidate set the watchdog builds; increasing any radius
+    The experiment: sources 1 (the watchdog) and 2 (the peer) send x1 and
+    x2; the relay should send a1 x1 + a2 x2, but sends another symbol and
+    announces that symbol's own hash. The watchdog alone checks, with
+    ``algebraic_check``: the peer ball has radius watchdog_hears_peer, the
+    relay ball watchdog_hears_relay. The form (``_undetected``) also reads
+    peer_hears_watchdog, which that check does not; increasing any radius
     never decreases the result.
     """
     return _undetected(g, g.watchdog_hears_relay)
 
 
 def undetected_prob_peer(g: TwoHopGeometry) -> float:
-    """Same bound from the peer's perspective of the relay."""
+    """The paper's probability that the same relay escapes the peer's check instead.
+
+    The peer checks with its own view, as ``algebraic_check`` does with the
+    two sources' roles swapped: its ball around the watchdog's symbol has
+    radius peer_hears_watchdog, and its relay ball peer_hears_relay. The
+    form (``_undetected``) also reads watchdog_hears_peer, which that check
+    does not.
+    """
     return _undetected(g, g.peer_hears_relay)
 
 
 def misdetection_probability(g: TwoHopGeometry) -> float:
-    """Probability a malicious relay escapes both sources.
+    """The paper's probability that a malicious relay escapes both sources.
 
-    Equals the smaller of the two single-perspective bounds, i.e. uses the
-    smaller relay-side radius.
+    The experiment of ``undetected_prob_watchdog``, with both sources
+    checking, each with its own relay ball: the relay escapes only if both
+    checks pass. That event is no more likely than either check passing,
+    so the form takes the smaller of the two single-source forms, i.e. the
+    smaller relay-side radius; it is not derived as the probability of the
+    joint event.
     """
     return _undetected(g, min(g.watchdog_hears_relay, g.peer_hears_relay))
 
@@ -168,12 +198,21 @@ def algebraic_check(
 ) -> bool:
     """Ball-intersection consistency check for the two-source network.
 
-    peer_overheard and relay_overheard are (noisy symbol, exact hash)
-    pairs; radii are the watchdog's (peer, relay) uncertainty radii. The
-    watchdog forms every hash-consistent ball-restricted explanation of
-    the peer symbol, maps each through the announced combination, and
-    passes iff at least one lands in the relay's candidate set. An empty
-    candidate set on either side fails the check.
+    The experiment: the watchdog (source 1) knows its own symbol x1 and the
+    coefficients (a1, a2); it overhears source 2's symbol x2 over a noisy
+    link, and its hash exactly, as peer_overheard, and the relay's
+    transmission and the hash the relay announces as relay_overheard (each
+    a (noisy symbol, exact hash) pair). radii are the watchdog's (peer,
+    relay) uncertainty radii. The peer set is every symbol with the peer's
+    hash within the peer radius of the overheard peer symbol, and the
+    relay set likewise. The check passes iff a1 x1 + a2 y is in the relay
+    set for some y in the peer set; an empty set on either side fails it.
+    Only the watchdog checks: nothing the peer holds is read. An honest
+    relay passes whenever both true symbols lie in their balls. A relay
+    that sends another symbol with that symbol's own hash escapes when it
+    passes; a2 is a bijection, so at first order the expected number of
+    matches is |peer set| |relay set| / 2^n, about V(r_peer) V(r_relay) /
+    2^(2 delta + n) for a hash onto delta bits.
     """
     a1, a2 = coeffs
     if a1 == 0 or a2 == 0:

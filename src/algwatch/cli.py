@@ -47,7 +47,7 @@ from .multihop import (
     write_trace,
 )
 from .gfield import default_field
-from .hashing import sample_hash
+from .hashing import FAMILIES, sample_hash
 from .sim import (
     SWEEP_AXES,
     TwoHopConfig,
@@ -365,7 +365,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--iterations", type=int, default=d.iterations, help="trials per point")
     p.add_argument("--pruning-eps", dest="pruning_eps", type=float, default=d.pruning_eps,
                    help="ball-prune candidate sets at this eps, if set")
-    p.add_argument("--hash-family", dest="hash_family", choices=("affine", "poly"),
+    p.add_argument("--hash-family", dest="hash_family", choices=FAMILIES,
                    default=d.hash_family, help="hash family for the experiment")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                    help="parallel workers; the cpu count unless set")

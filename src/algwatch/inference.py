@@ -36,8 +36,9 @@ the watchdogs of any number of relay uses hold. It cuts them into blocks
 sized by the candidates a use holds, then makes a block's transition rows
 and relay normalizers in one batched pass each, reading collision classes
 as cosets (``hashing._classes``) or ball candidates, and no table of a
-hash over all 2^n symbols. It runs the forward passes, then hashes and
-scores the final layers of all its uses together. The Monte Carlo
+hash over all 2^n symbols. It runs the forward passes one at a time,
+keeping only last layers, and hashes and scores those of many uses
+together, up to a block's worth of states at a time. The Monte Carlo
 harness hands it whole pieces of drawn trials, and it hands back their
 values and one RunDiagnostics. On this path an InferenceError's cause is
 a small fault code (``_FAULTS`` holds the messages): a faulted arm
@@ -447,8 +448,9 @@ def _keyed_pass(
     adds about 0.2 MiB of resident set. With cut, (lam, keys, mask) of its
     trellises (``_class_keys``), the last layer's contributions to classes
     other than keys[:, 0] are dropped before ranking: a kept state keeps all
-    its terms. Returns the layers and whether the last was cut: always, when
-    a cut is given and there is a layer to cut.
+    its terms. Returns the layers and whether each trellis's last layer was
+    cut: when a cut is given and there is a layer to cut, every trellis's
+    whose lam is nonzero (lam = 0, a constant poly hash, has one class).
     """
     count, mask = len(starts), (1 << n) - 1
     layers = [(np.arange(count), starts, np.ones(count))]
@@ -459,7 +461,7 @@ def _keyed_pass(
         sums = np.bincount(ids, terms, minlength=len(distinct))
         live = sums > 0.0
         layers.append((distinct[live] >> n, distinct[live] & mask, sums[live]))
-    return layers, cut is not None and lo.shape[1] > 0
+    return layers, cut is not None and lo.shape[1] > 0 and cut[0] != 0
 
 
 def _contributions(
@@ -561,16 +563,15 @@ def _holdings(obs: WatchdogObservation) -> _Holdings:
 _KEYED_SHARE = 8
 
 
-def _groups(uses: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
-    """uses cut, in order, into groups whose bounds sum to at most _SCATTER_CHUNK each.
+def _groups(uses: np.ndarray, bounds: np.ndarray, limit: int) -> list[np.ndarray]:
+    """uses cut, in order, into groups whose bounds sum to at most limit each.
 
     A use whose bound alone is larger makes a group of its own.
     """
     ends = bounds[uses].cumsum()  # exact: integer sums below 2^53
     groups, lo = [], 0
     while lo < len(uses):
-        limit = ends[lo] - bounds[uses[lo]] + _SCATTER_CHUNK
-        hi = max(lo + 1, int(np.searchsorted(ends, limit, "right")))
+        hi = max(lo + 1, ends.searchsorted(ends[lo] - bounds[uses[lo]] + limit, "right"))
         groups.append(uses[lo:hi])
         lo = hi
     return groups
@@ -580,8 +581,10 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
     """Every use's trellis: (row lengths, built, keyed, passes, cut).
 
     A use's trellis is built when none of its transition rows came up
-    empty. Each pass is (uses, layers): a group of uses run together, and
-    its layers as the pass gives them, trellis indexing uses. Keyed uses
+    empty. passes runs each pass when it is reached, and yields it as
+    (uses, layers): a group of uses run together, and its layers as the
+    pass gives them, trellis indexing uses. So a caller that keeps only
+    last layers holds one pass's layers at a time. Keyed uses
     run in groups whose row lengths bound a layer's contributions to
     ``_SCATTER_CHUNK``; every other built use runs dense, a group of one.
     One cut rule: with announced given and delta > 0, every pass of a use
@@ -592,7 +595,8 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
     up to 2^n paths). Several arms' classes cover most of a layer, and a
     keyed cut there, or of a layer 1, cost more than it saved. cut flags
     the uses whose last layer holds only states in announced classes: a
-    pass cut it and their hash has more than one class.
+    pass cut it and their hash has more than one class. A use's flag is set
+    when its pass has run.
     """
     peers, n = h.heard.shape[1], h.hashes.n
     gf = default_field(n)
@@ -609,19 +613,23 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
     one = cut and announced.shape[1] == 1 and peers > 1  # one value of a summed last layer
     keyed = built & (bounds * (_KEYED_SHARE / 8 if one else _KEYED_SHARE) <= 1 << n)
     lam, keys = _class_keys(h.hashes, announced) if cut else (None, None)
-    passes, cuts = [], np.zeros(len(built), bool)
-    for group in [*_groups(keyed.nonzero()[0], bounds), *(built ^ keyed).nonzero()[0][:, None]]:
-        args = starts[group], shifts, probs, firsts[group], ends[group], n
-        varies = cut and lam[group].any()  # lam = 0, a constant poly hash: one class, no cut
-        last = (lam[group], keys[group], (1 << h.hashes.delta) - 1) if varies else None
-        if keyed[group[0]]:
-            layers, cuts[group] = _keyed_pass(*args, last if one else None)
-        else:
-            layers, cuts[group] = _forward_pass(*args, last)
-        passes.append((group, layers))
-    if cut:
-        cuts &= lam != 0
-    return lengths, built, keyed, passes, cuts
+    groups = [*_groups(keyed.nonzero()[0], bounds, _SCATTER_CHUNK),
+              *(built ^ keyed).nonzero()[0][:, None]]
+    cuts = np.zeros(len(built), bool)
+
+    def passes():
+        for group in groups:
+            args = starts[group], shifts, probs, firsts[group], ends[group], n
+            varies = cut and lam[group].any()  # lam = 0, a constant poly hash: one class, no cut
+            last = (lam[group], keys[group], (1 << h.hashes.delta) - 1) if varies else None
+            if keyed[group[0]]:
+                layers, cuts[group] = _keyed_pass(*args, last if one else None)
+            else:
+                layers, cuts[group] = _forward_pass(*args, last)
+            yield group, layers
+            del layers  # before the next pass runs
+
+    return lengths, built, keyed, passes(), cuts
 
 
 @dataclass
@@ -740,20 +748,21 @@ def _score_arms(
 _BLOCK_ELEMENTS = 1 << 13
 
 
-def _use_elements(h: _Holdings, score: bool) -> int:
+def _use_elements(h: _Holdings, score: bool, width: int | None = None) -> int:
     """The elements a use of h holds in a block, as ``_BLOCK_ELEMENTS`` counts them.
 
-    Its transition rows' candidates: a collision class of 2^(n - delta)
-    symbols a peer, or, where ``_pruning`` finds them in the balls, the ball
-    candidates and their hashes, 2 x peers x V(n, r): 66 at the criterion-08
-    point, 124 uses a block. Blocks of 248 uses ran no faster there, and
-    grew peak memory by about 0.4 MiB. Scored, also each arm's class in its
-    relay normalizers, 2^(n - delta) symbols.
+    Its transition rows' candidates: a collision class of 2^width symbols a
+    peer (width n - delta unless given), or, where ``_pruning`` finds them in
+    the balls, the ball candidates and their hashes, 2 x peers x V(n, r): 66
+    at the criterion-08 point, 124 uses a block. Blocks of 248 uses ran no
+    faster there, and grew peak memory by about 0.4 MiB. Scored, also each
+    arm's class in its relay normalizers, 2^width symbols.
     """
     n, delta, peers = h.hashes.n, h.hashes.delta, h.heard.shape[1]
+    width = n - delta if width is None else width
     reach = None if h.prune_eps is None else _pruning(h.peer_channels, n, delta, h.prune_eps)[1]
-    rows = peers << (n - delta) if reach is None else 2 * peers * ball_volume(n, reach)
-    return max(1, rows, h.relay_hashes.shape[1] << (n - delta) if score else 0)
+    rows = peers << width if reach is None else 2 * peers * ball_volume(n, reach)
+    return max(1, rows, h.relay_hashes.shape[1] << width if score else 0)
 
 
 def _watch(h: _Holdings, score: bool = True):
@@ -765,14 +774,20 @@ def _watch(h: _Holdings, score: bool = True):
     An arm that raises InferenceError (every arm of a use whose trellis was
     not built, because a transition row came up empty, and an arm whose
     relay cannot be scored) scores p* = 0, and the record counts it as a
-    fallback. A block holds ``_BLOCK_ELEMENTS // _use_elements`` uses
-    (``_Holdings.block``, ``_watch_block``).
+    fallback. Consecutive uses make a block while their ``_use_elements``
+    sum to at most ``_BLOCK_ELEMENTS`` (``_groups``; ``_Holdings.block``,
+    ``_watch_block``). A use whose poly hash is a constant (a_1 = 0, delta >
+    0) counts its one class as all 2^n symbols.
     """
-    step = max(1, _BLOCK_ELEMENTS // _use_elements(h, score))
-    values = np.empty((len(h.own), h.relay_hashes.shape[1] if score else 1))
+    count = len(h.own)
+    elements = np.full(count, _use_elements(h, score))
+    if h.hashes.family == "poly" and h.hashes.delta > 0:
+        elements[h.hashes.coeffs[:, 1] == 0] = _use_elements(h, score, h.hashes.n)
+    values = np.empty((count, h.relay_hashes.shape[1] if score else 1))
     record = RunDiagnostics()
-    for lo in range(0, len(values), step):
-        values[lo:lo + step], part = _watch_block(h.block(lo, lo + step), score)
+    for uses in _groups(np.arange(count), elements, _BLOCK_ELEMENTS):
+        lo, hi = uses[0], uses[-1] + 1
+        values[lo:hi], part = _watch_block(h.block(lo, hi), score)
         record.add(part)
     return values, record
 
@@ -782,20 +797,56 @@ def _watch_block(h: _Holdings, score: bool):
 
     One batched pass each makes the block's transition rows and (when
     scoring) relay normalizers; ``_trellises`` runs the forward passes.
-    The final layers of all uses are hashed at most once, and one (arm,
-    state) match array compares each state with each arm's announced value
-    (arm 0's when counting); the counts and p* are both read from it. A
-    large dense last layer is cut to the announced classes, and a keyed one
-    when each use reads one arm: then every state of a cut use matches, and
-    only the other uses' states are hashed. Every float is the one the use
-    gives alone. The trellis reads only what the watchdog holds, never the
-    relay's payload, so all arms share it. Fallbacks count built flags and
-    fault codes.
+    Only each use's last layer is kept, and the last layers of consecutive
+    passes are read together (``_read_finals``), up to ``_BLOCK_ELEMENTS``
+    states or one pass's: a block holds one pass's layers and at most that
+    many last layers, however many uses it has. Every float is the one the
+    use gives alone. The trellis reads only what the watchdog holds, never
+    the relay's payload, so all arms share it. Fallbacks count built flags
+    and fault codes.
     """
     count = len(h.own)
     announced = h.relay_hashes if score else h.relay_hashes[:, :1]
     lengths, built, keyed, passes, cut = _trellises(h, announced)
-    finals = [(uses[t], s, w) for uses, layers in passes for t, s, w in layers[-1:]]
+    reads, pstars = np.zeros(count, np.int64), np.zeros(announced.shape) if score else None
+    finals, held = [], 0
+    for uses, layers in passes:
+        t, s, w = layers[-1]
+        del layers  # the others are freed before the next pass runs
+        if held and held + len(s) > _BLOCK_ELEMENTS:
+            _read_finals(h, announced, cut, finals, reads, pstars)
+            finals, held = [], 0
+        finals.append((uses[t], s, w))
+        held += len(s)
+    fault = _read_finals(h, announced, cut, finals, reads, pstars)
+    if score:
+        values, faulted = pstars, int(np.count_nonzero(fault[built]))  # unbuilt: a trellis fault
+    else:
+        values, faulted = reads[:, None], 0
+    return values, RunDiagnostics(
+        Counter(trellis=count - int(built.sum()), scoring=faulted),
+        Counter(lengths[built].ravel().tolist()),
+        Counter(reads[built].tolist()),
+        Counter(dense=int(np.count_nonzero(built ^ keyed)), keyed=int(np.count_nonzero(keyed))),
+    )
+
+
+def _read_finals(
+    h: _Holdings, announced: np.ndarray, cut: np.ndarray, finals: list, reads: np.ndarray,
+    pstars: np.ndarray | None,
+) -> np.ndarray | None:
+    """Add the reads and p* of the final layers in finals to the block's reads and pstars.
+
+    finals lists (use, state, weight) layers. Their states are hashed at
+    most once, and one (arm, state) match array compares each state with
+    each arm's announced value (arm 0's when counting); the counts and p*
+    are both read from it. A large dense last layer is cut to the announced
+    classes, and a keyed one when each use reads one arm: then every state
+    of a cut use matches, and only the other uses' states are hashed.
+    reads counts each use's final states p* reads. Scoring (pstars given),
+    ``_score_arms`` gives 0 to a use not in finals, and adding +0.0 changes
+    no p*; returns its fault codes, else None.
+    """
     empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     use, states, _ = final = [np.concatenate(parts) for parts in zip(empty, *finals)]
     if announced.shape[1] == 1:  # a cut use's final states all hash to its one value
@@ -805,18 +856,12 @@ def _watch_block(h: _Holdings, score: bool):
             match[0, rest] = announced[use[rest], 0] == h.hashes.at(use[rest], states[rest])
     else:
         match = np.take(announced.T, use, axis=1) == h.hashes.at(use, states)
-    reads = np.bincount(use[match.any(axis=0)], minlength=count)  # the final states p* reads
-    if score:
-        values, fault = _score_arms(h, final, match)
-        faulted = int(np.count_nonzero(fault[built]))  # an unbuilt use counts as a trellis fault
-    else:
-        values, faulted = reads[:, None], 0
-    return values, RunDiagnostics(
-        Counter(trellis=count - int(built.sum()), scoring=faulted),
-        Counter(lengths[built].ravel().tolist()),
-        Counter(reads[built].tolist()),
-        Counter(dense=int(np.count_nonzero(built ^ keyed)), keyed=int(np.count_nonzero(keyed))),
-    )
+    reads += np.bincount(use[match.any(axis=0)], minlength=len(h.own))
+    if pstars is None:
+        return None
+    got, fault = _score_arms(h, final, match)
+    pstars += got
+    return fault
 
 
 def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:

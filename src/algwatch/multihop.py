@@ -21,7 +21,7 @@ line-delimited JSON trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -696,19 +696,6 @@ def write_trace(transcript: list[Transmission], path) -> None:
     """Dump the transcript as line-delimited JSON, one transmission per line."""
     with open(path, "w") as fh:
         for ev in transcript:
-            fh.write(
-                json.dumps(
-                    {
-                        "round": ev.round_index,
-                        "sender": ev.sender,
-                        "coeffs": ev.packet.coeffs,
-                        "input_hashes": ev.packet.input_hashes,
-                        "own_hash": ev.packet.own_hash,
-                        "payload": ev.packet.payload,
-                        "delivered": ev.delivered,
-                        "overheard": ev.overheard,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            line = {"round": ev.round_index, "sender": ev.sender, **asdict(ev.packet),
+                    "delivered": ev.delivered, "overheard": ev.overheard}
+            fh.write(json.dumps(line, sort_keys=True) + "\n")

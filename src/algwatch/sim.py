@@ -42,7 +42,7 @@ import numpy as np
 
 from .channel import Bsc, _flip_masks, ball_radius, hamming
 from .gfield import MAX_WIDTH, default_field
-from .hashing import HashSpec, _draws, _Hashes, collision_list, hash_eval
+from .hashing import FAMILIES, HashSpec, _draws, _Hashes, collision_list, hash_eval
 from .inference import (
     InferenceError, Overheard, RunDiagnostics, WatchdogObservation, _Holdings, _watch,
 )
@@ -80,7 +80,7 @@ class TwoHopConfig:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not 1 <= self.n <= MAX_WIDTH:
             raise ValueError(f"n must be in [1, {MAX_WIDTH}], got {self.n}")
-        if self.hash_family not in ("affine", "poly"):
+        if self.hash_family not in FAMILIES:
             raise ValueError("hash_family must be 'affine' or 'poly'")
         if not 0 <= self.delta <= self.n:
             raise ValueError("delta must be in [0, n]")

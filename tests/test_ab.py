@@ -1,4 +1,4 @@
-"""The verdict rule and the footprint pairs of tools/ab.py, pinned on synthetic runs."""
+"""tools/ab.py on synthetic runs: the verdict rule, the shared head, every mode's pairs."""
 
 import importlib.util
 import json
@@ -88,4 +88,100 @@ def test_footprint_alternates_probes_and_reads_each_probes_own_peak(monkeypatch)
 def test_a_single_pair_is_refused_by_name(mode, capsys):
     with pytest.raises(SystemExit) as exit_:
         ab.main([mode, "--parent", "HEAD", "--pairs", "1"])
+    assert exit_.value.code == 2 and "--pairs must be at least 2" in capsys.readouterr().err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCH["workloads"]]
+BOUNDS = {m["name"]: m["bound"] for m in BENCH["end_to_end"]}
+# each reading's metric, by the last dotted part of its name, and the bound it is judged by
+JUDGED_BY = {"wall_s": "wall_s", "setup_s": "setup_s", "peak_rss_mb": "peak_rss_mb",
+             "probe_s": "setup_s", "s": "wall_s"}
+VERDICT_FIELDS = set(ab._verdict([1.0, 2.0], [1.0, 2.0], "lower", 0.25))
+
+
+@pytest.fixture
+def trees(monkeypatch):
+    """Every mode's measurement faked; returns the (side, ...) of each call, in order.
+
+    The working tree reads half the parent's value on every end-to-end metric and probe.
+    """
+    calls = []
+
+    def side(at):
+        return "change" if at == ROOT else "parent"
+
+    def run(at, workload, seconds):
+        calls.append((side(at), workload))
+        value = 1.0 if side(at) == "change" else 2.0
+        return {"failed": int(side(at) == "parent"),
+                "metrics": {m: {"value": value} for m in BOUNDS}}
+
+    def probe(at, workload, workdir):
+        calls.append((side(at), workload))
+        return (1.0, 0.1, {}) if side(at) == "change" else (2.0, 0.2, {})
+
+    def call(aw, what, policed):
+        def timed(seed):
+            calls.append((aw, seed))
+            return seed
+        return timed
+
+    monkeypatch.setattr(ab, "ROOT", ROOT)
+    for name, fake in (("_export", lambda rev, into: into), ("_run", run), ("_probe", probe),
+                       ("_load", lambda name, root: side(root)), ("_call", call)):
+        monkeypatch.setattr(ab, name, fake)
+    return calls
+
+
+MODES = {
+    "process": (lambda: ab.process("HEAD", 4, 5.0), ["seconds", "failed_calls"]),
+    "footprint": (lambda: ab.footprint("HEAD", 4), ["outputs_differ"]),
+    "inprocess": (lambda: ab.inprocess("HEAD", 4, "calibrate"), ["call"]),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_mode_prints_the_shared_head_and_judges_each_reading(mode, trees):
+    run, extras = MODES[mode]
+    got = run()
+    assert list(got) == ["mode", "parent", "pairs", "seed", *extras, "metrics"]
+    assert (got["mode"], got["parent"], got["pairs"]) == (mode, "HEAD", 4)
+    assert got["metrics"]
+    for name, reading in got["metrics"].items():
+        assert set(reading) == VERDICT_FIELDS  # _verdict's output, nothing else
+        assert reading["bound"] == BOUNDS[JUDGED_BY[name.rpartition(".")[2]]]
+        assert len(reading["runs"]["parent"]) == len(reading["runs"]["change"]) == 4
+
+
+def test_process_alternates_runs_and_judges_every_end_to_end_metric(trees):
+    got = ab.process("HEAD", 4, 5.0)
+    # pair k runs the parent's workloads first when k is even, every workload in turn
+    sides = [side for side, _ in trees]
+    assert sides[::len(WORKLOADS)] == ["parent", "change", "change", "parent"] * 2
+    assert [w for _, w in trees[:len(WORKLOADS)]] == WORKLOADS
+    assert got["seed"] == ab.SEED and got["seconds"] == 5.0
+    assert got["failed_calls"] == {"parent": 4 * len(WORKLOADS), "change": 0}
+    assert list(got["metrics"]) == [f"{w}.{m}" for w in WORKLOADS for m in BOUNDS]
+    for reading in got["metrics"].values():
+        assert reading["change_better_in_pairs"] == "4/4" and reading["median_pair_ratio"] == 0.5
+        assert reading["verdict"] == "within"
+
+
+def test_inprocess_checks_both_trees_then_alternates_seeded_calls(trees):
+    got = ab.inprocess("HEAD", 4, "calibrate")
+    warm = [("parent", 1), ("change", 1), ("parent", 2), ("change", 2)]
+    # pair k calls seed k + 3, the parent first when k is even
+    pairs = [("parent", 3), ("change", 3), ("change", 4), ("parent", 4),
+             ("parent", 5), ("change", 5), ("change", 6), ("parent", 6)]
+    assert trees == warm + pairs
+    assert got["call"] == "calibrate" and got["seed"] == ab.SEED
+    assert list(got["metrics"]) == ["calibrate.s"]
+    assert got["metrics"]["calibrate.s"]["bound"] == BOUNDS["wall_s"]
+
+
+def test_inprocess_refuses_a_single_pair_by_name(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        ab.main(["inprocess", "--parent", "HEAD", "--pairs", "1", "--call", "pair"])
     assert exit_.value.code == 2 and "--pairs must be at least 2" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import json
 import platform
 import re
@@ -403,21 +404,25 @@ def test_multihop_scenario_subcommand(tmp_path):
     assert main(["multihop", "--out", str(out)]) == 1  # neither scenario nor topology
 
 
-@pytest.mark.parametrize("width", [["--n", "10"], ["--n", "6", "--delta", "1"]],
-                         ids=["n10", "n6-delta1"])
+# w polices an injecting relay r over three rounds of two slots
+_WATCHED_RELAY = {
+    "nodes": ["w", "s2", "r", "d"],
+    "links": [["w", "r"], ["s2", "r"], ["r", "d"]],
+    "interference": [["s2", "w", 0.1], ["r", "w", 0.1]],
+    "behaviors": {
+        "w": {"role": "honest", "check_probability": 1.0},
+        "r": {"role": "adversarial", "p_adv": 0.5},
+    },
+    "schedule": [["s2", "w"], ["r"]] * 3,
+}
+_WIDTHS = pytest.mark.parametrize("width", [["--n", "10"], ["--n", "6", "--delta", "1"]],
+                                  ids=["n10", "n6-delta1"])
+
+
+@_WIDTHS
 def test_multihop_topology_subcommand(tmp_path, width):
-    topo = {
-        "nodes": ["w", "s2", "r", "d"],
-        "links": [["w", "r"], ["s2", "r"], ["r", "d"]],
-        "interference": [["s2", "w", 0.1], ["r", "w", 0.1]],
-        "behaviors": {
-            "w": {"role": "honest", "check_probability": 1.0},
-            "r": {"role": "adversarial", "p_adv": 0.5},
-        },
-        "schedule": [["s2", "w"], ["r"]] * 3,
-    }
     tpath = tmp_path / "topo.json"
-    tpath.write_text(json.dumps(topo))
+    tpath.write_text(json.dumps(_WATCHED_RELAY))
     out = tmp_path / "run.json"
     trace = tmp_path / "trace.jsonl"
     assert main(["multihop", "--topology", str(tpath), "--trace", str(trace),
@@ -426,6 +431,27 @@ def test_multihop_topology_subcommand(tmp_path, width):
     assert summary["policed_pairs"] == {"w->r": 3}
     assert summary["unpoliced"] == {}
     assert trace.exists() and len(trace.read_text().splitlines()) == 9
+
+
+@_WIDTHS
+def test_multihop_trace_bytes_are_pinned(tmp_path, width):
+    """The trace of the watched-relay run, byte for byte: one JSON object a transmission,
+    its round, sender, packet fields, deliveries and overheard copies, keys sorted."""
+    expect = {  # sha256 and length of the trace as first written, field by field
+        "10": ("3c87cea334984ddd211ff9c27289941abdde608fbf5aae146dd92b05f04fa3fb", 1441),
+        "6": ("03774983b4dd287809121099a42aabe9d00224fee8b1cb2f2cb21fd4e007755e", 1411),
+    }
+    tpath, trace = tmp_path / "topo.json", tmp_path / "trace.jsonl"
+    tpath.write_text(json.dumps(_WATCHED_RELAY))
+    assert main(["multihop", "--topology", str(tpath), "--trace", str(trace), "--window", "2",
+                 "--out", str(tmp_path / "run.json"), *width]) == 0
+    data = trace.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == expect[width[1]]
+    if width[1] == "6":
+        assert data.splitlines()[0] == (
+            b'{"coeffs": {"s2": 1}, "delivered": {"r": 54}, "input_hashes": {"s2": 1}, '
+            b'"overheard": {"w": 48}, "own_hash": 1, "payload": 54, "round": 0, "sender": "s2"}'
+        )
 
 
 def test_multihop_topology_says_why_a_pair_went_unpoliced(tmp_path):

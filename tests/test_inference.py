@@ -707,6 +707,7 @@ def _cut_run(h, announced):
     arm's (p*, fault) read through announced's arms, and each use's final states hashing to a
     value of announced."""
     lengths, built, keyed, passes, _ = inference._trellises(h, announced)
+    passes = list(passes)  # run lazily: read twice below
     finals = [(uses[t], s, w) for uses, layers in passes for t, s, w in layers[-1:]]
     empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     use, states, _ = final = [np.concatenate(parts) for parts in zip(empty, *finals)]
@@ -1034,3 +1035,130 @@ def test_key_of_is_the_field_product_masked(n):
         for lam in lams:
             expect = default_field(n).mul_elementwise(lam, xs) & mask
             assert _key_of(lam, xs, n, mask).tolist() == expect.tolist()
+
+
+# Contributions one example's forward passes may make, counted from its row bounds
+# (``_memory_work``): it keeps the memory test within about 5 s of Tier-1.
+_MEMORY_WORK = 1 << 19
+# The memory bound's multiples of 2^n and of a block, derived in the test's docstring.
+_C_WORDS, _D_WORDS = 80, 74
+
+
+def _row_bound(n, delta, peers, rates, eps, constant):
+    """The candidates a transition row can hold: a class (all 2^n symbols for a constant
+    hash), or the ball ``_pruning`` finds them in."""
+    reach = None if eps is None else inference._pruning(
+        tuple(Bsc(p) for p in rates[:peers]), n, delta, eps)[1]
+    return ball_volume(n, reach) if reach is not None else 1 << (n if constant else n - delta)
+
+
+def _memory_work(n, peers, rows):
+    """A use's forward-pass contributions at most: each layer's row times the layer before."""
+    work, paths = rows, rows
+    for _ in range(peers - 1):
+        work += rows * min(1 << n, paths)
+        paths *= rows
+    return work
+
+
+@st.composite
+def _memory_blocks(draw):
+    """(``_block_holdings`` arguments, every use's poly hash constant): uses of m = 2-5
+    sources at n 1-14, both families, pruning on and off, 1-3 arms.
+
+    delta is drawn from those whose pair and scored and counted blocks stay within
+    ``_MEMORY_WORK`` contributions, and a constant hash only where it does too. Without
+    pruning the cap leaves out low delta at large n (at n = 14, delta below 6, 9 and 10
+    for m = 3, 4 and 5; m = 2 keeps every delta), constant hashes of two peers or more
+    above n = 8 (m = 5: above n = 7), and blocks of more uses than it allows, at most 64.
+    """
+    n, peers = draw(st.integers(1, 14)), draw(st.integers(1, 4))
+    family = draw(st.sampled_from(FAMILIES))
+    rates = draw(st.lists(st.sampled_from(_ROW_RATES), min_size=peers + 1, max_size=peers + 1))
+    eps = draw(st.sampled_from([None, 0.05, 0.5]))
+
+    def work(delta, constant):
+        return _memory_work(n, peers, _row_bound(n, delta, peers, rates, eps, constant))
+
+    delta = draw(st.sampled_from(
+        [d for d in range(n + 1) if 3 * work(d, False) <= _MEMORY_WORK] or [n]))
+    constant = (family == "poly" and delta > 0 and 3 * work(delta, True) <= _MEMORY_WORK
+                and draw(st.booleans()))
+    uses = draw(st.integers(1, max(1, min(64, _MEMORY_WORK // work(delta, constant) // 2 - 1))))
+    block = (n, delta, family, peers, uses, draw(st.integers(1, 3)), rates, eps,
+             draw(st.integers(0, 2**32 - 1)), None)
+    return block, constant
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_memory_blocks())
+# 200 uses of constant poly hashes: each row's class is all 2^12 symbols, 2^10 times
+# what a block counted for a use before constant hashes were counted so
+@example(((12, 10, "poly", 1, 200, 1, [0.1, 0.1], None, 5, None), True))
+# 85 dense uses a block of 3 arms, each last layer up to 2^10 states and uncut (32 x 32
+# terms): a block held every use's layers until it had run them all
+@example(((10, 5, "affine", 2, 85, 3, [0.1, 0.1, 0.1], None, 5, None), False))
+def test_memory_is_bounded_in_n(drawn):
+    """Traced peaks of the public pair and of ``_watch`` are at most c 2^n + d B words.
+
+    A word is 8 bytes, N = 2^n and B = ``_BLOCK_ELEMENTS`` = ``_SCATTER_CHUNK`` = 8,192.
+    c = 80 and d = 74 come from the code, for at most 4 peers and 3 arms, with the
+    field's tables built (``default_field``, once per process). Every array a block
+    makes is sized by one of:
+
+    - its row candidates R <= max(B, 4N): a block's uses count at most B elements
+      together (``_use_elements``), and a use that counts more runs alone, with at most
+      4 rows of one class each, at most 2^n symbols (a pruning ball is searched only
+      where it is no larger than a class); its normalizer members M <= max(B, 3N) alike;
+    - a dense layer's states, at most N; a keyed layer's contributions C <= max(B, N),
+      since a keyed group's path bounds sum to at most B, or one use's to at most N;
+    - a dense chunk of at most max(B, N) terms (``_SCATTER_CHUNK // width`` grid rows);
+    - a batch of last-layer states F <= max(B, N) (``_watch_block``), and its matched
+      (arm, state) pairs P <= 3F.
+
+    The peak is the largest of four phases, each with what lives across it: the rows'
+    shifts and probabilities (2R <= 2B + 8N) and the batch so far (3F <= 3B + 3N):
+
+    - rows: ``_transition_rows`` holds at most 8 arrays of R at once (items, candidates,
+      peers, log weights and four ``_segment_reduce`` temporaries), and a first
+      ``_ball_masks`` 2N: 8B + 34N;
+    - a dense pass: its kept layers (3 of 3N), the dense vector (N), the cut's keys,
+      classes, members, columns, row keys and class grid of at most 2^n entries (7N),
+      two chunk temporaries (2B + 2N) and the new layer (3N + N/8): 33.2N + 7B with 2R
+      and 3F;
+    - a keyed pass: its kept layers (9C), the last layer's keys, terms, distinct keys,
+      ids and sums (5C), and ``_contributions``' own peak (8C: candidate and source
+      indices, keys, and their copies where a cut filters them): 33N + 27B;
+    - reading a batch: the batch and its concatenation (6F), the match array (3F / 8)
+      and ``_score_arms``: 8 arrays of P and 3 Python lists of up to P ints, 4.5 words
+      each (13.5P): 2R + 70.9F <= 78.9N + 72.9B.
+    """
+    block, constant = drawn
+    h = _block_holdings(*block)
+    if constant:  # every symbol hashes to a_0's low bits
+        coeffs = h.hashes.coeffs * [1, 0]
+        value = coeffs[:, :1] & (1 << h.hashes.delta) - 1
+        h = h._replace(hashes=h.hashes._replace(coeffs=coeffs),
+                       peer_hashes=np.broadcast_to(value, h.peer_hashes.shape).copy(),
+                       relay_hashes=np.broadcast_to(value, h.relay_hashes.shape).copy())
+    obs = _one_use(h, 0)
+    default_field(h.hashes.n)
+    bound = 8 * ((_C_WORDS << h.hashes.n) + _D_WORDS * inference._BLOCK_ELEMENTS)
+
+    def pair():
+        try:
+            consistency_probability(build_and_run_trellis(obs), obs)
+        except InferenceError:
+            pass
+
+    for call in (pair, lambda: inference._watch(h), lambda: inference._watch(h, score=False)):
+        assert _traced_peak(call) <= bound

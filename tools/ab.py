@@ -6,42 +6,50 @@ Run from the root of an algwatch checkout:
     python3 tools/ab.py footprint --parent REV --pairs 11
     python3 tools/ab.py inprocess --parent REV --pairs 20 --call scenario
 
-``process`` exports REV with ``git archive`` into a temporary directory and
-runs ``perfbench/run.py --workload W --seed 1 --seconds S --trace 0`` for
-every workload of ``BENCHMARK.json``, from each root in turn; pair k runs
-the parent first when k is even and the working tree first when k is odd.
-It prints one JSON object: for each end-to-end metric of each workload,
-each side's runs, median and quartiles, the pairs in which the working
-tree reads better, the relative change of the medians, the parent's
-interquartile range over its median, the exact two-sided sign-test p-value
-of the pairs (ties dropped), the ``BENCHMARK.json`` bound and a verdict: ``unresolved`` when that spread exceeds the bound and not every
-run of the working tree reads better than every run of the parent, else
-``beyond`` when the change is worse by more than the bound, else
-``within``.
+Every mode exports REV with ``git archive`` into a temporary directory and
+measures both trees in the same alternating pairs: pair k measures the
+parent first when k is even and the working tree first when k is odd. Each
+reading is judged by one rule, ``_verdict``: each side's runs, median and
+quartiles, the pairs in which the working tree reads better, the relative
+change of the medians, the median per-pair ratio of the working tree's
+reading to the parent's, the parent's interquartile range over its median,
+the exact two-sided sign-test p-value of the pairs (ties dropped), the
+``BENCHMARK.json`` bound and a verdict: ``unresolved`` when that spread
+exceeds the bound and not every run of the working tree reads better than
+every run of the parent, else ``beyond`` when the change is worse by more
+than the bound, else ``within``.
 
-``footprint`` runs each root's set-up probe, ``perfbench/probe.py W 0 DIR``,
-for every workload in the same alternating pairs, from this process, which
-imports no algwatch and stays small. A process's peak resident set starts at
-its spawner's, so ``run.py``'s ``peak_rss_mb`` never reads below ``run.py``'s
-own; here each probe's ``peak_rss_mb`` is its own peak. It prints the same
-JSON, with each probe's ``peak_rss_mb`` and its wall time ``probe_s`` (set-up
-time as measured, no speed scaling, against ``setup_s``'s bound) as the
-metrics, and the workloads whose probe output differs between the roots.
+Every mode prints one JSON object with the same head, ``mode``, ``parent``,
+``pairs``, ``seed`` and ``metrics`` (reading name -> verdict), plus its own
+extras:
 
-``inprocess`` imports both trees into this one process under two package
-names and times one call of each side in turn, alternating which goes
-first, after checking that both sides return equal results:
+- ``process`` runs ``perfbench/run.py --workload W --seed 1 --seconds S
+  --trace 0`` for every workload of ``BENCHMARK.json`` from each root, and
+  reads its end-to-end metrics as ``W.metric``. Extras: ``seconds`` and
+  ``failed_calls``, each side's failed calls.
+- ``footprint`` runs each root's set-up probe, ``perfbench/probe.py W 0
+  DIR``, for every workload, from this process, which imports no algwatch
+  and stays small. A process's peak resident set starts at its spawner's,
+  so ``run.py``'s ``peak_rss_mb`` never reads below ``run.py``'s own; here
+  ``W.peak_rss_mb`` is each probe's own peak, and ``W.probe_s`` its wall
+  time (set-up time as measured, no speed scaling, against ``setup_s``'s
+  bound). Extra: ``outputs_differ``, the workloads whose probe output
+  differs between the roots.
+- ``inprocess`` imports both trees into this one process under two package
+  names, checks that both sides return equal results, and reads the
+  seconds one call takes as ``CALL.s``, against ``wall_s``'s bound. Extra:
+  ``call``, one of
 
-- ``calibrate``: ``calibrate_threshold`` at the ``one-honest-path``
-  workload's calibration point (m = 3, n = 10, delta = 2, p = 0.1, 400
-  trials, window 25);
-- ``pair``: ``consistency_probability(build_and_run_trellis(obs), obs)``
-  over every observation that workload's call polices at seed 1;
-- ``scenario``: that workload's call, ``mincut_scenario("one-honest-path",
-  instances=4, calibration_iterations=400)``.
+  - ``calibrate``: ``calibrate_threshold`` at the ``one-honest-path``
+    workload's calibration point (m = 3, n = 10, delta = 2, p = 0.1, 400
+    trials, window 25);
+  - ``pair``: ``consistency_probability(build_and_run_trellis(obs), obs)``
+    over every observation that workload's call polices at seed 1;
+  - ``scenario``: that workload's call, ``mincut_scenario("one-honest-path",
+    instances=4, calibration_iterations=400)``.
 
-It prints the pairs in which the working tree was faster and the median
-ratio of its time to the parent's.
+  Two calls at seeds 1 and 2 check the results and warm both sides; pair k
+  then calls at seed k + 3.
 """
 
 from __future__ import annotations
@@ -67,6 +75,13 @@ def _export(rev: str, into: Path) -> Path:
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
     return into
+
+
+def _bench() -> tuple[list[str], dict]:
+    """BENCHMARK.json's workload names, and each end-to-end metric's (better, bound)."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return ([w["name"] for w in bench["workloads"]],
+            {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]})
 
 
 def _quartiles(runs: list[float]) -> dict:
@@ -97,9 +112,25 @@ def _verdict(parent: list[float], change: list[float], better: str, bound: float
         "change_better_in_pairs": f"{sum(d < 0 for d in steps)}/{len(parent)}",
         "sign_test_p": _sign_test(sum(d < 0 for d in steps), sum(d > 0 for d in steps)),
         "relative_change": (c["median"] - p["median"]) / p["median"],
+        "median_pair_ratio": statistics.median(b / a for a, b in zip(parent, change)),
         "parent_iqr_relative": spread, "bound": bound, "verdict": verdict,
         "runs": {"parent": parent, "change": change},
     }
+
+
+def _alternate(pairs: int, measure, rules: dict) -> dict:
+    """Every reading of measure(side, k) over pairs alternating pairs, judged by _verdict.
+
+    measure returns {reading name: value}; rules maps the name's last dotted
+    part to its (better, bound).
+    """
+    runs = {}  # name -> side -> values
+    for k in range(pairs):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            for name, value in measure(side, k).items():
+                runs.setdefault(name, {"parent": [], "change": []})[side].append(value)
+    return {name: _verdict(got["parent"], got["change"], *rules[name.rpartition(".")[2]])
+            for name, got in runs.items()}
 
 
 def _run(root: Path, workload: str, seconds: float) -> dict:
@@ -112,27 +143,23 @@ def _run(root: Path, workload: str, seconds: float) -> dict:
 
 
 def process(parent: str, pairs: int, seconds: float) -> dict:
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    runs = {}  # (workload, metric, side) -> values
+    workloads, rules = _bench()
     failed = {"parent": 0, "change": 0}
     with tempfile.TemporaryDirectory() as tmp:
         roots = {"parent": _export(parent, Path(tmp)), "change": ROOT}
-        for k in range(pairs):
-            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                for workload in (w["name"] for w in bench["workloads"]):
-                    got = _run(roots[side], workload, seconds)
-                    failed[side] += got["failed"]
-                    for metric in bench["end_to_end"]:
-                        value = got["metrics"][metric["name"]]["value"]
-                        runs.setdefault((workload, metric["name"], side), []).append(value)
-    metrics = {
-        f"{workload}.{m['name']}": _verdict(runs[workload, m["name"], "parent"],
-                                            runs[workload, m["name"], "change"],
-                                            m["better"], m["bound"])
-        for workload in (w["name"] for w in bench["workloads"]) for m in bench["end_to_end"]
-    }
-    return {"parent": parent, "pairs": pairs, "seconds": seconds, "seed": SEED,
-            "failed_calls": failed, "metrics": metrics}
+
+        def measure(side, k):
+            readings = {}
+            for workload in workloads:
+                got = _run(roots[side], workload, seconds)
+                failed[side] += got["failed"]
+                readings.update({f"{workload}.{metric}": got["metrics"][metric]["value"]
+                                 for metric in rules})
+            return readings
+
+        metrics = _alternate(pairs, measure, rules)
+    return {"mode": "process", "parent": parent, "pairs": pairs, "seed": SEED,
+            "seconds": seconds, "failed_calls": failed, "metrics": metrics}
 
 
 def _probe(root: Path, workload: str, workdir: str) -> tuple[float, float, object]:
@@ -148,30 +175,26 @@ def _probe(root: Path, workload: str, workdir: str) -> tuple[float, float, objec
 
 
 def footprint(parent: str, pairs: int) -> dict:
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-    workloads = [w["name"] for w in bench["workloads"]]
-    runs, outputs = {}, {}  # (workload, metric, side) -> values; (workload, side) -> outputs
+    workloads, rules = _bench()
+    outputs = {}  # (workload, side) -> outputs
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "parent").mkdir()
         (Path(tmp) / "work").mkdir()
         roots = {"parent": _export(parent, Path(tmp) / "parent"), "change": ROOT}
-        for k in range(pairs):
-            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                for workload in workloads:
-                    peak, wall, output = _probe(roots[side], workload, str(Path(tmp) / "work"))
-                    runs.setdefault((workload, "peak_rss_mb", side), []).append(peak)
-                    runs.setdefault((workload, "probe_s", side), []).append(wall)
-                    outputs.setdefault((workload, side), []).append(output)
-    metrics = {
-        f"{workload}.{metric}": _verdict(runs[workload, metric, "parent"],
-                                         runs[workload, metric, "change"], "lower", bounds[bound])
-        for workload in workloads
-        for metric, bound in (("peak_rss_mb", "peak_rss_mb"), ("probe_s", "setup_s"))
-    }
+
+        def measure(side, k):
+            readings = {}
+            for workload in workloads:
+                peak, wall, output = _probe(roots[side], workload, str(Path(tmp) / "work"))
+                readings.update({f"{workload}.peak_rss_mb": peak, f"{workload}.probe_s": wall})
+                outputs.setdefault((workload, side), []).append(output)
+            return readings
+
+        metrics = _alternate(pairs, measure,
+                             {"peak_rss_mb": rules["peak_rss_mb"], "probe_s": rules["setup_s"]})
     differ = [w for w in workloads if outputs[w, "parent"] != outputs[w, "change"]]
-    return {"parent": parent, "pairs": pairs, "seed": 0, "outputs_differ": differ,
-            "metrics": metrics}
+    return {"mode": "footprint", "parent": parent, "pairs": pairs, "seed": 0,
+            "outputs_differ": differ, "metrics": metrics}
 
 
 def _load(name: str, root: Path):
@@ -219,64 +242,60 @@ def _as(aw, obs):
 
 
 def _call(aw, what: str, policed: list):
-    """The timed call of aw for what: a function of the pair index."""
+    """The timed call of aw for what: a function of the seed."""
     if what == "calibrate":
-        def call(k):
+        def call(seed):
             cfg = aw.sim.TwoHopConfig(m=3, n=10, delta=2, p_s=0.1, p_relay=0.1, p_adv=0.0,
-                                      iterations=400, seed=k + 1)
+                                      iterations=400, seed=seed)
             return aw.sim.calibrate_threshold(cfg, 0.05, window=25)
     elif what == "pair":
         observations = [_as(aw, obs) for obs in policed]
         inf = aw.inference
 
-        def call(k):
+        def call(seed):
             return [inf.consistency_probability(inf.build_and_run_trellis(o), o)
                     for o in observations]
     else:
-        def call(k):
-            report = aw.multihop.mincut_scenario("one-honest-path", seed=k, instances=4,
+        def call(seed):
+            report = aw.multihop.mincut_scenario("one-honest-path", seed=seed, instances=4,
                                                  calibration_iterations=400)
             return report.details, report.detection_frequency
     return call
 
 
 def inprocess(parent: str, pairs: int, what: str) -> dict:
+    _, rules = _bench()
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": _load("algwatch_parent", _export(parent, Path(tmp))),
                  "change": _load("algwatch_change", ROOT)}
         policed = _policed(trees["parent"]) if what == "pair" else []
         calls = {side: _call(aw, what, policed) for side, aw in trees.items()}
-        for k in range(2):  # equal results, and warm caches on both sides
-            assert calls["parent"](k) == calls["change"](k), "the trees disagree"
-        ratios, times = [], {"parent": [], "change": []}
-        for k in range(pairs):
-            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                start = time.perf_counter()
-                calls[side](k + 2)
-                times[side].append(time.perf_counter() - start)
-            ratios.append(times["change"][-1] / times["parent"][-1])
-    return {"call": what, "parent": parent, "pairs": pairs,
-            "change_faster_in_pairs": f"{sum(r < 1 for r in ratios)}/{pairs}",
-            "median_ratio": statistics.median(ratios),
-            "median_s": {side: statistics.median(t) for side, t in times.items()}}
+        for seed in (SEED, SEED + 1):  # equal results, and warm caches on both sides
+            assert calls["parent"](seed) == calls["change"](seed), "the trees disagree"
+
+        def measure(side, k):
+            start = time.perf_counter()
+            calls[side](SEED + 2 + k)
+            return {f"{what}.s": time.perf_counter() - start}
+
+        metrics = _alternate(pairs, measure, {"s": rules["wall_s"]})
+    return {"mode": "inprocess", "parent": parent, "pairs": pairs, "seed": SEED,
+            "call": what, "metrics": metrics}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    proc = sub.add_parser("process")
-    proc.add_argument("--parent", required=True)
-    proc.add_argument("--pairs", type=int, default=10)
-    proc.add_argument("--seconds", type=float, default=30)
-    foot = sub.add_parser("footprint")
-    foot.add_argument("--parent", required=True)
-    foot.add_argument("--pairs", type=int, default=11)
-    inproc = sub.add_parser("inprocess")
-    inproc.add_argument("--parent", required=True)
-    inproc.add_argument("--pairs", type=int, default=20)
-    inproc.add_argument("--call", required=True, choices=("calibrate", "pair", "scenario"))
+    modes = {}
+    for mode, pairs in (("process", 10), ("footprint", 11), ("inprocess", 20)):
+        modes[mode] = sub.add_parser(mode)
+        modes[mode].add_argument("--parent", required=True)
+        modes[mode].add_argument("--pairs", type=int, default=pairs)
+    modes["process"].add_argument("--seconds", type=float, default=30)
+    modes["inprocess"].add_argument("--call", required=True,
+                                    choices=("calibrate", "pair", "scenario"))
     args = parser.parse_args(argv)
-    if args.mode != "inprocess" and args.pairs < 2:  # quartiles need two runs a side
+    if args.pairs < 2:  # quartiles need two runs a side
         parser.error(f"--pairs must be at least 2, got {args.pairs}")
     if args.mode == "process":
         result = process(args.parent, args.pairs, args.seconds)
