@@ -40,7 +40,9 @@ hash over all 2^n symbols. It runs the forward passes one at a time,
 keeping only last layers, and hashes and scores those of many uses
 together, up to a block's worth of states at a time. The Monte Carlo
 harness hands it whole pieces of drawn trials, and it hands back their
-values and one RunDiagnostics. On this path an InferenceError's cause is
+values and one RunDiagnostics. A block owns its values: it makes its relay
+normalizers once, before its passes run, takes each pass's cut flags with
+its layers, and writes each p* once. On this path an InferenceError's cause is
 a small fault code (``_FAULTS`` holds the messages): a faulted arm
 scores p* = 0 and is counted, never listed. The one-observation calls
 are thin: ``build_and_run_trellis`` runs a one-use block that reads the
@@ -317,7 +319,7 @@ class Trellis:
     @functools.cached_property
     def _layers(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Every layer of the whole pass, none cut."""
-        (_, layers), = _trellises(self._holdings)[3]
+        (_, layers, _), = _trellises(self._holdings)[3]
         return layers
 
     @property
@@ -578,13 +580,13 @@ def _groups(uses: np.ndarray, bounds: np.ndarray, limit: int) -> list[np.ndarray
 
 
 def _trellises(h: _Holdings, announced: np.ndarray | None = None):
-    """Every use's trellis: (row lengths, built, keyed, passes, cut).
+    """Every use's trellis: (row lengths, built, keyed, passes).
 
     A use's trellis is built when none of its transition rows came up
     empty. passes runs each pass when it is reached, and yields it as
-    (uses, layers): a group of uses run together, and its layers as the
-    pass gives them, trellis indexing uses. So a caller that keeps only
-    last layers holds one pass's layers at a time. Keyed uses
+    (uses, layers, cut): a group of uses run together, its layers as the
+    pass gives them, trellis indexing uses, and its cut flags. So a caller
+    that keeps only last layers holds one pass's layers at a time. Keyed uses
     run in groups whose row lengths bound a layer's contributions to
     ``_SCATTER_CHUNK``; every other built use runs dense, a group of one.
     One cut rule: with announced given and delta > 0, every pass of a use
@@ -593,10 +595,10 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
     values announced[k]: dense, when large; keyed, when it
     sums two or more peers and every use reads one value (then it runs keyed
     up to 2^n paths). Several arms' classes cover most of a layer, and a
-    keyed cut there, or of a layer 1, cost more than it saved. cut flags
-    the uses whose last layer holds only states in announced classes: a
-    pass cut it and their hash has more than one class. A use's flag is set
-    when its pass has run.
+    keyed cut there, or of a layer 1, cost more than it saved. A pass's cut
+    flags its uses whose last layer holds only states in announced classes
+    (a pass cut it and their hash has more than one class): one flag for
+    every use of a dense pass, one per use of a keyed one.
     """
     peers, n = h.heard.shape[1], h.hashes.n
     gf = default_field(n)
@@ -615,7 +617,6 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
     lam, keys = _class_keys(h.hashes, announced) if cut else (None, None)
     groups = [*_groups(keyed.nonzero()[0], bounds, _SCATTER_CHUNK),
               *(built ^ keyed).nonzero()[0][:, None]]
-    cuts = np.zeros(len(built), bool)
 
     def passes():
         for group in groups:
@@ -623,13 +624,13 @@ def _trellises(h: _Holdings, announced: np.ndarray | None = None):
             varies = cut and lam[group].any()  # lam = 0, a constant poly hash: one class, no cut
             last = (lam[group], keys[group], (1 << h.hashes.delta) - 1) if varies else None
             if keyed[group[0]]:
-                layers, cuts[group] = _keyed_pass(*args, last if one else None)
+                layers, flags = _keyed_pass(*args, last if one else None)
             else:
-                layers, cuts[group] = _forward_pass(*args, last)
-            yield group, layers
+                layers, flags = _forward_pass(*args, last)
+            yield group, layers, flags
             del layers  # before the next pass runs
 
-    return lengths, built, keyed, passes(), cuts
+    return lengths, built, keyed, passes()
 
 
 @dataclass
@@ -703,25 +704,24 @@ def _relay_normalizers(
 
 
 def _score_arms(
-    h: _Holdings, final: tuple[np.ndarray, np.ndarray, np.ndarray], match: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(p*, fault) of every arm of a block scored against its final layers.
+    h: _Holdings, norms: tuple[np.ndarray, np.ndarray, np.ndarray],
+    final: tuple[np.ndarray, np.ndarray, np.ndarray], match: np.ndarray, pstars: np.ndarray,
+) -> None:
+    """Write the p* of every fault-free arm of h matched in final into pstars.
 
-    final is the uses' final layers as one (use, state, weight) layer, and
-    match[a, i] whether its state i hashes, under its use's hash, to the
-    value arm a of that use announced. p* and fault come as (uses, arms)
-    arrays, fault as ``_relay_normalizers`` codes it.
-    Arm a of use k sums w(s) * T_inv(s, relay_symbols[k, a]) over its
-    matched states s in ascending order, as one 1-D dot product; the terms
-    of every arm of every use are computed together, elementwise. An arm
-    with a fault, or no matched state, scores 0: no dot product is taken
-    for an arm with a fault.
+    norms is ``_relay_normalizers`` of h's arms, and pstars has one entry
+    per arm, in its order. final is final layers of uses of h as one (use,
+    state, weight) layer, and match[a, i] whether its state i hashes, under
+    its use's hash, to the value arm a of that use announced. Arm a of use
+    k sums w(s) * T_inv(s, relay_symbols[k, a]) over its matched states s
+    in ascending order, as one 1-D dot product; the terms of every arm of
+    every use are computed together, elementwise. No dot product is taken
+    for an arm with a fault, and an arm with a fault or no matched state
+    is not written.
     """
     use, states, weights = final
-    count, arms = h.relay_hashes.shape
-    top, denom, fault = _relay_normalizers(
-        h.hashes, h.relay_symbols, h.relay_hashes, h.relay_channel
-    )
+    arms = h.relay_hashes.shape[1]
+    top, denom, fault = norms
     # matched (arm, state) pairs, arm-major: an arm's pairs run use by use, ascending
     arm, at = np.nonzero(match)
     relay = use[at] * arms + arm  # the pair's relay, as normalizers index relays
@@ -732,12 +732,10 @@ def _score_arms(
     opens[1:] = relay[1:] != relay[:-1]
     first = opens.nonzero()[0]
     ends = np.concatenate((first[1:], [len(relay)]))
-    scored = fault[relay[first]] == 0  # an arm with a fault keeps p* = 0
+    scored = fault[relay[first]] == 0
     first, ends = first[scored], ends[scored]
-    pstars = np.zeros(count * arms)
     for lo, hi, r in zip(first.tolist(), ends.tolist(), relay[first].tolist()):
         pstars[r] = min(1.0, float(mass[lo:hi] @ terms[lo:hi]) / denom[r])
-    return pstars.reshape(count, arms), fault.reshape(count, arms)
 
 
 # Bound on the elements a block's uses hold together (``_use_elements``): the
@@ -795,36 +793,40 @@ def _watch(h: _Holdings, score: bool = True):
 def _watch_block(h: _Holdings, score: bool):
     """``_watch`` of one block: (values, RunDiagnostics).
 
-    One batched pass each makes the block's transition rows and (when
-    scoring) relay normalizers; ``_trellises`` runs the forward passes.
-    Only each use's last layer is kept, and the last layers of consecutive
-    passes are read together (``_read_finals``), up to ``_BLOCK_ELEMENTS``
-    states or one pass's: a block holds one pass's layers and at most that
-    many last layers, however many uses it has. Every float is the one the
-    use gives alone. The trellis reads only what the watchdog holds, never
-    the relay's payload, so all arms share it. Fallbacks count built flags
-    and fault codes.
+    The block owns its values. When scoring, one batched pass makes every
+    arm's relay normalizers, and so its faults, before any forward pass
+    runs; ``_trellises`` makes the transition rows and runs the passes,
+    each handing over its cut flags with its layers. Only each use's last
+    layer is kept, and the last layers of consecutive passes are read
+    together (``_read_finals``), up to ``_BLOCK_ELEMENTS`` states or one
+    pass's: a block holds one pass's layers and at most that many last
+    layers, however many uses it has. Each use lies in one batch, so each
+    p* is written once. Every float is the one the use gives alone. The
+    trellis reads only what the watchdog holds, never the relay's payload,
+    so all arms share it. Fallbacks count built flags and fault codes.
     """
     count = len(h.own)
     announced = h.relay_hashes if score else h.relay_hashes[:, :1]
-    lengths, built, keyed, passes, cut = _trellises(h, announced)
-    reads, pstars = np.zeros(count, np.int64), np.zeros(announced.shape) if score else None
+    norms, pstars = None, np.zeros(announced.size)  # an unbuilt, faulted or unmatched arm: 0
+    if score:
+        norms = _relay_normalizers(h.hashes, h.relay_symbols, announced, h.relay_channel)
+    lengths, built, keyed, passes = _trellises(h, announced)
+    reads, cut = np.zeros(count, np.int64), np.zeros(count, bool)
     finals, held = [], 0
-    for uses, layers in passes:
+    for uses, layers, flags in passes:
+        cut[uses] = flags
         t, s, w = layers[-1]
         del layers  # the others are freed before the next pass runs
         if held and held + len(s) > _BLOCK_ELEMENTS:
-            _read_finals(h, announced, cut, finals, reads, pstars)
+            _read_finals(h, announced, cut, finals, reads, norms, pstars)
             finals, held = [], 0
         finals.append((uses[t], s, w))
         held += len(s)
-    fault = _read_finals(h, announced, cut, finals, reads, pstars)
-    if score:
-        values, faulted = pstars, int(np.count_nonzero(fault[built]))  # unbuilt: a trellis fault
-    else:
-        values, faulted = reads[:, None], 0
+    _read_finals(h, announced, cut, finals, reads, norms, pstars)
+    values = pstars.reshape(announced.shape) if score else reads[:, None]
+    faults = norms[2].reshape(announced.shape)[built] if score else ()  # unbuilt: a trellis fault
     return values, RunDiagnostics(
-        Counter(trellis=count - int(built.sum()), scoring=faulted),
+        Counter(trellis=count - int(built.sum()), scoring=int(np.count_nonzero(faults))),
         Counter(lengths[built].ravel().tolist()),
         Counter(reads[built].tolist()),
         Counter(dense=int(np.count_nonzero(built ^ keyed)), keyed=int(np.count_nonzero(keyed))),
@@ -833,9 +835,9 @@ def _watch_block(h: _Holdings, score: bool):
 
 def _read_finals(
     h: _Holdings, announced: np.ndarray, cut: np.ndarray, finals: list, reads: np.ndarray,
-    pstars: np.ndarray | None,
-) -> np.ndarray | None:
-    """Add the reads and p* of the final layers in finals to the block's reads and pstars.
+    norms: tuple | None, pstars: np.ndarray,
+) -> None:
+    """Add the reads of the final layers in finals to the block's reads; write their p*.
 
     finals lists (use, state, weight) layers. Their states are hashed at
     most once, and one (arm, state) match array compares each state with
@@ -843,9 +845,8 @@ def _read_finals(
     are both read from it. A large dense last layer is cut to the announced
     classes, and a keyed one when each use reads one arm: then every state
     of a cut use matches, and only the other uses' states are hashed.
-    reads counts each use's final states p* reads. Scoring (pstars given),
-    ``_score_arms`` gives 0 to a use not in finals, and adding +0.0 changes
-    no p*; returns its fault codes, else None.
+    reads counts each use's final states p* reads. Scoring (norms
+    given), ``_score_arms`` writes the p* of the uses in finals into pstars.
     """
     empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     use, states, _ = final = [np.concatenate(parts) for parts in zip(empty, *finals)]
@@ -857,11 +858,8 @@ def _read_finals(
     else:
         match = np.take(announced.T, use, axis=1) == h.hashes.at(use, states)
     reads += np.bincount(use[match.any(axis=0)], minlength=len(h.own))
-    if pstars is None:
-        return None
-    got, fault = _score_arms(h, final, match)
-    pstars += got
-    return fault
+    if norms is not None:
+        _score_arms(h, norms, final, match, pstars)
 
 
 def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
@@ -872,10 +870,10 @@ def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
     is read. Raises InferenceError when a transition row comes up empty.
     """
     h = _holdings(obs)
-    _, built, _, passes, _ = _trellises(h, h.relay_hashes)
+    _, built, _, passes = _trellises(h, h.relay_hashes)
     if not built[0]:
         raise InferenceError(_FAULTS[_EMPTY_ROW])
-    (_, layers), = passes
+    (_, layers, _), = passes
     return Trellis(obs, h, layers[-1])
 
 
@@ -911,18 +909,21 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
     statistic whose distribution separates honest from misbehaving relays.
     An obs with the trellis's hash and announced value is scored on the
     final layer it was built with, which holds every state p* reads; any
-    other obs on the whole final layer.
+    other obs on the whole final layer. A relay that cannot be scored
+    raises before any layer is read.
     """
     built = trellis._obs
     h = trellis._holdings if obs == built else _holdings(obs)
     relay = obs.relay_overheard
+    norms = _relay_normalizers(h.hashes, h.relay_symbols, h.relay_hashes, h.relay_channel)
+    if norms[2][0]:
+        raise InferenceError(_FAULTS[norms[2][0]])
     same = (obs.hash_spec, relay.hash_value) == (built.hash_spec, built.relay_overheard.hash_value)
     use, states, _ = final = trellis._final if same else trellis._layers[-1]
     match = h.hashes.at(use, states)[None] == relay.hash_value
-    pstars, fault = _score_arms(h, final, match)
-    if fault[0, 0]:
-        raise InferenceError(_FAULTS[fault[0, 0]])
-    return float(pstars[0, 0])
+    pstar = np.zeros(1)
+    _score_arms(h, norms, final, match, pstar)
+    return float(pstar[0])
 
 
 def matched_codewords(trellis: Trellis, relay_hash: int, spec: HashSpec) -> list[int]:

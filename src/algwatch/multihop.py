@@ -402,12 +402,37 @@ def mincut_scenario(
 ) -> ScenarioReport:
     """Built-in topologies probing when the min-cut protection holds.
 
-    one-honest-path: a relay with one honest, always-checking parent; the
-    parent's rolling-mean verdict must catch a heavy injector. The other
-    two kinds are the structural negative cases: when every parent of the
-    injection point is malicious there is no honest watcher at all, and
-    when every receiver of a node's transmissions is malicious the flow
-    beyond it is compromised no matter how the node itself behaves.
+    The claim, as this library reads it. PAPER.md holds only the paper's
+    abstract ("as long as the min-cut is not dominated by the Byzantine
+    adversaries, upstream nodes can monitor downstream neighbors"), so the
+    predicate below is the repo's reading, not the paper's statement. For
+    a ``Hypergraph`` g, a Byzantine set B (the nodes of role adversarial)
+    and a schedule S, an honest node u is a watcher of v in B when
+
+    - (W1) (u, v) is a link of g and u checks with probability 1;
+    - (W2) g has an interference edge into u from v and from every other
+      parent of v;
+    - (W3) S has u and every other parent of v transmit before v does, so
+      ``can_police(u, v, ...)`` holds after each round in which v transmits.
+
+    v's parents form a node cut between the sources and v. The claim: if
+    that cut is not dominated by B, in that it holds a watcher of v, then
+    every transmission of v is policed (the watcher records a p* sample
+    for each round in which v transmits, and a heavy injector is flagged
+    by the rolling-mean verdict); if every parent of v is in B, no honest
+    node polices v, and v's corrupting packets pass the destination's hash
+    check, since v announces their own hash. The kinds:
+
+    - one-honest-path: the star w, s2, s3 -> r -> d with B = {r}. w meets
+      W1-W3 for r, so the claim's first half applies, and w's verdict must
+      catch a heavy injector.
+    - all-parents-malicious: a1, a2 -> v -> d with B = {a1, a2, v}. Every
+      parent of v is in B, so W1 fails for every candidate: the claim's
+      second half, with no honest watcher at all.
+    - all-children-malicious: s1, s2 -> v -> c -> d with B = {v, c}. v has
+      the watcher s1 (W1-W3) and complies, but c's one parent is v: the
+      second half again, so the flow beyond v is compromised no matter how
+      v itself behaves.
     """
     _check_seed(seed)
     if instances < 1:

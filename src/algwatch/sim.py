@@ -40,9 +40,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import Bsc, _flip_masks, ball_radius, hamming
+from .channel import Bsc, _flip_masks, ball_radius
 from .gfield import MAX_WIDTH, default_field
-from .hashing import FAMILIES, HashSpec, _draws, _Hashes, collision_list, hash_eval
+from .hashing import FAMILIES, HashSpec, _draws, _Hashes, collision_list
 from .inference import (
     InferenceError, Overheard, RunDiagnostics, WatchdogObservation, _Holdings, _watch,
 )
@@ -490,8 +490,13 @@ def brute_force_consistency(obs: WatchdogObservation) -> float:
 
     Enumerates every hash-consistent tuple of peer symbols, weights it by
     its normalized product of channel likelihoods, and sums the inverse
-    transition term at the implied linear combination. Plain float
-    arithmetic throughout: no trellis, no shared state collapsing, no log
+    transition term at the implied linear combination. The tuples are
+    expanded as arrays one peer at a time, in ``itertools.product`` order
+    (the first peer outermost), each weight multiplied left to right from
+    1.0, and every sum is taken one term at a time from the first
+    (``np.cumsum``; a ``.sum()`` is pairwise from 8 terms on). A likelihood
+    is the scalar p^d (1 - p)^(n - d) of its distance d. Plain float
+    arithmetic throughout: no trellis, no merging of equal states, no log
     domain. Enumeration is exponential in the peer count, hence the n <= 6
     guard.
     """
@@ -500,52 +505,30 @@ def brute_force_consistency(obs: WatchdogObservation) -> float:
         raise ValueError("enumeration oracle is limited to n <= 6")
     spec, field = obs.hash_spec, obs.field
 
-    def candidates(o: Overheard) -> tuple[list[int], list[float]]:
-        cands = collision_list(spec, o.hash_value)
-        if obs.prune_eps is not None:
-            r = ball_radius(o.channel, n, obs.prune_eps)
-            cands = [y for y in cands if hamming(o.symbol, y) <= r]
-        liks = [
-            o.channel.p ** hamming(o.symbol, y)
-            * (1.0 - o.channel.p) ** (n - hamming(o.symbol, y))
-            for y in cands
-        ]
-        total = sum(liks)
-        if total == 0.0:
-            raise InferenceError("no candidate consistent with hash")
-        return cands, [w / total for w in liks]
+    def candidates(o: Overheard, radius: int = n) -> tuple[np.ndarray, np.ndarray, float]:
+        """o's hash-consistent symbols within radius of it, their likelihoods and its sum."""
+        cands = np.array(collision_list(spec, o.hash_value), dtype=np.int64)
+        d = np.bitwise_count(o.symbol ^ cands)
+        cands, d = cands[d <= radius], d[d <= radius]
+        p = o.channel.p
+        liks = np.array([p**k * (1.0 - p) ** (n - k) for k in range(n + 1)])[d]
+        return cands, liks, float(np.cumsum(np.append(0.0, liks))[-1])
 
-    relay = obs.relay_overheard
-    relay_cands = collision_list(spec, relay.hash_value)
-    norm = sum(
-        relay.channel.p ** hamming(relay.symbol, y)
-        * (1.0 - relay.channel.p) ** (n - hamming(relay.symbol, y))
-        for y in relay_cands
-    )
+    relay_cands, liks, norm = candidates(obs.relay_overheard)
     if norm == 0.0:
         raise InferenceError("observation impossible under a noiseless relay channel")
-
-    @functools.cache
-    def inv_term(s: int) -> float:
-        if hash_eval(spec, s) != relay.hash_value:
-            return 0.0
-        d = hamming(relay.symbol, s)
-        return relay.channel.p**d * (1.0 - relay.channel.p) ** (n - d) / norm
-
-    per_peer = []
+    inverse = np.zeros(1 << n)  # T_inv(s): 0 off the announced class
+    inverse[relay_cands] = liks / norm
+    states, weights = np.array([field.mul(obs.coeffs[0], obs.own_symbol)]), np.ones(1)
     for coeff, peer in zip(obs.coeffs[1:], obs.overheard):
-        cands, probs = candidates(peer)
-        per_peer.append([(field.mul(coeff, y), w) for y, w in zip(cands, probs)])
-
-    start = field.mul(obs.coeffs[0], obs.own_symbol)
-    total = 0.0
-    for combo in itertools.product(*per_peer):
-        s, w = start, 1.0
-        for shifted, prob in combo:
-            s ^= shifted
-            w *= prob
-        total += w * inv_term(s)
-    return total
+        radius = n if obs.prune_eps is None else ball_radius(peer.channel, n, obs.prune_eps)
+        cands, liks, total = candidates(peer, radius)
+        if total == 0.0:
+            raise InferenceError("no candidate consistent with hash")
+        shifts = field.mul_elementwise(np.array(coeff), cands)
+        states = (states[:, None] ^ shifts).ravel()
+        weights = (weights[:, None] * (liks / total)).ravel()
+    return float(np.cumsum(weights * inverse[states])[-1])
 
 
 def calibrate_threshold(

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -66,7 +67,7 @@ def test_footprint_alternates_probes_and_reads_each_probes_own_peak(monkeypatch)
     calls = []
 
     def probe(at, workload, workdir):
-        side = "change" if at == root else "parent"
+        side = at.name  # each side's export is named for it
         calls.append(side)
         return (30.0 if side == "change" else 31.0), 0.2, {"workload": workload}
 
@@ -106,11 +107,13 @@ def trees(monkeypatch):
     """Every mode's measurement faked; returns the (side, ...) of each call, in order.
 
     The working tree reads half the parent's value on every end-to-end metric and probe.
+    Each side's root is its export, named for the side, and never the checkout itself.
     """
     calls = []
 
     def side(at):
-        return "change" if at == ROOT else "parent"
+        assert at != ROOT and at.name in ("parent", "change")
+        return at.name
 
     def run(at, workload, seconds):
         calls.append((side(at), workload))
@@ -128,8 +131,12 @@ def trees(monkeypatch):
             return seed
         return timed
 
+    def export(rev, into):
+        calls.append(("export", rev))
+        return into
+
     monkeypatch.setattr(ab, "ROOT", ROOT)
-    for name, fake in (("_export", lambda rev, into: into), ("_run", run), ("_probe", probe),
+    for name, fake in (("_export", export), ("_run", run), ("_probe", probe),
                        ("_load", lambda name, root: side(root)), ("_call", call)):
         monkeypatch.setattr(ab, name, fake)
     return calls
@@ -146,6 +153,9 @@ MODES = {
 def test_every_mode_prints_the_shared_head_and_judges_each_reading(mode, trees):
     run, extras = MODES[mode]
     got = run()
+    # both sides are exported first: the parent's tree, then the working tree's files
+    assert trees[:2] == [("export", "HEAD"), ("export", None)]
+    del trees[:2]
     assert list(got) == ["mode", "parent", "pairs", "seed", *extras, "metrics"]
     assert (got["mode"], got["parent"], got["pairs"]) == (mode, "HEAD", 4)
     assert got["metrics"]
@@ -157,6 +167,7 @@ def test_every_mode_prints_the_shared_head_and_judges_each_reading(mode, trees):
 
 def test_process_alternates_runs_and_judges_every_end_to_end_metric(trees):
     got = ab.process("HEAD", 4, 5.0)
+    del trees[:2]  # the two exports
     # pair k runs the parent's workloads first when k is even, every workload in turn
     sides = [side for side, _ in trees]
     assert sides[::len(WORKLOADS)] == ["parent", "change", "change", "parent"] * 2
@@ -171,6 +182,7 @@ def test_process_alternates_runs_and_judges_every_end_to_end_metric(trees):
 
 def test_inprocess_checks_both_trees_then_alternates_seeded_calls(trees):
     got = ab.inprocess("HEAD", 4, "calibrate")
+    del trees[:2]  # the two exports
     warm = [("parent", 1), ("change", 1), ("parent", 2), ("change", 2)]
     # pair k calls seed k + 3, the parent first when k is even
     pairs = [("parent", 3), ("change", 3), ("change", 4), ("parent", 4),
@@ -185,3 +197,33 @@ def test_inprocess_refuses_a_single_pair_by_name(capsys):
     with pytest.raises(SystemExit) as exit_:
         ab.main(["inprocess", "--parent", "HEAD", "--pairs", "1", "--call", "pair"])
     assert exit_.value.code == 2 and "--pairs must be at least 2" in capsys.readouterr().err
+
+
+def test_the_working_tree_export_copies_tracked_and_untracked_files_not_ignored(tmp_path,
+                                                                                 monkeypatch):
+    """A working-tree export holds each tracked file as edited, each untracked one that is not
+    ignored, and no ignored or deleted file; ``_trees`` roots both sides outside the checkout."""
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
+    for name, text in (("src/kept.py", "old"), ("gone.py", "x"), (".gitignore", "*.log\n")):
+        (repo / name).write_text(text)
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-qm", "base"], check=True)
+    (repo / "src" / "kept.py").write_text("new")
+    (repo / "gone.py").unlink()
+    (repo / "src" / "added.py").write_text("added")
+    (repo / "run.log").write_text("ignored")
+    monkeypatch.setattr(ab, "ROOT", repo)
+    out = tmp_path / "out"
+    out.mkdir()
+    roots = ab._trees("HEAD", str(out))
+    assert roots == {"parent": out / "parent", "change": out / "change"}
+
+    def files(root):
+        return {str(p.relative_to(root)): p.read_text() for p in root.rglob("*") if p.is_file()}
+
+    assert files(roots["parent"]) == {"src/kept.py": "old", "gone.py": "x", ".gitignore": "*.log\n"}
+    assert files(roots["change"]) == {"src/kept.py": "new", "src/added.py": "added",
+                                      ".gitignore": "*.log\n"}

@@ -26,7 +26,7 @@ from algwatch.inference import (
     matched_codewords,
     transition_row,
 )
-from algwatch.sim import TwoHopConfig, brute_force_consistency, simulate_observation
+from algwatch.sim import TwoHopConfig, brute_force_consistency, run_experiment, simulate_observation
 
 LOW2 = HashSpec("affine", 4, 2, (1, 0))
 IDENT = HashSpec("affine", 4, 4, (1, 0))
@@ -636,9 +636,9 @@ def test_keyed_pass_equals_dense_pass(block, chunk):
             mock.patch.object(inference, "_KEYED_SHARE", share),
             mock.patch.object(inference, "_SCATTER_CHUNK", chunk),
         ):
-            lengths, built, keyed, passes, _ = inference._trellises(h)
+            lengths, built, keyed, passes = inference._trellises(h)
             layers = [None] * len(built)  # each use's layers, as (states, weights) lists
-            for uses, got in passes:
+            for uses, got, _ in passes:
                 for g, k in enumerate(uses.tolist()):
                     layers[k] = [(s[t == g].tolist(), w[t == g].tolist()) for t, s, w in got]
             run = runs[share] = {
@@ -706,9 +706,9 @@ def _cut_run(h, announced):
     """Every use's final layer, the support it was summed from and whether it ran keyed, each
     arm's (p*, fault) read through announced's arms, and each use's final states hashing to a
     value of announced."""
-    lengths, built, keyed, passes, _ = inference._trellises(h, announced)
+    lengths, built, keyed, passes = inference._trellises(h, announced)
     passes = list(passes)  # run lazily: read twice below
-    finals = [(uses[t], s, w) for uses, layers in passes for t, s, w in layers[-1:]]
+    finals = [(uses[t], s, w) for uses, layers, _ in passes for t, s, w in layers[-1:]]
     empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     use, states, _ = final = [np.concatenate(parts) for parts in zip(empty, *finals)]
     layers = [{} for _ in built]  # each use's final layer, state -> weight
@@ -717,11 +717,15 @@ def _cut_run(h, announced):
     arms = h._replace(relay_symbols=h.relay_symbols[:, :announced.shape[1]], relay_hashes=announced)
     match = np.take(announced.T, use, axis=1) == h.hashes.at(use, states)
     read = match.any(axis=0)
+    norms = inference._relay_normalizers(h.hashes, arms.relay_symbols, announced, h.relay_channel)
+    pstars = np.zeros(announced.size)
+    inference._score_arms(arms, norms, final, match, pstars)
     return {
         "lengths": lengths.tolist(), "built": built.tolist(), "keyed": keyed.tolist(),
         "layers": layers,
-        "before": {int(uses[0]): len(got[-2][1]) for uses, got in passes if len(got) > 2},
-        "scores": _as_lists(inference._score_arms(arms, final, match)),
+        "before": {int(uses[0]): len(got[-2][1]) for uses, got, _ in passes if len(got) > 2},
+        "scores": [pstars.reshape(announced.shape).tolist(),
+                   norms[2].reshape(announced.shape).tolist()],
         "reads": np.bincount(use[read], minlength=len(built)).tolist(),
     }
 
@@ -827,8 +831,27 @@ _TRELLISES, _HASHES_AT = inference._trellises, inference._Hashes.at
 def _uncut(h, announced=None):
     """``inference._trellises`` flagging no use as cut: ``_watch_block`` then hashes every
     final state, the reference the skipped hash is checked against."""
-    *got, cut = _TRELLISES(h, announced)
-    return (*got, np.zeros_like(cut))
+    *got, passes = _TRELLISES(h, announced)
+    return (*got, ((uses, layers, False) for uses, layers, _ in passes))
+
+
+def _flagging(cuts):
+    """``inference._trellises`` appending to cuts, a call at a time, its uses' cut flags as its
+    passes yield them."""
+
+    def trellises(h, announced=None):
+        *got, passes = _TRELLISES(h, announced)
+        cut = np.zeros(len(h.own), bool)
+        cuts.append(cut)
+
+        def flagged():
+            for uses, layers, flags in passes:
+                cut[uses] = flags
+                yield uses, layers, flags
+
+        return (*got, flagged())
+
+    return trellises
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -848,16 +871,10 @@ def test_cut_uses_read_what_hashing_every_final_state_reads(family, delta, m, ep
     h = _forged_holdings(block, [], 2 if family == "poly" else None, 5)
     one = h._replace(relay_symbols=h.relay_symbols[:, :1], relay_hashes=h.relay_hashes[:, :1])
     cuts = []
-
-    def flagged(h, announced=None):
-        got = _TRELLISES(h, announced)
-        cuts.append(got[-1])
-        return got
-
     for chunk in (40, inference._SCATTER_CHUNK):
         with mock.patch.object(inference, "_SCATTER_CHUNK", chunk):
             runs = {}
-            for name, trellises in (("skipped", flagged), ("hashed", _uncut)):
+            for name, trellises in (("skipped", _flagging(cuts)), ("hashed", _uncut)):
                 with mock.patch.object(inference, "_trellises", trellises):
                     runs[name] = [
                         _as_lists(inference._watch(x, score))
@@ -877,11 +894,12 @@ def test_a_cut_counting_block_never_hashes_its_final_states(monkeypatch):
     the constant one (a_1 = 0), whose final states alone are hashed.
     """
     block = (10, 2, "poly", 3, 40, 1, [0.1] * 4, 0.5, 7, None)
-    passes_done, hashed, seen = [], [], {}
+    passes_done, hashed, cuts = [], [], []
+    flagging = _flagging(cuts)
 
     def trellises(h, announced=None):
-        got = _TRELLISES(h, announced)
-        seen["cut"], passes_done[:] = got[-1], [True]
+        got = flagging(h, announced)
+        passes_done[:] = [True]
         return got
 
     def at(self, rows, xs):  # a 1-D xs is hashed as a column: count the 2-D call
@@ -901,9 +919,41 @@ def test_a_cut_counting_block_never_hashes_its_final_states(monkeypatch):
         assert record.fallbacks["trellis"] == 40 - cut.sum()
         if constant is not None:
             cut[constant] = False
-        assert seen["cut"].tolist() == cut.tolist()
+        assert cuts[-1].tolist() == cut.tolist()
         # only the uncut use's final states, each hashed once
         assert hashed == ([] if constant is None else [[constant] * int(counts[constant, 0])])
+
+
+def test_a_scored_block_normalizes_its_relays_once(monkeypatch):
+    """One ``_relay_normalizers`` call per scored block, however many batches it reads.
+
+    The scored pruned point m 3, n 12, delta 6, p 0.05, eps 0.05, 100 trials of two arms,
+    makes more than one block, and a block's last layers fill ``_BLOCK_ELEMENTS`` more than
+    once: it reads them in two or more batches (``_read_finals``).
+    """
+    calls = []  # per _watch_block call: [normalizer calls, batches read]
+    block, normalizers, read = (inference._watch_block, inference._relay_normalizers,
+                                inference._read_finals)
+
+    def counted(at, real):
+        def call(*args):
+            calls[-1][at] += 1
+            return real(*args)
+        return call
+
+    def watched(h, score):
+        calls.append([0, 0])
+        return block(h, score)
+
+    monkeypatch.setattr(inference, "_watch_block", watched)
+    monkeypatch.setattr(inference, "_relay_normalizers", counted(0, normalizers))
+    monkeypatch.setattr(inference, "_read_finals", counted(1, read))
+    cfg = TwoHopConfig(m=3, n=12, delta=6, p_s=0.05, p_relay=0.05, iterations=100,
+                       pruning_eps=0.05)
+    run_experiment(cfg)
+    assert len(calls) > 1
+    assert [c[0] for c in calls] == [1] * len(calls)
+    assert max(c[1] for c in calls) >= 2
 
 
 @pytest.mark.parametrize("delta", range(17))
@@ -972,10 +1022,13 @@ def _whole_pstar(obs, final):
     """p* of obs scored on a whole final layer, as the whole-layer pair scores it, else the
     InferenceError message."""
     h = inference._holdings(obs)
+    norms = inference._relay_normalizers(h.hashes, h.relay_symbols, h.relay_hashes,
+                                         h.relay_channel)
     use, states, _ = final
     match = h.hashes.at(use, states)[None] == obs.relay_overheard.hash_value
-    pstars, fault = inference._score_arms(h, final, match)
-    return inference._FAULTS[fault[0, 0]] if fault[0, 0] else float(pstars[0, 0])
+    pstar = np.zeros(1)
+    inference._score_arms(h, norms, final, match, pstar)
+    return inference._FAULTS[norms[2][0]] if norms[2][0] else float(pstar[0])
 
 
 def _public_pstar(trellis, obs):
@@ -1001,12 +1054,12 @@ def test_public_trellis_completes_to_the_whole_trellis(drawn, chunk):
     variants = [obs, replace(obs, relay_overheard=replace(relay, symbol=other_symbol)),
                 replace(obs, relay_overheard=replace(relay, hash_value=other_hash))]
     with mock.patch.object(inference, "_SCATTER_CHUNK", chunk):
-        _, built, _, passes, _ = inference._trellises(inference._holdings(obs))
+        _, built, _, passes = inference._trellises(inference._holdings(obs))
         if not built[0]:
             with pytest.raises(InferenceError, match=inference._FAULTS[inference._EMPTY_ROW]):
                 build_and_run_trellis(obs)
             return
-        (_, whole), = passes
+        (_, whole, _), = passes
         trellis = build_and_run_trellis(obs)
         assert [_public_pstar(trellis, o) for o in variants] == [
             _whole_pstar(o, whole[-1]) for o in variants

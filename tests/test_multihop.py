@@ -353,11 +353,11 @@ def test_scenario_police_builds_only_the_classes_it_reads(monkeypatch):
     trellises, finals, polices = inference._trellises, [], []
 
     def recorded(h, announced=None):
-        *got, cut = trellises(h, announced)
-        got[3] = list(got[3])  # runs the passes, which are handed on as they came
+        *got, passes = trellises(h, announced)
+        passes = list(passes)  # runs the passes, which are handed on as they came
         finals.extend((h, announced, uses[t], s)
-                      for uses, layers in got[3] for t, s, _ in layers[-1:])
-        return (*got[:3], iter(got[3]), cut)
+                      for uses, layers, _ in passes for t, s, _ in layers[-1:])
+        return (*got, iter(passes))
 
     def policing(*args):
         polices.append(len(finals))

@@ -759,7 +759,7 @@ def test_one_hash_table_per_trial(monkeypatch):
                            obs.hash_spec)
     assert tables and True not in tables
     tables.clear()
-    for module in (hashing, sim, inference, packet):
+    for module in (hashing, inference, packet):  # sim imports no hash_eval
         monkeypatch.setattr(module, "hash_eval", lambda spec, x: scalar.append(x))
     run_sweep(cfg, "p_adv", [0.0, 0.1, 0.3, 0.5])
     # each trial's sent symbols hashed as drawn, and its final states: never the whole field

@@ -6,9 +6,12 @@ Run from the root of an algwatch checkout:
     python3 tools/ab.py footprint --parent REV --pairs 11
     python3 tools/ab.py inprocess --parent REV --pairs 20 --call scenario
 
-Every mode exports REV with ``git archive`` into a temporary directory and
-measures both trees in the same alternating pairs: pair k measures the
-parent first when k is even and the working tree first when k is odd. Each
+Every mode exports both trees into a temporary directory, REV with ``git
+archive`` and the working tree as a copy of its tracked and untracked, not
+ignored, files, and measures the two copies in the same alternating pairs:
+pair k measures the parent first when k is even and the working tree first
+when k is odd. So both sides run from a fresh directory of the same kind;
+the checkout itself is read only for git and ``BENCHMARK.json``. Each
 reading is judged by one rule, ``_verdict``: each side's runs, median and
 quartiles, the pairs in which the working tree reads better, the relative
 change of the medians, the median per-pair ratio of the working tree's
@@ -59,6 +62,7 @@ import importlib
 import importlib.util
 import json
 import math
+import shutil
 import statistics
 import subprocess
 import sys
@@ -70,11 +74,30 @@ ROOT = Path.cwd()
 SEED = 1
 
 
-def _export(rev: str, into: Path) -> Path:
-    """The tree of rev, unpacked under into."""
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
+def _export(rev: str | None, into: Path) -> Path:
+    """The tree of rev, unpacked under into; with rev None, the working tree's tracked and
+    untracked, not ignored, files, copied there."""
+    if rev is not None:
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True,
+                                 check=True)
+        subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
+        return into
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, capture_output=True, check=True, text=True).stdout
+    for name in filter(None, listed.split("\0")):
+        if (ROOT / name).is_file():  # a tracked file deleted in the working tree is skipped
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / name)
     return into
+
+
+def _trees(parent: str, tmp: str) -> dict:
+    """Each side's measured root, exported under tmp: parent's tree, then the working tree's."""
+    roots = {}
+    for side, rev in (("parent", parent), ("change", None)):
+        (Path(tmp) / side).mkdir()
+        roots[side] = _export(rev, Path(tmp) / side)
+    return roots
 
 
 def _bench() -> tuple[list[str], dict]:
@@ -146,7 +169,7 @@ def process(parent: str, pairs: int, seconds: float) -> dict:
     workloads, rules = _bench()
     failed = {"parent": 0, "change": 0}
     with tempfile.TemporaryDirectory() as tmp:
-        roots = {"parent": _export(parent, Path(tmp)), "change": ROOT}
+        roots = _trees(parent, tmp)
 
         def measure(side, k):
             readings = {}
@@ -178,9 +201,8 @@ def footprint(parent: str, pairs: int) -> dict:
     workloads, rules = _bench()
     outputs = {}  # (workload, side) -> outputs
     with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "parent").mkdir()
+        roots = _trees(parent, tmp)
         (Path(tmp) / "work").mkdir()
-        roots = {"parent": _export(parent, Path(tmp) / "parent"), "change": ROOT}
 
         def measure(side, k):
             readings = {}
@@ -266,8 +288,8 @@ def _call(aw, what: str, policed: list):
 def inprocess(parent: str, pairs: int, what: str) -> dict:
     _, rules = _bench()
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"parent": _load("algwatch_parent", _export(parent, Path(tmp))),
-                 "change": _load("algwatch_change", ROOT)}
+        trees = {side: _load(f"algwatch_{side}", root)
+                 for side, root in _trees(parent, tmp).items()}
         policed = _policed(trees["parent"]) if what == "pair" else []
         calls = {side: _call(aw, what, policed) for side, aw in trees.items()}
         for seed in (SEED, SEED + 1):  # equal results, and warm caches on both sides
