@@ -147,6 +147,12 @@ def _count_args(n: int, m: int, p_rates, d_over_n) -> tuple[list[float], list[fl
     return p_rates, d_over_n
 
 
+def _count_exponent(n: int, m: int, delta: float, p_rates, d_over_n) -> float:
+    """The base-2 exponent of the expected matched count: n (sum H(p) - sum H(d) - 1) - m delta."""
+    total = sum(binary_entropy(p) - binary_entropy(d) for p, d in zip(p_rates, d_over_n))
+    return n * (total - 1.0) - m * delta
+
+
 def matched_count_expected(
     n: int, m: int, delta: int, p_rates, d_over_n=None
 ) -> float:
@@ -162,8 +168,7 @@ def matched_count_expected(
     p_rates, d_over_n = _count_args(n, m, p_rates, d_over_n)
     if not 0 <= delta <= n:
         raise ValueError(f"delta must be in [0, n], got {delta} at n = {n}")
-    total = sum(binary_entropy(p) - binary_entropy(d) for p, d in zip(p_rates, d_over_n))
-    exponent = n * (total - 1.0) - m * delta
+    exponent = _count_exponent(n, m, delta, p_rates, d_over_n)
     try:
         return 2.0 ** exponent
     except OverflowError:
@@ -175,17 +180,16 @@ def matched_count_exponent_eps(
 ) -> float:
     """Base-2 exponent of the expected count with hash length delta = eps*n.
 
-    Rearranged to expose the tradeoff between overhearing quality (entropy
-    of the rates) and redundancy (code distances plus hash fraction):
+    The exponent ``matched_count_expected`` raises 2 to, at delta = eps*n.
+    It reads as the tradeoff between overhearing quality (entropy of the
+    rates) and redundancy (code distances plus hash fraction):
     n * [sum H(p) - (sum H(d) + 1 + m*eps)]. eps outside [0, 1], a hash
     wider than the symbol, is a ValueError.
     """
     p_rates, d_over_n = _count_args(n, m, p_rates, d_over_n)
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
-    hp = sum(binary_entropy(p) for p in p_rates)
-    hd = sum(binary_entropy(d) for d in d_over_n)
-    return n * (hp - (hd + 1.0 + m * eps))
+    return _count_exponent(n, m, eps * n, p_rates, d_over_n)
 
 
 def algebraic_check(

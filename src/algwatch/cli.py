@@ -305,10 +305,6 @@ def _cmd_multihop(args) -> int:
     if seed < 0:  # the hash spec is drawn before run_protocol checks it
         raise CliError(f"seed must be >= 0, got {seed}")
     field = default_field(args.n)
-    for name, symbol in source_symbols.items():
-        if not 0 <= symbol < field.order:
-            raise CliError(f"topology field 'source_symbols.{name}': "
-                           f"{symbol} is not a GF(2^{field.n}) element")
     # Not run_protocol's stream, SeedSequence((seed,)); (seed, 0) would equal it (zero padding).
     spec = sample_hash(np.random.default_rng(np.random.SeedSequence((seed, 1))), "affine",
                        field.n, args.delta)

@@ -47,7 +47,7 @@ a small fault code (``_FAULTS`` holds the messages): a faulted arm
 scores p* = 0 and is counted, never listed. The one-observation calls
 are thin: ``build_and_run_trellis`` runs a one-use block that reads the
 relay's announced value, so its last layer may hold only that value's
-class, and keeps that final layer with the block's arrays (``Trellis``).
+class, and keeps that final layer with its observation (``Trellis``).
 ``consistency_probability`` scores an observation of the same hash and
 announced value on it (``_score_arms``), and any other on the whole last
 layer; the whole pass runs once, when first read. They raise the message
@@ -305,21 +305,21 @@ class Trellis:
 
     Layer i holds the weights of all reachable values of
     sum_{j<=i} a_j x_j; layer 1 is the single state a_1 x_1 with weight 1.
-    Built by ``build_and_run_trellis``, it holds its observation, that
-    observation as a block of one use, and the final layer that pass gave,
-    which may hold only the announced class. The whole pass (``_trellises``)
-    runs once, when first needed: by ``layers``, ``final_weights``,
+    Built by ``build_and_run_trellis``, it holds its observation and the
+    final layer that pass gave, which may hold only the announced class.
+    The whole pass (``_trellises`` of the observation's ``_holdings``) runs
+    once, when first needed: by ``layers``, ``final_weights``,
     ``matched_codewords``, or ``consistency_probability`` of another
     announced value. A dense vector is built only when asked for.
     """
 
-    def __init__(self, obs: WatchdogObservation, h: _Holdings, final):
-        self._obs, self._holdings, self._final = obs, h, final
+    def __init__(self, obs: WatchdogObservation, final):
+        self._obs, self._final = obs, final
 
     @functools.cached_property
     def _layers(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Every layer of the whole pass, none cut."""
-        (_, layers, _), = _trellises(self._holdings)[3]
+        (_, layers, _), = _trellises(_holdings(self._obs))[3]
         return layers
 
     @property
@@ -874,7 +874,7 @@ def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
     if not built[0]:
         raise InferenceError(_FAULTS[_EMPTY_ROW])
     (_, layers, _), = passes
-    return Trellis(obs, h, layers[-1])
+    return Trellis(obs, layers[-1])
 
 
 def inverse_transition(
@@ -912,9 +912,7 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
     other obs on the whole final layer. A relay that cannot be scored
     raises before any layer is read.
     """
-    built = trellis._obs
-    h = trellis._holdings if obs == built else _holdings(obs)
-    relay = obs.relay_overheard
+    built, h, relay = trellis._obs, _holdings(obs), obs.relay_overheard
     norms = _relay_normalizers(h.hashes, h.relay_symbols, h.relay_hashes, h.relay_channel)
     if norms[2][0]:
         raise InferenceError(_FAULTS[norms[2][0]])

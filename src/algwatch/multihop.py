@@ -97,6 +97,9 @@ class NodeBehavior:
             raise ValueError("p_adv must be in [0, 1]")
 
 
+_DEFAULT_BEHAVIOR = NodeBehavior()  # a node a topology document gives no behavior: honest
+
+
 @dataclass
 class Transmission:
     """One broadcast: the packet, plus what each receiver and listener got."""
@@ -183,7 +186,7 @@ def run_round(
                 for u, c in zip(sorted(inputs), rng.integers(0, order - 1, size=len(inputs)))
             }
         pkt = make_packet(inputs, coeffs, spec)
-        behavior = behaviors.get(v, NodeBehavior())
+        behavior = behaviors.get(v, _DEFAULT_BEHAVIOR)
         if behavior.role == ADVERSARIAL and behavior.p_adv > 0.0:
             pkt = corrupt_payload(pkt, behavior.p_adv, spec, rng)
         delivered = {}
@@ -329,15 +332,19 @@ def run_protocol(
     After each round, every honest node draws its check decision; when
     checking, it polices each of its transmitting downstream neighbors it
     is able to overhear. Returns the transcript; the ledger is updated in
-    place.
+    place. A pinned source symbol outside GF(2^n) raises a ValueError
+    naming it, as ``source_symbols.<node>``, before any round runs.
     """
     _check_seed(seed)
+    for name, symbol in (source_symbols or {}).items():
+        if not 0 <= symbol < 1 << spec.n:
+            raise ValueError(f"'source_symbols.{name}': {symbol} is not a GF(2^{spec.n}) element")
     rng = np.random.default_rng(np.random.SeedSequence((seed,)))
     transcript: list[Transmission] = []
     rounds = _rounds(g, behaviors, schedule, spec, rng, source_symbols)
     for transmitters, transcript in rounds:
         for watcher in sorted(g.nodes):
-            behavior = behaviors.get(watcher, NodeBehavior())
+            behavior = behaviors.get(watcher, _DEFAULT_BEHAVIOR)
             if not _checks(behavior):
                 continue
             if rng.random() >= behavior.check_probability:
@@ -362,7 +369,7 @@ def unpoliced_pairs(
     """
     reasons = {}
     for watcher in sorted(g.nodes):
-        if not _checks(behaviors.get(watcher, NodeBehavior())):
+        if not _checks(behaviors.get(watcher, _DEFAULT_BEHAVIOR)):
             continue
         for watched in sorted(g.children(watcher)):
             if ledger.samples(watcher, watched):
@@ -421,7 +428,9 @@ def mincut_scenario(
     for each round in which v transmits, and a heavy injector is flagged
     by the rolling-mean verdict); if every parent of v is in B, no honest
     node polices v, and v's corrupting packets pass the destination's hash
-    check, since v announces their own hash. The kinds:
+    check, since v announces their own hash. Each kind's network is a
+    topology document (``_scenario_document``), loaded by ``load_topology``
+    as a ``--topology`` run's is, its one schedule period repeated. The kinds:
 
     - one-honest-path: the star w, s2, s3 -> r -> d with B = {r}. w meets
       W1-W3 for r, so the claim's first half applies, and w's verdict must
@@ -443,6 +452,8 @@ def mincut_scenario(
         raise ValueError(f"p_adv must be in [0, 1], got {p_adv}")
     if not 0.0 <= p_overhear <= 0.5:
         raise ValueError(f"p_overhear must be in [0, 0.5], got {p_overhear}")
+    if kind not in SCENARIOS:
+        raise ValueError(f"unknown scenario {kind!r}; choose from {SCENARIOS}")
     if kind == "one-honest-path":
         if not 0.0 < gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {gamma}")
@@ -456,47 +467,64 @@ def mincut_scenario(
             raise ValueError(
                 f"calibration_iterations must be <= 2^32, got {calibration_iterations}"
             )
+    g, behaviors, period, _ = load_topology(_scenario_document(kind, p_adv, p_overhear))
+    if kind == "one-honest-path":
         return _scenario_one_honest_path(
-            seed, instances, policed_samples, p_adv, p_overhear, gamma, window,
+            g, behaviors, period * policed_samples, seed, instances, p_overhear, gamma, window,
             calibration_iterations,
         )
     if kind == "all-parents-malicious":
-        return _scenario_all_parents(seed, p_adv, p_overhear)
-    if kind == "all-children-malicious":
-        return _scenario_all_children(seed, p_adv, p_overhear)
-    raise ValueError(f"unknown scenario {kind!r}; choose from {SCENARIOS}")
+        return _structural_report(kind, g, behaviors, period * 4, seed, "v", {})
+    return _structural_report(kind, g, behaviors, period * 3, seed, "c",
+                              {"node_with_malicious_children": "v"})
 
 
-def _star_topology(p_overhear: float) -> Hypergraph:
-    """Three sources feeding one relay; source w overhears everything."""
-    nodes = frozenset({"w", "s2", "s3", "r", "d"})
-    links = frozenset({("w", "r"), ("s2", "r"), ("s3", "r"), ("r", "d")})
-    interference = {
-        ("s2", "w"): p_overhear,
-        ("s3", "w"): p_overhear,
-        ("r", "w"): p_overhear,
+def _scenario_document(kind: str, p_adv: float, p_overhear: float) -> dict:
+    """kind's network as a topology document (``load_topology``), with one schedule period.
+
+    A period leaves every relay's inbox as it found it, so a scenario runs
+    it repeated. Only the behaviors that are not the honest default are
+    listed. The rates and p_adv go in as Python floats, as a document holds
+    numbers.
+    """
+    p, injector = float(p_overhear), {"role": ADVERSARIAL, "p_adv": float(p_adv)}
+    if kind == "one-honest-path":  # three sources feed one relay; w overhears everything
+        return {
+            "nodes": ["w", "s2", "s3", "r", "d"],
+            "links": [["w", "r"], ["s2", "r"], ["s3", "r"], ["r", "d"]],
+            "interference": [["s2", "w", p], ["s3", "w", p], ["r", "w", p]],
+            "behaviors": {"w": {"check_probability": 1.0}, "r": injector},
+            "schedule": [["w", "s2", "s3"], ["r"]],
+        }
+    if kind == "all-parents-malicious":  # both parents of the injector are Byzantine
+        return {
+            "nodes": ["a1", "a2", "v", "d"],
+            "links": [["a1", "v"], ["a2", "v"], ["v", "d"]],
+            "interference": [["a2", "a1", p], ["v", "a1", p]],
+            "behaviors": {"a1": {"role": ADVERSARIAL}, "a2": {"role": ADVERSARIAL},
+                          "v": injector},
+            "schedule": [["a1", "a2"], ["v"]],
+        }
+    # v complies, as its parents police it; its only child c corrupts freely and
+    # recomputes a consistent hash, so neither a watcher nor the destination sees it
+    return {
+        "nodes": ["s1", "s2", "v", "c", "d"],
+        "links": [["s1", "v"], ["s2", "v"], ["v", "c"], ["c", "d"]],
+        "interference": [["s2", "s1", p], ["v", "s1", p], ["c", "v", p]],
+        "behaviors": {"s1": {"check_probability": 1.0}, "v": {"role": ADVERSARIAL},
+                      "c": injector},
+        "schedule": [["s1", "s2"], ["v"], ["c"]],
     }
-    return Hypergraph(nodes, links, interference)
 
 
 def _scenario_one_honest_path(
-    seed, instances, policed_samples, p_adv, p_overhear, gamma, window,
-    calibration_iterations,
+    g, behaviors, schedule, seed, instances, p_overhear, gamma, window, calibration_iterations,
 ) -> ScenarioReport:
     cal_cfg = TwoHopConfig(
         m=3, n=10, delta=2, p_s=p_overhear, p_relay=p_overhear, p_adv=0.0,
         iterations=calibration_iterations, seed=seed + 1,
     )
     threshold = calibrate_threshold(cal_cfg, gamma, window=window)
-    g = _star_topology(p_overhear)
-    behaviors = {
-        "w": NodeBehavior(HONEST, check_probability=1.0),
-        "s2": NodeBehavior(HONEST),
-        "s3": NodeBehavior(HONEST),
-        "r": NodeBehavior(ADVERSARIAL, p_adv=p_adv),
-        "d": NodeBehavior(HONEST),
-    }
-    schedule = [["w", "s2", "s3"], ["r"]] * policed_samples
     detections = 0
     corrupted_any = False
     for inst in range(instances):
@@ -532,7 +560,8 @@ def _structural_report(kind, g, behaviors, schedule, seed, injector, details) ->
     for _, transcript in _rounds(g, behaviors, schedule, spec, rng):
         pass
     corrupted, consistent = _injector_outcome(transcript, injector, spec)
-    honest_watchers = {u for u in g.parents(injector) if behaviors[u].role == HONEST}
+    honest_watchers = {u for u in g.parents(injector)
+                       if behaviors.get(u, _DEFAULT_BEHAVIOR).role == HONEST}
     return ScenarioReport(
         kind=kind,
         corrupted_delivered=corrupted,
@@ -545,53 +574,6 @@ def _structural_report(kind, g, behaviors, schedule, seed, injector, details) ->
             "destination_check_passes": consistent,
             "honest_parents_of_injector": sorted(honest_watchers),
         },
-    )
-
-
-def _scenario_all_parents(seed, p_adv, p_overhear) -> ScenarioReport:
-    """Both parents of the injector are Byzantine: nobody polices it."""
-    nodes = frozenset({"a1", "a2", "v", "d"})
-    links = frozenset({("a1", "v"), ("a2", "v"), ("v", "d")})
-    interference = {("a2", "a1"): p_overhear, ("v", "a1"): p_overhear}
-    g = Hypergraph(nodes, links, interference)
-    behaviors = {
-        "a1": NodeBehavior(ADVERSARIAL),
-        "a2": NodeBehavior(ADVERSARIAL),
-        "v": NodeBehavior(ADVERSARIAL, p_adv=p_adv),
-        "d": NodeBehavior(HONEST),
-    }
-    schedule = [["a1", "a2"], ["v"]] * 4
-    return _structural_report("all-parents-malicious", g, behaviors, schedule, seed, "v", {})
-
-
-def _scenario_all_children(seed, p_adv, p_overhear) -> ScenarioReport:
-    """Every receiver of v's transmissions is Byzantine.
-
-    v itself is forced to behave (its parents police it), but its only
-    child c corrupts freely: c's only parent is v, so no honest node can
-    watch the injection, and the destination's hash check cannot see it
-    either since c recomputes a consistent hash. The flow through v is
-    compromised regardless of v's own behavior.
-    """
-    nodes = frozenset({"s1", "s2", "v", "c", "d"})
-    links = frozenset({("s1", "v"), ("s2", "v"), ("v", "c"), ("c", "d")})
-    interference = {
-        ("s2", "s1"): p_overhear,
-        ("v", "s1"): p_overhear,
-        ("c", "v"): p_overhear,
-    }
-    g = Hypergraph(nodes, links, interference)
-    behaviors = {
-        "s1": NodeBehavior(HONEST, check_probability=1.0),
-        "s2": NodeBehavior(HONEST),
-        "v": NodeBehavior(ADVERSARIAL, p_adv=0.0),  # complies: it is policed
-        "c": NodeBehavior(ADVERSARIAL, p_adv=p_adv),
-        "d": NodeBehavior(HONEST),
-    }
-    schedule = [["s1", "s2"], ["v"], ["c"]] * 3
-    return _structural_report(
-        "all-children-malicious", g, behaviors, schedule, seed, "c",
-        {"node_with_malicious_children": "v"},
     )
 
 
@@ -647,7 +629,7 @@ def load_topology(doc) -> tuple[Hypergraph, dict[str, NodeBehavior], list[list[s
     node with parents (only sources send one), when an honest node is given
     a positive ``p_adv``, when a number is a JSON boolean, or when a relay
     is scheduled with an empty inbox (replayed as ``run_round`` runs it).
-    Whether a source symbol lies in the field is left to the caller, which knows n.
+    Whether a source symbol lies in the field is left to ``run_protocol``, which knows n.
     """
     if isinstance(doc, (str, bytes)):
         with open(doc) as fh:

@@ -1,8 +1,10 @@
-"""tools/ab.py on synthetic runs: the verdict rule, the shared head, every mode's pairs."""
+"""tools/ab.py on synthetic runs: the verdict rule, the shared head, every mode's pairs; and
+the in-process calls against the benchmark's own workload calls."""
 
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -227,3 +229,40 @@ def test_the_working_tree_export_copies_tracked_and_untracked_files_not_ignored(
     assert files(roots["parent"]) == {"src/kept.py": "old", "gone.py": "x", ".gitignore": "*.log\n"}
     assert files(roots["change"]) == {"src/kept.py": "new", "src/added.py": "added",
                                       ".gitignore": "*.log\n"}
+
+
+@pytest.mark.parametrize("what", ["padv", "count"])
+def test_inprocess_offers_the_workload_calls(what, capsys):
+    # a single pair is refused after the call is parsed: an unknown call would fail first
+    with pytest.raises(SystemExit) as exit_:
+        ab.main(["inprocess", "--parent", "HEAD", "--pairs", "1", "--call", what])
+    assert exit_.value.code == 2 and "--pairs must be at least 2" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    """The working tree's algwatch, imported by ``_load`` under a second name, cli included."""
+    name = "algwatch_ab_loaded"
+    yield ab._load(name, ROOT)
+    for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]
+
+
+def _workloads(monkeypatch):
+    """perfbench/workloads.py, loaded from its file (its dataclasses read sys.modules)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("what, workload", [("padv", "padv-sweep"), ("count", "matched-count")])
+def test_padv_and_count_make_their_workloads_calls(what, workload, loaded, tmp_path, capsys,
+                                                   monkeypatch):
+    assert loaded.cli.__name__ == "algwatch_ab_loaded.cli"
+    got = ab._call(loaded, what, [])(3)
+    expect = _workloads(monkeypatch).WORKLOADS[workload].call(3, str(tmp_path))
+    assert got == ((0, expect.encode()) if what == "padv" else expect)
+    assert capsys.readouterr().out == ""  # the CLI's own line is not printed

@@ -425,6 +425,27 @@ def test_scenario_rejects_a_bad_p_adv_before_calibrating(monkeypatch):
         mincut_scenario("one-honest-path", p_adv=1.5)
 
 
+def test_scenario_loads_its_network_before_calibrating(monkeypatch):
+    calls, calibrate = [], multihop.calibrate_threshold
+    monkeypatch.setattr(multihop, "load_topology",
+                        lambda doc: calls.append("load") or load_topology(doc))
+    monkeypatch.setattr(multihop, "calibrate_threshold",
+                        lambda *a, **k: calls.append("calibrate") or calibrate(*a, **k))
+    mincut_scenario("one-honest-path", instances=1, policed_samples=1, calibration_iterations=25)
+    assert calls == ["load", "calibrate"]
+
+
+@pytest.mark.parametrize("kind", multihop.SCENARIOS)
+def test_scenario_runs_a_bool_or_numpy_rate_as_its_float(kind):
+    # the network is a topology document, which refuses a boolean number
+    def report(p_adv, p_overhear):
+        return mincut_scenario(kind, instances=1, policed_samples=2, calibration_iterations=25,
+                               p_adv=p_adv, p_overhear=p_overhear)
+
+    assert report(True, np.float16(0.25)) == report(1.0, 0.25)
+    assert report(np.float32(0.5), np.int64(0)) == report(0.5, 0.0)
+
+
 def test_topology_round_trip(tmp_path):
     doc = {
         "nodes": ["a", "b", "c"],
@@ -561,3 +582,167 @@ def test_load_topology_raises_only_value_error_on_fuzzed_documents(doc):
         load_topology(doc)
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize("symbol", [5000, 1024, -1])
+def test_run_protocol_names_an_out_of_field_source_symbol_before_any_round(symbol):
+    # a watches r for three rounds before the source b first sends its pinned symbol
+    g = Hypergraph(
+        nodes=frozenset({"a", "c", "r", "b", "d"}),
+        links=frozenset({("a", "r"), ("c", "r"), ("r", "d"), ("b", "d")}),
+        interference={("c", "a"): 0.0, ("r", "a"): 0.0},
+    )
+    behaviors = {"a": NodeBehavior(check_probability=1.0)}
+    schedule = [["a", "c"], ["r"]] * 3 + [["b"]]
+    ledger = TrustLedger(0.01, window=5)
+    with pytest.raises(ValueError, match=rf"^'source_symbols\.b': {symbol} is not a GF\(2\^10\) "
+                                         r"element$"):
+        run_protocol(g, behaviors, schedule, SPEC, 0, ledger, {"a": 3, "b": symbol})
+    assert ledger.pairs() == []
+    run_protocol(g, behaviors, schedule, SPEC, 0, ledger, {"a": 3, "b": 1023})
+    assert len(ledger.samples("a", "r")) == 3
+
+
+# A small field keeps every police call cheap; the min-cut predicate reads no p*.
+_SMALL = HashSpec("affine", 6, 2, (1, 0))
+
+
+def _accepted(g, rounds):
+    """rounds with every relay that has received nothing since it last sent left out.
+
+    Transmitters are replayed in sorted order, as ``run_round`` sends them, so
+    ``load_topology`` accepts the schedule.
+    """
+    filled, schedule = set(), []
+    for wanted in rounds:
+        kept = []
+        for v in sorted(wanted):
+            if not g.parents(v) or v in filled:
+                kept.append(v)
+                filled = (filled - {v}) | g.children(v)
+        schedule.append(kept)
+    return schedule
+
+
+@st.composite
+def _byzantine_documents(draw):
+    """A topology document: a DAG of 3-6 nodes, interference at rate 0.0 or 0.1, a Byzantine
+    set that injects (p_adv > 0), honest nodes checking with probability 0 or 1, and a
+    schedule ``load_topology`` accepts. Byzantine nodes may hold a check probability of 1 too:
+    a Byzantine node never polices."""
+    names = [f"n{i}" for i in range(draw(st.integers(3, 6)))]
+    pairs = [(u, v) for u in names for v in names if u != v]
+    # one coin a pair, so that a node often overhears all of a relay's parents
+    links = [(u, v) for u, v in pairs if u < v and draw(st.booleans())]
+    heard = [pair for pair in pairs if draw(st.booleans())]
+    byzantine = {v for v in names if draw(st.booleans())}
+    behaviors = {}
+    for v in names:
+        check = draw(st.sampled_from([0.0, 1.0]))
+        if v in byzantine:
+            p_adv = draw(st.sampled_from([0.1, 0.5, 1.0]))
+            behaviors[v] = {"role": "adversarial", "p_adv": p_adv, "check_probability": check}
+        elif check:
+            behaviors[v] = {"check_probability": check}
+    g = Hypergraph(frozenset(names), frozenset(links), {})
+    rounds = draw(st.lists(st.sets(st.sampled_from(names), min_size=1), min_size=1, max_size=8))
+    return {
+        "nodes": names,
+        "links": [list(e) for e in links],
+        "interference": [[u, v, draw(st.sampled_from([0.0, 0.1]))] for u, v in heard],
+        "behaviors": behaviors,
+        "schedule": _accepted(g, rounds),
+    }, draw(st.integers(0, 2**16))
+
+
+def _watchers(g, behaviors, v):
+    """The honest u that meet W1 and W2 of ``mincut_scenario``'s docstring for v.
+
+    W1: (u, v) is a link and u checks with probability 1. W2: u overhears v
+    and every other parent of v.
+    """
+    default = NodeBehavior()
+    parents = g.parents(v)
+    return {u for u in parents
+            if behaviors.get(u, default) == NodeBehavior(check_probability=1.0)
+            and all((p, u) in g.interference for p in (parents - {u}) | {v})}
+
+
+def _w3_rounds(transcript, g, v):
+    """The rounds of v's transmissions that meet W3: every parent of v transmitted since v's
+    previous transmission (in delivery order, so from the same round when it went first)."""
+    rounds, since = [], set()
+    for tx in transcript:
+        if tx.sender == v:
+            if since == g.parents(v):
+                rounds.append(tx.round_index)
+            since = set()
+        elif tx.sender in g.parents(v):
+            since.add(tx.sender)
+    return rounds
+
+
+def _policeable_rounds(transcript, g, u, v):
+    """The rounds in which v transmitted and ``can_police(u, v, ...)`` held on the transcript
+    up to the end of that round."""
+    ends = {tx.round_index: at + 1 for at, tx in enumerate(transcript)}
+    return [tx.round_index for tx in transcript
+            if tx.sender == v and can_police(u, v, transcript[:ends[tx.round_index]], g)]
+
+
+def _check_min_cut_claim(g, behaviors, transcript, ledger):
+    """The min-cut claim of ``mincut_scenario``'s docstring, for every Byzantine relay v."""
+    byzantine = {v for v, b in behaviors.items() if b.role == "adversarial"}
+    unpoliced = unpoliced_pairs(g, behaviors, transcript, ledger)
+    for v in sorted(byzantine):
+        if not g.parents(v):
+            continue
+        w3 = _w3_rounds(transcript, g, v)
+        for u in _watchers(g, behaviors, v):
+            policed = _policeable_rounds(transcript, g, u, v)
+            assert len(ledger.samples(u, v)) == len(policed)
+            assert set(w3) <= set(policed)
+        if g.parents(v) <= byzantine:
+            assert not any(watched == v for _, watched in ledger.pairs())
+            assert not any(watched == v for _, watched in unpoliced)
+
+
+_STAR = {
+    "nodes": ["w", "s2", "s3", "r", "d"],
+    "links": [["w", "r"], ["s2", "r"], ["s3", "r"], ["r", "d"]],
+    "interference": [["s2", "w", 0.1], ["s3", "w", 0.0], ["r", "w", 0.1]],
+    "behaviors": {"w": {"check_probability": 1.0}, "r": {"role": "adversarial", "p_adv": 0.5}},
+    "schedule": [["w", "s2"], ["s3", "r"], ["r", "w", "s2", "s3"], ["w", "s2", "s3"], ["r"]],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_byzantine_documents())
+@example((_STAR, 0))
+def test_min_cut_claim_holds_on_every_small_network(drawn):
+    doc, seed = drawn
+    g, behaviors, schedule, _ = load_topology(doc)
+    ledger = TrustLedger(0.05, window=2)
+    transcript = run_protocol(g, behaviors, schedule, _SMALL, seed, ledger)
+    _check_min_cut_claim(g, behaviors, transcript, ledger)
+
+
+def test_min_cut_predicate_reads_the_scenario_networks_as_their_reports_do():
+    """w watches r; no honest node is a parent of v, or of c; each report agrees."""
+    injectors = {"one-honest-path": "r", "all-parents-malicious": "v",
+                 "all-children-malicious": "c"}
+    for kind, injector in injectors.items():
+        g, behaviors, period, _ = load_topology(multihop._scenario_document(kind, 0.5, 0.1))
+        ledger = TrustLedger(0.05, window=2)
+        transcript = run_protocol(g, behaviors, period * 3, _SMALL, 0, ledger)
+        _check_min_cut_claim(g, behaviors, transcript, ledger)
+        watchers = _watchers(g, behaviors, injector)
+        honest_parents = {u for u in g.parents(injector)
+                          if behaviors.get(u, NodeBehavior()).role == "honest"}
+        if kind == "one-honest-path":
+            assert watchers == {"w"} and _w3_rounds(transcript, g, "r") == [1, 3, 5]
+        else:
+            assert watchers == honest_parents == set()
+        report = mincut_scenario(kind, instances=1, policed_samples=2,
+                                 calibration_iterations=25)
+        assert report.honest_watcher_exists == bool(watchers)

@@ -49,7 +49,13 @@ extras:
   - ``pair``: ``consistency_probability(build_and_run_trellis(obs), obs)``
     over every observation that workload's call polices at seed 1;
   - ``scenario``: that workload's call, ``mincut_scenario("one-honest-path",
-    instances=4, calibration_iterations=400)``.
+    instances=4, calibration_iterations=400)``;
+  - ``padv``: the ``padv-sweep`` workload's call, ``cli.main`` on
+    ``two-hop --sweep p_adv --workers 1 --iterations 25``, its CSV bytes
+    compared;
+  - ``count``: the ``matched-count`` workload's call, ``mean_matched_count``
+    at the criterion-08 point (n = 10, three peers, delta = 2, p = 0.1)
+    with 1,000 trials.
 
   Two calls at seeds 1 and 2 check the results and warm both sides; pair k
   then calls at seed k + 3.
@@ -58,8 +64,10 @@ extras:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import math
 import shutil
@@ -228,7 +236,7 @@ def _load(name: str, root: Path):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("channel", "hashing", "inference", "multihop", "sim"):
+    for sub in ("channel", "hashing", "inference", "multihop", "sim", "cli"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
@@ -277,6 +285,16 @@ def _call(aw, what: str, policed: list):
         def call(seed):
             return [inf.consistency_probability(inf.build_and_run_trellis(o), o)
                     for o in observations]
+    elif what == "padv":
+        def call(seed):
+            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+                out = Path(tmp) / "padv.csv"
+                code = aw.cli.main(["two-hop", "--sweep", "p_adv", "--workers", "1",
+                                    "--iterations", "25", "--seed", str(seed), "--out", str(out)])
+                return code, out.read_bytes()
+    elif what == "count":
+        def call(seed):
+            return aw.sim.mean_matched_count(10, 3, 2, 0.1, trials=1000, seed=seed)
     else:
         def call(seed):
             report = aw.multihop.mincut_scenario("one-honest-path", seed=seed, instances=4,
@@ -315,7 +333,7 @@ def main(argv=None) -> int:
         modes[mode].add_argument("--pairs", type=int, default=pairs)
     modes["process"].add_argument("--seconds", type=float, default=30)
     modes["inprocess"].add_argument("--call", required=True,
-                                    choices=("calibrate", "pair", "scenario"))
+                                    choices=("calibrate", "pair", "scenario", "padv", "count"))
     args = parser.parse_args(argv)
     if args.pairs < 2:  # quartiles need two runs a side
         parser.error(f"--pairs must be at least 2, got {args.pairs}")
