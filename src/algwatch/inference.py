@@ -32,19 +32,24 @@ dense last layer is built over the collision classes p* reads
 announced value, a count or one scored arm: then 2^n paths run keyed.
 
 The block path is ``_watch`` over ``_Holdings``, the array form of what
-the watchdogs of any number of relay uses hold. It cuts them into blocks
-sized by the candidates a use holds, then makes a block's transition rows
-and relay normalizers in one batched pass each, reading collision classes
-as cosets (``hashing._classes``) or ball candidates, and no table of a
-hash over all 2^n symbols. It runs the forward passes one at a time,
-keeping only last layers, and hashes and scores those of many uses
-together, up to a block's worth of states at a time. The Monte Carlo
-harness hands it whole pieces of drawn trials, and it hands back their
-values and one RunDiagnostics. A block owns its values: it makes its relay
-normalizers once, before its passes run, takes each pass's cut flags with
-its layers, and writes each p* once. On this path an InferenceError's cause is
-a small fault code (``_FAULTS`` holds the messages): a faulted arm
-scores p* = 0 and is counted, never listed. The one-observation calls
+the watchdogs of any number of relay uses hold. It scores relays, not
+arms: a relay is one distinct (use, overheard symbol, announced value),
+and arms that carry the same transmission (a sweep's p_adv = 0 arm and
+the honest one, or two rates that flip the same bits) are one relay
+(``_relays``). It cuts the uses into blocks sized by the candidates and
+distinct relays a use holds, then makes a block's transition rows and
+relay normalizers in one batched pass each, reading collision classes as
+cosets (``hashing._classes``) or ball candidates, and no table of a hash
+over all 2^n symbols. It runs the forward passes one at a time, keeping
+only last layers, and hashes and scores those of many uses together, up
+to a block's worth of states at a time. The Monte Carlo harness hands it
+whole pieces of drawn trials, and it hands back their values and one
+RunDiagnostics. A block owns its values: it makes its relays'
+normalizers once, before its passes run, takes each pass's cut flags
+with its layers, writes each relay's p* once and hands it to each arm
+that carries the relay. On this path an InferenceError's cause is a small
+fault code (``_FAULTS`` holds the messages): a faulted arm scores p* = 0
+and is counted, never listed. The one-observation calls
 are thin: ``build_and_run_trellis`` runs a one-use block that reads the
 relay's announced value, so its last layer may hold only that value's
 class, and keeps that final layer with its observation (``Trellis``).
@@ -703,29 +708,47 @@ def _relay_normalizers(
     return top, denom, fault
 
 
-def _score_arms(
-    h: _Holdings, norms: tuple[np.ndarray, np.ndarray, np.ndarray],
-    final: tuple[np.ndarray, np.ndarray, np.ndarray], match: np.ndarray, pstars: np.ndarray,
-) -> None:
-    """Write the p* of every fault-free arm of h matched in final into pstars.
+def _relays(h: _Holdings) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """h's distinct relays, ascending: their (use, symbol, value) arrays, and each arm's relay.
 
-    norms is ``_relay_normalizers`` of h's arms, and pstars has one entry
-    per arm, in its order. final is final layers of uses of h as one (use,
-    state, weight) layer, and match[a, i] whether its state i hashes, under
-    its use's hash, to the value arm a of that use announced. Arm a of use
-    k sums w(s) * T_inv(s, relay_symbols[k, a]) over its matched states s
-    in ascending order, as one 1-D dot product; the terms of every arm of
-    every use are computed together, elementwise. No dot product is taken
-    for an arm with a fault, and an arm with a fault or no matched state
-    is not written.
+    Arm (k, a) carries the relay (k, relay_symbols[k, a], relay_hashes[k,
+    a]), keyed ``k << (n + delta) | symbol << delta | value``; ``_ranks``
+    sorts the keys and compares neighbours (``np.unique`` would import
+    ``numpy.ma``), and the arms' relays index its distinct keys in
+    ``relay_hashes.ravel()`` order. Arms share relays in a p_adv sweep: the
+    p_adv = 0 arm is the honest one, and nested flip masks give two rates
+    the same payload when no adversary uniform falls between them.
+    """
+    n, delta = h.hashes.n, h.hashes.delta
+    uses = np.arange(len(h.own))[:, None] << n + delta
+    keys, arms = _ranks((uses | h.relay_symbols << delta | h.relay_hashes).ravel())
+    return keys >> n + delta, keys >> delta & (1 << n) - 1, keys & (1 << delta) - 1, arms
+
+
+def _score_arms(
+    h: _Holdings, relays: tuple, final: tuple[np.ndarray, np.ndarray, np.ndarray],
+    match: np.ndarray, pstars: np.ndarray,
+) -> None:
+    """Write the p* of every fault-free relay of h matched in final into pstars.
+
+    relays is (starts, symbols, norms) of distinct relays, ascending by use
+    (``_relays``): use k's relays run from starts[k], so its slot j is relay
+    starts[k] + j; symbols holds each relay's symbol as overheard, and norms
+    their ``_relay_normalizers``. pstars has one entry per relay, in its
+    order. final is final layers of uses of h as one (use, state, weight)
+    layer, and match[j, i] whether its state i hashes, under its use's hash,
+    to the value its use's relay slot j announced. Relay r sums w(s) *
+    T_inv(s, symbols[r]) over its matched states s in ascending order, as
+    one 1-D dot product; the terms of every relay of every use are computed
+    together, elementwise. No dot product is taken for a relay with a fault,
+    and a relay with a fault or no matched state is not written.
     """
     use, states, weights = final
-    arms = h.relay_hashes.shape[1]
-    top, denom, fault = norms
-    # matched (arm, state) pairs, arm-major: an arm's pairs run use by use, ascending
-    arm, at = np.nonzero(match)
-    relay = use[at] * arms + arm  # the pair's relay, as normalizers index relays
-    d = np.bitwise_count(states[at] ^ h.relay_symbols.ravel()[relay])
+    starts, symbols, (top, denom, fault) = relays
+    # matched (slot, state) pairs, slot-major: a relay's pairs run together, ascending
+    slot, at = np.nonzero(match)
+    relay = starts[use[at]] + slot
+    d = np.bitwise_count(states[at] ^ symbols[relay])
     terms = np.exp(_log_likelihood_table((h.relay_channel,), h.hashes.n)[0, d] - top[relay])
     mass = weights[at]
     opens = np.ones(len(relay), bool)  # where a relay's pairs start
@@ -739,28 +762,35 @@ def _score_arms(
 
 
 # Bound on the elements a block's uses hold together (``_use_elements``): the
-# candidates of their transition rows and, scored, the members of their arms'
+# candidates of their transition rows and, scored, the members of their relays'
 # announced classes. So each row and normalizer array of a block holds at most
 # 8,192 elements, 64 KiB of float64, as ``_SCATTER_CHUNK`` bounds a forward-pass
 # chunk; a use that holds more runs in a block of its own.
 _BLOCK_ELEMENTS = 1 << 13
 
 
-def _use_elements(h: _Holdings, score: bool, width: int | None = None) -> int:
-    """The elements a use of h holds in a block, as ``_BLOCK_ELEMENTS`` counts them.
+def _use_elements(h: _Holdings, score: bool) -> np.ndarray:
+    """The elements each use of h holds in a block, as ``_BLOCK_ELEMENTS`` counts them.
 
     Its transition rows' candidates: a collision class of 2^width symbols a
-    peer (width n - delta unless given), or, where ``_pruning`` finds them in
-    the balls, the ball candidates and their hashes, 2 x peers x V(n, r): 66
-    at the criterion-08 point, 124 uses a block. Blocks of 248 uses ran no
-    faster there, and grew peak memory by about 0.4 MiB. Scored, also each
-    arm's class in its relay normalizers, 2^width symbols.
+    peer, or, where ``_pruning`` finds them in the balls, the ball
+    candidates and their hashes, 2 x peers x V(n, r): 66 at the criterion-08
+    point, 124 uses a block. Blocks of 248 uses ran no faster there, and grew
+    peak memory by about 0.4 MiB. Scored, also each distinct relay's class
+    in its relay normalizers (``_relays``), 2^width symbols: the default
+    p_adv sweep's 7 arms carry about 4 distinct relays a trial, so its
+    blocks hold about 7 trials. width is n - delta, and n for a use whose
+    poly hash is a constant (a_1 = 0, delta > 0): its one class is all 2^n
+    symbols.
     """
     n, delta, peers = h.hashes.n, h.hashes.delta, h.heard.shape[1]
-    width = n - delta if width is None else width
+    width = np.full(len(h.own), n - delta)
+    if h.hashes.family == "poly" and delta > 0:
+        width[h.hashes.coeffs[:, 1] == 0] = n
     reach = None if h.prune_eps is None else _pruning(h.peer_channels, n, delta, h.prune_eps)[1]
     rows = peers << width if reach is None else 2 * peers * ball_volume(n, reach)
-    return max(1, rows, h.relay_hashes.shape[1] << width if score else 0)
+    relays = np.bincount(_relays(h)[0], minlength=len(h.own)) if score else 0
+    return np.maximum(np.maximum(rows, relays << width), 1)
 
 
 def _watch(h: _Holdings, score: bool = True):
@@ -774,13 +804,10 @@ def _watch(h: _Holdings, score: bool = True):
     relay cannot be scored) scores p* = 0, and the record counts it as a
     fallback. Consecutive uses make a block while their ``_use_elements``
     sum to at most ``_BLOCK_ELEMENTS`` (``_groups``; ``_Holdings.block``,
-    ``_watch_block``). A use whose poly hash is a constant (a_1 = 0, delta >
-    0) counts its one class as all 2^n symbols.
+    ``_watch_block``).
     """
     count = len(h.own)
-    elements = np.full(count, _use_elements(h, score))
-    if h.hashes.family == "poly" and h.hashes.delta > 0:
-        elements[h.hashes.coeffs[:, 1] == 0] = _use_elements(h, score, h.hashes.n)
+    elements = _use_elements(h, score)
     values = np.empty((count, h.relay_hashes.shape[1] if score else 1))
     record = RunDiagnostics()
     for uses in _groups(np.arange(count), elements, _BLOCK_ELEMENTS):
@@ -793,24 +820,35 @@ def _watch(h: _Holdings, score: bool = True):
 def _watch_block(h: _Holdings, score: bool):
     """``_watch`` of one block: (values, RunDiagnostics).
 
-    The block owns its values. When scoring, one batched pass makes every
-    arm's relay normalizers, and so its faults, before any forward pass
-    runs; ``_trellises`` makes the transition rows and runs the passes,
-    each handing over its cut flags with its layers. Only each use's last
-    layer is kept, and the last layers of consecutive passes are read
-    together (``_read_finals``), up to ``_BLOCK_ELEMENTS`` states or one
-    pass's: a block holds one pass's layers and at most that many last
-    layers, however many uses it has. Each use lies in one batch, so each
-    p* is written once. Every float is the one the use gives alone. The
+    The block owns its values. When scoring, it finds its distinct relays
+    (``_relays``): arms carrying the same transmission are one relay, scored
+    once. One batched pass makes every relay's normalizers, and so its
+    faults, before any forward pass runs; ``_trellises`` makes the
+    transition rows and runs the passes, each handing over its cut flags
+    with its layers. Only each use's last layer is kept, and the last layers
+    of consecutive passes are read together (``_read_finals``), up to
+    ``_BLOCK_ELEMENTS`` states or one pass's: a block holds one pass's
+    layers and at most that many last layers, however many uses it has.
+    Each use lies in one batch, so each relay's p* is written once, then
+    handed to each of its arms. Every float is the one the use gives alone:
+    an arm's relay has its normalizer inputs and its matched states. The
     trellis reads only what the watchdog holds, never the relay's payload,
-    so all arms share it. Fallbacks count built flags and fault codes.
+    so all arms share it. Fallbacks count built flags and each arm's fault.
     """
     count = len(h.own)
-    announced = h.relay_hashes if score else h.relay_hashes[:, :1]
-    norms, pstars = None, np.zeros(announced.size)  # an unbuilt, faulted or unmatched arm: 0
+    announced, relays, pstars = h.relay_hashes[:, :1], None, None  # counting: arm 0's value
     if score:
-        norms = _relay_normalizers(h.hashes, h.relay_symbols, announced, h.relay_channel)
-    lengths, built, keyed, passes = _trellises(h, announced)
+        use, symbols, values, arm_relay = _relays(h)
+        norms = _relay_normalizers(h.hashes._replace(coeffs=h.hashes.coeffs[use]),
+                                   symbols[:, None], values[:, None], h.relay_channel)
+        sizes = np.bincount(use, minlength=count)
+        starts = sizes.cumsum() - sizes
+        relays = starts, symbols, norms
+        # each use's relay slots' values; -1, past its last relay, matches no state
+        announced = np.full((count, sizes.max()), -1)
+        announced[use, np.arange(len(use)) - starts[use]] = values
+        pstars = np.zeros(len(use))  # an unbuilt, faulted or unmatched relay: 0
+    lengths, built, keyed, passes = _trellises(h, h.relay_hashes if score else announced)
     reads, cut = np.zeros(count, np.int64), np.zeros(count, bool)
     finals, held = [], 0
     for uses, layers, flags in passes:
@@ -818,13 +856,14 @@ def _watch_block(h: _Holdings, score: bool):
         t, s, w = layers[-1]
         del layers  # the others are freed before the next pass runs
         if held and held + len(s) > _BLOCK_ELEMENTS:
-            _read_finals(h, announced, cut, finals, reads, norms, pstars)
+            _read_finals(h, announced, cut, finals, reads, relays, pstars)
             finals, held = [], 0
         finals.append((uses[t], s, w))
         held += len(s)
-    _read_finals(h, announced, cut, finals, reads, norms, pstars)
-    values = pstars.reshape(announced.shape) if score else reads[:, None]
-    faults = norms[2].reshape(announced.shape)[built] if score else ()  # unbuilt: a trellis fault
+    _read_finals(h, announced, cut, finals, reads, relays, pstars)
+    shape = h.relay_hashes.shape
+    values = pstars[arm_relay].reshape(shape) if score else reads[:, None]
+    faults = norms[2][arm_relay].reshape(shape)[built] if score else ()  # unbuilt: trellis fault
     return values, RunDiagnostics(
         Counter(trellis=count - int(built.sum()), scoring=int(np.count_nonzero(faults))),
         Counter(lengths[built].ravel().tolist()),
@@ -835,31 +874,33 @@ def _watch_block(h: _Holdings, score: bool):
 
 def _read_finals(
     h: _Holdings, announced: np.ndarray, cut: np.ndarray, finals: list, reads: np.ndarray,
-    norms: tuple | None, pstars: np.ndarray,
+    relays: tuple | None, pstars: np.ndarray,
 ) -> None:
     """Add the reads of the final layers in finals to the block's reads; write their p*.
 
-    finals lists (use, state, weight) layers. Their states are hashed at
-    most once, and one (arm, state) match array compares each state with
-    each arm's announced value (arm 0's when counting); the counts and p*
-    are both read from it. A large dense last layer is cut to the announced
-    classes, and a keyed one when each use reads one arm: then every state
-    of a cut use matches, and only the other uses' states are hashed.
-    reads counts each use's final states p* reads. Scoring (norms
-    given), ``_score_arms`` writes the p* of the uses in finals into pstars.
+    finals lists (use, state, weight) layers, and announced[k, j] is the
+    value use k's relay slot j announced (arm 0's when counting). The
+    states are hashed at most once, and one (slot, state) match array
+    compares each state with each slot's value; the counts and p* are both
+    read from it. A large dense last layer is cut to the announced classes,
+    and a keyed one when each use reads one arm. Where each use has one
+    value, every state of a cut use matches it, and only the other uses'
+    states are hashed. reads counts each use's final states p* reads.
+    Scoring (relays given), ``_score_arms`` writes the p* of the relays of
+    the uses in finals into pstars.
     """
     empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     use, states, _ = final = [np.concatenate(parts) for parts in zip(empty, *finals)]
     if announced.shape[1] == 1:  # a cut use's final states all hash to its one value
-        match = cut[use][None]  # (arm, state)
+        match = cut[use][None]  # (slot, state)
         rest = (~match[0]).nonzero()[0]
         if len(rest):
             match[0, rest] = announced[use[rest], 0] == h.hashes.at(use[rest], states[rest])
     else:
         match = np.take(announced.T, use, axis=1) == h.hashes.at(use, states)
     reads += np.bincount(use[match.any(axis=0)], minlength=len(h.own))
-    if norms is not None:
-        _score_arms(h, norms, final, match, pstars)
+    if relays is not None:
+        _score_arms(h, relays, final, match, pstars)
 
 
 def build_and_run_trellis(obs: WatchdogObservation) -> Trellis:
@@ -920,7 +961,7 @@ def consistency_probability(trellis: Trellis, obs: WatchdogObservation) -> float
     use, states, _ = final = trellis._final if same else trellis._layers[-1]
     match = h.hashes.at(use, states)[None] == relay.hash_value
     pstar = np.zeros(1)
-    _score_arms(h, norms, final, match, pstar)
+    _score_arms(h, (np.zeros(1, np.int64), h.relay_symbols[0], norms), final, match, pstar)
     return float(pstar[0])
 
 

@@ -231,7 +231,7 @@ def test_the_working_tree_export_copies_tracked_and_untracked_files_not_ignored(
                                       ".gitignore": "*.log\n"}
 
 
-@pytest.mark.parametrize("what", ["padv", "count"])
+@pytest.mark.parametrize("what", ["padv", "count", "sweep"])
 def test_inprocess_offers_the_workload_calls(what, capsys):
     # a single pair is refused after the call is parsed: an unknown call would fail first
     with pytest.raises(SystemExit) as exit_:

@@ -719,7 +719,9 @@ def _cut_run(h, announced):
     read = match.any(axis=0)
     norms = inference._relay_normalizers(h.hashes, arms.relay_symbols, announced, h.relay_channel)
     pstars = np.zeros(announced.size)
-    inference._score_arms(arms, norms, final, match, pstars)
+    # every arm scored as a relay of its own: use k's slot a is arm a
+    relays = np.arange(len(built)) * announced.shape[1], arms.relay_symbols.ravel(), norms
+    inference._score_arms(arms, relays, final, match, pstars)
     return {
         "lengths": lengths.tolist(), "built": built.tolist(), "keyed": keyed.tolist(),
         "layers": layers,
@@ -1027,7 +1029,8 @@ def _whole_pstar(obs, final):
     use, states, _ = final
     match = h.hashes.at(use, states)[None] == obs.relay_overheard.hash_value
     pstar = np.zeros(1)
-    inference._score_arms(h, norms, final, match, pstar)
+    inference._score_arms(h, (np.zeros(1, np.int64), h.relay_symbols[0], norms), final, match,
+                          pstar)
     return inference._FAULTS[norms[2][0]] if norms[2][0] else float(pstar[0])
 
 

@@ -699,20 +699,47 @@ def test_inference_errors_zero_the_arms_they_reach(monkeypatch):
         ]
         assert clean_pstars[t].tolist() == ([0.0] * 3 if failed[t] else expect)
 
-    real = inference._relay_normalizers
-    scored = next(t for t in trials if (clean_pstars[t] > 0.0).all())
+    real, hits = inference._relay_normalizers, []
 
-    def second_arm_fails(*args):
-        top, denom, fault = real(*args)
-        fault[scored * (1 + len(p_advs)) + 1] = inference._IMPOSSIBLE
-        return top, denom, fault
+    def relay_fails(held, t, arm):
+        """``_relay_normalizers`` faulting the relay arm reads in trial t of held, found by
+        its hash, overheard symbol and announced value; each call's hits go to hits."""
+        coeffs = held.hashes.coeffs[t]
+        symbol, value = held.relay_symbols[t, arm], held.relay_hashes[t, arm]
 
-    monkeypatch.setattr(inference, "_relay_normalizers", second_arm_fails)
+        def normalizers(hashes, symbols, announced, ch):
+            top, denom, fault = real(hashes, symbols, announced, ch)
+            hit = ((hashes.coeffs == coeffs).all(axis=1) & (symbols[:, 0] == symbol)
+                   & (announced[:, 0] == value))
+            fault[hit] = inference._IMPOSSIBLE
+            hits.append(int(hit.sum()))
+            return top, denom, fault
+
+        return normalizers
+
+    # a trial whose arm 1 carries a relay of its own: the fault zeroes that arm alone
+    relays = drawn.relay_symbols << cfg.delta | drawn.relay_hashes
+    scored = next(t for t in trials if (clean_pstars[t] > 0.0).all()
+                  and list(relays[t]).count(relays[t, 1]) == 1)
+    monkeypatch.setattr(inference, "_relay_normalizers", relay_fails(drawn, scored, 1))
     got_pstars, got = inference._watch(drawn)
     expect = clean_pstars.copy()
     expect[scored, 1] = 0.0
-    assert got_pstars.tolist() == expect.tolist()
+    assert got_pstars.tolist() == expect.tolist() and sum(hits) == 1
     assert got.fallbacks == Counter(trellis=sum(failed), scoring=1)
+
+    # with a p_adv = 0 arm, the honest relay is carried twice: one fault zeroes both arms
+    monkeypatch.setattr(inference, "_relay_normalizers", real)
+    shared = sim._draw(cfg, [0.0, *p_advs], sim._seed_words(cfg.seed, 0, len(trials)))
+    clean_pstars = inference._watch(shared)[0]
+    assert clean_pstars[:, 1].tolist() == clean_pstars[:, 0].tolist()
+    hits.clear()
+    monkeypatch.setattr(inference, "_relay_normalizers", relay_fails(shared, scored, 0))
+    got_pstars, got = inference._watch(shared)
+    expect = clean_pstars.copy()
+    expect[scored, :2] = 0.0
+    assert got_pstars.tolist() == expect.tolist() and sum(hits) == 1
+    assert got.fallbacks == Counter(trellis=sum(failed), scoring=2)
 
 
 def test_one_trellis_per_trial(monkeypatch):
@@ -824,8 +851,8 @@ def _block_runs(draw):
         hash_family=draw(st.sampled_from(["affine", "poly"])),
     )
     p_advs = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), max_size=2))
-    # sizes near a trial's classes (2^(n - delta) a peer or arm) and balls (2 x peers x V(n, r))
-    per_trial = inference._use_elements(_held_run(_matched(cfg), []), score=False)
+    # sizes near a trial's classes (2^(n - delta) a peer or relay) and balls (2 x peers x V(n, r))
+    per_trial = int(inference._use_elements(_held_run(_matched(cfg), []), score=False).min())
     block_elements = draw(st.sampled_from(
         [1, 1 << (n + 1), 5 << n, inference._BLOCK_ELEMENTS, 2 * per_trial, 5 * per_trial]
     ))
@@ -841,6 +868,12 @@ def _matched(cfg):
 def _held_run(cfg, p_advs):
     """What the watchdogs of cfg's run with p_advs arms hold, as ``sim._run`` hands it to _watch."""
     return sim._draw(cfg, p_advs, sim._seed_words(cfg.seed, 0, cfg.iterations))
+
+
+def _block_sizes(held, score, block_elements):
+    """The uses of each block ``inference._watch`` cuts held into at block_elements."""
+    elements = inference._use_elements(held, score)
+    return [len(b) for b in inference._groups(np.arange(len(held.own)), elements, block_elements)]
 
 
 
@@ -901,6 +934,80 @@ def test_blocks_equal_per_trial_pipelines(run):
     assert records[0] == records[1] and records[2] == records[3]
 
 
+@st.composite
+def _shared_relay_runs(draw):
+    """A config at m 2-4, n 4-10, both hash families, pruning on and off, p_adv arms that
+    share relays, and a block size.
+
+    A p_adv = 0 arm carries the honest relay, nested rates share a payload where no
+    adversary uniform falls between them, a repeated rate repeats its arm, and with [0.0]
+    or [0.0, 0.0] every arm of a trial is one relay.
+    """
+    n, m = draw(st.integers(4, 10)), draw(st.integers(2, 4))
+    cfg = TwoHopConfig(
+        m=m,
+        n=n,
+        delta=draw(st.integers(max(0, n - 6) if m > 2 else 0, n)),
+        p_s=draw(_RATES),
+        p_relay=draw(_RATES),
+        iterations=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 2**16)),
+        pruning_eps=draw(st.none() | st.sampled_from([0.05, 0.5])),
+        hash_family=draw(st.sampled_from(FAMILIES)),
+    )
+    p_advs = draw(st.sampled_from([
+        [0.0], [0.0, 0.0], [0.0, 0.05, 0.3], [0.05, 0.1, 0.3, 0.5], [0.3, 0.3],
+        [0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
+    ]))
+    return cfg, p_advs, draw(st.sampled_from([1 << (n + 1), 5 << n, inference._BLOCK_ELEMENTS]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_shared_relay_runs())
+@example((TwoHopConfig(iterations=8, seed=1), [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], 1 << 13))
+def test_a_scored_block_normalizes_each_distinct_relay_once(run):
+    """Each scored block hands ``_relay_normalizers`` its distinct (use, overheard symbol,
+    announced value) relays, each once, in ascending order; every arm's p* is, with ==, its
+    own public pipeline's, and the record equals the one-trial-a-block record."""
+    cfg, p_advs, block_elements = run
+    expect = [
+        [_arm_pstar(cfg, False, t)]
+        + [_arm_pstar(dataclasses.replace(cfg, p_adv=p), True, t) for p in p_advs]
+        for t in range(cfg.iterations)
+    ]
+    blocks, normalized, records = [], [], []
+    real_block, real_normalizers = inference._watch_block, inference._relay_normalizers
+
+    def block(h, score):
+        blocks.append(h)
+        normalized.append([])
+        return real_block(h, score)
+
+    def normalizers(hashes, symbols, announced, ch):
+        rows = zip(hashes.coeffs.tolist(), symbols.ravel().tolist(), announced.ravel().tolist())
+        normalized[-1].append(list(rows))
+        return real_normalizers(hashes, symbols, announced, ch)
+
+    with (
+        mock.patch.object(inference, "_watch_block", block),
+        mock.patch.object(inference, "_relay_normalizers", normalizers),
+    ):
+        for elements in (block_elements, 1):  # then one trial a block
+            with (
+                mock.patch.object(inference, "_BLOCK_ELEMENTS", elements),
+                sim.collect_diagnostics() as record,
+            ):
+                assert sim._samples(cfg, p_advs).tolist() == expect
+            records.append(record)
+    assert records[0] == records[1]
+    shared = 0.0 in p_advs or len(set(p_advs)) < len(p_advs)  # some arms always coincide
+    for h, calls in zip(blocks, normalized):
+        relays = sorted({(k, s, v) for k in range(len(h.own))
+                         for s, v in zip(h.relay_symbols[k].tolist(), h.relay_hashes[k].tolist())})
+        assert calls == [[(h.hashes.coeffs[k].tolist(), s, v) for k, s, v in relays]]
+        assert len(relays) < h.relay_hashes.size or not shared
+
+
 def _row_lengths(cfg, p_advs):
     """(trials, peers): each transition row's candidate count in cfg's run."""
     h = _held_run(cfg, p_advs)
@@ -914,12 +1021,12 @@ def test_explicit_block_runs_cover_what_they_claim():
     cfg, p_advs, block_elements, _ = _LONG_ROWS_RUN
     lengths = set(_row_lengths(cfg, p_advs).ravel().tolist())
     assert max(lengths) >= 8 and len(lengths) > 3
-    per_block = block_elements // inference._use_elements(_held_run(cfg, p_advs), score=True)
-    assert cfg.iterations % per_block != 0
+    sizes = _block_sizes(_held_run(cfg, p_advs), True, block_elements)
+    assert len(sizes) > 1 and sizes[-1] < max(sizes)  # ends in a short block
     cfg, p_advs, block_elements, workers = _FAULTY_RUN
     assert 0 in _row_lengths(cfg, p_advs)
-    per_block = block_elements // inference._use_elements(_held_run(cfg, p_advs), score=True)
-    assert cfg.iterations % per_block != 0 and workers == 2
+    sizes = _block_sizes(_held_run(cfg, p_advs), True, block_elements)
+    assert len(sizes) > 1 and sizes[-1] < max(sizes) and workers == 2
     faulty = _relay_faults_when_divisible_by_3(inference._relay_normalizers)
     with (
         mock.patch.object(inference, "_relay_normalizers", faulty),
@@ -931,12 +1038,15 @@ def test_explicit_block_runs_cover_what_they_claim():
     matched = _matched(cfg)
     assert matched == dataclasses.replace(cfg, p_adv=0.0)
     held = _held_run(matched, [])
-    per_block = block_elements // inference._use_elements(held, score=False)
+    sizes = _block_sizes(held, False, block_elements)
     # the blocks find their candidates in the balls
     assert inference._pruning(held.peer_channels, cfg.n, cfg.delta, cfg.pruning_eps)[1] is not None
-    assert 1 < per_block < cfg.iterations  # the run crosses block boundaries
+    assert len(sizes) > 1 and max(sizes) > 1  # the run crosses block boundaries
     emptied = np.flatnonzero((_row_lengths(matched, []) == 0).any(axis=1))
-    assert any(0 < t % per_block < per_block - 1 for t in emptied.tolist())  # mid-block
+    starts = np.cumsum(sizes) - sizes
+    assert any(0 < t - lo < size - 1  # mid-block
+               for t in emptied.tolist() for lo, size in zip(starts.tolist(), sizes)
+               if lo <= t < lo + size)
     with (
         mock.patch.object(inference, "_BLOCK_ELEMENTS", block_elements),
         sim.collect_diagnostics() as record,

@@ -55,7 +55,10 @@ extras:
     compared;
   - ``count``: the ``matched-count`` workload's call, ``mean_matched_count``
     at the criterion-08 point (n = 10, three peers, delta = 2, p = 0.1)
-    with 1,000 trials.
+    with 1,000 trials;
+  - ``sweep``: the run users make, ``run_sweep`` on ``two-hop``'s default
+    ``p_adv`` grid at its default 1,000 iterations with one worker, every
+    sample compared.
 
   Two calls at seeds 1 and 2 check the results and warm both sides; pair k
   then calls at seed k + 3.
@@ -295,6 +298,12 @@ def _call(aw, what: str, policed: list):
     elif what == "count":
         def call(seed):
             return aw.sim.mean_matched_count(10, 3, 2, 0.1, trials=1000, seed=seed)
+    elif what == "sweep":
+        grid = [float(v) for v in aw.cli.DEFAULT_SWEEP_VALUES["p_adv"].split(",")]
+
+        def call(seed):
+            points = aw.sim.run_sweep(aw.sim.TwoHopConfig(seed=seed), "p_adv", grid, workers=1)
+            return [(v, s.relay_samples.tolist(), s.adv_samples.tolist()) for v, s in points]
     else:
         def call(seed):
             report = aw.multihop.mincut_scenario("one-honest-path", seed=seed, instances=4,
@@ -333,7 +342,8 @@ def main(argv=None) -> int:
         modes[mode].add_argument("--pairs", type=int, default=pairs)
     modes["process"].add_argument("--seconds", type=float, default=30)
     modes["inprocess"].add_argument("--call", required=True,
-                                    choices=("calibrate", "pair", "scenario", "padv", "count"))
+                                    choices=("calibrate", "pair", "scenario", "padv", "count",
+                                             "sweep"))
     args = parser.parse_args(argv)
     if args.pairs < 2:  # quartiles need two runs a side
         parser.error(f"--pairs must be at least 2, got {args.pairs}")
